@@ -11,11 +11,10 @@ from .pose_math import (
 )
 from .push_controller import ControllerConfig, ControllerState, Status, control_step
 from .push_dynamics import (
+    ContactMatrix,
     ContactMode,
     ContactState,
     PhysicsFault,
-    Twist2,
-    limit_surface_twist,
     motion_cone,
     resolve_substep,
     simulate_tap,
@@ -27,7 +26,6 @@ from .scene import (
     PusherTip,
     WorldState,
     builtin_shapes,
-    closest_boundary_point,
 )
 from .tactile_sense import NoiseModel, PosePrediction, apply_noise, sense_contact
 from .exp_harness import (

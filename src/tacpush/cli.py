@@ -14,10 +14,18 @@ from .scenario import ScenarioError, load_scenario
 from .scene import builtin_shapes, shape_to_dict
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--workers", type=int, default=1, help="trial worker processes")
+    parser.add_argument("--workers", type=positive_int, default=1, help="trial worker processes")
 
 
 def _finish(metrics, records, out_dir: Path) -> int:
@@ -107,16 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run trials of a scenario file")
     p.add_argument("--scenario", type=Path, required=True)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=positive_int, default=1)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--noise", choices=("on", "off"), default=None)
     p.add_argument("--out", type=Path, default=Path("out"))
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(func=_cmd_run)
 
     for n, trials in ((1, 10), (2, 10), (3, 10)):
         p = sub.add_parser(f"exp{n}", help=f"run the experiment-{n} grid")
-        p.add_argument("--trials", type=int, default=trials, help="trials per cell")
+        p.add_argument("--trials", type=positive_int, default=trials, help="trials per cell")
         _add_common(p)
         p.set_defaults(func=lambda a, which=n: _cmd_exp(a, which))
 

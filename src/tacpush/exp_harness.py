@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .pose_math import EulerPose, Transform, euler_to_transform
+from .pose_math import EulerPose, euler_to_transform
 from .push_controller import ControllerState, Status, control_step
 from .push_dynamics import PhysicsFault, simulate_tap
 from .scene import (
@@ -173,30 +173,33 @@ def compute_metrics(records) -> Metrics:
 # trial runner
 # ---------------------------------------------------------------------------
 
-def compute_y_targ(final_pusher_pose: Transform, target_pose: Transform) -> float:
+def compute_y_targ(final_pusher_pose: PlanarPose, target_pose: PlanarPose) -> float:
     """Perpendicular in-plane distance from the sensor's central-axis line
     to the target point."""
-    pusher = PlanarPose.from_transform(final_pusher_pose)
-    axis = heading_dir(pusher.alpha)
-    rel = np.asarray(target_pose.translation[1:3], dtype=float) - pusher.position
+    axis = heading_dir(final_pusher_pose.alpha)
+    rel = target_pose.position - final_pusher_pose.position
     return abs(float(axis[0] * rel[1] - axis[1] * rel[0]))
 
 
-def _euler_tuple(t: Transform) -> tuple:
-    p = PlanarPose.from_transform(t)
+def _euler_tuple(p: PlanarPose) -> tuple:
     return (0.0, p.y, p.z, p.alpha, 0.0, 0.0)
 
 
 def run_trial(scenario: Scenario, tip: PusherTip = PusherTip()) -> TrialRecord:
-    """Run one full push trial; never raises on physics faults."""
+    """Run one full push trial of a validated scenario; never raises.
+
+    A physics fault ends the trial with outcome "physics_fault" and its
+    diagnostics in meta["fault"]; any other exception ends it with outcome
+    "error" and the exception's type and message in meta["error"]. The
+    world state is planar; SE(3) poses are built only for control_step.
+    """
     t0 = time.perf_counter()
     shape = scenario.object
     cfg = scenario.controller
+    target = PlanarPose.from_euler(scenario.target_pose)
     target_t = euler_to_transform(scenario.target_pose)
     world = WorldState(
-        scenario.object_start_pose,
-        euler_to_transform(scenario.pusher_start_pose),
-        0,
+        scenario.object_start_pose, PlanarPose.from_euler(scenario.pusher_start_pose), 0
     )
     sense_world = world
     rng = np.random.default_rng(scenario.rng_seed)
@@ -209,63 +212,68 @@ def run_trial(scenario: Scenario, tip: PusherTip = PusherTip()) -> TrialRecord:
         "termination_radius_mm": cfg.termination_radius,
         "noise_enabled": scenario.noise.enabled,
     }
-    outcome = "max_taps"
-    while True:
-        pred = sense_contact(sense_world, shape, tip)
-        if scenario.noise.enabled:
-            pred = apply_noise(pred, scenario.noise, rng)
-        decision = control_step(pred, world.pusher_pose, target_t, state, cfg)
-        if decision.status is Status.TARGET_REACHED:
-            outcome = "reached"
-            break
-        if decision.status is Status.LOST_CONTACT:
-            outcome = "lost_contact"
-            break
-        if len(taps) >= scenario.max_taps:
-            outcome = "max_taps"
-            break
-        try:
+    try:
+        while True:
+            pred = sense_contact(sense_world, shape, tip)
+            if scenario.noise.enabled:
+                pred = apply_noise(pred, scenario.noise, rng)
+            decision = control_step(
+                pred, world.pusher_pose.to_transform(), target_t, state, cfg
+            )
+            if decision.status is Status.TARGET_REACHED:
+                outcome = "reached"
+                break
+            if decision.status is Status.LOST_CONTACT:
+                outcome = "lost_contact"
+                break
+            if len(taps) >= scenario.max_taps:
+                outcome = "max_taps"
+                break
             world, traj = simulate_tap(
                 world,
                 shape,
-                decision.command,
+                PlanarPose.from_transform(decision.command),
                 tip,
                 tap_forward=cfg.tap_forward,
                 tap_back=cfg.tap_back,
             )
-        except PhysicsFault as fault:
-            outcome = "physics_fault"
-            meta["fault"] = dict(fault.diagnostics)
-            break
-        sense_world = WorldState(
-            world.object_pose, traj.advance_end_pusher_pose, world.tap_index
-        )
-        mode = (
-            traj.advance_end_contact.mode.value
-            if traj.advance_end_contact is not None
-            else "separated"
-        )
-        taps.append(
-            TapLog(
-                tap=len(taps),
-                pusher_pose=_euler_tuple(world.pusher_pose),
-                object_pose=(world.object_pose.y, world.object_pose.z, world.object_pose.alpha),
-                in_contact=pred.in_contact,
-                z_depth=pred.z_depth,
-                alpha_pred=pred.alpha,
-                clamped=pred.clamped,
-                theta=decision.theta,
-                r=decision.r,
-                v=decision.v,
-                error6=None if decision.error6 is None else tuple(decision.error6),
-                integral6=tuple(decision.integral6)
-                if decision.integral6 is not None
-                else tuple(state.integral6),
-                contact_mode=mode,
-                status=decision.status.value,
+            sense_world = WorldState(
+                world.object_pose, traj.advance_end_pusher_pose, world.tap_index
             )
-        )
-    y_targ = compute_y_targ(world.pusher_pose, target_t) if outcome == "reached" else None
+            mode = (
+                traj.advance_end_contact.mode.value
+                if traj.advance_end_contact is not None
+                else "separated"
+            )
+            taps.append(
+                TapLog(
+                    tap=len(taps),
+                    pusher_pose=_euler_tuple(world.pusher_pose),
+                    object_pose=(
+                        world.object_pose.y, world.object_pose.z, world.object_pose.alpha
+                    ),
+                    in_contact=pred.in_contact,
+                    z_depth=pred.z_depth,
+                    alpha_pred=pred.alpha,
+                    clamped=pred.clamped,
+                    theta=decision.theta,
+                    r=decision.r,
+                    v=decision.v,
+                    error6=None if decision.error6 is None else tuple(decision.error6),
+                    integral6=tuple(decision.integral6)
+                    if decision.integral6 is not None
+                    else tuple(state.integral6),
+                    contact_mode=mode,
+                    status=decision.status.value,
+                )
+            )
+    except PhysicsFault as fault:
+        outcome = "physics_fault"
+        meta["fault"] = dict(fault.diagnostics)
+    except Exception as exc:  # one bad trial must not abort its batch
+        outcome = "error"
+        meta["error"] = f"{type(exc).__name__}: {exc}"
+    y_targ = compute_y_targ(world.pusher_pose, target) if outcome == "reached" else None
     return TrialRecord(
         scenario_id=scenario.name,
         seed=scenario.rng_seed,
@@ -310,7 +318,7 @@ def place_offset_contact(
     the object is rotated `angular_offset` degrees about the contact point."""
     if not shape.is_polygon:
         raise ValueError("place_offset_contact needs a polygonal shape")
-    pusher = PlanarPose.from_transform(euler_to_transform(pusher_start))
+    pusher = PlanarPose.from_euler(pusher_start)
     axis = heading_dir(pusher.alpha)
     contact = pusher.position + (tip.radius - depth) * axis
     verts = shape.polygon
@@ -340,7 +348,7 @@ def place_corner_contact(
     back at the sensor. Circles have no corners: the nearest boundary point
     is placed dead ahead instead.
     """
-    pusher = PlanarPose.from_transform(euler_to_transform(pusher_start))
+    pusher = PlanarPose.from_euler(pusher_start)
     axis = heading_dir(pusher.alpha)
     if not shape.is_polygon:
         centre = pusher.position + (tip.radius - depth + shape.radius) * axis
@@ -369,7 +377,7 @@ def place_random_orientation(
 ) -> PlanarPose:
     """Seat the object at a fixed heading dead ahead of the tip by sliding it
     along the push axis until the boundary sits `depth` mm into the disc."""
-    pusher = PlanarPose.from_transform(euler_to_transform(pusher_start))
+    pusher = PlanarPose.from_euler(pusher_start)
     axis = heading_dir(pusher.alpha)
     target_sd = tip.radius - depth
 

@@ -67,17 +67,6 @@ class EulerPose:
         x, y, z, a, b, g = (float(v) for v in values)
         return cls(x, y, z, a, b, g)
 
-    def normalized(self) -> "EulerPose":
-        """Same pose with all angles wrapped to (-180, 180]."""
-        return EulerPose(
-            self.x,
-            self.y,
-            self.z,
-            normalize_angle_deg(self.alpha),
-            normalize_angle_deg(self.beta),
-            normalize_angle_deg(self.gamma),
-        )
-
 
 @dataclass
 class Transform:
@@ -100,10 +89,6 @@ class Transform:
         m[:3, :3] = self.rotation
         m[:3, 3] = self.translation
         return m
-
-    def apply(self, point) -> np.ndarray:
-        """Map a 3-point expressed in the child frame into the parent frame."""
-        return self.rotation @ np.asarray(point, dtype=float) + self.translation
 
     def rotation_drift(self) -> float:
         """Max-abs deviation of R^T R from identity."""

@@ -19,7 +19,8 @@ slides along that edge's velocity image. Contact is unilateral: the object
 only moves while the pusher disc overlaps it, and overlap is resolved each
 substep to within PENETRATION_TOL_MM by advancing the object along the
 resolved twist. Motion is velocity-level and scale invariant; only twist
-directions are physical.
+directions are physical. ContactMatrix is the one implementation of M; the
+solver and motion_cone both use it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from enum import Enum
 
 import numpy as np
 
-from .pose_math import Transform
 from .scene import (
     ObjectShape,
     PlanarPose,
@@ -39,20 +39,20 @@ from .scene import (
     boundary_probe,
     cross2,
     heading_dir,
+    normalize_angle_deg,
     perp2,
 )
 
 __all__ = [
+    "ContactMatrix",
     "ContactMode",
     "ContactState",
     "PhysicsFault",
-    "Twist2",
     "TapStep",
     "TapTrajectory",
     "MAX_RESOLVE_ITERS",
     "PENETRATION_TOL_MM",
     "SUBSTEP_CAP_MM",
-    "limit_surface_twist",
     "motion_cone",
     "resolve_substep",
     "simulate_tap",
@@ -81,18 +81,6 @@ class ContactMode(str, Enum):
     SLIDING_RIGHT = "sliding_right"
 
 
-@dataclass(frozen=True)
-class Twist2:
-    """Planar object twist direction: CoF velocity (mm) and spin (rad) per unit pseudo-time."""
-
-    vy: float
-    vz: float
-    omega: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.vy, self.vz, self.omega])
-
-
 @dataclass
 class ContactState:
     """Contact bookkeeping for one substep.
@@ -108,22 +96,6 @@ class ContactState:
     penetration: float
 
 
-def limit_surface_twist(wrench, shape: ObjectShape) -> Twist2:
-    """Twist direction the ellipsoid limit surface assigns to a CoF wrench.
-
-    The returned twist is the gradient of H at the wrench, normalized to a
-    unit 3-vector; only its direction is meaningful.
-    """
-    fy, fz, m = (float(v) for v in wrench)
-    if fy == 0.0 and fz == 0.0 and m == 0.0:
-        raise ValueError("limit_surface_twist: zero wrench")
-    g = np.array(
-        [fy / shape.f_max**2, fz / shape.f_max**2, m / shape.m_max**2]
-    )
-    g /= np.linalg.norm(g)
-    return Twist2(float(g[0]), float(g[1]), float(g[2]))
-
-
 def _cof_world(shape: ObjectShape, pose: PlanarPose) -> np.ndarray:
     return pose.transform_point(shape.cof_offset)
 
@@ -133,16 +105,87 @@ def _rotated(v: np.ndarray, rad: float) -> np.ndarray:
     return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
 
 
-def _contact_matrix_apply(f, a: float, b: float, p: np.ndarray) -> np.ndarray:
-    """v_c = M f with M = a I + b p p^T."""
-    return a * np.asarray(f, dtype=float) + b * float(p[0] * f[0] + p[1] * f[1]) * p
+class ContactMatrix:
+    """The contact matrix M = a I + b p p^T of one contact (a, b > 0).
 
+    a = 1 / f_max^2, b = 1 / m_max^2 and p = perp(contact point - CoF), so
+    the moment of a contact force f about the CoF is p . f, the limit surface
+    gives the object the twist (a f, b p . f), and the contact point moves
+    with velocity M f.
+    """
 
-def _contact_matrix_solve(v, a: float, b: float, p: np.ndarray) -> np.ndarray:
-    """f = M^-1 v via the rank-one (Sherman-Morrison) form of M."""
-    pp = float(p[0] * p[0] + p[1] * p[1])
-    pv = float(p[0] * v[0] + p[1] * v[1])
-    return (np.asarray(v, dtype=float) - (b * pv / (a + b * pp)) * p) / a
+    __slots__ = ("a", "b", "p")
+
+    def __init__(self, a: float, b: float, p: np.ndarray):
+        self.a = a
+        self.b = b
+        self.p = p
+
+    @classmethod
+    def at(cls, shape: ObjectShape, object_pose: PlanarPose, point) -> "ContactMatrix":
+        """Contact matrix of `shape` at `object_pose` for a work-frame contact point."""
+        return cls(
+            1.0 / shape.f_max**2,
+            1.0 / shape.m_max**2,
+            perp2(np.asarray(point, dtype=float) - _cof_world(shape, object_pose)),
+        )
+
+    def apply(self, f) -> np.ndarray:
+        """Contact-point velocity v_c = M f."""
+        a, b, p = self.a, self.b, self.p
+        return a * np.asarray(f, dtype=float) + b * float(p[0] * f[0] + p[1] * f[1]) * p
+
+    def solve(self, v) -> np.ndarray:
+        """f = M^-1 v via the rank-one (Sherman-Morrison) form of M."""
+        a, b, p = self.a, self.b, self.p
+        pp = float(p[0] * p[0] + p[1] * p[1])
+        pv = float(p[0] * v[0] + p[1] * v[1])
+        return (np.asarray(v, dtype=float) - (b * pv / (a + b * pp)) * p) / a
+
+    def twist(self, f, s: float = 1.0):
+        """Object twist s * (a f, b p . f) for the contact force f: the CoF
+        displacement (mm) and the spin about the CoF (rad)."""
+        return s * self.a * f, s * self.b * float(self.p @ f)
+
+    def edge_images(self, n_in, mu: float):
+        """Friction-cone edge forces and their unnormalised velocity images.
+
+        Returns (f_l, f_r, u_l, u_r): the left (+) and right (-) edges of the
+        Coulomb cone about the inward normal and u = M f of each, the
+        motion-cone edges.
+        """
+        phi = math.atan(mu)
+        f_l = _rotated(n_in, phi)
+        f_r = _rotated(n_in, -phi)
+        return f_l, f_r, self.apply(f_l), self.apply(f_r)
+
+    def resolve(self, v_p, n_in, mu: float):
+        """Contact force direction and mode for a pusher drive direction v_p.
+
+        Sticking if v_p lies inside the motion cone (force = M^-1 v_p,
+        interior to the friction cone); otherwise the force pins to the
+        friction-cone edge on v_p's side and the contact slides.
+        """
+        f_l, f_r, u_l, u_r = self.edge_images(n_in, mu)
+        beyond_l = cross2(u_l, v_p) > 0.0
+        beyond_r = cross2(u_r, v_p) < 0.0
+        if mu == 0.0:
+            side = cross2(u_l, v_p)
+            if abs(side) < 1e-12:
+                return np.asarray(n_in, dtype=float), ContactMode.STICKING
+            mode = ContactMode.SLIDING_LEFT if side > 0.0 else ContactMode.SLIDING_RIGHT
+            return np.asarray(n_in, dtype=float), mode
+        if beyond_l and beyond_r:
+            # reflex corner: v_p opposes the cone; pick the side it is closer to
+            mid = u_l + u_r
+            if cross2(mid, v_p) > 0.0:
+                return f_l, ContactMode.SLIDING_LEFT
+            return f_r, ContactMode.SLIDING_RIGHT
+        if beyond_l:
+            return f_l, ContactMode.SLIDING_LEFT
+        if beyond_r:
+            return f_r, ContactMode.SLIDING_RIGHT
+        return self.solve(v_p), ContactMode.STICKING
 
 
 def motion_cone(contact: ContactState, shape: ObjectShape, object_pose: PlanarPose):
@@ -155,48 +198,9 @@ def motion_cone(contact: ContactState, shape: ObjectShape, object_pose: PlanarPo
     """
     if contact.mode is ContactMode.SEPARATED:
         raise ValueError("motion_cone: contact is separated")
-    a = 1.0 / shape.f_max**2
-    b = 1.0 / shape.m_max**2
-    r = contact.point - _cof_world(shape, object_pose)
-    p = perp2(r)
-    phi = math.atan(shape.mu_contact)
-    n = contact.normal
-    u_l = _contact_matrix_apply(_rotated(n, phi), a, b, p)
-    u_r = _contact_matrix_apply(_rotated(n, -phi), a, b, p)
+    m = ContactMatrix.at(shape, object_pose, contact.point)
+    _, _, u_l, u_r = m.edge_images(contact.normal, shape.mu_contact)
     return u_l / np.linalg.norm(u_l), u_r / np.linalg.norm(u_r)
-
-
-def _resolve_force(v_p, n_in, mu: float, a: float, b: float, p: np.ndarray):
-    """Contact force direction and mode for a pusher drive direction v_p.
-
-    Sticking if v_p lies inside the motion cone (force = M^-1 v_p, interior
-    to the friction cone); otherwise the force pins to the friction-cone edge
-    on v_p's side and the contact slides.
-    """
-    phi = math.atan(mu)
-    f_l = _rotated(n_in, phi)
-    f_r = _rotated(n_in, -phi)
-    u_l = _contact_matrix_apply(f_l, a, b, p)
-    u_r = _contact_matrix_apply(f_r, a, b, p)
-    beyond_l = cross2(u_l, v_p) > 0.0
-    beyond_r = cross2(u_r, v_p) < 0.0
-    if mu == 0.0:
-        side = cross2(u_l, v_p)
-        if abs(side) < 1e-12:
-            return np.asarray(n_in, dtype=float), ContactMode.STICKING
-        mode = ContactMode.SLIDING_LEFT if side > 0.0 else ContactMode.SLIDING_RIGHT
-        return np.asarray(n_in, dtype=float), mode
-    if beyond_l and beyond_r:
-        # reflex corner: v_p opposes the cone; pick the side it is closer to
-        mid = u_l + u_r
-        if cross2(mid, v_p) > 0.0:
-            return f_l, ContactMode.SLIDING_LEFT
-        return f_r, ContactMode.SLIDING_RIGHT
-    if beyond_l:
-        return f_l, ContactMode.SLIDING_LEFT
-    if beyond_r:
-        return f_r, ContactMode.SLIDING_RIGHT
-    return _contact_matrix_solve(v_p, a, b, p), ContactMode.STICKING
 
 
 def _advance_pose(
@@ -234,9 +238,7 @@ def resolve_substep(
             f"resolve_substep: displacement {disp_norm:.3f} mm exceeds the "
             f"{SUBSTEP_CAP_MM} mm substep cap"
         )
-    tip_new = np.array(
-        [float(world.pusher_pose.translation[1]), float(world.pusher_pose.translation[2])]
-    ) + disp
+    tip_new = world.pusher_pose.position + disp
     pose = world.object_pose
     a = 1.0 / shape.f_max**2
     b = 1.0 / shape.m_max**2
@@ -251,26 +253,25 @@ def resolve_substep(
         n_in = -n_out
         if pen <= PENETRATION_TOL_MM:
             break
-        r = point - _cof_world(shape, pose)
-        p = perp2(r)
+        cof = _cof_world(shape, pose)
+        m = ContactMatrix(a, b, perp2(point - cof))
         if disp_norm > 1e-12 and float(disp @ n_in) > 1e-12:
             v_p = disp
         else:
             # stale overlap with no approaching drive: expel along the normal
             v_p = n_in
-        f, step_mode = _resolve_force(v_p, n_in, shape.mu_contact, a, b, p)
-        u = _contact_matrix_apply(f, a, b, p)
+        f, step_mode = m.resolve(v_p, n_in, shape.mu_contact)
+        u = m.apply(f)
         rate = float(u @ n_in)
         if rate <= 1e-12:
             # edge twist cannot reduce overlap; fall back to a pure normal push
             f = n_in
-            u = _contact_matrix_apply(f, a, b, p)
+            u = m.apply(f)
             rate = float(u @ n_in)
         if mode is None:
             mode = step_mode
-        s = (pen - _RESOLVE_RESIDUAL_MM) / rate
-        m = float(p @ f)
-        pose = _advance_pose(pose, _cof_world(shape, pose), s * a * f, s * b * m)
+        dpos, dspin = m.twist(f, (pen - _RESOLVE_RESIDUAL_MM) / rate)
+        pose = _advance_pose(pose, cof, dpos, dspin)
         sd, point, n_out, _ = boundary_probe(shape, pose, tip_new)
         pen = tip.radius - sd
     else:
@@ -286,9 +287,8 @@ def resolve_substep(
     if mode is None:
         # grazing contact (overlap within tolerance): classify without moving
         if disp_norm > 1e-12:
-            _, mode = _resolve_force(
-                disp, -n_out, shape.mu_contact, a, b,
-                perp2(point - _cof_world(shape, pose)),
+            _, mode = ContactMatrix.at(shape, pose, point).resolve(
+                disp, -n_out, shape.mu_contact
             )
         else:
             mode = ContactMode.STICKING
@@ -321,23 +321,16 @@ class TapTrajectory:
     """
 
     steps: list = field(default_factory=list)
-    advance_end_pusher_pose: Transform | None = None
+    advance_end_pusher_pose: PlanarPose | None = None
     advance_end_object_pose: PlanarPose | None = None
     advance_end_contact: ContactState | None = None
     final_contact: ContactState | None = None
 
 
-def _wrap_deg(d: float) -> float:
-    r = math.fmod(d + 180.0, 360.0)
-    if r <= 0.0:
-        r += 360.0
-    return r - 180.0
-
-
 def simulate_tap(
     world: WorldState,
     shape: ObjectShape,
-    commanded_pose: Transform,
+    commanded_pose: PlanarPose,
     tip: PusherTip = PusherTip(),
     tap_forward: float = 10.0,
     tap_back: float = 5.0,
@@ -351,18 +344,17 @@ def simulate_tap(
     `tap_back` mm. Every leg is substepped through resolve_substep. Returns
     the post-retraction WorldState and the TapTrajectory.
     """
-    start = PlanarPose.from_transform(world.pusher_pose)
-    cmd = PlanarPose.from_transform(commanded_pose)
+    cmd = commanded_pose
     traj = TapTrajectory()
     obj = world.object_pose
-    pos = start.position
-    alpha = start.alpha
+    pos = world.pusher_pose.position
+    alpha = world.pusher_pose.alpha
 
     def run_leg(phase: str, target_pos: np.ndarray, target_alpha: float):
         nonlocal obj, pos, alpha
         delta = target_pos - pos
         dist = float(np.hypot(delta[0], delta[1]))
-        dalpha = _wrap_deg(target_alpha - alpha)
+        dalpha = normalize_angle_deg(target_alpha - alpha)
         if dist < 1e-12 and abs(dalpha) < 1e-12:
             return
         n = max(1, math.ceil(dist / substep))
@@ -372,7 +364,7 @@ def simulate_tap(
             frac = i / n
             p_next = p_from + delta * frac
             a_next = a_from + dalpha * frac
-            w = WorldState(obj, PlanarPose(pos[0], pos[1], alpha).to_transform(), world.tap_index)
+            w = WorldState(obj, PlanarPose(pos[0], pos[1], alpha), world.tap_index)
             obj, contact = resolve_substep(w, shape, p_next - pos, tip)
             pos = p_next
             alpha = a_next
@@ -394,14 +386,12 @@ def simulate_tap(
     run_leg("relocate", cmd.position, cmd.alpha)
     axis = heading_dir(cmd.alpha)
     run_leg("advance", cmd.position + tap_forward * axis, cmd.alpha)
-    traj.advance_end_pusher_pose = PlanarPose(pos[0], pos[1], alpha).to_transform()
+    traj.advance_end_pusher_pose = PlanarPose(float(pos[0]), float(pos[1]), alpha)
     traj.advance_end_object_pose = obj
     traj.advance_end_contact = traj.final_contact
     run_leg("retract", cmd.position + (tap_forward - tap_back) * axis, cmd.alpha)
 
     new_world = WorldState(
-        obj,
-        PlanarPose(pos[0], pos[1], alpha).to_transform(),
-        world.tap_index + 1,
+        obj, PlanarPose(float(pos[0]), float(pos[1]), alpha), world.tap_index + 1
     )
     return new_world, traj

@@ -10,6 +10,7 @@ fields fall back to the built-in defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,6 +67,20 @@ class Scenario:
     def __post_init__(self):
         if self.max_taps <= 0:
             raise ScenarioError(f"scenario {self.name!r}: max_taps must be > 0")
+        osp = self.object_start_pose
+        for label, values in (
+            ("object_start_pose", (osp.y, osp.z, osp.alpha)),
+            ("pusher_start_pose", self.pusher_start_pose.as_array()),
+            ("target_pose", self.target_pose.as_array()),
+        ):
+            if not all(math.isfinite(v) for v in values):
+                raise ScenarioError(f"scenario {self.name!r}: {label} has a non-finite value")
+        # the simulator is planar: these poses may only carry (y, z, alpha)
+        for label in ("pusher_start_pose", "target_pose"):
+            try:
+                PlanarPose.from_euler(getattr(self, label))
+            except ValueError as exc:
+                raise ScenarioError(f"scenario {self.name!r}: {label}: {exc}") from exc
         dp = self.target_pose.as_array()[:3] - self.pusher_start_pose.as_array()[:3]
         if float(np.linalg.norm(dp)) < 1e-9:
             raise ScenarioError(

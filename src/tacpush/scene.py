@@ -5,7 +5,8 @@ normal, so a planar pose (y, z, alpha) embeds as the SE(3) Euler vector
 (0, y, z, alpha, 0, 0). For a frame with heading alpha, the +z axis
 (-sin a, cos a) is its forward/push direction and the +y axis
 (cos a, sin a) is its lateral direction. All planar vectors in this module
-are ordered (y, z).
+are ordered (y, z). World state and physics use planar poses only; SE(3)
+transforms are built from them only for the controller.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ __all__ = [
     "WorldState",
     "boundary_probe",
     "builtin_shapes",
-    "closest_boundary_point",
     "cross2",
     "dir_heading",
     "heading_dir",
-    "lateral_dir",
+    "normalize_angle_deg",
     "perp2",
-    "point_in_shape",
     "rot2",
     "shape_to_dict",
 ]
@@ -70,12 +69,6 @@ def heading_dir(alpha_deg: float) -> np.ndarray:
     return np.array([-math.sin(a), math.cos(a)])
 
 
-def lateral_dir(alpha_deg: float) -> np.ndarray:
-    """Lateral (+y axis) direction of a frame with the given heading."""
-    a = math.radians(alpha_deg)
-    return np.array([math.cos(a), math.sin(a)])
-
-
 def dir_heading(direction) -> float:
     """Heading (degrees) of the frame whose forward axis points along `direction`."""
     return math.degrees(math.atan2(-direction[0], direction[1]))
@@ -95,6 +88,13 @@ class PlanarPose:
     @property
     def position(self) -> np.ndarray:
         return np.array([self.y, self.z])
+
+    @classmethod
+    def from_euler(cls, e: EulerPose) -> "PlanarPose":
+        """Read (y, z, alpha) from an Euler vector; rejects poses that leave the plane."""
+        if e.x != 0.0 or e.beta != 0.0 or e.gamma != 0.0:
+            raise ValueError("pose is not planar: x, beta and gamma must be 0")
+        return cls(e.y, e.z, e.alpha)
 
     def to_transform(self) -> Transform:
         return euler_to_transform(EulerPose(0.0, self.y, self.z, self.alpha, 0.0, 0.0))
@@ -289,13 +289,6 @@ class ObjectShape:
 # contact geometry kernel
 # ---------------------------------------------------------------------------
 
-def point_in_shape(shape: ObjectShape, pose: PlanarPose, p_work) -> bool:
-    q = pose.inverse_transform_point(p_work)
-    if shape.radius is not None:
-        return math.hypot(q[0], q[1]) < shape.radius
-    return bool(_points_in_polygon(q[None, :], shape._verts)[0])
-
-
 def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
     """Nearest boundary point of the posed shape to a planar query point.
 
@@ -358,12 +351,6 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
     c, s = math.cos(a), math.sin(a)
     rr = np.array([[c, -s], [s, c]])
     return sd, pose.position + rr @ point_local, rr @ n_local, feature
-
-
-def closest_boundary_point(shape: ObjectShape, object_pose: PlanarPose, p):
-    """Globally nearest boundary point, its outward normal and the hit feature."""
-    _, point, normal, feature = boundary_probe(shape, object_pose, p)
-    return point, normal, feature
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +474,8 @@ def shape_to_dict(shape: ObjectShape) -> dict:
 
 @dataclass
 class WorldState:
-    """Simulator ground truth: object planar pose, pusher SE(3) pose, tap count."""
+    """Simulator ground truth: object and pusher planar poses, tap count."""
 
     object_pose: PlanarPose
-    pusher_pose: Transform
+    pusher_pose: PlanarPose
     tap_index: int = 0

@@ -20,7 +20,6 @@ import numpy as np
 from .pose_math import EulerPose, Transform, euler_to_transform, normalize_angle_deg
 from .scene import (
     ObjectShape,
-    PlanarPose,
     PusherTip,
     WorldState,
     boundary_probe,
@@ -82,7 +81,7 @@ def sense_contact(
     Reports contact only when the disc overlaps the outline (depth > 0);
     otherwise returns a no-contact prediction with no fabricated values.
     """
-    pusher = PlanarPose.from_transform(world.pusher_pose)
+    pusher = world.pusher_pose
     sd, _, n_out, _ = boundary_probe(shape, world.object_pose, pusher.position)
     depth = tip.radius - sd
     if depth <= 0.0:

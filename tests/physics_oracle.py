@@ -4,8 +4,10 @@ Discretizes the Coulomb friction cone into candidate forces, maps each
 through the ellipsoid limit surface, scales the resulting twist so the
 contact-point velocity matches the pusher's normal velocity, and selects
 the candidate satisfying tangential complementarity (interior force: zero
-slip; edge force: slip opposing the friction component). Entirely
-independent of the analytical motion-cone classification in the package.
+slip; edge force: slip opposing the friction component). The oracle is
+entirely independent of the analytical motion-cone classification in the
+package; only `wrench_twist`, which maps wrenches onto the package's
+contact-matrix kernel for the limit-surface gradient checks, calls into it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from tacpush.pose_math import euler_to_transform, EulerPose
+from tacpush.push_dynamics import ContactMatrix
 from tacpush.scene import (
     ObjectShape,
     PlanarPose,
@@ -98,6 +100,20 @@ def motion_cone_margin_deg(v_p, n_in, mu, a, b, p) -> float:
     return min(out)
 
 
+def wrench_twist(wrench, shape: ObjectShape) -> np.ndarray:
+    """Unit twist the contact-matrix kernel gives for a CoF wrench (fy, fz, m).
+
+    The force (fy, fz) is applied through a lever p chosen so that its
+    moment p . f is m; the result is the limit-surface twist direction that
+    the finite-difference gradient of H must match.
+    """
+    f = np.array(wrench[:2], dtype=float)
+    p = float(wrench[2]) * f / float(f @ f)
+    dpos, dspin = ContactMatrix(1.0 / shape.f_max**2, 1.0 / shape.m_max**2, p).twist(f)
+    t = np.array([dpos[0], dpos[1], dspin])
+    return t / np.linalg.norm(t)
+
+
 def voting_theorem_vote(r, n_in, mu, v_p) -> int:
     """Rotation-sense vote: friction-cone edges agree, or the push line decides.
 
@@ -158,11 +174,7 @@ def random_contact_configs(n: int, seed: int, tip: PusherTip = PusherTip()):
         dev = math.radians(float(rng.uniform(-70, 70)))
         v_p = _rot(n_in, dev)
         world = WorldState(
-            pose,
-            euler_to_transform(
-                EulerPose(0.0, float(tip_center[0]), float(tip_center[1]), 0.0, 0.0, 0.0)
-            ),
-            0,
+            pose, PlanarPose(float(tip_center[0]), float(tip_center[1])), 0
         )
         configs.append(
             ContactConfig(

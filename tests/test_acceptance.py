@@ -32,14 +32,15 @@ from tacpush.pose_math import (
     normalize_angle_deg,
     transform_to_euler,
 )
-from tacpush.push_dynamics import ContactMode, limit_surface_twist, resolve_substep
-from tacpush.scene import PlanarPose, boundary_probe, builtin_shapes, perp2
+from tacpush.push_dynamics import ContactMatrix, ContactMode, resolve_substep
+from tacpush.scene import boundary_probe, builtin_shapes
 from tacpush.tactile_sense import NoiseModel
 
 from physics_oracle import (
     brute_force_push,
     motion_cone_margin_deg,
     random_contact_configs,
+    wrench_twist,
 )
 
 
@@ -157,18 +158,16 @@ def test_criterion_physics_oracle_equivalence():
     mode_matches = 0
     worst_cos = 1.0
     for cfg in configs:
-        tip_new = np.asarray(cfg.world.pusher_pose.translation[1:3]) + cfg.disp
+        tip_new = cfg.world.pusher_pose.position + cfg.disp
         _, point, n_out, _ = boundary_probe(cfg.shape, cfg.object_pose, tip_new)
         n_in = -n_out
         cof = cfg.object_pose.transform_point(cfg.shape.cof_offset)
-        p = perp2(point - cof)
-        a = 1.0 / cfg.shape.f_max**2
-        b = 1.0 / cfg.shape.m_max**2
+        m = ContactMatrix.at(cfg.shape, cfg.object_pose, point)
         # ties at the motion-cone edges are excluded per the criterion
-        if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, a, b, p) < 0.5:
+        if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, m.p) < 0.5:
             continue
         oracle_twist, oracle_mode = brute_force_push(
-            cfg.v_p, n_in, cfg.shape.mu_contact, a, b, p, n_candidates=10_000
+            cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, m.p, n_candidates=10_000
         )
         if oracle_twist is None:
             continue
@@ -226,7 +225,7 @@ def test_criterion_limit_surface_gradient():
             ]
         )
         grad /= np.linalg.norm(grad)
-        twist = limit_surface_twist(w, shape).as_array()
+        twist = wrench_twist(w, shape)
         rel = float(np.linalg.norm(twist - grad) / np.linalg.norm(grad))
         worst = max(worst, rel)
         assert rel < 1e-4

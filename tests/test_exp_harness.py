@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tacpush import exp_harness
 from tacpush.cli import main as cli_main
 from tacpush.exp_harness import (
     EXP1_ANGULAR_OFFSETS_DEG,
@@ -27,7 +28,7 @@ from tacpush.exp_harness import (
     run_trial,
     run_trials,
 )
-from tacpush.pose_math import EulerPose, euler_to_transform
+from tacpush.pose_math import EulerPose
 from tacpush.scenario import load_scenario
 from tacpush.scene import PlanarPose, PusherTip, boundary_probe, builtin_shapes, heading_dir
 
@@ -36,13 +37,13 @@ BASELINE = "scenarios/exp1_baseline.json"
 
 class TestComputeYTarg:
     def test_axis_through_target(self):
-        pusher = euler_to_transform(EulerPose(0, 0, 0, 0, 0, 0))
-        target = euler_to_transform(EulerPose(0, 0, 123.0, 0, 0, 0))
+        pusher = PlanarPose(0, 0, 0)
+        target = PlanarPose(0, 123.0, 0)
         assert compute_y_targ(pusher, target) == pytest.approx(0.0)
 
     def test_lateral_offset(self):
-        pusher = euler_to_transform(EulerPose(0, 0, 0, 0, 0, 0))
-        target = euler_to_transform(EulerPose(0, 5.0, 100.0, 0, 0, 0))
+        pusher = PlanarPose(0, 0, 0)
+        target = PlanarPose(5.0, 100.0, 0)
         assert compute_y_targ(pusher, target) == pytest.approx(5.0)
 
     def test_matches_line_sampling(self):
@@ -51,8 +52,8 @@ class TestComputeYTarg:
             pose = EulerPose(0, *rng.uniform(-200, 200, size=2),
                              float(rng.uniform(-180, 180)), 0, 0)
             target = EulerPose(0, *rng.uniform(-200, 200, size=2), 0, 0, 0)
-            pusher_t = euler_to_transform(pose)
-            target_t = euler_to_transform(target)
+            pusher_t = PlanarPose.from_euler(pose)
+            target_t = PlanarPose.from_euler(target)
             axis = heading_dir(pose.alpha)
             p0 = np.array([pose.y, pose.z])
             ts = np.linspace(-2_000, 2_000, 200_001)
@@ -95,14 +96,30 @@ class TestRunTrial:
         rec = run_trial(exp1_scenario(20.0, 0.0, seed=3))
         assert rec.outcome == "reached"
         recomputed = compute_y_targ(
-            euler_to_transform(EulerPose(*rec.final_pusher_pose)),
-            euler_to_transform(EulerPose(*rec.meta["target_pose_mm_deg"])),
+            PlanarPose.from_euler(EulerPose(*rec.final_pusher_pose)),
+            PlanarPose.from_euler(EulerPose(*rec.meta["target_pose_mm_deg"])),
         )
         assert recomputed == rec.y_targ
 
     def test_scenario_file_round_trip(self):
         rec = run_trial(load_scenario(BASELINE))
         assert rec.outcome == "reached"
+
+    def test_unexpected_exception_ends_only_its_trial(self, monkeypatch):
+        real_simulate_tap = exp_harness.simulate_tap
+
+        def simulate_tap(world, shape, *args, **kwargs):
+            if shape.name == "rectangle":
+                raise ZeroDivisionError("forced failure")
+            return real_simulate_tap(world, shape, *args, **kwargs)
+
+        monkeypatch.setattr(exp_harness, "simulate_tap", simulate_tap)
+        scenarios = [exp2_scenario(name, 0, seed=5) for name in ("red_square", "rectangle")]
+        good, bad = run_trials(scenarios)
+        assert good.outcome == "reached"
+        assert bad.outcome == "error"
+        assert bad.meta["error"] == "ZeroDivisionError: forced failure"
+        assert bad.tap_total == 0 and bad.y_targ is None
 
 
 class TestSeedDerivation:
@@ -220,17 +237,12 @@ class TestExport:
         rows = read_taps_csv(paths["taps"])
         for rec in records:
             last = [r for r in rows if r["scenario_id"] == rec.scenario_id][-1]
-            pusher = euler_to_transform(
-                EulerPose(
-                    0.0,
-                    float(last["pusher_y_mm"]),
-                    float(last["pusher_z_mm"]),
-                    float(last["pusher_alpha_deg"]),
-                    0.0,
-                    0.0,
-                )
+            pusher = PlanarPose(
+                float(last["pusher_y_mm"]),
+                float(last["pusher_z_mm"]),
+                float(last["pusher_alpha_deg"]),
             )
-            target = euler_to_transform(EulerPose(*rec.meta["target_pose_mm_deg"]))
+            target = PlanarPose.from_euler(EulerPose(*rec.meta["target_pose_mm_deg"]))
             assert compute_y_targ(pusher, target) == rec.y_targ
 
     def test_empty_records_rejected(self, tmp_path):
@@ -268,6 +280,28 @@ class TestCli:
         bad.write_text("{}")
         assert cli_main(["validate", "--scenario", str(bad)]) == 2
         assert "scenario error" in capsys.readouterr().err
+
+    def test_validate_rejects_out_of_plane_pusher_start(self, tmp_path, capsys):
+        data = json.loads(open(BASELINE).read())
+        data["pusher_start_pose_mm_deg"][4] = 10.0
+        path = tmp_path / "beta.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["validate", "--scenario", str(path)]) == 2
+        assert "pusher_start_pose" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--scenario", BASELINE, "--trials", "0"],
+         ["run", "--scenario", BASELINE, "--workers", "-3"],
+         ["exp1", "--trials", "0"],
+         ["exp2", "--workers", "0"]],
+    )
+    def test_counts_below_one_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        flag = argv[-2]
+        assert f"argument {flag}: must be >= 1" in capsys.readouterr().err
 
     def test_run_writes_outputs(self, tmp_path):
         out = tmp_path / "out"

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from tacpush.pose_math import EulerPose, euler_to_transform
 from tacpush.push_dynamics import PENETRATION_TOL_MM, resolve_substep
 from tacpush.scene import (
     PlanarPose,
@@ -111,12 +110,7 @@ def generate_cases():
 
 
 def make_world(case):
-    tip_y, tip_z = case["tip"]
-    return WorldState(
-        PlanarPose(*case["object_pose"]),
-        euler_to_transform(EulerPose(0.0, tip_y, tip_z, 0.0, 0.0, 0.0)),
-        0,
-    )
+    return WorldState(PlanarPose(*case["object_pose"]), PlanarPose(*case["tip"]), 0)
 
 
 def run_case(case) -> str:

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from tacpush.pose_math import EulerPose, euler_to_transform, normalize_angle_deg
+from tacpush.pose_math import normalize_angle_deg
 from tacpush.push_dynamics import (
+    ContactMatrix,
     ContactMode,
     ContactState,
     PENETRATION_TOL_MM,
     SUBSTEP_CAP_MM,
-    limit_surface_twist,
     motion_cone,
     resolve_substep,
     simulate_tap,
@@ -30,6 +30,7 @@ from physics_oracle import (
     motion_cone_margin_deg,
     random_contact_configs,
     voting_theorem_vote,
+    wrench_twist,
 )
 
 TIP = PusherTip()
@@ -37,11 +38,7 @@ TIP = PusherTip()
 
 def make_world(tip_center, object_pose):
     return WorldState(
-        object_pose,
-        euler_to_transform(
-            EulerPose(0.0, float(tip_center[0]), float(tip_center[1]), 0.0, 0.0, 0.0)
-        ),
-        0,
+        object_pose, PlanarPose(float(tip_center[0]), float(tip_center[1]), 0.0), 0
     )
 
 
@@ -55,26 +52,12 @@ def square(side=60.0, mu=0.5):
 
 class TestLimitSurfaceTwist:
     def test_pure_force_gives_pure_translation(self):
-        t = limit_surface_twist((1.0, 0.0, 0.0), square())
-        assert t.omega == 0.0
-        assert t.vz == 0.0
-        assert t.vy > 0.0
-
-    def test_pure_moment_gives_pure_rotation(self):
-        t = limit_surface_twist((0.0, 0.0, 1.0), square())
-        assert t.vy == 0.0 and t.vz == 0.0
-        assert t.omega > 0.0
-
-    def test_zero_wrench_rejected(self):
-        with pytest.raises(ValueError):
-            limit_surface_twist((0.0, 0.0, 0.0), square())
-
-    def test_unit_norm(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            w = rng.normal(size=3)
-            t = limit_surface_twist(w, square())
-            assert np.linalg.norm(t.as_array()) == pytest.approx(1.0)
+        # a push along the lever arm, through the CoF, has no moment
+        m = ContactMatrix.at(square(), PlanarPose(), [-30.0, 0.0])
+        dpos, dspin = m.twist(np.array([1.0, 0.0]))
+        assert dspin == 0.0
+        assert dpos[1] == 0.0
+        assert dpos[0] > 0.0
 
     def test_matches_finite_difference_gradient(self):
         rng = np.random.default_rng(1)
@@ -99,7 +82,7 @@ class TestLimitSurfaceTwist:
                 ]
             )
             grad /= np.linalg.norm(grad)
-            twist = limit_surface_twist(w, shape).as_array()
+            twist = wrench_twist(w, shape)
             assert np.linalg.norm(twist - grad) / np.linalg.norm(grad) < 1e-4
 
 
@@ -143,9 +126,8 @@ class TestMotionCone:
         for edge, sign in ((left, 1.0), (right, -1.0)):
             c, s = math.cos(sign * phi), math.sin(sign * phi)
             f = np.array([c * n_in[0] - s * n_in[1], s * n_in[0] + c * n_in[1]])
-            moment = float(r[0] * f[1] - r[1] * f[0])
-            twist = limit_surface_twist((f[0], f[1], moment), shape)
-            v_contact = twist.as_array()[:2] + twist.omega * perp2(r)
+            dpos, dspin = ContactMatrix.at(shape, pose, point).twist(f)
+            v_contact = dpos + dspin * perp2(r)
             v_contact /= np.linalg.norm(v_contact)
             assert edge == pytest.approx(v_contact, abs=1e-9)
 
@@ -225,18 +207,15 @@ class TestResolveSubstep:
         checked = 0
         for cfg in random_contact_configs(120, seed=5):
             _, point, n_out, _ = boundary_probe(
-                cfg.shape, cfg.object_pose,
-                np.asarray(cfg.world.pusher_pose.translation[1:3]) + cfg.disp,
+                cfg.shape, cfg.object_pose, cfg.world.pusher_pose.position + cfg.disp
             )
             n_in = -n_out
             cof = cfg.object_pose.transform_point(cfg.shape.cof_offset)
-            p = perp2(point - cof)
-            a = 1.0 / cfg.shape.f_max**2
-            b = 1.0 / cfg.shape.m_max**2
-            if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, a, b, p) < 0.5:
+            m = ContactMatrix.at(cfg.shape, cfg.object_pose, point)
+            if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, m.p) < 0.5:
                 continue
             oracle_twist, oracle_mode = brute_force_push(
-                cfg.v_p, n_in, cfg.shape.mu_contact, a, b, p, n_candidates=2_000
+                cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, m.p, n_candidates=2_000
             )
             if oracle_twist is None:
                 continue
@@ -260,7 +239,7 @@ class TestResolveSubstep:
     def test_scale_invariance(self):
         shape = square()
         world = make_world([8.0, -49.9], PlanarPose())
-        cmd = euler_to_transform(EulerPose(0.0, 8.0, -49.9, 0.0, 0.0, 0.0))
+        cmd = PlanarPose(8.0, -49.9, 0.0)
         w1, _ = simulate_tap(world, shape, cmd, substep=0.5)
         w2, _ = simulate_tap(world, shape, cmd, substep=0.25)
         assert w1.object_pose.y == pytest.approx(w2.object_pose.y, abs=0.02)
@@ -272,7 +251,7 @@ class TestSimulateTap:
     def test_far_command_never_touches(self):
         shape = square()
         world = make_world([0.0, -200.0], PlanarPose())
-        cmd = euler_to_transform(EulerPose(0.0, 0.0, -190.0, 0.0, 0.0, 0.0))
+        cmd = PlanarPose(0.0, -190.0, 0.0)
         new_world, traj = simulate_tap(world, shape, cmd)
         assert new_world.object_pose == world.object_pose
         assert all(s.mode is ContactMode.SEPARATED for s in traj.steps)
@@ -283,7 +262,7 @@ class TestSimulateTap:
         shape = square()
         gap = 2.0
         world = make_world([0.0, -52.0], PlanarPose())
-        cmd = euler_to_transform(EulerPose(0.0, 0.0, -52.0, 0.0, 0.0, 0.0))
+        cmd = PlanarPose(0.0, -52.0, 0.0)
         new_world, traj = simulate_tap(world, shape, cmd, tap_forward=10.0, tap_back=5.0)
         advance = new_world.object_pose.z - world.object_pose.z
         assert advance == pytest.approx(10.0 - gap, abs=0.05)
@@ -292,7 +271,7 @@ class TestSimulateTap:
     def test_retraction_leaves_object_frozen(self):
         shape = square()
         world = make_world([0.0, -50.5], PlanarPose())
-        cmd = euler_to_transform(EulerPose(0.0, 0.0, -50.5, 0.0, 0.0, 0.0))
+        cmd = PlanarPose(0.0, -50.5, 0.0)
         new_world, traj = simulate_tap(world, shape, cmd)
         assert traj.advance_end_object_pose == new_world.object_pose
         retract_steps = [s for s in traj.steps if s.phase == "retract"]
@@ -306,10 +285,10 @@ class TestSimulateTap:
     def test_pusher_lands_at_net_tap_offset(self):
         shape = square()
         world = make_world([0.0, -200.0], PlanarPose())
-        cmd = euler_to_transform(EulerPose(0.0, 3.0, -195.0, 10.0, 0.0, 0.0))
+        cmd = PlanarPose(3.0, -195.0, 10.0)
         new_world, _ = simulate_tap(world, shape, cmd, tap_forward=10.0, tap_back=5.0)
         expected = np.array([3.0, -195.0]) + 5.0 * heading_dir(10.0)
-        pusher = PlanarPose.from_transform(new_world.pusher_pose)
+        pusher = new_world.pusher_pose
         assert pusher.position == pytest.approx(expected, abs=1e-9)
         assert pusher.alpha == pytest.approx(10.0)
 
@@ -317,7 +296,7 @@ class TestSimulateTap:
         shape = square()
         world = make_world([0.0, -52.0], PlanarPose())
         # command straight through the object: relocation itself must push it
-        cmd = euler_to_transform(EulerPose(0.0, 0.0, -45.0, 0.0, 0.0, 0.0))
+        cmd = PlanarPose(0.0, -45.0, 0.0)
         new_world, traj = simulate_tap(world, shape, cmd)
         assert new_world.object_pose.z > world.object_pose.z
         assert any(
@@ -328,6 +307,6 @@ class TestSimulateTap:
     def test_tap_counter_increments(self):
         shape = square()
         world = make_world([0.0, -200.0], PlanarPose())
-        cmd = euler_to_transform(EulerPose(0.0, 0.0, -199.0, 0.0, 0.0, 0.0))
+        cmd = PlanarPose(0.0, -199.0, 0.0)
         new_world, _ = simulate_tap(world, shape, cmd)
         assert new_world.tap_index == world.tap_index + 1

@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 
 from tacpush.pose_math import EulerPose, euler_to_transform
-from tacpush.scenario import ScenarioError, load_scenario
+from tacpush.scenario import ScenarioError, load_scenario, scenario_from_dict
 from tacpush.scene import (
     ObjectShape,
     PlanarPose,
     PusherTip,
     boundary_probe,
     builtin_shapes,
-    closest_boundary_point,
     cross2,
     dir_heading,
     heading_dir,
-    point_in_shape,
 )
 
 BASELINE = "scenarios/exp1_baseline.json"
@@ -128,21 +126,21 @@ class TestCatalog:
 class TestClosestBoundaryPoint:
     def test_square_edge(self):
         sq = unit_square()
-        point, normal, feature = closest_boundary_point(sq, PlanarPose(), [10.0, 0.0])
+        _, point, normal, feature = boundary_probe(sq, PlanarPose(), [10.0, 0.0])
         assert point == pytest.approx([0.5, 0.0])
         assert normal == pytest.approx([1.0, 0.0])
         assert feature[0] == "edge"
 
     def test_square_corner_diagonal(self):
         sq = unit_square()
-        point, normal, feature = closest_boundary_point(sq, PlanarPose(), [2.0, 2.0])
+        _, point, normal, feature = boundary_probe(sq, PlanarPose(), [2.0, 2.0])
         assert point == pytest.approx([0.5, 0.5])
         assert normal == pytest.approx([math.sqrt(0.5)] * 2)
         assert feature[0] == "vertex"
 
     def test_circle(self):
         c = ObjectShape("c", radius=2.0)
-        point, normal, feature = closest_boundary_point(c, PlanarPose(), [6.0, 8.0])
+        _, point, normal, feature = boundary_probe(c, PlanarPose(), [6.0, 8.0])
         assert normal == pytest.approx([0.6, 0.8])
         assert point == pytest.approx([1.2, 1.6])
         assert feature == ("arc", 0)
@@ -165,7 +163,7 @@ class TestClosestBoundaryPoint:
     def test_normal_constant_along_edge(self):
         sq = unit_square(side=2.0)
         normals = [
-            closest_boundary_point(sq, PlanarPose(), [t, -5.0])[1]
+            boundary_probe(sq, PlanarPose(), [t, -5.0])[2]
             for t in np.linspace(-0.9, 0.9, 15)
         ]
         assert np.allclose(normals, [0.0, -1.0], atol=1e-12)
@@ -177,7 +175,7 @@ class TestClosestBoundaryPoint:
             d = np.array([1.0, 1.0]) + 3.0 * np.array(
                 [math.cos(math.radians(45 + phi)), math.sin(math.radians(45 + phi))]
             )
-            _, normal, feature = closest_boundary_point(sq, PlanarPose(), d)
+            _, _, normal, feature = boundary_probe(sq, PlanarPose(), d)
             if feature[0] == "vertex":
                 angles.append(math.degrees(math.atan2(normal[1], normal[0])))
         assert len(angles) > 5
@@ -185,11 +183,12 @@ class TestClosestBoundaryPoint:
         assert max(angles) > 80.0
 
     def test_point_in_shape(self):
+        # the signed distance is negative exactly inside the outline
         sq = unit_square(side=2.0)
-        assert point_in_shape(sq, PlanarPose(), [0.0, 0.0])
-        assert not point_in_shape(sq, PlanarPose(), [2.0, 0.0])
+        assert boundary_probe(sq, PlanarPose(), [0.0, 0.0])[0] < 0.0
+        assert boundary_probe(sq, PlanarPose(), [2.0, 0.0])[0] > 0.0
         c = ObjectShape("c", radius=1.0)
-        assert point_in_shape(c, PlanarPose(5.0, 0.0, 0.0), [5.5, 0.0])
+        assert boundary_probe(c, PlanarPose(5.0, 0.0, 0.0), [5.5, 0.0])[0] < 0.0
 
     def test_against_boundary_discretization(self):
         # nearest distance agrees with brute-force search over 1e4 samples
@@ -294,6 +293,25 @@ class TestScenarioFiles:
         sc = load_scenario(path)
         assert sc.object.name == "plank"
         assert sc.object.mu_contact == 0.4
+
+    @pytest.mark.parametrize(
+        "key, index",
+        [("object_start_pose_mm_deg", 0), ("pusher_start_pose_mm_deg", 2),
+         ("target_pose_mm_deg", 3)],
+    )
+    def test_non_finite_pose_rejected(self, key, index):
+        data = json.loads(open(BASELINE).read())
+        data[key][index] = float("nan")
+        with pytest.raises(ScenarioError, match=key.removesuffix("_mm_deg") + " has a non-finite"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["pusher_start_pose_mm_deg", "target_pose_mm_deg"])
+    @pytest.mark.parametrize("index", [0, 4, 5])  # x, beta, gamma
+    def test_out_of_plane_pose_rejected(self, key, index):
+        data = json.loads(open(BASELINE).read())
+        data[key][index] = 5.0
+        with pytest.raises(ScenarioError, match=key.removesuffix("_mm_deg") + ": pose is not planar"):
+            scenario_from_dict(data)
 
     def test_controller_override_and_unknown_key(self, tmp_path):
         data = json.loads(open(BASELINE).read())
