@@ -52,8 +52,8 @@ class TestComputeYTarg:
             pose = EulerPose(0, *rng.uniform(-200, 200, size=2),
                              float(rng.uniform(-180, 180)), 0, 0)
             target = EulerPose(0, *rng.uniform(-200, 200, size=2), 0, 0, 0)
-            pusher_t = PlanarPose.from_euler(pose)
-            target_t = PlanarPose.from_euler(target)
+            pusher_p = PlanarPose.from_euler(pose)
+            target_p = PlanarPose.from_euler(target)
             axis = heading_dir(pose.alpha)
             p0 = np.array([pose.y, pose.z])
             ts = np.linspace(-2_000, 2_000, 200_001)
@@ -61,7 +61,7 @@ class TestComputeYTarg:
             brute = float(
                 np.min(np.linalg.norm(pts - np.array([target.y, target.z]), axis=1))
             )
-            assert compute_y_targ(pusher_t, target_t) == pytest.approx(brute, abs=1e-3)
+            assert compute_y_targ(pusher_p, target_p) == pytest.approx(brute, abs=1e-3)
 
 
 class TestRunTrial:

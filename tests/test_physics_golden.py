@@ -137,7 +137,9 @@ def test_resolve_substep_matches_golden_exactly():
         for i, case in enumerate(cases)
         if (got := run_case(case)) != case["expected"]
     ]
-    assert not mismatches, f"{len(mismatches)} of {len(cases)} cases differ, first: {mismatches[0]}"
+    assert not mismatches, (
+        f"{len(mismatches)} of {len(cases)} cases differ, first: {mismatches[0]}"
+    )
 
 
 def test_golden_covers_shapes_and_contact_modes():

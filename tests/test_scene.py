@@ -302,7 +302,8 @@ class TestScenarioFiles:
     def test_non_finite_pose_rejected(self, key, index):
         data = json.loads(open(BASELINE).read())
         data[key][index] = float("nan")
-        with pytest.raises(ScenarioError, match=key.removesuffix("_mm_deg") + " has a non-finite"):
+        field = key.removesuffix("_mm_deg")
+        with pytest.raises(ScenarioError, match=f"{field} has a non-finite value"):
             scenario_from_dict(data)
 
     @pytest.mark.parametrize("key", ["pusher_start_pose_mm_deg", "target_pose_mm_deg"])
@@ -310,7 +311,8 @@ class TestScenarioFiles:
     def test_out_of_plane_pose_rejected(self, key, index):
         data = json.loads(open(BASELINE).read())
         data[key][index] = 5.0
-        with pytest.raises(ScenarioError, match=key.removesuffix("_mm_deg") + ": pose is not planar"):
+        field = key.removesuffix("_mm_deg")
+        with pytest.raises(ScenarioError, match=f"{field}: pose is not planar"):
             scenario_from_dict(data)
 
     def test_controller_override_and_unknown_key(self, tmp_path):
