@@ -199,7 +199,7 @@ def run_trial(scenario: Scenario, tip: PusherTip = PusherTip()) -> TrialRecord:
     target = PlanarPose.from_euler(scenario.target_pose)
     target_t = euler_to_transform(scenario.target_pose)
     world = WorldState(
-        scenario.object_start_pose, PlanarPose.from_euler(scenario.pusher_start_pose), 0
+        scenario.object_start_pose, PlanarPose.from_euler(scenario.pusher_start_pose)
     )
     sense_world = world
     rng = np.random.default_rng(scenario.rng_seed)
@@ -229,7 +229,7 @@ def run_trial(scenario: Scenario, tip: PusherTip = PusherTip()) -> TrialRecord:
             if len(taps) >= scenario.max_taps:
                 outcome = "max_taps"
                 break
-            world, traj = simulate_tap(
+            world, sense_pose, contact = simulate_tap(
                 world,
                 shape,
                 PlanarPose.from_transform(decision.command),
@@ -237,14 +237,7 @@ def run_trial(scenario: Scenario, tip: PusherTip = PusherTip()) -> TrialRecord:
                 tap_forward=cfg.tap_forward,
                 tap_back=cfg.tap_back,
             )
-            sense_world = WorldState(
-                world.object_pose, traj.advance_end_pusher_pose, world.tap_index
-            )
-            mode = (
-                traj.advance_end_contact.mode.value
-                if traj.advance_end_contact is not None
-                else "separated"
-            )
+            sense_world = WorldState(world.object_pose, sense_pose)
             taps.append(
                 TapLog(
                     tap=len(taps),
@@ -260,10 +253,8 @@ def run_trial(scenario: Scenario, tip: PusherTip = PusherTip()) -> TrialRecord:
                     r=decision.r,
                     v=decision.v,
                     error6=None if decision.error6 is None else tuple(decision.error6),
-                    integral6=tuple(decision.integral6)
-                    if decision.integral6 is not None
-                    else tuple(state.integral6),
-                    contact_mode=mode,
+                    integral6=tuple(decision.integral6),
+                    contact_mode=contact.mode.value,
                     status=decision.status.value,
                 )
             )
@@ -519,7 +510,7 @@ def run_experiment_2(
     scenarios = []
     for i, shape_name in enumerate(shape_names):
         for j in start_indices:
-            cell = i * 3 + j
+            cell = i * len(EXP_START_POSES) + j
             for t in range(trials_per_cell):
                 seed = derive_seed(master_seed + 1, cell, t)
                 sc = exp2_scenario(shape_name, j, seed, noise_enabled)

@@ -118,8 +118,6 @@ class ControllerState:
     prev_error6: np.ndarray = field(default_factory=lambda: np.zeros(6))
     integral_theta: float = 0.0
     prev_epsilon: float = 0.0
-    alignment_engaged: bool = False
-    tap_count: int = 0
     no_contact_streak: int = 0
     last_normal_heading: float | None = None
 
@@ -136,7 +134,6 @@ class ControlDecision:
     r_tip: float = 0.0
     alignment_engaged: bool = False
     error6: np.ndarray | None = None
-    correction6: np.ndarray | None = None
     integral6: np.ndarray | None = None
 
 
@@ -249,7 +246,6 @@ def control_step(
         command = PlanarPose(
             pusher.y + step[0], pusher.z + step[1], pusher.alpha
         ).to_transform()
-        state.tap_count += 1
         return ControlDecision(
             Status.CONTINUE,
             command=command,
@@ -264,15 +260,9 @@ def control_step(
     u6 = pid6_step(state, error6, cfg)
     u_servo = euler_to_transform(u6)
     theta, r = target_bearing(u_servo, pusher_pose, target_pose)
-    if r > cfg.approach_zone_radius:
-        v = alignment_pid_step(state, theta, cfg)
-        engaged = True
-    else:
-        v = 0.0
-        engaged = False
-    state.alignment_engaged = engaged
+    engaged = r > cfg.approach_zone_radius
+    v = alignment_pid_step(state, theta, cfg) if engaged else 0.0
     command = compose_command(u_servo, v, pusher_pose)
-    state.tap_count += 1
     return ControlDecision(
         Status.CONTINUE,
         command=command,
@@ -282,6 +272,5 @@ def control_step(
         r_tip=r_tip,
         alignment_engaged=engaged,
         error6=error6.as_array(),
-        correction6=u6.as_array(),
         integral6=state.integral6.copy(),
     )

@@ -26,7 +26,7 @@ solver and motion_cone both use it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -48,8 +48,6 @@ __all__ = [
     "ContactMode",
     "ContactState",
     "PhysicsFault",
-    "TapStep",
-    "TapTrajectory",
     "MAX_RESOLVE_ITERS",
     "PENETRATION_TOL_MM",
     "SUBSTEP_CAP_MM",
@@ -295,38 +293,6 @@ def resolve_substep(
     return pose, ContactState(point, -n_out, mode, pen)
 
 
-@dataclass
-class TapStep:
-    """One substep of a tap for trajectory logging."""
-
-    phase: str
-    pusher_y: float
-    pusher_z: float
-    pusher_alpha: float
-    object_y: float
-    object_z: float
-    object_alpha: float
-    mode: ContactMode
-    penetration: float
-
-
-@dataclass
-class TapTrajectory:
-    """Full substep log of one tap plus the deepest-advance snapshot.
-
-    `advance_end_pusher_pose` / `advance_end_object_pose` capture the world
-    at the end of the forward phase, which is where the tactile reading is
-    taken: the retraction immediately reopens the contact gap, so the
-    deepest point is the only configuration reliably in contact.
-    """
-
-    steps: list = field(default_factory=list)
-    advance_end_pusher_pose: PlanarPose | None = None
-    advance_end_object_pose: PlanarPose | None = None
-    advance_end_contact: ContactState | None = None
-    final_contact: ContactState | None = None
-
-
 def simulate_tap(
     world: WorldState,
     shape: ObjectShape,
@@ -341,17 +307,22 @@ def simulate_tap(
     The pusher moves to `commanded_pose` along a straight in-plane path with
     physics active (relocation can incidentally push the object), advances
     `tap_forward` mm along the commanded heading's forward axis and retracts
-    `tap_back` mm. Every leg is substepped through resolve_substep. Returns
-    the post-retraction WorldState and the TapTrajectory.
+    `tap_back` mm. Every leg is substepped through resolve_substep.
+
+    Returns (world, sense_pose, contact): the WorldState after the
+    retraction, the pusher pose at the end of the advance, which is where
+    the tactile reading is taken (the retraction reopens the contact gap, so
+    the deepest point is the only configuration reliably in contact), and
+    the ContactState of the last substep up to that point.
     """
     cmd = commanded_pose
-    traj = TapTrajectory()
     obj = world.object_pose
     pos = world.pusher_pose.position
     alpha = world.pusher_pose.alpha
+    contact = None
 
-    def run_leg(phase: str, target_pos: np.ndarray, target_alpha: float):
-        nonlocal obj, pos, alpha
+    def run_leg(target_pos: np.ndarray, target_alpha: float):
+        nonlocal obj, pos, alpha, contact
         delta = target_pos - pos
         dist = float(np.hypot(delta[0], delta[1]))
         dalpha = normalize_angle_deg(target_alpha - alpha)
@@ -363,35 +334,16 @@ def simulate_tap(
         for i in range(1, n + 1):
             frac = i / n
             p_next = p_from + delta * frac
-            a_next = a_from + dalpha * frac
-            w = WorldState(obj, PlanarPose(pos[0], pos[1], alpha), world.tap_index)
+            w = WorldState(obj, PlanarPose(pos[0], pos[1], alpha))
             obj, contact = resolve_substep(w, shape, p_next - pos, tip)
             pos = p_next
-            alpha = a_next
-            traj.steps.append(
-                TapStep(
-                    phase,
-                    float(pos[0]),
-                    float(pos[1]),
-                    alpha,
-                    obj.y,
-                    obj.z,
-                    obj.alpha,
-                    contact.mode,
-                    contact.penetration,
-                )
-            )
-            traj.final_contact = contact
+            alpha = a_from + dalpha * frac
 
-    run_leg("relocate", cmd.position, cmd.alpha)
+    run_leg(cmd.position, cmd.alpha)
     axis = heading_dir(cmd.alpha)
-    run_leg("advance", cmd.position + tap_forward * axis, cmd.alpha)
-    traj.advance_end_pusher_pose = PlanarPose(float(pos[0]), float(pos[1]), alpha)
-    traj.advance_end_object_pose = obj
-    traj.advance_end_contact = traj.final_contact
-    run_leg("retract", cmd.position + (tap_forward - tap_back) * axis, cmd.alpha)
-
-    new_world = WorldState(
-        obj, PlanarPose(float(pos[0]), float(pos[1]), alpha), world.tap_index + 1
-    )
-    return new_world, traj
+    run_leg(cmd.position + tap_forward * axis, cmd.alpha)
+    sense_pose = PlanarPose(float(pos[0]), float(pos[1]), alpha)
+    advance_contact = contact
+    run_leg(cmd.position + (tap_forward - tap_back) * axis, cmd.alpha)
+    end_pose = PlanarPose(float(pos[0]), float(pos[1]), alpha)
+    return WorldState(obj, end_pose), sense_pose, advance_contact

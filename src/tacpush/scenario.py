@@ -28,6 +28,10 @@ class ScenarioError(ValueError):
     """Scenario file failed to parse or validate; the message names the field."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 # scenario keys -> ControllerConfig attributes
 _CONTROLLER_KEYS = {
     "ref_pose_mm_deg": "ref_pose",
@@ -67,6 +71,11 @@ class Scenario:
     def __post_init__(self):
         if self.max_taps <= 0:
             raise ScenarioError(f"scenario {self.name!r}: max_taps must be > 0")
+        if not _is_int(self.rng_seed) or self.rng_seed < 0:
+            raise ScenarioError(
+                f"scenario {self.name!r}: rng_seed must be an integer >= 0, "
+                f"got {self.rng_seed!r}"
+            )
         osp = self.object_start_pose
         for label, values in (
             ("object_start_pose", (osp.y, osp.z, osp.alpha)),
@@ -86,10 +95,6 @@ class Scenario:
             raise ScenarioError(
                 f"scenario {self.name!r}: target coincides with the pusher start"
             )
-
-    @property
-    def noise_enabled(self) -> bool:
-        return self.noise.enabled
 
 
 def _require(data: dict, key: str, ctx: str):
@@ -184,7 +189,9 @@ def _parse_controller(data, ctx: str) -> ControllerConfig:
         ):
             kwargs[attr] = tuple(_as_floats(value, 2, f"{ctx}.controller.{key}"))
         elif attr == "reacquire_limit":
-            kwargs[attr] = int(value)
+            if not _is_int(value):
+                raise ScenarioError(f"{ctx}.controller.{key}: expected an integer")
+            kwargs[attr] = value
         else:
             kwargs[attr] = float(value)
     try:
@@ -212,6 +219,9 @@ def scenario_from_dict(data: dict, ctx: str = "scenario") -> Scenario:
     tgt = _as_floats(
         _require(data, "target_pose_mm_deg", ctx), 6, f"{ctx}.target_pose_mm_deg"
     )
+    noise_enabled = data.get("noise_enabled", True)
+    if not isinstance(noise_enabled, bool):
+        raise ScenarioError(f"{ctx}.noise_enabled: expected true or false")
     noise_sigmas = data.get("noise_sigmas", {})
     if not isinstance(noise_sigmas, dict):
         raise ScenarioError(f"{ctx}.noise_sigmas: expected an object table")
@@ -220,12 +230,12 @@ def scenario_from_dict(data: dict, ctx: str = "scenario") -> Scenario:
             sigma_z=float(noise_sigmas.get("z_mm", 0.1)),
             sigma_alpha=float(noise_sigmas.get("alpha_deg", 0.39)),
             sigma_beta=float(noise_sigmas.get("beta_deg", 0.34)),
-            enabled=bool(data.get("noise_enabled", True)),
+            enabled=noise_enabled,
         )
     except ValueError as exc:
         raise ScenarioError(f"{ctx}.noise_sigmas: {exc}") from exc
     max_taps = data.get("max_taps", 300)
-    if not isinstance(max_taps, int) or isinstance(max_taps, bool):
+    if not _is_int(max_taps):
         raise ScenarioError(f"{ctx}.max_taps: expected an integer")
     return Scenario(
         name=name,
@@ -235,7 +245,7 @@ def scenario_from_dict(data: dict, ctx: str = "scenario") -> Scenario:
         target_pose=EulerPose.from_array(tgt),
         controller=_parse_controller(data.get("controller"), ctx),
         noise=noise,
-        rng_seed=int(data.get("rng_seed", 0)),
+        rng_seed=data.get("rng_seed", 0),
         max_taps=max_taps,
     )
 

@@ -307,45 +307,42 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
             n_local = q / d
         point_local = n_local * shape.radius
         sd = d - shape.radius
-        a = math.radians(pose.alpha)
-        c, s = math.cos(a), math.sin(a)
-        rr = np.array([[c, -s], [s, c]])
-        return sd, pose.position + rr @ point_local, rr @ n_local, ("arc", 0)
-
-    verts = shape._verts
-    w = q[None, :] - verts
-    t = np.sum(w * shape._edge_vec, axis=1) / shape._edge_len2
-    t = np.clip(t, 0.0, 1.0)
-    proj = verts + t[:, None] * shape._edge_vec
-    diff = q[None, :] - proj
-    d2 = np.sum(diff * diff, axis=1)
-    i = int(np.argmin(d2))
-    ti = float(t[i])
-    point_local = proj[i]
-    dist = math.sqrt(float(d2[i]))
-    inside = bool(_points_in_polygon(q[None, :], verts)[0])
-    sd = -dist if inside else dist
-
-    eps = 1e-9
-    if eps < ti < 1.0 - eps:
-        feature = ("edge", i)
-        n_local = shape._edge_normal[i]
+        feature = ("arc", 0)
     else:
-        vi = i if ti <= eps else (i + 1) % len(verts)
-        feature = ("vertex", vi)
-        v = verts[vi]
-        dv = q - v
-        nv = math.hypot(dv[0], dv[1])
-        if nv < 1e-12:
-            # query sits on the vertex: fall back to the outward bisector
-            n_prev = shape._edge_normal[(vi - 1) % len(verts)]
-            n_next = shape._edge_normal[vi]
-            b = n_prev + n_next
-            n_local = b / max(math.hypot(b[0], b[1]), 1e-12)
-        elif inside:
-            n_local = -dv / nv
+        verts = shape._verts
+        w = q[None, :] - verts
+        t = np.sum(w * shape._edge_vec, axis=1) / shape._edge_len2
+        t = np.clip(t, 0.0, 1.0)
+        proj = verts + t[:, None] * shape._edge_vec
+        diff = q[None, :] - proj
+        d2 = np.sum(diff * diff, axis=1)
+        i = int(np.argmin(d2))
+        ti = float(t[i])
+        point_local = proj[i]
+        dist = math.sqrt(float(d2[i]))
+        inside = bool(_points_in_polygon(q[None, :], verts)[0])
+        sd = -dist if inside else dist
+
+        eps = 1e-9
+        if eps < ti < 1.0 - eps:
+            feature = ("edge", i)
+            n_local = shape._edge_normal[i]
         else:
-            n_local = dv / nv
+            vi = i if ti <= eps else (i + 1) % len(verts)
+            feature = ("vertex", vi)
+            v = verts[vi]
+            dv = q - v
+            nv = math.hypot(dv[0], dv[1])
+            if nv < 1e-12:
+                # query sits on the vertex: fall back to the outward bisector
+                n_prev = shape._edge_normal[(vi - 1) % len(verts)]
+                n_next = shape._edge_normal[vi]
+                b = n_prev + n_next
+                n_local = b / max(math.hypot(b[0], b[1]), 1e-12)
+            elif inside:
+                n_local = -dv / nv
+            else:
+                n_local = dv / nv
 
     a = math.radians(pose.alpha)
     c, s = math.cos(a), math.sin(a)
@@ -474,8 +471,7 @@ def shape_to_dict(shape: ObjectShape) -> dict:
 
 @dataclass
 class WorldState:
-    """Simulator ground truth: object and pusher planar poses, tap count."""
+    """Simulator ground truth: object and pusher planar poses."""
 
     object_pose: PlanarPose
     pusher_pose: PlanarPose
-    tap_index: int = 0

@@ -174,7 +174,7 @@ def random_contact_configs(n: int, seed: int, tip: PusherTip = PusherTip()):
         dev = math.radians(float(rng.uniform(-70, 70)))
         v_p = _rot(n_in, dev)
         world = WorldState(
-            pose, PlanarPose(float(tip_center[0]), float(tip_center[1])), 0
+            pose, PlanarPose(float(tip_center[0]), float(tip_center[1]))
         )
         configs.append(
             ContactConfig(

@@ -70,6 +70,7 @@ class TestRunTrial:
         assert rec.outcome == "reached"
         assert rec.y_targ is not None and rec.y_targ < 5.0
         assert rec.tap_total == len(rec.taps)
+        assert [t.tap for t in rec.taps] == list(range(rec.tap_total))
         assert rec.tap_total < 300
 
     def test_far_target_hits_tap_budget(self):
@@ -288,6 +289,31 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert cli_main(["validate", "--scenario", str(path)]) == 2
         assert "pusher_start_pose" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, field",
+        [({"noise_enabled": "false"}, "noise_enabled"),
+         ({"rng_seed": 1.7}, "rng_seed"),
+         ({"rng_seed": "abc"}, "rng_seed"),
+         ({"rng_seed": -5}, "rng_seed"),
+         ({"controller": {"reacquire_limit": 2.9}}, "reacquire_limit")],
+        ids=["noise_enabled_string", "rng_seed_float", "rng_seed_string",
+             "rng_seed_negative", "reacquire_limit_float"],
+    )
+    def test_validate_rejects_ill_typed_field(self, override, field, tmp_path, capsys):
+        data = json.loads(open(BASELINE).read())
+        data.update(override)
+        path = tmp_path / "ill_typed.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error" in err and field in err
+
+    def test_run_rejects_negative_seed(self, tmp_path, capsys):
+        argv = ["run", "--scenario", BASELINE, "--seed", "-1", "--out", str(tmp_path)]
+        assert cli_main(argv) == 2
+        assert "rng_seed" in capsys.readouterr().err
+        assert not (tmp_path / "records.json").exists()
 
     @pytest.mark.parametrize(
         "argv",

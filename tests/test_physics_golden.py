@@ -110,7 +110,7 @@ def generate_cases():
 
 
 def make_world(case):
-    return WorldState(PlanarPose(*case["object_pose"]), PlanarPose(*case["tip"]), 0)
+    return WorldState(PlanarPose(*case["object_pose"]), PlanarPose(*case["tip"]))
 
 
 def run_case(case) -> str:

@@ -38,7 +38,7 @@ TIP = PusherTip()
 
 def make_world(tip_center, object_pose):
     return WorldState(
-        object_pose, PlanarPose(float(tip_center[0]), float(tip_center[1]), 0.0), 0
+        object_pose, PlanarPose(float(tip_center[0]), float(tip_center[1]), 0.0)
     )
 
 
@@ -240,8 +240,8 @@ class TestResolveSubstep:
         shape = square()
         world = make_world([8.0, -49.9], PlanarPose())
         cmd = PlanarPose(8.0, -49.9, 0.0)
-        w1, _ = simulate_tap(world, shape, cmd, substep=0.5)
-        w2, _ = simulate_tap(world, shape, cmd, substep=0.25)
+        w1, _, _ = simulate_tap(world, shape, cmd, substep=0.5)
+        w2, _, _ = simulate_tap(world, shape, cmd, substep=0.25)
         assert w1.object_pose.y == pytest.approx(w2.object_pose.y, abs=0.02)
         assert w1.object_pose.z == pytest.approx(w2.object_pose.z, abs=0.02)
         assert w1.object_pose.alpha == pytest.approx(w2.object_pose.alpha, abs=0.02)
@@ -252,9 +252,11 @@ class TestSimulateTap:
         shape = square()
         world = make_world([0.0, -200.0], PlanarPose())
         cmd = PlanarPose(0.0, -190.0, 0.0)
-        new_world, traj = simulate_tap(world, shape, cmd)
+        new_world, _, contact = simulate_tap(world, shape, cmd)
         assert new_world.object_pose == world.object_pose
-        assert all(s.mode is ContactMode.SEPARATED for s in traj.steps)
+        # the end of the advance is the tap's closest approach
+        assert contact.mode is ContactMode.SEPARATED
+        assert contact.penetration < 0.0
 
     def test_forward_tap_advance_matches_closed_form(self):
         # pure sticking translation: object advances by tap length minus the
@@ -263,7 +265,7 @@ class TestSimulateTap:
         gap = 2.0
         world = make_world([0.0, -52.0], PlanarPose())
         cmd = PlanarPose(0.0, -52.0, 0.0)
-        new_world, traj = simulate_tap(world, shape, cmd, tap_forward=10.0, tap_back=5.0)
+        new_world, _, _ = simulate_tap(world, shape, cmd, tap_forward=10.0, tap_back=5.0)
         advance = new_world.object_pose.z - world.object_pose.z
         assert advance == pytest.approx(10.0 - gap, abs=0.05)
         assert abs(new_world.object_pose.alpha) < 1e-9
@@ -272,41 +274,36 @@ class TestSimulateTap:
         shape = square()
         world = make_world([0.0, -50.5], PlanarPose())
         cmd = PlanarPose(0.0, -50.5, 0.0)
-        new_world, traj = simulate_tap(world, shape, cmd)
-        assert traj.advance_end_object_pose == new_world.object_pose
-        retract_steps = [s for s in traj.steps if s.phase == "retract"]
-        assert retract_steps
-        assert all(
-            (s.object_y, s.object_z, s.object_alpha)
-            == (new_world.object_pose.y, new_world.object_pose.z, new_world.object_pose.alpha)
-            for s in retract_steps
-        )
+        new_world, sense_pose, contact = simulate_tap(world, shape, cmd)
+        advanced, _, _ = simulate_tap(world, shape, cmd, tap_back=0.0)
+        assert contact.mode is not ContactMode.SEPARATED
+        assert advanced.object_pose != world.object_pose
+        assert new_world.object_pose == advanced.object_pose
+        assert sense_pose == advanced.pusher_pose
+        assert new_world.pusher_pose.z == pytest.approx(sense_pose.z - 5.0, abs=1e-9)
 
     def test_pusher_lands_at_net_tap_offset(self):
         shape = square()
         world = make_world([0.0, -200.0], PlanarPose())
         cmd = PlanarPose(3.0, -195.0, 10.0)
-        new_world, _ = simulate_tap(world, shape, cmd, tap_forward=10.0, tap_back=5.0)
+        new_world, sense_pose, _ = simulate_tap(
+            world, shape, cmd, tap_forward=10.0, tap_back=5.0
+        )
         expected = np.array([3.0, -195.0]) + 5.0 * heading_dir(10.0)
         pusher = new_world.pusher_pose
         assert pusher.position == pytest.approx(expected, abs=1e-9)
         assert pusher.alpha == pytest.approx(10.0)
+        deepest = np.array([3.0, -195.0]) + 10.0 * heading_dir(10.0)
+        assert sense_pose.position == pytest.approx(deepest, abs=1e-9)
+        assert sense_pose.alpha == pytest.approx(10.0)
 
     def test_relocation_can_push(self):
         shape = square()
         world = make_world([0.0, -52.0], PlanarPose())
         # command straight through the object: relocation itself must push it
         cmd = PlanarPose(0.0, -45.0, 0.0)
-        new_world, traj = simulate_tap(world, shape, cmd)
-        assert new_world.object_pose.z > world.object_pose.z
-        assert any(
-            s.phase == "relocate" and s.mode is not ContactMode.SEPARATED
-            for s in traj.steps
+        new_world, _, contact = simulate_tap(
+            world, shape, cmd, tap_forward=0.0, tap_back=0.0
         )
-
-    def test_tap_counter_increments(self):
-        shape = square()
-        world = make_world([0.0, -200.0], PlanarPose())
-        cmd = PlanarPose(0.0, -199.0, 0.0)
-        new_world, _ = simulate_tap(world, shape, cmd)
-        assert new_world.tap_index == world.tap_index + 1
+        assert new_world.object_pose.z > world.object_pose.z
+        assert contact.mode is not ContactMode.SEPARATED

@@ -232,7 +232,7 @@ class TestScenarioFiles:
         assert sc.target_pose.as_array() == pytest.approx([0, 200, 400, 0, 0, 0])
         assert sc.object.name == "blue_square"
         assert sc.max_taps == 300
-        assert sc.noise_enabled
+        assert sc.noise.enabled
 
     def test_defaults_fill_gains(self, tmp_path):
         data = json.loads(open(BASELINE).read())

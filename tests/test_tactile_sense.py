@@ -30,7 +30,7 @@ def world_with_square(tip_center, pusher_alpha=0.0, square_z=None, side=60.0):
     shape = ObjectShape("sq", polygon=[[-h, -h], [h, -h], [h, h], [-h, h]])
     obj_z = (0.0 if square_z is None else square_z) + h
     world = WorldState(
-        PlanarPose(0.0, obj_z, 0.0), PlanarPose(tip_center[0], tip_center[1], pusher_alpha), 0
+        PlanarPose(0.0, obj_z, 0.0), PlanarPose(tip_center[0], tip_center[1], pusher_alpha)
     )
     return world, shape
 
@@ -107,7 +107,7 @@ class TestSenseContact:
             axis_dev = float(rng.uniform(-15, 15))
             pusher_alpha = dir_heading(-n_out) + axis_dev
             world = WorldState(
-                pose, PlanarPose(float(center[0]), float(center[1]), pusher_alpha), 0
+                pose, PlanarPose(float(center[0]), float(center[1]), pusher_alpha)
             )
             pred = sense_contact(world, shape)
             if pred.clamped or not pred.in_contact:
