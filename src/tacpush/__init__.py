@@ -21,9 +21,9 @@ from .push_dynamics import (
 )
 from .scenario import Scenario, ScenarioError, load_scenario
 from .scene import (
+    TIP_RADIUS_MM,
     ObjectShape,
     PlanarPose,
-    PusherTip,
     WorldState,
     builtin_shapes,
 )

@@ -23,13 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .pose_math import EulerPose, euler_to_transform
 from .push_controller import ControllerState, Status, control_step
 from .push_dynamics import PhysicsFault, simulate_tap
 from .scene import (
+    TIP_RADIUS_MM,
     ObjectShape,
     PlanarPose,
-    PusherTip,
     WorldState,
     boundary_probe,
     builtin_shapes,
@@ -70,11 +69,11 @@ __all__ = [
     "run_trials",
 ]
 
-EXP_TARGET_POSE = EulerPose(0.0, 200.0, 400.0, 0.0, 0.0, 0.0)
+EXP_TARGET_POSE = PlanarPose(200.0, 400.0, 0.0)
 EXP_START_POSES = (
-    EulerPose(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
-    EulerPose(0.0, 0.0, 200.0, -150.0, 0.0, 0.0),
-    EulerPose(0.0, 200.0, 150.0, 45.0, 0.0, 0.0),
+    PlanarPose(0.0, 0.0, 0.0),
+    PlanarPose(0.0, 200.0, -150.0),
+    PlanarPose(200.0, 150.0, 45.0),
 )
 EXP1_SPATIAL_OFFSETS_MM = (-30.0, -20.0, -10.0, 0.0, 10.0, 20.0, 30.0)
 EXP1_ANGULAR_OFFSETS_DEG = (-20.0, 0.0, 20.0)
@@ -83,6 +82,8 @@ EXP3_SHAPE_NAMES = ("l_shape", "mug", "blue_square", "yellow_triangle", "circle"
 
 # contact depth used when seating objects against the tip at trial start
 INITIAL_CONTACT_DEPTH_MM = 1.0
+# distance from the tip centre to the seated object's boundary
+_SEAT_DISTANCE_MM = TIP_RADIUS_MM - INITIAL_CONTACT_DEPTH_MM
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +186,7 @@ def _euler_tuple(p: PlanarPose) -> tuple:
     return (0.0, p.y, p.z, p.alpha, 0.0, 0.0)
 
 
-def run_trial(scenario: Scenario, tip: PusherTip = PusherTip()) -> TrialRecord:
+def run_trial(scenario: Scenario) -> TrialRecord:
     """Run one full push trial of a validated scenario; never raises.
 
     A physics fault ends the trial with outcome "physics_fault" and its
@@ -196,17 +197,15 @@ def run_trial(scenario: Scenario, tip: PusherTip = PusherTip()) -> TrialRecord:
     t0 = time.perf_counter()
     shape = scenario.object
     cfg = scenario.controller
-    target = PlanarPose.from_euler(scenario.target_pose)
-    target_t = euler_to_transform(scenario.target_pose)
-    world = WorldState(
-        scenario.object_start_pose, PlanarPose.from_euler(scenario.pusher_start_pose)
-    )
+    target = scenario.target_pose
+    target_t = target.to_transform()
+    world = WorldState(scenario.object_start_pose, scenario.pusher_start_pose)
     sense_world = world
     rng = np.random.default_rng(scenario.rng_seed)
     state = ControllerState()
     taps: list[TapLog] = []
     meta = {
-        "target_pose_mm_deg": list(scenario.target_pose.as_array()),
+        "target_pose_mm_deg": list(_euler_tuple(target)),
         "shape": shape_to_dict(shape),
         "approach_zone_radius_mm": cfg.approach_zone_radius,
         "termination_radius_mm": cfg.termination_radius,
@@ -214,7 +213,7 @@ def run_trial(scenario: Scenario, tip: PusherTip = PusherTip()) -> TrialRecord:
     }
     try:
         while True:
-            pred = sense_contact(sense_world, shape, tip)
+            pred = sense_contact(sense_world, shape)
             if scenario.noise.enabled:
                 pred = apply_noise(pred, scenario.noise, rng)
             decision = control_step(
@@ -233,7 +232,6 @@ def run_trial(scenario: Scenario, tip: PusherTip = PusherTip()) -> TrialRecord:
                 world,
                 shape,
                 PlanarPose.from_transform(decision.command),
-                tip,
                 tap_forward=cfg.tap_forward,
                 tap_back=cfg.tap_back,
             )
@@ -298,20 +296,18 @@ def run_trials(scenarios, workers: int = 1):
 
 def place_offset_contact(
     shape: ObjectShape,
-    pusher_start: EulerPose,
+    pusher_start: PlanarPose,
     spatial_offset: float,
     angular_offset: float,
-    depth: float = INITIAL_CONTACT_DEPTH_MM,
-    tip: PusherTip = PusherTip(),
 ) -> PlanarPose:
-    """Seat a polygonal object against the tip with its first edge facing the
-    pusher; the contact lands `spatial_offset` mm from the edge midpoint and
-    the object is rotated `angular_offset` degrees about the contact point."""
+    """Seat a polygonal object INITIAL_CONTACT_DEPTH_MM into the tip with its
+    first edge facing the pusher; the contact lands `spatial_offset` mm from
+    the edge midpoint and the object is rotated `angular_offset` degrees
+    about the contact point."""
     if not shape.is_polygon:
         raise ValueError("place_offset_contact needs a polygonal shape")
-    pusher = PlanarPose.from_euler(pusher_start)
-    axis = heading_dir(pusher.alpha)
-    contact = pusher.position + (tip.radius - depth) * axis
+    axis = heading_dir(pusher_start.alpha)
+    contact = pusher_start.position + _SEAT_DISTANCE_MM * axis
     verts = shape.polygon
     edge = verts[1] - verts[0]
     e_dir = edge / np.linalg.norm(edge)
@@ -326,67 +322,54 @@ def place_offset_contact(
     return PlanarPose(float(origin[0]), float(origin[1]), omega)
 
 
-def place_corner_contact(
-    shape: ObjectShape,
-    pusher_start: EulerPose,
-    depth: float = INITIAL_CONTACT_DEPTH_MM,
-    vertex_index: int = 0,
-    tip: PusherTip = PusherTip(),
-) -> PlanarPose:
-    """Centre an external corner on the sensor tip (unstable start).
+def place_corner_contact(shape: ObjectShape, pusher_start: PlanarPose) -> PlanarPose:
+    """Centre the first external corner on the sensor tip (unstable start).
 
-    The vertex sits dead ahead of the tip with its outward bisector pointing
-    back at the sensor. Circles have no corners: the nearest boundary point
-    is placed dead ahead instead.
+    Vertex 0 sits INITIAL_CONTACT_DEPTH_MM into the tip, dead ahead of it,
+    with its outward bisector pointing back at the sensor. Circles have no
+    corners: the nearest boundary point is placed dead ahead instead.
     """
-    pusher = PlanarPose.from_euler(pusher_start)
-    axis = heading_dir(pusher.alpha)
+    axis = heading_dir(pusher_start.alpha)
     if not shape.is_polygon:
-        centre = pusher.position + (tip.radius - depth + shape.radius) * axis
+        centre = pusher_start.position + (_SEAT_DISTANCE_MM + shape.radius) * axis
         return PlanarPose(float(centre[0]), float(centre[1]), 0.0)
-    verts = shape.polygon
-    n = len(verts)
-    v = verts[vertex_index % n]
-    n_prev = shape.edge_normals[(vertex_index - 1) % n]
-    n_next = shape.edge_normals[vertex_index % n]
+    v = shape.polygon[0]
+    n_prev = shape.edge_normals[-1]
+    n_next = shape.edge_normals[0]
     b = n_prev + n_next
     b = b / np.linalg.norm(b)
     omega = math.degrees(math.atan2(-axis[1], -axis[0])) - math.degrees(
         math.atan2(b[1], b[0])
     )
-    vpos = pusher.position + (tip.radius - depth) * axis
+    vpos = pusher_start.position + _SEAT_DISTANCE_MM * axis
     origin = vpos - rot2(omega) @ v
     return PlanarPose(float(origin[0]), float(origin[1]), omega)
 
 
 def place_random_orientation(
-    shape: ObjectShape,
-    pusher_start: EulerPose,
-    heading_deg: float,
-    depth: float = INITIAL_CONTACT_DEPTH_MM,
-    tip: PusherTip = PusherTip(),
+    shape: ObjectShape, pusher_start: PlanarPose, heading_deg: float
 ) -> PlanarPose:
     """Seat the object at a fixed heading dead ahead of the tip by sliding it
-    along the push axis until the boundary sits `depth` mm into the disc."""
-    pusher = PlanarPose.from_euler(pusher_start)
-    axis = heading_dir(pusher.alpha)
-    target_sd = tip.radius - depth
+    along the push axis until the boundary sits INITIAL_CONTACT_DEPTH_MM
+    into the disc."""
+    axis = heading_dir(pusher_start.alpha)
 
     def sd_at(t: float) -> float:
-        pos = pusher.position + t * axis
+        pos = pusher_start.position + t * axis
         pose = PlanarPose(float(pos[0]), float(pos[1]), heading_deg)
-        sd, _, _, _ = boundary_probe(shape, pose, pusher.position)
+        sd, _, _, _ = boundary_probe(shape, pose, pusher_start.position)
         return sd
 
-    lo, hi = 0.0, tip.radius + shape.max_extent() + depth + 10.0
+    lo = 0.0
+    hi = TIP_RADIUS_MM + shape.max_extent() + INITIAL_CONTACT_DEPTH_MM + 10.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if sd_at(mid) < target_sd:
+        if sd_at(mid) < _SEAT_DISTANCE_MM:
             lo = mid
         else:
             hi = mid
     t = 0.5 * (lo + hi)
-    pos = pusher.position + t * axis
+    pos = pusher_start.position + t * axis
     return PlanarPose(float(pos[0]), float(pos[1]), heading_deg)
 
 
@@ -398,19 +381,14 @@ def exp1_scenario(
     spatial_offset: float,
     angular_offset: float,
     seed: int,
-    noise_enabled: bool = True,
     shape: ObjectShape | None = None,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel = NoiseModel(),
     max_taps: int = 300,
     name: str | None = None,
 ) -> Scenario:
     """Contact-offset trial: square pushed from the work-frame origin."""
     shape = shape if shape is not None else builtin_shapes()["blue_square"]
     start = EXP_START_POSES[0]
-    if noise is None:
-        noise = NoiseModel(enabled=noise_enabled)
-    else:
-        noise = dataclasses.replace(noise, enabled=noise_enabled)
     return Scenario(
         name=name or f"exp1_o{spatial_offset:+.0f}_a{angular_offset:+.0f}_s{seed & 0xFFFF:04x}",
         object=shape,
@@ -427,7 +405,6 @@ def exp2_scenario(
     shape_name: str,
     start_index: int,
     seed: int,
-    noise_enabled: bool = True,
     max_taps: int = 300,
 ) -> Scenario:
     """Shape/start-pose trial with the unstable corner-centred initialization."""
@@ -439,8 +416,7 @@ def exp2_scenario(
         object_start_pose=place_corner_contact(shape, start),
         pusher_start_pose=start,
         target_pose=EXP_TARGET_POSE,
-        noise=NoiseModel(enabled=noise_enabled),
-        rng_seed=seed,
+                rng_seed=seed,
         max_taps=max_taps,
     )
 
@@ -449,7 +425,6 @@ def exp3_scenario(
     shape_name: str,
     heading_deg: float,
     seed: int,
-    noise_enabled: bool = True,
     max_taps: int = 600,
 ) -> Scenario:
     """Random-orientation trial at the second start pose.
@@ -466,8 +441,7 @@ def exp3_scenario(
         object_start_pose=place_random_orientation(shape, start, heading_deg),
         pusher_start_pose=start,
         target_pose=EXP_TARGET_POSE,
-        noise=NoiseModel(enabled=noise_enabled),
-        rng_seed=seed,
+                rng_seed=seed,
         max_taps=max_taps,
     )
 
@@ -475,7 +449,6 @@ def exp3_scenario(
 def run_experiment_1(
     trials_per_cell: int = 10,
     master_seed: int = 0,
-    noise_enabled: bool = True,
     workers: int = 1,
 ):
     """Offset grid: 7 spatial x 3 angular offsets x trials_per_cell."""
@@ -490,7 +463,6 @@ def run_experiment_1(
                         off,
                         ang,
                         seed,
-                        noise_enabled,
                         name=f"exp1_o{off:+.0f}_a{ang:+.0f}_t{t}",
                     )
                 )
@@ -503,7 +475,6 @@ def run_experiment_2(
     start_indices=(0, 1, 2),
     trials_per_cell: int = 10,
     master_seed: int = 0,
-    noise_enabled: bool = True,
     workers: int = 1,
 ):
     """Shape grid: len(shapes) x len(starts) x trials_per_cell, corner starts."""
@@ -513,7 +484,7 @@ def run_experiment_2(
             cell = i * len(EXP_START_POSES) + j
             for t in range(trials_per_cell):
                 seed = derive_seed(master_seed + 1, cell, t)
-                sc = exp2_scenario(shape_name, j, seed, noise_enabled)
+                sc = exp2_scenario(shape_name, j, seed)
                 sc.name = f"exp2_{shape_name}_start{j + 1}_t{t}"
                 scenarios.append(sc)
     records = run_trials(scenarios, workers)
@@ -524,7 +495,6 @@ def run_experiment_3(
     shape_names=EXP3_SHAPE_NAMES,
     trials_per_shape: int = 10,
     master_seed: int = 0,
-    noise_enabled: bool = True,
     workers: int = 1,
 ):
     """Random-orientation runs at start 2 for irregular (and control) shapes."""
@@ -534,7 +504,7 @@ def run_experiment_3(
             init_rng = np.random.default_rng(derive_seed(master_seed + 2, i, t, 0))
             heading = float(init_rng.uniform(0.0, 360.0))
             seed = derive_seed(master_seed + 2, i, t, 1)
-            sc = exp3_scenario(shape_name, heading, seed, noise_enabled)
+            sc = exp3_scenario(shape_name, heading, seed)
             sc.name = f"exp3_{shape_name}_t{t}"
             scenarios.append(sc)
     records = run_trials(scenarios, workers)
@@ -634,6 +604,8 @@ def read_taps_csv(path):
 # plotting (self-contained SVG)
 # ---------------------------------------------------------------------------
 
+# plot an object outline every this many taps, plus the last
+_OUTLINE_EVERY_K = 5
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f",
@@ -649,7 +621,7 @@ def _outline_points(shape_dict: dict, pose) -> np.ndarray | None:
     return None
 
 
-def plot(records, out_path, every_k: int = 5) -> Path:
+def plot(records, out_path) -> Path:
     """Render sensor paths, periodic object outlines and the target zone to
     a self-contained SVG (no external assets)."""
     dicts = [record_to_dict(r) if isinstance(r, TrialRecord) else r for r in records]
@@ -709,8 +681,8 @@ def plot(records, out_path, every_k: int = 5) -> Path:
                 f'<polyline points="{path}" fill="none" stroke="{color}" '
                 'stroke-width="1.2"/>'
             )
-        shown = [t for i, t in enumerate(taps) if i % every_k == 0]
-        if taps and (len(taps) - 1) % every_k != 0:
+        shown = [t for i, t in enumerate(taps) if i % _OUTLINE_EVERY_K == 0]
+        if taps and (len(taps) - 1) % _OUTLINE_EVERY_K != 0:
             shown.append(taps[-1])
         for tap in shown:
             pose = tap["object_pose"]

@@ -64,7 +64,7 @@ class ControllerConfig:
     gamma); translation integrals clip in mm, rotation integrals in degrees.
     """
 
-    ref_pose: EulerPose = field(default_factory=lambda: EulerPose(z=2.0))
+    ref_pose: PlanarPose = field(default_factory=lambda: PlanarPose(z=2.0))
     kp_servo: tuple = (0.0, 0.0, 0.9, 0.9, 0.9, 0.0)
     ki_servo: tuple = (0.0, 0.0, 0.1, 0.1, 0.1, 0.0)
     kd_servo: tuple = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -150,7 +150,6 @@ def pid6_step(
     state: ControllerState,
     error6: EulerPose,
     cfg: ControllerConfig,
-    dt: float = 1.0,
 ) -> EulerPose:
     """One tick of the 6-channel servo PID (one tick = one tap).
 
@@ -159,12 +158,12 @@ def pid6_step(
     derivative acts on the error with prev_error starting at zero.
     """
     e = error6.as_array()
-    state.integral6 = state.integral6 + e * dt
+    state.integral6 = state.integral6 + e
     lo_t, hi_t = cfg.integral_clip_translation
     lo_r, hi_r = cfg.integral_clip_rotation
     state.integral6[:3] = np.clip(state.integral6[:3], lo_t, hi_t)
     state.integral6[3:] = np.clip(state.integral6[3:], lo_r, hi_r)
-    deriv = (e - state.prev_error6) / dt
+    deriv = e - state.prev_error6
     u = (
         np.asarray(cfg.kp_servo) * e
         + np.asarray(cfg.ki_servo) * state.integral6
@@ -188,12 +187,13 @@ def target_bearing(
 
 
 def alignment_pid_step(
-    state: ControllerState, theta: float, cfg: ControllerConfig, dt: float = 1.0
+    state: ControllerState, theta: float, cfg: ControllerConfig
 ) -> float:
-    """One tick of the scalar target-alignment PID; output clipped to +/-5 mm."""
+    """One tick of the scalar target-alignment PID (one tick = one tap);
+    output clipped to +/-5 mm."""
     eps = normalize_angle_deg(cfg.theta_ref - theta)
-    state.integral_theta += eps * dt
-    deriv = (eps - state.prev_epsilon) / dt
+    state.integral_theta += eps
+    deriv = eps - state.prev_epsilon
     v = cfg.kp_align * eps + cfg.ki_align * state.integral_theta + cfg.kd_align * deriv
     state.prev_epsilon = eps
     lo, hi = cfg.alignment_clip
@@ -256,7 +256,7 @@ def control_step(
     state.no_contact_streak = 0
     state.last_normal_heading = normalize_angle_deg(pusher.alpha - pred.alpha)
 
-    error6 = servo_error(prediction_to_pose(pred), euler_to_transform(cfg.ref_pose))
+    error6 = servo_error(prediction_to_pose(pred), cfg.ref_pose.to_transform())
     u6 = pid6_step(state, error6, cfg)
     u_servo = euler_to_transform(u6)
     theta, r = target_bearing(u_servo, pusher_pose, target_pose)

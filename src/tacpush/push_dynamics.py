@@ -32,9 +32,9 @@ from enum import Enum
 import numpy as np
 
 from .scene import (
+    TIP_RADIUS_MM,
     ObjectShape,
     PlanarPose,
-    PusherTip,
     WorldState,
     boundary_probe,
     cross2,
@@ -215,12 +215,7 @@ def _advance_pose(
     )
 
 
-def resolve_substep(
-    world: WorldState,
-    shape: ObjectShape,
-    pusher_disp,
-    tip: PusherTip = PusherTip(),
-):
+def resolve_substep(world: WorldState, shape: ObjectShape, pusher_disp):
     """Advance one pusher substep and resolve any disc-object overlap.
 
     The pusher disc centre is displaced by `pusher_disp` (capped at
@@ -242,7 +237,7 @@ def resolve_substep(
     b = 1.0 / shape.m_max**2
 
     sd, point, n_out, _ = boundary_probe(shape, pose, tip_new)
-    pen = tip.radius - sd
+    pen = TIP_RADIUS_MM - sd
     if pen <= 0.0:
         return pose, ContactState(point, -n_out, ContactMode.SEPARATED, pen)
 
@@ -271,7 +266,7 @@ def resolve_substep(
         dpos, dspin = m.twist(f, (pen - _RESOLVE_RESIDUAL_MM) / rate)
         pose = _advance_pose(pose, cof, dpos, dspin)
         sd, point, n_out, _ = boundary_probe(shape, pose, tip_new)
-        pen = tip.radius - sd
+        pen = TIP_RADIUS_MM - sd
     else:
         raise PhysicsFault(
             "penetration resolution did not converge",
@@ -297,7 +292,6 @@ def simulate_tap(
     world: WorldState,
     shape: ObjectShape,
     commanded_pose: PlanarPose,
-    tip: PusherTip = PusherTip(),
     tap_forward: float = 10.0,
     tap_back: float = 5.0,
     substep: float = SUBSTEP_CAP_MM,
@@ -335,7 +329,7 @@ def simulate_tap(
             frac = i / n
             p_next = p_from + delta * frac
             w = WorldState(obj, PlanarPose(pos[0], pos[1], alpha))
-            obj, contact = resolve_substep(w, shape, p_next - pos, tip)
+            obj, contact = resolve_substep(w, shape, p_next - pos)
             pos = p_next
             alpha = a_from + dalpha * frac
 

@@ -54,6 +54,27 @@ _CONTROLLER_KEYS = {
 }
 
 
+# every key each table may hold
+_TOP_KEYS = {
+    "name",
+    "object",
+    "object_start_pose_mm_deg",
+    "pusher_start_pose_mm_deg",
+    "target_pose_mm_deg",
+    "controller",
+    "noise_enabled",
+    "noise_sigmas",
+    "rng_seed",
+    "max_taps",
+}
+_FRICTION_KEYS = {"f_max_n": "f_max", "m_max_nmm": "m_max", "mu_contact": "mu_contact"}
+_CATALOG_OBJECT_KEYS = {"shape", *_FRICTION_KEYS}
+_INLINE_OBJECT_KEYS = {
+    "name", "polygon_mm", "circle_radius_mm", "cof_offset_mm", *_FRICTION_KEYS
+}
+_NOISE_KEYS = {"z_mm": "sigma_z", "alpha_deg": "sigma_alpha"}
+
+
 @dataclass
 class Scenario:
     """One fully specified push trial."""
@@ -61,8 +82,8 @@ class Scenario:
     name: str
     object: ObjectShape
     object_start_pose: PlanarPose
-    pusher_start_pose: EulerPose
-    target_pose: EulerPose
+    pusher_start_pose: PlanarPose
+    target_pose: PlanarPose
     controller: ControllerConfig = field(default_factory=ControllerConfig)
     noise: NoiseModel = field(default_factory=NoiseModel)
     rng_seed: int = 0
@@ -76,22 +97,12 @@ class Scenario:
                 f"scenario {self.name!r}: rng_seed must be an integer >= 0, "
                 f"got {self.rng_seed!r}"
             )
-        osp = self.object_start_pose
-        for label, values in (
-            ("object_start_pose", (osp.y, osp.z, osp.alpha)),
-            ("pusher_start_pose", self.pusher_start_pose.as_array()),
-            ("target_pose", self.target_pose.as_array()),
-        ):
-            if not all(math.isfinite(v) for v in values):
+        for label in ("object_start_pose", "pusher_start_pose", "target_pose"):
+            p = getattr(self, label)
+            if not all(math.isfinite(v) for v in (p.y, p.z, p.alpha)):
                 raise ScenarioError(f"scenario {self.name!r}: {label} has a non-finite value")
-        # the simulator is planar: these poses may only carry (y, z, alpha)
-        for label in ("pusher_start_pose", "target_pose"):
-            try:
-                PlanarPose.from_euler(getattr(self, label))
-            except ValueError as exc:
-                raise ScenarioError(f"scenario {self.name!r}: {label}: {exc}") from exc
-        dp = self.target_pose.as_array()[:3] - self.pusher_start_pose.as_array()[:3]
-        if float(np.linalg.norm(dp)) < 1e-9:
+        target, start = self.target_pose, self.pusher_start_pose
+        if math.hypot(target.y - start.y, target.z - start.z) < 1e-9:
             raise ScenarioError(
                 f"scenario {self.name!r}: target coincides with the pusher start"
             )
@@ -103,148 +114,168 @@ def _require(data: dict, key: str, ctx: str):
     return data[key]
 
 
-def _as_floats(value, n: int, ctx: str):
+def _check_keys(data: dict, known, ctx: str):
+    for key in data:
+        if key not in known:
+            raise ScenarioError(f"{ctx}: unknown field {key!r}")
+
+
+def _number(value, ctx: str) -> float:
+    """The one reader for numeric fields: a finite JSON number. Strings,
+    booleans, NaN and infinities are rejected with the field named."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{ctx}: expected a number, got {value!r}")
     try:
-        out = [float(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{ctx}: expected a list of {n} numbers") from exc
-    if len(out) != n:
-        raise ScenarioError(f"{ctx}: expected {n} values, got {len(out)}")
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ScenarioError(f"{ctx} has a non-finite value")
     return out
 
 
+def _numbers(value, n: int, ctx: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ScenarioError(f"{ctx}: expected a list of {n} numbers")
+    if len(value) != n:
+        raise ScenarioError(f"{ctx}: expected {n} values, got {len(value)}")
+    return [_number(v, ctx) for v in value]
+
+
+def _planar_pose(value, ctx: str) -> PlanarPose:
+    """A 6-value (x, y, z, alpha, beta, gamma) pose field that must lie in the
+    plane: x, beta and gamma are 0."""
+    pose = EulerPose(*_numbers(value, 6, ctx))
+    try:
+        return PlanarPose.from_euler(pose)
+    except ValueError as exc:
+        raise ScenarioError(f"{ctx}: {exc}") from exc
+
+
+def _name(value, ctx: str) -> str:
+    if not isinstance(value, str):
+        raise ScenarioError(f"{ctx}: expected a string, got {value!r}")
+    return value
+
+
 def _parse_object(data, ctx: str) -> ObjectShape:
+    ctx = f"{ctx}.object"
     if not isinstance(data, dict):
-        raise ScenarioError(f"{ctx}.object: expected an object table")
-    catalog = builtin_shapes()
+        raise ScenarioError(f"{ctx}: expected an object table")
+    friction = {
+        attr: _number(data[key], f"{ctx}.{key}")
+        for key, attr in _FRICTION_KEYS.items()
+        if key in data
+    }
     if "shape" in data:
+        _check_keys(data, _CATALOG_OBJECT_KEYS, ctx)
+        catalog = builtin_shapes()
         name = data["shape"]
-        if name not in catalog:
+        if not isinstance(name, str) or name not in catalog:
             raise ScenarioError(
-                f"{ctx}.object.shape: unknown shape {name!r} "
+                f"{ctx}.shape: unknown shape {name!r} "
                 f"(known: {', '.join(sorted(catalog))})"
             )
         shape = catalog[name]
-    elif "polygon_mm" in data or "circle_radius_mm" in data:
-        kwargs = {
-            "name": data.get("name", "custom"),
-            "cof_offset": _as_floats(
-                data.get("cof_offset_mm", (0.0, 0.0)), 2, f"{ctx}.object.cof_offset_mm"
-            ),
-        }
-        if "polygon_mm" in data:
-            kwargs["polygon"] = np.asarray(data["polygon_mm"], dtype=float)
-        else:
-            kwargs["radius"] = float(data["circle_radius_mm"])
         try:
-            shape = ObjectShape(
-                f_max=float(data.get("f_max_n", 1.0)),
-                m_max=float(data.get("m_max_nmm", 15.0)),
-                mu_contact=float(data.get("mu_contact", 0.5)),
-                **kwargs,
-            )
+            return shape.with_friction(**friction) if friction else shape
         except ValueError as exc:
-            raise ScenarioError(f"{ctx}.object: {exc}") from exc
-        return shape
-    else:
-        raise ScenarioError(
-            f"{ctx}.object: needs 'shape', 'polygon_mm' or 'circle_radius_mm'"
-        )
-    overrides = {}
-    for src, dst in (
-        ("f_max_n", "f_max"),
-        ("m_max_nmm", "m_max"),
-        ("mu_contact", "mu_contact"),
-    ):
-        if src in data:
-            overrides[dst] = float(data[src])
-    if overrides:
-        try:
-            shape = shape.with_friction(**overrides)
-        except ValueError as exc:
-            raise ScenarioError(f"{ctx}.object: {exc}") from exc
-    return shape
+            raise ScenarioError(f"{ctx}: {exc}") from exc
+    if "polygon_mm" not in data and "circle_radius_mm" not in data:
+        raise ScenarioError(f"{ctx}: needs 'shape', 'polygon_mm' or 'circle_radius_mm'")
+    _check_keys(data, _INLINE_OBJECT_KEYS, ctx)
+    kwargs = {
+        "name": _name(data.get("name", "custom"), f"{ctx}.name"),
+        "cof_offset": _numbers(
+            data.get("cof_offset_mm", (0.0, 0.0)), 2, f"{ctx}.cof_offset_mm"
+        ),
+        **friction,
+    }
+    if "polygon_mm" in data:
+        rows = data["polygon_mm"]
+        if not isinstance(rows, list):
+            raise ScenarioError(f"{ctx}.polygon_mm: expected a list of [y, z] vertices")
+        kwargs["polygon"] = np.array([_numbers(v, 2, f"{ctx}.polygon_mm") for v in rows])
+    if "circle_radius_mm" in data:
+        kwargs["radius"] = _number(data["circle_radius_mm"], f"{ctx}.circle_radius_mm")
+    try:
+        return ObjectShape(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{ctx}: {exc}") from exc
 
 
 def _parse_controller(data, ctx: str) -> ControllerConfig:
+    ctx = f"{ctx}.controller"
     if data is None:
         return ControllerConfig()
     if not isinstance(data, dict):
-        raise ScenarioError(f"{ctx}.controller: expected an object table")
+        raise ScenarioError(f"{ctx}: expected an object table")
+    _check_keys(data, _CONTROLLER_KEYS, ctx)
     kwargs = {}
     for key, value in data.items():
-        if key not in _CONTROLLER_KEYS:
-            raise ScenarioError(f"{ctx}.controller: unknown field {key!r}")
         attr = _CONTROLLER_KEYS[key]
         if attr == "ref_pose":
-            kwargs[attr] = EulerPose.from_array(
-                _as_floats(value, 6, f"{ctx}.controller.{key}")
-            )
+            kwargs[attr] = _planar_pose(value, f"{ctx}.ref_pose")
         elif attr in ("kp_servo", "ki_servo", "kd_servo"):
-            kwargs[attr] = tuple(_as_floats(value, 6, f"{ctx}.controller.{key}"))
+            kwargs[attr] = tuple(_numbers(value, 6, f"{ctx}.{key}"))
         elif attr in (
             "integral_clip_translation",
             "integral_clip_rotation",
             "alignment_clip",
         ):
-            kwargs[attr] = tuple(_as_floats(value, 2, f"{ctx}.controller.{key}"))
+            kwargs[attr] = tuple(_numbers(value, 2, f"{ctx}.{key}"))
         elif attr == "reacquire_limit":
             if not _is_int(value):
-                raise ScenarioError(f"{ctx}.controller.{key}: expected an integer")
+                raise ScenarioError(f"{ctx}.{key}: expected an integer")
             kwargs[attr] = value
         else:
-            kwargs[attr] = float(value)
+            kwargs[attr] = _number(value, f"{ctx}.{key}")
     try:
         return ControllerConfig(**kwargs)
     except ValueError as exc:
-        raise ScenarioError(f"{ctx}.controller: {exc}") from exc
+        raise ScenarioError(f"{ctx}: {exc}") from exc
+
+
+def _parse_noise(data: dict, ctx: str) -> NoiseModel:
+    enabled = data.get("noise_enabled", True)
+    if not isinstance(enabled, bool):
+        raise ScenarioError(f"{ctx}.noise_enabled: expected true or false")
+    ctx = f"{ctx}.noise_sigmas"
+    sigmas = data.get("noise_sigmas", {})
+    if not isinstance(sigmas, dict):
+        raise ScenarioError(f"{ctx}: expected an object table")
+    _check_keys(sigmas, _NOISE_KEYS, ctx)
+    kwargs = {_NOISE_KEYS[k]: _number(v, f"{ctx}.{k}") for k, v in sigmas.items()}
+    try:
+        return NoiseModel(enabled=enabled, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{ctx}: {exc}") from exc
 
 
 def scenario_from_dict(data: dict, ctx: str = "scenario") -> Scenario:
-    """Build and validate a Scenario from parsed JSON data."""
+    """Build and validate a Scenario from parsed JSON data.
+
+    Pose fields are named without their `_mm_deg` suffix in error messages.
+    """
     if not isinstance(data, dict):
         raise ScenarioError(f"{ctx}: top level must be an object table")
-    name = data.get("name", "unnamed")
-    shape = _parse_object(_require(data, "object", ctx), ctx)
-    osp = _as_floats(
-        _require(data, "object_start_pose_mm_deg", ctx),
-        3,
-        f"{ctx}.object_start_pose_mm_deg",
-    )
-    psp = _as_floats(
-        data.get("pusher_start_pose_mm_deg", (0.0,) * 6),
-        6,
-        f"{ctx}.pusher_start_pose_mm_deg",
-    )
-    tgt = _as_floats(
-        _require(data, "target_pose_mm_deg", ctx), 6, f"{ctx}.target_pose_mm_deg"
-    )
-    noise_enabled = data.get("noise_enabled", True)
-    if not isinstance(noise_enabled, bool):
-        raise ScenarioError(f"{ctx}.noise_enabled: expected true or false")
-    noise_sigmas = data.get("noise_sigmas", {})
-    if not isinstance(noise_sigmas, dict):
-        raise ScenarioError(f"{ctx}.noise_sigmas: expected an object table")
-    try:
-        noise = NoiseModel(
-            sigma_z=float(noise_sigmas.get("z_mm", 0.1)),
-            sigma_alpha=float(noise_sigmas.get("alpha_deg", 0.39)),
-            sigma_beta=float(noise_sigmas.get("beta_deg", 0.34)),
-            enabled=noise_enabled,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{ctx}.noise_sigmas: {exc}") from exc
+    _check_keys(data, _TOP_KEYS, ctx)
     max_taps = data.get("max_taps", 300)
     if not _is_int(max_taps):
         raise ScenarioError(f"{ctx}.max_taps: expected an integer")
+    osp = _require(data, "object_start_pose_mm_deg", ctx)
     return Scenario(
-        name=name,
-        object=shape,
-        object_start_pose=PlanarPose(*osp),
-        pusher_start_pose=EulerPose.from_array(psp),
-        target_pose=EulerPose.from_array(tgt),
+        name=_name(data.get("name", "unnamed"), f"{ctx}.name"),
+        object=_parse_object(_require(data, "object", ctx), ctx),
+        object_start_pose=PlanarPose(*_numbers(osp, 3, f"{ctx}.object_start_pose")),
+        pusher_start_pose=_planar_pose(
+            data.get("pusher_start_pose_mm_deg", (0.0,) * 6), f"{ctx}.pusher_start_pose"
+        ),
+        target_pose=_planar_pose(
+            _require(data, "target_pose_mm_deg", ctx), f"{ctx}.target_pose"
+        ),
         controller=_parse_controller(data.get("controller"), ctx),
-        noise=noise,
+        noise=_parse_noise(data, ctx),
         rng_seed=data.get("rng_seed", 0),
         max_taps=max_taps,
     )

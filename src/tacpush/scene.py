@@ -11,8 +11,9 @@ transforms are built from them only for the controller.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +28,7 @@ from .pose_math import (
 __all__ = [
     "ObjectShape",
     "PlanarPose",
-    "PusherTip",
+    "TIP_RADIUS_MM",
     "WorldState",
     "boundary_probe",
     "builtin_shapes",
@@ -41,6 +42,12 @@ __all__ = [
 ]
 
 _G = 9.81  # m/s^2, for support-friction magnitudes in N
+
+# radius of the disc pusher, the planar section of a hemispherical tip
+TIP_RADIUS_MM = 20.0
+
+# largest out-of-plane residue PlanarPose.from_transform accepts
+_PLANAR_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -100,14 +107,14 @@ class PlanarPose:
         return euler_to_transform(EulerPose(0.0, self.y, self.z, self.alpha, 0.0, 0.0))
 
     @classmethod
-    def from_transform(cls, t: Transform, tol: float = 1e-6) -> "PlanarPose":
+    def from_transform(cls, t: Transform) -> "PlanarPose":
         """Read back a planar pose; rejects transforms that left the plane."""
         r = t.rotation
         if (
-            abs(float(t.translation[0])) > tol
-            or abs(float(r[0, 0]) - 1.0) > tol
-            or abs(float(r[0, 1])) > tol
-            or abs(float(r[0, 2])) > tol
+            abs(float(t.translation[0])) > _PLANAR_TOL
+            or abs(float(r[0, 0]) - 1.0) > _PLANAR_TOL
+            or abs(float(r[0, 1])) > _PLANAR_TOL
+            or abs(float(r[0, 2])) > _PLANAR_TOL
         ):
             raise ValueError("transform is not a planar (y, z, alpha) pose")
         alpha = math.degrees(math.atan2(float(r[2, 1]), float(r[1, 1])))
@@ -131,17 +138,6 @@ class PlanarPose:
         dy = p_work[0] - self.y
         dz = p_work[1] - self.z
         return np.array([c * dy + s * dz, -s * dy + c * dz])
-
-
-@dataclass(frozen=True)
-class PusherTip:
-    """Disc pusher: the planar section of a hemispherical tip."""
-
-    radius: float = 20.0
-
-    def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("PusherTip.radius must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +218,7 @@ class ObjectShape:
         self.cof_offset = np.asarray(self.cof_offset, dtype=float).reshape(2)
         if (self.polygon is None) == (self.radius is None):
             raise ValueError(f"shape {self.name!r}: exactly one of polygon/radius required")
-        if self.f_max <= 0.0:
-            raise ValueError(f"shape {self.name!r}: f_max must be > 0")
-        if self.m_max <= 0.0:
-            raise ValueError(f"shape {self.name!r}: m_max must be > 0")
-        if self.mu_contact < 0.0:
-            raise ValueError(f"shape {self.name!r}: mu_contact must be >= 0")
+        self._check_friction()
         if self.radius is not None:
             if self.radius <= 0.0:
                 raise ValueError(f"shape {self.name!r}: radius must be > 0")
@@ -252,6 +243,15 @@ class ObjectShape:
             en = np.stack([self._edge_vec[:, 1], -self._edge_vec[:, 0]], axis=1)
             self._edge_normal = en / np.linalg.norm(en, axis=1, keepdims=True)
 
+    def _check_friction(self):
+        # written so that NaN fails each check
+        if not self.f_max > 0.0:
+            raise ValueError(f"shape {self.name!r}: f_max must be > 0")
+        if not self.m_max > 0.0:
+            raise ValueError(f"shape {self.name!r}: m_max must be > 0")
+        if not self.mu_contact >= 0.0:
+            raise ValueError(f"shape {self.name!r}: mu_contact must be >= 0")
+
     @property
     def is_polygon(self) -> bool:
         return self.radius is None
@@ -275,14 +275,20 @@ class ObjectShape:
         m_max: float | None = None,
         mu_contact: float | None = None,
     ) -> "ObjectShape":
-        """Copy with perturbed friction parameters (geometry shared)."""
-        return replace(
-            self,
-            polygon=None if self.polygon is None else self.polygon.copy(),
-            f_max=self.f_max if f_max is None else f_max,
-            m_max=self.m_max if m_max is None else m_max,
-            mu_contact=self.mu_contact if mu_contact is None else mu_contact,
-        )
+        """Copy with perturbed friction parameters (geometry shared).
+
+        Only the friction fields are validated: the outline and its derived
+        edge arrays are the base shape's, already checked.
+        """
+        variant = copy.copy(self)
+        if f_max is not None:
+            variant.f_max = f_max
+        if m_max is not None:
+            variant.m_max = m_max
+        if mu_contact is not None:
+            variant.mu_contact = mu_contact
+        variant._check_friction()
+        return variant
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +394,9 @@ def _mug_outline() -> np.ndarray:
     return _recentered(np.vstack([arc, handle]))
 
 
-def _make_shape(name: str, mass_kg: float, *, polygon=None, radius=None,
-                mu_support: float = 0.5, mu_contact: float = 0.5) -> ObjectShape:
-    f_max = mu_support * mass_kg * _G
+def _make_shape(name: str, mass_kg: float, *, polygon=None, radius=None) -> ObjectShape:
+    # support and pusher-object friction coefficients are both 0.5
+    f_max = 0.5 * mass_kg * _G
     if radius is not None:
         r_mean = 2.0 * radius / 3.0
     else:
@@ -404,7 +410,7 @@ def _make_shape(name: str, mass_kg: float, *, polygon=None, radius=None,
         cof_offset=np.zeros(2),
         f_max=f_max,
         m_max=m_max,
-        mu_contact=mu_contact,
+        mu_contact=0.5,
     )
 
 

@@ -1,14 +1,14 @@
 """Simulated tactile perception: a geometric contact-pose oracle plus noise.
 
-The sensor reading is a pose prediction (z depth, alpha, beta) of the sensor
+The sensor reading is a pose prediction (z depth, alpha) of the sensor
 relative to the local contact feature. Depth is the disc-object overlap
 (tip radius minus centre-to-boundary distance) and alpha is the signed
 in-plane angle from the inward contact normal to the sensor's forward axis:
 alpha = 0 when the sensor is perpendicular to the pushed edge, positive when
 the axis is rotated counter-clockwise (towards +alpha headings) of the
 normal. Readings are clamped to the calibrated ranges z in [1, 5] mm and
-alpha in [-20, 20] degrees; x, y and gamma are identically zero and beta is
-pinned to zero on the flat surface.
+alpha in [-20, 20] degrees. The other four pose components are zero: x, y
+and gamma by construction, beta because the surface is flat.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .pose_math import EulerPose, Transform, euler_to_transform, normalize_angle_deg
-from .scene import (
-    ObjectShape,
-    PusherTip,
-    WorldState,
-    boundary_probe,
-    dir_heading,
-)
+from .scene import TIP_RADIUS_MM, ObjectShape, WorldState, boundary_probe, dir_heading
 
 __all__ = [
     "ALPHA_RANGE_DEG",
@@ -47,11 +41,7 @@ class PosePrediction:
     in_contact: bool
     z_depth: float | None = None
     alpha: float | None = None
-    beta: float | None = None
     clamped: bool = False
-    x: float = 0.0
-    y: float = 0.0
-    gamma: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -60,11 +50,10 @@ class NoiseModel:
 
     sigma_z: float = 0.1
     sigma_alpha: float = 0.39
-    sigma_beta: float = 0.34
     enabled: bool = True
 
     def __post_init__(self):
-        if self.sigma_z < 0 or self.sigma_alpha < 0 or self.sigma_beta < 0:
+        if self.sigma_z < 0 or self.sigma_alpha < 0:
             raise ValueError("NoiseModel sigmas must be >= 0")
 
 
@@ -73,9 +62,7 @@ def _clamp(value: float, lo: float, hi: float):
     return clipped, clipped != value
 
 
-def sense_contact(
-    world: WorldState, shape: ObjectShape, tip: PusherTip = PusherTip()
-) -> PosePrediction:
+def sense_contact(world: WorldState, shape: ObjectShape) -> PosePrediction:
     """Read the contact pose of the pusher disc against the object.
 
     Reports contact only when the disc overlaps the outline (depth > 0);
@@ -83,7 +70,7 @@ def sense_contact(
     """
     pusher = world.pusher_pose
     sd, _, n_out, _ = boundary_probe(shape, world.object_pose, pusher.position)
-    depth = tip.radius - sd
+    depth = TIP_RADIUS_MM - sd
     if depth <= 0.0:
         return PosePrediction(in_contact=False)
     normal_heading = dir_heading(-n_out)
@@ -94,7 +81,6 @@ def sense_contact(
         in_contact=True,
         z_depth=z,
         alpha=alpha,
-        beta=0.0,
         clamped=z_clamped or a_clamped,
     )
 
@@ -104,8 +90,7 @@ def apply_noise(
 ) -> PosePrediction:
     """Perturb a contact prediction with seeded Gaussian noise, then re-clamp.
 
-    Beta stays exactly zero on the flat surface, so only z and alpha draw
-    from the generator. No-contact predictions pass through unchanged.
+    Only z and alpha draw from the generator. No-contact predictions pass through unchanged.
     """
     if not noise.enabled or not pred.in_contact:
         return pred
@@ -126,5 +111,5 @@ def prediction_to_pose(pred: PosePrediction) -> Transform:
     if not pred.in_contact:
         raise ValueError("prediction_to_pose: prediction has no contact")
     return euler_to_transform(
-        EulerPose(0.0, 0.0, pred.z_depth, pred.alpha, pred.beta, 0.0)
+        EulerPose(0.0, 0.0, pred.z_depth, pred.alpha, 0.0, 0.0)
     )

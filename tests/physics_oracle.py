@@ -19,9 +19,9 @@ import numpy as np
 
 from tacpush.push_dynamics import ContactMatrix
 from tacpush.scene import (
+    TIP_RADIUS_MM,
     ObjectShape,
     PlanarPose,
-    PusherTip,
     WorldState,
     boundary_probe,
     builtin_shapes,
@@ -149,7 +149,7 @@ class ContactConfig:
 _CONVEX_NAMES = ("blue_square", "red_square", "yellow_triangle", "rectangle", "circle")
 
 
-def random_contact_configs(n: int, seed: int, tip: PusherTip = PusherTip()):
+def random_contact_configs(n: int, seed: int):
     """Generate randomized contact configurations against catalog shapes."""
     rng = np.random.default_rng(seed)
     catalog = builtin_shapes()
@@ -169,7 +169,7 @@ def random_contact_configs(n: int, seed: int, tip: PusherTip = PusherTip()):
         sd, point, n_out, feature = boundary_probe(shape, pose, probe)
         n_in = -n_out
         pen = float(rng.uniform(0.05, 0.3))
-        tip_center = point + (tip.radius - pen) * n_out
+        tip_center = point + (TIP_RADIUS_MM - pen) * n_out
         # drive with a definite approach component
         dev = math.radians(float(rng.uniform(-70, 70)))
         v_p = _rot(n_in, dev)

@@ -33,7 +33,7 @@ from tacpush.pose_math import (
     transform_to_euler,
 )
 from tacpush.push_dynamics import ContactMatrix, ContactMode, resolve_substep
-from tacpush.scene import boundary_probe, builtin_shapes
+from tacpush.scene import PlanarPose, boundary_probe, builtin_shapes
 from tacpush.tactile_sense import NoiseModel
 
 from physics_oracle import (
@@ -54,17 +54,17 @@ def report(name: str, detail: str):
 
 @pytest.fixture(scope="session")
 def exp1_results():
-    return run_experiment_1(trials_per_cell=3, master_seed=2024, noise_enabled=True)
+    return run_experiment_1(trials_per_cell=3, master_seed=2024)
 
 
 @pytest.fixture(scope="session")
 def exp2_results():
-    return run_experiment_2(trials_per_cell=3, master_seed=2024, noise_enabled=True)
+    return run_experiment_2(trials_per_cell=3, master_seed=2024)
 
 
 @pytest.fixture(scope="session")
 def exp3_results():
-    return run_experiment_3(trials_per_shape=5, master_seed=2024, noise_enabled=True)
+    return run_experiment_3(trials_per_shape=5, master_seed=2024)
 
 
 @pytest.fixture(scope="session")
@@ -72,7 +72,7 @@ def robustness_results():
     """Offset grid with support/contact friction perturbed +/-50 percent and
     sensor noise at twice the calibrated sigmas; controller gains untouched."""
     base = builtin_shapes()["blue_square"]
-    double_noise = NoiseModel(sigma_z=0.2, sigma_alpha=0.78, sigma_beta=0.68)
+    double_noise = NoiseModel(sigma_z=0.2, sigma_alpha=0.78)
     corners = list(itertools.product((0.5, 1.5), repeat=3))
     scenarios = []
     for i, off in enumerate(EXP1_SPATIAL_OFFSETS_MM):
@@ -90,7 +90,6 @@ def robustness_results():
                         off,
                         ang,
                         seed=derive_seed(77, cell, t),
-                        noise_enabled=True,
                         shape=shape,
                         noise=double_noise,
                         name=f"robust_o{off:+.0f}_a{ang:+.0f}_t{t}",
@@ -234,9 +233,9 @@ def test_criterion_limit_surface_gradient():
 
 def test_criterion_symmetric_push():
     sc = dataclasses.replace(
-        exp1_scenario(0.0, 0.0, seed=0, noise_enabled=False),
+        exp1_scenario(0.0, 0.0, seed=0, noise=NoiseModel(enabled=False)),
         name="symmetric_push",
-        target_pose=EulerPose(0.0, 0.0, 400.0, 0.0, 0.0, 0.0),
+        target_pose=PlanarPose(0.0, 400.0, 0.0),
     )
     rec = run_trial(sc)
     assert rec.outcome == "reached"
@@ -266,7 +265,7 @@ def test_criterion_experiment_1(exp1_results):
 
 def test_criterion_experiment_1_runtime():
     t0 = time.perf_counter()
-    metrics, _ = run_experiment_1(trials_per_cell=3, master_seed=512, noise_enabled=True)
+    metrics, _ = run_experiment_1(trials_per_cell=3, master_seed=512)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     assert metrics.success_rate == 1.0

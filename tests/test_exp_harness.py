@@ -30,7 +30,14 @@ from tacpush.exp_harness import (
 )
 from tacpush.pose_math import EulerPose
 from tacpush.scenario import load_scenario
-from tacpush.scene import PlanarPose, PusherTip, boundary_probe, builtin_shapes, heading_dir
+from tacpush.scene import (
+    TIP_RADIUS_MM,
+    PlanarPose,
+    boundary_probe,
+    builtin_shapes,
+    heading_dir,
+)
+from tacpush.tactile_sense import NoiseModel
 
 BASELINE = "scenarios/exp1_baseline.json"
 
@@ -66,7 +73,7 @@ class TestComputeYTarg:
 
 class TestRunTrial:
     def test_baseline_reaches_with_noise_off(self):
-        rec = run_trial(exp1_scenario(0.0, 0.0, seed=7, noise_enabled=False))
+        rec = run_trial(exp1_scenario(0.0, 0.0, seed=7, noise=NoiseModel(enabled=False)))
         assert rec.outcome == "reached"
         assert rec.y_targ is not None and rec.y_targ < 5.0
         assert rec.tap_total == len(rec.taps)
@@ -76,7 +83,7 @@ class TestRunTrial:
     def test_far_target_hits_tap_budget(self):
         sc = dataclasses.replace(
             exp1_scenario(0.0, 0.0, seed=1),
-            target_pose=EulerPose(0.0, 500.0, 1_000.0, 0.0, 0.0, 0.0),
+            target_pose=PlanarPose(500.0, 1_000.0, 0.0),
             max_taps=3,
         )
         rec = run_trial(sc)
@@ -85,7 +92,7 @@ class TestRunTrial:
         assert rec.y_targ is None
 
     def test_deterministic_given_seed(self):
-        sc = exp1_scenario(10.0, -20.0, seed=99, noise_enabled=True)
+        sc = exp1_scenario(10.0, -20.0, seed=99)
         a = json.dumps(record_to_dict(run_trial(sc)), sort_keys=True)
         b = json.dumps(record_to_dict(run_trial(sc)), sort_keys=True)
         # wall time differs between runs; strip it before comparing
@@ -171,27 +178,25 @@ class TestExperimentGrids:
 class TestPlacement:
     def test_corner_centred_polygon(self):
         shape = builtin_shapes()["blue_square"]
-        start = EulerPose(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        pose = place_corner_contact(shape, start)
-        tip = PusherTip()
+        pose = place_corner_contact(shape, PlanarPose())
         sd, point, n_out, feature = boundary_probe(shape, pose, np.zeros(2))
         assert feature[0] == "vertex"
-        assert tip.radius - sd == pytest.approx(1.0, abs=1e-6)
+        assert TIP_RADIUS_MM - sd == pytest.approx(1.0, abs=1e-6)
         # corner dead ahead of the axis
         assert point == pytest.approx([0.0, 19.0], abs=1e-9)
 
     def test_corner_centred_circle(self):
         shape = builtin_shapes()["circle"]
-        pose = place_corner_contact(shape, EulerPose())
+        pose = place_corner_contact(shape, PlanarPose())
         sd, _, _, _ = boundary_probe(shape, pose, np.zeros(2))
-        assert PusherTip().radius - sd == pytest.approx(1.0, abs=1e-9)
+        assert TIP_RADIUS_MM - sd == pytest.approx(1.0, abs=1e-9)
 
     def test_random_orientation_depth(self):
         shape = builtin_shapes()["mug"]
         for heading in (0.0, 73.0, 201.0, 340.0):
-            pose = place_random_orientation(shape, EulerPose(), heading)
+            pose = place_random_orientation(shape, PlanarPose(), heading)
             sd, _, _, _ = boundary_probe(shape, pose, np.zeros(2))
-            assert PusherTip().radius - sd == pytest.approx(1.0, abs=1e-3)
+            assert TIP_RADIUS_MM - sd == pytest.approx(1.0, abs=1e-3)
             assert pose.alpha == pytest.approx(
                 heading if heading <= 180 else heading - 360
             )
@@ -296,9 +301,27 @@ class TestCli:
          ({"rng_seed": 1.7}, "rng_seed"),
          ({"rng_seed": "abc"}, "rng_seed"),
          ({"rng_seed": -5}, "rng_seed"),
-         ({"controller": {"reacquire_limit": 2.9}}, "reacquire_limit")],
+         ({"controller": {"reacquire_limit": 2.9}}, "reacquire_limit"),
+         ({"controller": {"tap_forward_mm": "8"}}, "controller.tap_forward_mm"),
+         ({"controller": {"kp_align": True}}, "controller.kp_align"),
+         ({"object_start_pose_mm_deg": ["0", "49", False]}, "object_start_pose"),
+         ({"controller": {"kp_align": math.inf}}, "controller.kp_align"),
+         ({"object": {"shape": "blue_square", "f_max_n": math.nan}}, "object.f_max_n"),
+         ({"controller": {"ref_pose_mm_deg": [0, 0, math.nan, 0, 0, 0]}},
+          "controller.ref_pose has a non-finite value"),
+         ({"controller": {"ref_pose_mm_deg": [0, 0, 2, 0, 5, 0]}},
+          "controller.ref_pose: pose is not planar"),
+         ({"max_tap": 3}, "unknown field 'max_tap'"),
+         ({"object": {"shape": "blue_square", "mu_contac": 0.3}},
+          "object: unknown field 'mu_contac'"),
+         ({"noise_sigmas": {"z": 5}}, "noise_sigmas: unknown field 'z'"),
+         ({"noise_sigmas": {"beta_deg": 0.34}}, "noise_sigmas: unknown field 'beta_deg'"),
+         ({"name": 5}, "name: expected a string")],
         ids=["noise_enabled_string", "rng_seed_float", "rng_seed_string",
-             "rng_seed_negative", "reacquire_limit_float"],
+             "rng_seed_negative", "reacquire_limit_float", "tap_forward_string",
+             "kp_align_bool", "object_start_pose_strings", "kp_align_infinity",
+             "f_max_nan", "ref_pose_nan", "ref_pose_non_planar", "unknown_top_level_key",
+             "unknown_object_key", "unknown_noise_key", "beta_deg", "name_not_string"],
     )
     def test_validate_rejects_ill_typed_field(self, override, field, tmp_path, capsys):
         data = json.loads(open(BASELINE).read())

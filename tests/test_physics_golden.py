@@ -20,8 +20,8 @@ import numpy as np
 
 from tacpush.push_dynamics import PENETRATION_TOL_MM, resolve_substep
 from tacpush.scene import (
+    TIP_RADIUS_MM,
     PlanarPose,
-    PusherTip,
     WorldState,
     boundary_probe,
     builtin_shapes,
@@ -68,7 +68,6 @@ def _vertex_contact(shape, pose, rng):
 def generate_cases():
     rng = np.random.default_rng(SEED)
     catalog = builtin_shapes()
-    tip = PusherTip()
     cases = []
     for k in range(CASES_PER_SHAPE):
         kind = list(KINDS)[k % len(KINDS)]
@@ -90,7 +89,7 @@ def generate_cases():
                 far = pose.position + 400.0 * np.array([math.cos(ang), math.sin(ang)])
                 _, point, n_out, _ = boundary_probe(shape, pose, far)
             pen = float(rng.uniform(pen_lo, pen_hi))
-            tip_new = point + (tip.radius - pen) * n_out
+            tip_new = point + (TIP_RADIUS_MM - pen) * n_out
             if deviation is None:
                 disp = np.zeros(2)
             else:

@@ -28,9 +28,9 @@ from tacpush.push_dynamics import (
     resolve_substep,
 )
 from tacpush.scene import (
+    TIP_RADIUS_MM,
     ObjectShape,
     PlanarPose,
-    PusherTip,
     WorldState,
     boundary_probe,
     builtin_shapes,
@@ -38,7 +38,6 @@ from tacpush.scene import (
 from tacpush.tactile_sense import ALPHA_RANGE_DEG, Z_RANGE_MM, PosePrediction
 
 SAMPLES_PER_OUTLINE = 4000
-TIP = PusherTip()
 
 poses = st.builds(
     PlanarPose, st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.floats(-180.0, 180.0)
@@ -149,7 +148,7 @@ def substep_cases(draw):
     deviation = math.radians(draw(st.floats(-180.0, 180.0)))
     far = pose.position + 400.0 * np.array([math.cos(approach), math.sin(approach)])
     _, point, n_out, _ = boundary_probe(shape, pose, far)
-    tip_new = point + (TIP.radius - pen) * n_out
+    tip_new = point + (TIP_RADIUS_MM - pen) * n_out
     c, s = math.cos(deviation), math.sin(deviation)
     disp = step * np.array([-c * n_out[0] + s * n_out[1], -s * n_out[0] - c * n_out[1]])
     start = tip_new - disp
@@ -161,12 +160,12 @@ def substep_cases(draw):
 def test_resolve_substep_overlap_at_most_tolerance(case):
     shape, world, disp = case
     try:
-        new_pose, contact = resolve_substep(world, shape, disp, TIP)
+        new_pose, contact = resolve_substep(world, shape, disp)
     except PhysicsFault:
         return
     tip_new = world.pusher_pose.position + disp
     sd, _, _, _ = boundary_probe(shape, new_pose, tip_new)
-    assert TIP.radius - sd == contact.penetration
+    assert TIP_RADIUS_MM - sd == contact.penetration
     if contact.mode is ContactMode.SEPARATED:
         assert contact.penetration <= 0.0
         assert new_pose == world.object_pose
@@ -185,7 +184,7 @@ def test_resolve_substep_overlap_at_most_tolerance(case):
 def test_resolve_substep_keeps_pushing_contacts_overlapping(case):
     shape, world, disp = case
     try:
-        _, contact = resolve_substep(world, shape, disp, TIP)
+        _, contact = resolve_substep(world, shape, disp)
     except PhysicsFault:
         return
     if contact.mode is not ContactMode.SEPARATED:
@@ -199,7 +198,6 @@ predictions = st.one_of(
         in_contact=st.just(True),
         z_depth=st.floats(*Z_RANGE_MM),
         alpha=st.floats(*ALPHA_RANGE_DEG),
-        beta=st.just(0.0),
         clamped=st.booleans(),
     ),
 )

@@ -24,7 +24,7 @@ from tacpush.push_controller import (
     target_bearing,
 )
 from tacpush.scene import PlanarPose, builtin_shapes
-from tacpush.tactile_sense import PosePrediction
+from tacpush.tactile_sense import NoiseModel, PosePrediction
 
 
 def pose6(*vals):
@@ -32,7 +32,7 @@ def pose6(*vals):
 
 
 def contact_pred(z=2.0, alpha=0.0):
-    return PosePrediction(True, z_depth=z, alpha=alpha, beta=0.0)
+    return PosePrediction(True, z_depth=z, alpha=alpha)
 
 
 class TestServoError:
@@ -310,13 +310,15 @@ class TestClosedLoop:
     def test_symmetric_push_stays_straight(self):
         # centred perpendicular push, target dead ahead, noise off
         shape = builtin_shapes()["blue_square"]
-        sc = exp1_scenario(0.0, 0.0, seed=0, noise_enabled=False, max_taps=120)
+        sc = exp1_scenario(
+            0.0, 0.0, seed=0, noise=NoiseModel(enabled=False), max_taps=120
+        )
         sc = type(sc)(
             name="straight",
             object=sc.object,
             object_start_pose=sc.object_start_pose,
             pusher_start_pose=sc.pusher_start_pose,
-            target_pose=EulerPose(0.0, 0.0, 400.0, 0.0, 0.0, 0.0),
+            target_pose=PlanarPose(0.0, 400.0, 0.0),
             controller=sc.controller,
             noise=sc.noise,
             rng_seed=0,
@@ -332,10 +334,11 @@ class TestClosedLoop:
         # the trajectory tap for tap (noise off)
         import dataclasses
 
-        rec_pos = run_trial(exp1_scenario(10.0, 15.0, seed=0, noise_enabled=False))
+        quiet = NoiseModel(enabled=False)
+        rec_pos = run_trial(exp1_scenario(10.0, 15.0, seed=0, noise=quiet))
         mirrored = dataclasses.replace(
-            exp1_scenario(-10.0, -15.0, seed=0, noise_enabled=False),
-            target_pose=EulerPose(0.0, -200.0, 400.0, 0.0, 0.0, 0.0),
+            exp1_scenario(-10.0, -15.0, seed=0, noise=quiet),
+            target_pose=PlanarPose(-200.0, 400.0, 0.0),
         )
         rec_neg = run_trial(mirrored)
         assert rec_pos.outcome == "reached" and rec_neg.outcome == "reached"

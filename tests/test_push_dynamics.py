@@ -17,7 +17,6 @@ from tacpush.push_dynamics import (
 from tacpush.scene import (
     ObjectShape,
     PlanarPose,
-    PusherTip,
     WorldState,
     boundary_probe,
     builtin_shapes,
@@ -33,7 +32,6 @@ from physics_oracle import (
     wrench_twist,
 )
 
-TIP = PusherTip()
 
 
 def make_world(tip_center, object_pose):

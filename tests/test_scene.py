@@ -9,7 +9,6 @@ from tacpush.scenario import ScenarioError, load_scenario, scenario_from_dict
 from tacpush.scene import (
     ObjectShape,
     PlanarPose,
-    PusherTip,
     boundary_probe,
     builtin_shapes,
     cross2,
@@ -78,6 +77,13 @@ class TestObjectShapeValidation:
             unit_square().with_friction(m_max=-1.0)
         with pytest.raises(ValueError, match="mu_contact"):
             unit_square().with_friction(mu_contact=-0.1)
+        # NaN fails every bound, through the constructor too
+        with pytest.raises(ValueError, match="f_max"):
+            ObjectShape("sq", polygon=[[-1, -1], [1, -1], [1, 1], [-1, 1]], f_max=math.nan)
+        with pytest.raises(ValueError, match="m_max"):
+            unit_square().with_friction(m_max=math.nan)
+        with pytest.raises(ValueError, match="mu_contact"):
+            unit_square().with_friction(mu_contact=math.nan)
 
     def test_cof_outside_rejected(self):
         with pytest.raises(ValueError, match="cof_offset"):
@@ -86,9 +92,13 @@ class TestObjectShapeValidation:
         with pytest.raises(ValueError, match="cof_offset"):
             ObjectShape("c", radius=2.0, cof_offset=[3.0, 0.0])
 
-    def test_tip_radius_positive(self):
-        with pytest.raises(ValueError):
-            PusherTip(radius=0.0)
+    def test_with_friction_shares_geometry(self):
+        base = builtin_shapes()["mug"]
+        variant = base.with_friction(f_max=2.0, mu_contact=0.3)
+        assert variant.polygon is base.polygon
+        assert variant.edge_normals is base.edge_normals
+        assert (variant.f_max, variant.m_max, variant.mu_contact) == (2.0, base.m_max, 0.3)
+        assert (base.f_max, base.mu_contact) != (2.0, 0.3)
 
 
 class TestCatalog:
@@ -229,7 +239,7 @@ def _boundary_samples(shape, n):
 class TestScenarioFiles:
     def test_baseline_file(self):
         sc = load_scenario(BASELINE)
-        assert sc.target_pose.as_array() == pytest.approx([0, 200, 400, 0, 0, 0])
+        assert sc.target_pose == PlanarPose(200.0, 400.0, 0.0)
         assert sc.object.name == "blue_square"
         assert sc.max_taps == 300
         assert sc.noise.enabled
@@ -251,7 +261,7 @@ class TestScenarioFiles:
         assert sc.controller.termination_radius == 20.0
         assert sc.noise.sigma_z == 0.1
         assert sc.noise.sigma_alpha == 0.39
-        assert sc.noise.sigma_beta == 0.34
+        assert sc.controller.ref_pose == PlanarPose(z=2.0)
 
     def test_zero_max_taps_rejected(self, tmp_path):
         data = json.loads(open(BASELINE).read())

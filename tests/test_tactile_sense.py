@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from tacpush.pose_math import EulerPose, euler_to_transform
+from tacpush.pose_math import EulerPose, euler_to_transform, transform_to_euler
 from tacpush.scene import (
+    TIP_RADIUS_MM,
     ObjectShape,
     PlanarPose,
-    PusherTip,
     WorldState,
     boundary_probe,
     builtin_shapes,
@@ -43,7 +43,6 @@ class TestSenseContact:
         assert pred.in_contact
         assert pred.z_depth == pytest.approx(2.0)
         assert pred.alpha == pytest.approx(0.0)
-        assert pred.beta == 0.0
         assert not pred.clamped
 
     def test_out_of_reach(self):
@@ -52,7 +51,6 @@ class TestSenseContact:
         assert not pred.in_contact
         assert pred.z_depth is None
         assert pred.alpha is None
-        assert pred.beta is None
 
     def test_rotated_axis_reads_signed_angle(self):
         world, shape = world_with_square([0.0, -18.0], pusher_alpha=10.0)
@@ -80,17 +78,11 @@ class TestSenseContact:
         assert pred.alpha == ALPHA_RANGE_DEG[1]
         assert pred.clamped
 
-    def test_zero_channels(self):
-        world, shape = world_with_square([0.0, -18.0], pusher_alpha=3.0)
-        pred = sense_contact(world, shape)
-        assert pred.x == 0.0 and pred.y == 0.0 and pred.gamma == 0.0
-
     def test_geometry_reconstruction(self):
         # with noise off, (z, alpha) exactly encode boundary distance and
         # normal heading for in-range contacts
         rng = np.random.default_rng(0)
         shapes = builtin_shapes()
-        tip = PusherTip()
         checked = 0
         for _ in range(300):
             shape = list(shapes.values())[int(rng.integers(len(shapes)))]
@@ -103,7 +95,7 @@ class TestSenseContact:
             probe = pose.position + 300.0 * np.array([math.cos(ang), math.sin(ang)])
             _, point, n_out, _ = boundary_probe(shape, pose, probe)
             depth = float(rng.uniform(1.2, 4.8))
-            center = point + (tip.radius - depth) * n_out
+            center = point + (TIP_RADIUS_MM - depth) * n_out
             axis_dev = float(rng.uniform(-15, 15))
             pusher_alpha = dir_heading(-n_out) + axis_dev
             world = WorldState(
@@ -113,7 +105,7 @@ class TestSenseContact:
             if pred.clamped or not pred.in_contact:
                 continue
             sd, _, n_out2, _ = boundary_probe(shape, pose, center)
-            assert pred.z_depth == pytest.approx(tip.radius - sd, abs=1e-9)
+            assert pred.z_depth == pytest.approx(TIP_RADIUS_MM - sd, abs=1e-9)
             recon_heading = pusher_alpha - pred.alpha
             assert math.isclose(
                 math.cos(math.radians(recon_heading - dir_heading(-n_out2))), 1.0,
@@ -125,7 +117,7 @@ class TestSenseContact:
 
 class TestApplyNoise:
     def contact_pred(self, z=2.0, alpha=5.0):
-        return PosePrediction(True, z_depth=z, alpha=alpha, beta=0.0)
+        return PosePrediction(True, z_depth=z, alpha=alpha)
 
     def test_disabled_passthrough(self):
         pred = self.contact_pred()
@@ -144,9 +136,12 @@ class TestApplyNoise:
         assert a == b
 
     def test_beta_stays_zero(self):
+        # noise moves z and alpha only; the sensed pose keeps x, y, beta and
+        # gamma at exactly zero
         out = apply_noise(self.contact_pred(), NoiseModel(), np.random.default_rng(1))
-        assert out.beta == 0.0
-        assert out.x == 0.0 and out.y == 0.0 and out.gamma == 0.0
+        e = transform_to_euler(prediction_to_pose(out))
+        assert (e.x, e.y, e.beta, e.gamma) == (0.0, 0.0, 0.0, 0.0)
+        assert (e.z, e.alpha) == pytest.approx((out.z_depth, out.alpha), abs=1e-12)
 
     def test_reclamped_to_ranges(self):
         rng = np.random.default_rng(2)
@@ -162,7 +157,7 @@ class TestApplyNoise:
         sigma = 0.1
         rng = np.random.default_rng(3)
         pred = self.contact_pred(z=3.0, alpha=0.0)
-        noise = NoiseModel(sigma_z=sigma, sigma_alpha=0.0, sigma_beta=0.0)
+        noise = NoiseModel(sigma_z=sigma, sigma_alpha=0.0)
         dz = np.array(
             [apply_noise(pred, noise, rng).z_depth - 3.0 for _ in range(n)]
         )
@@ -177,12 +172,12 @@ class TestApplyNoise:
 
 class TestPredictionToPose:
     def test_pure_depth(self):
-        t = prediction_to_pose(PosePrediction(True, z_depth=2.0, alpha=0.0, beta=0.0))
+        t = prediction_to_pose(PosePrediction(True, z_depth=2.0, alpha=0.0))
         assert np.allclose(t.rotation, np.eye(3))
         assert np.allclose(t.translation, [0.0, 0.0, 2.0])
 
     def test_depth_with_angle_matches_direct_matrix(self):
-        t = prediction_to_pose(PosePrediction(True, z_depth=2.0, alpha=10.0, beta=0.0))
+        t = prediction_to_pose(PosePrediction(True, z_depth=2.0, alpha=10.0))
         direct = euler_to_transform(EulerPose(0.0, 0.0, 2.0, 10.0, 0.0, 0.0))
         assert np.allclose(t.matrix(), direct.matrix())
 
