@@ -1,14 +1,6 @@
 """tacpush: deterministic planar-pushing simulator, tactile dual-loop push
 controller and experiment harness."""
 
-from .pose_math import (
-    EulerPose,
-    Transform,
-    compose,
-    euler_to_transform,
-    inverse,
-    transform_to_euler,
-)
 from .push_controller import ControllerConfig, ControllerState, Status, control_step
 from .push_dynamics import (
     ContactMatrix,

@@ -191,14 +191,12 @@ def run_trial(scenario: Scenario) -> TrialRecord:
 
     A physics fault ends the trial with outcome "physics_fault" and its
     diagnostics in meta["fault"]; any other exception ends it with outcome
-    "error" and the exception's type and message in meta["error"]. The
-    world state is planar; SE(3) poses are built only for control_step.
+    "error" and the exception's type and message in meta["error"].
     """
     t0 = time.perf_counter()
     shape = scenario.object
     cfg = scenario.controller
     target = scenario.target_pose
-    target_t = target.to_transform()
     world = WorldState(scenario.object_start_pose, scenario.pusher_start_pose)
     sense_world = world
     rng = np.random.default_rng(scenario.rng_seed)
@@ -216,9 +214,7 @@ def run_trial(scenario: Scenario) -> TrialRecord:
             pred = sense_contact(sense_world, shape)
             if scenario.noise.enabled:
                 pred = apply_noise(pred, scenario.noise, rng)
-            decision = control_step(
-                pred, world.pusher_pose.to_transform(), target_t, state, cfg
-            )
+            decision = control_step(pred, world.pusher_pose, target, state, cfg)
             if decision.status is Status.TARGET_REACHED:
                 outcome = "reached"
                 break
@@ -231,7 +227,7 @@ def run_trial(scenario: Scenario) -> TrialRecord:
             world, sense_pose, contact = simulate_tap(
                 world,
                 shape,
-                PlanarPose.from_transform(decision.command),
+                decision.command,
                 tap_forward=cfg.tap_forward,
                 tap_back=cfg.tap_back,
             )

@@ -24,15 +24,11 @@ __all__ = [
     "euler_to_transform",
     "inverse",
     "normalize_angle_deg",
-    "orthonormalize",
     "rot_x",
     "rot_y",
     "rot_z",
     "transform_to_euler",
 ]
-
-# Orthonormality drift above this triggers re-projection inside compose().
-_ORTHO_DRIFT_TOL = 1e-9
 
 # cos(beta) below this selects the gimbal-lock extraction branch.
 _GIMBAL_TOL = 1e-9
@@ -114,30 +110,13 @@ def rot_z(deg: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def orthonormalize(r: np.ndarray) -> np.ndarray:
-    """Project a near-rotation matrix back onto SO(3) (polar decomposition)."""
-    u, _, vt = np.linalg.svd(r)
-    if np.linalg.det(u @ vt) < 0.0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
-    return u @ vt
-
-
 def compose(a: Transform, b: Transform) -> Transform:
     """Chain two transforms: the result applies b first, then a (T_ac = T_ab @ T_bc).
 
-    Rotation drift from long composition chains is re-projected onto SO(3)
-    whenever it exceeds 1e-9.
+    The rotation product is not re-projected onto SO(3); the controller
+    composes at most three transforms deep, each built fresh from a pose.
     """
-    r = a.rotation @ b.rotation
-    d = r.T @ r
-    d[0, 0] -= 1.0
-    d[1, 1] -= 1.0
-    d[2, 2] -= 1.0
-    if np.max(np.abs(d)) > _ORTHO_DRIFT_TOL:
-        r = orthonormalize(r)
-    t = a.rotation @ b.translation + a.translation
-    return Transform(r, t)
+    return Transform(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)
 
 
 def inverse(t: Transform) -> Transform:

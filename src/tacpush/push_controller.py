@@ -34,7 +34,7 @@ from .pose_math import (
     transform_to_euler,
 )
 from .scene import PlanarPose, heading_dir
-from .tactile_sense import PosePrediction, prediction_to_pose
+from .tactile_sense import PosePrediction
 
 __all__ = [
     "ControlDecision",
@@ -45,6 +45,7 @@ __all__ = [
     "compose_command",
     "control_step",
     "pid6_step",
+    "prediction_to_pose",
     "servo_error",
     "target_bearing",
 ]
@@ -97,16 +98,17 @@ class ControllerConfig:
             if not lo < hi:
                 raise ValueError(f"ControllerConfig.{name} must be a nonempty range")
             setattr(self, name, (lo, hi))
-        if self.approach_zone_radius <= 0 or self.termination_radius <= 0:
+        # written so that NaN fails each check
+        if not (self.approach_zone_radius > 0 and self.termination_radius > 0):
             raise ValueError("ControllerConfig zone radii must be > 0")
-        if self.termination_radius >= self.approach_zone_radius:
+        if not self.termination_radius < self.approach_zone_radius:
             raise ValueError(
                 "ControllerConfig.termination_radius must be smaller than "
                 "approach_zone_radius"
             )
-        if self.tap_forward <= 0 or self.tap_back < 0:
+        if not (self.tap_forward > 0 and self.tap_back >= 0):
             raise ValueError("ControllerConfig tap lengths invalid")
-        if self.reacquire_limit < 1:
+        if not self.reacquire_limit >= 1:
             raise ValueError("ControllerConfig.reacquire_limit must be >= 1")
 
 
@@ -127,14 +129,19 @@ class ControlDecision:
     """Outcome of one control step plus diagnostics for logging."""
 
     status: Status
-    command: Transform | None = None
+    command: PlanarPose | None = None
     theta: float | None = None
     r: float | None = None
     v: float = 0.0
-    r_tip: float = 0.0
-    alignment_engaged: bool = False
     error6: np.ndarray | None = None
     integral6: np.ndarray | None = None
+
+
+def prediction_to_pose(pred: PosePrediction) -> Transform:
+    """Transform of the sensor frame relative to the contact feature frame."""
+    if not pred.in_contact:
+        raise ValueError("prediction_to_pose: prediction has no contact")
+    return euler_to_transform(EulerPose(0.0, 0.0, pred.z_depth, pred.alpha, 0.0, 0.0))
 
 
 def servo_error(pred_pose: Transform, ref_pose: Transform) -> EulerPose:
@@ -207,15 +214,10 @@ def compose_command(u_servo: Transform, v: float, pusher_pose: Transform) -> Tra
     return compose(pusher_pose, compose(u_servo, lateral))
 
 
-def _planar_distance(pusher_pose: Transform, target_pose: Transform) -> float:
-    dp = target_pose.translation[1:3] - pusher_pose.translation[1:3]
-    return float(np.hypot(dp[0], dp[1]))
-
-
 def control_step(
     pred: PosePrediction,
-    pusher_pose: Transform,
-    target_pose: Transform,
+    pusher: PlanarPose,
+    target: PlanarPose,
     state: ControllerState,
     cfg: ControllerConfig,
 ) -> ControlDecision:
@@ -224,18 +226,20 @@ def control_step(
     Order: termination check (tip centre within the termination radius of
     the target) -> contact reacquisition on a no-contact reading -> servo
     PID -> target bearing -> alignment PID (only outside the approach zone)
-    -> composite command. Faults are reported as statuses, never raised.
+    -> composite command, returned as a planar pose. Faults are reported as
+    statuses, never raised.
     """
-    r_tip = _planar_distance(pusher_pose, target_pose)
-    if r_tip < cfg.termination_radius:
-        return ControlDecision(Status.TARGET_REACHED, r_tip=r_tip)
+    if np.hypot(target.y - pusher.y, target.z - pusher.z) < cfg.termination_radius:
+        return ControlDecision(Status.TARGET_REACHED)
 
-    pusher = PlanarPose.from_transform(pusher_pose)
+    pusher_t = pusher.to_transform()
+    # the goldens were recorded with this SE(3) read-back (1 ulp off on 4% of headings)
+    pusher = PlanarPose.from_transform(pusher_t)
 
     if not pred.in_contact:
         state.no_contact_streak += 1
         if state.no_contact_streak > cfg.reacquire_limit:
-            return ControlDecision(Status.LOST_CONTACT, r_tip=r_tip)
+            return ControlDecision(Status.LOST_CONTACT)
         # hold the previous corrections; creep towards the last known contact
         heading = (
             state.last_normal_heading
@@ -243,13 +247,9 @@ def control_step(
             else pusher.alpha
         )
         step = cfg.reacquire_advance * heading_dir(heading)
-        command = PlanarPose(
-            pusher.y + step[0], pusher.z + step[1], pusher.alpha
-        ).to_transform()
         return ControlDecision(
             Status.CONTINUE,
-            command=command,
-            r_tip=r_tip,
+            command=PlanarPose(pusher.y + step[0], pusher.z + step[1], pusher.alpha),
             integral6=state.integral6.copy(),
         )
 
@@ -259,18 +259,14 @@ def control_step(
     error6 = servo_error(prediction_to_pose(pred), cfg.ref_pose.to_transform())
     u6 = pid6_step(state, error6, cfg)
     u_servo = euler_to_transform(u6)
-    theta, r = target_bearing(u_servo, pusher_pose, target_pose)
-    engaged = r > cfg.approach_zone_radius
-    v = alignment_pid_step(state, theta, cfg) if engaged else 0.0
-    command = compose_command(u_servo, v, pusher_pose)
+    theta, r = target_bearing(u_servo, pusher_t, target.to_transform())
+    v = alignment_pid_step(state, theta, cfg) if r > cfg.approach_zone_radius else 0.0
     return ControlDecision(
         Status.CONTINUE,
-        command=command,
+        command=PlanarPose.from_transform(compose_command(u_servo, v, pusher_t)),
         theta=theta,
         r=r,
         v=v,
-        r_tip=r_tip,
-        alignment_engaged=engaged,
         error6=error6.as_array(),
         integral6=state.integral6.copy(),
     )

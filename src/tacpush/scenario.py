@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .pose_math import EulerPose
 from .push_controller import ControllerConfig
 from .scene import ObjectShape, PlanarPose, builtin_shapes
 from .tactile_sense import NoiseModel
@@ -99,7 +98,7 @@ class Scenario:
             )
         for label in ("object_start_pose", "pusher_start_pose", "target_pose"):
             p = getattr(self, label)
-            if not all(math.isfinite(v) for v in (p.y, p.z, p.alpha)):
+            if not (math.isfinite(p.y) and math.isfinite(p.z)):
                 raise ScenarioError(f"scenario {self.name!r}: {label} has a non-finite value")
         target, start = self.target_pose, self.pusher_start_pose
         if math.hypot(target.y - start.y, target.z - start.z) < 1e-9:
@@ -145,11 +144,10 @@ def _numbers(value, n: int, ctx: str) -> list:
 def _planar_pose(value, ctx: str) -> PlanarPose:
     """A 6-value (x, y, z, alpha, beta, gamma) pose field that must lie in the
     plane: x, beta and gamma are 0."""
-    pose = EulerPose(*_numbers(value, 6, ctx))
-    try:
-        return PlanarPose.from_euler(pose)
-    except ValueError as exc:
-        raise ScenarioError(f"{ctx}: {exc}") from exc
+    x, y, z, alpha, beta, gamma = _numbers(value, 6, ctx)
+    if x != 0.0 or beta != 0.0 or gamma != 0.0:
+        raise ScenarioError(f"{ctx}: pose is not planar: x, beta and gamma must be 0")
+    return PlanarPose(y, z, alpha)
 
 
 def _name(value, ctx: str) -> str:

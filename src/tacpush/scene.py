@@ -90,18 +90,13 @@ class PlanarPose:
     alpha: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"PlanarPose.alpha must be finite, got {self.alpha!r}")
         object.__setattr__(self, "alpha", normalize_angle_deg(self.alpha))
 
     @property
     def position(self) -> np.ndarray:
         return np.array([self.y, self.z])
-
-    @classmethod
-    def from_euler(cls, e: EulerPose) -> "PlanarPose":
-        """Read (y, z, alpha) from an Euler vector; rejects poses that leave the plane."""
-        if e.x != 0.0 or e.beta != 0.0 or e.gamma != 0.0:
-            raise ValueError("pose is not planar: x, beta and gamma must be 0")
-        return cls(e.y, e.z, e.alpha)
 
     def to_transform(self) -> Transform:
         return euler_to_transform(EulerPose(0.0, self.y, self.z, self.alpha, 0.0, 0.0))

@@ -17,8 +17,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .pose_math import EulerPose, Transform, euler_to_transform, normalize_angle_deg
-from .scene import TIP_RADIUS_MM, ObjectShape, WorldState, boundary_probe, dir_heading
+from .scene import (
+    TIP_RADIUS_MM,
+    ObjectShape,
+    WorldState,
+    boundary_probe,
+    dir_heading,
+    normalize_angle_deg,
+)
 
 __all__ = [
     "ALPHA_RANGE_DEG",
@@ -26,7 +32,6 @@ __all__ = [
     "PosePrediction",
     "Z_RANGE_MM",
     "apply_noise",
-    "prediction_to_pose",
     "sense_contact",
 ]
 
@@ -53,7 +58,7 @@ class NoiseModel:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.sigma_z < 0 or self.sigma_alpha < 0:
+        if not (self.sigma_z >= 0 and self.sigma_alpha >= 0):  # NaN fails too
             raise ValueError("NoiseModel sigmas must be >= 0")
 
 
@@ -103,13 +108,4 @@ def apply_noise(
         z_depth=z,
         alpha=alpha,
         clamped=pred.clamped or z_clamped or a_clamped,
-    )
-
-
-def prediction_to_pose(pred: PosePrediction) -> Transform:
-    """Transform of the sensor frame relative to the contact feature frame."""
-    if not pred.in_contact:
-        raise ValueError("prediction_to_pose: prediction has no contact")
-    return euler_to_transform(
-        EulerPose(0.0, 0.0, pred.z_depth, pred.alpha, 0.0, 0.0)
     )

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from tacpush.exp_harness import (
     run_trial,
     run_trials,
 )
-from tacpush.pose_math import EulerPose
 from tacpush.scenario import load_scenario
 from tacpush.scene import (
     TIP_RADIUS_MM,
@@ -39,7 +39,14 @@ from tacpush.scene import (
 )
 from tacpush.tactile_sense import NoiseModel
 
-BASELINE = "scenarios/exp1_baseline.json"
+BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "exp1_baseline.json"
+
+
+def planar(pose6) -> PlanarPose:
+    """Read a recorded (x, y, z, alpha, beta, gamma) pose that must lie in the plane."""
+    x, y, z, alpha, beta, gamma = pose6
+    assert (x, beta, gamma) == (0.0, 0.0, 0.0)
+    return PlanarPose(y, z, alpha)
 
 
 class TestComputeYTarg:
@@ -56,18 +63,13 @@ class TestComputeYTarg:
     def test_matches_line_sampling(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            pose = EulerPose(0, *rng.uniform(-200, 200, size=2),
-                             float(rng.uniform(-180, 180)), 0, 0)
-            target = EulerPose(0, *rng.uniform(-200, 200, size=2), 0, 0, 0)
-            pusher_p = PlanarPose.from_euler(pose)
-            target_p = PlanarPose.from_euler(target)
-            axis = heading_dir(pose.alpha)
-            p0 = np.array([pose.y, pose.z])
+            pusher_p = PlanarPose(*rng.uniform(-200, 200, size=2),
+                                  float(rng.uniform(-180, 180)))
+            target_p = PlanarPose(*rng.uniform(-200, 200, size=2))
+            axis = heading_dir(pusher_p.alpha)
             ts = np.linspace(-2_000, 2_000, 200_001)
-            pts = p0[None, :] + ts[:, None] * axis[None, :]
-            brute = float(
-                np.min(np.linalg.norm(pts - np.array([target.y, target.z]), axis=1))
-            )
+            pts = pusher_p.position[None, :] + ts[:, None] * axis[None, :]
+            brute = float(np.min(np.linalg.norm(pts - target_p.position, axis=1)))
             assert compute_y_targ(pusher_p, target_p) == pytest.approx(brute, abs=1e-3)
 
 
@@ -104,8 +106,7 @@ class TestRunTrial:
         rec = run_trial(exp1_scenario(20.0, 0.0, seed=3))
         assert rec.outcome == "reached"
         recomputed = compute_y_targ(
-            PlanarPose.from_euler(EulerPose(*rec.final_pusher_pose)),
-            PlanarPose.from_euler(EulerPose(*rec.meta["target_pose_mm_deg"])),
+            planar(rec.final_pusher_pose), planar(rec.meta["target_pose_mm_deg"])
         )
         assert recomputed == rec.y_targ
 
@@ -248,7 +249,7 @@ class TestExport:
                 float(last["pusher_z_mm"]),
                 float(last["pusher_alpha_deg"]),
             )
-            target = PlanarPose.from_euler(EulerPose(*rec.meta["target_pose_mm_deg"]))
+            target = planar(rec.meta["target_pose_mm_deg"])
             assert compute_y_targ(pusher, target) == rec.y_targ
 
     def test_empty_records_rejected(self, tmp_path):
@@ -278,7 +279,7 @@ class TestExport:
 
 class TestCli:
     def test_validate_ok(self, capsys):
-        assert cli_main(["validate", "--scenario", BASELINE]) == 0
+        assert cli_main(["validate", "--scenario", str(BASELINE)]) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_validate_bad_file(self, tmp_path, capsys):
@@ -288,7 +289,7 @@ class TestCli:
         assert "scenario error" in capsys.readouterr().err
 
     def test_validate_rejects_out_of_plane_pusher_start(self, tmp_path, capsys):
-        data = json.loads(open(BASELINE).read())
+        data = json.loads(BASELINE.read_text())
         data["pusher_start_pose_mm_deg"][4] = 10.0
         path = tmp_path / "beta.json"
         path.write_text(json.dumps(data))
@@ -324,7 +325,7 @@ class TestCli:
              "unknown_object_key", "unknown_noise_key", "beta_deg", "name_not_string"],
     )
     def test_validate_rejects_ill_typed_field(self, override, field, tmp_path, capsys):
-        data = json.loads(open(BASELINE).read())
+        data = json.loads(BASELINE.read_text())
         data.update(override)
         path = tmp_path / "ill_typed.json"
         path.write_text(json.dumps(data))
@@ -333,15 +334,15 @@ class TestCli:
         assert "scenario error" in err and field in err
 
     def test_run_rejects_negative_seed(self, tmp_path, capsys):
-        argv = ["run", "--scenario", BASELINE, "--seed", "-1", "--out", str(tmp_path)]
+        argv = ["run", "--scenario", str(BASELINE), "--seed", "-1", "--out", str(tmp_path)]
         assert cli_main(argv) == 2
         assert "rng_seed" in capsys.readouterr().err
         assert not (tmp_path / "records.json").exists()
 
     @pytest.mark.parametrize(
         "argv",
-        [["run", "--scenario", BASELINE, "--trials", "0"],
-         ["run", "--scenario", BASELINE, "--workers", "-3"],
+        [["run", "--scenario", str(BASELINE), "--trials", "0"],
+         ["run", "--scenario", str(BASELINE), "--workers", "-3"],
          ["exp1", "--trials", "0"],
          ["exp2", "--workers", "0"]],
     )
@@ -355,7 +356,7 @@ class TestCli:
     def test_run_writes_outputs(self, tmp_path):
         out = tmp_path / "out"
         rc = cli_main(
-            ["run", "--scenario", BASELINE, "--trials", "1", "--seed", "3",
+            ["run", "--scenario", str(BASELINE), "--trials", "1", "--seed", "3",
              "--out", str(out)]
         )
         assert rc == 0
@@ -370,7 +371,7 @@ class TestCli:
 
     def test_plot_command(self, tmp_path):
         out = tmp_path / "out"
-        cli_main(["run", "--scenario", BASELINE, "--out", str(out)])
+        cli_main(["run", "--scenario", str(BASELINE), "--out", str(out)])
         svg = tmp_path / "re.svg"
         assert cli_main(
             ["plot", "--records", str(out / "records.json"), "--out", str(svg)]

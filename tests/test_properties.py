@@ -13,7 +13,6 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from tacpush.pose_math import EulerPose, euler_to_transform
 from tacpush.push_controller import (
     ControllerConfig,
     ControllerState,
@@ -207,11 +206,13 @@ predictions = st.one_of(
 @given(poses, poses, st.lists(predictions, min_size=1, max_size=12))
 def test_control_step_commands_stay_planar_and_bounded(pusher, target, readings):
     cfg = ControllerConfig()
-    target_t = euler_to_transform(EulerPose(0.0, target.y, target.z, 0.0, 0.0, 0.0))
     state = ControllerState()
     for pred in readings:
-        decision = control_step(pred, pusher.to_transform(), target_t, state, cfg)
+        # control_step reads its command back through PlanarPose.from_transform,
+        # which raises if the SE(3) command left the plane
+        decision = control_step(pred, pusher, target, state, cfg)
         if decision.status is not Status.CONTINUE:
             return
         assert abs(decision.v) <= 5.0
-        pusher = PlanarPose.from_transform(decision.command)
+        assert isinstance(decision.command, PlanarPose)
+        pusher = decision.command

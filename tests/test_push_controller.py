@@ -200,28 +200,30 @@ class TestComposeCommand:
 class TestControlStep:
     def setup_method(self):
         self.cfg = ControllerConfig()
-        self.target = pose6(0, 0, 500)
+        self.target = PlanarPose(0, 500)
 
     def test_equilibrium_command_is_current_pose(self):
         # reference-perfect contact, target dead ahead, outside the zone:
         # the command equals the pusher pose (progress comes from the tap)
         state = ControllerState()
-        pusher = Transform.identity()
+        pusher = PlanarPose()
         dec = control_step(contact_pred(), pusher, self.target, state, self.cfg)
         assert dec.status is Status.CONTINUE
-        assert np.allclose(dec.command.matrix(), pusher.matrix(), atol=1e-9)
+        cmd = dec.command
+        assert np.allclose([cmd.y, cmd.z, cmd.alpha], [pusher.y, pusher.z, pusher.alpha],
+                           atol=1e-9)
         assert dec.v == 0.0
 
     def test_lateral_target_commands_signed_v(self):
         # target on the -y side reads a negative bearing and a positive v
         state = ControllerState()
         dec = control_step(
-            contact_pred(), Transform.identity(), pose6(0, -200, 350), state, self.cfg
+            contact_pred(), PlanarPose(), PlanarPose(-200, 350), state, self.cfg
         )
         assert dec.theta < 0
         assert dec.v > 0
         dec2 = control_step(
-            contact_pred(), Transform.identity(), pose6(0, 200, 350),
+            contact_pred(), PlanarPose(), PlanarPose(200, 350),
             ControllerState(), self.cfg,
         )
         assert dec2.theta > 0
@@ -229,49 +231,53 @@ class TestControlStep:
 
     def test_termination_inside_radius(self):
         dec = control_step(
-            contact_pred(), Transform.identity(), pose6(0, 9, 12),
+            contact_pred(), PlanarPose(), PlanarPose(9, 12),
             ControllerState(), self.cfg,
         )
         assert dec.status is Status.TARGET_REACHED
         assert dec.command is None
-        assert dec.r_tip == pytest.approx(15.0)
+        # a target at the radius, 20 mm away, is not reached yet
+        dec = control_step(
+            contact_pred(), PlanarPose(), PlanarPose(12, 16),
+            ControllerState(), self.cfg,
+        )
+        assert dec.status is Status.CONTINUE
 
     def test_alignment_disengaged_inside_zone(self):
         state = ControllerState()
         state.prev_epsilon = 33.0
         state.integral_theta = 12.0
         dec = control_step(
-            contact_pred(alpha=2.0), Transform.identity(), pose6(0, 30, 30),
+            contact_pred(alpha=2.0), PlanarPose(), PlanarPose(30, 30),
             state, self.cfg,
         )
         assert dec.status is Status.CONTINUE
         assert dec.v == 0.0
-        assert not dec.alignment_engaged
         # alignment memory frozen while disengaged
         assert state.prev_epsilon == 33.0
         assert state.integral_theta == 12.0
 
     def test_reacquire_then_lost_contact(self):
         state = ControllerState()
-        pusher = Transform.identity()
+        pusher = PlanarPose()
         missing = PosePrediction(False)
         for k in range(self.cfg.reacquire_limit):
             dec = control_step(missing, pusher, self.target, state, self.cfg)
             assert dec.status is Status.CONTINUE
             # creeps along the last known normal (here: the current axis)
             assert np.allclose(
-                dec.command.translation,
-                pusher.translation + [0.0, 0.0, self.cfg.reacquire_advance],
+                dec.command.position,
+                pusher.position + [0.0, self.cfg.reacquire_advance],
             )
-            assert np.allclose(dec.command.rotation, pusher.rotation)
+            assert np.isclose(dec.command.alpha, pusher.alpha)
         dec = control_step(missing, pusher, self.target, state, self.cfg)
         assert dec.status is Status.LOST_CONTACT
 
     def test_contact_resets_reacquire_streak(self):
         state = ControllerState()
         missing = PosePrediction(False)
-        control_step(missing, Transform.identity(), self.target, state, self.cfg)
-        control_step(contact_pred(), Transform.identity(), self.target, state, self.cfg)
+        control_step(missing, PlanarPose(), self.target, state, self.cfg)
+        control_step(contact_pred(), PlanarPose(), self.target, state, self.cfg)
         assert state.no_contact_streak == 0
 
     def test_v_and_integral_bounded_under_wild_inputs(self):
@@ -281,9 +287,8 @@ class TestControlStep:
             pred = contact_pred(
                 z=float(rng.uniform(1, 5)), alpha=float(rng.uniform(-20, 20))
             )
-            target = pose6(0, float(rng.uniform(-400, 400)), float(rng.uniform(-400, 400)))
-            pusher = pose6(0, *rng.uniform(-50, 50, size=2),
-                           float(rng.uniform(-180, 180)), 0, 0)
+            target = PlanarPose(float(rng.uniform(-400, 400)), float(rng.uniform(-400, 400)))
+            pusher = PlanarPose(*rng.uniform(-50, 50, size=2), float(rng.uniform(-180, 180)))
             dec = control_step(pred, pusher, target, state, self.cfg)
             if dec.status is not Status.CONTINUE:
                 continue
@@ -300,6 +305,23 @@ class TestConfigValidation:
     def test_zone_ordering(self):
         with pytest.raises(ValueError):
             ControllerConfig(termination_radius=70.0)
+        for radius in ("approach_zone_radius", "termination_radius"):
+            with pytest.raises(ValueError, match="zone radii"):
+                ControllerConfig(**{radius: math.nan})
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"tap_forward": 0.0}, "tap lengths"),
+         ({"tap_forward": math.nan}, "tap lengths"),
+         ({"tap_back": math.nan}, "tap lengths"),
+         ({"reacquire_limit": 0}, "reacquire_limit"),
+         ({"reacquire_limit": math.nan}, "reacquire_limit")],
+        ids=["tap_forward_zero", "tap_forward_nan", "tap_back_nan",
+             "reacquire_limit_zero", "reacquire_limit_nan"],
+    )
+    def test_tap_and_reacquire_limits(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ControllerConfig(**kwargs)
 
     def test_gain_length(self):
         with pytest.raises(ValueError):

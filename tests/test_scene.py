@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from tacpush.scene import (
     heading_dir,
 )
 
-BASELINE = "scenarios/exp1_baseline.json"
+BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "exp1_baseline.json"
 
 
 def unit_square(side=1.0):
@@ -48,6 +49,11 @@ class TestPlanarPose:
             PlanarPose.from_transform(euler_to_transform(EulerPose(x=1.0)))
         with pytest.raises(ValueError):
             PlanarPose.from_transform(euler_to_transform(EulerPose(beta=5.0)))
+
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_heading(self, alpha):
+        with pytest.raises(ValueError, match="PlanarPose.alpha must be finite"):
+            PlanarPose(0.0, 0.0, alpha)
 
     def test_heading_directions(self):
         assert heading_dir(0.0) == pytest.approx([0.0, 1.0])
@@ -245,7 +251,7 @@ class TestScenarioFiles:
         assert sc.noise.enabled
 
     def test_defaults_fill_gains(self, tmp_path):
-        data = json.loads(open(BASELINE).read())
+        data = json.loads(BASELINE.read_text())
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(data))
         sc = load_scenario(path)
@@ -264,7 +270,7 @@ class TestScenarioFiles:
         assert sc.controller.ref_pose == PlanarPose(z=2.0)
 
     def test_zero_max_taps_rejected(self, tmp_path):
-        data = json.loads(open(BASELINE).read())
+        data = json.loads(BASELINE.read_text())
         data["max_taps"] = 0
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(data))
@@ -272,7 +278,7 @@ class TestScenarioFiles:
             load_scenario(path)
 
     def test_unknown_shape_names_field(self, tmp_path):
-        data = json.loads(open(BASELINE).read())
+        data = json.loads(BASELINE.read_text())
         data["object"] = {"shape": "dodecahedron"}
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(data))
@@ -290,7 +296,7 @@ class TestScenarioFiles:
             load_scenario(tmp_path / "nope.json")
 
     def test_inline_polygon_object(self, tmp_path):
-        data = json.loads(open(BASELINE).read())
+        data = json.loads(BASELINE.read_text())
         data["object"] = {
             "name": "plank",
             "polygon_mm": [[-40, -10], [40, -10], [40, 10], [-40, 10]],
@@ -310,7 +316,7 @@ class TestScenarioFiles:
          ("target_pose_mm_deg", 3)],
     )
     def test_non_finite_pose_rejected(self, key, index):
-        data = json.loads(open(BASELINE).read())
+        data = json.loads(BASELINE.read_text())
         data[key][index] = float("nan")
         field = key.removesuffix("_mm_deg")
         with pytest.raises(ScenarioError, match=f"{field} has a non-finite value"):
@@ -319,14 +325,14 @@ class TestScenarioFiles:
     @pytest.mark.parametrize("key", ["pusher_start_pose_mm_deg", "target_pose_mm_deg"])
     @pytest.mark.parametrize("index", [0, 4, 5])  # x, beta, gamma
     def test_out_of_plane_pose_rejected(self, key, index):
-        data = json.loads(open(BASELINE).read())
+        data = json.loads(BASELINE.read_text())
         data[key][index] = 5.0
         field = key.removesuffix("_mm_deg")
         with pytest.raises(ScenarioError, match=f"{field}: pose is not planar"):
             scenario_from_dict(data)
 
     def test_controller_override_and_unknown_key(self, tmp_path):
-        data = json.loads(open(BASELINE).read())
+        data = json.loads(BASELINE.read_text())
         data["controller"] = {"tap_forward_mm": 8.0}
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(data))

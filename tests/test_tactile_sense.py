@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tacpush.pose_math import EulerPose, euler_to_transform, transform_to_euler
+from tacpush.push_controller import prediction_to_pose
 from tacpush.scene import (
     TIP_RADIUS_MM,
     ObjectShape,
@@ -19,7 +20,6 @@ from tacpush.tactile_sense import (
     PosePrediction,
     Z_RANGE_MM,
     apply_noise,
-    prediction_to_pose,
     sense_contact,
 )
 
@@ -168,6 +168,9 @@ class TestApplyNoise:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(sigma_z=-0.1)
+        for sigmas in ({"sigma_z": math.nan}, {"sigma_alpha": math.nan}):
+            with pytest.raises(ValueError, match="sigmas must be >= 0"):
+                NoiseModel(**sigmas)
 
 
 class TestPredictionToPose:
