@@ -7,7 +7,6 @@ from .push_dynamics import (
     ContactMode,
     ContactState,
     PhysicsFault,
-    motion_cone,
     resolve_substep,
     simulate_tap,
 )

@@ -122,9 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(func=_cmd_run)
 
-    for n, trials in ((1, 10), (2, 10), (3, 10)):
+    for n in (1, 2, 3):
         p = sub.add_parser(f"exp{n}", help=f"run the experiment-{n} grid")
-        p.add_argument("--trials", type=positive_int, default=trials, help="trials per cell")
+        p.add_argument("--trials", type=positive_int, default=10, help="trials per cell")
         _add_common(p)
         p.set_defaults(func=lambda a, which=n: _cmd_exp(a, which))
 

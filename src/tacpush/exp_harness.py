@@ -401,7 +401,6 @@ def exp2_scenario(
     shape_name: str,
     start_index: int,
     seed: int,
-    max_taps: int = 300,
 ) -> Scenario:
     """Shape/start-pose trial with the unstable corner-centred initialization."""
     shape = builtin_shapes()[shape_name]
@@ -412,8 +411,7 @@ def exp2_scenario(
         object_start_pose=place_corner_contact(shape, start),
         pusher_start_pose=start,
         target_pose=EXP_TARGET_POSE,
-                rng_seed=seed,
-        max_taps=max_taps,
+        rng_seed=seed,
     )
 
 
@@ -421,7 +419,6 @@ def exp3_scenario(
     shape_name: str,
     heading_deg: float,
     seed: int,
-    max_taps: int = 600,
 ) -> Scenario:
     """Random-orientation trial at the second start pose.
 
@@ -437,8 +434,8 @@ def exp3_scenario(
         object_start_pose=place_random_orientation(shape, start, heading_deg),
         pusher_start_pose=start,
         target_pose=EXP_TARGET_POSE,
-                rng_seed=seed,
-        max_taps=max_taps,
+        rng_seed=seed,
+        max_taps=600,
     )
 
 

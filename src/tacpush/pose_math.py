@@ -24,9 +24,6 @@ __all__ = [
     "euler_to_transform",
     "inverse",
     "normalize_angle_deg",
-    "rot_x",
-    "rot_y",
-    "rot_z",
     "transform_to_euler",
 ]
 
@@ -74,40 +71,6 @@ class Transform:
 
     rotation: np.ndarray
     translation: np.ndarray
-
-    @classmethod
-    def identity(cls) -> "Transform":
-        return cls(np.eye(3), np.zeros(3))
-
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous matrix form."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
-    def rotation_drift(self) -> float:
-        """Max-abs deviation of R^T R from identity."""
-        d = self.rotation.T @ self.rotation - np.eye(3)
-        return float(np.max(np.abs(d)))
-
-
-def rot_x(deg: float) -> np.ndarray:
-    a = math.radians(deg)
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(deg: float) -> np.ndarray:
-    a = math.radians(deg)
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def rot_z(deg: float) -> np.ndarray:
-    a = math.radians(deg)
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def compose(a: Transform, b: Transform) -> Transform:

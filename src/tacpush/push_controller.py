@@ -88,7 +88,12 @@ class ControllerConfig:
             v = tuple(float(x) for x in getattr(self, name))
             if len(v) != 6:
                 raise ValueError(f"ControllerConfig.{name} must have 6 entries")
+            if not all(math.isfinite(x) for x in v):
+                raise ValueError(f"ControllerConfig.{name} must be finite")
             setattr(self, name, v)
+        for name in ("kp_align", "ki_align", "kd_align", "theta_ref", "reacquire_advance"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"ControllerConfig.{name} must be finite")
         for name in (
             "integral_clip_translation",
             "integral_clip_rotation",

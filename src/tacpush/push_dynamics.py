@@ -19,8 +19,7 @@ slides along that edge's velocity image. Contact is unilateral: the object
 only moves while the pusher disc overlaps it, and overlap is resolved each
 substep to within PENETRATION_TOL_MM by advancing the object along the
 resolved twist. Motion is velocity-level and scale invariant; only twist
-directions are physical. ContactMatrix is the one implementation of M; the
-solver and motion_cone both use it.
+directions are physical. ContactMatrix is the one implementation of M.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ __all__ = [
     "MAX_RESOLVE_ITERS",
     "PENETRATION_TOL_MM",
     "SUBSTEP_CAP_MM",
-    "motion_cone",
     "resolve_substep",
     "simulate_tap",
 ]
@@ -186,28 +184,11 @@ class ContactMatrix:
         return self.solve(v_p), ContactMode.STICKING
 
 
-def motion_cone(contact: ContactState, shape: ObjectShape, object_pose: PlanarPose):
-    """Contact-point velocity directions bounding sticking behaviour.
-
-    Returns (left_edge, right_edge) unit vectors: the velocities produced by
-    forces on the left (+) and right (-) Coulomb cone edges mapped through
-    the limit surface. With mu_contact = 0 the cone collapses and both edges
-    equal the image of the pure normal force.
-    """
-    if contact.mode is ContactMode.SEPARATED:
-        raise ValueError("motion_cone: contact is separated")
-    m = ContactMatrix.at(shape, object_pose, contact.point)
-    _, _, u_l, u_r = m.edge_images(contact.normal, shape.mu_contact)
-    return u_l / np.linalg.norm(u_l), u_r / np.linalg.norm(u_r)
-
-
 def _advance_pose(
     pose: PlanarPose, cof: np.ndarray, dpos: np.ndarray, dalpha_rad: float
 ) -> PlanarPose:
     """Rigidly displace the object: CoF translates by dpos, spin about the CoF."""
-    c, s = math.cos(dalpha_rad), math.sin(dalpha_rad)
-    rel = pose.position - cof
-    new_origin = cof + dpos + np.array([c * rel[0] - s * rel[1], s * rel[0] + c * rel[1]])
+    new_origin = cof + dpos + _rotated(pose.position - cof, dalpha_rad)
     return PlanarPose(
         float(new_origin[0]),
         float(new_origin[1]),

@@ -96,10 +96,6 @@ class Scenario:
                 f"scenario {self.name!r}: rng_seed must be an integer >= 0, "
                 f"got {self.rng_seed!r}"
             )
-        for label in ("object_start_pose", "pusher_start_pose", "target_pose"):
-            p = getattr(self, label)
-            if not (math.isfinite(p.y) and math.isfinite(p.z)):
-                raise ScenarioError(f"scenario {self.name!r}: {label} has a non-finite value")
         target, start = self.target_pose, self.pusher_start_pose
         if math.hypot(target.y - start.y, target.z - start.z) < 1e-9:
             raise ScenarioError(

@@ -90,8 +90,10 @@ class PlanarPose:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.alpha):
-            raise ValueError(f"PlanarPose.alpha must be finite, got {self.alpha!r}")
+        for name in ("y", "z", "alpha"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"PlanarPose.{name} must be finite, got {value!r}")
         object.__setattr__(self, "alpha", normalize_angle_deg(self.alpha))
 
     @property
@@ -217,8 +219,6 @@ class ObjectShape:
         if self.radius is not None:
             if self.radius <= 0.0:
                 raise ValueError(f"shape {self.name!r}: radius must be > 0")
-            if float(np.hypot(*self.cof_offset)) >= self.radius:
-                raise ValueError(f"shape {self.name!r}: cof_offset outside outline")
             self._verts = None
         else:
             verts = np.asarray(self.polygon, dtype=float)
@@ -228,8 +228,6 @@ class ObjectShape:
                 raise ValueError(f"shape {self.name!r}: polygon must be counter-clockwise")
             if not _polygon_is_simple(verts):
                 raise ValueError(f"shape {self.name!r}: polygon is self-intersecting")
-            if not bool(_points_in_polygon(self.cof_offset[None, :], verts)[0]):
-                raise ValueError(f"shape {self.name!r}: cof_offset outside outline")
             self.polygon = verts
             self._verts = verts
             self._edge_vec = np.roll(verts, -1, axis=0) - verts
@@ -237,6 +235,8 @@ class ObjectShape:
             # CCW polygon: interior is left of each directed edge, outward is right
             en = np.stack([self._edge_vec[:, 1], -self._edge_vec[:, 0]], axis=1)
             self._edge_normal = en / np.linalg.norm(en, axis=1, keepdims=True)
+        if not boundary_probe(self, PlanarPose(), self.cof_offset)[0] < 0.0:
+            raise ValueError(f"shape {self.name!r}: cof_offset outside outline")
 
     def _check_friction(self):
         # written so that NaN fails each check
@@ -321,33 +321,31 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
         ti = float(t[i])
         point_local = proj[i]
         dist = math.sqrt(float(d2[i]))
-        inside = bool(_points_in_polygon(q[None, :], verts)[0])
-        sd = -dist if inside else dist
 
+        # the nearest feature decides the side: the outward edge normal, or at
+        # a vertex the sum of its two edges' normals (the 2-D pseudonormal)
         eps = 1e-9
         if eps < ti < 1.0 - eps:
             feature = ("edge", i)
             n_local = shape._edge_normal[i]
+            inside = float(diff[i] @ n_local) < 0.0
         else:
             vi = i if ti <= eps else (i + 1) % len(verts)
             feature = ("vertex", vi)
-            v = verts[vi]
-            dv = q - v
+            dv = q - verts[vi]
+            b = shape._edge_normal[(vi - 1) % len(verts)] + shape._edge_normal[vi]
+            inside = float(dv @ b) < 0.0
             nv = math.hypot(dv[0], dv[1])
             if nv < 1e-12:
                 # query sits on the vertex: fall back to the outward bisector
-                n_prev = shape._edge_normal[(vi - 1) % len(verts)]
-                n_next = shape._edge_normal[vi]
-                b = n_prev + n_next
                 n_local = b / max(math.hypot(b[0], b[1]), 1e-12)
             elif inside:
                 n_local = -dv / nv
             else:
                 n_local = dv / nv
+        sd = -dist if inside else dist
 
-    a = math.radians(pose.alpha)
-    c, s = math.cos(a), math.sin(a)
-    rr = np.array([[c, -s], [s, c]])
+    rr = rot2(pose.alpha)
     return sd, pose.position + rr @ point_local, rr @ n_local, feature
 
 
@@ -356,7 +354,11 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
 # ---------------------------------------------------------------------------
 
 def _mean_support_radius(verts: np.ndarray, step: float = 1.0) -> float:
-    """Mean distance of the support area from the origin (grid integral)."""
+    """Mean distance of the support area from the origin (grid integral).
+
+    The grid keeps its vectorised crossing-number mask: probing its points
+    one at a time would add most of a second to building the catalog.
+    """
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
     ys = np.arange(lo[0] + step / 2, hi[0], step)

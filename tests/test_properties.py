@@ -104,6 +104,73 @@ def test_boundary_probe_on_star_polygons(verts, pose, qy, qz):
     check_probe(shape, pose, query, outline, spacing, inside_polygon(local, verts))
 
 
+CATALOG_POLYGONS = tuple(s for s in builtin_shapes().values() if s.is_polygon)
+NEAR_VERTEX_MM = 3.0
+
+
+def reflex_vertices(shape) -> list:
+    """The vertices where the CCW outline turns clockwise."""
+    edges = np.roll(shape.polygon, -1, axis=0) - shape.polygon
+    before = np.roll(edges, 1, axis=0)
+    turn = before[:, 0] * edges[:, 1] - before[:, 1] * edges[:, 0]
+    return [v for v, t in zip(shape.polygon, turn) if t < 0.0]
+
+
+# mug's two handle joints and l_shape's inner corner
+CATALOG_REFLEX = tuple((s, v) for s in CATALOG_POLYGONS for v in reflex_vertices(s))
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_outline(name) -> tuple:
+    return dense_outline(builtin_shapes()[name].polygon)
+
+
+@st.composite
+def near_vertex_queries(draw):
+    """A catalog polygon (mug and l_shape are non-convex) and a query point
+    in its frame within NEAR_VERTEX_MM of one of its vertices, where the
+    inside/outside sign can come from a vertex rather than an edge. Half the
+    draws go to a reflex vertex, the only kind with inside points nearest
+    to it, which a draw over all 84 vertices would rarely hit."""
+    if draw(st.booleans()):
+        shape, vertex = draw(st.sampled_from(CATALOG_REFLEX))
+    else:
+        shape = draw(st.sampled_from(CATALOG_POLYGONS))
+        vertex = shape.polygon[draw(st.integers(0, len(shape.polygon) - 1))]
+    r = draw(st.floats(0.0, NEAR_VERTEX_MM))
+    phi = draw(st.floats(0.0, 2.0 * math.pi))
+    return shape, vertex + r * np.array([math.cos(phi), math.sin(phi)])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(near_vertex_queries(), poses)
+def test_boundary_probe_near_catalog_vertices(case, pose):
+    shape, local = case
+    outline, spacing = catalog_outline(shape.name)
+    query = pose.transform_point(local)
+    check_probe(shape, pose, query, outline, spacing, inside_polygon(local, shape.polygon))
+
+
+def test_probe_sign_sweep_reaches_inside_at_a_vertex():
+    # queries around every catalog vertex: the sign agrees with the
+    # crossing-number test everywhere, and some queries are inside with a
+    # (reflex) vertex as the nearest feature, the case the vertex
+    # pseudonormal decides
+    rng = np.random.default_rng(0)
+    inside_at_vertex = 0
+    for shape in CATALOG_POLYGONS:
+        for vertex in shape.polygon:
+            r = rng.uniform(0.0, NEAR_VERTEX_MM, size=20)
+            phi = rng.uniform(0.0, 2.0 * math.pi, size=20)
+            for local in vertex + r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1):
+                sd, _, _, feature = boundary_probe(shape, PlanarPose(), local)
+                inside = inside_polygon(local, shape.polygon)
+                if abs(sd) > 1e-9:
+                    assert (sd < 0.0) == inside, (shape.name, local)
+                inside_at_vertex += inside and feature[0] == "vertex"
+    assert inside_at_vertex > 0
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(st.floats(5.0, 60.0), poses, st.floats(-90.0, 90.0), st.floats(-90.0, 90.0))
 def test_boundary_probe_on_circles(radius, pose, qy, qz):

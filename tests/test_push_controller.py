@@ -6,7 +6,6 @@ import pytest
 from tacpush.exp_harness import exp1_scenario, run_trial
 from tacpush.pose_math import (
     EulerPose,
-    Transform,
     compose,
     euler_to_transform,
     inverse,
@@ -25,6 +24,8 @@ from tacpush.push_controller import (
 )
 from tacpush.scene import PlanarPose, builtin_shapes
 from tacpush.tactile_sense import NoiseModel, PosePrediction
+
+from se3_helpers import identity, matrix
 
 
 def pose6(*vals):
@@ -111,25 +112,25 @@ class TestPid6:
 class TestTargetBearing:
     def test_dead_ahead(self):
         theta, r = target_bearing(
-            Transform.identity(), Transform.identity(), pose6(0, 0, 100)
+            identity(), identity(), pose6(0, 0, 100)
         )
         assert theta == pytest.approx(0.0)
         assert r == pytest.approx(100.0)
 
     def test_diagonal(self):
         theta, r = target_bearing(
-            Transform.identity(), Transform.identity(), pose6(0, 100, 100)
+            identity(), identity(), pose6(0, 100, 100)
         )
         assert theta == pytest.approx(45.0)
         assert r == pytest.approx(math.hypot(100, 100))
 
     def test_behind(self):
         theta, _ = target_bearing(
-            Transform.identity(), Transform.identity(), pose6(0, 1, -100)
+            identity(), identity(), pose6(0, 1, -100)
         )
         assert theta > 90.0
         theta, _ = target_bearing(
-            Transform.identity(), Transform.identity(), pose6(0, -1, -100)
+            identity(), identity(), pose6(0, -1, -100)
         )
         assert theta < -90.0
 
@@ -137,12 +138,12 @@ class TestTargetBearing:
         # turning the correction frame by +30 deg puts a dead-ahead target
         # at bearing +30 in that frame
         correction = pose6(0, 0, 0, 30, 0, 0)
-        theta, _ = target_bearing(correction, Transform.identity(), pose6(0, 0, 100))
+        theta, _ = target_bearing(correction, identity(), pose6(0, 0, 100))
         assert theta == pytest.approx(30.0)
 
     def test_pusher_frame_offset(self):
         pusher = pose6(0, 50, 0, 0, 0, 0)
-        theta, r = target_bearing(Transform.identity(), pusher, pose6(0, 50, 80))
+        theta, r = target_bearing(identity(), pusher, pose6(0, 50, 80))
         assert theta == pytest.approx(0.0)
         assert r == pytest.approx(80.0)
 
@@ -176,25 +177,25 @@ class TestComposeCommand:
             pusher = pose6(
                 0, *rng.uniform(-300, 300, size=2), float(rng.uniform(-180, 180)), 0, 0
             )
-            cmd = compose_command(Transform.identity(), 0.0, pusher)
-            assert np.allclose(cmd.matrix(), pusher.matrix(), atol=1e-12)
+            cmd = compose_command(identity(), 0.0, pusher)
+            assert np.allclose(matrix(cmd), matrix(pusher), atol=1e-12)
 
     def test_lateral_move_along_sensor_y(self):
-        cmd = compose_command(Transform.identity(), 5.0, Transform.identity())
+        cmd = compose_command(identity(), 5.0, identity())
         assert np.allclose(cmd.translation, [0.0, 5.0, 0.0])
         pusher = pose6(0, 0, 0, 90, 0, 0)
-        cmd = compose_command(Transform.identity(), 5.0, pusher)
+        cmd = compose_command(identity(), 5.0, pusher)
         assert np.allclose(cmd.translation, [0.0, 0.0, 5.0], atol=1e-12)
 
     def test_lateral_move_in_corrected_frame(self):
         u = pose6(0, 0, 0, 10, 0, 0)
-        ordered = compose_command(u, 5.0, Transform.identity())
+        ordered = compose_command(u, 5.0, identity())
         reversed_product = compose(
             euler_to_transform(EulerPose(0, 5.0, 0, 0, 0, 0)), u
         )
-        assert not np.allclose(ordered.matrix(), reversed_product.matrix())
+        assert not np.allclose(matrix(ordered), matrix(reversed_product))
         expected = compose(u, euler_to_transform(EulerPose(0, 5.0, 0, 0, 0, 0)))
-        assert np.allclose(ordered.matrix(), expected.matrix())
+        assert np.allclose(matrix(ordered), matrix(expected))
 
 
 class TestControlStep:
@@ -315,9 +316,19 @@ class TestConfigValidation:
          ({"tap_forward": math.nan}, "tap lengths"),
          ({"tap_back": math.nan}, "tap lengths"),
          ({"reacquire_limit": 0}, "reacquire_limit"),
-         ({"reacquire_limit": math.nan}, "reacquire_limit")],
+         ({"reacquire_limit": math.nan}, "reacquire_limit"),
+         ({"reacquire_advance": math.nan}, "reacquire_advance must be finite"),
+         ({"kp_servo": (0.0, 0.0, math.nan, 0.9, 0.9, 0.0)}, "kp_servo must be finite"),
+         ({"ki_servo": (0.0, 0.0, 0.1, math.inf, 0.1, 0.0)}, "ki_servo must be finite"),
+         ({"kd_servo": (math.nan,) * 6}, "kd_servo must be finite"),
+         ({"kp_align": math.nan}, "kp_align must be finite"),
+         ({"ki_align": math.inf}, "ki_align must be finite"),
+         ({"kd_align": math.nan}, "kd_align must be finite"),
+         ({"theta_ref": -math.inf}, "theta_ref must be finite")],
         ids=["tap_forward_zero", "tap_forward_nan", "tap_back_nan",
-             "reacquire_limit_zero", "reacquire_limit_nan"],
+             "reacquire_limit_zero", "reacquire_limit_nan", "reacquire_advance_nan",
+             "kp_servo_nan", "ki_servo_inf", "kd_servo_nan", "kp_align_nan",
+             "ki_align_inf", "kd_align_nan", "theta_ref_-inf"],
     )
     def test_tap_and_reacquire_limits(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

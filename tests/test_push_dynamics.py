@@ -7,10 +7,8 @@ from tacpush.pose_math import normalize_angle_deg
 from tacpush.push_dynamics import (
     ContactMatrix,
     ContactMode,
-    ContactState,
     PENETRATION_TOL_MM,
     SUBSTEP_CAP_MM,
-    motion_cone,
     resolve_substep,
     simulate_tap,
 )
@@ -85,30 +83,25 @@ class TestLimitSurfaceTwist:
 
 
 class TestMotionCone:
-    def contact_at(self, shape, pose, point, n_in):
-        return ContactState(np.asarray(point, float), np.asarray(n_in, float),
-                            ContactMode.STICKING, 0.0)
+    """The motion-cone edges as the solver builds them: the velocity images
+    of the friction-cone edge forces, normalised here."""
+
+    def cone(self, shape, pose, point, n_in):
+        m = ContactMatrix.at(shape, pose, point)
+        _, _, u_l, u_r = m.edge_images(np.asarray(n_in, float), shape.mu_contact)
+        return u_l / np.linalg.norm(u_l), u_r / np.linalg.norm(u_r)
 
     def test_frictionless_cone_collapses(self):
         shape = square(mu=0.0)
-        contact = self.contact_at(shape, PlanarPose(), [0.0, -30.0], [0.0, 1.0])
-        left, right = motion_cone(contact, shape, PlanarPose())
+        left, right = self.cone(shape, PlanarPose(), [0.0, -30.0], [0.0, 1.0])
         assert left == pytest.approx(right)
 
     def test_centred_push_symmetric(self):
         shape = square(mu=0.4)
-        contact = self.contact_at(shape, PlanarPose(), [0.0, -30.0], [0.0, 1.0])
-        left, right = motion_cone(contact, shape, PlanarPose())
+        left, right = self.cone(shape, PlanarPose(), [0.0, -30.0], [0.0, 1.0])
         # edges mirror across the normal for a push line through the CoF
         assert left[1] == pytest.approx(right[1])
         assert left[0] == pytest.approx(-right[0])
-
-    def test_separated_rejected(self):
-        shape = square()
-        contact = ContactState(np.zeros(2), np.array([0.0, 1.0]),
-                               ContactMode.SEPARATED, -1.0)
-        with pytest.raises(ValueError):
-            motion_cone(contact, shape, PlanarPose())
 
     def test_matches_direct_edge_construction(self):
         # map each friction-cone edge force through the limit surface and
@@ -117,8 +110,7 @@ class TestMotionCone:
         pose = PlanarPose(5.0, -3.0, 20.0)
         point = pose.transform_point([12.0, -30.0])
         n_in = pose.transform_point([0.0, 1.0]) - pose.position
-        contact = self.contact_at(shape, pose, point, n_in)
-        left, right = motion_cone(contact, shape, pose)
+        left, right = self.cone(shape, pose, point, n_in)
         r = point - pose.transform_point(shape.cof_offset)
         phi = math.atan(shape.mu_contact)
         for edge, sign in ((left, 1.0), (right, -1.0)):

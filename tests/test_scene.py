@@ -50,10 +50,16 @@ class TestPlanarPose:
         with pytest.raises(ValueError):
             PlanarPose.from_transform(euler_to_transform(EulerPose(beta=5.0)))
 
-    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
-    def test_rejects_non_finite_heading(self, alpha):
-        with pytest.raises(ValueError, match="PlanarPose.alpha must be finite"):
-            PlanarPose(0.0, 0.0, alpha)
+    @pytest.mark.parametrize(
+        "name, value",
+        [("alpha", math.inf), ("alpha", -math.inf), ("alpha", math.nan),
+         ("y", math.nan), ("y", -math.inf), ("z", math.nan), ("z", math.inf)],
+        ids=["inf", "-inf", "nan", "y_nan", "y_-inf", "z_nan", "z_inf"],
+    )
+    def test_rejects_non_finite_heading(self, name, value):
+        # the position is checked with the heading
+        with pytest.raises(ValueError, match=f"PlanarPose.{name} must be finite"):
+            PlanarPose(**{name: value})
 
     def test_heading_directions(self):
         assert heading_dir(0.0) == pytest.approx([0.0, 1.0])

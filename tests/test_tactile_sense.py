@@ -23,6 +23,8 @@ from tacpush.tactile_sense import (
     sense_contact,
 )
 
+from se3_helpers import matrix
+
 
 def world_with_square(tip_center, pusher_alpha=0.0, square_z=None, side=60.0):
     """Square object ahead of a pusher; near edge at z = square_z (default 0)."""
@@ -182,7 +184,7 @@ class TestPredictionToPose:
     def test_depth_with_angle_matches_direct_matrix(self):
         t = prediction_to_pose(PosePrediction(True, z_depth=2.0, alpha=10.0))
         direct = euler_to_transform(EulerPose(0.0, 0.0, 2.0, 10.0, 0.0, 0.0))
-        assert np.allclose(t.matrix(), direct.matrix())
+        assert np.allclose(matrix(t), matrix(direct))
 
     def test_no_contact_rejected(self):
         with pytest.raises(ValueError):
