@@ -80,7 +80,9 @@ def _cmd_exp(args, which: int) -> int:
 
 def _cmd_plot(args) -> int:
     data = json.loads(Path(args.records).read_text())
-    records = data["records"] if isinstance(data, dict) else data
+    records = data.get("records") if isinstance(data, dict) else data
+    if not isinstance(records, list):
+        raise ValueError(f"{args.records}: expected a list of records or a 'records' list")
     path = exp_harness.plot(records, args.out)
     print(f"wrote {path}")
     return 0

@@ -2,9 +2,10 @@
 
 A trial loops sense -> control_step -> simulate_tap until the controller
 reports a terminal status or the tap budget runs out. The tactile reading
-for each control step is taken at the deepest point of the previous tap
-(the only configuration reliably in contact after rigid overlap
-resolution); the controller itself works from the post-retraction pose.
+for each control step reads the contact the previous tap resolved at its
+deepest point (the only configuration reliably in contact after rigid
+overlap resolution); the controller itself works from the post-retraction
+pose.
 Trials are deterministic given (scenario, seed) and embarrassingly
 parallel; per-trial seeds come from a splitmix64-style hash of
 (master seed, cell index, trial index) so worker scheduling cannot change
@@ -24,13 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from .push_controller import ControllerState, Status, control_step
-from .push_dynamics import PhysicsFault, simulate_tap
+from .push_dynamics import PhysicsFault, contact_at, simulate_tap
 from .scene import (
     TIP_RADIUS_MM,
     ObjectShape,
     PlanarPose,
     WorldState,
-    boundary_probe,
     builtin_shapes,
     heading_dir,
     rot2,
@@ -198,7 +198,6 @@ def run_trial(scenario: Scenario) -> TrialRecord:
     cfg = scenario.controller
     target = scenario.target_pose
     world = WorldState(scenario.object_start_pose, scenario.pusher_start_pose)
-    sense_world = world
     rng = np.random.default_rng(scenario.rng_seed)
     state = ControllerState()
     taps: list[TapLog] = []
@@ -210,8 +209,10 @@ def run_trial(scenario: Scenario) -> TrialRecord:
         "noise_enabled": scenario.noise.enabled,
     }
     try:
+        contact = contact_at(shape, world.object_pose, world.pusher_pose.position)
+        sense_heading = world.pusher_pose.alpha
         while True:
-            pred = sense_contact(sense_world, shape)
+            pred = sense_contact(contact, sense_heading)
             if scenario.noise.enabled:
                 pred = apply_noise(pred, scenario.noise, rng)
             decision = control_step(pred, world.pusher_pose, target, state, cfg)
@@ -224,14 +225,13 @@ def run_trial(scenario: Scenario) -> TrialRecord:
             if len(taps) >= scenario.max_taps:
                 outcome = "max_taps"
                 break
-            world, sense_pose, contact = simulate_tap(
+            world, sense_heading, contact = simulate_tap(
                 world,
                 shape,
                 decision.command,
                 tap_forward=cfg.tap_forward,
                 tap_back=cfg.tap_back,
             )
-            sense_world = WorldState(world.object_pose, sense_pose)
             taps.append(
                 TapLog(
                     tap=len(taps),
@@ -350,17 +350,16 @@ def place_random_orientation(
     into the disc."""
     axis = heading_dir(pusher_start.alpha)
 
-    def sd_at(t: float) -> float:
+    def depth_at(t: float) -> float:
         pos = pusher_start.position + t * axis
         pose = PlanarPose(float(pos[0]), float(pos[1]), heading_deg)
-        sd, _, _, _ = boundary_probe(shape, pose, pusher_start.position)
-        return sd
+        return contact_at(shape, pose, pusher_start.position).penetration
 
     lo = 0.0
     hi = TIP_RADIUS_MM + shape.max_extent() + INITIAL_CONTACT_DEPTH_MM + 10.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if sd_at(mid) < _SEAT_DISTANCE_MM:
+        if depth_at(mid) > INITIAL_CONTACT_DEPTH_MM:
             lo = mid
         else:
             hi = mid
@@ -605,15 +604,6 @@ _PALETTE = (
 )
 
 
-def _outline_points(shape_dict: dict, pose) -> np.ndarray | None:
-    y, z, alpha = pose
-    if "polygon_mm" in shape_dict:
-        verts = np.asarray(shape_dict["polygon_mm"], dtype=float)
-        return (rot2(alpha) @ verts.T).T + np.array([y, z])
-    # circles are drawn separately
-    return None
-
-
 def plot(records, out_path) -> Path:
     """Render sensor paths, periodic object outlines and the target zone to
     a self-contained SVG (no external assets)."""
@@ -678,9 +668,10 @@ def plot(records, out_path) -> Path:
         if taps and (len(taps) - 1) % _OUTLINE_EVERY_K != 0:
             shown.append(taps[-1])
         for tap in shown:
-            pose = tap["object_pose"]
+            y, z, alpha = tap["object_pose"]
             if "polygon_mm" in shape_dict:
-                verts = _outline_points(shape_dict, pose)
+                verts = np.asarray(shape_dict["polygon_mm"], dtype=float)
+                verts = (rot2(alpha) @ verts.T).T + np.array([y, z])
                 pg = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}" for p in verts)
                 parts.append(
                     f'<polygon points="{pg}" fill="none" stroke="{color}" '
@@ -689,7 +680,7 @@ def plot(records, out_path) -> Path:
             else:
                 r = float(shape_dict["circle_radius_mm"]) * scale
                 parts.append(
-                    f'<circle cx="{sx(pose[0]):.2f}" cy="{sy(pose[1]):.2f}" r="{r:.2f}" '
+                    f'<circle cx="{sx(y):.2f}" cy="{sy(z):.2f}" r="{r:.2f}" '
                     f'fill="none" stroke="{color}" stroke-opacity="0.3" '
                     'stroke-width="0.8"/>'
                 )

@@ -50,6 +50,7 @@ __all__ = [
     "MAX_RESOLVE_ITERS",
     "PENETRATION_TOL_MM",
     "SUBSTEP_CAP_MM",
+    "contact_at",
     "resolve_substep",
     "simulate_tap",
 ]
@@ -196,10 +197,19 @@ def _advance_pose(
     )
 
 
-def resolve_substep(world: WorldState, shape: ObjectShape, pusher_disp):
+def contact_at(shape: ObjectShape, object_pose: PlanarPose, tip) -> ContactState:
+    """Contact of the tip disc centred at work-frame point `tip`: penetration is
+    the disc-object overlap; SEPARATED without overlap, else STICKING (at rest)."""
+    sd, point, n_out, _ = boundary_probe(shape, object_pose, tip)
+    pen = TIP_RADIUS_MM - sd
+    mode = ContactMode.SEPARATED if pen <= 0.0 else ContactMode.STICKING
+    return ContactState(point, -n_out, mode, pen)
+
+
+def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_disp):
     """Advance one pusher substep and resolve any disc-object overlap.
 
-    The pusher disc centre is displaced by `pusher_disp` (capped at
+    The pusher disc centre moves from `tip` by `pusher_disp` (capped at
     SUBSTEP_CAP_MM). If the displaced disc overlaps the object, the object
     pose is advanced along the quasi-static twist until the residual overlap
     is at most PENETRATION_TOL_MM. Returns (new object pose, ContactState);
@@ -212,23 +222,22 @@ def resolve_substep(world: WorldState, shape: ObjectShape, pusher_disp):
             f"resolve_substep: displacement {disp_norm:.3f} mm exceeds the "
             f"{SUBSTEP_CAP_MM} mm substep cap"
         )
-    tip_new = world.pusher_pose.position + disp
-    pose = world.object_pose
+    tip_new = np.asarray(tip, dtype=float) + disp
+    pose = object_pose
     a = 1.0 / shape.f_max**2
     b = 1.0 / shape.m_max**2
 
-    sd, point, n_out, _ = boundary_probe(shape, pose, tip_new)
-    pen = TIP_RADIUS_MM - sd
-    if pen <= 0.0:
-        return pose, ContactState(point, -n_out, ContactMode.SEPARATED, pen)
+    c = contact_at(shape, pose, tip_new)
+    if c.mode is ContactMode.SEPARATED:
+        return pose, c
 
     mode = None
     for _ in range(MAX_RESOLVE_ITERS):
-        n_in = -n_out
-        if pen <= PENETRATION_TOL_MM:
+        n_in = c.normal
+        if c.penetration <= PENETRATION_TOL_MM:
             break
         cof = _cof_world(shape, pose)
-        m = ContactMatrix(a, b, perp2(point - cof))
+        m = ContactMatrix(a, b, perp2(c.point - cof))
         if disp_norm > 1e-12 and float(disp @ n_in) > 1e-12:
             v_p = disp
         else:
@@ -244,29 +253,28 @@ def resolve_substep(world: WorldState, shape: ObjectShape, pusher_disp):
             rate = float(u @ n_in)
         if mode is None:
             mode = step_mode
-        dpos, dspin = m.twist(f, (pen - _RESOLVE_RESIDUAL_MM) / rate)
+        dpos, dspin = m.twist(f, (c.penetration - _RESOLVE_RESIDUAL_MM) / rate)
         pose = _advance_pose(pose, cof, dpos, dspin)
-        sd, point, n_out, _ = boundary_probe(shape, pose, tip_new)
-        pen = TIP_RADIUS_MM - sd
+        c = contact_at(shape, pose, tip_new)
     else:
         raise PhysicsFault(
             "penetration resolution did not converge",
             {
                 "tip": [float(tip_new[0]), float(tip_new[1])],
                 "object_pose": (pose.y, pose.z, pose.alpha),
-                "penetration": pen,
+                "penetration": c.penetration,
             },
         )
 
     if mode is None:
         # grazing contact (overlap within tolerance): classify without moving
         if disp_norm > 1e-12:
-            _, mode = ContactMatrix.at(shape, pose, point).resolve(
-                disp, -n_out, shape.mu_contact
+            _, mode = ContactMatrix.at(shape, pose, c.point).resolve(
+                disp, c.normal, shape.mu_contact
             )
         else:
             mode = ContactMode.STICKING
-    return pose, ContactState(point, -n_out, mode, pen)
+    return pose, ContactState(c.point, c.normal, mode, c.penetration)
 
 
 def simulate_tap(
@@ -284,11 +292,11 @@ def simulate_tap(
     `tap_forward` mm along the commanded heading's forward axis and retracts
     `tap_back` mm. Every leg is substepped through resolve_substep.
 
-    Returns (world, sense_pose, contact): the WorldState after the
-    retraction, the pusher pose at the end of the advance, which is where
-    the tactile reading is taken (the retraction reopens the contact gap, so
-    the deepest point is the only configuration reliably in contact), and
-    the ContactState of the last substep up to that point.
+    Returns (world, sense_heading, contact): the WorldState after the
+    retraction, and the pusher heading (deg, wrapped) and ContactState at
+    the end of the advance, which is where the tactile reading is taken
+    (the retraction reopens the contact gap, so the deepest point is the
+    only configuration reliably in contact).
     """
     cmd = commanded_pose
     obj = world.object_pose
@@ -309,16 +317,15 @@ def simulate_tap(
         for i in range(1, n + 1):
             frac = i / n
             p_next = p_from + delta * frac
-            w = WorldState(obj, PlanarPose(pos[0], pos[1], alpha))
-            obj, contact = resolve_substep(w, shape, p_next - pos)
+            obj, contact = resolve_substep(shape, obj, pos, p_next - pos)
             pos = p_next
             alpha = a_from + dalpha * frac
 
     run_leg(cmd.position, cmd.alpha)
     axis = heading_dir(cmd.alpha)
     run_leg(cmd.position + tap_forward * axis, cmd.alpha)
-    sense_pose = PlanarPose(float(pos[0]), float(pos[1]), alpha)
+    sense_heading = normalize_angle_deg(alpha)
     advance_contact = contact
     run_leg(cmd.position + (tap_forward - tap_back) * axis, cmd.alpha)
     end_pose = PlanarPose(float(pos[0]), float(pos[1]), alpha)
-    return WorldState(obj, end_pose), sense_pose, advance_contact
+    return WorldState(obj, end_pose), sense_heading, advance_contact

@@ -89,8 +89,14 @@ class Scenario:
     max_taps: int = 300
 
     def __post_init__(self):
-        if self.max_taps <= 0:
-            raise ScenarioError(f"scenario {self.name!r}: max_taps must be > 0")
+        if not isinstance(self.name, str) or any(c in self.name for c in ',"\n\r'):
+            raise ScenarioError(  # the name is an unquoted taps.csv field
+                f"scenario name must have no comma, quote or line break, got {self.name!r}"
+            )
+        if not _is_int(self.max_taps) or self.max_taps < 1:
+            raise ScenarioError(
+                f"scenario {self.name!r}: max_taps must be an integer >= 1, got {self.max_taps!r}"
+            )
         if not _is_int(self.rng_seed) or self.rng_seed < 0:
             raise ScenarioError(
                 f"scenario {self.name!r}: rng_seed must be an integer >= 0, "
@@ -254,9 +260,6 @@ def scenario_from_dict(data: dict, ctx: str = "scenario") -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError(f"{ctx}: top level must be an object table")
     _check_keys(data, _TOP_KEYS, ctx)
-    max_taps = data.get("max_taps", 300)
-    if not _is_int(max_taps):
-        raise ScenarioError(f"{ctx}.max_taps: expected an integer")
     osp = _require(data, "object_start_pose_mm_deg", ctx)
     return Scenario(
         name=_name(data.get("name", "unnamed"), f"{ctx}.name"),
@@ -271,7 +274,7 @@ def scenario_from_dict(data: dict, ctx: str = "scenario") -> Scenario:
         controller=_parse_controller(data.get("controller"), ctx),
         noise=_parse_noise(data, ctx),
         rng_seed=data.get("rng_seed", 0),
-        max_taps=max_taps,
+        max_taps=data.get("max_taps", 300),
     )
 
 

@@ -217,13 +217,15 @@ class ObjectShape:
             raise ValueError(f"shape {self.name!r}: exactly one of polygon/radius required")
         self._check_friction()
         if self.radius is not None:
-            if self.radius <= 0.0:
-                raise ValueError(f"shape {self.name!r}: radius must be > 0")
+            if not 0.0 < self.radius < math.inf:  # NaN fails too
+                raise ValueError(f"shape {self.name!r}: radius must be finite and > 0")
             self._verts = None
         else:
             verts = np.asarray(self.polygon, dtype=float)
             if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
                 raise ValueError(f"shape {self.name!r}: polygon must be (n>=3, 2)")
+            if not np.isfinite(verts).all():
+                raise ValueError(f"shape {self.name!r}: polygon vertices must be finite")
             if _polygon_area(verts) <= 0.0:
                 raise ValueError(f"shape {self.name!r}: polygon must be counter-clockwise")
             if not _polygon_is_simple(verts):
@@ -235,8 +237,11 @@ class ObjectShape:
             # CCW polygon: interior is left of each directed edge, outward is right
             en = np.stack([self._edge_vec[:, 1], -self._edge_vec[:, 0]], axis=1)
             self._edge_normal = en / np.linalg.norm(en, axis=1, keepdims=True)
-        if not boundary_probe(self, PlanarPose(), self.cof_offset)[0] < 0.0:
-            raise ValueError(f"shape {self.name!r}: cof_offset outside outline")
+        cof = self.cof_offset
+        if not (np.isfinite(cof).all() and boundary_probe(self, PlanarPose(), cof)[0] < 0.0):
+            raise ValueError(
+                f"shape {self.name!r}: cof_offset must be finite and inside the outline"
+            )
 
     def _check_friction(self):
         # written so that NaN fails each check

@@ -1,8 +1,9 @@
-"""Simulated tactile perception: a geometric contact-pose oracle plus noise.
+"""Simulated tactile perception: a reading of the resolved contact plus noise.
 
 The sensor reading is a pose prediction (z depth, alpha) of the sensor
-relative to the local contact feature. Depth is the disc-object overlap
-(tip radius minus centre-to-boundary distance) and alpha is the signed
+relative to the local contact feature, read from the ContactState that the
+physics resolved; the sensor knows no geometry. Depth is the contact's
+penetration (the disc-object overlap) and alpha is the signed
 in-plane angle from the inward contact normal to the sensor's forward axis:
 alpha = 0 when the sensor is perpendicular to the pushed edge, positive when
 the axis is rotated counter-clockwise (towards +alpha headings) of the
@@ -17,14 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scene import (
-    TIP_RADIUS_MM,
-    ObjectShape,
-    WorldState,
-    boundary_probe,
-    dir_heading,
-    normalize_angle_deg,
-)
+from .push_dynamics import ContactState
+from .scene import dir_heading, normalize_angle_deg
 
 __all__ = [
     "ALPHA_RANGE_DEG",
@@ -67,20 +62,16 @@ def _clamp(value: float, lo: float, hi: float):
     return clipped, clipped != value
 
 
-def sense_contact(world: WorldState, shape: ObjectShape) -> PosePrediction:
-    """Read the contact pose of the pusher disc against the object.
+def sense_contact(contact: ContactState, heading: float) -> PosePrediction:
+    """Read the contact pose of a pusher with heading `heading` (deg).
 
-    Reports contact only when the disc overlaps the outline (depth > 0);
-    otherwise returns a no-contact prediction with no fabricated values.
+    Reports contact only when the disc overlaps the outline (penetration
+    > 0); otherwise returns a no-contact prediction with no fabricated values.
     """
-    pusher = world.pusher_pose
-    sd, _, n_out, _ = boundary_probe(shape, world.object_pose, pusher.position)
-    depth = TIP_RADIUS_MM - sd
-    if depth <= 0.0:
+    if contact.penetration <= 0.0:
         return PosePrediction(in_contact=False)
-    normal_heading = dir_heading(-n_out)
-    alpha_raw = normalize_angle_deg(pusher.alpha - normal_heading)
-    z, z_clamped = _clamp(depth, *Z_RANGE_MM)
+    alpha_raw = normalize_angle_deg(heading - dir_heading(contact.normal))
+    z, z_clamped = _clamp(contact.penetration, *Z_RANGE_MM)
     alpha, a_clamped = _clamp(alpha_raw, *ALPHA_RANGE_DEG)
     return PosePrediction(
         in_contact=True,

@@ -22,7 +22,6 @@ from tacpush.scene import (
     TIP_RADIUS_MM,
     ObjectShape,
     PlanarPose,
-    WorldState,
     boundary_probe,
     builtin_shapes,
     perp2,
@@ -138,7 +137,7 @@ class ContactConfig:
 
     shape: ObjectShape
     object_pose: PlanarPose
-    world: WorldState
+    tip: np.ndarray  # pusher disc centre before the substep
     contact_point: np.ndarray
     n_in: np.ndarray
     v_p: np.ndarray  # unit drive direction
@@ -173,14 +172,11 @@ def random_contact_configs(n: int, seed: int):
         # drive with a definite approach component
         dev = math.radians(float(rng.uniform(-70, 70)))
         v_p = _rot(n_in, dev)
-        world = WorldState(
-            pose, PlanarPose(float(tip_center[0]), float(tip_center[1]))
-        )
         configs.append(
             ContactConfig(
                 shape=shape,
                 object_pose=pose,
-                world=world,
+                tip=tip_center,
                 contact_point=point,
                 n_in=n_in,
                 v_p=v_p,

@@ -157,7 +157,7 @@ def test_criterion_physics_oracle_equivalence():
     mode_matches = 0
     worst_cos = 1.0
     for cfg in configs:
-        tip_new = cfg.world.pusher_pose.position + cfg.disp
+        tip_new = cfg.tip + cfg.disp
         _, point, n_out, _ = boundary_probe(cfg.shape, cfg.object_pose, tip_new)
         n_in = -n_out
         cof = cfg.object_pose.transform_point(cfg.shape.cof_offset)
@@ -170,7 +170,7 @@ def test_criterion_physics_oracle_equivalence():
         )
         if oracle_twist is None:
             continue
-        pose, contact = resolve_substep(cfg.world, cfg.shape, cfg.disp)
+        pose, contact = resolve_substep(cfg.shape, cfg.object_pose, cfg.tip, cfg.disp)
         if contact.mode is ContactMode.SEPARATED:
             continue
         moved = np.array(

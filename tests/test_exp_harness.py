@@ -317,12 +317,19 @@ class TestCli:
           "object: unknown field 'mu_contac'"),
          ({"noise_sigmas": {"z": 5}}, "noise_sigmas: unknown field 'z'"),
          ({"noise_sigmas": {"beta_deg": 0.34}}, "noise_sigmas: unknown field 'beta_deg'"),
-         ({"name": 5}, "name: expected a string")],
+         ({"name": 5}, "name: expected a string"),
+         ({"max_taps": 2.5}, "max_taps"),
+         ({"max_taps": True}, "max_taps"),
+         ({"max_taps": 1e400}, "max_taps"),
+         ({"name": "a,b"}, "name"),
+         ({"name": "two\nlines"}, "name")],
         ids=["noise_enabled_string", "rng_seed_float", "rng_seed_string",
              "rng_seed_negative", "reacquire_limit_float", "tap_forward_string",
              "kp_align_bool", "object_start_pose_strings", "kp_align_infinity",
              "f_max_nan", "ref_pose_nan", "ref_pose_non_planar", "unknown_top_level_key",
-             "unknown_object_key", "unknown_noise_key", "beta_deg", "name_not_string"],
+             "unknown_object_key", "unknown_noise_key", "beta_deg", "name_not_string",
+             "max_taps_float", "max_taps_bool", "max_taps_infinity", "name_comma",
+             "name_newline"],
     )
     def test_validate_rejects_ill_typed_field(self, override, field, tmp_path, capsys):
         data = json.loads(BASELINE.read_text())
@@ -377,3 +384,12 @@ class TestCli:
             ["plot", "--records", str(out / "records.json"), "--out", str(svg)]
         ) == 0
         assert svg.exists()
+
+    @pytest.mark.parametrize("payload", [{"version": 1}, {"records": 3}, "records"])
+    def test_plot_without_records_list_fails_cleanly(self, payload, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        argv = ["plot", "--records", str(path), "--out", str(tmp_path / "x.svg")]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "records" in err

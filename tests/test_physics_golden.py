@@ -22,7 +22,6 @@ from tacpush.push_dynamics import PENETRATION_TOL_MM, resolve_substep
 from tacpush.scene import (
     TIP_RADIUS_MM,
     PlanarPose,
-    WorldState,
     boundary_probe,
     builtin_shapes,
     cross2,
@@ -108,16 +107,14 @@ def generate_cases():
     return cases
 
 
-def make_world(case):
-    return WorldState(PlanarPose(*case["object_pose"]), PlanarPose(*case["tip"]))
-
-
 def run_case(case) -> str:
     shape = builtin_shapes()[case["shape"]].with_friction(
         f_max=case["f_max"], m_max=case["m_max"], mu_contact=case["mu_contact"]
     )
     try:
-        pose, contact = resolve_substep(make_world(case), shape, np.array(case["disp"]))
+        pose, contact = resolve_substep(
+            shape, PlanarPose(*case["object_pose"]), np.array(case["tip"]), np.array(case["disp"])
+        )
     except Exception as exc:  # a fault is an output like any other
         return f"{type(exc).__name__}: {exc}"
     numbers = (pose.y, pose.z, pose.alpha, *contact.point, *contact.normal,

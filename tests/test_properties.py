@@ -30,7 +30,6 @@ from tacpush.scene import (
     TIP_RADIUS_MM,
     ObjectShape,
     PlanarPose,
-    WorldState,
     boundary_probe,
     builtin_shapes,
 )
@@ -217,30 +216,30 @@ def substep_cases(draw):
     tip_new = point + (TIP_RADIUS_MM - pen) * n_out
     c, s = math.cos(deviation), math.sin(deviation)
     disp = step * np.array([-c * n_out[0] + s * n_out[1], -s * n_out[0] - c * n_out[1]])
-    start = tip_new - disp
-    return shape, WorldState(pose, PlanarPose(float(start[0]), float(start[1]), 0.0)), disp
+    return shape, pose, tip_new - disp, disp
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(substep_cases())
 def test_resolve_substep_overlap_at_most_tolerance(case):
-    shape, world, disp = case
+    shape, pose, tip, disp = case
     try:
-        new_pose, contact = resolve_substep(world, shape, disp)
+        new_pose, contact = resolve_substep(shape, pose, tip, disp)
     except PhysicsFault:
         return
-    tip_new = world.pusher_pose.position + disp
+    tip_new = tip + disp
     sd, _, _, _ = boundary_probe(shape, new_pose, tip_new)
     assert TIP_RADIUS_MM - sd == contact.penetration
     if contact.mode is ContactMode.SEPARATED:
         assert contact.penetration <= 0.0
-        assert new_pose == world.object_pose
+        assert new_pose == pose
     else:
         assert contact.penetration <= PENETRATION_TOL_MM
 
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="resolution can overshoot: the object is pushed clear of the tip "
     "but the contact keeps its pushing mode, with overlap <= 0",
 )
@@ -248,9 +247,9 @@ def test_resolve_substep_overlap_at_most_tolerance(case):
 @settings(derandomize=True, max_examples=200, deadline=None, phases=[Phase.generate])
 @given(substep_cases())
 def test_resolve_substep_keeps_pushing_contacts_overlapping(case):
-    shape, world, disp = case
+    shape, pose, tip, disp = case
     try:
-        _, contact = resolve_substep(world, shape, disp)
+        _, contact = resolve_substep(shape, pose, tip, disp)
     except PhysicsFault:
         return
     if contact.mode is not ContactMode.SEPARATED:

@@ -9,6 +9,7 @@ from tacpush.push_dynamics import (
     ContactMode,
     PENETRATION_TOL_MM,
     SUBSTEP_CAP_MM,
+    contact_at,
     resolve_substep,
     simulate_tap,
 )
@@ -125,23 +126,22 @@ class TestMotionCone:
 class TestResolveSubstep:
     def test_no_overlap_no_motion(self):
         shape = square()
-        world = make_world([0.0, -60.0], PlanarPose())
-        pose, contact = resolve_substep(world, shape, [0.1, 0.1])
-        assert pose == world.object_pose
+        start = PlanarPose()
+        pose, contact = resolve_substep(shape, start, [0.0, -60.0], [0.1, 0.1])
+        assert pose == start
         assert contact.mode is ContactMode.SEPARATED
         assert contact.penetration < 0
 
     def test_substep_cap_enforced(self):
-        world = make_world([0.0, -60.0], PlanarPose())
         with pytest.raises(ValueError, match="cap"):
-            resolve_substep(world, square(), [0.6, 0.0])
+            resolve_substep(square(), PlanarPose(), [0.0, -60.0], [0.6, 0.0])
 
     def test_centred_push_pure_translation(self):
         shape = square()
         tip = np.array([0.0, -49.9])  # 0.1 mm overlap, dead centre on the edge
         pose = PlanarPose()
         for _ in range(40):
-            pose, _ = resolve_substep(make_world(tip, pose), shape, [0.0, 0.4])
+            pose, _ = resolve_substep(shape, pose, tip, [0.0, 0.4])
             tip = tip + [0.0, 0.4]
         assert abs(pose.alpha) < math.degrees(1e-9)
         assert pose.y == pytest.approx(0.0, abs=1e-9)
@@ -152,22 +152,22 @@ class TestResolveSubstep:
         rng = np.random.default_rng(3)
         for _ in range(50):
             off = float(rng.uniform(-25, 25))
-            world = make_world([off, -49.8], PlanarPose())
             drive = np.array([float(rng.uniform(-0.2, 0.2)), 0.4])
-            pose, contact = resolve_substep(world, shape, drive)
+            pose, contact = resolve_substep(shape, PlanarPose(), [off, -49.8], drive)
             assert 0.0 < contact.penetration <= PENETRATION_TOL_MM
 
     def test_unilateral_retreat_never_moves_object(self):
         shape = square()
-        world = make_world([0.0, -50.005], PlanarPose())  # grazing overlap
-        pose, contact = resolve_substep(world, shape, [0.0, -0.4])
-        assert pose == world.object_pose
+        start = PlanarPose()
+        # grazing overlap
+        pose, contact = resolve_substep(shape, start, [0.0, -50.005], [0.0, -0.4])
+        assert pose == start
 
     def test_deterministic(self):
         shape = square()
-        world = make_world([7.0, -49.85], PlanarPose(0.0, 0.0, 10.0))
-        a = resolve_substep(world, shape, [0.1, 0.45])
-        b = resolve_substep(world, shape, [0.1, 0.45])
+        start = PlanarPose(0.0, 0.0, 10.0)
+        a = resolve_substep(shape, start, [7.0, -49.85], [0.1, 0.45])
+        b = resolve_substep(shape, start, [7.0, -49.85], [0.1, 0.45])
         assert a[0] == b[0]
         assert np.array_equal(a[1].point, b[1].point)
         assert a[1].penetration == b[1].penetration
@@ -176,7 +176,7 @@ class TestResolveSubstep:
         mismatches = 0
         used = 0
         for cfg in random_contact_configs(150, seed=4):
-            pose, contact = resolve_substep(cfg.world, cfg.shape, cfg.disp)
+            pose, contact = resolve_substep(cfg.shape, cfg.object_pose, cfg.tip, cfg.disp)
             if contact.mode is ContactMode.SEPARATED:
                 continue
             dalpha = math.radians(normalize_angle_deg(pose.alpha - cfg.object_pose.alpha))
@@ -197,7 +197,7 @@ class TestResolveSubstep:
         checked = 0
         for cfg in random_contact_configs(120, seed=5):
             _, point, n_out, _ = boundary_probe(
-                cfg.shape, cfg.object_pose, cfg.world.pusher_pose.position + cfg.disp
+                cfg.shape, cfg.object_pose, cfg.tip + cfg.disp
             )
             n_in = -n_out
             cof = cfg.object_pose.transform_point(cfg.shape.cof_offset)
@@ -209,7 +209,7 @@ class TestResolveSubstep:
             )
             if oracle_twist is None:
                 continue
-            pose, contact = resolve_substep(cfg.world, cfg.shape, cfg.disp)
+            pose, contact = resolve_substep(cfg.shape, cfg.object_pose, cfg.tip, cfg.disp)
             if contact.mode is ContactMode.SEPARATED:
                 continue
             moved = np.array(
@@ -264,19 +264,23 @@ class TestSimulateTap:
         shape = square()
         world = make_world([0.0, -50.5], PlanarPose())
         cmd = PlanarPose(0.0, -50.5, 0.0)
-        new_world, sense_pose, contact = simulate_tap(world, shape, cmd)
+        new_world, sense_heading, contact = simulate_tap(world, shape, cmd)
         advanced, _, _ = simulate_tap(world, shape, cmd, tap_back=0.0)
         assert contact.mode is not ContactMode.SEPARATED
         assert advanced.object_pose != world.object_pose
         assert new_world.object_pose == advanced.object_pose
-        assert sense_pose == advanced.pusher_pose
-        assert new_world.pusher_pose.z == pytest.approx(sense_pose.z - 5.0, abs=1e-9)
+        assert sense_heading == advanced.pusher_pose.alpha
+        reading = contact_at(shape, advanced.object_pose, advanced.pusher_pose.position)
+        assert contact.penetration == pytest.approx(reading.penetration, abs=1e-9)
+        assert new_world.pusher_pose.z == pytest.approx(
+            advanced.pusher_pose.z - 5.0, abs=1e-9
+        )
 
     def test_pusher_lands_at_net_tap_offset(self):
         shape = square()
         world = make_world([0.0, -200.0], PlanarPose())
         cmd = PlanarPose(3.0, -195.0, 10.0)
-        new_world, sense_pose, _ = simulate_tap(
+        new_world, sense_heading, contact = simulate_tap(
             world, shape, cmd, tap_forward=10.0, tap_back=5.0
         )
         expected = np.array([3.0, -195.0]) + 5.0 * heading_dir(10.0)
@@ -284,8 +288,9 @@ class TestSimulateTap:
         assert pusher.position == pytest.approx(expected, abs=1e-9)
         assert pusher.alpha == pytest.approx(10.0)
         deepest = np.array([3.0, -195.0]) + 10.0 * heading_dir(10.0)
-        assert sense_pose.position == pytest.approx(deepest, abs=1e-9)
-        assert sense_pose.alpha == pytest.approx(10.0)
+        reading = contact_at(shape, world.object_pose, deepest)
+        assert contact.penetration == pytest.approx(reading.penetration, abs=1e-9)
+        assert sense_heading == pytest.approx(10.0)
 
     def test_relocation_can_push(self):
         shape = square()

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +105,23 @@ class TestObjectShapeValidation:
                         cof_offset=[5.0, 0.0])
         with pytest.raises(ValueError, match="cof_offset"):
             ObjectShape("c", radius=2.0, cof_offset=[3.0, 0.0])
+
+    def test_non_finite_geometry_rejected(self):
+        # the field is named, and no numpy warning is raised on the way
+        square = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+        cases = [({"radius": r}, "radius") for r in (math.inf, math.nan)]
+        for value in (math.nan, math.inf, -math.inf):
+            for i in range(2):
+                verts = [list(v) for v in square]
+                verts[2][i] = value
+                cases.append(({"polygon": verts}, "polygon vertices must be finite"))
+            for kwargs in ({"polygon": square}, {"radius": 2.0}):
+                cases.append(({**kwargs, "cof_offset": [0.0, value]}, "cof_offset"))
+        for kwargs, match in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=match):
+                    ObjectShape("bad", **kwargs)
 
     def test_with_friction_shares_geometry(self):
         base = builtin_shapes()["mug"]
@@ -282,6 +301,24 @@ class TestScenarioFiles:
         path.write_text(json.dumps(data))
         with pytest.raises(ScenarioError, match="max_taps"):
             load_scenario(path)
+        # built in code: no tap budget may be NaN, infinite, fractional or a bool
+        base = scenario_from_dict(data | {"max_taps": 300})
+        for bad in (math.nan, math.inf, 2.5, True, -1):
+            with pytest.raises(ScenarioError, match="max_taps"):
+                dataclasses.replace(base, max_taps=bad)
+        data["max_taps"] = 2.5
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match="max_taps"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\rb"])
+    def test_name_that_breaks_taps_csv_rejected(self, name, tmp_path):
+        data = json.loads(BASELINE.read_text())
+        base = scenario_from_dict(data)
+        with pytest.raises(ScenarioError, match="name"):
+            dataclasses.replace(base, name=name)
+        with pytest.raises(ScenarioError, match="name"):
+            scenario_from_dict(data | {"name": name})
 
     def test_unknown_shape_names_field(self, tmp_path):
         data = json.loads(BASELINE.read_text())

@@ -5,6 +5,7 @@ import pytest
 
 from tacpush.pose_math import EulerPose, euler_to_transform, transform_to_euler
 from tacpush.push_controller import prediction_to_pose
+from tacpush.push_dynamics import ContactMode, ContactState, contact_at
 from tacpush.scene import (
     TIP_RADIUS_MM,
     ObjectShape,
@@ -37,11 +38,17 @@ def world_with_square(tip_center, pusher_alpha=0.0, square_z=None, side=60.0):
     return world, shape
 
 
+def sense(world, shape):
+    """The reading of a pusher at rest in `world`."""
+    contact = contact_at(shape, world.object_pose, world.pusher_pose.position)
+    return sense_contact(contact, world.pusher_pose.alpha)
+
+
 class TestSenseContact:
     def test_reference_configuration(self):
         # tip centre 18 mm from a flat edge, axis into the edge: depth 2, aligned
         world, shape = world_with_square([0.0, -18.0])
-        pred = sense_contact(world, shape)
+        pred = sense(world, shape)
         assert pred.in_contact
         assert pred.z_depth == pytest.approx(2.0)
         assert pred.alpha == pytest.approx(0.0)
@@ -49,36 +56,47 @@ class TestSenseContact:
 
     def test_out_of_reach(self):
         world, shape = world_with_square([0.0, -22.0])
-        pred = sense_contact(world, shape)
+        pred = sense(world, shape)
         assert not pred.in_contact
         assert pred.z_depth is None
         assert pred.alpha is None
 
     def test_rotated_axis_reads_signed_angle(self):
         world, shape = world_with_square([0.0, -18.0], pusher_alpha=10.0)
-        pred = sense_contact(world, shape)
+        pred = sense(world, shape)
         assert pred.alpha == pytest.approx(10.0)
         world, shape = world_with_square([0.0, -18.0], pusher_alpha=-7.0)
-        assert sense_contact(world, shape).alpha == pytest.approx(-7.0)
+        assert sense(world, shape).alpha == pytest.approx(-7.0)
 
     def test_depth_clamping(self):
         world, shape = world_with_square([0.0, -14.0])  # 6 mm deep
-        pred = sense_contact(world, shape)
+        pred = sense(world, shape)
         assert pred.z_depth == Z_RANGE_MM[1]
         assert pred.clamped
 
     def test_below_minimum_depth_clamps_up(self):
         world, shape = world_with_square([0.0, -19.5])  # 0.5 mm deep
-        pred = sense_contact(world, shape)
+        pred = sense(world, shape)
         assert pred.in_contact
         assert pred.z_depth == Z_RANGE_MM[0]
         assert pred.clamped
 
     def test_angle_clamping(self):
         world, shape = world_with_square([0.0, -18.0], pusher_alpha=30.0)
-        pred = sense_contact(world, shape)
+        pred = sense(world, shape)
         assert pred.alpha == ALPHA_RANGE_DEG[1]
         assert pred.clamped
+
+    def test_reads_the_contact_state_it_is_given(self):
+        # the reading depends on the penetration and normal alone: a pushing
+        # mode without overlap reads no contact
+        normal = np.array([0.0, 1.0])
+        pred = sense_contact(
+            ContactState(np.zeros(2), normal, ContactMode.SLIDING_LEFT, 2.5), 5.0
+        )
+        assert (pred.in_contact, pred.z_depth, pred.alpha) == (True, 2.5, 5.0)
+        gone = ContactState(np.zeros(2), normal, ContactMode.STICKING, -0.001)
+        assert not sense_contact(gone, 5.0).in_contact
 
     def test_geometry_reconstruction(self):
         # with noise off, (z, alpha) exactly encode boundary distance and
@@ -103,7 +121,7 @@ class TestSenseContact:
             world = WorldState(
                 pose, PlanarPose(float(center[0]), float(center[1]), pusher_alpha)
             )
-            pred = sense_contact(world, shape)
+            pred = sense(world, shape)
             if pred.clamped or not pred.in_contact:
                 continue
             sd, _, n_out2, _ = boundary_probe(shape, pose, center)
