@@ -83,6 +83,9 @@ def _cmd_plot(args) -> int:
     records = data.get("records") if isinstance(data, dict) else data
     if not isinstance(records, list):
         raise ValueError(f"{args.records}: expected a list of records or a 'records' list")
+    for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise ValueError(f"{args.records}: records[{i}] is not a JSON object")
     path = exp_harness.plot(records, args.out)
     print(f"wrote {path}")
     return 0

@@ -477,8 +477,9 @@ def run_experiment_2(
             for t in range(trials_per_cell):
                 seed = derive_seed(master_seed + 1, cell, t)
                 sc = exp2_scenario(shape_name, j, seed)
-                sc.name = f"exp2_{shape_name}_start{j + 1}_t{t}"
-                scenarios.append(sc)
+                scenarios.append(
+                    dataclasses.replace(sc, name=f"exp2_{shape_name}_start{j + 1}_t{t}")
+                )
     records = run_trials(scenarios, workers)
     return compute_metrics(records), records
 
@@ -497,8 +498,7 @@ def run_experiment_3(
             heading = float(init_rng.uniform(0.0, 360.0))
             seed = derive_seed(master_seed + 2, i, t, 1)
             sc = exp3_scenario(shape_name, heading, seed)
-            sc.name = f"exp3_{shape_name}_t{t}"
-            scenarios.append(sc)
+            scenarios.append(dataclasses.replace(sc, name=f"exp3_{shape_name}_t{t}"))
     records = run_trials(scenarios, workers)
     return compute_metrics(records), records
 

@@ -290,7 +290,10 @@ def simulate_tap(
     The pusher moves to `commanded_pose` along a straight in-plane path with
     physics active (relocation can incidentally push the object), advances
     `tap_forward` mm along the commanded heading's forward axis and retracts
-    `tap_back` mm. Every leg is substepped through resolve_substep.
+    `tap_back` mm. Every leg is substepped through resolve_substep, except
+    substeps that the last separated probe proves cannot reach the object
+    (conservative advancement); positions and results are as if every
+    substep ran.
 
     Returns (world, sense_heading, contact): the WorldState after the
     retraction, and the pusher heading (deg, wrapped) and ContactState at
@@ -312,14 +315,24 @@ def simulate_tap(
         if dist < 1e-12 and abs(dalpha) < 1e-12:
             return
         n = max(1, math.ceil(dist / substep))
+        step = dist / n
         p_from = pos.copy()
-        a_from = alpha
-        for i in range(1, n + 1):
-            frac = i / n
-            p_next = p_from + delta * frac
+        i = 0
+        while i < n:
+            i += 1
+            p_next = p_from + delta * (i / n)
             obj, contact = resolve_substep(shape, obj, pos, p_next - pos)
+            if contact.mode is ContactMode.SEPARATED and i < n:
+                # conservative advancement: the signed distance is 1-Lipschitz,
+                # so the substeps within the gap less the tolerance stay
+                # separated and leave the object where it is; skip them, but
+                # probe the leg's last substep, whose contact the tap reports
+                free = math.floor((-contact.penetration - PENETRATION_TOL_MM) / step)
+                if free > 0:
+                    i = min(i + free, n - 1)
+                    p_next = p_from + delta * (i / n)
             pos = p_next
-            alpha = a_from + dalpha * frac
+        alpha += dalpha
 
     run_leg(cmd.position, cmd.alpha)
     axis = heading_dir(cmd.alpha)

@@ -385,7 +385,7 @@ class TestCli:
         ) == 0
         assert svg.exists()
 
-    @pytest.mark.parametrize("payload", [{"version": 1}, {"records": 3}, "records"])
+    @pytest.mark.parametrize("payload", [{"version": 1}, {"records": 3}, "records", [1, 2]])
     def test_plot_without_records_list_fails_cleanly(self, payload, tmp_path, capsys):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(payload))
@@ -393,3 +393,11 @@ class TestCli:
         assert cli_main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "records" in err
+
+    def test_plot_names_the_first_entry_that_is_not_a_record(self, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps([{}, [3], 4]))
+        argv = ["plot", "--records", str(path), "--out", str(tmp_path / "x.svg")]
+        assert cli_main(argv) == 1
+        assert "records[1] is not a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tacpush import push_dynamics
 from tacpush.pose_math import normalize_angle_deg
 from tacpush.push_dynamics import (
     ContactMatrix,
@@ -14,6 +15,7 @@ from tacpush.push_dynamics import (
     simulate_tap,
 )
 from tacpush.scene import (
+    TIP_RADIUS_MM,
     ObjectShape,
     PlanarPose,
     WorldState,
@@ -302,3 +304,58 @@ class TestSimulateTap:
         )
         assert new_world.object_pose.z > world.object_pose.z
         assert contact.mode is not ContactMode.SEPARATED
+
+    @pytest.mark.parametrize("shape_name", ["blue_square", "mug", "circle"])
+    def test_skipped_substeps_are_provably_free(self, shape_name, monkeypatch):
+        shape = builtin_shapes()[shape_name]
+        pose = PlanarPose()
+        # approach along +z from well outside, command a tap 6+ mm short of
+        # the outline and advance far enough to push
+        probe_z = -(shape.max_extent() + TIP_RADIUS_MM + 1.0)
+        gap = -contact_at(shape, pose, [0.0, probe_z]).penetration
+        cmd = PlanarPose(0.0, probe_z + gap - 6.0, 0.0)
+        cmd_gap = -contact_at(shape, pose, cmd.position).penetration
+        tap_forward, tap_back = cmd_gap + 8.0, 5.0
+        world = make_world([15.0, probe_z - 20.0], pose)
+        assert -contact_at(shape, pose, world.pusher_pose.position).penetration >= 5.0
+        assert cmd_gap >= 5.0
+
+        calls = []
+        real = push_dynamics.resolve_substep
+
+        def recording(shape_, object_pose, tip, disp):
+            out = real(shape_, object_pose, tip, disp)
+            calls.append((np.array(tip, dtype=float), np.array(disp, dtype=float), out[0]))
+            return out
+
+        monkeypatch.setattr(push_dynamics, "resolve_substep", recording)
+        new_world, _, contact = simulate_tap(world, shape, cmd, tap_forward, tap_back)
+        assert new_world.object_pose != pose
+        assert contact.mode is not ContactMode.SEPARATED
+
+        # replay the legs' substep positions and match each call to its index
+        axis = heading_dir(cmd.alpha)
+        targets = [
+            cmd.position,
+            cmd.position + tap_forward * axis,
+            cmd.position + (tap_forward - tap_back) * axis,
+        ]
+        pos, obj, k, substeps = world.pusher_pose.position, pose, 0, 0
+        for target in targets:
+            delta = target - pos
+            n = max(1, math.ceil(float(np.hypot(delta[0], delta[1])) / SUBSTEP_CAP_MM))
+            substeps += n
+            probed = []
+            for i in range(1, n + 1):
+                p_prev, p_i = pos + delta * ((i - 1) / n), pos + delta * (i / n)
+                if k < len(calls) and np.array_equal(calls[k][0], p_prev):
+                    assert np.array_equal(calls[k][1], p_i - p_prev)
+                    obj = calls[k][2]
+                    probed.append(i)
+                    k += 1
+                else:
+                    assert contact_at(shape, obj, p_i).penetration <= 0.0, (i, n)
+            assert probed[-1] == n
+            pos = pos + delta * (n / n)
+        assert k == len(calls)
+        assert len(calls) < substeps
