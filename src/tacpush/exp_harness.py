@@ -602,6 +602,26 @@ _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f",
 )
+# the record fields plot reads, as key paths
+_PLOT_FIELDS = (
+    ("meta", "target_pose_mm_deg"),
+    ("meta", "shape"),
+    ("meta", "approach_zone_radius_mm"),
+    ("meta", "termination_radius_mm"),
+    ("final_pusher_pose",),
+    ("taps",),
+)
+
+
+def _check_plot_fields(idx: int, rec: dict):
+    for path in _PLOT_FIELDS:
+        value = rec
+        for depth, key in enumerate(path, 1):
+            if not isinstance(value, dict) or key not in value:
+                raise ValueError(
+                    f"plot: records[{idx}] has no field {'.'.join(path[:depth])!r}"
+                )
+            value = value[key]
 
 
 def plot(records, out_path) -> Path:
@@ -610,6 +630,8 @@ def plot(records, out_path) -> Path:
     dicts = [record_to_dict(r) if isinstance(r, TrialRecord) else r for r in records]
     if not dicts:
         raise ValueError("plot: no records to draw")
+    for idx, rec in enumerate(dicts):
+        _check_plot_fields(idx, rec)
 
     pts = []
     for rec in dicts:
@@ -640,8 +662,8 @@ def plot(records, out_path) -> Path:
     ]
     rec0 = dicts[0]
     tgt = rec0["meta"]["target_pose_mm_deg"]
-    rho = float(rec0["meta"].get("approach_zone_radius_mm", 60.0))
-    term = float(rec0["meta"].get("termination_radius_mm", 20.0))
+    rho = float(rec0["meta"]["approach_zone_radius_mm"])
+    term = float(rec0["meta"]["termination_radius_mm"])
     parts.append(
         f'<circle cx="{sx(tgt[1]):.2f}" cy="{sy(tgt[2]):.2f}" r="{rho * scale:.2f}" '
         'fill="none" stroke="#999999" stroke-dasharray="6 4"/>'

@@ -63,11 +63,13 @@ class ControllerConfig:
 
     Channel order for 6-vector gains and clips is (x, y, z, alpha, beta,
     gamma); translation integrals clip in mm, rotation integrals in degrees.
+    The x, beta and gamma servo gains must be 0: on the plane those errors
+    are always 0, so their gains cannot act.
     """
 
     ref_pose: PlanarPose = field(default_factory=lambda: PlanarPose(z=2.0))
-    kp_servo: tuple = (0.0, 0.0, 0.9, 0.9, 0.9, 0.0)
-    ki_servo: tuple = (0.0, 0.0, 0.1, 0.1, 0.1, 0.0)
+    kp_servo: tuple = (0.0, 0.0, 0.9, 0.9, 0.0, 0.0)
+    ki_servo: tuple = (0.0, 0.0, 0.1, 0.1, 0.0, 0.0)
     kd_servo: tuple = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     integral_clip_translation: tuple = (-5.0, 5.0)
     integral_clip_rotation: tuple = (-25.0, 25.0)
@@ -90,6 +92,12 @@ class ControllerConfig:
                 raise ValueError(f"ControllerConfig.{name} must have 6 entries")
             if not all(math.isfinite(x) for x in v):
                 raise ValueError(f"ControllerConfig.{name} must be finite")
+            for i, channel in ((0, "x"), (4, "beta"), (5, "gamma")):
+                if v[i] != 0.0:
+                    raise ValueError(
+                        f"ControllerConfig.{name}: the {channel} gain must be 0 "
+                        f"on the plane, got {v[i]!r}"
+                    )
             setattr(self, name, v)
         for name in ("kp_align", "ki_align", "kd_align", "theta_ref", "reacquire_advance"):
             if not math.isfinite(getattr(self, name)):
@@ -104,17 +112,29 @@ class ControllerConfig:
                 raise ValueError(f"ControllerConfig.{name} must be a nonempty range")
             setattr(self, name, (lo, hi))
         # written so that NaN fails each check
-        if not (self.approach_zone_radius > 0 and self.termination_radius > 0):
-            raise ValueError("ControllerConfig zone radii must be > 0")
+        for name in ("approach_zone_radius", "termination_radius"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"ControllerConfig zone radii invalid: {name} must be finite and > 0"
+                )
         if not self.termination_radius < self.approach_zone_radius:
             raise ValueError(
                 "ControllerConfig.termination_radius must be smaller than "
                 "approach_zone_radius"
             )
-        if not (self.tap_forward > 0 and self.tap_back >= 0):
-            raise ValueError("ControllerConfig tap lengths invalid")
-        if not self.reacquire_limit >= 1:
-            raise ValueError("ControllerConfig.reacquire_limit must be >= 1")
+        if not 0 < self.tap_forward < math.inf:
+            raise ValueError(
+                "ControllerConfig tap lengths invalid: tap_forward must be finite and > 0"
+            )
+        if not 0 <= self.tap_back < math.inf:
+            raise ValueError(
+                "ControllerConfig tap lengths invalid: tap_back must be finite and >= 0"
+            )
+        limit = self.reacquire_limit
+        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
+            raise ValueError(
+                f"ControllerConfig.reacquire_limit must be an integer >= 1, got {limit!r}"
+            )
 
 
 @dataclass

@@ -31,49 +31,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# scenario keys -> ControllerConfig attributes
-_CONTROLLER_KEYS = {
-    "ref_pose_mm_deg": "ref_pose",
-    "kp_servo_diag": "kp_servo",
-    "ki_servo_diag": "ki_servo",
-    "kd_servo_diag": "kd_servo",
-    "integral_clip_translation_mm": "integral_clip_translation",
-    "integral_clip_rotation_deg": "integral_clip_rotation",
-    "kp_align": "kp_align",
-    "ki_align": "ki_align",
-    "kd_align": "kd_align",
-    "alignment_clip_mm": "alignment_clip",
-    "theta_ref_deg": "theta_ref",
-    "approach_zone_radius_mm": "approach_zone_radius",
-    "termination_radius_mm": "termination_radius",
-    "tap_forward_mm": "tap_forward",
-    "tap_back_mm": "tap_back",
-    "reacquire_limit": "reacquire_limit",
-    "reacquire_advance_mm": "reacquire_advance",
-}
-
-
-# every key each table may hold
-_TOP_KEYS = {
-    "name",
-    "object",
-    "object_start_pose_mm_deg",
-    "pusher_start_pose_mm_deg",
-    "target_pose_mm_deg",
-    "controller",
-    "noise_enabled",
-    "noise_sigmas",
-    "rng_seed",
-    "max_taps",
-}
-_FRICTION_KEYS = {"f_max_n": "f_max", "m_max_nmm": "m_max", "mu_contact": "mu_contact"}
-_CATALOG_OBJECT_KEYS = {"shape", *_FRICTION_KEYS}
-_INLINE_OBJECT_KEYS = {
-    "name", "polygon_mm", "circle_radius_mm", "cof_offset_mm", *_FRICTION_KEYS
-}
-_NOISE_KEYS = {"z_mm": "sigma_z", "alpha_deg": "sigma_alpha"}
-
-
 @dataclass
 class Scenario:
     """One fully specified push trial."""
@@ -109,16 +66,38 @@ class Scenario:
             )
 
 
-def _require(data: dict, key: str, ctx: str):
-    if key not in data:
-        raise ScenarioError(f"{ctx}: missing required field {key!r}")
-    return data[key]
+def _construct(make, ctx: str, **kwargs):
+    """make(**kwargs), with a ValueError from its checks raised as a
+    ScenarioError that names the section."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{ctx}: {exc}") from exc
 
 
-def _check_keys(data: dict, known, ctx: str):
+def _read(data, table: dict, ctx: str) -> dict:
+    """Constructor arguments from one file section.
+
+    `table` maps each file key to (constructor argument, reader); a reader
+    takes (value, ctx) and returns the argument. Unknown keys are rejected,
+    absent keys are left to the constructor's defaults, and a pose field is
+    named without its `_mm_deg` suffix.
+    """
+    if not isinstance(data, dict):
+        raise ScenarioError(f"{ctx}: expected an object table")
     for key in data:
-        if key not in known:
+        if key not in table:
             raise ScenarioError(f"{ctx}: unknown field {key!r}")
+    return {
+        arg: reader(data[key], f"{ctx}.{key.removesuffix('_mm_deg')}")
+        for key, (arg, reader) in table.items()
+        if key in data
+    }
+
+
+def _as_is(value, ctx: str):
+    """Reader for a field the constructor checks itself."""
+    return value
 
 
 def _number(value, ctx: str) -> float:
@@ -143,6 +122,11 @@ def _numbers(value, n: int, ctx: str) -> list:
     return [_number(v, ctx) for v in value]
 
 
+def _vector(n: int):
+    """Reader for a field of n numbers."""
+    return lambda value, ctx: tuple(_numbers(value, n, ctx))
+
+
 def _planar_pose(value, ctx: str) -> PlanarPose:
     """A 6-value (x, y, z, alpha, beta, gamma) pose field that must lie in the
     plane: x, beta and gamma are 0."""
@@ -152,104 +136,102 @@ def _planar_pose(value, ctx: str) -> PlanarPose:
     return PlanarPose(y, z, alpha)
 
 
-def _name(value, ctx: str) -> str:
+def _object_pose(value, ctx: str) -> PlanarPose:
+    """A 3-value (y, z, heading) object pose field."""
+    return PlanarPose(*_numbers(value, 3, ctx))
+
+
+def _string(value, ctx: str) -> str:
     if not isinstance(value, str):
         raise ScenarioError(f"{ctx}: expected a string, got {value!r}")
     return value
 
 
-def _parse_object(data, ctx: str) -> ObjectShape:
-    ctx = f"{ctx}.object"
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{ctx}: expected an object table")
-    friction = {
-        attr: _number(data[key], f"{ctx}.{key}")
-        for key, attr in _FRICTION_KEYS.items()
-        if key in data
-    }
-    if "shape" in data:
-        _check_keys(data, _CATALOG_OBJECT_KEYS, ctx)
-        catalog = builtin_shapes()
-        name = data["shape"]
-        if not isinstance(name, str) or name not in catalog:
-            raise ScenarioError(
-                f"{ctx}.shape: unknown shape {name!r} "
-                f"(known: {', '.join(sorted(catalog))})"
-            )
-        shape = catalog[name]
-        try:
-            return shape.with_friction(**friction) if friction else shape
-        except ValueError as exc:
-            raise ScenarioError(f"{ctx}: {exc}") from exc
-    if "polygon_mm" not in data and "circle_radius_mm" not in data:
+def _flag(value, ctx: str) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{ctx}: expected true or false")
+    return value
+
+
+def _catalog_shape(value, ctx: str) -> ObjectShape:
+    catalog = builtin_shapes()
+    if not isinstance(value, str) or value not in catalog:
+        raise ScenarioError(
+            f"{ctx}: unknown shape {value!r} (known: {', '.join(sorted(catalog))})"
+        )
+    return catalog[value]
+
+
+def _polygon(value, ctx: str) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{ctx}: expected a list of [y, z] vertices")
+    return np.array([_numbers(v, 2, ctx) for v in value])
+
+
+_FRICTION = {
+    "f_max_n": ("f_max", _number),
+    "m_max_nmm": ("m_max", _number),
+    "mu_contact": ("mu_contact", _number),
+}
+_CATALOG_OBJECT = {"shape": ("shape", _catalog_shape), **_FRICTION}
+_INLINE_OBJECT = {
+    "name": ("name", _string),
+    "polygon_mm": ("polygon", _polygon),
+    "circle_radius_mm": ("radius", _number),
+    "cof_offset_mm": ("cof_offset", _vector(2)),
+    **_FRICTION,
+}
+_CONTROLLER = {
+    "ref_pose_mm_deg": ("ref_pose", _planar_pose),
+    "kp_servo_diag": ("kp_servo", _vector(6)),
+    "ki_servo_diag": ("ki_servo", _vector(6)),
+    "kd_servo_diag": ("kd_servo", _vector(6)),
+    "integral_clip_translation_mm": ("integral_clip_translation", _vector(2)),
+    "integral_clip_rotation_deg": ("integral_clip_rotation", _vector(2)),
+    "kp_align": ("kp_align", _number),
+    "ki_align": ("ki_align", _number),
+    "kd_align": ("kd_align", _number),
+    "alignment_clip_mm": ("alignment_clip", _vector(2)),
+    "theta_ref_deg": ("theta_ref", _number),
+    "approach_zone_radius_mm": ("approach_zone_radius", _number),
+    "termination_radius_mm": ("termination_radius", _number),
+    "tap_forward_mm": ("tap_forward", _number),
+    "tap_back_mm": ("tap_back", _number),
+    "reacquire_limit": ("reacquire_limit", _as_is),
+    "reacquire_advance_mm": ("reacquire_advance", _number),
+}
+_NOISE_SIGMAS = {"z_mm": ("sigma_z", _number), "alpha_deg": ("sigma_alpha", _number)}
+
+
+def _object(value, ctx: str) -> ObjectShape:
+    """A catalog shape by name, or an inline outline."""
+    if isinstance(value, dict) and "shape" in value:
+        kwargs = _read(value, _CATALOG_OBJECT, ctx)
+        return _construct(kwargs.pop("shape").with_friction, ctx, **kwargs)
+    kwargs = _read(value, _INLINE_OBJECT, ctx)
+    if "polygon" not in kwargs and "radius" not in kwargs:
         raise ScenarioError(f"{ctx}: needs 'shape', 'polygon_mm' or 'circle_radius_mm'")
-    _check_keys(data, _INLINE_OBJECT_KEYS, ctx)
-    kwargs = {
-        "name": _name(data.get("name", "custom"), f"{ctx}.name"),
-        "cof_offset": _numbers(
-            data.get("cof_offset_mm", (0.0, 0.0)), 2, f"{ctx}.cof_offset_mm"
-        ),
-        **friction,
-    }
-    if "polygon_mm" in data:
-        rows = data["polygon_mm"]
-        if not isinstance(rows, list):
-            raise ScenarioError(f"{ctx}.polygon_mm: expected a list of [y, z] vertices")
-        kwargs["polygon"] = np.array([_numbers(v, 2, f"{ctx}.polygon_mm") for v in rows])
-    if "circle_radius_mm" in data:
-        kwargs["radius"] = _number(data["circle_radius_mm"], f"{ctx}.circle_radius_mm")
-    try:
-        return ObjectShape(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"{ctx}: {exc}") from exc
+    return _construct(ObjectShape, ctx, **{"name": "custom", **kwargs})
 
 
-def _parse_controller(data, ctx: str) -> ControllerConfig:
-    ctx = f"{ctx}.controller"
-    if data is None:
-        return ControllerConfig()
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{ctx}: expected an object table")
-    _check_keys(data, _CONTROLLER_KEYS, ctx)
-    kwargs = {}
-    for key, value in data.items():
-        attr = _CONTROLLER_KEYS[key]
-        if attr == "ref_pose":
-            kwargs[attr] = _planar_pose(value, f"{ctx}.ref_pose")
-        elif attr in ("kp_servo", "ki_servo", "kd_servo"):
-            kwargs[attr] = tuple(_numbers(value, 6, f"{ctx}.{key}"))
-        elif attr in (
-            "integral_clip_translation",
-            "integral_clip_rotation",
-            "alignment_clip",
-        ):
-            kwargs[attr] = tuple(_numbers(value, 2, f"{ctx}.{key}"))
-        elif attr == "reacquire_limit":
-            if not _is_int(value):
-                raise ScenarioError(f"{ctx}.{key}: expected an integer")
-            kwargs[attr] = value
-        else:
-            kwargs[attr] = _number(value, f"{ctx}.{key}")
-    try:
-        return ControllerConfig(**kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"{ctx}: {exc}") from exc
+def _controller(value, ctx: str) -> ControllerConfig:
+    return _construct(ControllerConfig, ctx, **_read(value, _CONTROLLER, ctx))
 
 
-def _parse_noise(data: dict, ctx: str) -> NoiseModel:
-    enabled = data.get("noise_enabled", True)
-    if not isinstance(enabled, bool):
-        raise ScenarioError(f"{ctx}.noise_enabled: expected true or false")
-    ctx = f"{ctx}.noise_sigmas"
-    sigmas = data.get("noise_sigmas", {})
-    if not isinstance(sigmas, dict):
-        raise ScenarioError(f"{ctx}: expected an object table")
-    _check_keys(sigmas, _NOISE_KEYS, ctx)
-    kwargs = {_NOISE_KEYS[k]: _number(v, f"{ctx}.{k}") for k, v in sigmas.items()}
-    try:
-        return NoiseModel(enabled=enabled, **kwargs)
-    except ValueError as exc:
-        raise ScenarioError(f"{ctx}: {exc}") from exc
+_TOP = {
+    "name": ("name", _string),
+    "object": ("object", _object),
+    "object_start_pose_mm_deg": ("object_start_pose", _object_pose),
+    "pusher_start_pose_mm_deg": ("pusher_start_pose", _planar_pose),
+    "target_pose_mm_deg": ("target_pose", _planar_pose),
+    "controller": ("controller", _controller),
+    "noise_enabled": ("noise_enabled", _flag),
+    "noise_sigmas": ("noise_sigmas", lambda value, ctx: _read(value, _NOISE_SIGMAS, ctx)),
+    "rng_seed": ("rng_seed", _as_is),
+    "max_taps": ("max_taps", _as_is),
+}
+# Scenario arguments a file must give
+_REQUIRED = ("object", "object_start_pose", "target_pose")
 
 
 def scenario_from_dict(data: dict, ctx: str = "scenario") -> Scenario:
@@ -257,25 +239,17 @@ def scenario_from_dict(data: dict, ctx: str = "scenario") -> Scenario:
 
     Pose fields are named without their `_mm_deg` suffix in error messages.
     """
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{ctx}: top level must be an object table")
-    _check_keys(data, _TOP_KEYS, ctx)
-    osp = _require(data, "object_start_pose_mm_deg", ctx)
-    return Scenario(
-        name=_name(data.get("name", "unnamed"), f"{ctx}.name"),
-        object=_parse_object(_require(data, "object", ctx), ctx),
-        object_start_pose=PlanarPose(*_numbers(osp, 3, f"{ctx}.object_start_pose")),
-        pusher_start_pose=_planar_pose(
-            data.get("pusher_start_pose_mm_deg", (0.0,) * 6), f"{ctx}.pusher_start_pose"
-        ),
-        target_pose=_planar_pose(
-            _require(data, "target_pose_mm_deg", ctx), f"{ctx}.target_pose"
-        ),
-        controller=_parse_controller(data.get("controller"), ctx),
-        noise=_parse_noise(data, ctx),
-        rng_seed=data.get("rng_seed", 0),
-        max_taps=data.get("max_taps", 300),
+    kwargs = {"name": "unnamed", "pusher_start_pose": PlanarPose(), **_read(data, _TOP, ctx)}
+    for key, (arg, _) in _TOP.items():
+        if arg in _REQUIRED and arg not in kwargs:
+            raise ScenarioError(f"{ctx}: missing required field {key!r}")
+    noise = _construct(
+        NoiseModel,
+        f"{ctx}.noise_sigmas",
+        enabled=kwargs.pop("noise_enabled", True),
+        **kwargs.pop("noise_sigmas", {}),
     )
+    return Scenario(noise=noise, **kwargs)
 
 
 def load_scenario(path) -> Scenario:

@@ -451,8 +451,8 @@ def builtin_shapes() -> dict:
 
     Convex outlines: blue_square (60 mm side), red_square (40 mm),
     yellow_triangle (70 mm equilateral), rectangle (80 x 50 mm),
-    circle (35 mm radius). Non-convex: l_shape (80 mm L with a 40 mm notch)
-    and mug (32 mm disc with a handle tab). All outlines are centred on
+    circle (35 mm radius). Non-convex: l_shape (54 mm L with a 17 mm notch)
+    and mug (26 mm disc with a handle tab). All outlines are centred on
     their area centroid, which is also the centre of friction.
     """
     return dict(_catalog())

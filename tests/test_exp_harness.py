@@ -322,14 +322,15 @@ class TestCli:
          ({"max_taps": True}, "max_taps"),
          ({"max_taps": 1e400}, "max_taps"),
          ({"name": "a,b"}, "name"),
-         ({"name": "two\nlines"}, "name")],
+         ({"name": "two\nlines"}, "name"),
+         ({"controller": {"kp_servo_diag": [0, 0, 0.9, 0.9, 0.9, 0]}}, "kp_servo")],
         ids=["noise_enabled_string", "rng_seed_float", "rng_seed_string",
              "rng_seed_negative", "reacquire_limit_float", "tap_forward_string",
              "kp_align_bool", "object_start_pose_strings", "kp_align_infinity",
              "f_max_nan", "ref_pose_nan", "ref_pose_non_planar", "unknown_top_level_key",
              "unknown_object_key", "unknown_noise_key", "beta_deg", "name_not_string",
              "max_taps_float", "max_taps_bool", "max_taps_infinity", "name_comma",
-             "name_newline"],
+             "name_newline", "kp_servo_beta"],
     )
     def test_validate_rejects_ill_typed_field(self, override, field, tmp_path, capsys):
         data = json.loads(BASELINE.read_text())
@@ -401,3 +402,35 @@ class TestCli:
         assert cli_main(argv) == 1
         assert "records[1] is not a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize(
+        "path",
+        [("meta",), ("meta", "shape"), ("meta", "approach_zone_radius_mm"),
+         ("meta", "termination_radius_mm"), ("taps",)],
+    )
+    def test_plot_names_the_missing_field(self, path, tmp_path, capsys):
+        good = {
+            "meta": {
+                "target_pose_mm_deg": [0.0, 200.0, 400.0, 0.0, 0.0, 0.0],
+                "shape": {"circle_radius_mm": 35.0},
+                "approach_zone_radius_mm": 60.0,
+                "termination_radius_mm": 20.0,
+            },
+            "final_pusher_pose": [0.0] * 6,
+            "taps": [],
+        }
+        bad = json.loads(json.dumps(good))
+        table = bad
+        for key in path[:-1]:
+            table = table[key]
+        del table[path[-1]]
+        svg = tmp_path / "x.svg"
+        for records, rc in (([good], 0), ([good, bad], 1), ([{}], 1)):
+            svg.unlink(missing_ok=True)
+            in_path = tmp_path / "in.json"
+            in_path.write_text(json.dumps(records))
+            assert cli_main(["plot", "--records", str(in_path), "--out", str(svg)]) == rc
+            assert svg.exists() == (rc == 0)
+        err = capsys.readouterr().err
+        assert f"error: plot: records[1] has no field {'.'.join(path)!r}" in err
+        assert "error: plot: records[0] has no field 'meta'" in err

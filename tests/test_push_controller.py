@@ -324,11 +324,23 @@ class TestConfigValidation:
          ({"kp_align": math.nan}, "kp_align must be finite"),
          ({"ki_align": math.inf}, "ki_align must be finite"),
          ({"kd_align": math.nan}, "kd_align must be finite"),
-         ({"theta_ref": -math.inf}, "theta_ref must be finite")],
+         ({"theta_ref": -math.inf}, "theta_ref must be finite"),
+         ({"tap_forward": math.inf}, "tap lengths invalid: tap_forward"),
+         ({"tap_back": math.inf}, "tap lengths invalid: tap_back"),
+         ({"approach_zone_radius": math.inf}, "zone radii invalid: approach_zone_radius"),
+         ({"termination_radius": math.inf}, "zone radii invalid: termination_radius"),
+         ({"reacquire_limit": 2.5}, "reacquire_limit must be an integer"),
+         ({"reacquire_limit": True}, "reacquire_limit must be an integer"),
+         ({"kp_servo": (0.0, 0.0, 0.9, 0.9, 0.9, 0.0)}, "kp_servo: the beta gain"),
+         ({"ki_servo": (0.1, 0.0, 0.1, 0.1, 0.0, 0.0)}, "ki_servo: the x gain"),
+         ({"kd_servo": (0.0, 0.0, 0.0, 0.0, 0.0, -1.0)}, "kd_servo: the gamma gain")],
         ids=["tap_forward_zero", "tap_forward_nan", "tap_back_nan",
              "reacquire_limit_zero", "reacquire_limit_nan", "reacquire_advance_nan",
              "kp_servo_nan", "ki_servo_inf", "kd_servo_nan", "kp_align_nan",
-             "ki_align_inf", "kd_align_nan", "theta_ref_-inf"],
+             "ki_align_inf", "kd_align_nan", "theta_ref_-inf", "tap_forward_inf",
+             "tap_back_inf", "approach_zone_radius_inf", "termination_radius_inf",
+             "reacquire_limit_float", "reacquire_limit_bool", "kp_servo_beta",
+             "ki_servo_x", "kd_servo_gamma"],
     )
     def test_tap_and_reacquire_limits(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tacpush import scenario
 from tacpush.pose_math import EulerPose, euler_to_transform
+from tacpush.push_controller import ControllerConfig
 from tacpush.scenario import ScenarioError, load_scenario, scenario_from_dict
 from tacpush.scene import (
     ObjectShape,
@@ -18,6 +20,7 @@ from tacpush.scene import (
     dir_heading,
     heading_dir,
 )
+from tacpush.tactile_sense import NoiseModel
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "exp1_baseline.json"
 
@@ -280,8 +283,8 @@ class TestScenarioFiles:
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(data))
         sc = load_scenario(path)
-        assert sc.controller.kp_servo == (0.0, 0.0, 0.9, 0.9, 0.9, 0.0)
-        assert sc.controller.ki_servo == (0.0, 0.0, 0.1, 0.1, 0.1, 0.0)
+        assert sc.controller.kp_servo == (0.0, 0.0, 0.9, 0.9, 0.0, 0.0)
+        assert sc.controller.ki_servo == (0.0, 0.0, 0.1, 0.1, 0.0, 0.0)
         assert sc.controller.kd_servo == (0.0,) * 6
         assert sc.controller.integral_clip_translation == (-5.0, 5.0)
         assert sc.controller.integral_clip_rotation == (-25.0, 25.0)
@@ -384,3 +387,16 @@ class TestScenarioFiles:
         path.write_text(json.dumps(data))
         with pytest.raises(ScenarioError, match="bogus"):
             load_scenario(path)
+
+    def test_tables_cover_the_config_types(self):
+        # a config field with no table row could not be set from a file
+        def args(table):
+            return sorted(arg for arg, _ in table.values())
+
+        def names(cls):
+            return sorted(f.name for f in dataclasses.fields(cls))
+
+        assert args(scenario._CONTROLLER) == names(ControllerConfig)
+        # the top level's noise_enabled sets NoiseModel.enabled
+        assert sorted(args(scenario._NOISE_SIGMAS) + ["enabled"]) == names(NoiseModel)
+        assert args(scenario._INLINE_OBJECT) == names(ObjectShape)
