@@ -23,10 +23,11 @@ from .exp_harness import (
     Metrics,
     TrialRecord,
     compute_y_targ,
-    run_experiment_1,
-    run_experiment_2,
-    run_experiment_3,
+    exp1_grid,
+    exp2_grid,
+    exp3_grid,
     run_trial,
+    run_trials,
 )
 
 __version__ = "0.1.0"

@@ -22,13 +22,16 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--workers", type=positive_int, default=1, help="trial worker processes")
+# the experiment-grid subcommands: name -> grid(trials, master_seed)
+_GRIDS = {
+    "exp1": exp_harness.exp1_grid,
+    "exp2": exp_harness.exp2_grid,
+    "exp3": exp_harness.exp3_grid,
+}
 
 
-def _finish(metrics, records, out_dir: Path) -> int:
+def _finish(records, out_dir: Path) -> int:
+    metrics = exp_harness.compute_metrics(records)
     paths = exp_harness.export(records, out_dir)
     exp_harness.plot(records, out_dir / "trajectories.svg")
     print(
@@ -58,24 +61,12 @@ def _cmd_run(args) -> int:
                 rng_seed=exp_harness.derive_seed(scenario.rng_seed, t),
             )
         )
-    records = exp_harness.run_trials(scenarios, args.workers)
-    return _finish(exp_harness.compute_metrics(records), records, args.out)
+    return _finish(exp_harness.run_trials(scenarios, args.workers), args.out)
 
 
-def _cmd_exp(args, which: int) -> int:
-    if which == 1:
-        metrics, records = exp_harness.run_experiment_1(
-            trials_per_cell=args.trials, master_seed=args.seed, workers=args.workers
-        )
-    elif which == 2:
-        metrics, records = exp_harness.run_experiment_2(
-            trials_per_cell=args.trials, master_seed=args.seed, workers=args.workers
-        )
-    else:
-        metrics, records = exp_harness.run_experiment_3(
-            trials_per_shape=args.trials, master_seed=args.seed, workers=args.workers
-        )
-    return _finish(metrics, records, args.out)
+def _cmd_exp(args) -> int:
+    grid = _GRIDS[args.command](args.trials, args.seed)
+    return _finish(exp_harness.run_trials(grid, args.workers), args.out)
 
 
 def _cmd_plot(args) -> int:
@@ -127,11 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=positive_int, default=1)
     p.set_defaults(func=_cmd_run)
 
-    for n in (1, 2, 3):
-        p = sub.add_parser(f"exp{n}", help=f"run the experiment-{n} grid")
+    for name in _GRIDS:
+        p = sub.add_parser(name, help=f"run the experiment-{name[-1]} grid")
         p.add_argument("--trials", type=positive_int, default=10, help="trials per cell")
-        _add_common(p)
-        p.set_defaults(func=lambda a, which=n: _cmd_exp(a, which))
+        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
+        p.add_argument("--workers", type=positive_int, default=1, help="trial worker processes")
+        p.set_defaults(func=_cmd_exp)
 
     p = sub.add_parser("plot", help="render a records.json to SVG")
     p.add_argument("--records", type=Path, required=True)

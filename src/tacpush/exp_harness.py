@@ -20,6 +20,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .scene import (
     shape_to_dict,
 )
 from .scenario import Scenario
-from .tactile_sense import NoiseModel, apply_noise, sense_contact
+from .tactile_sense import apply_noise, sense_contact
 
 __all__ = [
     "EXP1_ANGULAR_OFFSETS_DEG",
@@ -52,8 +53,11 @@ __all__ = [
     "compute_metrics",
     "compute_y_targ",
     "derive_seed",
+    "exp1_grid",
     "exp1_scenario",
+    "exp2_grid",
     "exp2_scenario",
+    "exp3_grid",
     "exp3_scenario",
     "export",
     "place_corner_contact",
@@ -62,9 +66,6 @@ __all__ = [
     "plot",
     "read_taps_csv",
     "record_to_dict",
-    "run_experiment_1",
-    "run_experiment_2",
-    "run_experiment_3",
     "run_trial",
     "run_trials",
 ]
@@ -212,9 +213,7 @@ def run_trial(scenario: Scenario) -> TrialRecord:
         contact = contact_at(shape, world.object_pose, world.pusher_pose.position)
         sense_heading = world.pusher_pose.alpha
         while True:
-            pred = sense_contact(contact, sense_heading)
-            if scenario.noise.enabled:
-                pred = apply_noise(pred, scenario.noise, rng)
+            pred = apply_noise(sense_contact(contact, sense_heading), scenario.noise, rng)
             decision = control_step(pred, world.pusher_pose, target, state, cfg)
             if decision.status is Status.TARGET_REACHED:
                 outcome = "reached"
@@ -290,6 +289,21 @@ def run_trials(scenarios, workers: int = 1):
 # object placement
 # ---------------------------------------------------------------------------
 
+def _seat(
+    pusher_start: PlanarPose, point: np.ndarray, normal: np.ndarray, turn: float
+) -> PlanarPose:
+    """Pose that puts object-frame `point` dead ahead of the tip, _SEAT_DISTANCE_MM
+    from its centre, with the object-frame unit `normal` pointing back at the
+    tip, then turned `turn` degrees about that point."""
+    axis = heading_dir(pusher_start.alpha)
+    omega = (
+        math.degrees(math.atan2(-axis[1], -axis[0]))
+        - math.degrees(math.atan2(normal[1], normal[0]))
+    ) + turn
+    origin = pusher_start.position + _SEAT_DISTANCE_MM * axis - rot2(omega) @ point
+    return PlanarPose(float(origin[0]), float(origin[1]), omega)
+
+
 def place_offset_contact(
     shape: ObjectShape,
     pusher_start: PlanarPose,
@@ -302,20 +316,11 @@ def place_offset_contact(
     about the contact point."""
     if not shape.is_polygon:
         raise ValueError("place_offset_contact needs a polygonal shape")
-    axis = heading_dir(pusher_start.alpha)
-    contact = pusher_start.position + _SEAT_DISTANCE_MM * axis
     verts = shape.polygon
     edge = verts[1] - verts[0]
     e_dir = edge / np.linalg.norm(edge)
-    mid = 0.5 * (verts[0] + verts[1])
-    q_c = mid + spatial_offset * e_dir
-    n_e = shape.edge_normals[0]
-    base = math.degrees(math.atan2(-axis[1], -axis[0])) - math.degrees(
-        math.atan2(n_e[1], n_e[0])
-    )
-    omega = base + angular_offset
-    origin = contact - rot2(omega) @ q_c
-    return PlanarPose(float(origin[0]), float(origin[1]), omega)
+    point = 0.5 * (verts[0] + verts[1]) + spatial_offset * e_dir
+    return _seat(pusher_start, point, shape.edge_normals[0], angular_offset)
 
 
 def place_corner_contact(shape: ObjectShape, pusher_start: PlanarPose) -> PlanarPose:
@@ -325,21 +330,12 @@ def place_corner_contact(shape: ObjectShape, pusher_start: PlanarPose) -> Planar
     with its outward bisector pointing back at the sensor. Circles have no
     corners: the nearest boundary point is placed dead ahead instead.
     """
-    axis = heading_dir(pusher_start.alpha)
     if not shape.is_polygon:
+        axis = heading_dir(pusher_start.alpha)
         centre = pusher_start.position + (_SEAT_DISTANCE_MM + shape.radius) * axis
         return PlanarPose(float(centre[0]), float(centre[1]), 0.0)
-    v = shape.polygon[0]
-    n_prev = shape.edge_normals[-1]
-    n_next = shape.edge_normals[0]
-    b = n_prev + n_next
-    b = b / np.linalg.norm(b)
-    omega = math.degrees(math.atan2(-axis[1], -axis[0])) - math.degrees(
-        math.atan2(b[1], b[0])
-    )
-    vpos = pusher_start.position + _SEAT_DISTANCE_MM * axis
-    origin = vpos - rot2(omega) @ v
-    return PlanarPose(float(origin[0]), float(origin[1]), omega)
+    bisector = shape.edge_normals[-1] + shape.edge_normals[0]
+    return _seat(pusher_start, shape.polygon[0], bisector / np.linalg.norm(bisector), 0.0)
 
 
 def place_random_orientation(
@@ -376,13 +372,11 @@ def exp1_scenario(
     spatial_offset: float,
     angular_offset: float,
     seed: int,
-    shape: ObjectShape | None = None,
-    noise: NoiseModel = NoiseModel(),
     max_taps: int = 300,
     name: str | None = None,
 ) -> Scenario:
     """Contact-offset trial: square pushed from the work-frame origin."""
-    shape = shape if shape is not None else builtin_shapes()["blue_square"]
+    shape = builtin_shapes()["blue_square"]
     start = EXP_START_POSES[0]
     return Scenario(
         name=name or f"exp1_o{spatial_offset:+.0f}_a{angular_offset:+.0f}_s{seed & 0xFFFF:04x}",
@@ -390,7 +384,6 @@ def exp1_scenario(
         object_start_pose=place_offset_contact(shape, start, spatial_offset, angular_offset),
         pusher_start_pose=start,
         target_pose=EXP_TARGET_POSE,
-        noise=noise,
         rng_seed=seed,
         max_taps=max_taps,
     )
@@ -438,69 +431,43 @@ def exp3_scenario(
     )
 
 
-def run_experiment_1(
-    trials_per_cell: int = 10,
-    master_seed: int = 0,
-    workers: int = 1,
-):
+def exp1_grid(trials_per_cell: int = 10, master_seed: int = 0) -> list[Scenario]:
     """Offset grid: 7 spatial x 3 angular offsets x trials_per_cell."""
-    scenarios = []
-    for i, off in enumerate(EXP1_SPATIAL_OFFSETS_MM):
-        for j, ang in enumerate(EXP1_ANGULAR_OFFSETS_DEG):
-            cell = i * len(EXP1_ANGULAR_OFFSETS_DEG) + j
-            for t in range(trials_per_cell):
-                seed = derive_seed(master_seed, cell, t)
-                scenarios.append(
-                    exp1_scenario(
-                        off,
-                        ang,
-                        seed,
-                        name=f"exp1_o{off:+.0f}_a{ang:+.0f}_t{t}",
-                    )
-                )
-    records = run_trials(scenarios, workers)
-    return compute_metrics(records), records
+    return [
+        exp1_scenario(
+            off, ang, derive_seed(master_seed, cell, t), name=f"exp1_o{off:+.0f}_a{ang:+.0f}_t{t}"
+        )
+        for cell, (off, ang) in enumerate(
+            product(EXP1_SPATIAL_OFFSETS_MM, EXP1_ANGULAR_OFFSETS_DEG)
+        )
+        for t in range(trials_per_cell)
+    ]
 
 
-def run_experiment_2(
-    shape_names=EXP2_SHAPE_NAMES,
-    start_indices=(0, 1, 2),
-    trials_per_cell: int = 10,
-    master_seed: int = 0,
-    workers: int = 1,
-):
-    """Shape grid: len(shapes) x len(starts) x trials_per_cell, corner starts."""
-    scenarios = []
-    for i, shape_name in enumerate(shape_names):
-        for j in start_indices:
-            cell = i * len(EXP_START_POSES) + j
-            for t in range(trials_per_cell):
-                seed = derive_seed(master_seed + 1, cell, t)
-                sc = exp2_scenario(shape_name, j, seed)
-                scenarios.append(
-                    dataclasses.replace(sc, name=f"exp2_{shape_name}_start{j + 1}_t{t}")
-                )
-    records = run_trials(scenarios, workers)
-    return compute_metrics(records), records
+def exp2_grid(trials_per_cell: int = 10, master_seed: int = 0) -> list[Scenario]:
+    """Shape grid: 5 shapes x 3 start poses x trials_per_cell, corner starts."""
+    return [
+        dataclasses.replace(
+            exp2_scenario(shape_name, j, derive_seed(master_seed + 1, cell, t)),
+            name=f"exp2_{shape_name}_start{j + 1}_t{t}",
+        )
+        for cell, (shape_name, j) in enumerate(
+            product(EXP2_SHAPE_NAMES, range(len(EXP_START_POSES)))
+        )
+        for t in range(trials_per_cell)
+    ]
 
 
-def run_experiment_3(
-    shape_names=EXP3_SHAPE_NAMES,
-    trials_per_shape: int = 10,
-    master_seed: int = 0,
-    workers: int = 1,
-):
+def exp3_grid(trials_per_shape: int = 10, master_seed: int = 0) -> list[Scenario]:
     """Random-orientation runs at start 2 for irregular (and control) shapes."""
-    scenarios = []
-    for i, shape_name in enumerate(shape_names):
+    grid = []
+    for i, shape_name in enumerate(EXP3_SHAPE_NAMES):
         for t in range(trials_per_shape):
             init_rng = np.random.default_rng(derive_seed(master_seed + 2, i, t, 0))
             heading = float(init_rng.uniform(0.0, 360.0))
-            seed = derive_seed(master_seed + 2, i, t, 1)
-            sc = exp3_scenario(shape_name, heading, seed)
-            scenarios.append(dataclasses.replace(sc, name=f"exp3_{shape_name}_t{t}"))
-    records = run_trials(scenarios, workers)
-    return compute_metrics(records), records
+            sc = exp3_scenario(shape_name, heading, derive_seed(master_seed + 2, i, t, 1))
+            grid.append(dataclasses.replace(sc, name=f"exp3_{shape_name}_t{t}"))
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -613,15 +580,26 @@ _PLOT_FIELDS = (
 )
 
 
+def _require(value, path: tuple, where: str):
+    for depth, key in enumerate(path, 1):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"plot: {where} has no field {'.'.join(path[:depth])!r}")
+        value = value[key]
+
+
 def _check_plot_fields(idx: int, rec: dict):
     for path in _PLOT_FIELDS:
-        value = rec
-        for depth, key in enumerate(path, 1):
-            if not isinstance(value, dict) or key not in value:
-                raise ValueError(
-                    f"plot: records[{idx}] has no field {'.'.join(path[:depth])!r}"
-                )
-            value = value[key]
+        _require(rec, path, f"records[{idx}]")
+    shape = rec["meta"]["shape"]
+    if not isinstance(shape, dict) or not {"polygon_mm", "circle_radius_mm"} & shape.keys():
+        raise ValueError(
+            f"plot: records[{idx}].meta.shape has no field 'polygon_mm' or 'circle_radius_mm'"
+        )
+    if not isinstance(rec["taps"], list):
+        raise ValueError(f"plot: records[{idx}].taps is not a list")
+    for k, tap in enumerate(rec["taps"]):
+        for key in ("pusher_pose", "object_pose"):
+            _require(tap, (key,), f"records[{idx}].taps[{k}]")
 
 
 def plot(records, out_path) -> Path:

@@ -14,15 +14,12 @@ import numpy as np
 import pytest
 
 from tacpush.exp_harness import (
-    EXP1_ANGULAR_OFFSETS_DEG,
-    EXP1_SPATIAL_OFFSETS_MM,
     compute_metrics,
-    derive_seed,
+    exp1_grid,
     exp1_scenario,
+    exp2_grid,
+    exp3_grid,
     export,
-    run_experiment_1,
-    run_experiment_2,
-    run_experiment_3,
     run_trial,
     run_trials,
 )
@@ -52,51 +49,50 @@ def report(name: str, detail: str):
 # shared experiment runs
 # ---------------------------------------------------------------------------
 
+def run_grid(grid, workers=1):
+    records = run_trials(grid, workers)
+    return compute_metrics(records), records
+
+
 @pytest.fixture(scope="session")
 def exp1_results():
-    return run_experiment_1(trials_per_cell=3, master_seed=2024)
+    return run_grid(exp1_grid(3, 2024))
 
 
 @pytest.fixture(scope="session")
 def exp2_results():
-    return run_experiment_2(trials_per_cell=3, master_seed=2024)
+    return run_grid(exp2_grid(3, 2024))
 
 
 @pytest.fixture(scope="session")
 def exp3_results():
-    return run_experiment_3(trials_per_shape=5, master_seed=2024)
+    return run_grid(exp3_grid(5, 2024))
 
 
 @pytest.fixture(scope="session")
 def robustness_results():
     """Offset grid with support/contact friction perturbed +/-50 percent and
     sensor noise at twice the calibrated sigmas; controller gains untouched."""
-    base = builtin_shapes()["blue_square"]
     double_noise = NoiseModel(sigma_z=0.2, sigma_alpha=0.78)
     corners = list(itertools.product((0.5, 1.5), repeat=3))
     scenarios = []
-    for i, off in enumerate(EXP1_SPATIAL_OFFSETS_MM):
-        for j, ang in enumerate(EXP1_ANGULAR_OFFSETS_DEG):
-            cell = i * len(EXP1_ANGULAR_OFFSETS_DEG) + j
-            for t in range(3):
-                fa, fb, fc = corners[(cell * 3 + t) % len(corners)]
-                shape = base.with_friction(
-                    f_max=base.f_max * fa,
-                    m_max=base.m_max * fb,
-                    mu_contact=base.mu_contact * fc,
-                )
-                scenarios.append(
-                    exp1_scenario(
-                        off,
-                        ang,
-                        seed=derive_seed(77, cell, t),
-                        shape=shape,
-                        noise=double_noise,
-                        name=f"robust_o{off:+.0f}_a{ang:+.0f}_t{t}",
-                    )
-                )
-    records = run_trials(scenarios)
-    return compute_metrics(records), records
+    for k, sc in enumerate(exp1_grid(3, 77)):
+        fa, fb, fc = corners[k % len(corners)]
+        base = sc.object
+        shape = base.with_friction(
+            f_max=base.f_max * fa,
+            m_max=base.m_max * fb,
+            mu_contact=base.mu_contact * fc,
+        )
+        scenarios.append(
+            dataclasses.replace(
+                sc,
+                name=sc.name.replace("exp1_", "robust_", 1),
+                object=shape,
+                noise=double_noise,
+            )
+        )
+    return run_grid(scenarios)
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +229,9 @@ def test_criterion_limit_surface_gradient():
 
 def test_criterion_symmetric_push():
     sc = dataclasses.replace(
-        exp1_scenario(0.0, 0.0, seed=0, noise=NoiseModel(enabled=False)),
+        exp1_scenario(0.0, 0.0, seed=0),
         name="symmetric_push",
+        noise=NoiseModel(enabled=False),
         target_pose=PlanarPose(0.0, 400.0, 0.0),
     )
     rec = run_trial(sc)
@@ -265,7 +262,7 @@ def test_criterion_experiment_1(exp1_results):
 
 def test_criterion_experiment_1_runtime():
     t0 = time.perf_counter()
-    metrics, _ = run_experiment_1(trials_per_cell=3, master_seed=512)
+    metrics, _ = run_grid(exp1_grid(3, 512))
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     assert metrics.success_rate == 1.0
@@ -333,16 +330,12 @@ def test_criterion_logged_invariants(
 
 
 def test_criterion_determinism_across_workers(tmp_path):
-    seq_metrics, seq_records = run_experiment_1(
-        trials_per_cell=1, master_seed=99, workers=1
-    )
-    par_metrics, par_records = run_experiment_1(
-        trials_per_cell=1, master_seed=99, workers=2
-    )
+    seq_records = run_trials(exp1_grid(1, 99), workers=1)
+    par_records = run_trials(exp1_grid(1, 99), workers=2)
     seq = export(seq_records, tmp_path / "seq")["taps"].read_bytes()
     par = export(par_records, tmp_path / "par")["taps"].read_bytes()
     assert seq == par
-    rerun_records = run_experiment_1(trials_per_cell=1, master_seed=99, workers=1)[1]
+    rerun_records = run_trials(exp1_grid(1, 99), workers=1)
     rerun = export(rerun_records, tmp_path / "rerun")["taps"].read_bytes()
     assert rerun == seq
     report(

@@ -1,6 +1,7 @@
 """Closed-loop golden: the three experiment grids at one trial per cell.
 
-run_experiment_1/2/3 at master seed 0 give 41 trials (21 + 15 + 5). For
+exp1_grid, exp2_grid and exp3_grid at master seed 0 hold 41 trials
+(21 + 15 + 5), run in that order with run_trials. For
 each, data/closed_loop_golden.json stores the outcome, the tap count, the
 final pusher and object poses and y_targ, with every float as its repr.
 Outcomes and tap counts must match exactly and floats to 1e-9, so a change
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from tacpush.exp_harness import run_experiment_1, run_experiment_2, run_experiment_3
+from tacpush.exp_harness import exp1_grid, exp2_grid, exp3_grid, run_trials
 
 GOLDEN = Path(__file__).parent / "data" / "closed_loop_golden.json"
 MASTER_SEED = 0
@@ -25,10 +26,9 @@ FLOAT_TOL = 1e-9
 
 
 def run_grids():
-    _, exp1 = run_experiment_1(trials_per_cell=1, master_seed=MASTER_SEED)
-    _, exp2 = run_experiment_2(trials_per_cell=1, master_seed=MASTER_SEED)
-    _, exp3 = run_experiment_3(trials_per_shape=1, master_seed=MASTER_SEED)
-    return [*exp1, *exp2, *exp3]
+    return run_trials(
+        [*exp1_grid(1, MASTER_SEED), *exp2_grid(1, MASTER_SEED), *exp3_grid(1, MASTER_SEED)]
+    )
 
 
 def summarize(record) -> dict:

@@ -11,21 +11,23 @@ from tacpush.cli import main as cli_main
 from tacpush.exp_harness import (
     EXP1_ANGULAR_OFFSETS_DEG,
     EXP1_SPATIAL_OFFSETS_MM,
+    EXP2_SHAPE_NAMES,
+    EXP3_SHAPE_NAMES,
+    EXP_START_POSES,
     compute_metrics,
     compute_y_targ,
     derive_seed,
+    exp1_grid,
     exp1_scenario,
+    exp2_grid,
     exp2_scenario,
-    exp3_scenario,
+    exp3_grid,
     export,
     place_corner_contact,
     place_random_orientation,
     plot,
     read_taps_csv,
     record_to_dict,
-    run_experiment_1,
-    run_experiment_2,
-    run_experiment_3,
     run_trial,
     run_trials,
 )
@@ -40,6 +42,17 @@ from tacpush.scene import (
 from tacpush.tactile_sense import NoiseModel
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "exp1_baseline.json"
+# the smallest record that plot draws
+PLOTTABLE = {
+    "meta": {
+        "target_pose_mm_deg": [0.0, 200.0, 400.0, 0.0, 0.0, 0.0],
+        "shape": {"circle_radius_mm": 35.0},
+        "approach_zone_radius_mm": 60.0,
+        "termination_radius_mm": 20.0,
+    },
+    "final_pusher_pose": [0.0] * 6,
+    "taps": [],
+}
 
 
 def planar(pose6) -> PlanarPose:
@@ -75,7 +88,8 @@ class TestComputeYTarg:
 
 class TestRunTrial:
     def test_baseline_reaches_with_noise_off(self):
-        rec = run_trial(exp1_scenario(0.0, 0.0, seed=7, noise=NoiseModel(enabled=False)))
+        sc = dataclasses.replace(exp1_scenario(0.0, 0.0, seed=7), noise=NoiseModel(enabled=False))
+        rec = run_trial(sc)
         assert rec.outcome == "reached"
         assert rec.y_targ is not None and rec.y_targ < 5.0
         assert rec.tap_total == len(rec.taps)
@@ -144,23 +158,45 @@ class TestSeedDerivation:
 
 class TestExperimentGrids:
     def test_exp1_cell_count(self):
-        metrics, records = run_experiment_1(trials_per_cell=1, master_seed=0)
+        records = run_trials(exp1_grid(1, 0))
         assert len(records) == len(EXP1_SPATIAL_OFFSETS_MM) * len(EXP1_ANGULAR_OFFSETS_DEG)
-        assert metrics.n_trials == 21
+        assert compute_metrics(records).n_trials == 21
         ids = [r.scenario_id for r in records]
         assert len(set(ids)) == 21
 
+    def test_grids_seed_each_cell_and_trial(self):
+        exp1 = exp1_grid(2, 3)
+        assert [s.rng_seed for s in exp1] == [
+            derive_seed(3, cell, t) for cell in range(21) for t in range(2)
+        ]
+        assert exp1[5].name == "exp1_o-30_a+20_t1"
+        exp2 = exp2_grid(2, 3)
+        assert [s.rng_seed for s in exp2] == [
+            derive_seed(4, cell, t) for cell in range(15) for t in range(2)
+        ]
+        assert [s.name for s in exp2[6:8]] == [
+            "exp2_red_square_start1_t0", "exp2_red_square_start1_t1"
+        ]
+        assert [s.object.name for s in exp2[::6]] == list(EXP2_SHAPE_NAMES)
+        exp3 = exp3_grid(2, 3)
+        assert [s.rng_seed for s in exp3] == [
+            derive_seed(5, i, t, 1) for i in range(5) for t in range(2)
+        ]
+        assert [s.object.name for s in exp3[::2]] == list(EXP3_SHAPE_NAMES)
+        assert {s.max_taps for s in exp3} == {600}
+        assert {s.pusher_start_pose for s in exp3} == {EXP_START_POSES[1]}
+        assert len({s.object_start_pose.alpha for s in exp3}) == 10
+
     def test_exp2_single_cell(self):
-        metrics, records = run_experiment_2(
-            shape_names=("red_square",), start_indices=(0,), trials_per_cell=2,
-            master_seed=4,
-        )
+        grid = [s for s in exp2_grid(2, 4) if s.name.startswith("exp2_red_square_start1_")]
+        records = run_trials(grid)
         assert len(records) == 2
-        assert all(r.scenario_id.startswith("exp2_red_square_start1") for r in records)
+        assert [r.seed for r in records] == [derive_seed(5, 3, t) for t in range(2)]
 
     def test_exp3_orientation_reproducible(self):
-        _, a = run_experiment_3(shape_names=("circle",), trials_per_shape=2, master_seed=5)
-        _, b = run_experiment_3(shape_names=("circle",), trials_per_shape=2, master_seed=5)
+        grid = [s for s in exp3_grid(2, 5) if s.object.name == "circle"]
+        a, b = run_trials(grid), run_trials(grid)
+        assert len(a) == 2
         for ra, rb in zip(a, b):
             assert ra.seed == rb.seed
             assert ra.final_object_pose == rb.final_object_pose
@@ -205,7 +241,7 @@ class TestPlacement:
 
 class TestMetrics:
     def test_two_pass_agreement(self):
-        _, records = run_experiment_1(trials_per_cell=1, master_seed=2)
+        records = run_trials(exp1_grid(1, 2))
         metrics = compute_metrics(records)
         ys = [r.y_targ for r in records if r.outcome == "reached"]
         mean = sum(ys) / len(ys)
@@ -409,16 +445,7 @@ class TestCli:
          ("meta", "termination_radius_mm"), ("taps",)],
     )
     def test_plot_names_the_missing_field(self, path, tmp_path, capsys):
-        good = {
-            "meta": {
-                "target_pose_mm_deg": [0.0, 200.0, 400.0, 0.0, 0.0, 0.0],
-                "shape": {"circle_radius_mm": 35.0},
-                "approach_zone_radius_mm": 60.0,
-                "termination_radius_mm": 20.0,
-            },
-            "final_pusher_pose": [0.0] * 6,
-            "taps": [],
-        }
+        good = PLOTTABLE
         bad = json.loads(json.dumps(good))
         table = bad
         for key in path[:-1]:
@@ -434,3 +461,39 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: plot: records[1] has no field {'.'.join(path)!r}" in err
         assert "error: plot: records[0] has no field 'meta'" in err
+
+    @pytest.mark.parametrize(
+        "taps, shape, message",
+        [([{}], None, "records[0].taps[0] has no field 'pusher_pose'"),
+         ([{"pusher_pose": [0.0] * 6}], None, "records[0].taps[0] has no field 'object_pose'"),
+         ([{"pusher_pose": [0.0] * 6, "object_pose": [0.0] * 3}, 7], None,
+          "records[0].taps[1] has no field 'pusher_pose'"),
+         ([{"pusher_pose": [0.0] * 6, "object_pose": [0.0] * 3}], {},
+          "records[0].meta.shape has no field 'polygon_mm' or 'circle_radius_mm'"),
+         ({}, None, "records[0].taps is not a list")],
+        ids=["empty_tap", "tap_without_object_pose", "tap_not_an_object", "empty_shape",
+             "taps_not_a_list"],
+    )
+    def test_plot_names_the_missing_tap_or_outline_field(
+        self, taps, shape, message, tmp_path, capsys
+    ):
+        bad = json.loads(json.dumps(PLOTTABLE))
+        bad["taps"] = taps
+        if shape is not None:
+            bad["meta"]["shape"] = shape
+        in_path = tmp_path / "in.json"
+        in_path.write_text(json.dumps([bad]))
+        svg = tmp_path / "x.svg"
+        assert cli_main(["plot", "--records", str(in_path), "--out", str(svg)]) == 1
+        assert not svg.exists()
+        assert capsys.readouterr().err == f"error: plot: {message}\n"
+
+    def test_exp_subcommand_runs_its_grid(self, tmp_path):
+        out = tmp_path / "exp3"
+        assert cli_main(["exp3", "--trials", "1", "--seed", "3", "--out", str(out)]) == 0
+        records = json.loads((out / "records.json").read_text())["records"]
+        assert [(r["scenario_id"], r["seed"]) for r in records] == [
+            (s.name, s.rng_seed) for s in exp3_grid(1, 3)
+        ]
+        assert len(records) == 5
+        assert (out / "trajectories.svg").exists()

@@ -355,9 +355,7 @@ class TestClosedLoop:
     def test_symmetric_push_stays_straight(self):
         # centred perpendicular push, target dead ahead, noise off
         shape = builtin_shapes()["blue_square"]
-        sc = exp1_scenario(
-            0.0, 0.0, seed=0, noise=NoiseModel(enabled=False), max_taps=120
-        )
+        sc = exp1_scenario(0.0, 0.0, seed=0, max_taps=120)
         sc = type(sc)(
             name="straight",
             object=sc.object,
@@ -365,7 +363,7 @@ class TestClosedLoop:
             pusher_start_pose=sc.pusher_start_pose,
             target_pose=PlanarPose(0.0, 400.0, 0.0),
             controller=sc.controller,
-            noise=sc.noise,
+            noise=NoiseModel(enabled=False),
             rng_seed=0,
             max_taps=150,
         )
@@ -380,9 +378,10 @@ class TestClosedLoop:
         import dataclasses
 
         quiet = NoiseModel(enabled=False)
-        rec_pos = run_trial(exp1_scenario(10.0, 15.0, seed=0, noise=quiet))
+        rec_pos = run_trial(dataclasses.replace(exp1_scenario(10.0, 15.0, seed=0), noise=quiet))
         mirrored = dataclasses.replace(
-            exp1_scenario(-10.0, -15.0, seed=0, noise=quiet),
+            exp1_scenario(-10.0, -15.0, seed=0),
+            noise=quiet,
             target_pose=PlanarPose(-200.0, 400.0, 0.0),
         )
         rec_neg = run_trial(mirrored)

@@ -19,6 +19,7 @@ from tacpush.scene import (
     cross2,
     dir_heading,
     heading_dir,
+    shape_to_dict,
 )
 from tacpush.tactile_sense import NoiseModel
 
@@ -400,3 +401,22 @@ class TestScenarioFiles:
         # the top level's noise_enabled sets NoiseModel.enabled
         assert sorted(args(scenario._NOISE_SIGMAS) + ["enabled"]) == names(NoiseModel)
         assert args(scenario._INLINE_OBJECT) == names(ObjectShape)
+
+    def test_shape_format_round_trips(self):
+        # shape_to_dict writes the format the inline object table reads; the
+        # catalog's mu_contact is the reader's default, so vary it as well
+        data = json.loads(BASELINE.read_text())
+        catalog = builtin_shapes().values()
+        for shape in [*catalog, *(s.with_friction(mu_contact=0.3) for s in catalog)]:
+            data["object"] = json.loads(json.dumps(shape_to_dict(shape)))
+            back = scenario_from_dict(data).object
+            assert back.name == shape.name
+            if shape.is_polygon:
+                assert back.radius is None
+                assert np.array_equal(back.polygon, shape.polygon), shape.name
+            else:
+                assert back.polygon is None and back.radius == shape.radius
+            assert np.array_equal(back.cof_offset, shape.cof_offset), shape.name
+            assert (back.f_max, back.m_max, back.mu_contact) == (
+                shape.f_max, shape.m_max, shape.mu_contact
+            )
