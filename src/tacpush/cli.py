@@ -70,7 +70,10 @@ def _cmd_exp(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    data = json.loads(Path(args.records).read_text())
+    try:
+        data = json.loads(Path(args.records).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{args.records}: invalid JSON: {exc}") from exc
     records = data.get("records") if isinstance(data, dict) else data
     if not isinstance(records, list):
         raise ValueError(f"{args.records}: expected a list of records or a 'records' list")

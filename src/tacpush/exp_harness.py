@@ -37,7 +37,7 @@ from .scene import (
     rot2,
     shape_to_dict,
 )
-from .scenario import Scenario
+from .scenario import _INLINE_OBJECT, Scenario, ScenarioError, _number, _numbers, _read
 from .tactile_sense import apply_noise, sense_contact
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "exp2_grid",
     "exp2_scenario",
     "exp3_grid",
-    "exp3_scenario",
     "export",
     "place_corner_contact",
     "place_offset_contact",
@@ -314,7 +313,7 @@ def place_offset_contact(
     first edge facing the pusher; the contact lands `spatial_offset` mm from
     the edge midpoint and the object is rotated `angular_offset` degrees
     about the contact point."""
-    if not shape.is_polygon:
+    if shape.radius is not None:
         raise ValueError("place_offset_contact needs a polygonal shape")
     verts = shape.polygon
     edge = verts[1] - verts[0]
@@ -330,7 +329,7 @@ def place_corner_contact(shape: ObjectShape, pusher_start: PlanarPose) -> Planar
     with its outward bisector pointing back at the sensor. Circles have no
     corners: the nearest boundary point is placed dead ahead instead.
     """
-    if not shape.is_polygon:
+    if shape.radius is not None:
         axis = heading_dir(pusher_start.alpha)
         centre = pusher_start.position + (_SEAT_DISTANCE_MM + shape.radius) * axis
         return PlanarPose(float(centre[0]), float(centre[1]), 0.0)
@@ -407,30 +406,6 @@ def exp2_scenario(
     )
 
 
-def exp3_scenario(
-    shape_name: str,
-    heading_deg: float,
-    seed: int,
-) -> Scenario:
-    """Random-orientation trial at the second start pose.
-
-    The tap budget is doubled relative to the offset-grid runs: adversarial
-    orientations of non-convex outlines can force the pusher to work the
-    long way around the object before the bearing unwinds.
-    """
-    shape = builtin_shapes()[shape_name]
-    start = EXP_START_POSES[1]
-    return Scenario(
-        name=f"exp3_{shape_name}_h{heading_deg:06.1f}_s{seed & 0xFFFF:04x}",
-        object=shape,
-        object_start_pose=place_random_orientation(shape, start, heading_deg),
-        pusher_start_pose=start,
-        target_pose=EXP_TARGET_POSE,
-        rng_seed=seed,
-        max_taps=600,
-    )
-
-
 def exp1_grid(trials_per_cell: int = 10, master_seed: int = 0) -> list[Scenario]:
     """Offset grid: 7 spatial x 3 angular offsets x trials_per_cell."""
     return [
@@ -459,14 +434,30 @@ def exp2_grid(trials_per_cell: int = 10, master_seed: int = 0) -> list[Scenario]
 
 
 def exp3_grid(trials_per_shape: int = 10, master_seed: int = 0) -> list[Scenario]:
-    """Random-orientation runs at start 2 for irregular (and control) shapes."""
+    """Random-orientation runs at start 2 for irregular (and control) shapes.
+
+    The tap budget is doubled relative to the offset-grid runs: adversarial
+    orientations of non-convex outlines can force the pusher to work the
+    long way around the object before the bearing unwinds.
+    """
+    start = EXP_START_POSES[1]
     grid = []
     for i, shape_name in enumerate(EXP3_SHAPE_NAMES):
+        shape = builtin_shapes()[shape_name]
         for t in range(trials_per_shape):
             init_rng = np.random.default_rng(derive_seed(master_seed + 2, i, t, 0))
             heading = float(init_rng.uniform(0.0, 360.0))
-            sc = exp3_scenario(shape_name, heading, derive_seed(master_seed + 2, i, t, 1))
-            grid.append(dataclasses.replace(sc, name=f"exp3_{shape_name}_t{t}"))
+            grid.append(
+                Scenario(
+                    name=f"exp3_{shape_name}_t{t}",
+                    object=shape,
+                    object_start_pose=place_random_orientation(shape, start, heading),
+                    pusher_start_pose=start,
+                    target_pose=EXP_TARGET_POSE,
+                    rng_seed=derive_seed(master_seed + 2, i, t, 1),
+                    max_taps=600,
+                )
+            )
     return grid
 
 
@@ -588,18 +579,30 @@ def _require(value, path: tuple, where: str):
 
 
 def _check_plot_fields(idx: int, rec: dict):
+    """Read every value plot draws through the scenario readers, so a bad
+    value is named by its record path."""
+    where = f"records[{idx}]"
     for path in _PLOT_FIELDS:
-        _require(rec, path, f"records[{idx}]")
-    shape = rec["meta"]["shape"]
+        _require(rec, path, where)
+    meta, shape = rec["meta"], rec["meta"]["shape"]
     if not isinstance(shape, dict) or not {"polygon_mm", "circle_radius_mm"} & shape.keys():
         raise ValueError(
-            f"plot: records[{idx}].meta.shape has no field 'polygon_mm' or 'circle_radius_mm'"
+            f"plot: {where}.meta.shape has no field 'polygon_mm' or 'circle_radius_mm'"
         )
     if not isinstance(rec["taps"], list):
-        raise ValueError(f"plot: records[{idx}].taps is not a list")
-    for k, tap in enumerate(rec["taps"]):
-        for key in ("pusher_pose", "object_pose"):
-            _require(tap, (key,), f"records[{idx}].taps[{k}]")
+        raise ValueError(f"plot: {where}.taps is not a list")
+    try:
+        _numbers(meta["target_pose_mm_deg"], 6, f"{where}.meta.target_pose_mm_deg")
+        _numbers(rec["final_pusher_pose"], 6, f"{where}.final_pusher_pose")
+        for key in ("approach_zone_radius_mm", "termination_radius_mm"):
+            _number(meta[key], f"{where}.meta.{key}")
+        _read(shape, _INLINE_OBJECT, f"{where}.meta.shape")
+        for k, tap in enumerate(rec["taps"]):
+            for key, n in (("pusher_pose", 6), ("object_pose", 3)):
+                _require(tap, (key,), f"{where}.taps[{k}]")
+                _numbers(tap[key], n, f"{where}.taps[{k}].{key}")
+    except ScenarioError as exc:
+        raise ValueError(f"plot: {exc}") from exc
 
 
 def plot(records, out_path) -> Path:

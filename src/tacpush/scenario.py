@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -207,7 +207,8 @@ def _object(value, ctx: str) -> ObjectShape:
     """A catalog shape by name, or an inline outline."""
     if isinstance(value, dict) and "shape" in value:
         kwargs = _read(value, _CATALOG_OBJECT, ctx)
-        return _construct(kwargs.pop("shape").with_friction, ctx, **kwargs)
+        shape = kwargs.pop("shape")
+        return _construct(lambda **kw: replace(shape, **kw), ctx, **kwargs)
     kwargs = _read(value, _INLINE_OBJECT, ctx)
     if "polygon" not in kwargs and "radius" not in kwargs:
         raise ScenarioError(f"{ctx}: needs 'shape', 'polygon_mm' or 'circle_radius_mm'")

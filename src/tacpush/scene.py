@@ -11,7 +11,6 @@ transforms are built from them only for the controller.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -215,11 +214,16 @@ class ObjectShape:
         self.cof_offset = np.asarray(self.cof_offset, dtype=float).reshape(2)
         if (self.polygon is None) == (self.radius is None):
             raise ValueError(f"shape {self.name!r}: exactly one of polygon/radius required")
-        self._check_friction()
+        # written so that NaN fails each check
+        if not self.f_max > 0.0:
+            raise ValueError(f"shape {self.name!r}: f_max must be > 0")
+        if not self.m_max > 0.0:
+            raise ValueError(f"shape {self.name!r}: m_max must be > 0")
+        if not self.mu_contact >= 0.0:
+            raise ValueError(f"shape {self.name!r}: mu_contact must be >= 0")
         if self.radius is not None:
             if not 0.0 < self.radius < math.inf:  # NaN fails too
                 raise ValueError(f"shape {self.name!r}: radius must be finite and > 0")
-            self._verts = None
         else:
             verts = np.asarray(self.polygon, dtype=float)
             if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
@@ -231,7 +235,6 @@ class ObjectShape:
             if not _polygon_is_simple(verts):
                 raise ValueError(f"shape {self.name!r}: polygon is self-intersecting")
             self.polygon = verts
-            self._verts = verts
             self._edge_vec = np.roll(verts, -1, axis=0) - verts
             self._edge_len2 = np.maximum(np.sum(self._edge_vec**2, axis=1), 1e-30)
             # CCW polygon: interior is left of each directed edge, outward is right
@@ -242,19 +245,6 @@ class ObjectShape:
             raise ValueError(
                 f"shape {self.name!r}: cof_offset must be finite and inside the outline"
             )
-
-    def _check_friction(self):
-        # written so that NaN fails each check
-        if not self.f_max > 0.0:
-            raise ValueError(f"shape {self.name!r}: f_max must be > 0")
-        if not self.m_max > 0.0:
-            raise ValueError(f"shape {self.name!r}: m_max must be > 0")
-        if not self.mu_contact >= 0.0:
-            raise ValueError(f"shape {self.name!r}: mu_contact must be >= 0")
-
-    @property
-    def is_polygon(self) -> bool:
-        return self.radius is None
 
     @property
     def edge_normals(self) -> np.ndarray:
@@ -267,28 +257,7 @@ class ObjectShape:
         """Largest distance from the object origin to the outline."""
         if self.radius is not None:
             return float(self.radius)
-        return float(np.max(np.linalg.norm(self._verts, axis=1)))
-
-    def with_friction(
-        self,
-        f_max: float | None = None,
-        m_max: float | None = None,
-        mu_contact: float | None = None,
-    ) -> "ObjectShape":
-        """Copy with perturbed friction parameters (geometry shared).
-
-        Only the friction fields are validated: the outline and its derived
-        edge arrays are the base shape's, already checked.
-        """
-        variant = copy.copy(self)
-        if f_max is not None:
-            variant.f_max = f_max
-        if m_max is not None:
-            variant.m_max = m_max
-        if mu_contact is not None:
-            variant.mu_contact = mu_contact
-        variant._check_friction()
-        return variant
+        return float(np.max(np.linalg.norm(self.polygon, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +284,7 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
         sd = d - shape.radius
         feature = ("arc", 0)
     else:
-        verts = shape._verts
+        verts = shape.polygon
         w = q[None, :] - verts
         t = np.sum(w * shape._edge_vec, axis=1) / shape._edge_len2
         t = np.clip(t, 0.0, 1.0)

@@ -14,6 +14,7 @@ and gamma by construction, beta because the surface is flat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,8 +54,9 @@ class NoiseModel:
     enabled: bool = True
 
     def __post_init__(self):
-        if not (self.sigma_z >= 0 and self.sigma_alpha >= 0):  # NaN fails too
-            raise ValueError("NoiseModel sigmas must be >= 0")
+        # written so that NaN fails too
+        if not (0 <= self.sigma_z < math.inf and 0 <= self.sigma_alpha < math.inf):
+            raise ValueError("NoiseModel sigmas must be finite and >= 0")
 
 
 def _clamp(value: float, lo: float, hi: float):

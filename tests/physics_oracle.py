@@ -13,7 +13,7 @@ contact-matrix kernel for the limit-surface gradient checks, calls into it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -156,7 +156,7 @@ def random_contact_configs(n: int, seed: int):
     while len(configs) < n:
         name = _CONVEX_NAMES[int(rng.integers(len(_CONVEX_NAMES)))]
         mu = float(rng.uniform(0.05, 1.0))
-        shape = catalog[name].with_friction(mu_contact=mu)
+        shape = replace(catalog[name], mu_contact=mu)
         pose = PlanarPose(
             float(rng.uniform(-50, 50)),
             float(rng.uniform(-50, 50)),

@@ -79,7 +79,8 @@ def robustness_results():
     for k, sc in enumerate(exp1_grid(3, 77)):
         fa, fb, fc = corners[k % len(corners)]
         base = sc.object
-        shape = base.with_friction(
+        shape = dataclasses.replace(
+            base,
             f_max=base.f_max * fa,
             m_max=base.m_max * fb,
             mu_contact=base.mu_contact * fc,

@@ -53,6 +53,8 @@ PLOTTABLE = {
     "final_pusher_pose": [0.0] * 6,
     "taps": [],
 }
+# a tap entry with both poses plot draws
+TAP = {"pusher_pose": [0.0] * 6, "object_pose": [0.0] * 3}
 
 
 def planar(pose6) -> PlanarPose:
@@ -431,6 +433,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "records" in err
 
+    def test_plot_names_a_records_file_that_is_not_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{'records': []}")
+        argv = ["plot", "--records", str(path), "--out", str(tmp_path / "x.svg")]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON: ")
+        assert not (tmp_path / "x.svg").exists()
+
     def test_plot_names_the_first_entry_that_is_not_a_record(self, tmp_path, capsys):
         path = tmp_path / "in.json"
         path.write_text(json.dumps([{}, [3], 4]))
@@ -463,24 +473,33 @@ class TestCli:
         assert "error: plot: records[0] has no field 'meta'" in err
 
     @pytest.mark.parametrize(
-        "taps, shape, message",
-        [([{}], None, "records[0].taps[0] has no field 'pusher_pose'"),
-         ([{"pusher_pose": [0.0] * 6}], None, "records[0].taps[0] has no field 'object_pose'"),
-         ([{"pusher_pose": [0.0] * 6, "object_pose": [0.0] * 3}, 7], None,
-          "records[0].taps[1] has no field 'pusher_pose'"),
-         ([{"pusher_pose": [0.0] * 6, "object_pose": [0.0] * 3}], {},
+        "taps, meta, message",
+        [([{}], {}, "records[0].taps[0] has no field 'pusher_pose'"),
+         ([{"pusher_pose": [0.0] * 6}], {}, "records[0].taps[0] has no field 'object_pose'"),
+         ([TAP, 7], {}, "records[0].taps[1] has no field 'pusher_pose'"),
+         ([TAP], {"shape": {}},
           "records[0].meta.shape has no field 'polygon_mm' or 'circle_radius_mm'"),
-         ({}, None, "records[0].taps is not a list")],
+         ({}, {}, "records[0].taps is not a list"),
+         ([{**TAP, "pusher_pose": [0.0]}], {},
+          "records[0].taps[0].pusher_pose: expected 6 values, got 1"),
+         ([{**TAP, "object_pose": [0, 0]}], {},
+          "records[0].taps[0].object_pose: expected 3 values, got 2"),
+         ([TAP], {"approach_zone_radius_mm": [60]},
+          "records[0].meta.approach_zone_radius_mm: expected a number, got [60]"),
+         ([TAP], {"target_pose_mm_deg": 5},
+          "records[0].meta.target_pose_mm_deg: expected a list of 6 numbers"),
+         ([TAP], {"shape": {"polygon_mm": [[0, 0], [1, 0, 2], [0, 1]]}},
+          "records[0].meta.shape.polygon_mm: expected 2 values, got 3")],
         ids=["empty_tap", "tap_without_object_pose", "tap_not_an_object", "empty_shape",
-             "taps_not_a_list"],
+             "taps_not_a_list", "short_pusher_pose", "short_object_pose", "radius_not_a_number",
+             "target_not_a_list", "ragged_polygon"],
     )
     def test_plot_names_the_missing_tap_or_outline_field(
-        self, taps, shape, message, tmp_path, capsys
+        self, taps, meta, message, tmp_path, capsys
     ):
         bad = json.loads(json.dumps(PLOTTABLE))
         bad["taps"] = taps
-        if shape is not None:
-            bad["meta"]["shape"] = shape
+        bad["meta"].update(meta)
         in_path = tmp_path / "in.json"
         in_path.write_text(json.dumps([bad]))
         svg = tmp_path / "x.svg"

@@ -11,6 +11,7 @@ Regenerate the file only for an intended change of the physics:
 `PYTHONPATH=src python tests/test_physics_golden.py`.
 """
 
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -74,14 +75,15 @@ def generate_cases():
         for name in sorted(catalog):
             base = catalog[name]
             mu = 0.0 if rng.uniform() < 0.1 else float(rng.uniform(0.05, 1.0))
-            shape = base.with_friction(
+            shape = dataclasses.replace(
+                base,
                 f_max=base.f_max * float(rng.uniform(0.5, 1.5)),
                 m_max=base.m_max * float(rng.uniform(0.5, 1.5)),
                 mu_contact=mu,
             )
             pose = PlanarPose(*(float(v) for v in rng.uniform(-60.0, 60.0, size=2)),
                               float(rng.uniform(-180.0, 180.0)))
-            if kind == "vertex" and shape.is_polygon:
+            if kind == "vertex" and shape.radius is None:
                 point, n_out = _vertex_contact(shape, pose, rng)
             else:
                 ang = float(rng.uniform(0.0, 2.0 * math.pi))
@@ -108,8 +110,9 @@ def generate_cases():
 
 
 def run_case(case) -> str:
-    shape = builtin_shapes()[case["shape"]].with_friction(
-        f_max=case["f_max"], m_max=case["m_max"], mu_contact=case["mu_contact"]
+    shape = dataclasses.replace(
+        builtin_shapes()[case["shape"]],
+        f_max=case["f_max"], m_max=case["m_max"], mu_contact=case["mu_contact"],
     )
     try:
         pose, contact = resolve_substep(

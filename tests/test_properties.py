@@ -5,6 +5,7 @@ Every test is derandomized, so a run is reproducible and a failure is seen
 on every run, not only on an unlucky one.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -103,7 +104,7 @@ def test_boundary_probe_on_star_polygons(verts, pose, qy, qz):
     check_probe(shape, pose, query, outline, spacing, inside_polygon(local, verts))
 
 
-CATALOG_POLYGONS = tuple(s for s in builtin_shapes().values() if s.is_polygon)
+CATALOG_POLYGONS = tuple(s for s in builtin_shapes().values() if s.radius is None)
 NEAR_VERTEX_MM = 3.0
 
 
@@ -190,8 +191,8 @@ def friction_variants() -> list:
     for base in builtin_shapes().values():
         for mu in (0.0, 0.25, 0.5, 1.0):
             for f_scale, m_scale in ((1.0, 1.0), (0.5, 1.5), (1.5, 0.5)):
-                variants.append(base.with_friction(
-                    f_max=base.f_max * f_scale, m_max=base.m_max * m_scale, mu_contact=mu
+                variants.append(dataclasses.replace(
+                    base, f_max=base.f_max * f_scale, m_max=base.m_max * m_scale, mu_contact=mu
                 ))
     return variants
 

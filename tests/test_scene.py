@@ -90,18 +90,18 @@ class TestObjectShapeValidation:
 
     def test_bad_friction_rejected(self):
         with pytest.raises(ValueError, match="f_max"):
-            unit_square().with_friction(f_max=0.0)
+            dataclasses.replace(unit_square(), f_max=0.0)
         with pytest.raises(ValueError, match="m_max"):
-            unit_square().with_friction(m_max=-1.0)
+            dataclasses.replace(unit_square(), m_max=-1.0)
         with pytest.raises(ValueError, match="mu_contact"):
-            unit_square().with_friction(mu_contact=-0.1)
-        # NaN fails every bound, through the constructor too
+            dataclasses.replace(unit_square(), mu_contact=-0.1)
+        # NaN fails every bound
         with pytest.raises(ValueError, match="f_max"):
             ObjectShape("sq", polygon=[[-1, -1], [1, -1], [1, 1], [-1, 1]], f_max=math.nan)
         with pytest.raises(ValueError, match="m_max"):
-            unit_square().with_friction(m_max=math.nan)
+            dataclasses.replace(unit_square(), m_max=math.nan)
         with pytest.raises(ValueError, match="mu_contact"):
-            unit_square().with_friction(mu_contact=math.nan)
+            dataclasses.replace(unit_square(), mu_contact=math.nan)
 
     def test_cof_outside_rejected(self):
         with pytest.raises(ValueError, match="cof_offset"):
@@ -127,11 +127,14 @@ class TestObjectShapeValidation:
                 with pytest.raises(ValueError, match=match):
                     ObjectShape("bad", **kwargs)
 
-    def test_with_friction_shares_geometry(self):
+    def test_friction_variant_rederives_geometry(self):
+        # a variant is built by the constructor: equal outline, its own edge
+        # arrays re-derived from it, and the new friction values
         base = builtin_shapes()["mug"]
-        variant = base.with_friction(f_max=2.0, mu_contact=0.3)
-        assert variant.polygon is base.polygon
-        assert variant.edge_normals is base.edge_normals
+        variant = dataclasses.replace(base, f_max=2.0, mu_contact=0.3)
+        assert np.array_equal(variant.polygon, base.polygon)
+        assert variant.edge_normals is not base.edge_normals
+        assert np.array_equal(variant.edge_normals, base.edge_normals)
         assert (variant.f_max, variant.m_max, variant.mu_contact) == (2.0, base.m_max, 0.3)
         assert (base.f_max, base.mu_contact) != (2.0, 0.3)
 
@@ -407,11 +410,11 @@ class TestScenarioFiles:
         # catalog's mu_contact is the reader's default, so vary it as well
         data = json.loads(BASELINE.read_text())
         catalog = builtin_shapes().values()
-        for shape in [*catalog, *(s.with_friction(mu_contact=0.3) for s in catalog)]:
+        for shape in [*catalog, *(dataclasses.replace(s, mu_contact=0.3) for s in catalog)]:
             data["object"] = json.loads(json.dumps(shape_to_dict(shape)))
             back = scenario_from_dict(data).object
             assert back.name == shape.name
-            if shape.is_polygon:
+            if shape.radius is None:
                 assert back.radius is None
                 assert np.array_equal(back.polygon, shape.polygon), shape.name
             else:

@@ -188,9 +188,10 @@ class TestApplyNoise:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(sigma_z=-0.1)
-        for sigmas in ({"sigma_z": math.nan}, {"sigma_alpha": math.nan}):
-            with pytest.raises(ValueError, match="sigmas must be >= 0"):
-                NoiseModel(**sigmas)
+        for value in (math.nan, math.inf):
+            for sigmas in ({"sigma_z": value}, {"sigma_alpha": value}):
+                with pytest.raises(ValueError, match="sigmas must be finite and >= 0"):
+                    NoiseModel(**sigmas)
 
 
 class TestPredictionToPose:
