@@ -10,8 +10,8 @@ import sys
 from pathlib import Path
 
 from . import exp_harness
-from .scenario import ScenarioError, load_scenario
-from .scene import builtin_shapes, shape_to_dict
+from .scenario import ScenarioError, load_scenario, shape_to_dict
+from .scene import builtin_shapes
 
 
 def positive_int(text: str) -> int:

@@ -35,9 +35,10 @@ from .scene import (
     builtin_shapes,
     heading_dir,
     rot2,
-    shape_to_dict,
 )
-from .scenario import _INLINE_OBJECT, Scenario, ScenarioError, _number, _numbers, _read
+from .scenario import (
+    _INLINE_OBJECT, Scenario, ScenarioError, _number, _numbers, _read, shape_to_dict
+)
 from .tactile_sense import apply_noise, sense_contact
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "EXP_START_POSES",
     "EXP_TARGET_POSE",
     "Metrics",
-    "TapLog",
     "TrialRecord",
     "compute_metrics",
     "compute_y_targ",
@@ -64,7 +64,6 @@ __all__ = [
     "place_random_orientation",
     "plot",
     "read_taps_csv",
-    "record_to_dict",
     "run_trial",
     "run_trials",
 ]
@@ -115,27 +114,10 @@ def derive_seed(master_seed: int, *indices: int) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TapLog:
-    """One executed tap: poses after the tap plus the control diagnostics."""
-
-    tap: int
-    pusher_pose: tuple
-    object_pose: tuple
-    in_contact: bool
-    z_depth: float | None
-    alpha_pred: float | None
-    clamped: bool
-    theta: float | None
-    r: float | None
-    v: float
-    error6: tuple | None
-    integral6: tuple
-    contact_mode: str
-    status: str
-
-
-@dataclass
 class TrialRecord:
+    """One trial in its records.json form: each of `taps` is a tap's
+    records.json entry, the dict run_trial builds after the tap."""
+
     scenario_id: str
     seed: int
     taps: list
@@ -200,7 +182,7 @@ def run_trial(scenario: Scenario) -> TrialRecord:
     world = WorldState(scenario.object_start_pose, scenario.pusher_start_pose)
     rng = np.random.default_rng(scenario.rng_seed)
     state = ControllerState()
-    taps: list[TapLog] = []
+    taps: list[dict] = []
     meta = {
         "target_pose_mm_deg": list(_euler_tuple(target)),
         "shape": shape_to_dict(shape),
@@ -230,25 +212,26 @@ def run_trial(scenario: Scenario) -> TrialRecord:
                 tap_forward=cfg.tap_forward,
                 tap_back=cfg.tap_back,
             )
+            # the poses after the tap plus the control diagnostics
             taps.append(
-                TapLog(
-                    tap=len(taps),
-                    pusher_pose=_euler_tuple(world.pusher_pose),
-                    object_pose=(
+                {
+                    "tap": len(taps),
+                    "pusher_pose": _euler_tuple(world.pusher_pose),
+                    "object_pose": (
                         world.object_pose.y, world.object_pose.z, world.object_pose.alpha
                     ),
-                    in_contact=pred.in_contact,
-                    z_depth=pred.z_depth,
-                    alpha_pred=pred.alpha,
-                    clamped=pred.clamped,
-                    theta=decision.theta,
-                    r=decision.r,
-                    v=decision.v,
-                    error6=None if decision.error6 is None else tuple(decision.error6),
-                    integral6=tuple(decision.integral6),
-                    contact_mode=contact.mode.value,
-                    status=decision.status.value,
-                )
+                    "in_contact": pred.in_contact,
+                    "z_depth": pred.z_depth,
+                    "alpha_pred": pred.alpha,
+                    "clamped": pred.clamped,
+                    "theta": decision.theta,
+                    "r": decision.r,
+                    "v": decision.v,
+                    "error6": None if decision.error6 is None else tuple(decision.error6),
+                    "integral6": tuple(decision.integral6),
+                    "contact_mode": contact.mode.value,
+                    "status": decision.status.value,
+                }
             )
     except PhysicsFault as fault:
         outcome = "physics_fault"
@@ -478,32 +461,28 @@ def _csv_num(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def record_to_dict(record: TrialRecord) -> dict:
-    return dataclasses.asdict(record)
-
-
-def _tap_csv_row(record: TrialRecord, tap: TapLog) -> str:
-    err = tap.error6 if tap.error6 is not None else (None,) * 6
+def _tap_csv_row(record: TrialRecord, tap: dict) -> str:
+    err = tap["error6"] if tap["error6"] is not None else (None,) * 6
     fields = [
         record.scenario_id,
         str(record.seed),
-        str(tap.tap),
-        _csv_num(tap.pusher_pose[1]),
-        _csv_num(tap.pusher_pose[2]),
-        _csv_num(tap.pusher_pose[3]),
-        _csv_num(tap.object_pose[0]),
-        _csv_num(tap.object_pose[1]),
-        _csv_num(tap.object_pose[2]),
-        "1" if tap.in_contact else "0",
-        _csv_num(tap.z_depth),
-        _csv_num(tap.alpha_pred),
-        "1" if tap.clamped else "0",
-        _csv_num(tap.theta),
-        _csv_num(tap.r),
-        _csv_num(tap.v),
+        str(tap["tap"]),
+        _csv_num(tap["pusher_pose"][1]),
+        _csv_num(tap["pusher_pose"][2]),
+        _csv_num(tap["pusher_pose"][3]),
+        _csv_num(tap["object_pose"][0]),
+        _csv_num(tap["object_pose"][1]),
+        _csv_num(tap["object_pose"][2]),
+        "1" if tap["in_contact"] else "0",
+        _csv_num(tap["z_depth"]),
+        _csv_num(tap["alpha_pred"]),
+        "1" if tap["clamped"] else "0",
+        _csv_num(tap["theta"]),
+        _csv_num(tap["r"]),
+        _csv_num(tap["v"]),
         *[_csv_num(e) for e in err],
-        tap.contact_mode,
-        tap.status,
+        tap["contact_mode"],
+        tap["status"],
     ]
     return ",".join(fields)
 
@@ -524,7 +503,7 @@ def export(records, out_dir) -> dict:
         "taps": out_dir / "taps.csv",
         "metrics": out_dir / "metrics.json",
     }
-    payload = {"version": 1, "records": [record_to_dict(r) for r in records]}
+    payload = {"version": 1, "records": [vars(r) for r in records]}
     paths["records"].write_text(json.dumps(payload, indent=1))
     lines = [_CSV_VERSION, _CSV_COLUMNS]
     for record in records:
@@ -608,7 +587,7 @@ def _check_plot_fields(idx: int, rec: dict):
 def plot(records, out_path) -> Path:
     """Render sensor paths, periodic object outlines and the target zone to
     a self-contained SVG (no external assets)."""
-    dicts = [record_to_dict(r) if isinstance(r, TrialRecord) else r for r in records]
+    dicts = [vars(r) if isinstance(r, TrialRecord) else r for r in records]
     if not dicts:
         raise ValueError("plot: no records to draw")
     for idx, rec in enumerate(dicts):

@@ -20,7 +20,7 @@ from .push_controller import ControllerConfig
 from .scene import ObjectShape, PlanarPose, builtin_shapes
 from .tactile_sense import NoiseModel
 
-__all__ = ["Scenario", "ScenarioError", "load_scenario", "scenario_from_dict"]
+__all__ = ["Scenario", "ScenarioError", "load_scenario", "scenario_from_dict", "shape_to_dict"]
 
 
 class ScenarioError(ValueError):
@@ -165,6 +165,8 @@ def _catalog_shape(value, ctx: str) -> ObjectShape:
 def _polygon(value, ctx: str) -> np.ndarray:
     if not isinstance(value, list):
         raise ScenarioError(f"{ctx}: expected a list of [y, z] vertices")
+    if len(value) < 3:
+        raise ScenarioError(f"{ctx}: expected at least 3 [y, z] vertices, got {len(value)}")
     return np.array([_numbers(v, 2, ctx) for v in value])
 
 
@@ -174,12 +176,13 @@ _FRICTION = {
     "mu_contact": ("mu_contact", _number),
 }
 _CATALOG_OBJECT = {"shape": ("shape", _catalog_shape), **_FRICTION}
+# in the key order shape_to_dict writes
 _INLINE_OBJECT = {
     "name": ("name", _string),
-    "polygon_mm": ("polygon", _polygon),
-    "circle_radius_mm": ("radius", _number),
     "cof_offset_mm": ("cof_offset", _vector(2)),
     **_FRICTION,
+    "circle_radius_mm": ("radius", _number),
+    "polygon_mm": ("polygon", _polygon),
 }
 _CONTROLLER = {
     "ref_pose_mm_deg": ("ref_pose", _planar_pose),
@@ -203,11 +206,24 @@ _CONTROLLER = {
 _NOISE_SIGMAS = {"z_mm": ("sigma_z", _number), "alpha_deg": ("sigma_alpha", _number)}
 
 
+def shape_to_dict(shape: ObjectShape) -> dict:
+    """The inline object table that reads back as `shape`."""
+    out = {}
+    for key, (arg, _) in _INLINE_OBJECT.items():
+        value = getattr(shape, arg)
+        if value is not None:
+            out[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
+
+
 def _object(value, ctx: str) -> ObjectShape:
-    """A catalog shape by name, or an inline outline."""
+    """A catalog shape by name, or an inline outline. A catalog shape given
+    without friction fields is the catalog instance itself."""
     if isinstance(value, dict) and "shape" in value:
         kwargs = _read(value, _CATALOG_OBJECT, ctx)
         shape = kwargs.pop("shape")
+        if not kwargs:
+            return shape
         return _construct(lambda **kw: replace(shape, **kw), ctx, **kwargs)
     kwargs = _read(value, _INLINE_OBJECT, ctx)
     if "polygon" not in kwargs and "radius" not in kwargs:

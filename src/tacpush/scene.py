@@ -37,7 +37,6 @@ __all__ = [
     "normalize_angle_deg",
     "perp2",
     "rot2",
-    "shape_to_dict",
 ]
 
 _G = 9.81  # m/s^2, for support-friction magnitudes in N
@@ -425,21 +424,6 @@ def builtin_shapes() -> dict:
     their area centroid, which is also the centre of friction.
     """
     return dict(_catalog())
-
-
-def shape_to_dict(shape: ObjectShape) -> dict:
-    d = {
-        "name": shape.name,
-        "cof_offset_mm": [float(v) for v in shape.cof_offset],
-        "f_max_n": shape.f_max,
-        "m_max_nmm": shape.m_max,
-        "mu_contact": shape.mu_contact,
-    }
-    if shape.radius is not None:
-        d["circle_radius_mm"] = float(shape.radius)
-    else:
-        d["polygon_mm"] = [[float(v) for v in row] for row in shape.polygon]
-    return d
 
 
 # ---------------------------------------------------------------------------

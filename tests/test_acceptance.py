@@ -237,7 +237,7 @@ def test_criterion_symmetric_push():
     )
     rec = run_trial(sc)
     assert rec.outcome == "reached"
-    worst = max(abs(t.object_pose[2]) for t in rec.taps)
+    worst = max(abs(t["object_pose"][2]) for t in rec.taps)
     assert worst < 0.5
     report(
         "symmetric push invariant",
@@ -317,10 +317,10 @@ def test_criterion_logged_invariants(
         zone = rec.meta["approach_zone_radius_mm"]
         for tap in rec.taps:
             taps += 1
-            assert abs(tap.v) <= 5.0
-            if tap.r is not None and tap.r <= zone:
-                assert tap.v == 0.0
-            integral = np.asarray(tap.integral6)
+            assert abs(tap["v"]) <= 5.0
+            if tap["r"] is not None and tap["r"] <= zone:
+                assert tap["v"] == 0.0
+            integral = np.asarray(tap["integral6"])
             assert np.all(np.abs(integral[:3]) <= 5.0 + 1e-12)
             assert np.all(np.abs(integral[3:]) <= 25.0 + 1e-12)
     assert taps > 5_000

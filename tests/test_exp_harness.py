@@ -27,7 +27,6 @@ from tacpush.exp_harness import (
     place_random_orientation,
     plot,
     read_taps_csv,
-    record_to_dict,
     run_trial,
     run_trials,
 )
@@ -95,7 +94,7 @@ class TestRunTrial:
         assert rec.outcome == "reached"
         assert rec.y_targ is not None and rec.y_targ < 5.0
         assert rec.tap_total == len(rec.taps)
-        assert [t.tap for t in rec.taps] == list(range(rec.tap_total))
+        assert [t["tap"] for t in rec.taps] == list(range(rec.tap_total))
         assert rec.tap_total < 300
 
     def test_far_target_hits_tap_budget(self):
@@ -111,8 +110,8 @@ class TestRunTrial:
 
     def test_deterministic_given_seed(self):
         sc = exp1_scenario(10.0, -20.0, seed=99)
-        a = json.dumps(record_to_dict(run_trial(sc)), sort_keys=True)
-        b = json.dumps(record_to_dict(run_trial(sc)), sort_keys=True)
+        a = json.dumps(dataclasses.asdict(run_trial(sc)), sort_keys=True)
+        b = json.dumps(dataclasses.asdict(run_trial(sc)), sort_keys=True)
         # wall time differs between runs; strip it before comparing
         da, db = json.loads(a), json.loads(b)
         da.pop("wall_time_ms"), db.pop("wall_time_ms")
@@ -209,7 +208,7 @@ class TestExperimentGrids:
         seq = run_trials(scenarios, workers=1)
         par = run_trials(scenarios, workers=2)
         for a, b in zip(seq, par):
-            da, db = record_to_dict(a), record_to_dict(b)
+            da, db = dataclasses.asdict(a), dataclasses.asdict(b)
             da.pop("wall_time_ms"), db.pop("wall_time_ms")
             assert da == db
 
@@ -306,9 +305,10 @@ class TestExport:
         assert "<polyline" in text
         assert "<circle" in text
         assert "http" not in text.replace("http://www.w3.org/2000/svg", "")
-        # also renders from serialized dicts
-        out2 = plot([record_to_dict(r) for r in records], tmp_path / "traj2.svg")
-        assert out2.read_text() == text
+        # the records.json that export writes re-plots to the same bytes
+        saved = json.loads(export(records, tmp_path)["records"].read_text())["records"]
+        out2 = plot(saved, tmp_path / "traj2.svg")
+        assert out2.read_bytes() == out.read_bytes()
 
     def test_plot_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -489,10 +489,14 @@ class TestCli:
          ([TAP], {"target_pose_mm_deg": 5},
           "records[0].meta.target_pose_mm_deg: expected a list of 6 numbers"),
          ([TAP], {"shape": {"polygon_mm": [[0, 0], [1, 0, 2], [0, 1]]}},
-          "records[0].meta.shape.polygon_mm: expected 2 values, got 3")],
+          "records[0].meta.shape.polygon_mm: expected 2 values, got 3"),
+         ([TAP], {"shape": {"polygon_mm": []}},
+          "records[0].meta.shape.polygon_mm: expected at least 3 [y, z] vertices, got 0"),
+         ([TAP], {"shape": {"polygon_mm": [[0, 0], [1, 0]]}},
+          "records[0].meta.shape.polygon_mm: expected at least 3 [y, z] vertices, got 2")],
         ids=["empty_tap", "tap_without_object_pose", "tap_not_an_object", "empty_shape",
              "taps_not_a_list", "short_pusher_pose", "short_object_pose", "radius_not_a_number",
-             "target_not_a_list", "ragged_polygon"],
+             "target_not_a_list", "ragged_polygon", "empty_polygon", "two_vertex_polygon"],
     )
     def test_plot_names_the_missing_tap_or_outline_field(
         self, taps, meta, message, tmp_path, capsys

@@ -10,7 +10,7 @@ import pytest
 from tacpush import scenario
 from tacpush.pose_math import EulerPose, euler_to_transform
 from tacpush.push_controller import ControllerConfig
-from tacpush.scenario import ScenarioError, load_scenario, scenario_from_dict
+from tacpush.scenario import ScenarioError, load_scenario, scenario_from_dict, shape_to_dict
 from tacpush.scene import (
     ObjectShape,
     PlanarPose,
@@ -19,7 +19,6 @@ from tacpush.scene import (
     cross2,
     dir_heading,
     heading_dir,
-    shape_to_dict,
 )
 from tacpush.tactile_sense import NoiseModel
 
@@ -335,6 +334,20 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="object.shape"):
             load_scenario(path)
 
+    def test_catalog_shape_without_friction_is_the_catalog_instance(self):
+        data = json.loads(BASELINE.read_text())
+        data["object"] = {"shape": "mug"}
+        assert scenario_from_dict(data).object is builtin_shapes()["mug"]
+
+    def test_short_polygon_names_field(self):
+        data = json.loads(BASELINE.read_text())
+        data["object"] = {"polygon_mm": [[0, 0], [1, 0]]}
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(data)
+        assert str(exc.value) == (
+            "scenario.object.polygon_mm: expected at least 3 [y, z] vertices, got 2"
+        )
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -404,6 +417,13 @@ class TestScenarioFiles:
         # the top level's noise_enabled sets NoiseModel.enabled
         assert sorted(args(scenario._NOISE_SIGMAS) + ["enabled"]) == names(NoiseModel)
         assert args(scenario._INLINE_OBJECT) == names(ObjectShape)
+
+    def test_shape_format_key_order(self):
+        # the order tacpush shapes and meta.shape have always written
+        head = ["name", "cof_offset_mm", "f_max_n", "m_max_nmm", "mu_contact"]
+        catalog = builtin_shapes()
+        assert list(shape_to_dict(catalog["mug"])) == [*head, "polygon_mm"]
+        assert list(shape_to_dict(catalog["circle"])) == [*head, "circle_radius_mm"]
 
     def test_shape_format_round_trips(self):
         # shape_to_dict writes the format the inline object table reads; the
