@@ -93,8 +93,8 @@ class ContactState:
     penetration: float
 
 
-def _cof_world(shape: ObjectShape, pose: PlanarPose) -> np.ndarray:
-    return pose.transform_point(shape.cof_offset)
+def _cof_world(shape: ObjectShape, pose: PlanarPose) -> tuple[float, float]:
+    return tuple(pose.transform_point(shape.cof_offset).tolist())
 
 
 def _rotated(v: np.ndarray, rad: float) -> np.ndarray:
@@ -108,15 +108,18 @@ class ContactMatrix:
     a = 1 / f_max^2, b = 1 / m_max^2 and p = perp(contact point - CoF), so
     the moment of a contact force f about the CoF is p . f, the limit surface
     gives the object the twist (a f, b p . f), and the contact point moves
-    with velocity M f.
+    with velocity M f. `apply` and `solve` are elementwise and run on the
+    floats of p; `p . f` in `twist` stays numpy's dot product, which rounds
+    differently from the scalar sum.
     """
 
-    __slots__ = ("a", "b", "p")
+    __slots__ = ("a", "b", "p", "_py", "_pz")
 
     def __init__(self, a: float, b: float, p: np.ndarray):
         self.a = a
         self.b = b
         self.p = p
+        self._py, self._pz = float(p[0]), float(p[1])
 
     @classmethod
     def at(cls, shape: ObjectShape, object_pose: PlanarPose, point) -> "ContactMatrix":
@@ -129,20 +132,22 @@ class ContactMatrix:
 
     def apply(self, f) -> np.ndarray:
         """Contact-point velocity v_c = M f."""
-        a, b, p = self.a, self.b, self.p
-        return a * np.asarray(f, dtype=float) + b * float(p[0] * f[0] + p[1] * f[1]) * p
+        a, b, py, pz = self.a, self.b, self._py, self._pz
+        fy, fz = float(f[0]), float(f[1])
+        bpf = b * (py * fy + pz * fz)
+        return np.array((a * fy + bpf * py, a * fz + bpf * pz))
 
     def solve(self, v) -> np.ndarray:
         """f = M^-1 v via the rank-one (Sherman-Morrison) form of M."""
-        a, b, p = self.a, self.b, self.p
-        pp = float(p[0] * p[0] + p[1] * p[1])
-        pv = float(p[0] * v[0] + p[1] * v[1])
-        return (np.asarray(v, dtype=float) - (b * pv / (a + b * pp)) * p) / a
+        a, b, py, pz = self.a, self.b, self._py, self._pz
+        vy, vz = float(v[0]), float(v[1])
+        k = b * (py * vy + pz * vz) / (a + b * (py * py + pz * pz))
+        return np.array(((vy - k * py) / a, (vz - k * pz) / a))
 
     def twist(self, f, s: float = 1.0):
         """Object twist s * (a f, b p . f) for the contact force f: the CoF
         displacement (mm) and the spin about the CoF (rad)."""
-        return s * self.a * f, s * self.b * float(self.p @ f)
+        return s * self.a * f, s * self.b * float(self.p.dot(f))
 
     def edge_images(self, n_in, mu: float):
         """Friction-cone edge forces and their unnormalised velocity images.
@@ -186,13 +191,15 @@ class ContactMatrix:
 
 
 def _advance_pose(
-    pose: PlanarPose, cof: np.ndarray, dpos: np.ndarray, dalpha_rad: float
+    pose: PlanarPose, cof: tuple[float, float], dpos: np.ndarray, dalpha_rad: float
 ) -> PlanarPose:
     """Rigidly displace the object: CoF translates by dpos, spin about the CoF."""
-    new_origin = cof + dpos + _rotated(pose.position - cof, dalpha_rad)
+    cy, cz = cof
+    ry, rz = pose.y - cy, pose.z - cz
+    c, s = math.cos(dalpha_rad), math.sin(dalpha_rad)
     return PlanarPose(
-        float(new_origin[0]),
-        float(new_origin[1]),
+        cy + float(dpos[0]) + (c * ry - s * rz),
+        cz + float(dpos[1]) + (s * ry + c * rz),
         pose.alpha + math.degrees(dalpha_rad),
     )
 
@@ -215,14 +222,18 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
     is at most PENETRATION_TOL_MM. Returns (new object pose, ContactState);
     the caller owns the pusher pose update.
     """
-    disp = np.asarray(pusher_disp, dtype=float)
-    disp_norm = float(np.hypot(disp[0], disp[1]))
-    if disp_norm > SUBSTEP_CAP_MM + 1e-9:
+    dy, dz = float(pusher_disp[0]), float(pusher_disp[1])
+    disp_norm = float(np.hypot(dy, dz))
+    # written so that NaN fails the check
+    if not disp_norm <= SUBSTEP_CAP_MM + 1e-9:
         raise ValueError(
-            f"resolve_substep: displacement {disp_norm:.3f} mm exceeds the "
-            f"{SUBSTEP_CAP_MM} mm substep cap"
+            f"resolve_substep: pusher_disp of {disp_norm:.3f} mm is not finite or "
+            f"exceeds the {SUBSTEP_CAP_MM} mm substep cap"
         )
-    tip_new = np.asarray(tip, dtype=float) + disp
+    ty, tz = float(tip[0]), float(tip[1])
+    if not (math.isfinite(ty) and math.isfinite(tz)):
+        raise ValueError(f"resolve_substep: tip must be finite, got ({ty!r}, {tz!r})")
+    tip_new = (ty + dy, tz + dz)
     pose = object_pose
     a = 1.0 / shape.f_max**2
     b = 1.0 / shape.m_max**2
@@ -231,26 +242,28 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
     if c.mode is ContactMode.SEPARATED:
         return pose, c
 
+    disp = np.array((dy, dz))
     mode = None
     for _ in range(MAX_RESOLVE_ITERS):
         n_in = c.normal
         if c.penetration <= PENETRATION_TOL_MM:
             break
         cof = _cof_world(shape, pose)
-        m = ContactMatrix(a, b, perp2(c.point - cof))
-        if disp_norm > 1e-12 and float(disp @ n_in) > 1e-12:
+        ry, rz = c.point[0] - cof[0], c.point[1] - cof[1]
+        m = ContactMatrix(a, b, np.array((-rz, ry)))
+        if disp_norm > 1e-12 and float(disp.dot(n_in)) > 1e-12:
             v_p = disp
         else:
             # stale overlap with no approaching drive: expel along the normal
             v_p = n_in
         f, step_mode = m.resolve(v_p, n_in, shape.mu_contact)
         u = m.apply(f)
-        rate = float(u @ n_in)
+        rate = float(u.dot(n_in))
         if rate <= 1e-12:
             # edge twist cannot reduce overlap; fall back to a pure normal push
             f = n_in
             u = m.apply(f)
-            rate = float(u @ n_in)
+            rate = float(u.dot(n_in))
         if mode is None:
             mode = step_mode
         dpos, dspin = m.twist(f, (c.penetration - _RESOLVE_RESIDUAL_MM) / rate)
@@ -260,7 +273,7 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
         raise PhysicsFault(
             "penetration resolution did not converge",
             {
-                "tip": [float(tip_new[0]), float(tip_new[1])],
+                "tip": list(tip_new),
                 "object_pose": (pose.y, pose.z, pose.alpha),
                 "penetration": c.penetration,
             },
@@ -301,27 +314,33 @@ def simulate_tap(
     (the retraction reopens the contact gap, so the deepest point is the
     only configuration reliably in contact).
     """
+    if not 0.0 < substep < math.inf:  # NaN fails too
+        raise ValueError(f"simulate_tap: substep must be finite and > 0, got {substep!r}")
     cmd = commanded_pose
     obj = world.object_pose
-    pos = world.pusher_pose.position
+    pos = (float(world.pusher_pose.y), float(world.pusher_pose.z))
     alpha = world.pusher_pose.alpha
     contact = None
 
     def run_leg(target_pos: np.ndarray, target_alpha: float):
+        # positions are float pairs; np.hypot stays, as it rounds differently
+        # from math.hypot
         nonlocal obj, pos, alpha, contact
-        delta = target_pos - pos
-        dist = float(np.hypot(delta[0], delta[1]))
+        y0, z0 = pos
+        dy, dz = float(target_pos[0]) - y0, float(target_pos[1]) - z0
+        dist = float(np.hypot(dy, dz))
         dalpha = normalize_angle_deg(target_alpha - alpha)
         if dist < 1e-12 and abs(dalpha) < 1e-12:
             return
         n = max(1, math.ceil(dist / substep))
         step = dist / n
-        p_from = pos.copy()
         i = 0
         while i < n:
             i += 1
-            p_next = p_from + delta * (i / n)
-            obj, contact = resolve_substep(shape, obj, pos, p_next - pos)
+            p_next = (y0 + dy * (i / n), z0 + dz * (i / n))
+            obj, contact = resolve_substep(
+                shape, obj, pos, (p_next[0] - pos[0], p_next[1] - pos[1])
+            )
             if contact.mode is ContactMode.SEPARATED and i < n:
                 # conservative advancement: the signed distance is 1-Lipschitz,
                 # so the substeps within the gap less the tolerance stay
@@ -330,7 +349,7 @@ def simulate_tap(
                 free = math.floor((-contact.penetration - PENETRATION_TOL_MM) / step)
                 if free > 0:
                     i = min(i + free, n - 1)
-                    p_next = p_from + delta * (i / n)
+                    p_next = (y0 + dy * (i / n), z0 + dz * (i / n))
             pos = p_next
         alpha += dalpha
 
@@ -340,5 +359,5 @@ def simulate_tap(
     sense_heading = normalize_angle_deg(alpha)
     advance_contact = contact
     run_leg(cmd.position + (tap_forward - tap_back) * axis, cmd.alpha)
-    end_pose = PlanarPose(float(pos[0]), float(pos[1]), alpha)
+    end_pose = PlanarPose(pos[0], pos[1], alpha)
     return WorldState(obj, end_pose), sense_heading, advance_contact

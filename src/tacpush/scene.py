@@ -126,14 +126,6 @@ class PlanarPose:
             ]
         )
 
-    def inverse_transform_point(self, p_work) -> np.ndarray:
-        """Map a planar point from the work frame into this frame."""
-        a = math.radians(self.alpha)
-        c, s = math.cos(a), math.sin(a)
-        dy = p_work[0] - self.y
-        dz = p_work[1] - self.z
-        return np.array([c * dy + s * dz, -s * dy + c * dz])
-
 
 # ---------------------------------------------------------------------------
 # object shapes
@@ -234,11 +226,16 @@ class ObjectShape:
             if not _polygon_is_simple(verts):
                 raise ValueError(f"shape {self.name!r}: polygon is self-intersecting")
             self.polygon = verts
-            self._edge_vec = np.roll(verts, -1, axis=0) - verts
-            self._edge_len2 = np.maximum(np.sum(self._edge_vec**2, axis=1), 1e-30)
+            edge_vec = np.roll(verts, -1, axis=0) - verts
             # CCW polygon: interior is left of each directed edge, outward is right
-            en = np.stack([self._edge_vec[:, 1], -self._edge_vec[:, 0]], axis=1)
+            en = np.stack([edge_vec[:, 1], -edge_vec[:, 0]], axis=1)
             self._edge_normal = en / np.linalg.norm(en, axis=1, keepdims=True)
+            # boundary_probe's tables: contiguous per-edge columns for its one
+            # vectorised search, and float rows for its scalar tail
+            vy, vz = verts[:, 0].copy(), verts[:, 1].copy()
+            ey, ez = edge_vec[:, 0].copy(), edge_vec[:, 1].copy()
+            self._edge_columns = (vy, vz, ey, ez, np.maximum(ey * ey + ez * ez, 1e-30))
+            self._edge_rows = (verts.tolist(), edge_vec.tolist(), self._edge_normal.tolist())
         cof = self.cof_offset
         if not (np.isfinite(cof).all() and boundary_probe(self, PlanarPose(), cof)[0] < 0.0):
             raise ValueError(
@@ -269,57 +266,70 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
     Returns (signed_distance, point, outward_normal, feature) in the work
     frame. The signed distance is negative when the query lies inside the
     outline. Feature ids are ("edge", i), ("vertex", i) or ("arc", 0).
+
+    Numpy call overhead dominates on 2-vectors, so the probe runs on Python
+    floats except for one vectorised nearest-edge search over all edges and
+    the final rotation back to the work frame, which stays numpy's matrix
+    product: it rounds differently from the scalar products, and the
+    physics depends on its exact results.
     """
-    p_work = np.asarray(p_work, dtype=float)
-    q = pose.inverse_transform_point(p_work)
+    y, z = float(p_work[0]), float(p_work[1])
+    if not (math.isfinite(y) and math.isfinite(z)):
+        raise ValueError(f"boundary_probe: p_work must be finite, got ({y!r}, {z!r})")
+    a = math.radians(pose.alpha)
+    c, s = math.cos(a), math.sin(a)
+    dy = y - pose.y
+    dz = z - pose.z
+    qy, qz = c * dy + s * dz, -s * dy + c * dz
 
     if shape.radius is not None:
-        d = math.hypot(q[0], q[1])
-        if d < 1e-12:
-            n_local = np.array([1.0, 0.0])
-        else:
-            n_local = q / d
-        point_local = n_local * shape.radius
+        d = math.hypot(qy, qz)
+        ny, nz = (1.0, 0.0) if d < 1e-12 else (qy / d, qz / d)
+        py, pz = ny * shape.radius, nz * shape.radius
         sd = d - shape.radius
         feature = ("arc", 0)
     else:
-        verts = shape.polygon
-        w = q[None, :] - verts
-        t = np.sum(w * shape._edge_vec, axis=1) / shape._edge_len2
-        t = np.clip(t, 0.0, 1.0)
-        proj = verts + t[:, None] * shape._edge_vec
-        diff = q[None, :] - proj
-        d2 = np.sum(diff * diff, axis=1)
-        i = int(np.argmin(d2))
+        vy, vz, ey, ez, len2 = shape._edge_columns
+        t = np.minimum(np.maximum(((qy - vy) * ey + (qz - vz) * ez) / len2, 0.0), 1.0)
+        # the residual keeps the form q - (v + t e): near-ties between the two
+        # edges at a shared vertex are decided by its exact rounding
+        ry = qy - (vy + t * ey)
+        rz = qz - (vz + t * ez)
+        i = int((ry * ry + rz * rz).argmin())
+        verts, edges, normals = shape._edge_rows
         ti = float(t[i])
-        point_local = proj[i]
-        dist = math.sqrt(float(d2[i]))
+        (v0y, v0z), (e0y, e0z) = verts[i], edges[i]
+        py, pz = v0y + ti * e0y, v0z + ti * e0z
+        ry, rz = qy - py, qz - pz
+        dist = math.sqrt(ry * ry + rz * rz)
 
         # the nearest feature decides the side: the outward edge normal, or at
         # a vertex the sum of its two edges' normals (the 2-D pseudonormal)
         eps = 1e-9
         if eps < ti < 1.0 - eps:
             feature = ("edge", i)
-            n_local = shape._edge_normal[i]
-            inside = float(diff[i] @ n_local) < 0.0
+            ny, nz = normals[i]
+            inside = ry * ny + rz * nz < 0.0
         else:
             vi = i if ti <= eps else (i + 1) % len(verts)
             feature = ("vertex", vi)
-            dv = q - verts[vi]
-            b = shape._edge_normal[(vi - 1) % len(verts)] + shape._edge_normal[vi]
-            inside = float(dv @ b) < 0.0
-            nv = math.hypot(dv[0], dv[1])
+            dvy, dvz = qy - verts[vi][0], qz - verts[vi][1]
+            by = normals[vi - 1][0] + normals[vi][0]
+            bz = normals[vi - 1][1] + normals[vi][1]
+            inside = dvy * by + dvz * bz < 0.0
+            nv = math.hypot(dvy, dvz)
             if nv < 1e-12:
                 # query sits on the vertex: fall back to the outward bisector
-                n_local = b / max(math.hypot(b[0], b[1]), 1e-12)
+                nb = max(math.hypot(by, bz), 1e-12)
+                ny, nz = by / nb, bz / nb
             elif inside:
-                n_local = -dv / nv
+                ny, nz = -dvy / nv, -dvz / nv
             else:
-                n_local = dv / nv
+                ny, nz = dvy / nv, dvz / nv
         sd = -dist if inside else dist
 
-    rr = rot2(pose.alpha)
-    return sd, pose.position + rr @ point_local, rr @ n_local, feature
+    rr = np.array(((c, -s), (s, c)))
+    return sd, pose.position + rr.dot(np.array((py, pz))), rr.dot(np.array((ny, nz))), feature
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,19 @@ class TestResolveSubstep:
         with pytest.raises(ValueError, match="cap"):
             resolve_substep(square(), PlanarPose(), [0.0, -60.0], [0.6, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # NaN would pass a `norm > cap` check; both arguments are named
+        for i in range(2):
+            disp = [0.1, 0.1]
+            disp[i] = bad
+            with pytest.raises(ValueError, match="pusher_disp .* not finite"):
+                resolve_substep(square(), PlanarPose(), [0.0, -60.0], disp)
+            tip = [0.0, -60.0]
+            tip[i] = bad
+            with pytest.raises(ValueError, match="tip must be finite"):
+                resolve_substep(square(), PlanarPose(), tip, [0.1, 0.1])
+
     def test_centred_push_pure_translation(self):
         shape = square()
         tip = np.array([0.0, -49.9])  # 0.1 mm overlap, dead centre on the edge
@@ -240,6 +253,12 @@ class TestResolveSubstep:
 
 
 class TestSimulateTap:
+    @pytest.mark.parametrize("substep", [0.0, -0.5, math.nan, math.inf])
+    def test_non_positive_or_non_finite_substep_rejected(self, substep):
+        world = make_world([0.0, -200.0], PlanarPose())
+        with pytest.raises(ValueError, match="substep must be finite and > 0"):
+            simulate_tap(world, square(), PlanarPose(0.0, -190.0, 0.0), substep=substep)
+
     def test_far_command_never_touches(self):
         shape = square()
         world = make_world([0.0, -200.0], PlanarPose())

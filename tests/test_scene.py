@@ -73,9 +73,15 @@ class TestPlanarPose:
         assert dir_heading([-1.0, 0.0]) == pytest.approx(90.0)
 
     def test_point_mapping_round_trip(self):
+        # the probe maps its query back into the object frame: a vertex mapped
+        # out by transform_point is found again as that vertex, at distance 0
         pose = PlanarPose(10.0, -20.0, 33.0)
-        p = np.array([4.0, 7.0])
-        assert pose.inverse_transform_point(pose.transform_point(p)) == pytest.approx(p)
+        sq = unit_square(side=8.0)
+        for i, v in enumerate(sq.polygon):
+            sd, point, _, feature = boundary_probe(sq, pose, pose.transform_point(v))
+            assert sd == pytest.approx(0.0, abs=1e-12)
+            assert point == pytest.approx(pose.transform_point(v))
+            assert feature == ("vertex", i)
 
 
 class TestObjectShapeValidation:
@@ -228,6 +234,14 @@ class TestClosestBoundaryPoint:
         assert len(angles) > 5
         assert min(angles) < 10.0
         assert max(angles) > 80.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_rejected(self, bad):
+        # named, for polygons and circles alike, instead of a NaN result
+        for shape in (unit_square(), ObjectShape("c", radius=1.0)):
+            for p_work in ([bad, 0.0], np.array([0.0, bad])):
+                with pytest.raises(ValueError, match="p_work must be finite"):
+                    boundary_probe(shape, PlanarPose(), p_work)
 
     def test_point_in_shape(self):
         # the signed distance is negative exactly inside the outline
