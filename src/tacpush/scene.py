@@ -293,9 +293,9 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
         t = np.minimum(np.maximum(((qy - vy) * ey + (qz - vz) * ez) / len2, 0.0), 1.0)
         # the residual keeps the form q - (v + t e): near-ties between the two
         # edges at a shared vertex are decided by its exact rounding
-        ry = qy - (vy + t * ey)
-        rz = qz - (vz + t * ez)
-        i = int((ry * ry + rz * rz).argmin())
+        ry_e = qy - (vy + t * ey)
+        rz_e = qz - (vz + t * ez)
+        i = int((ry_e * ry_e + rz_e * rz_e).argmin())
         verts, edges, normals = shape._edge_rows
         ti = float(t[i])
         (v0y, v0z), (e0y, e0z) = verts[i], edges[i]

@@ -140,7 +140,8 @@ class TestResolveSubstep:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_input_rejected(self, bad):
-        # NaN would pass a `norm > cap` check; both arguments are named
+        # a NaN displacement makes no `norm > cap` comparison true, so the
+        # cap check must be written to fail on it; both arguments are named
         for i in range(2):
             disp = [0.1, 0.1]
             disp[i] = bad

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import re
 import statistics
 import subprocess
@@ -69,10 +68,10 @@ def summary(runs: list) -> dict:
 def compare_workload(pairs: list, better: dict) -> dict:
     """pairs: [(parent run, change run)] of one workload, in run order."""
     results = {side: [pair[k]["result"] for pair in pairs] for k, side in enumerate(SIDES)}
-    attempted = sorted({r["attempted"] for side in SIDES for r in results[side]})
     out = {
         "runs_per_side": len(pairs),
-        "attempted_per_run": attempted[0] if len(attempted) == 1 else attempted,
+        # a run repeats grids for --seconds, so a faster side attempts more
+        "attempted_per_run": {side: [r["attempted"] for r in results[side]] for side in SIDES},
         "failed": sum(r["failed"] for side in SIDES for r in results[side]),
         "correct_runs": f"{sum(r['correct'] for s in SIDES for r in results[s])} "
                         f"of {2 * len(pairs)}",
@@ -111,7 +110,7 @@ def tier1(checkout: Path) -> dict:
     proc = subprocess.run(TIER1, cwd=checkout, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - t0
     last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    return {"wall_s": round(wall, 2), "summary": re.sub(r"^=+ | =+$", "", last)}
+    return {"wall_s": round(wall, 2), "summary": last.strip("= ")}
 
 
 def digest(checkout: Path, seed: int) -> str:
@@ -162,7 +161,6 @@ def main(argv=None) -> int:
 
     loads = [os.getloadavg()[0]]
     runs = {key: [] for key, *_ in plan}
-    machine = None
     order = 0
     for key, workload, seed, n in plan:
         for _ in range(n):
@@ -171,7 +169,7 @@ def main(argv=None) -> int:
             for side in (SIDES if order % 2 == 0 else SIDES[::-1]):
                 pair[side] = run_bench(checkouts[side], workload, seed, args.seconds, trace=0)
                 loads.append(os.getloadavg()[0])
-                machine = machine or pair[side]["details"]["machine"]
+                machine = pair[side]["details"]["machine"]
                 m = pair[side]["result"]["metrics"]["ms_per_tap"]["value"]
                 print(f"{key} pair {len(runs[key]) + 1}/{n} {side}: ms_per_tap {m:.4g}",
                       flush=True)
@@ -180,7 +178,7 @@ def main(argv=None) -> int:
 
     out = {
         "what": args.what,
-        "machine": machine or {"nproc": os.cpu_count(), "python": platform.python_version()},
+        "machine": machine,
         "method": (
             f"python3 perfbench/run.py --workload <w> --seed <seed> --seconds {args.seconds:g} "
             "--trace 0 in each checkout, parent and change alternating which runs first; "
