@@ -195,12 +195,9 @@ def _advance_pose(
 ) -> PlanarPose:
     """Rigidly displace the object: CoF translates by dpos, spin about the CoF."""
     cy, cz = cof
-    ry, rz = pose.y - cy, pose.z - cz
-    c, s = math.cos(dalpha_rad), math.sin(dalpha_rad)
+    ry, rz = _rotated((pose.y - cy, pose.z - cz), dalpha_rad).tolist()
     return PlanarPose(
-        cy + float(dpos[0]) + (c * ry - s * rz),
-        cz + float(dpos[1]) + (s * ry + c * rz),
-        pose.alpha + math.degrees(dalpha_rad),
+        cy + float(dpos[0]) + ry, cz + float(dpos[1]) + rz, pose.alpha + math.degrees(dalpha_rad)
     )
 
 

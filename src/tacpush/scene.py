@@ -328,7 +328,7 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
                 ny, nz = dvy / nv, dvz / nv
         sd = -dist if inside else dist
 
-    rr = np.array(((c, -s), (s, c)))
+    rr = rot2(pose.alpha)
     return sd, pose.position + rr.dot(np.array((py, pz))), rr.dot(np.array((ny, nz))), feature
 
 
