@@ -97,9 +97,9 @@ def _cof_world(shape: ObjectShape, pose: PlanarPose) -> tuple[float, float]:
     return tuple(pose.transform_point(shape.cof_offset).tolist())
 
 
-def _rotated(v: np.ndarray, rad: float) -> np.ndarray:
+def _rotated(v, rad: float) -> tuple[float, float]:
     c, s = math.cos(rad), math.sin(rad)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+    return c * v[0] - s * v[1], s * v[0] + c * v[1]
 
 
 class ContactMatrix:
@@ -157,8 +157,8 @@ class ContactMatrix:
         motion-cone edges.
         """
         phi = math.atan(mu)
-        f_l = _rotated(n_in, phi)
-        f_r = _rotated(n_in, -phi)
+        f_l = np.array(_rotated(n_in, phi))
+        f_r = np.array(_rotated(n_in, -phi))
         return f_l, f_r, self.apply(f_l), self.apply(f_r)
 
     def resolve(self, v_p, n_in, mu: float):
@@ -195,7 +195,7 @@ def _advance_pose(
 ) -> PlanarPose:
     """Rigidly displace the object: CoF translates by dpos, spin about the CoF."""
     cy, cz = cof
-    ry, rz = _rotated((pose.y - cy, pose.z - cz), dalpha_rad).tolist()
+    ry, rz = _rotated((pose.y - cy, pose.z - cz), dalpha_rad)
     return PlanarPose(
         cy + float(dpos[0]) + ry, cz + float(dpos[1]) + rz, pose.alpha + math.degrees(dalpha_rad)
     )

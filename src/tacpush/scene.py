@@ -328,7 +328,7 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
                 ny, nz = dvy / nv, dvz / nv
         sd = -dist if inside else dist
 
-    rr = rot2(pose.alpha)
+    rr = np.array(((c, -s), (s, c)))  # rot2(pose.alpha), from the c, s above
     return sd, pose.position + rr.dot(np.array((py, pz))), rr.dot(np.array((ny, nz))), feature
 
 
