@@ -165,7 +165,7 @@ def main(argv=None) -> int:
     for key, workload, seed, n in plan:
         for _ in range(n):
             pair = {}
-            # alternate which side runs first across every pair of the session
+            # alternate which side runs first across every pair of this invocation
             for side in (SIDES if order % 2 == 0 else SIDES[::-1]):
                 pair[side] = run_bench(checkouts[side], workload, seed, args.seconds, trace=0)
                 loads.append(os.getloadavg()[0])
