@@ -220,7 +220,8 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
     the caller owns the pusher pose update.
     """
     dy, dz = float(pusher_disp[0]), float(pusher_disp[1])
-    disp_norm = float(np.hypot(dy, dz))
+    # only compared with thresholds, so math.hypot's rounding is harmless here
+    disp_norm = math.hypot(dy, dz)
     # written so that NaN fails the check
     if not disp_norm <= SUBSTEP_CAP_MM + 1e-9:
         raise ValueError(
@@ -321,7 +322,8 @@ def simulate_tap(
 
     def run_leg(target_pos: np.ndarray, target_alpha: float):
         # positions are float pairs; np.hypot stays, as it rounds differently
-        # from math.hypot
+        # from math.hypot and sets n = ceil(dist / substep), and a 10 mm
+        # advance puts dist / substep on an integer
         nonlocal obj, pos, alpha, contact
         y0, z0 = pos
         dy, dz = float(target_pos[0]) - y0, float(target_pos[1]) - z0

@@ -47,6 +47,14 @@ TIP_RADIUS_MM = 20.0
 # largest out-of-plane residue PlanarPose.from_transform accepts
 _PLANAR_TOL = 1e-6
 
+# boundary_probe's candidate-edge grid: cell side, and how far the grid
+# reaches past the outline's bounding box (queries beyond it try every edge)
+_GRID_CELL_MM = 4.0
+_GRID_MARGIN_MM = 2.0 * TIP_RADIUS_MM
+# largest cells x edges a grid may have; a bigger outline has no grid, so
+# every query tries every edge
+_GRID_MAX_ENTRIES = 1 << 20
+
 
 # ---------------------------------------------------------------------------
 # planar vector helpers
@@ -182,7 +190,42 @@ def _points_in_polygon(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
     return (crossings % 2) == 1
 
 
-@dataclass
+def _candidate_grid(verts: np.ndarray, edge_vec: np.ndarray) -> tuple:
+    """Candidate-edge table of boundary_probe, flat.
+
+    Returns (y0, z0, cells_y, cells_z, starts, edges): the edges listed for
+    cell k = iy * cells_z + iz are edges[starts[k]:starts[k + 1]], ascending.
+    A cell lists every edge whose distance from the cell centre is at most
+    the smallest such distance plus the cell diagonal (plus 1e-6 mm for
+    rounding). Distance to a segment is 1-Lipschitz and every point of the
+    cell lies within half a diagonal of its centre, so every edge that can
+    be nearest to a point of the cell is listed, ties included.
+    """
+    lo = verts.min(axis=0) - _GRID_MARGIN_MM
+    cells_y, cells_z = np.ceil((verts.max(axis=0) + _GRID_MARGIN_MM - lo) / _GRID_CELL_MM)
+    # counted in floats, so that a huge outline cannot overflow the count
+    if cells_y * cells_z * len(verts) > _GRID_MAX_ENTRIES:
+        return float(lo[0]), float(lo[1]), 0, 0, [0], []
+    cells_y, cells_z = int(cells_y), int(cells_z)
+    cy = lo[0] + (np.arange(cells_y) + 0.5) * _GRID_CELL_MM
+    cz = lo[1] + (np.arange(cells_z) + 0.5) * _GRID_CELL_MM
+    # cell centres in cell order (one row each) less every edge's start
+    ry = np.repeat(cy, cells_z)[:, None] - verts[:, 0]
+    rz = np.tile(cz, cells_y)[:, None] - verts[:, 1]
+    ey, ez = edge_vec[:, 0], edge_vec[:, 1]
+    t = np.clip((ry * ey + rz * ez) / np.maximum(ey * ey + ez * ez, 1e-30), 0.0, 1.0)
+    ry -= t * ey
+    rz -= t * ez
+    dist = np.sqrt(ry * ry + rz * rz)
+    band = dist.min(axis=1, keepdims=True) + math.sqrt(2.0) * _GRID_CELL_MM + 1e-6
+    listed = dist <= band
+    starts = np.concatenate(([0], np.cumsum(listed.sum(axis=1))))
+    # nonzero walks the mask row by row, so each cell's edges come out ascending
+    return (float(lo[0]), float(lo[1]), cells_y, cells_z,
+            starts.tolist(), np.nonzero(listed)[1].tolist())
+
+
+@dataclass(frozen=True)
 class ObjectShape:
     """Planar pushed object: outline, centre of friction, friction magnitudes.
 
@@ -191,6 +234,8 @@ class ObjectShape:
     centre of friction in the object frame; `f_max` (N) and `m_max` (N mm)
     are the support-friction force/moment bounds of the ellipsoid model and
     `mu_contact` is the pusher-object Coulomb coefficient.
+
+    Frozen: boundary_probe's tables are derived from the outline once, here.
     """
 
     name: str
@@ -202,7 +247,9 @@ class ObjectShape:
     mu_contact: float = 0.5
 
     def __post_init__(self):
-        self.cof_offset = np.asarray(self.cof_offset, dtype=float).reshape(2)
+        object.__setattr__(
+            self, "cof_offset", np.asarray(self.cof_offset, dtype=float).reshape(2)
+        )
         if (self.polygon is None) == (self.radius is None):
             raise ValueError(f"shape {self.name!r}: exactly one of polygon/radius required")
         # written so that NaN fails each check
@@ -225,17 +272,24 @@ class ObjectShape:
                 raise ValueError(f"shape {self.name!r}: polygon must be counter-clockwise")
             if not _polygon_is_simple(verts):
                 raise ValueError(f"shape {self.name!r}: polygon is self-intersecting")
-            self.polygon = verts
             edge_vec = np.roll(verts, -1, axis=0) - verts
             # CCW polygon: interior is left of each directed edge, outward is right
             en = np.stack([edge_vec[:, 1], -edge_vec[:, 0]], axis=1)
-            self._edge_normal = en / np.linalg.norm(en, axis=1, keepdims=True)
-            # boundary_probe's tables: contiguous per-edge columns for its one
-            # vectorised search, and float rows for its scalar tail
-            vy, vz = verts[:, 0].copy(), verts[:, 1].copy()
-            ey, ez = edge_vec[:, 0].copy(), edge_vec[:, 1].copy()
-            self._edge_columns = (vy, vz, ey, ez, np.maximum(ey * ey + ez * ez, 1e-30))
-            self._edge_rows = (verts.tolist(), edge_vec.tolist(), self._edge_normal.tolist())
+            edge_normal = en / np.linalg.norm(en, axis=1, keepdims=True)
+            for name, value in (
+                ("polygon", verts),
+                ("_edge_normal", edge_normal),
+                # boundary_probe's tables: one float row per edge,
+                # (vy, vz, ey, ez, |e|^2 floored at 1e-30, ny, nz), and the
+                # candidate edges of each grid cell
+                ("_edge_rows", [
+                    (vy, vz, ey, ez, max(ey * ey + ez * ez, 1e-30), ny, nz)
+                    for (vy, vz), (ey, ez), (ny, nz) in
+                    zip(verts.tolist(), edge_vec.tolist(), edge_normal.tolist())
+                ]),
+                ("_edge_grid", _candidate_grid(verts, edge_vec)),
+            ):
+                object.__setattr__(self, name, value)
         cof = self.cof_offset
         if not (np.isfinite(cof).all() and boundary_probe(self, PlanarPose(), cof)[0] < 0.0):
             raise ValueError(
@@ -268,10 +322,11 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
     outline. Feature ids are ("edge", i), ("vertex", i) or ("arc", 0).
 
     Numpy call overhead dominates on 2-vectors, so the probe runs on Python
-    floats except for one vectorised nearest-edge search over all edges and
-    the final rotation back to the work frame, which stays numpy's matrix
-    product: it rounds differently from the scalar products, and the
-    physics depends on its exact results.
+    floats except for the final rotation back to the work frame, which stays
+    numpy's matrix product: it rounds differently from the scalar products,
+    and the physics depends on its exact results. A polygon's nearest edge
+    is searched among the few candidates that the shape's grid lists for
+    the query's cell (every edge outside the grid).
     """
     y, z = float(p_work[0]), float(p_work[1])
     if not (math.isfinite(y) and math.isfinite(z)):
@@ -289,16 +344,28 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
         sd = d - shape.radius
         feature = ("arc", 0)
     else:
-        vy, vz, ey, ez, len2 = shape._edge_columns
-        t = np.minimum(np.maximum(((qy - vy) * ey + (qz - vz) * ez) / len2, 0.0), 1.0)
-        # the residual keeps the form q - (v + t e): near-ties between the two
-        # edges at a shared vertex are decided by its exact rounding
-        ry_e = qy - (vy + t * ey)
-        rz_e = qz - (vz + t * ez)
-        i = int((ry_e * ry_e + rz_e * rz_e).argmin())
-        verts, edges, normals = shape._edge_rows
-        ti = float(t[i])
-        (v0y, v0z), (e0y, e0z) = verts[i], edges[i]
+        rows = shape._edge_rows
+        y0, z0, cells_y, cells_z, starts, listed = shape._edge_grid
+        gy, gz = (qy - y0) / _GRID_CELL_MM, (qz - z0) / _GRID_CELL_MM
+        if 0.0 <= gy < cells_y and 0.0 <= gz < cells_z:
+            k = int(gy) * cells_z + int(gz)
+            candidates = listed[starts[k]:starts[k + 1]]
+        else:
+            candidates = range(len(rows))
+        # a strict < over ascending edge indices keeps the first of tied
+        # minima; the residual keeps the form q - (v + t e): near-ties between
+        # the two edges at a shared vertex are decided by its exact rounding
+        best = math.inf
+        for j in candidates:
+            vy, vz, ey, ez, len2, _, _ = rows[j]
+            t = ((qy - vy) * ey + (qz - vz) * ez) / len2
+            t = 0.0 if t < 0.0 else (1.0 if t > 1.0 else t)
+            ry = qy - (vy + t * ey)
+            rz = qz - (vz + t * ez)
+            d2 = ry * ry + rz * rz
+            if d2 < best:
+                best, i, ti = d2, j, t
+        v0y, v0z, e0y, e0z, _, _, _ = rows[i]
         py, pz = v0y + ti * e0y, v0z + ti * e0z
         ry, rz = qy - py, qz - pz
         dist = math.sqrt(ry * ry + rz * rz)
@@ -308,14 +375,14 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
         eps = 1e-9
         if eps < ti < 1.0 - eps:
             feature = ("edge", i)
-            ny, nz = normals[i]
+            ny, nz = rows[i][5:]
             inside = ry * ny + rz * nz < 0.0
         else:
-            vi = i if ti <= eps else (i + 1) % len(verts)
+            vi = i if ti <= eps else (i + 1) % len(rows)
             feature = ("vertex", vi)
-            dvy, dvz = qy - verts[vi][0], qz - verts[vi][1]
-            by = normals[vi - 1][0] + normals[vi][0]
-            bz = normals[vi - 1][1] + normals[vi][1]
+            dvy, dvz = qy - rows[vi][0], qz - rows[vi][1]
+            by = rows[vi - 1][5] + rows[vi][5]
+            bz = rows[vi - 1][6] + rows[vi][6]
             inside = dvy * by + dvz * bz < 0.0
             nv = math.hypot(dvy, dvz)
             if nv < 1e-12:

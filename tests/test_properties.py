@@ -5,6 +5,7 @@ Every test is derandomized, so a run is reproducible and a failure is seen
 on every run, not only on an unlucky one.
 """
 
+import copy
 import dataclasses
 import functools
 import math
@@ -28,6 +29,7 @@ from tacpush.push_dynamics import (
     resolve_substep,
 )
 from tacpush.scene import (
+    _GRID_CELL_MM,
     TIP_RADIUS_MM,
     ObjectShape,
     PlanarPose,
@@ -180,6 +182,88 @@ def test_boundary_probe_on_circles(radius, pose, qy, qz):
     spacing = 2.0 * math.pi * radius / SAMPLES_PER_OUTLINE
     query = pose.transform_point([qy, qz])
     check_probe(shape, pose, query, outline, spacing, math.hypot(qy, qz) < radius)
+
+
+def nearest_edges(verts, pts) -> np.ndarray:
+    """Per query point, the nearest edge over all edges by the probe's
+    formula, the lowest index on ties."""
+    e = np.roll(verts, -1, axis=0) - verts
+    len2 = np.maximum(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1], 1e-30)
+    qy, qz = pts[:, :1], pts[:, 1:]
+    t = np.clip(((qy - verts[:, 0]) * e[:, 0] + (qz - verts[:, 1]) * e[:, 1]) / len2, 0.0, 1.0)
+    ry = qy - (verts[:, 0] + t * e[:, 0])
+    rz = qz - (verts[:, 1] + t * e[:, 1])
+    return (ry * ry + rz * rz).argmin(axis=1)
+
+
+def cell_candidates(shape, iy, iz) -> list:
+    _, _, _, cells_z, starts, listed = shape._edge_grid
+    k = iy * cells_z + iz
+    return listed[starts[k]:starts[k + 1]]
+
+
+def all_edges_search(shape):
+    """A copy of the shape without a grid, so that every query tries every edge."""
+    bare = copy.copy(shape)
+    object.__setattr__(bare, "_edge_grid", (*shape._edge_grid[:2], 0, 0, [0], []))
+    return bare
+
+
+@pytest.mark.parametrize("shape", CATALOG_POLYGONS, ids=lambda s: s.name)
+def test_grid_lists_the_nearest_edge_at_every_cell_corner(shape):
+    # a corner is as far from its cells' centres as a point of a cell gets,
+    # so it is where a band narrower than the cell diagonal misses an edge;
+    # each corner is checked against all four cells that share it
+    y0, z0, cells_y, cells_z, _, _ = shape._edge_grid
+    cy, cz = np.meshgrid(np.arange(cells_y + 1), np.arange(cells_z + 1), indexing="ij")
+    corners = np.stack([y0 + cy.ravel() * _GRID_CELL_MM, z0 + cz.ravel() * _GRID_CELL_MM], axis=1)
+    nearest = nearest_edges(shape.polygon, corners)
+    for iy, iz, j in zip(cy.ravel().tolist(), cz.ravel().tolist(), nearest.tolist()):
+        for ky in (iy - 1, iy):
+            for kz in (iz - 1, iz):
+                if 0 <= ky < cells_y and 0 <= kz < cells_z:
+                    assert j in cell_candidates(shape, ky, kz), (shape.name, ky, kz)
+
+
+GRID_SHAPES = st.one_of(
+    st.sampled_from(CATALOG_POLYGONS),
+    star_polygons().map(lambda v: ObjectShape("star", polygon=v, f_max=1.0, m_max=10.0)),
+)
+
+
+@st.composite
+def grid_queries(draw):
+    """A polygon, a grid cell of it and an object-frame query in that closed
+    cell: at a corner, on a side or inside it. A quarter of the draws go
+    outside the grid instead, with no cell."""
+    shape = draw(GRID_SHAPES)
+    y0, z0, cells_y, cells_z, _, _ = shape._edge_grid
+    if draw(st.integers(0, 3)) == 0:
+        ang = draw(st.floats(0.0, 2.0 * math.pi))
+        r = math.hypot(cells_y, cells_z) * _GRID_CELL_MM + draw(st.floats(0.0, 100.0))
+        return shape, None, np.array([y0 + r * math.cos(ang), z0 + r * math.sin(ang)])
+    iy, iz = draw(st.integers(0, cells_y - 1)), draw(st.integers(0, cells_z - 1))
+    kind = draw(st.sampled_from(("corner", "side", "inside")))
+    fy = draw(st.sampled_from((0.0, 1.0)) if kind != "inside" else st.floats(0.0, 1.0))
+    fz = draw(st.sampled_from((0.0, 1.0)) if kind == "corner" else st.floats(0.0, 1.0))
+    if kind == "side" and draw(st.booleans()):
+        fy, fz = fz, fy
+    local = np.array([y0 + (iy + fy) * _GRID_CELL_MM, z0 + (iz + fz) * _GRID_CELL_MM])
+    return shape, (iy, iz), local
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(grid_queries(), poses)
+def test_grid_search_matches_an_all_edges_search(case, pose):
+    shape, cell, local = case
+    if cell is not None:
+        nearest = int(nearest_edges(shape.polygon, local[None, :])[0])
+        assert nearest in cell_candidates(shape, *cell)
+    query = pose.transform_point(local)
+    sd, point, normal, feature = boundary_probe(shape, pose, query)
+    sd_all, point_all, normal_all, feature_all = boundary_probe(all_edges_search(shape), pose, query)
+    assert (sd, feature) == (sd_all, feature_all)
+    assert np.array_equal(point, point_all) and np.array_equal(normal, normal_all)
 
 
 @functools.lru_cache(maxsize=1)

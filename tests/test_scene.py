@@ -143,6 +143,12 @@ class TestObjectShapeValidation:
         assert (variant.f_max, variant.m_max, variant.mu_contact) == (2.0, base.m_max, 0.3)
         assert (base.f_max, base.mu_contact) != (2.0, 0.3)
 
+    def test_outline_cannot_be_reassigned(self):
+        # the probe's tables are derived from the outline at construction
+        shape = unit_square()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shape.polygon = 2.0 * shape.polygon
+
 
 class TestCatalog:
     def test_composition(self):
@@ -242,6 +248,15 @@ class TestClosestBoundaryPoint:
             for p_work in ([bad, 0.0], np.array([0.0, bad])):
                 with pytest.raises(ValueError, match="p_work must be finite"):
                     boundary_probe(shape, PlanarPose(), p_work)
+
+    def test_outline_too_large_for_a_grid(self):
+        # a 2 m square would need a million grid entries, so it has no grid
+        # and every query tries every edge
+        big = unit_square(2000.0)
+        assert big._edge_grid[2:4] == (0, 0)
+        sd, point, normal, feature = boundary_probe(big, PlanarPose(), [999.0, 10.0])
+        assert (sd, feature) == (-1.0, ("edge", 1))
+        assert np.array_equal(point, [1000.0, 10.0]) and np.array_equal(normal, [1.0, 0.0])
 
     def test_point_in_shape(self):
         # the signed distance is negative exactly inside the outline
