@@ -375,12 +375,13 @@ def exp2_scenario(
     shape_name: str,
     start_index: int,
     seed: int,
+    name: str | None = None,
 ) -> Scenario:
     """Shape/start-pose trial with the unstable corner-centred initialization."""
     shape = builtin_shapes()[shape_name]
     start = EXP_START_POSES[start_index]
     return Scenario(
-        name=f"exp2_{shape_name}_start{start_index + 1}_s{seed & 0xFFFF:04x}",
+        name=name or f"exp2_{shape_name}_start{start_index + 1}_s{seed & 0xFFFF:04x}",
         object=shape,
         object_start_pose=place_corner_contact(shape, start),
         pusher_start_pose=start,
@@ -405,8 +406,8 @@ def exp1_grid(trials_per_cell: int = 10, master_seed: int = 0) -> list[Scenario]
 def exp2_grid(trials_per_cell: int = 10, master_seed: int = 0) -> list[Scenario]:
     """Shape grid: 5 shapes x 3 start poses x trials_per_cell, corner starts."""
     return [
-        dataclasses.replace(
-            exp2_scenario(shape_name, j, derive_seed(master_seed + 1, cell, t)),
+        exp2_scenario(
+            shape_name, j, derive_seed(master_seed + 1, cell, t),
             name=f"exp2_{shape_name}_start{j + 1}_t{t}",
         )
         for cell, (shape_name, j) in enumerate(
@@ -504,14 +505,14 @@ def export(records, out_dir) -> dict:
         "metrics": out_dir / "metrics.json",
     }
     payload = {"version": 1, "records": [vars(r) for r in records]}
-    paths["records"].write_text(json.dumps(payload, indent=1))
+    paths["records"].write_text(json.dumps(payload))
     lines = [_CSV_VERSION, _CSV_COLUMNS]
     for record in records:
         for tap in record.taps:
             lines.append(_tap_csv_row(record, tap))
     paths["taps"].write_text("\n".join(lines) + "\n")
     metrics = compute_metrics(records)
-    paths["metrics"].write_text(json.dumps(dataclasses.asdict(metrics), indent=1))
+    paths["metrics"].write_text(json.dumps(dataclasses.asdict(metrics)))
     return paths
 
 

@@ -39,7 +39,6 @@ from .scene import (
     cross2,
     heading_dir,
     normalize_angle_deg,
-    perp2,
 )
 
 __all__ = [
@@ -93,53 +92,43 @@ class ContactState:
     penetration: float
 
 
-def _cof_world(shape: ObjectShape, pose: PlanarPose) -> tuple[float, float]:
-    return tuple(pose.transform_point(shape.cof_offset).tolist())
-
-
 def _rotated(v, rad: float) -> tuple[float, float]:
     c, s = math.cos(rad), math.sin(rad)
     return c * v[0] - s * v[1], s * v[0] + c * v[1]
 
 
 class ContactMatrix:
-    """The contact matrix M = a I + b p p^T of one contact (a, b > 0).
+    """The contact matrix M = a I + b p p^T of `shape` at `object_pose` for a
+    work-frame contact point (a, b > 0).
 
-    a = 1 / f_max^2, b = 1 / m_max^2 and p = perp(contact point - CoF), so
-    the moment of a contact force f about the CoF is p . f, the limit surface
-    gives the object the twist (a f, b p . f), and the contact point moves
-    with velocity M f. `apply` and `solve` are elementwise and run on the
-    floats of p; `p . f` in `twist` stays numpy's dot product, which rounds
-    differently from the scalar sum.
+    a = 1 / f_max^2, b = 1 / m_max^2 and p = (py, pz) = perp(point - cof),
+    with `cof` the work-frame centre of friction, so the moment of a contact
+    force f about the CoF is p . f, the limit surface gives the object the
+    twist (a f, b p . f), and the contact point moves with velocity M f.
+    `apply` and `solve` are elementwise and run on the floats of p; `p . f`
+    in `twist` stays numpy's dot product, which rounds differently from the
+    scalar sum.
     """
 
-    __slots__ = ("a", "b", "p", "_py", "_pz")
+    __slots__ = ("a", "b", "cof", "py", "pz")
 
-    def __init__(self, a: float, b: float, p: np.ndarray):
-        self.a = a
-        self.b = b
-        self.p = p
-        self._py, self._pz = float(p[0]), float(p[1])
-
-    @classmethod
-    def at(cls, shape: ObjectShape, object_pose: PlanarPose, point) -> "ContactMatrix":
-        """Contact matrix of `shape` at `object_pose` for a work-frame contact point."""
-        return cls(
-            1.0 / shape.f_max**2,
-            1.0 / shape.m_max**2,
-            perp2(np.asarray(point, dtype=float) - _cof_world(shape, object_pose)),
-        )
+    def __init__(self, shape: ObjectShape, object_pose: PlanarPose, point):
+        self.a = 1.0 / shape.f_max**2
+        self.b = 1.0 / shape.m_max**2
+        cy, cz = self.cof = tuple(object_pose.transform_point(shape.cof_offset).tolist())
+        self.py = -(float(point[1]) - cz)
+        self.pz = float(point[0]) - cy
 
     def apply(self, f) -> np.ndarray:
         """Contact-point velocity v_c = M f."""
-        a, b, py, pz = self.a, self.b, self._py, self._pz
+        a, b, py, pz = self.a, self.b, self.py, self.pz
         fy, fz = float(f[0]), float(f[1])
         bpf = b * (py * fy + pz * fz)
         return np.array((a * fy + bpf * py, a * fz + bpf * pz))
 
     def solve(self, v) -> np.ndarray:
         """f = M^-1 v via the rank-one (Sherman-Morrison) form of M."""
-        a, b, py, pz = self.a, self.b, self._py, self._pz
+        a, b, py, pz = self.a, self.b, self.py, self.pz
         vy, vz = float(v[0]), float(v[1])
         k = b * (py * vy + pz * vz) / (a + b * (py * py + pz * pz))
         return np.array(((vy - k * py) / a, (vz - k * pz) / a))
@@ -147,7 +136,7 @@ class ContactMatrix:
     def twist(self, f, s: float = 1.0):
         """Object twist s * (a f, b p . f) for the contact force f: the CoF
         displacement (mm) and the spin about the CoF (rad)."""
-        return s * self.a * f, s * self.b * float(self.p.dot(f))
+        return s * self.a * f, s * self.b * float(np.array((self.py, self.pz)).dot(f))
 
     def edge_images(self, n_in, mu: float):
         """Friction-cone edge forces and their unnormalised velocity images.
@@ -233,8 +222,6 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
         raise ValueError(f"resolve_substep: tip must be finite, got ({ty!r}, {tz!r})")
     tip_new = (ty + dy, tz + dz)
     pose = object_pose
-    a = 1.0 / shape.f_max**2
-    b = 1.0 / shape.m_max**2
 
     c = contact_at(shape, pose, tip_new)
     if c.mode is ContactMode.SEPARATED:
@@ -246,9 +233,7 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
         n_in = c.normal
         if c.penetration <= PENETRATION_TOL_MM:
             break
-        cof = _cof_world(shape, pose)
-        ry, rz = c.point[0] - cof[0], c.point[1] - cof[1]
-        m = ContactMatrix(a, b, np.array((-rz, ry)))
+        m = ContactMatrix(shape, pose, c.point)
         if disp_norm > 1e-12 and float(disp.dot(n_in)) > 1e-12:
             v_p = disp
         else:
@@ -265,7 +250,7 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
         if mode is None:
             mode = step_mode
         dpos, dspin = m.twist(f, (c.penetration - _RESOLVE_RESIDUAL_MM) / rate)
-        pose = _advance_pose(pose, cof, dpos, dspin)
+        pose = _advance_pose(pose, m.cof, dpos, dspin)
         c = contact_at(shape, pose, tip_new)
     else:
         raise PhysicsFault(
@@ -280,7 +265,7 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
     if mode is None:
         # grazing contact (overlap within tolerance): classify without moving
         if disp_norm > 1e-12:
-            _, mode = ContactMatrix.at(shape, pose, c.point).resolve(
+            _, mode = ContactMatrix(shape, pose, c.point).resolve(
                 disp, c.normal, shape.mu_contact
             )
         else:
@@ -312,8 +297,10 @@ def simulate_tap(
     (the retraction reopens the contact gap, so the deepest point is the
     only configuration reliably in contact).
     """
-    if not 0.0 < substep < math.inf:  # NaN fails too
-        raise ValueError(f"simulate_tap: substep must be finite and > 0, got {substep!r}")
+    if not 0.0 < substep <= SUBSTEP_CAP_MM:  # NaN fails too
+        raise ValueError(
+            f"simulate_tap: substep must be > 0 and <= {SUBSTEP_CAP_MM} mm, got {substep!r}"
+        )
     cmd = commanded_pose
     obj = world.object_pose
     pos = (float(world.pusher_pose.y), float(world.pusher_pose.z))

@@ -35,7 +35,6 @@ __all__ = [
     "dir_heading",
     "heading_dir",
     "normalize_angle_deg",
-    "perp2",
     "rot2",
 ]
 
@@ -63,11 +62,6 @@ _GRID_MAX_ENTRIES = 1 << 20
 def cross2(a, b) -> float:
     """2D cross product a x b for (y, z) vectors; positive is counter-clockwise."""
     return float(a[0] * b[1] - a[1] * b[0])
-
-
-def perp2(v) -> np.ndarray:
-    """Rotate a planar vector by +90 degrees (counter-clockwise)."""
-    return np.array([-v[1], v[0]], dtype=float)
 
 
 def rot2(deg: float) -> np.ndarray:
@@ -235,7 +229,8 @@ class ObjectShape:
     are the support-friction force/moment bounds of the ellipsoid model and
     `mu_contact` is the pusher-object Coulomb coefficient.
 
-    Frozen: boundary_probe's tables are derived from the outline once, here.
+    Frozen, with read-only arrays: boundary_probe's tables are derived from
+    the outline once, here.
     """
 
     name: str
@@ -247,9 +242,11 @@ class ObjectShape:
     mu_contact: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "cof_offset", np.asarray(self.cof_offset, dtype=float).reshape(2)
-        )
+        # the arrays are copies made read-only, so that no write in place can
+        # move the outline or the CoF behind the checks and the probe's tables
+        cof_offset = np.array(self.cof_offset, dtype=float).reshape(2)
+        cof_offset.setflags(write=False)
+        object.__setattr__(self, "cof_offset", cof_offset)
         if (self.polygon is None) == (self.radius is None):
             raise ValueError(f"shape {self.name!r}: exactly one of polygon/radius required")
         # written so that NaN fails each check
@@ -263,7 +260,8 @@ class ObjectShape:
             if not 0.0 < self.radius < math.inf:  # NaN fails too
                 raise ValueError(f"shape {self.name!r}: radius must be finite and > 0")
         else:
-            verts = np.asarray(self.polygon, dtype=float)
+            verts = np.array(self.polygon, dtype=float)
+            verts.setflags(write=False)
             if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
                 raise ValueError(f"shape {self.name!r}: polygon must be (n>=3, 2)")
             if not np.isfinite(verts).all():
@@ -278,7 +276,6 @@ class ObjectShape:
             edge_normal = en / np.linalg.norm(en, axis=1, keepdims=True)
             for name, value in (
                 ("polygon", verts),
-                ("_edge_normal", edge_normal),
                 # boundary_probe's tables: one float row per edge,
                 # (vy, vz, ey, ez, |e|^2 floored at 1e-30, ny, nz), and the
                 # candidate edges of each grid cell
@@ -301,7 +298,7 @@ class ObjectShape:
         """Outward unit normals of the polygon edges (object frame)."""
         if self.radius is not None:
             raise ValueError(f"shape {self.name!r}: circles have no edges")
-        return self._edge_normal
+        return np.array([row[5:] for row in self._edge_rows])
 
     def max_extent(self) -> float:
         """Largest distance from the object origin to the outline."""

@@ -24,8 +24,11 @@ from tacpush.scene import (
     PlanarPose,
     boundary_probe,
     builtin_shapes,
-    perp2,
 )
+
+
+def perp2(v):
+    return np.array([-v[1], v[0]])
 
 
 def _rot(v, rad):
@@ -102,13 +105,15 @@ def motion_cone_margin_deg(v_p, n_in, mu, a, b, p) -> float:
 def wrench_twist(wrench, shape: ObjectShape) -> np.ndarray:
     """Unit twist the contact-matrix kernel gives for a CoF wrench (fy, fz, m).
 
-    The force (fy, fz) is applied through a lever p chosen so that its
-    moment p . f is m; the result is the limit-surface twist direction that
-    the finite-difference gradient of H must match.
+    The force (fy, fz) is applied at the contact point whose lever
+    p = perp(point - CoF) makes its moment p . f equal to m; the result is
+    the limit-surface twist direction that the finite-difference gradient of
+    H must match.
     """
     f = np.array(wrench[:2], dtype=float)
     p = float(wrench[2]) * f / float(f @ f)
-    dpos, dspin = ContactMatrix(1.0 / shape.f_max**2, 1.0 / shape.m_max**2, p).twist(f)
+    point = shape.cof_offset + np.array((p[1], -p[0]))
+    dpos, dspin = ContactMatrix(shape, PlanarPose(), point).twist(f)
     t = np.array([dpos[0], dpos[1], dspin])
     return t / np.linalg.norm(t)
 

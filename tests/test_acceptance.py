@@ -157,13 +157,13 @@ def test_criterion_physics_oracle_equivalence():
         tip_new = cfg.tip + cfg.disp
         _, point, n_out, _ = boundary_probe(cfg.shape, cfg.object_pose, tip_new)
         n_in = -n_out
-        cof = cfg.object_pose.transform_point(cfg.shape.cof_offset)
-        m = ContactMatrix.at(cfg.shape, cfg.object_pose, point)
+        m = ContactMatrix(cfg.shape, cfg.object_pose, point)
+        p = np.array((m.py, m.pz))
         # ties at the motion-cone edges are excluded per the criterion
-        if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, m.p) < 0.5:
+        if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, p) < 0.5:
             continue
         oracle_twist, oracle_mode = brute_force_push(
-            cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, m.p, n_candidates=10_000
+            cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, p, n_candidates=10_000
         )
         if oracle_twist is None:
             continue
@@ -172,7 +172,7 @@ def test_criterion_physics_oracle_equivalence():
             continue
         moved = np.array(
             [
-                *(pose.transform_point(cfg.shape.cof_offset) - cof),
+                *(pose.transform_point(cfg.shape.cof_offset) - m.cof),
                 math.radians(normalize_angle_deg(pose.alpha - cfg.object_pose.alpha)),
             ]
         )

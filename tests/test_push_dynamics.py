@@ -22,7 +22,6 @@ from tacpush.scene import (
     boundary_probe,
     builtin_shapes,
     heading_dir,
-    perp2,
 )
 
 from physics_oracle import (
@@ -33,6 +32,9 @@ from physics_oracle import (
     wrench_twist,
 )
 
+
+def perp2(v):
+    return np.array([-v[1], v[0]])
 
 
 def make_world(tip_center, object_pose):
@@ -52,7 +54,7 @@ def square(side=60.0, mu=0.5):
 class TestLimitSurfaceTwist:
     def test_pure_force_gives_pure_translation(self):
         # a push along the lever arm, through the CoF, has no moment
-        m = ContactMatrix.at(square(), PlanarPose(), [-30.0, 0.0])
+        m = ContactMatrix(square(), PlanarPose(), [-30.0, 0.0])
         dpos, dspin = m.twist(np.array([1.0, 0.0]))
         assert dspin == 0.0
         assert dpos[1] == 0.0
@@ -90,7 +92,7 @@ class TestMotionCone:
     of the friction-cone edge forces, normalised here."""
 
     def cone(self, shape, pose, point, n_in):
-        m = ContactMatrix.at(shape, pose, point)
+        m = ContactMatrix(shape, pose, point)
         _, _, u_l, u_r = m.edge_images(np.asarray(n_in, float), shape.mu_contact)
         return u_l / np.linalg.norm(u_l), u_r / np.linalg.norm(u_r)
 
@@ -119,7 +121,7 @@ class TestMotionCone:
         for edge, sign in ((left, 1.0), (right, -1.0)):
             c, s = math.cos(sign * phi), math.sin(sign * phi)
             f = np.array([c * n_in[0] - s * n_in[1], s * n_in[0] + c * n_in[1]])
-            dpos, dspin = ContactMatrix.at(shape, pose, point).twist(f)
+            dpos, dspin = ContactMatrix(shape, pose, point).twist(f)
             v_contact = dpos + dspin * perp2(r)
             v_contact /= np.linalg.norm(v_contact)
             assert edge == pytest.approx(v_contact, abs=1e-9)
@@ -216,12 +218,12 @@ class TestResolveSubstep:
                 cfg.shape, cfg.object_pose, cfg.tip + cfg.disp
             )
             n_in = -n_out
-            cof = cfg.object_pose.transform_point(cfg.shape.cof_offset)
-            m = ContactMatrix.at(cfg.shape, cfg.object_pose, point)
-            if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, m.p) < 0.5:
+            m = ContactMatrix(cfg.shape, cfg.object_pose, point)
+            p = np.array((m.py, m.pz))
+            if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, p) < 0.5:
                 continue
             oracle_twist, oracle_mode = brute_force_push(
-                cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, m.p, n_candidates=2_000
+                cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, p, n_candidates=2_000
             )
             if oracle_twist is None:
                 continue
@@ -230,7 +232,7 @@ class TestResolveSubstep:
                 continue
             moved = np.array(
                 [
-                    *(pose.transform_point(cfg.shape.cof_offset) - cof),
+                    *(pose.transform_point(cfg.shape.cof_offset) - m.cof),
                     math.radians(normalize_angle_deg(pose.alpha - cfg.object_pose.alpha)),
                 ]
             )
@@ -254,10 +256,11 @@ class TestResolveSubstep:
 
 
 class TestSimulateTap:
-    @pytest.mark.parametrize("substep", [0.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("substep", [0.0, -0.5, math.nan, math.inf, 0.6, 1.0])
     def test_non_positive_or_non_finite_substep_rejected(self, substep):
+        # a substep above the cap would fail inside resolve_substep instead
         world = make_world([0.0, -200.0], PlanarPose())
-        with pytest.raises(ValueError, match="substep must be finite and > 0"):
+        with pytest.raises(ValueError, match="simulate_tap: substep"):
             simulate_tap(world, square(), PlanarPose(0.0, -190.0, 0.0), substep=substep)
 
     def test_far_command_never_touches(self):

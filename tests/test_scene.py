@@ -149,6 +149,14 @@ class TestObjectShapeValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             shape.polygon = 2.0 * shape.polygon
 
+    def test_outline_and_cof_cannot_be_written_in_place(self):
+        shape = builtin_shapes()["blue_square"]
+        with pytest.raises(ValueError, match="read-only"):
+            shape.polygon[:] *= 2
+        with pytest.raises(ValueError, match="read-only"):
+            shape.cof_offset[0] = 1e6
+        assert shape.max_extent() == pytest.approx(30.0 * math.sqrt(2.0))
+
 
 class TestCatalog:
     def test_composition(self):
