@@ -35,6 +35,7 @@ from .scene import (
     ObjectShape,
     PlanarPose,
     WorldState,
+    _fma,
     boundary_probe,
     cross2,
     heading_dir,
@@ -86,8 +87,8 @@ class ContactState:
     (counter-clockwise) side of the push normal.
     """
 
-    point: np.ndarray
-    normal: np.ndarray
+    point: tuple[float, float]
+    normal: tuple[float, float]
     mode: ContactMode
     penetration: float
 
@@ -105,9 +106,9 @@ class ContactMatrix:
     with `cof` the work-frame centre of friction, so the moment of a contact
     force f about the CoF is p . f, the limit surface gives the object the
     twist (a f, b p . f), and the contact point moves with velocity M f.
-    `apply` and `solve` are elementwise and run on the floats of p; `p . f`
-    in `twist` stays numpy's dot product, which rounds differently from the
-    scalar sum.
+    Every method runs on the floats of p and returns floats or float
+    tuples. `p . f` in `twist` is rounded as numpy's dot product was, with
+    one `_fma` (`scene._fma` says why that is exact).
     """
 
     __slots__ = ("a", "b", "cof", "py", "pz")
@@ -115,28 +116,30 @@ class ContactMatrix:
     def __init__(self, shape: ObjectShape, object_pose: PlanarPose, point):
         self.a = 1.0 / shape.f_max**2
         self.b = 1.0 / shape.m_max**2
-        cy, cz = self.cof = tuple(object_pose.transform_point(shape.cof_offset).tolist())
+        cy, cz = self.cof = object_pose.transform_point(shape.cof_offset)
         self.py = -(float(point[1]) - cz)
         self.pz = float(point[0]) - cy
 
-    def apply(self, f) -> np.ndarray:
+    def apply(self, f) -> tuple[float, float]:
         """Contact-point velocity v_c = M f."""
         a, b, py, pz = self.a, self.b, self.py, self.pz
         fy, fz = float(f[0]), float(f[1])
         bpf = b * (py * fy + pz * fz)
-        return np.array((a * fy + bpf * py, a * fz + bpf * pz))
+        return a * fy + bpf * py, a * fz + bpf * pz
 
-    def solve(self, v) -> np.ndarray:
+    def solve(self, v) -> tuple[float, float]:
         """f = M^-1 v via the rank-one (Sherman-Morrison) form of M."""
         a, b, py, pz = self.a, self.b, self.py, self.pz
         vy, vz = float(v[0]), float(v[1])
         k = b * (py * vy + pz * vz) / (a + b * (py * py + pz * pz))
-        return np.array(((vy - k * py) / a, (vz - k * pz) / a))
+        return (vy - k * py) / a, (vz - k * pz) / a
 
-    def twist(self, f, s: float = 1.0):
+    def twist(self, f, s: float = 1.0) -> tuple[tuple[float, float], float]:
         """Object twist s * (a f, b p . f) for the contact force f: the CoF
         displacement (mm) and the spin about the CoF (rad)."""
-        return s * self.a * f, s * self.b * float(np.array((self.py, self.pz)).dot(f))
+        fy, fz = float(f[0]), float(f[1])
+        sa = s * self.a
+        return (sa * fy, sa * fz), s * self.b * _fma(self.pz, fz, self.py * fy)
 
     def edge_images(self, n_in, mu: float):
         """Friction-cone edge forces and their unnormalised velocity images.
@@ -146,8 +149,8 @@ class ContactMatrix:
         motion-cone edges.
         """
         phi = math.atan(mu)
-        f_l = np.array(_rotated(n_in, phi))
-        f_r = np.array(_rotated(n_in, -phi))
+        f_l = _rotated(n_in, phi)
+        f_r = _rotated(n_in, -phi)
         return f_l, f_r, self.apply(f_l), self.apply(f_r)
 
     def resolve(self, v_p, n_in, mu: float):
@@ -163,12 +166,12 @@ class ContactMatrix:
         if mu == 0.0:
             side = cross2(u_l, v_p)
             if abs(side) < 1e-12:
-                return np.asarray(n_in, dtype=float), ContactMode.STICKING
+                return n_in, ContactMode.STICKING
             mode = ContactMode.SLIDING_LEFT if side > 0.0 else ContactMode.SLIDING_RIGHT
-            return np.asarray(n_in, dtype=float), mode
+            return n_in, mode
         if beyond_l and beyond_r:
             # reflex corner: v_p opposes the cone; pick the side it is closer to
-            mid = u_l + u_r
+            mid = (u_l[0] + u_r[0], u_l[1] + u_r[1])
             if cross2(mid, v_p) > 0.0:
                 return f_l, ContactMode.SLIDING_LEFT
             return f_r, ContactMode.SLIDING_RIGHT
@@ -180,23 +183,23 @@ class ContactMatrix:
 
 
 def _advance_pose(
-    pose: PlanarPose, cof: tuple[float, float], dpos: np.ndarray, dalpha_rad: float
+    pose: PlanarPose, cof: tuple[float, float], dpos: tuple[float, float], dalpha_rad: float
 ) -> PlanarPose:
     """Rigidly displace the object: CoF translates by dpos, spin about the CoF."""
     cy, cz = cof
     ry, rz = _rotated((pose.y - cy, pose.z - cz), dalpha_rad)
     return PlanarPose(
-        cy + float(dpos[0]) + ry, cz + float(dpos[1]) + rz, pose.alpha + math.degrees(dalpha_rad)
+        cy + dpos[0] + ry, cz + dpos[1] + rz, pose.alpha + math.degrees(dalpha_rad)
     )
 
 
 def contact_at(shape: ObjectShape, object_pose: PlanarPose, tip) -> ContactState:
     """Contact of the tip disc centred at work-frame point `tip`: penetration is
     the disc-object overlap; SEPARATED without overlap, else STICKING (at rest)."""
-    sd, point, n_out, _ = boundary_probe(shape, object_pose, tip)
+    sd, point, (ny, nz), _ = boundary_probe(shape, object_pose, tip)
     pen = TIP_RADIUS_MM - sd
     mode = ContactMode.SEPARATED if pen <= 0.0 else ContactMode.STICKING
-    return ContactState(point, -n_out, mode, pen)
+    return ContactState(point, (-ny, -nz), mode, pen)
 
 
 def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_disp):
@@ -227,26 +230,28 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
     if c.mode is ContactMode.SEPARATED:
         return pose, c
 
-    disp = np.array((dy, dz))
+    # each dot product is rounded once (_fma), as the goldens were recorded
+    disp = (dy, dz)
     mode = None
     for _ in range(MAX_RESOLVE_ITERS):
-        n_in = c.normal
         if c.penetration <= PENETRATION_TOL_MM:
             break
+        n_in = c.normal
+        ny, nz = n_in
         m = ContactMatrix(shape, pose, c.point)
-        if disp_norm > 1e-12 and float(disp.dot(n_in)) > 1e-12:
+        if disp_norm > 1e-12 and _fma(dz, nz, dy * ny) > 1e-12:
             v_p = disp
         else:
             # stale overlap with no approaching drive: expel along the normal
             v_p = n_in
         f, step_mode = m.resolve(v_p, n_in, shape.mu_contact)
-        u = m.apply(f)
-        rate = float(u.dot(n_in))
+        uy, uz = m.apply(f)
+        rate = _fma(uz, nz, uy * ny)
         if rate <= 1e-12:
             # edge twist cannot reduce overlap; fall back to a pure normal push
             f = n_in
-            u = m.apply(f)
-            rate = float(u.dot(n_in))
+            uy, uz = m.apply(f)
+            rate = _fma(uz, nz, uy * ny)
         if mode is None:
             mode = step_mode
         dpos, dspin = m.twist(f, (c.penetration - _RESOLVE_RESIDUAL_MM) / rate)
@@ -307,13 +312,13 @@ def simulate_tap(
     alpha = world.pusher_pose.alpha
     contact = None
 
-    def run_leg(target_pos: np.ndarray, target_alpha: float):
-        # positions are float pairs; np.hypot stays, as it rounds differently
-        # from math.hypot and sets n = ceil(dist / substep), and a 10 mm
-        # advance puts dist / substep on an integer
+    def run_leg(target_pos: tuple[float, float], target_alpha: float):
+        # positions are float pairs; np.hypot stays (3 calls a tap): it
+        # rounds differently from math.hypot and sets n = ceil(dist /
+        # substep), and a 10 mm advance puts dist / substep on an integer
         nonlocal obj, pos, alpha, contact
         y0, z0 = pos
-        dy, dz = float(target_pos[0]) - y0, float(target_pos[1]) - z0
+        dy, dz = target_pos[0] - y0, target_pos[1] - z0
         dist = float(np.hypot(dy, dz))
         dalpha = normalize_angle_deg(target_alpha - alpha)
         if dist < 1e-12 and abs(dalpha) < 1e-12:
@@ -339,11 +344,12 @@ def simulate_tap(
             pos = p_next
         alpha += dalpha
 
-    run_leg(cmd.position, cmd.alpha)
-    axis = heading_dir(cmd.alpha)
-    run_leg(cmd.position + tap_forward * axis, cmd.alpha)
+    run_leg((cmd.y, cmd.z), cmd.alpha)
+    ay, az = heading_dir(cmd.alpha).tolist()
+    run_leg((cmd.y + tap_forward * ay, cmd.z + tap_forward * az), cmd.alpha)
     sense_heading = normalize_angle_deg(alpha)
     advance_contact = contact
-    run_leg(cmd.position + (tap_forward - tap_back) * axis, cmd.alpha)
+    back = tap_forward - tap_back
+    run_leg((cmd.y + back * ay, cmd.z + back * az), cmd.alpha)
     end_pose = PlanarPose(pos[0], pos[1], alpha)
     return WorldState(obj, end_pose), sense_heading, advance_contact

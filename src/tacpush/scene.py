@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -54,10 +55,54 @@ _GRID_MARGIN_MM = 2.0 * TIP_RADIUS_MM
 # every query tries every edge
 _GRID_MAX_ENTRIES = 1 << 20
 
+# _fma: Veltkamp's splitting factor 2^27 + 1, and the range of factors and
+# products inside which Dekker's product is exact (no overflow, no underflow)
+_SPLIT = 134217729.0
+_SPLIT_MAX = 2.0**995
+_PRODUCT_MIN = 2.0**-960
+_PRODUCT_MAX = 2.0**1020
+
 
 # ---------------------------------------------------------------------------
 # planar vector helpers
 # ---------------------------------------------------------------------------
+
+def _fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as a fused multiply-add rounds it; an exact
+    zero is +0.0.
+
+    numpy's BLAS kernels (OpenBLAS on x86-64) round 2-vector products this
+    way, and the kernel's results are pinned to theirs: a dot
+    (a0, a1) . (b0, b1) is _fma(a1, b1, a0 * b0), and row i of a 2 x 2
+    matrix times (x0, x1) is _fma(r_i0, x0, r_i1 * x1). Dekker's product
+    (1971, with Veltkamp's split) gives a * b = p + e exactly, and math.fsum
+    rounds c + p + e once. Where the split could overflow or underflow (a
+    factor above 2^995, or a product outside [2^-960, 2^1020]), the sum is
+    taken in fractions.
+    """
+    p = a * b
+    if (_PRODUCT_MIN <= abs(p) <= _PRODUCT_MAX
+            and abs(a) <= _SPLIT_MAX and abs(b) <= _SPLIT_MAX):
+        t = _SPLIT * a
+        ah = t - (t - a)
+        al = a - ah
+        t = _SPLIT * b
+        bh = t - (t - b)
+        bl = b - bh
+        # math.fsum gives an exact zero as +0.0 (Python 3.6 to 3.13 alike)
+        return math.fsum((c, p, ((ah * bh - p) + ah * bl + al * bh) + al * bl))
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return p + c  # inf or nan, as the fused operation gives
+    if not (a and b and math.isfinite(c)):
+        return c + 0.0  # the product is zero, or c is inf or nan
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    if not exact:
+        return 0.0
+    try:
+        return float(exact)  # int / int, so rounded once
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
 
 def cross2(a, b) -> float:
     """2D cross product a x b for (y, z) vectors; positive is counter-clockwise."""
@@ -117,16 +162,12 @@ class PlanarPose:
         alpha = math.degrees(math.atan2(float(r[2, 1]), float(r[1, 1])))
         return cls(float(t.translation[1]), float(t.translation[2]), alpha)
 
-    def transform_point(self, p_local) -> np.ndarray:
+    def transform_point(self, p_local) -> tuple[float, float]:
         """Map a planar point from this frame into the work frame."""
         a = math.radians(self.alpha)
         c, s = math.cos(a), math.sin(a)
-        return np.array(
-            [
-                self.y + c * p_local[0] - s * p_local[1],
-                self.z + s * p_local[0] + c * p_local[1],
-            ]
-        )
+        y, z = float(p_local[0]), float(p_local[1])
+        return self.y + c * y - s * z, self.z + s * y + c * z
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +360,11 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
     outline. Feature ids are ("edge", i), ("vertex", i) or ("arc", 0).
 
     Numpy call overhead dominates on 2-vectors, so the probe runs on Python
-    floats except for the final rotation back to the work frame, which stays
-    numpy's matrix product: it rounds differently from the scalar products,
-    and the physics depends on its exact results. A polygon's nearest edge
-    is searched among the few candidates that the shape's grid lists for
-    the query's cell (every edge outside the grid).
+    floats and returns float tuples. The final rotation back to the work
+    frame rounds each row as numpy's matrix product did, with one _fma, and
+    the physics depends on those exact results. A polygon's nearest edge is
+    searched among the few candidates that the shape's grid lists for the
+    query's cell (every edge outside the grid).
     """
     y, z = float(p_work[0]), float(p_work[1])
     if not (math.isfinite(y) and math.isfinite(z)):
@@ -392,8 +433,9 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
                 ny, nz = dvy / nv, dvz / nv
         sd = -dist if inside else dist
 
-    rr = np.array(((c, -s), (s, c)))  # rot2(pose.alpha), from the c, s above
-    return sd, pose.position + rr.dot(np.array((py, pz))), rr.dot(np.array((ny, nz))), feature
+    # rot2(pose.alpha), from the c, s above
+    point = (pose.y + _fma(c, py, -s * pz), pose.z + _fma(s, py, c * pz))
+    return sd, point, (_fma(c, ny, -s * nz), _fma(s, ny, c * nz)), feature
 
 
 # ---------------------------------------------------------------------------

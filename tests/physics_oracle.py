@@ -171,6 +171,7 @@ def random_contact_configs(n: int, seed: int):
         ang = float(rng.uniform(0, 2 * math.pi))
         probe = pose.position + 400.0 * np.array([math.cos(ang), math.sin(ang)])
         sd, point, n_out, feature = boundary_probe(shape, pose, probe)
+        point, n_out = np.asarray(point), np.asarray(n_out)
         n_in = -n_out
         pen = float(rng.uniform(0.05, 0.3))
         tip_center = point + (TIP_RADIUS_MM - pen) * n_out

@@ -156,7 +156,7 @@ def test_criterion_physics_oracle_equivalence():
     for cfg in configs:
         tip_new = cfg.tip + cfg.disp
         _, point, n_out, _ = boundary_probe(cfg.shape, cfg.object_pose, tip_new)
-        n_in = -n_out
+        n_in = -np.asarray(n_out)
         m = ContactMatrix(cfg.shape, cfg.object_pose, point)
         p = np.array((m.py, m.pz))
         # ties at the motion-cone edges are excluded per the criterion
@@ -172,7 +172,7 @@ def test_criterion_physics_oracle_equivalence():
             continue
         moved = np.array(
             [
-                *(pose.transform_point(cfg.shape.cof_offset) - m.cof),
+                *(np.asarray(pose.transform_point(cfg.shape.cof_offset)) - m.cof),
                 math.radians(normalize_angle_deg(pose.alpha - cfg.object_pose.alpha)),
             ]
         )

@@ -89,6 +89,7 @@ def generate_cases():
                 ang = float(rng.uniform(0.0, 2.0 * math.pi))
                 far = pose.position + 400.0 * np.array([math.cos(ang), math.sin(ang)])
                 _, point, n_out, _ = boundary_probe(shape, pose, far)
+                point, n_out = np.asarray(point), np.asarray(n_out)
             pen = float(rng.uniform(pen_lo, pen_hi))
             tip_new = point + (TIP_RADIUS_MM - pen) * n_out
             if deviation is None:

@@ -91,7 +91,8 @@ def check_probe(shape, pose, query, outline, spacing, inside):
     sampled = float(np.min(np.hypot(*(world_outline - query).T)))
     # the nearest sample is at most half a spacing further than the boundary
     assert sampled - 0.5 * spacing - 1e-9 <= abs(sd) <= sampled + 1e-9
-    assert math.isclose(math.hypot(*(point - query)), abs(sd), rel_tol=1e-9, abs_tol=1e-9)
+    assert math.isclose(math.hypot(*(np.asarray(point) - query)), abs(sd),
+                        rel_tol=1e-9, abs_tol=1e-9)
     if abs(sd) > 1e-9:
         assert (sd < 0.0) == inside
 
@@ -298,6 +299,7 @@ def substep_cases(draw):
     deviation = math.radians(draw(st.floats(-180.0, 180.0)))
     far = pose.position + 400.0 * np.array([math.cos(approach), math.sin(approach)])
     _, point, n_out, _ = boundary_probe(shape, pose, far)
+    point, n_out = np.asarray(point), np.asarray(n_out)
     tip_new = point + (TIP_RADIUS_MM - pen) * n_out
     c, s = math.cos(deviation), math.sin(deviation)
     disp = step * np.array([-c * n_out[0] + s * n_out[1], -s * n_out[0] - c * n_out[1]])

@@ -113,7 +113,7 @@ class TestMotionCone:
         # evaluate the produced contact-point velocity
         shape = square(mu=0.3)
         pose = PlanarPose(5.0, -3.0, 20.0)
-        point = pose.transform_point([12.0, -30.0])
+        point = np.asarray(pose.transform_point([12.0, -30.0]))
         n_in = pose.transform_point([0.0, 1.0]) - pose.position
         left, right = self.cone(shape, pose, point, n_in)
         r = point - pose.transform_point(shape.cof_offset)
@@ -217,7 +217,7 @@ class TestResolveSubstep:
             _, point, n_out, _ = boundary_probe(
                 cfg.shape, cfg.object_pose, cfg.tip + cfg.disp
             )
-            n_in = -n_out
+            n_in = -np.asarray(n_out)
             m = ContactMatrix(cfg.shape, cfg.object_pose, point)
             p = np.array((m.py, m.pz))
             if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, p) < 0.5:
@@ -232,7 +232,7 @@ class TestResolveSubstep:
                 continue
             moved = np.array(
                 [
-                    *(pose.transform_point(cfg.shape.cof_offset) - m.cof),
+                    *(np.asarray(pose.transform_point(cfg.shape.cof_offset)) - m.cof),
                     math.radians(normalize_angle_deg(pose.alpha - cfg.object_pose.alpha)),
                 ]
             )
@@ -253,6 +253,52 @@ class TestResolveSubstep:
         assert w1.object_pose.y == pytest.approx(w2.object_pose.y, abs=0.02)
         assert w1.object_pose.z == pytest.approx(w2.object_pose.z, abs=0.02)
         assert w1.object_pose.alpha == pytest.approx(w2.object_pose.alpha, abs=0.02)
+
+
+def is_float_pair(v) -> bool:
+    # type() and not isinstance(): numpy's float64 subclasses float
+    return type(v) is tuple and len(v) == 2 and all(type(x) is float for x in v)
+
+
+class TestKernelReturnsPythonFloats:
+    """The substep loop runs on Python floats and float tuples, even for
+    ndarray inputs, so that no numpy call comes back into it unnoticed."""
+
+    @pytest.mark.parametrize("name", ["blue_square", "mug", "circle"])
+    def test_boundary_probe_and_contact_at(self, name):
+        shape = builtin_shapes()[name]
+        pose = PlanarPose(3.0, -4.0, 25.0)
+        for tip in (np.array([0.0, -60.0]), np.array([1.0, 2.0]), [0.5, -30.0]):
+            sd, point, normal, _ = boundary_probe(shape, pose, tip)
+            assert type(sd) is float
+            assert is_float_pair(point) and is_float_pair(normal)
+            c = contact_at(shape, pose, tip)
+            assert is_float_pair(c.point) and is_float_pair(c.normal)
+            assert type(c.penetration) is float
+
+    @pytest.mark.parametrize("tip, disp", [
+        ([0.0, -60.0], [0.1, 0.1]),  # separated
+        ([7.0, -49.85], [0.1, 0.45]),  # pushing: the resolution loop runs
+        ([0.0, -50.005], [0.0, -0.4]),  # grazing: classified without moving
+    ])
+    def test_resolve_substep_contact_state(self, tip, disp):
+        for args in ((tip, disp), (np.array(tip), np.array(disp))):
+            _, contact = resolve_substep(square(), PlanarPose(0.0, 0.0, 10.0), *args)
+            assert is_float_pair(contact.point) and is_float_pair(contact.normal)
+
+    def test_contact_matrix(self):
+        m = ContactMatrix(square(), PlanarPose(5.0, -3.0, 20.0), np.array([12.0, -30.0]))
+        assert is_float_pair(m.cof)
+        f = np.array([0.3, 0.9])
+        assert is_float_pair(m.apply(f)) and is_float_pair(m.solve(f))
+        dpos, dspin = m.twist(f, 0.5)
+        assert is_float_pair(dpos) and type(dspin) is float
+        assert all(is_float_pair(v) for v in m.edge_images((0.0, 1.0), 0.5))
+        force, _ = m.resolve(np.array([0.1, 0.4]), (0.0, 1.0), 0.5)
+        assert is_float_pair(force)
+
+    def test_transform_point(self):
+        assert is_float_pair(PlanarPose(1.0, 2.0, 30.0).transform_point(np.array([3.0, 4.0])))
 
 
 class TestSimulateTap:

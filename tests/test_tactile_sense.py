@@ -114,6 +114,7 @@ class TestSenseContact:
             ang = float(rng.uniform(0, 2 * math.pi))
             probe = pose.position + 300.0 * np.array([math.cos(ang), math.sin(ang)])
             _, point, n_out, _ = boundary_probe(shape, pose, probe)
+            point, n_out = np.asarray(point), np.asarray(n_out)
             depth = float(rng.uniform(1.2, 4.8))
             center = point + (TIP_RADIUS_MM - depth) * n_out
             axis_dev = float(rng.uniform(-15, 15))
@@ -125,6 +126,7 @@ class TestSenseContact:
             if pred.clamped or not pred.in_contact:
                 continue
             sd, _, n_out2, _ = boundary_probe(shape, pose, center)
+            n_out2 = np.asarray(n_out2)
             assert pred.z_depth == pytest.approx(TIP_RADIUS_MM - sd, abs=1e-9)
             recon_heading = pusher_alpha - pred.alpha
             assert math.isclose(
