@@ -32,6 +32,7 @@ from .scene import (
     ObjectShape,
     PlanarPose,
     WorldState,
+    _fma,
     builtin_shapes,
     heading_dir,
     rot2,
@@ -227,8 +228,8 @@ def run_trial(scenario: Scenario) -> TrialRecord:
                     "theta": decision.theta,
                     "r": decision.r,
                     "v": decision.v,
-                    "error6": None if decision.error6 is None else tuple(decision.error6),
-                    "integral6": tuple(decision.integral6),
+                    "error6": decision.error6,
+                    "integral6": decision.integral6,
                     "contact_mode": contact.mode.value,
                     "status": decision.status.value,
                 }
@@ -282,8 +283,19 @@ def _seat(
         math.degrees(math.atan2(-axis[1], -axis[0]))
         - math.degrees(math.atan2(normal[1], normal[0]))
     ) + turn
-    origin = pusher_start.position + _SEAT_DISTANCE_MM * axis - rot2(omega) @ point
+    # rot2(omega) @ point, each row rounded as numpy's product (scene._fma)
+    a = math.radians(omega)
+    c, s = math.cos(a), math.sin(a)
+    py, pz = float(point[0]), float(point[1])
+    turned = np.array([_fma(c, py, -s * pz), _fma(s, py, c * pz)])
+    origin = pusher_start.position + _SEAT_DISTANCE_MM * axis - turned
     return PlanarPose(float(origin[0]), float(origin[1]), omega)
+
+
+def _length(v) -> float:
+    """np.linalg.norm of a 2-vector, its dot product rounded as numpy's (scene._fma)."""
+    y, z = float(v[0]), float(v[1])
+    return math.sqrt(_fma(z, z, y * y))
 
 
 def place_offset_contact(
@@ -300,7 +312,7 @@ def place_offset_contact(
         raise ValueError("place_offset_contact needs a polygonal shape")
     verts = shape.polygon
     edge = verts[1] - verts[0]
-    e_dir = edge / np.linalg.norm(edge)
+    e_dir = edge / _length(edge)
     point = 0.5 * (verts[0] + verts[1]) + spatial_offset * e_dir
     return _seat(pusher_start, point, shape.edge_normals[0], angular_offset)
 
@@ -317,7 +329,7 @@ def place_corner_contact(shape: ObjectShape, pusher_start: PlanarPose) -> Planar
         centre = pusher_start.position + (_SEAT_DISTANCE_MM + shape.radius) * axis
         return PlanarPose(float(centre[0]), float(centre[1]), 0.0)
     bisector = shape.edge_normals[-1] + shape.edge_normals[0]
-    return _seat(pusher_start, shape.polygon[0], bisector / np.linalg.norm(bisector), 0.0)
+    return _seat(pusher_start, shape.polygon[0], bisector / _length(bisector), 0.0)
 
 
 def place_random_orientation(

@@ -1,8 +1,8 @@
 """Dual-loop push controller: tactile servoing plus target alignment.
 
 Loop 1 (tactile servoing) drives the sensed contact pose towards a reference
-pose with a 6-channel vector PID over the full SE(3) error
-E = P_pred^-1 @ P_ref (matrix composition, not vector subtraction). Loop 2
+pose with a 6-channel vector PID over the pose error
+E = P_pred^-1 @ P_ref (frame composition, not vector subtraction). Loop 2
 (target alignment) computes the target bearing theta = atan2(y, z) in the
 servo-corrected sensor frame and steers the pusher around the object
 perimeter with a scalar PID whose output v is a lateral move along the
@@ -14,6 +14,13 @@ an absolute pose; the robot then taps forward/back along the commanded
 heading. Alignment disengages (v = 0, memory frozen) inside the target
 approach zone, and the push terminates once the tip centre is within the
 termination radius of the target.
+
+Every pose lies in the plane, so these are planar rigid motions, and they
+run on Python floats as planar frames (see _frame). Their products round as
+the SE(3) matrix products of pose_math did, so a trial's results match
+theirs bit for bit and do not depend on the host's BLAS. Of the PID's six
+channels (x, y, z, alpha, beta, gamma), the errors of x, beta and gamma
+are always 0.
 """
 
 from __future__ import annotations
@@ -24,16 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .pose_math import (
-    EulerPose,
-    Transform,
-    compose,
-    euler_to_transform,
-    inverse,
-    normalize_angle_deg,
-    transform_to_euler,
-)
-from .scene import PlanarPose, heading_dir
+from .scene import PlanarPose, _fma, normalize_angle_deg
 from .tactile_sense import PosePrediction
 
 __all__ = [
@@ -141,8 +139,8 @@ class ControllerConfig:
 class ControllerState:
     """Per-trial mutable memory of both PID loops."""
 
-    integral6: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    prev_error6: np.ndarray = field(default_factory=lambda: np.zeros(6))
+    integral6: tuple = (0.0,) * 6
+    prev_error6: tuple = (0.0,) * 6
     integral_theta: float = 0.0
     prev_epsilon: float = 0.0
     no_contact_streak: int = 0
@@ -158,64 +156,107 @@ class ControlDecision:
     theta: float | None = None
     r: float | None = None
     v: float = 0.0
-    error6: np.ndarray | None = None
-    integral6: np.ndarray | None = None
+    error6: tuple | None = None
+    integral6: tuple | None = None
 
 
-def prediction_to_pose(pred: PosePrediction) -> Transform:
-    """Transform of the sensor frame relative to the contact feature frame."""
+# A planar frame is a tuple (r11, r12, r21, r22, y, z): rows and columns
+# (y, z) of the SE(3) transform of the pose (0, y, z, alpha, 0, 0), the only
+# entries of it that are not fixed at 0 or 1. Every product rounds as numpy's
+# BLAS product of those 3 x 3 transforms did, entry by entry, with one _fma
+# (scene._fma says why that is exact), so the goldens hold bit for bit.
+
+def _frame(y: float, z: float, alpha: float) -> tuple:
+    """Frame of the planar pose (y, z, alpha), alpha in degrees."""
+    a = math.radians(alpha)
+    c, s = math.cos(a), math.sin(a)
+    # 0.0 - s: the SE(3) entry is 0 * c - s, which is +0.0 when s is 0
+    return (c, 0.0 - s, s, c, y, z)
+
+
+def _apply(f: tuple, y: float, z: float) -> tuple:
+    """The point (y, z) of frame f, in f's parent frame."""
+    r11, r12, r21, r22, ty, tz = f
+    return _fma(r12, z, r11 * y) + ty, _fma(r22, z, r21 * y) + tz
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """Frame b chained after frame a (a @ b)."""
+    a11, a12, a21, a22, _, _ = a
+    b11, b12, b21, b22, by, bz = b
+    return (
+        _fma(a12, b21, a11 * b11),
+        _fma(a12, b22, a11 * b12),
+        _fma(a22, b21, a21 * b11),
+        _fma(a22, b22, a21 * b12),
+        *_apply(a, by, bz),
+    )
+
+
+def _inverse(f: tuple) -> tuple:
+    """Inverse frame: rotation transposed, translation -R^T t."""
+    r11, r12, r21, r22, y, z = f
+    return (r11, r21, r12, r22, -_fma(r21, z, r11 * y), -_fma(r22, z, r12 * y))
+
+
+def _pose(f: tuple) -> PlanarPose:
+    """Planar pose of a frame, its heading read from the first column."""
+    return PlanarPose(f[4], f[5], math.degrees(math.atan2(f[2], f[0])))
+
+
+def prediction_to_pose(pred: PosePrediction) -> tuple:
+    """Frame of the sensor relative to the contact feature frame."""
     if not pred.in_contact:
         raise ValueError("prediction_to_pose: prediction has no contact")
-    return euler_to_transform(EulerPose(0.0, 0.0, pred.z_depth, pred.alpha, 0.0, 0.0))
+    return _frame(0.0, pred.z_depth, pred.alpha)
 
 
-def servo_error(pred_pose: Transform, ref_pose: Transform) -> EulerPose:
-    """SE(3) servo error between the sensed and reference sensor poses.
+def servo_error(pred_pose: tuple, ref_pose: tuple) -> tuple:
+    """Servo error (x, y, z, alpha, beta, gamma) between the sensed and
+    reference sensor frames.
 
-    Full matrix composition E = P_pred^-1 @ P_ref; this differs from naive
-    vector subtraction whenever rotation and translation errors mix.
+    Frame composition E = P_pred^-1 @ P_ref; this differs from naive vector
+    subtraction whenever rotation and translation errors mix. On the plane
+    the x, beta and gamma channels are 0.
     """
-    return transform_to_euler(compose(inverse(pred_pose), ref_pose))
+    _, _, e21, e22, y, z = _compose(_inverse(pred_pose), ref_pose)
+    alpha = normalize_angle_deg(math.degrees(math.atan2(e21, e22)))
+    return (0.0, y, z, alpha, 0.0, 0.0)
 
 
 def pid6_step(
     state: ControllerState,
-    error6: EulerPose,
+    error6: tuple,
     cfg: ControllerConfig,
-) -> EulerPose:
+) -> tuple:
     """One tick of the 6-channel servo PID (one tick = one tap).
 
     The integral is accumulated first and clipped channelwise (translation
     channels to the mm clip, rotation channels to the degree clip); the
     derivative acts on the error with prev_error starting at zero.
     """
-    e = error6.as_array()
-    state.integral6 = state.integral6 + e
-    lo_t, hi_t = cfg.integral_clip_translation
-    lo_r, hi_r = cfg.integral_clip_rotation
-    state.integral6[:3] = np.clip(state.integral6[:3], lo_t, hi_t)
-    state.integral6[3:] = np.clip(state.integral6[3:], lo_r, hi_r)
-    deriv = e - state.prev_error6
-    u = (
-        np.asarray(cfg.kp_servo) * e
-        + np.asarray(cfg.ki_servo) * state.integral6
-        + np.asarray(cfg.kd_servo) * deriv
+    clips = (cfg.integral_clip_translation,) * 3 + (cfg.integral_clip_rotation,) * 3
+    state.integral6 = tuple(
+        min(max(i + e, lo), hi) for i, e, (lo, hi) in zip(state.integral6, error6, clips)
     )
-    state.prev_error6 = e
-    return EulerPose.from_array(u)
+    u = tuple(
+        kp * e + ki * i + kd * (e - prev)
+        for kp, ki, kd, e, i, prev in zip(
+            cfg.kp_servo, cfg.ki_servo, cfg.kd_servo,
+            error6, state.integral6, state.prev_error6,
+        )
+    )
+    state.prev_error6 = tuple(error6)
+    return u
 
 
-def target_bearing(
-    u_correction: Transform, pusher_pose: Transform, target_pose: Transform
-):
+def target_bearing(u_correction: tuple, pusher_pose: tuple, target: PlanarPose):
     """Bearing (degrees) and in-plane range (mm) of the target, measured in
     the servo-corrected sensor frame."""
-    p = transform_to_euler(
-        compose(inverse(u_correction), compose(inverse(pusher_pose), target_pose))
+    y, z = _apply(
+        _inverse(u_correction), *_apply(_inverse(pusher_pose), target.y, target.z)
     )
-    theta = math.degrees(math.atan2(p.y, p.z))
-    r = math.hypot(p.y, p.z)
-    return theta, r
+    return math.degrees(math.atan2(y, z)), math.hypot(y, z)
 
 
 def alignment_pid_step(
@@ -232,11 +273,10 @@ def alignment_pid_step(
     return float(min(max(v, lo), hi))
 
 
-def compose_command(u_servo: Transform, v: float, pusher_pose: Transform) -> Transform:
-    """Absolute commanded pose: servo correction then the lateral alignment
-    move, both chained off the current sensor pose."""
-    lateral = euler_to_transform(EulerPose(0.0, v, 0.0, 0.0, 0.0, 0.0))
-    return compose(pusher_pose, compose(u_servo, lateral))
+def compose_command(u_servo: tuple, v: float, pusher_pose: tuple) -> tuple:
+    """Absolute commanded frame: servo correction then the lateral alignment
+    move, both chained off the current sensor frame."""
+    return _compose(pusher_pose, _compose(u_servo, _frame(v, 0.0, 0.0)))
 
 
 def control_step(
@@ -257,9 +297,9 @@ def control_step(
     if np.hypot(target.y - pusher.y, target.z - pusher.z) < cfg.termination_radius:
         return ControlDecision(Status.TARGET_REACHED)
 
-    pusher_t = pusher.to_transform()
-    # the goldens were recorded with this SE(3) read-back (1 ulp off on 4% of headings)
-    pusher = PlanarPose.from_transform(pusher_t)
+    pusher_f = _frame(pusher.y, pusher.z, pusher.alpha)
+    # the goldens were recorded with this read-back (1 ulp off on 4% of headings)
+    pusher = _pose(pusher_f)
 
     if not pred.in_contact:
         state.no_contact_streak += 1
@@ -271,27 +311,31 @@ def control_step(
             if state.last_normal_heading is not None
             else pusher.alpha
         )
-        step = cfg.reacquire_advance * heading_dir(heading)
+        a = math.radians(heading)
+        step = cfg.reacquire_advance
         return ControlDecision(
             Status.CONTINUE,
-            command=PlanarPose(pusher.y + step[0], pusher.z + step[1], pusher.alpha),
-            integral6=state.integral6.copy(),
+            command=PlanarPose(
+                pusher.y + step * -math.sin(a), pusher.z + step * math.cos(a), pusher.alpha
+            ),
+            integral6=state.integral6,
         )
 
     state.no_contact_streak = 0
     state.last_normal_heading = normalize_angle_deg(pusher.alpha - pred.alpha)
 
-    error6 = servo_error(prediction_to_pose(pred), cfg.ref_pose.to_transform())
+    ref = cfg.ref_pose
+    error6 = servo_error(prediction_to_pose(pred), _frame(ref.y, ref.z, ref.alpha))
     u6 = pid6_step(state, error6, cfg)
-    u_servo = euler_to_transform(u6)
-    theta, r = target_bearing(u_servo, pusher_t, target.to_transform())
+    u_servo = _frame(u6[1], u6[2], u6[3])
+    theta, r = target_bearing(u_servo, pusher_f, target)
     v = alignment_pid_step(state, theta, cfg) if r > cfg.approach_zone_radius else 0.0
     return ControlDecision(
         Status.CONTINUE,
-        command=PlanarPose.from_transform(compose_command(u_servo, v, pusher_t)),
+        command=_pose(compose_command(u_servo, v, pusher_f)),
         theta=theta,
         r=r,
         v=v,
-        error6=error6.as_array(),
-        integral6=state.integral6.copy(),
+        error6=error6,
+        integral6=state.integral6,
     )

@@ -1,6 +1,7 @@
 """SE(3) helpers the tests check `tacpush.pose_math` with: elementary
-rotations, the identity transform, the 4x4 matrix form and the
-orthonormality drift of a rotation. The package itself needs none of them."""
+rotations, the identity transform, the 4x4 matrix form, the
+orthonormality drift of a rotation and the embedding of a planar frame.
+The package itself needs none of them."""
 
 import math
 
@@ -43,3 +44,11 @@ def rotation_drift(t: Transform) -> float:
     """Max-abs deviation of R^T R from identity."""
     d = t.rotation.T @ t.rotation - np.eye(3)
     return float(np.max(np.abs(d)))
+
+
+def embed(frame) -> Transform:
+    """SE(3) transform of a planar frame (r11, r12, r21, r22, y, z) of
+    `tacpush.push_controller`: the pose (0, y, z, alpha, 0, 0)."""
+    r11, r12, r21, r22, y, z = frame
+    rotation = np.array([[1.0, 0.0, 0.0], [0.0, r11, r12], [0.0, r21, r22]])
+    return Transform(rotation, np.array([0.0, y, z]))

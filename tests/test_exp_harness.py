@@ -125,6 +125,22 @@ class TestRunTrial:
         )
         assert recomputed == rec.y_targ
 
+    def test_records_hold_python_floats(self):
+        # the object starts 2 mm clear of the tip, so the first reading has no
+        # contact and the first command is a reacquire move
+        sc = exp1_scenario(0.0, 0.0, seed=1, max_taps=4)
+        start = sc.object_start_pose
+        sc = dataclasses.replace(
+            sc, object_start_pose=PlanarPose(start.y, start.z + 3.0, start.alpha)
+        )
+        rec = run_trial(sc)
+        assert rec.taps[0]["in_contact"] is False and rec.taps[1]["in_contact"] is True
+        values = [rec.final_pusher_pose, rec.final_object_pose]
+        values += [value for tap in rec.taps for value in tap.values()]
+        scalars = [x for value in values
+                   for x in (value if isinstance(value, tuple) else (value,))]
+        assert not [x for x in scalars if isinstance(x, np.generic)]
+
     def test_scenario_file_round_trip(self):
         rec = run_trial(load_scenario(BASELINE))
         assert rec.outcome == "reached"

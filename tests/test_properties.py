@@ -361,8 +361,8 @@ def test_control_step_commands_stay_planar_and_bounded(pusher, target, readings)
     cfg = ControllerConfig()
     state = ControllerState()
     for pred in readings:
-        # control_step reads its command back through PlanarPose.from_transform,
-        # which raises if the SE(3) command left the plane
+        # control_step reads its command back into a PlanarPose, which raises
+        # on a non-finite coordinate
         decision = control_step(pred, pusher, target, state, cfg)
         if decision.status is not Status.CONTINUE:
             return

@@ -1,31 +1,39 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from tacpush import pose_math
 from tacpush.exp_harness import exp1_scenario, run_trial
 from tacpush.pose_math import (
     EulerPose,
     compose,
     euler_to_transform,
     inverse,
+    normalize_angle_deg,
     transform_to_euler,
 )
 from tacpush.push_controller import (
     ControllerConfig,
     ControllerState,
     Status,
+    _compose,
+    _frame,
     alignment_pid_step,
     compose_command,
     control_step,
     pid6_step,
+    prediction_to_pose,
     servo_error,
     target_bearing,
 )
 from tacpush.scene import PlanarPose, builtin_shapes
 from tacpush.tactile_sense import NoiseModel, PosePrediction
 
-from se3_helpers import identity, matrix
+from se3_helpers import embed, matrix
+
+IDENTITY = _frame(0.0, 0.0, 0.0)
 
 
 def pose6(*vals):
@@ -38,29 +46,29 @@ def contact_pred(z=2.0, alpha=0.0):
 
 class TestServoError:
     def test_zero_at_reference(self):
-        ref = pose6(0, 0, 2, 0, 0, 0)
+        ref = _frame(0, 2, 0)
         e = servo_error(ref, ref)
-        assert e.as_array() == pytest.approx(np.zeros(6), abs=1e-12)
+        assert e == pytest.approx(np.zeros(6), abs=1e-12)
 
     def test_over_deep_contact_commands_retreat(self):
-        e = servo_error(pose6(0, 0, 4), pose6(0, 0, 2))
-        assert e.as_array() == pytest.approx([0, 0, -2, 0, 0, 0], abs=1e-12)
+        e = servo_error(_frame(0, 4, 0), _frame(0, 2, 0))
+        assert e == pytest.approx([0, 0, -2, 0, 0, 0], abs=1e-12)
 
     def test_pure_angle_error_is_pure_rotation(self):
         # equal depths: the error is a rotation about the tip centre with no
         # translation component (verified against the direct matrix product)
-        pred = pose6(0, 0, 2, 10, 0, 0)
-        ref = pose6(0, 0, 2, 0, 0, 0)
-        direct = transform_to_euler(compose(inverse(pred), ref))
+        pred = _frame(0, 2, 10)
+        ref = _frame(0, 2, 0)
+        direct = transform_to_euler(compose(inverse(embed(pred)), embed(ref)))
         e = servo_error(pred, ref)
-        assert e == direct
-        assert e.alpha == pytest.approx(-10.0)
-        assert np.allclose([e.x, e.y, e.z], 0.0, atol=1e-12)
+        assert e == tuple(direct.as_array())
+        assert e[3] == pytest.approx(-10.0)
+        assert np.allclose(e[:3], 0.0, atol=1e-12)
 
     def test_mixed_error_differs_from_vector_subtraction(self):
         pred = pose6(0, 0, 4, 10, 0, 0)
         ref = pose6(0, 0, 2, 0, 0, 0)
-        e = servo_error(pred, ref).as_array()
+        e = servo_error(_frame(0, 4, 10), _frame(0, 2, 0))
         naive = np.array([0, 0, -2, -10, 0, 0])
         # rotation channel agrees, translation picks up a rotated-frame term
         assert e[3] == pytest.approx(-10.0)
@@ -68,32 +76,34 @@ class TestServoError:
         expected_y = float((inverse(pred).rotation @ (ref.translation - pred.translation))[1])
         assert e[1] == pytest.approx(expected_y)
 
+    def test_prediction_frame(self):
+        pred = PosePrediction(True, z_depth=3.0, alpha=-7.0)
+        assert prediction_to_pose(pred) == _frame(0.0, 3.0, -7.0)
+
 
 class TestPid6:
     def test_zero_error_zero_output(self):
-        out = pid6_step(ControllerState(), EulerPose(), ControllerConfig())
-        assert out.as_array() == pytest.approx(np.zeros(6))
+        out = pid6_step(ControllerState(), (0.0,) * 6, ControllerConfig())
+        assert out == pytest.approx(np.zeros(6))
 
     def test_default_gain_arithmetic(self):
         # fresh state, error (0,0,1,2,0,3): P 0.9 + I 0.1 on z/alpha, zeros elsewhere
-        out = pid6_step(
-            ControllerState(), EulerPose(0, 0, 1, 2, 0, 3), ControllerConfig()
-        )
-        assert out.as_array() == pytest.approx([0, 0, 1.0, 2.0, 0, 0])
+        out = pid6_step(ControllerState(), (0, 0, 1, 2, 0, 3), ControllerConfig())
+        assert out == pytest.approx([0, 0, 1.0, 2.0, 0, 0])
 
     def test_constant_error_closed_form(self):
         cfg = ControllerConfig()
         state = ControllerState()
-        e = EulerPose(0, 0, 1.0, 0, 0, 0)
+        e = (0, 0, 1.0, 0, 0, 0)
         for n in range(1, 12):
             out = pid6_step(state, e, cfg)
             expected = 0.9 * 1.0 + 0.1 * min(float(n), 5.0)
-            assert out.z == pytest.approx(expected)
+            assert out[2] == pytest.approx(expected)
 
     def test_integral_clipping_channelwise(self):
         cfg = ControllerConfig()
         state = ControllerState()
-        e = EulerPose(0, 0, 100.0, -100.0, 0, 0)
+        e = (0, 0, 100.0, -100.0, 0, 0)
         for _ in range(10):
             pid6_step(state, e, cfg)
         assert state.integral6[2] == 5.0
@@ -103,47 +113,39 @@ class TestPid6:
         cfg = ControllerConfig(kp_servo=(0,) * 6, ki_servo=(0,) * 6,
                                kd_servo=(0, 0, 1.0, 0, 0, 0))
         state = ControllerState()
-        out1 = pid6_step(state, EulerPose(0, 0, 2.0, 0, 0, 0), cfg)
-        assert out1.z == pytest.approx(2.0)
-        out2 = pid6_step(state, EulerPose(0, 0, 2.0, 0, 0, 0), cfg)
-        assert out2.z == pytest.approx(0.0)
+        out1 = pid6_step(state, (0, 0, 2.0, 0, 0, 0), cfg)
+        assert out1[2] == pytest.approx(2.0)
+        out2 = pid6_step(state, (0, 0, 2.0, 0, 0, 0), cfg)
+        assert out2[2] == pytest.approx(0.0)
 
 
 class TestTargetBearing:
     def test_dead_ahead(self):
-        theta, r = target_bearing(
-            identity(), identity(), pose6(0, 0, 100)
-        )
+        theta, r = target_bearing(IDENTITY, IDENTITY, PlanarPose(0, 100))
         assert theta == pytest.approx(0.0)
         assert r == pytest.approx(100.0)
 
     def test_diagonal(self):
-        theta, r = target_bearing(
-            identity(), identity(), pose6(0, 100, 100)
-        )
+        theta, r = target_bearing(IDENTITY, IDENTITY, PlanarPose(100, 100))
         assert theta == pytest.approx(45.0)
         assert r == pytest.approx(math.hypot(100, 100))
 
     def test_behind(self):
-        theta, _ = target_bearing(
-            identity(), identity(), pose6(0, 1, -100)
-        )
+        theta, _ = target_bearing(IDENTITY, IDENTITY, PlanarPose(1, -100))
         assert theta > 90.0
-        theta, _ = target_bearing(
-            identity(), identity(), pose6(0, -1, -100)
-        )
+        theta, _ = target_bearing(IDENTITY, IDENTITY, PlanarPose(-1, -100))
         assert theta < -90.0
 
     def test_measured_in_correction_frame(self):
         # turning the correction frame by +30 deg puts a dead-ahead target
         # at bearing +30 in that frame
-        correction = pose6(0, 0, 0, 30, 0, 0)
-        theta, _ = target_bearing(correction, identity(), pose6(0, 0, 100))
+        correction = _frame(0, 0, 30)
+        theta, _ = target_bearing(correction, IDENTITY, PlanarPose(0, 100))
         assert theta == pytest.approx(30.0)
 
     def test_pusher_frame_offset(self):
-        pusher = pose6(0, 50, 0, 0, 0, 0)
-        theta, r = target_bearing(identity(), pusher, pose6(0, 50, 80))
+        pusher = _frame(50, 0, 0)
+        theta, r = target_bearing(IDENTITY, pusher, PlanarPose(50, 80))
         assert theta == pytest.approx(0.0)
         assert r == pytest.approx(80.0)
 
@@ -174,28 +176,82 @@ class TestComposeCommand:
     def test_identity_chain(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            pusher = pose6(
-                0, *rng.uniform(-300, 300, size=2), float(rng.uniform(-180, 180)), 0, 0
-            )
-            cmd = compose_command(identity(), 0.0, pusher)
-            assert np.allclose(matrix(cmd), matrix(pusher), atol=1e-12)
+            pusher = _frame(*rng.uniform(-300, 300, size=2), float(rng.uniform(-180, 180)))
+            cmd = compose_command(IDENTITY, 0.0, pusher)
+            assert np.allclose(cmd, pusher, atol=1e-12)
 
     def test_lateral_move_along_sensor_y(self):
-        cmd = compose_command(identity(), 5.0, identity())
-        assert np.allclose(cmd.translation, [0.0, 5.0, 0.0])
-        pusher = pose6(0, 0, 0, 90, 0, 0)
-        cmd = compose_command(identity(), 5.0, pusher)
-        assert np.allclose(cmd.translation, [0.0, 0.0, 5.0], atol=1e-12)
+        cmd = compose_command(IDENTITY, 5.0, IDENTITY)
+        assert np.allclose(cmd[4:], [5.0, 0.0])
+        pusher = _frame(0, 0, 90)
+        cmd = compose_command(IDENTITY, 5.0, pusher)
+        assert np.allclose(cmd[4:], [0.0, 5.0], atol=1e-12)
 
     def test_lateral_move_in_corrected_frame(self):
-        u = pose6(0, 0, 0, 10, 0, 0)
-        ordered = compose_command(u, 5.0, identity())
-        reversed_product = compose(
-            euler_to_transform(EulerPose(0, 5.0, 0, 0, 0, 0)), u
-        )
-        assert not np.allclose(matrix(ordered), matrix(reversed_product))
-        expected = compose(u, euler_to_transform(EulerPose(0, 5.0, 0, 0, 0, 0)))
-        assert np.allclose(matrix(ordered), matrix(expected))
+        u = _frame(0, 0, 10)
+        ordered = compose_command(u, 5.0, IDENTITY)
+        reversed_product = _compose(_frame(5.0, 0, 0), u)
+        assert not np.allclose(ordered, reversed_product)
+        expected = _compose(u, _frame(5.0, 0, 0))
+        assert np.allclose(ordered, expected)
+
+
+class TestPlanarMatchesSE3:
+    """The planar frames against pose_math's SE(3) chain, to within 1e-9 on
+    any host; bit-identity is pinned by the goldens and the trial digest."""
+
+    HEADINGS = (0.0, 90.0, -90.0, 180.0)
+
+    @staticmethod
+    def poses(rng, n):
+        """Random (y, z, alpha) triples, with special headings and y = 0."""
+        for k in range(n):
+            y, z = rng.uniform(-300, 300, size=2)
+            alpha = rng.uniform(-180, 180)
+            if k % 3 == 0:
+                alpha = TestPlanarMatchesSE3.HEADINGS[k // 3 % 4]
+            if k % 5 == 0:
+                y = 0.0
+            yield float(y), float(z), float(alpha)
+
+    @staticmethod
+    def se3(y, z, alpha):
+        return pose6(0.0, y, z, alpha, 0.0, 0.0)
+
+    def test_frame_is_the_planar_block(self):
+        for pose in self.poses(np.random.default_rng(1), 200):
+            assert np.allclose(matrix(embed(_frame(*pose))), matrix(self.se3(*pose)),
+                               rtol=0.0, atol=1e-9)
+
+    def test_servo_error(self):
+        rng = np.random.default_rng(2)
+        for pose in self.poses(rng, 400):
+            pred = (0.0, float(rng.uniform(1, 5)), float(rng.uniform(-20, 20)))
+            got = servo_error(_frame(*pred), _frame(*pose))
+            want = transform_to_euler(compose(inverse(self.se3(*pred)), self.se3(*pose)))
+            diff = np.subtract(got, want.as_array())
+            diff[3:] = [normalize_angle_deg(d) for d in diff[3:]]
+            assert np.abs(diff).max() <= 1e-9, (pred, pose)
+
+    def test_target_bearing(self):
+        rng = np.random.default_rng(3)
+        for pusher, target, u in zip(*(self.poses(rng, 400) for _ in range(3))):
+            u = (u[0] / 100.0, u[1] / 100.0, u[2])
+            theta, r = target_bearing(_frame(*u), _frame(*pusher), PlanarPose(*target))
+            p = transform_to_euler(compose(
+                inverse(self.se3(*u)), compose(inverse(self.se3(*pusher)), self.se3(*target))
+            ))
+            assert abs(normalize_angle_deg(theta - math.degrees(math.atan2(p.y, p.z)))) <= 1e-9
+            assert abs(r - math.hypot(p.y, p.z)) <= 1e-9
+
+    def test_compose_command(self):
+        rng = np.random.default_rng(4)
+        for pusher, u in zip(*(self.poses(rng, 400) for _ in range(2))):
+            u = (u[0] / 100.0, u[1] / 100.0, u[2])
+            v = float(rng.uniform(-5, 5))
+            got = compose_command(_frame(*u), v, _frame(*pusher))
+            want = compose(self.se3(*pusher), compose(self.se3(*u), self.se3(v, 0.0, 0.0)))
+            assert np.allclose(matrix(embed(got)), matrix(want), rtol=0.0, atol=1e-9)
 
 
 class TestControlStep:
@@ -296,6 +352,28 @@ class TestControlStep:
             assert abs(dec.v) <= 5.0
             assert np.all(np.abs(state.integral6[:3]) <= 5.0 + 1e-12)
             assert np.all(np.abs(state.integral6[3:]) <= 25.0 + 1e-12)
+
+
+    def test_trial_makes_no_pose_math_call(self, monkeypatch):
+        # wrap every binding of the SE(3) functions in the package, as
+        # perfbench's tracer does
+        calls = []
+        for name in ("compose", "inverse", "euler_to_transform", "transform_to_euler"):
+            original = getattr(pose_math, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] != "tacpush":
+                    continue
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        rec = run_trial(exp1_scenario(10.0, 15.0, seed=1, max_taps=10))
+        assert rec.tap_total == 10
+        assert calls == []
 
 
 class TestConfigValidation:

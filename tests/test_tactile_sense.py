@@ -24,7 +24,7 @@ from tacpush.tactile_sense import (
     sense_contact,
 )
 
-from se3_helpers import matrix
+from se3_helpers import embed, matrix
 
 
 def world_with_square(tip_center, pusher_alpha=0.0, square_z=None, side=60.0):
@@ -161,7 +161,7 @@ class TestApplyNoise:
         # noise moves z and alpha only; the sensed pose keeps x, y, beta and
         # gamma at exactly zero
         out = apply_noise(self.contact_pred(), NoiseModel(), np.random.default_rng(1))
-        e = transform_to_euler(prediction_to_pose(out))
+        e = transform_to_euler(embed(prediction_to_pose(out)))
         assert (e.x, e.y, e.beta, e.gamma) == (0.0, 0.0, 0.0, 0.0)
         assert (e.z, e.alpha) == pytest.approx((out.z_depth, out.alpha), abs=1e-12)
 
@@ -198,12 +198,12 @@ class TestApplyNoise:
 
 class TestPredictionToPose:
     def test_pure_depth(self):
-        t = prediction_to_pose(PosePrediction(True, z_depth=2.0, alpha=0.0))
+        t = embed(prediction_to_pose(PosePrediction(True, z_depth=2.0, alpha=0.0)))
         assert np.allclose(t.rotation, np.eye(3))
         assert np.allclose(t.translation, [0.0, 0.0, 2.0])
 
     def test_depth_with_angle_matches_direct_matrix(self):
-        t = prediction_to_pose(PosePrediction(True, z_depth=2.0, alpha=10.0))
+        t = embed(prediction_to_pose(PosePrediction(True, z_depth=2.0, alpha=10.0)))
         direct = euler_to_transform(EulerPose(0.0, 0.0, 2.0, 10.0, 0.0, 0.0))
         assert np.allclose(matrix(t), matrix(direct))
 
