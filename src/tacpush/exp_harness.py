@@ -35,7 +35,6 @@ from .scene import (
     _fma,
     builtin_shapes,
     heading_dir,
-    rot2,
 )
 from .scenario import (
     _INLINE_OBJECT, Scenario, ScenarioError, _number, _numbers, _read, shape_to_dict
@@ -160,9 +159,9 @@ def compute_metrics(records) -> Metrics:
 def compute_y_targ(final_pusher_pose: PlanarPose, target_pose: PlanarPose) -> float:
     """Perpendicular in-plane distance from the sensor's central-axis line
     to the target point."""
-    axis = heading_dir(final_pusher_pose.alpha)
-    rel = target_pose.position - final_pusher_pose.position
-    return abs(float(axis[0] * rel[1] - axis[1] * rel[0]))
+    ay, az = heading_dir(final_pusher_pose.alpha)
+    ry, rz = target_pose.y - final_pusher_pose.y, target_pose.z - final_pusher_pose.z
+    return abs(ay * rz - az * ry)
 
 
 def _euler_tuple(p: PlanarPose) -> tuple:
@@ -192,7 +191,7 @@ def run_trial(scenario: Scenario) -> TrialRecord:
         "noise_enabled": scenario.noise.enabled,
     }
     try:
-        contact = contact_at(shape, world.object_pose, world.pusher_pose.position)
+        contact = contact_at(shape, world.object_pose, (world.pusher_pose.y, world.pusher_pose.z))
         sense_heading = world.pusher_pose.alpha
         while True:
             pred = apply_noise(sense_contact(contact, sense_heading), scenario.noise, rng)
@@ -262,7 +261,9 @@ def run_trials(scenarios, workers: int = 1):
     files are byte-identical across pool sizes.
     """
     scenarios = list(scenarios)
-    if workers <= 1 or len(scenarios) <= 1:
+    # a pool forks all its workers at the first submit, so start no idle ones
+    workers = min(workers, len(scenarios))
+    if workers <= 1:
         return [run_trial(s) for s in scenarios]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_trial, scenarios, chunksize=1))
@@ -272,29 +273,27 @@ def run_trials(scenarios, workers: int = 1):
 # object placement
 # ---------------------------------------------------------------------------
 
-def _seat(
-    pusher_start: PlanarPose, point: np.ndarray, normal: np.ndarray, turn: float
-) -> PlanarPose:
+def _seat(pusher_start: PlanarPose, point, normal, turn: float) -> PlanarPose:
     """Pose that puts object-frame `point` dead ahead of the tip, _SEAT_DISTANCE_MM
     from its centre, with the object-frame unit `normal` pointing back at the
     tip, then turned `turn` degrees about that point."""
-    axis = heading_dir(pusher_start.alpha)
+    ay, az = heading_dir(pusher_start.alpha)
     omega = (
-        math.degrees(math.atan2(-axis[1], -axis[0]))
-        - math.degrees(math.atan2(normal[1], normal[0]))
+        math.degrees(math.atan2(-az, -ay)) - math.degrees(math.atan2(normal[1], normal[0]))
     ) + turn
-    # rot2(omega) @ point, each row rounded as numpy's product (scene._fma)
+    # `point` rotated by omega, each row rounded as numpy's product was (scene._fma)
     a = math.radians(omega)
     c, s = math.cos(a), math.sin(a)
-    py, pz = float(point[0]), float(point[1])
-    turned = np.array([_fma(c, py, -s * pz), _fma(s, py, c * pz)])
-    origin = pusher_start.position + _SEAT_DISTANCE_MM * axis - turned
-    return PlanarPose(float(origin[0]), float(origin[1]), omega)
+    py, pz = point
+    return PlanarPose(
+        pusher_start.y + _SEAT_DISTANCE_MM * ay - _fma(c, py, -s * pz),
+        pusher_start.z + _SEAT_DISTANCE_MM * az - _fma(s, py, c * pz),
+        omega,
+    )
 
 
-def _length(v) -> float:
-    """np.linalg.norm of a 2-vector, its dot product rounded as numpy's (scene._fma)."""
-    y, z = float(v[0]), float(v[1])
+def _length(y: float, z: float) -> float:
+    """np.linalg.norm of (y, z), its dot product rounded as numpy's (scene._fma)."""
     return math.sqrt(_fma(z, z, y * y))
 
 
@@ -310,11 +309,14 @@ def place_offset_contact(
     about the contact point."""
     if shape.radius is not None:
         raise ValueError("place_offset_contact needs a polygonal shape")
-    verts = shape.polygon
-    edge = verts[1] - verts[0]
-    e_dir = edge / _length(edge)
-    point = 0.5 * (verts[0] + verts[1]) + spatial_offset * e_dir
-    return _seat(pusher_start, point, shape.edge_normals[0], angular_offset)
+    (y0, z0), (y1, z1) = shape.polygon[:2].tolist()
+    ey, ez = y1 - y0, z1 - z0
+    n = _length(ey, ez)
+    point = (
+        0.5 * (y0 + y1) + spatial_offset * (ey / n),
+        0.5 * (z0 + z1) + spatial_offset * (ez / n),
+    )
+    return _seat(pusher_start, point, shape.edge_normals[0].tolist(), angular_offset)
 
 
 def place_corner_contact(shape: ObjectShape, pusher_start: PlanarPose) -> PlanarPose:
@@ -325,11 +327,13 @@ def place_corner_contact(shape: ObjectShape, pusher_start: PlanarPose) -> Planar
     corners: the nearest boundary point is placed dead ahead instead.
     """
     if shape.radius is not None:
-        axis = heading_dir(pusher_start.alpha)
-        centre = pusher_start.position + (_SEAT_DISTANCE_MM + shape.radius) * axis
-        return PlanarPose(float(centre[0]), float(centre[1]), 0.0)
-    bisector = shape.edge_normals[-1] + shape.edge_normals[0]
-    return _seat(pusher_start, shape.polygon[0], bisector / _length(bisector), 0.0)
+        ay, az = heading_dir(pusher_start.alpha)
+        reach = _SEAT_DISTANCE_MM + shape.radius
+        return PlanarPose(pusher_start.y + reach * ay, pusher_start.z + reach * az, 0.0)
+    (ly, lz), (ry, rz) = shape.edge_normals[[-1, 0]].tolist()
+    by, bz = ly + ry, lz + rz
+    n = _length(by, bz)
+    return _seat(pusher_start, shape.polygon[0].tolist(), (by / n, bz / n), 0.0)
 
 
 def place_random_orientation(
@@ -338,12 +342,12 @@ def place_random_orientation(
     """Seat the object at a fixed heading dead ahead of the tip by sliding it
     along the push axis until the boundary sits INITIAL_CONTACT_DEPTH_MM
     into the disc."""
-    axis = heading_dir(pusher_start.alpha)
+    y, z = pusher_start.y, pusher_start.z
+    ay, az = heading_dir(pusher_start.alpha)
 
     def depth_at(t: float) -> float:
-        pos = pusher_start.position + t * axis
-        pose = PlanarPose(float(pos[0]), float(pos[1]), heading_deg)
-        return contact_at(shape, pose, pusher_start.position).penetration
+        pose = PlanarPose(y + t * ay, z + t * az, heading_deg)
+        return contact_at(shape, pose, (y, z)).penetration
 
     lo = 0.0
     hi = TIP_RADIUS_MM + shape.max_extent() + INITIAL_CONTACT_DEPTH_MM + 10.0
@@ -354,8 +358,7 @@ def place_random_orientation(
         else:
             hi = mid
     t = 0.5 * (lo + hi)
-    pos = pusher_start.position + t * axis
-    return PlanarPose(float(pos[0]), float(pos[1]), heading_deg)
+    return PlanarPose(y + t * ay, z + t * az, heading_deg)
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +668,11 @@ def plot(records, out_path) -> Path:
         for tap in shown:
             y, z, alpha = tap["object_pose"]
             if "polygon_mm" in shape_dict:
+                # one matrix product over the whole outline
+                a = math.radians(alpha)
+                c, s = math.cos(a), math.sin(a)
                 verts = np.asarray(shape_dict["polygon_mm"], dtype=float)
-                verts = (rot2(alpha) @ verts.T).T + np.array([y, z])
+                verts = (np.array([[c, -s], [s, c]]) @ verts.T).T + np.array([y, z])
                 pg = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}" for p in verts)
                 parts.append(
                     f'<polygon points="{pg}" fill="none" stroke="{color}" '

@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .scene import PlanarPose, _fma, normalize_angle_deg
+from .scene import PlanarPose, _fma, heading_dir, normalize_angle_deg
 from .tactile_sense import PosePrediction
 
 __all__ = [
@@ -311,13 +311,11 @@ def control_step(
             if state.last_normal_heading is not None
             else pusher.alpha
         )
-        a = math.radians(heading)
+        ay, az = heading_dir(heading)
         step = cfg.reacquire_advance
         return ControlDecision(
             Status.CONTINUE,
-            command=PlanarPose(
-                pusher.y + step * -math.sin(a), pusher.z + step * math.cos(a), pusher.alpha
-            ),
+            command=PlanarPose(pusher.y + step * ay, pusher.z + step * az, pusher.alpha),
             integral6=state.integral6,
         )
 

@@ -345,7 +345,7 @@ def simulate_tap(
         alpha += dalpha
 
     run_leg((cmd.y, cmd.z), cmd.alpha)
-    ay, az = heading_dir(cmd.alpha).tolist()
+    ay, az = heading_dir(cmd.alpha)
     run_leg((cmd.y + tap_forward * ay, cmd.z + tap_forward * az), cmd.alpha)
     sense_heading = normalize_angle_deg(alpha)
     advance_contact = contact

@@ -5,8 +5,10 @@ normal, so a planar pose (y, z, alpha) embeds as the SE(3) Euler vector
 (0, y, z, alpha, 0, 0). For a frame with heading alpha, the +z axis
 (-sin a, cos a) is its forward/push direction and the +y axis
 (cos a, sin a) is its lateral direction. All planar vectors in this module
-are ordered (y, z). World state and physics use planar poses only; SE(3)
-transforms are built from them only for the controller.
+are ordered (y, z): a single vector is a (y, z) float pair, and numpy arrays
+hold only tables of many points (outlines, edge normals). World state and
+physics use planar poses only; SE(3) transforms are built from them only
+for the controller.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "dir_heading",
     "heading_dir",
     "normalize_angle_deg",
-    "rot2",
 ]
 
 _G = 9.81  # m/s^2, for support-friction magnitudes in N
@@ -106,19 +107,13 @@ def _fma(a: float, b: float, c: float) -> float:
 
 def cross2(a, b) -> float:
     """2D cross product a x b for (y, z) vectors; positive is counter-clockwise."""
-    return float(a[0] * b[1] - a[1] * b[0])
+    return a[0] * b[1] - a[1] * b[0]
 
 
-def rot2(deg: float) -> np.ndarray:
-    a = math.radians(deg)
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s], [s, c]])
-
-
-def heading_dir(alpha_deg: float) -> np.ndarray:
+def heading_dir(alpha_deg: float) -> tuple[float, float]:
     """Forward (+z axis) direction of a frame with the given heading."""
     a = math.radians(alpha_deg)
-    return np.array([-math.sin(a), math.cos(a)])
+    return -math.sin(a), math.cos(a)
 
 
 def dir_heading(direction) -> float:
@@ -140,10 +135,6 @@ class PlanarPose:
             if not math.isfinite(value):
                 raise ValueError(f"PlanarPose.{name} must be finite, got {value!r}")
         object.__setattr__(self, "alpha", normalize_angle_deg(self.alpha))
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.y, self.z])
 
     def to_transform(self) -> Transform:
         return euler_to_transform(EulerPose(0.0, self.y, self.z, self.alpha, 0.0, 0.0))
@@ -188,23 +179,25 @@ def _polygon_centroid(verts: np.ndarray) -> np.ndarray:
     return np.array([cx, cy])
 
 
+def _turn(a, b, c) -> float:
+    """cross2(b - a, c - a) of (y, z) pairs: positive when c lies left of a -> b."""
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
 def _segments_intersect(p1, p2, p3, p4) -> bool:
-    d1 = cross2(p4 - p3, p1 - p3)
-    d2 = cross2(p4 - p3, p2 - p3)
-    d3 = cross2(p2 - p1, p3 - p1)
-    d4 = cross2(p2 - p1, p4 - p1)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+    return ((_turn(p3, p4, p1) > 0) != (_turn(p3, p4, p2) > 0)) and (
+        (_turn(p1, p2, p3) > 0) != (_turn(p1, p2, p4) > 0)
+    )
 
 
 def _polygon_is_simple(verts: np.ndarray) -> bool:
-    n = len(verts)
-    for i in range(n):
-        a1, a2 = verts[i], verts[(i + 1) % n]
-        for j in range(i + 1, n):
-            # skip edges sharing a vertex
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            if _segments_intersect(a1, a2, verts[j], verts[(j + 1) % n]):
+    pts = verts.tolist()
+    edges = list(zip(pts, pts[1:] + pts[:1]))
+    n = len(edges)
+    for i, (a1, a2) in enumerate(edges):
+        # edge i against the later edges that share no vertex with it
+        for b1, b2 in edges[i + 2:n - 1 if i == 0 else n]:
+            if _segments_intersect(a1, a2, b1, b2):
                 return False
     return True
 
@@ -433,7 +426,7 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
                 ny, nz = dvy / nv, dvz / nv
         sd = -dist if inside else dist
 
-    # rot2(pose.alpha), from the c, s above
+    # rotated by pose.alpha, from the c, s above
     point = (pose.y + _fma(c, py, -s * pz), pose.z + _fma(s, py, c * pz))
     return sd, point, (_fma(c, ny, -s * nz), _fma(s, ny, c * nz)), feature
 

@@ -169,7 +169,7 @@ def random_contact_configs(n: int, seed: int):
         )
         # sample a boundary point via a random exterior probe direction
         ang = float(rng.uniform(0, 2 * math.pi))
-        probe = pose.position + 400.0 * np.array([math.cos(ang), math.sin(ang)])
+        probe = (pose.y + 400.0 * math.cos(ang), pose.z + 400.0 * math.sin(ang))
         sd, point, n_out, feature = boundary_probe(shape, pose, probe)
         point, n_out = np.asarray(point), np.asarray(n_out)
         n_in = -n_out

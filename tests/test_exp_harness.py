@@ -80,10 +80,10 @@ class TestComputeYTarg:
             pusher_p = PlanarPose(*rng.uniform(-200, 200, size=2),
                                   float(rng.uniform(-180, 180)))
             target_p = PlanarPose(*rng.uniform(-200, 200, size=2))
-            axis = heading_dir(pusher_p.alpha)
+            axis = np.array(heading_dir(pusher_p.alpha))
             ts = np.linspace(-2_000, 2_000, 200_001)
-            pts = pusher_p.position[None, :] + ts[:, None] * axis[None, :]
-            brute = float(np.min(np.linalg.norm(pts - target_p.position, axis=1)))
+            pts = np.array([pusher_p.y, pusher_p.z]) + ts[:, None] * axis
+            brute = float(np.min(np.linalg.norm(pts - [target_p.y, target_p.z], axis=1)))
             assert compute_y_targ(pusher_p, target_p) == pytest.approx(brute, abs=1e-3)
 
 
@@ -227,6 +227,33 @@ class TestExperimentGrids:
             da, db = dataclasses.asdict(a), dataclasses.asdict(b)
             da.pop("wall_time_ms"), db.pop("wall_time_ms")
             assert da == db
+
+    def test_worker_pool_is_no_larger_than_the_batch(self, monkeypatch):
+        # a pool forks every worker at its first submit, so a recording
+        # stand-in runs the batch in process and no real pool is started
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(exp_harness, "ProcessPoolExecutor", RecordingPool)
+        scenarios = [exp1_scenario(off, 0.0, seed=derive_seed(8, i), max_taps=2)
+                     for i, off in enumerate((-10.0, 10.0))]
+        records = run_trials(scenarios, workers=5000)
+        assert sizes == [2]
+        assert [r.scenario_id for r in records] == [s.name for s in scenarios]
+        run_trials(scenarios[:1], workers=5000)
+        assert sizes == [2]
 
 
 class TestPlacement:

@@ -61,7 +61,7 @@ def _vertex_contact(shape, pose, rng):
     span = math.degrees(math.atan2(cross2(n_prev, n_next), float(n_prev @ n_next)))
     n_local = _rotated(n_prev, float(rng.uniform(0.05, 0.95)) * span)
     point = pose.transform_point(verts[i])
-    n_out = pose.transform_point(n_local) - pose.position
+    n_out = pose.transform_point(n_local) - np.array([pose.y, pose.z])
     return point, n_out
 
 
@@ -87,7 +87,7 @@ def generate_cases():
                 point, n_out = _vertex_contact(shape, pose, rng)
             else:
                 ang = float(rng.uniform(0.0, 2.0 * math.pi))
-                far = pose.position + 400.0 * np.array([math.cos(ang), math.sin(ang)])
+                far = (pose.y + 400.0 * math.cos(ang), pose.z + 400.0 * math.sin(ang))
                 _, point, n_out, _ = boundary_probe(shape, pose, far)
                 point, n_out = np.asarray(point), np.asarray(n_out)
             pen = float(rng.uniform(pen_lo, pen_hi))

@@ -297,7 +297,7 @@ def substep_cases(draw):
     pen = draw(st.one_of(st.floats(-1.0, 1.0), st.floats(0.0, 3.0 * PENETRATION_TOL_MM)))
     step = draw(st.floats(0.0, SUBSTEP_CAP_MM))
     deviation = math.radians(draw(st.floats(-180.0, 180.0)))
-    far = pose.position + 400.0 * np.array([math.cos(approach), math.sin(approach)])
+    far = (pose.y + 400.0 * math.cos(approach), pose.z + 400.0 * math.sin(approach))
     _, point, n_out, _ = boundary_probe(shape, pose, far)
     point, n_out = np.asarray(point), np.asarray(n_out)
     tip_new = point + (TIP_RADIUS_MM - pen) * n_out

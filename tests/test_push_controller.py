@@ -323,8 +323,8 @@ class TestControlStep:
             assert dec.status is Status.CONTINUE
             # creeps along the last known normal (here: the current axis)
             assert np.allclose(
-                dec.command.position,
-                pusher.position + [0.0, self.cfg.reacquire_advance],
+                np.array([dec.command.y, dec.command.z]),
+                np.array([pusher.y, pusher.z]) + [0.0, self.cfg.reacquire_advance],
             )
             assert np.isclose(dec.command.alpha, pusher.alpha)
         dec = control_step(missing, pusher, self.target, state, self.cfg)

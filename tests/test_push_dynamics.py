@@ -114,7 +114,7 @@ class TestMotionCone:
         shape = square(mu=0.3)
         pose = PlanarPose(5.0, -3.0, 20.0)
         point = np.asarray(pose.transform_point([12.0, -30.0]))
-        n_in = pose.transform_point([0.0, 1.0]) - pose.position
+        n_in = pose.transform_point([0.0, 1.0]) - np.array([pose.y, pose.z])
         left, right = self.cone(shape, pose, point, n_in)
         r = point - pose.transform_point(shape.cof_offset)
         phi = math.atan(shape.mu_contact)
@@ -341,7 +341,8 @@ class TestSimulateTap:
         assert advanced.object_pose != world.object_pose
         assert new_world.object_pose == advanced.object_pose
         assert sense_heading == advanced.pusher_pose.alpha
-        reading = contact_at(shape, advanced.object_pose, advanced.pusher_pose.position)
+        tip = advanced.pusher_pose
+        reading = contact_at(shape, advanced.object_pose, (tip.y, tip.z))
         assert contact.penetration == pytest.approx(reading.penetration, abs=1e-9)
         assert new_world.pusher_pose.z == pytest.approx(
             advanced.pusher_pose.z - 5.0, abs=1e-9
@@ -354,11 +355,11 @@ class TestSimulateTap:
         new_world, sense_heading, contact = simulate_tap(
             world, shape, cmd, tap_forward=10.0, tap_back=5.0
         )
-        expected = np.array([3.0, -195.0]) + 5.0 * heading_dir(10.0)
+        expected = np.array([3.0, -195.0]) + 5.0 * np.array(heading_dir(10.0))
         pusher = new_world.pusher_pose
-        assert pusher.position == pytest.approx(expected, abs=1e-9)
+        assert np.array([pusher.y, pusher.z]) == pytest.approx(expected, abs=1e-9)
         assert pusher.alpha == pytest.approx(10.0)
-        deepest = np.array([3.0, -195.0]) + 10.0 * heading_dir(10.0)
+        deepest = np.array([3.0, -195.0]) + 10.0 * np.array(heading_dir(10.0))
         reading = contact_at(shape, world.object_pose, deepest)
         assert contact.penetration == pytest.approx(reading.penetration, abs=1e-9)
         assert sense_heading == pytest.approx(10.0)
@@ -383,10 +384,11 @@ class TestSimulateTap:
         probe_z = -(shape.max_extent() + TIP_RADIUS_MM + 1.0)
         gap = -contact_at(shape, pose, [0.0, probe_z]).penetration
         cmd = PlanarPose(0.0, probe_z + gap - 6.0, 0.0)
-        cmd_gap = -contact_at(shape, pose, cmd.position).penetration
+        cmd_gap = -contact_at(shape, pose, (cmd.y, cmd.z)).penetration
         tap_forward, tap_back = cmd_gap + 8.0, 5.0
         world = make_world([15.0, probe_z - 20.0], pose)
-        assert -contact_at(shape, pose, world.pusher_pose.position).penetration >= 5.0
+        pusher = world.pusher_pose
+        assert -contact_at(shape, pose, (pusher.y, pusher.z)).penetration >= 5.0
         assert cmd_gap >= 5.0
 
         calls = []
@@ -403,13 +405,10 @@ class TestSimulateTap:
         assert contact.mode is not ContactMode.SEPARATED
 
         # replay the legs' substep positions and match each call to its index
-        axis = heading_dir(cmd.alpha)
-        targets = [
-            cmd.position,
-            cmd.position + tap_forward * axis,
-            cmd.position + (tap_forward - tap_back) * axis,
-        ]
-        pos, obj, k, substeps = world.pusher_pose.position, pose, 0, 0
+        axis = np.array(heading_dir(cmd.alpha))
+        start = np.array([cmd.y, cmd.z])
+        targets = [start, start + tap_forward * axis, start + (tap_forward - tap_back) * axis]
+        pos, obj, k, substeps = np.array([pusher.y, pusher.z]), pose, 0, 0
         for target in targets:
             delta = target - pos
             n = max(1, math.ceil(float(np.hypot(delta[0], delta[1])) / SUBSTEP_CAP_MM))

@@ -157,6 +157,7 @@ class TestPlanarPose:
             PlanarPose(**{name: value})
 
     def test_heading_directions(self):
+        assert [type(v) for v in heading_dir(30.0)] == [float, float]
         assert heading_dir(0.0) == pytest.approx([0.0, 1.0])
         assert heading_dir(90.0) == pytest.approx([-1.0, 0.0])
         assert dir_heading([0.0, 1.0]) == pytest.approx(0.0)
@@ -179,9 +180,33 @@ class TestObjectShapeValidation:
         with pytest.raises(ValueError, match="counter-clockwise"):
             ObjectShape("cw", polygon=[[-1, -1], [-1, 1], [1, 1], [1, -1]])
 
-    def test_self_intersection_rejected(self):
+    @pytest.mark.parametrize(
+        "polygon",
+        [
+            [[0, 0], [4, 0], [4, 4], [2, -1], [0, 4]],
+            # two triangles pinched at the repeated vertex (2, 2)
+            [[0, 0], [4, 0], [2, 2], [4, 4], [0, 4], [2, 2]],
+            # a notch whose last edge crosses the notch's wall at (3, 4)
+            [[0, 0], [6, 0], [6, 6], [3, 6], [3, 2], [5, 2], [5, 4], [0, 4]],
+        ],
+        ids=["bow", "repeated_vertex", "notch_crossing"],
+    )
+    def test_self_intersection_rejected(self, polygon):
         with pytest.raises(ValueError, match="self-intersecting"):
-            ObjectShape("bow", polygon=[[0, 0], [4, 0], [4, 4], [2, -1], [0, 4]])
+            ObjectShape("bad", polygon=polygon)
+
+    @pytest.mark.parametrize(
+        "polygon",
+        [
+            builtin_shapes()["l_shape"].polygon,
+            builtin_shapes()["mug"].polygon,
+            # (0, -2) lies on the straight line from (-2, -2) to (2, -2)
+            [[-2, -2], [0, -2], [2, -2], [2, 2], [-2, 2]],
+        ],
+        ids=["l_shape", "mug", "collinear_vertex"],
+    )
+    def test_simple_outline_accepted(self, polygon):
+        assert np.array_equal(ObjectShape("ok", polygon=polygon).polygon, polygon)
 
     def test_bad_friction_rejected(self):
         with pytest.raises(ValueError, match="f_max"):
@@ -376,7 +401,7 @@ class TestClosestBoundaryPoint:
             )
             world_samples = np.array([pose.transform_point(p) for p in samples])
             extent = shape.max_extent()
-            queries = pose.position + rng.uniform(
+            queries = np.array([pose.y, pose.z]) + rng.uniform(
                 -2.2 * extent, 2.2 * extent, size=(1_000, 2)
             )
             for q in queries:

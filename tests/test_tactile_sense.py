@@ -40,7 +40,7 @@ def world_with_square(tip_center, pusher_alpha=0.0, square_z=None, side=60.0):
 
 def sense(world, shape):
     """The reading of a pusher at rest in `world`."""
-    contact = contact_at(shape, world.object_pose, world.pusher_pose.position)
+    contact = contact_at(shape, world.object_pose, (world.pusher_pose.y, world.pusher_pose.z))
     return sense_contact(contact, world.pusher_pose.alpha)
 
 
@@ -112,7 +112,7 @@ class TestSenseContact:
                 float(rng.uniform(-180, 180)),
             )
             ang = float(rng.uniform(0, 2 * math.pi))
-            probe = pose.position + 300.0 * np.array([math.cos(ang), math.sin(ang)])
+            probe = (pose.y + 300.0 * math.cos(ang), pose.z + 300.0 * math.sin(ang))
             _, point, n_out, _ = boundary_probe(shape, pose, probe)
             point, n_out = np.asarray(point), np.asarray(n_out)
             depth = float(rng.uniform(1.2, 4.8))
