@@ -25,7 +25,6 @@ directions are physical. ContactMatrix is the one implementation of M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -78,24 +77,61 @@ class ContactMode(str, Enum):
     SLIDING_RIGHT = "sliding_right"
 
 
-@dataclass
 class ContactState:
     """Contact bookkeeping for one substep.
 
     `point` is the contact point in the work frame, `normal` the unit push
     direction into the object. "left" for sliding modes is the +90 degree
-    (counter-clockwise) side of the push normal.
+    (counter-clockwise) side of the push normal. A contact that contact_at
+    built reads both vectors from its probe on first use (scene.ProbeResult),
+    so a contact whose vectors nobody reads never rotates them.
     """
 
-    point: tuple[float, float]
-    normal: tuple[float, float]
-    mode: ContactMode
-    penetration: float
+    __slots__ = ("mode", "penetration", "_point", "_normal", "_probe")
+
+    def __init__(self, point, normal, mode: ContactMode, penetration: float):
+        self._point = point
+        self._normal = normal
+        self.mode = mode
+        self.penetration = penetration
+
+    @property
+    def point(self) -> tuple[float, float]:
+        if self._point is None:
+            self._point = self._probe.point
+        return self._point
+
+    @property
+    def normal(self) -> tuple[float, float]:
+        if self._normal is None:
+            ny, nz = self._probe.normal
+            self._normal = (-ny, -nz)
+        return self._normal
+
+    def __repr__(self) -> str:
+        return (f"ContactState(point={self.point!r}, normal={self.normal!r}, "
+                f"mode={self.mode!r}, penetration={self.penetration!r})")
 
 
-def _rotated(v, rad: float) -> tuple[float, float]:
-    c, s = math.cos(rad), math.sin(rad)
+def _rotated(v, c: float, s: float) -> tuple[float, float]:
+    """v rotated by the angle with cosine c and sine s."""
     return c * v[0] - s * v[1], s * v[0] + c * v[1]
+
+
+# (cos phi, sin phi, cos -phi, sin -phi) of each friction cone's half-angle
+# phi = atan(mu), by mu. Zero is not cached: +0.0 and -0.0 are one key but
+# give cones whose sines differ in sign.
+_CONES: dict = {}
+
+
+def _friction_cone(mu: float) -> tuple[float, float, float, float]:
+    cone = _CONES.get(mu)
+    if cone is None:
+        phi = math.atan(mu)
+        cone = (math.cos(phi), math.sin(phi), math.cos(-phi), math.sin(-phi))
+        if mu and len(_CONES) < 64:
+            _CONES[mu] = cone
+    return cone
 
 
 class ContactMatrix:
@@ -148,9 +184,9 @@ class ContactMatrix:
         Coulomb cone about the inward normal and u = M f of each, the
         motion-cone edges.
         """
-        phi = math.atan(mu)
-        f_l = _rotated(n_in, phi)
-        f_r = _rotated(n_in, -phi)
+        cl, sl, cr, sr = _friction_cone(mu)
+        f_l = _rotated(n_in, cl, sl)
+        f_r = _rotated(n_in, cr, sr)
         return f_l, f_r, self.apply(f_l), self.apply(f_r)
 
     def resolve(self, v_p, n_in, mu: float):
@@ -187,7 +223,7 @@ def _advance_pose(
 ) -> PlanarPose:
     """Rigidly displace the object: CoF translates by dpos, spin about the CoF."""
     cy, cz = cof
-    ry, rz = _rotated((pose.y - cy, pose.z - cz), dalpha_rad)
+    ry, rz = _rotated((pose.y - cy, pose.z - cz), math.cos(dalpha_rad), math.sin(dalpha_rad))
     return PlanarPose(
         cy + dpos[0] + ry, cz + dpos[1] + rz, pose.alpha + math.degrees(dalpha_rad)
     )
@@ -195,11 +231,14 @@ def _advance_pose(
 
 def contact_at(shape: ObjectShape, object_pose: PlanarPose, tip) -> ContactState:
     """Contact of the tip disc centred at work-frame point `tip`: penetration is
-    the disc-object overlap; SEPARATED without overlap, else STICKING (at rest)."""
-    sd, point, (ny, nz), _ = boundary_probe(shape, object_pose, tip)
-    pen = TIP_RADIUS_MM - sd
+    the disc-object overlap; SEPARATED without overlap, else STICKING (at rest).
+    The point and the negated probe normal are rotated when first read."""
+    probe = boundary_probe(shape, object_pose, tip)
+    pen = TIP_RADIUS_MM - probe.sd
     mode = ContactMode.SEPARATED if pen <= 0.0 else ContactMode.STICKING
-    return ContactState(point, (-ny, -nz), mode, pen)
+    c = ContactState(None, None, mode, pen)
+    c._probe = probe
+    return c
 
 
 def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_disp):
@@ -275,7 +314,9 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
             )
         else:
             mode = ContactMode.STICKING
-    return pose, ContactState(c.point, c.normal, mode, c.penetration)
+    # set in place: a new ContactState would rotate both vectors now
+    c.mode = mode
+    return pose, c
 
 
 def simulate_tap(

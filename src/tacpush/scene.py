@@ -30,6 +30,7 @@ from .pose_math import (
 __all__ = [
     "ObjectShape",
     "PlanarPose",
+    "ProbeResult",
     "TIP_RADIUS_MM",
     "WorldState",
     "boundary_probe",
@@ -82,8 +83,9 @@ def _fma(a: float, b: float, c: float) -> float:
     taken in fractions.
     """
     p = a * b
-    if (_PRODUCT_MIN <= abs(p) <= _PRODUCT_MAX
-            and abs(a) <= _SPLIT_MAX and abs(b) <= _SPLIT_MAX):
+    # nan fails every comparison and inf is out of range: both take the slow path
+    if ((_PRODUCT_MIN <= p <= _PRODUCT_MAX or -_PRODUCT_MAX <= p <= -_PRODUCT_MIN)
+            and -_SPLIT_MAX <= a <= _SPLIT_MAX and -_SPLIT_MAX <= b <= _SPLIT_MAX):
         t = _SPLIT * a
         ah = t - (t - a)
         al = a - ah
@@ -130,10 +132,11 @@ class PlanarPose:
     alpha: float = 0.0
 
     def __post_init__(self):
-        for name in ("y", "z", "alpha"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"PlanarPose.{name} must be finite, got {value!r}")
+        if not (math.isfinite(self.y) and math.isfinite(self.z) and math.isfinite(self.alpha)):
+            for name in ("y", "z", "alpha"):
+                value = getattr(self, name)
+                if not math.isfinite(value):
+                    raise ValueError(f"PlanarPose.{name} must be finite, got {value!r}")
         object.__setattr__(self, "alpha", normalize_angle_deg(self.alpha))
 
     def to_transform(self) -> Transform:
@@ -322,7 +325,7 @@ class ObjectShape:
             ):
                 object.__setattr__(self, name, value)
         cof = self.cof_offset
-        if not (np.isfinite(cof).all() and boundary_probe(self, PlanarPose(), cof)[0] < 0.0):
+        if not (np.isfinite(cof).all() and boundary_probe(self, PlanarPose(), cof).sd < 0.0):
             raise ValueError(
                 f"shape {self.name!r}: cof_offset must be finite and inside the outline"
             )
@@ -345,19 +348,70 @@ class ObjectShape:
 # contact geometry kernel
 # ---------------------------------------------------------------------------
 
-def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
+class ProbeResult:
+    """What boundary_probe found: `sd` and `feature` at once, `point` and
+    `normal` rotated into the work frame on first read.
+
+    The probe finds the nearest point and its outward normal in the object
+    frame; most probes are separated, and nothing reads their vectors. Each
+    vector is rotated the first time it is read, and kept, so it has the
+    same bits whenever it is read. Unpacks and indexes as the tuple
+    (sd, point, normal, feature).
+    """
+
+    __slots__ = ("sd", "feature", "_raw", "_point", "_normal")
+
+    def __init__(self, sd: float, feature: tuple, raw: tuple):
+        self.sd = sd
+        self.feature = feature
+        # (cos alpha, sin alpha, pose y, pose z, py, pz, ny, nz)
+        self._raw = raw
+        self._point = self._normal = None
+
+    # each row is rounded as numpy's matrix product rounded it, with one _fma
+    @property
+    def point(self) -> tuple[float, float]:
+        if self._point is None:
+            c, s, y, z, py, pz, _, _ = self._raw
+            self._point = (y + _fma(c, py, -s * pz), z + _fma(s, py, c * pz))
+        return self._point
+
+    @property
+    def normal(self) -> tuple[float, float]:
+        if self._normal is None:
+            c, s, _, _, _, _, ny, nz = self._raw
+            self._normal = (_fma(c, ny, -s * nz), _fma(s, ny, c * nz))
+        return self._normal
+
+    def _fields(self) -> tuple:
+        return self.sd, self.point, self.normal, self.feature
+
+    def __iter__(self):
+        return iter(self._fields())
+
+    def __getitem__(self, i):
+        return self._fields()[i]
+
+    def __repr__(self) -> str:
+        return "ProbeResult(sd={!r}, point={!r}, normal={!r}, feature={!r})".format(
+            *self._fields())
+
+
+def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work) -> ProbeResult:
     """Nearest boundary point of the posed shape to a planar query point.
 
-    Returns (signed_distance, point, outward_normal, feature) in the work
-    frame. The signed distance is negative when the query lies inside the
-    outline. Feature ids are ("edge", i), ("vertex", i) or ("arc", 0).
+    Returns a ProbeResult, which unpacks as (signed_distance, point,
+    outward_normal, feature) in the work frame. The signed distance is
+    negative when the query lies inside the outline. Feature ids are
+    ("edge", i), ("vertex", i) or ("arc", 0).
 
     Numpy call overhead dominates on 2-vectors, so the probe runs on Python
-    floats and returns float tuples. The final rotation back to the work
-    frame rounds each row as numpy's matrix product did, with one _fma, and
-    the physics depends on those exact results. A polygon's nearest edge is
-    searched among the few candidates that the shape's grid lists for the
-    query's cell (every edge outside the grid).
+    floats and gives float pairs. The point and normal are rotated back to
+    the work frame only when read; each row is rounded as numpy's matrix
+    product did, with one _fma, and the physics depends on those exact
+    results. A polygon's nearest edge is searched among the few candidates
+    that the shape's grid lists for the query's cell (every edge outside
+    the grid).
     """
     y, z = float(p_work[0]), float(p_work[1])
     if not (math.isfinite(y) and math.isfinite(z)):
@@ -426,9 +480,8 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work):
                 ny, nz = dvy / nv, dvz / nv
         sd = -dist if inside else dist
 
-    # rotated by pose.alpha, from the c, s above
-    point = (pose.y + _fma(c, py, -s * pz), pose.z + _fma(s, py, c * pz))
-    return sd, point, (_fma(c, ny, -s * nz), _fma(s, ny, c * nz)), feature
+    # rotated by pose.alpha, from the c, s above, when read
+    return ProbeResult(sd, feature, (c, s, pose.y, pose.z, py, pz, ny, nz))
 
 
 # ---------------------------------------------------------------------------
