@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tacpush import push_dynamics
+from tacpush import push_dynamics, scene
 from tacpush.pose_math import normalize_angle_deg
 from tacpush.push_dynamics import (
     ContactMatrix,
@@ -280,7 +280,7 @@ class TestKernelReturnsPythonFloats:
     @pytest.mark.parametrize("name", ["blue_square", "mug", "circle"])
     def test_lazily_rotated_vectors(self, name):
         # the probe rotates its point and normal on first read: read them
-        # one at a time, in both orders, with no unpacking to force them
+        # one at a time, normal first, with no unpacking to force them
         shape = builtin_shapes()[name]
         pose = PlanarPose(3.0, -4.0, 25.0)
         for tip in (np.array([0.0, -60.0]), [1.0, 2.0]):
@@ -293,40 +293,6 @@ class TestKernelReturnsPythonFloats:
             c = contact_at(shape, pose, tip)
             assert is_float_pair(c.normal) and is_float_pair(c.point)
             assert c.point is c.point and c.normal is c.normal
-
-
-def test_contact_at_reads_the_probes_point_and_negated_normal_exactly():
-    # all 1,020 queries of the probe golden; repr tells signed zeros apart
-    catalog = builtin_shapes()
-    for case in load_golden():
-        shape = catalog[case["shape"]]
-        pose = PlanarPose(*case["pose"])
-        _, point, (ny, nz), _ = boundary_probe(shape, pose, case["query"])
-        c = contact_at(shape, pose, case["query"])
-        assert repr(c.point) == repr(point), case
-        assert repr(c.normal) == repr((-ny, -nz)), case
-
-
-def test_separated_substep_rotates_nothing(monkeypatch):
-    # a separated contact's vectors are never read in the substep, so no
-    # single-rounding product runs for it
-    from tacpush import scene
-
-    fma, calls = scene._fma, []
-
-    def counted(a, b, c):
-        calls.append((a, b, c))
-        return fma(a, b, c)
-
-    monkeypatch.setattr(scene, "_fma", counted)
-    monkeypatch.setattr(push_dynamics, "_fma", counted)
-    start = PlanarPose(0.0, 0.0, 10.0)
-    for shape in (square(), builtin_shapes()["mug"], builtin_shapes()["circle"]):
-        pose, contact = resolve_substep(shape, start, [0.0, -90.0], [0.1, 0.4])
-        assert contact.mode is ContactMode.SEPARATED and pose == start
-    assert calls == []
-    contact.normal  # the first read rotates
-    assert len(calls) == 2
 
     @pytest.mark.parametrize("tip, disp", [
         ([0.0, -60.0], [0.1, 0.1]),  # separated
@@ -351,6 +317,38 @@ def test_separated_substep_rotates_nothing(monkeypatch):
 
     def test_transform_point(self):
         assert is_float_pair(PlanarPose(1.0, 2.0, 30.0).transform_point(np.array([3.0, 4.0])))
+
+
+def test_contact_at_reads_the_probes_point_and_negated_normal_exactly():
+    # all 1,020 queries of the probe golden; repr tells signed zeros apart
+    catalog = builtin_shapes()
+    for case in load_golden():
+        shape = catalog[case["shape"]]
+        pose = PlanarPose(*case["pose"])
+        _, point, (ny, nz), _ = boundary_probe(shape, pose, case["query"])
+        c = contact_at(shape, pose, case["query"])
+        assert repr(c.point) == repr(point), case
+        assert repr(c.normal) == repr((-ny, -nz)), case
+
+
+def test_separated_substep_rotates_nothing(monkeypatch):
+    # a separated contact's vectors are never read in the substep, so no
+    # single-rounding product runs for it
+    fma, calls = scene._fma, []
+
+    def counted(a, b, c):
+        calls.append((a, b, c))
+        return fma(a, b, c)
+
+    monkeypatch.setattr(scene, "_fma", counted)
+    monkeypatch.setattr(push_dynamics, "_fma", counted)
+    start = PlanarPose(0.0, 0.0, 10.0)
+    for shape in (square(), builtin_shapes()["mug"], builtin_shapes()["circle"]):
+        pose, contact = resolve_substep(shape, start, [0.0, -90.0], [0.1, 0.4])
+        assert contact.mode is ContactMode.SEPARATED and pose == start
+    assert calls == []
+    contact.normal  # the first read rotates
+    assert len(calls) == 2
 
 
 class TestSimulateTap:
