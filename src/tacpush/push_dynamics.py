@@ -19,7 +19,17 @@ slides along that edge's velocity image. Contact is unilateral: the object
 only moves while the pusher disc overlaps it, and overlap is resolved each
 substep to within PENETRATION_TOL_MM by advancing the object along the
 resolved twist. Motion is velocity-level and scale invariant; only twist
-directions are physical. ContactMatrix is the one implementation of M.
+directions are physical.
+
+M lives in one set of float functions: _lever (the CoF and p), _apply
+(M f), _solve (M^-1 v), _motion_cone (the cone edges and their images),
+_resolve (sticking or sliding), _twist and _advance_pose. a, b, the CoF and
+the friction cone's cos and sin are per-shape constants, computed once in
+ObjectShape.__post_init__. resolve_substep calls the functions on float
+locals: an iteration builds the float pairs they return and the advanced
+PlanarPose, and its probe's ProbeResult, but no matrix and no contact
+state. ContactMatrix wraps the same functions as an object: the grazing
+classification, the tests and the physics oracle use it.
 """
 
 from __future__ import annotations
@@ -36,7 +46,6 @@ from .scene import (
     WorldState,
     _fma,
     boundary_probe,
-    cross2,
     heading_dir,
     normalize_angle_deg,
 )
@@ -83,8 +92,9 @@ class ContactState:
     `point` is the contact point in the work frame, `normal` the unit push
     direction into the object. "left" for sliding modes is the +90 degree
     (counter-clockwise) side of the push normal. A contact that contact_at
-    built reads both vectors from its probe on first use (scene.ProbeResult),
-    so a contact whose vectors nobody reads never rotates them.
+    or resolve_substep built reads both vectors from its probe on first use
+    (scene.ProbeResult), so a contact whose vectors nobody reads never
+    rotates them.
     """
 
     __slots__ = ("mode", "penetration", "_point", "_normal", "_probe")
@@ -113,25 +123,89 @@ class ContactState:
                 f"mode={self.mode!r}, penetration={self.penetration!r})")
 
 
-def _rotated(v, c: float, s: float) -> tuple[float, float]:
-    """v rotated by the angle with cosine c and sine s."""
-    return c * v[0] - s * v[1], s * v[0] + c * v[1]
+# The contact-matrix kernel: float functions of a = 1 / f_max^2,
+# b = 1 / m_max^2 and the lever p = (py, pz). resolve_substep's loop calls
+# them on float locals, and ContactMatrix's methods wrap them.
+
+def _lever(shape: ObjectShape, c: float, s: float, y: float, z: float, qy: float, qz: float):
+    """(cy, cz, py, pz): the work-frame CoF of `shape` at the pose (y, z) with
+    heading cosine c and sine s (as PlanarPose.transform_point gives it), and
+    the lever p = perp(q - cof) of the work-frame contact point q."""
+    oy, oz = shape._cof
+    cy = y + c * oy - s * oz
+    cz = z + s * oy + c * oz
+    return cy, cz, -(qz - cz), qy - cy
 
 
-# (cos phi, sin phi, cos -phi, sin -phi) of each friction cone's half-angle
-# phi = atan(mu), by mu. Zero is not cached: +0.0 and -0.0 are one key but
-# give cones whose sines differ in sign.
-_CONES: dict = {}
+def _apply(a: float, b: float, py: float, pz: float, fy: float, fz: float):
+    """Contact-point velocity v_c = M f."""
+    bpf = b * (py * fy + pz * fz)
+    return a * fy + bpf * py, a * fz + bpf * pz
 
 
-def _friction_cone(mu: float) -> tuple[float, float, float, float]:
-    cone = _CONES.get(mu)
-    if cone is None:
-        phi = math.atan(mu)
-        cone = (math.cos(phi), math.sin(phi), math.cos(-phi), math.sin(-phi))
-        if mu and len(_CONES) < 64:
-            _CONES[mu] = cone
-    return cone
+def _solve(a: float, b: float, py: float, pz: float, vy: float, vz: float):
+    """f = M^-1 v via the rank-one (Sherman-Morrison) form of M."""
+    k = b * (py * vy + pz * vz) / (a + b * (py * py + pz * pz))
+    return (vy - k * py) / a, (vz - k * pz) / a
+
+
+def _motion_cone(a: float, b: float, py: float, pz: float, ny: float, nz: float, cone):
+    """(f_l, f_r, u_l, u_r) as 8 floats: the left (+) and right (-) edges of
+    the Coulomb cone about the inward normal n, rotated by the shape's cone
+    (cos, sin) pairs, and u = M f of each, the motion-cone edges."""
+    cl, sl, cr, sr = cone
+    fly, flz = cl * ny - sl * nz, sl * ny + cl * nz
+    fry, frz = cr * ny - sr * nz, sr * ny + cr * nz
+    uly, ulz = _apply(a, b, py, pz, fly, flz)
+    ury, urz = _apply(a, b, py, pz, fry, frz)
+    return fly, flz, fry, frz, uly, ulz, ury, urz
+
+
+def _resolve(a, b, py, pz, ny, nz, vy, vz, shape: ObjectShape):
+    """(fy, fz, mode): contact force direction and mode for the pusher drive
+    direction v with inward normal n.
+
+    Sticking if v lies inside the motion cone (force = M^-1 v, interior to
+    the friction cone); otherwise the force pins to the friction-cone edge
+    on v's side and the contact slides.
+    """
+    fly, flz, fry, frz, uly, ulz, ury, urz = _motion_cone(a, b, py, pz, ny, nz, shape._cone)
+    side = uly * vz - ulz * vy  # u_l x v
+    if shape.mu_contact == 0.0:
+        if abs(side) < 1e-12:
+            return ny, nz, ContactMode.STICKING
+        return ny, nz, ContactMode.SLIDING_LEFT if side > 0.0 else ContactMode.SLIDING_RIGHT
+    beyond_l = side > 0.0
+    beyond_r = ury * vz - urz * vy < 0.0
+    if beyond_l and beyond_r:
+        # reflex corner: v opposes the cone; pick the side it is closer to
+        if (uly + ury) * vz - (ulz + urz) * vy > 0.0:
+            return fly, flz, ContactMode.SLIDING_LEFT
+        return fry, frz, ContactMode.SLIDING_RIGHT
+    if beyond_l:
+        return fly, flz, ContactMode.SLIDING_LEFT
+    if beyond_r:
+        return fry, frz, ContactMode.SLIDING_RIGHT
+    fy, fz = _solve(a, b, py, pz, vy, vz)
+    return fy, fz, ContactMode.STICKING
+
+
+def _twist(a: float, b: float, py: float, pz: float, fy: float, fz: float, s: float):
+    """(dy, dz, spin): the object twist s * (a f, b p . f) for the contact
+    force f, as the CoF displacement (mm) and the spin about the CoF (rad).
+    p . f is rounded as numpy's dot product was, with one _fma."""
+    sa = s * a
+    return sa * fy, sa * fz, s * b * _fma(pz, fz, py * fy)
+
+
+def _advance_pose(pose: PlanarPose, cy: float, cz: float, dy: float, dz: float, spin: float):
+    """Rigidly displace the object: the CoF (cy, cz) translates by (dy, dz),
+    and the object spins by `spin` rad about it."""
+    c, s = math.cos(spin), math.sin(spin)
+    ry, rz = pose.y - cy, pose.z - cz
+    return PlanarPose(
+        cy + dy + (c * ry - s * rz), cz + dz + (s * ry + c * rz), pose.alpha + math.degrees(spin)
+    )
 
 
 class ContactMatrix:
@@ -142,91 +216,60 @@ class ContactMatrix:
     with `cof` the work-frame centre of friction, so the moment of a contact
     force f about the CoF is p . f, the limit surface gives the object the
     twist (a f, b p . f), and the contact point moves with velocity M f.
-    Every method runs on the floats of p and returns floats or float
-    tuples. `p . f` in `twist` is rounded as numpy's dot product was, with
-    one `_fma` (`scene._fma` says why that is exact).
+    The friction cone is the shape's (`mu_contact`). Every method calls the
+    kernel's float functions, which resolve_substep calls directly, and
+    returns floats or float tuples.
     """
 
-    __slots__ = ("a", "b", "cof", "py", "pz")
+    __slots__ = ("a", "b", "cof", "py", "pz", "shape")
 
     def __init__(self, shape: ObjectShape, object_pose: PlanarPose, point):
-        self.a = 1.0 / shape.f_max**2
-        self.b = 1.0 / shape.m_max**2
-        cy, cz = self.cof = object_pose.transform_point(shape.cof_offset)
-        self.py = -(float(point[1]) - cz)
-        self.pz = float(point[0]) - cy
+        rad = math.radians(object_pose.alpha)
+        cy, cz, self.py, self.pz = _lever(
+            shape, math.cos(rad), math.sin(rad), object_pose.y, object_pose.z,
+            float(point[0]), float(point[1]),
+        )
+        self.cof = (cy, cz)
+        self.a, self.b, self.shape = shape._inv_f2, shape._inv_m2, shape
 
     def apply(self, f) -> tuple[float, float]:
         """Contact-point velocity v_c = M f."""
-        a, b, py, pz = self.a, self.b, self.py, self.pz
-        fy, fz = float(f[0]), float(f[1])
-        bpf = b * (py * fy + pz * fz)
-        return a * fy + bpf * py, a * fz + bpf * pz
+        return _apply(self.a, self.b, self.py, self.pz, float(f[0]), float(f[1]))
 
     def solve(self, v) -> tuple[float, float]:
         """f = M^-1 v via the rank-one (Sherman-Morrison) form of M."""
-        a, b, py, pz = self.a, self.b, self.py, self.pz
-        vy, vz = float(v[0]), float(v[1])
-        k = b * (py * vy + pz * vz) / (a + b * (py * py + pz * pz))
-        return (vy - k * py) / a, (vz - k * pz) / a
+        return _solve(self.a, self.b, self.py, self.pz, float(v[0]), float(v[1]))
 
     def twist(self, f, s: float = 1.0) -> tuple[tuple[float, float], float]:
         """Object twist s * (a f, b p . f) for the contact force f: the CoF
         displacement (mm) and the spin about the CoF (rad)."""
-        fy, fz = float(f[0]), float(f[1])
-        sa = s * self.a
-        return (sa * fy, sa * fz), s * self.b * _fma(self.pz, fz, self.py * fy)
+        dy, dz, spin = _twist(self.a, self.b, self.py, self.pz, float(f[0]), float(f[1]), s)
+        return (dy, dz), spin
 
-    def edge_images(self, n_in, mu: float):
+    def edge_images(self, n_in):
         """Friction-cone edge forces and their unnormalised velocity images.
 
         Returns (f_l, f_r, u_l, u_r): the left (+) and right (-) edges of the
-        Coulomb cone about the inward normal and u = M f of each, the
+        shape's Coulomb cone about the inward normal and u = M f of each, the
         motion-cone edges.
         """
-        cl, sl, cr, sr = _friction_cone(mu)
-        f_l = _rotated(n_in, cl, sl)
-        f_r = _rotated(n_in, cr, sr)
-        return f_l, f_r, self.apply(f_l), self.apply(f_r)
+        fly, flz, fry, frz, uly, ulz, ury, urz = _motion_cone(
+            self.a, self.b, self.py, self.pz, float(n_in[0]), float(n_in[1]), self.shape._cone
+        )
+        return (fly, flz), (fry, frz), (uly, ulz), (ury, urz)
 
-    def resolve(self, v_p, n_in, mu: float):
-        """Contact force direction and mode for a pusher drive direction v_p.
-
-        Sticking if v_p lies inside the motion cone (force = M^-1 v_p,
-        interior to the friction cone); otherwise the force pins to the
-        friction-cone edge on v_p's side and the contact slides.
-        """
-        f_l, f_r, u_l, u_r = self.edge_images(n_in, mu)
-        beyond_l = cross2(u_l, v_p) > 0.0
-        beyond_r = cross2(u_r, v_p) < 0.0
-        if mu == 0.0:
-            side = cross2(u_l, v_p)
-            if abs(side) < 1e-12:
-                return n_in, ContactMode.STICKING
-            mode = ContactMode.SLIDING_LEFT if side > 0.0 else ContactMode.SLIDING_RIGHT
-            return n_in, mode
-        if beyond_l and beyond_r:
-            # reflex corner: v_p opposes the cone; pick the side it is closer to
-            mid = (u_l[0] + u_r[0], u_l[1] + u_r[1])
-            if cross2(mid, v_p) > 0.0:
-                return f_l, ContactMode.SLIDING_LEFT
-            return f_r, ContactMode.SLIDING_RIGHT
-        if beyond_l:
-            return f_l, ContactMode.SLIDING_LEFT
-        if beyond_r:
-            return f_r, ContactMode.SLIDING_RIGHT
-        return self.solve(v_p), ContactMode.STICKING
+    def resolve(self, v_p, n_in):
+        """(force, mode) for the pusher drive direction v_p (see _resolve)."""
+        fy, fz, mode = _resolve(self.a, self.b, self.py, self.pz, float(n_in[0]),
+                                float(n_in[1]), float(v_p[0]), float(v_p[1]), self.shape)
+        return (fy, fz), mode
 
 
-def _advance_pose(
-    pose: PlanarPose, cof: tuple[float, float], dpos: tuple[float, float], dalpha_rad: float
-) -> PlanarPose:
-    """Rigidly displace the object: CoF translates by dpos, spin about the CoF."""
-    cy, cz = cof
-    ry, rz = _rotated((pose.y - cy, pose.z - cz), math.cos(dalpha_rad), math.sin(dalpha_rad))
-    return PlanarPose(
-        cy + dpos[0] + ry, cz + dpos[1] + rz, pose.alpha + math.degrees(dalpha_rad)
-    )
+def _contact(probe, mode: ContactMode, penetration: float) -> ContactState:
+    """A ContactState that reads its point and normal from `probe` when first read."""
+    c = ContactState(None, None, mode, penetration)
+    c._probe = probe
+    return c
 
 
 def contact_at(shape: ObjectShape, object_pose: PlanarPose, tip) -> ContactState:
@@ -235,10 +278,7 @@ def contact_at(shape: ObjectShape, object_pose: PlanarPose, tip) -> ContactState
     The point and the negated probe normal are rotated when first read."""
     probe = boundary_probe(shape, object_pose, tip)
     pen = TIP_RADIUS_MM - probe.sd
-    mode = ContactMode.SEPARATED if pen <= 0.0 else ContactMode.STICKING
-    c = ContactState(None, None, mode, pen)
-    c._probe = probe
-    return c
+    return _contact(probe, ContactMode.SEPARATED if pen <= 0.0 else ContactMode.STICKING, pen)
 
 
 def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_disp):
@@ -247,8 +287,14 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
     The pusher disc centre moves from `tip` by `pusher_disp` (capped at
     SUBSTEP_CAP_MM). If the displaced disc overlaps the object, the object
     pose is advanced along the quasi-static twist until the residual overlap
-    is at most PENETRATION_TOL_MM. Returns (new object pose, ContactState);
-    the caller owns the pusher pose update.
+    is at most PENETRATION_TOL_MM, in at most MAX_RESOLVE_ITERS steps.
+    Returns (new object pose, ContactState); the caller owns the pusher pose
+    update.
+
+    Each step runs the contact-matrix kernel on float locals: the probe's
+    heading (cos, sin), work-frame point and inward normal, the shape's
+    constants, the force and mode, M f, the twist and the advanced pose;
+    then it probes again. A ContactState is built only around the last probe.
     """
     dy, dz = float(pusher_disp[0]), float(pusher_disp[1])
     # only compared with thresholds, so math.hypot's rounding is harmless here
@@ -265,58 +311,59 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
     tip_new = (ty + dy, tz + dz)
     pose = object_pose
 
-    c = contact_at(shape, pose, tip_new)
-    if c.mode is ContactMode.SEPARATED:
-        return pose, c
+    probe = boundary_probe(shape, pose, tip_new)
+    pen = TIP_RADIUS_MM - probe.sd
+    if pen <= 0.0:
+        return pose, _contact(probe, ContactMode.SEPARATED, pen)
 
+    a, b = shape._inv_f2, shape._inv_m2
+    driven = disp_norm > 1e-12
     # each dot product is rounded once (_fma), as the goldens were recorded
-    disp = (dy, dz)
     mode = None
-    for _ in range(MAX_RESOLVE_ITERS):
-        if c.penetration <= PENETRATION_TOL_MM:
-            break
-        n_in = c.normal
-        ny, nz = n_in
-        m = ContactMatrix(shape, pose, c.point)
-        if disp_norm > 1e-12 and _fma(dz, nz, dy * ny) > 1e-12:
-            v_p = disp
+    steps = 0
+    while pen > PENETRATION_TOL_MM:
+        if steps == MAX_RESOLVE_ITERS:
+            raise PhysicsFault(
+                "penetration resolution did not converge",
+                {
+                    "tip": list(tip_new),
+                    "object_pose": (pose.y, pose.z, pose.alpha),
+                    "penetration": pen,
+                },
+            )
+        steps += 1
+        c, s, y, z, _, _, _, _ = probe._raw
+        qy, qz = probe.point
+        ny, nz = probe.normal
+        ny, nz = -ny, -nz
+        cy, cz, py, pz = _lever(shape, c, s, y, z, qy, qz)
+        if driven and _fma(dz, nz, dy * ny) > 1e-12:
+            vy, vz = dy, dz
         else:
             # stale overlap with no approaching drive: expel along the normal
-            v_p = n_in
-        f, step_mode = m.resolve(v_p, n_in, shape.mu_contact)
-        uy, uz = m.apply(f)
+            vy, vz = ny, nz
+        fy, fz, step_mode = _resolve(a, b, py, pz, ny, nz, vy, vz, shape)
+        uy, uz = _apply(a, b, py, pz, fy, fz)
         rate = _fma(uz, nz, uy * ny)
         if rate <= 1e-12:
             # edge twist cannot reduce overlap; fall back to a pure normal push
-            f = n_in
-            uy, uz = m.apply(f)
+            fy, fz = ny, nz
+            uy, uz = _apply(a, b, py, pz, fy, fz)
             rate = _fma(uz, nz, uy * ny)
         if mode is None:
             mode = step_mode
-        dpos, dspin = m.twist(f, (c.penetration - _RESOLVE_RESIDUAL_MM) / rate)
-        pose = _advance_pose(pose, m.cof, dpos, dspin)
-        c = contact_at(shape, pose, tip_new)
-    else:
-        raise PhysicsFault(
-            "penetration resolution did not converge",
-            {
-                "tip": list(tip_new),
-                "object_pose": (pose.y, pose.z, pose.alpha),
-                "penetration": c.penetration,
-            },
-        )
+        twy, twz, spin = _twist(a, b, py, pz, fy, fz, (pen - _RESOLVE_RESIDUAL_MM) / rate)
+        pose = _advance_pose(pose, cy, cz, twy, twz, spin)
+        probe = boundary_probe(shape, pose, tip_new)
+        pen = TIP_RADIUS_MM - probe.sd
 
     if mode is None:
         # grazing contact (overlap within tolerance): classify without moving
-        if disp_norm > 1e-12:
-            _, mode = ContactMatrix(shape, pose, c.point).resolve(
-                disp, c.normal, shape.mu_contact
-            )
-        else:
-            mode = ContactMode.STICKING
-    # set in place: a new ContactState would rotate both vectors now
-    c.mode = mode
-    return pose, c
+        mode = ContactMode.STICKING
+        if driven:
+            ny, nz = probe.normal
+            _, mode = ContactMatrix(shape, pose, probe.point).resolve((dy, dz), (-ny, -nz))
+    return pose, _contact(probe, mode, pen)
 
 
 def simulate_tap(

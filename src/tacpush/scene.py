@@ -329,6 +329,27 @@ class ObjectShape:
             raise ValueError(
                 f"shape {self.name!r}: cof_offset must be finite and inside the outline"
             )
+        # push_dynamics' contact-matrix constants: a = 1 / f_max^2,
+        # b = 1 / m_max^2, the CoF's floats, and the (cos, sin) of the
+        # friction cone's edges at +-atan(mu) (+0.0 and -0.0 give cones whose
+        # sines differ in sign)
+        try:
+            a, b = 1.0 / self.f_max**2, 1.0 / self.m_max**2
+        except (OverflowError, ZeroDivisionError):
+            a = b = 0.0
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError(
+                f"shape {self.name!r}: f_max and m_max must be finite, with squares that "
+                "neither overflow nor underflow"
+            )
+        phi = math.atan(self.mu_contact)
+        for name, value in (
+            ("_inv_f2", a),
+            ("_inv_m2", b),
+            ("_cof", (float(cof[0]), float(cof[1]))),
+            ("_cone", (math.cos(phi), math.sin(phi), math.cos(-phi), math.sin(-phi))),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def edge_normals(self) -> np.ndarray:

@@ -9,12 +9,20 @@ import copy
 import dataclasses
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from tacpush import push_dynamics
+from tacpush.exp_harness import (
+    EXP_START_POSES,
+    EXP_TARGET_POSE,
+    place_random_orientation,
+    run_trial,
+)
 from tacpush.push_controller import (
     ControllerConfig,
     ControllerState,
@@ -28,6 +36,7 @@ from tacpush.push_dynamics import (
     PhysicsFault,
     resolve_substep,
 )
+from tacpush.scenario import Scenario
 from tacpush.scene import (
     _GRID_CELL_MM,
     TIP_RADIUS_MM,
@@ -369,3 +378,45 @@ def test_control_step_commands_stay_planar_and_bounded(pusher, target, readings)
         assert abs(decision.v) <= 5.0
         assert isinstance(decision.command, PlanarPose)
         pusher = decision.command
+
+
+def checked_resolve_substep(shape, object_pose, tip, pusher_disp):
+    """resolve_substep, with the invariants of every substep asserted."""
+    pose, contact = resolve_substep(shape, object_pose, tip, pusher_disp)
+    assert all(map(math.isfinite, (pose.y, pose.z, pose.alpha))), pose
+    if contact.mode is ContactMode.SEPARATED:
+        assert pose == object_pose
+    else:
+        assert contact.penetration <= PENETRATION_TOL_MM
+    return pose, contact
+
+
+# a whole trial per example: the budget keeps the test to a few seconds
+@settings(derandomize=True, max_examples=45, deadline=None)
+@given(star_polygons(), st.integers(0, len(EXP_START_POSES) - 1), st.floats(0.0, 360.0))
+def test_closed_loop_trials_on_star_polygons(verts, start_index, heading):
+    shape = ObjectShape("star", polygon=verts)
+    start = EXP_START_POSES[start_index]
+    scenario = Scenario(
+        name="star",
+        object=shape,
+        object_start_pose=place_random_orientation(shape, start, heading),
+        pusher_start_pose=start,
+        target_pose=EXP_TARGET_POSE,
+        max_taps=150,
+    )
+    # simulate_tap calls resolve_substep through push_dynamics' binding; a
+    # failed check inside the trial ends it with outcome "error"
+    with mock.patch.object(push_dynamics, "resolve_substep", checked_resolve_substep):
+        record = run_trial(scenario)
+    assert record.outcome not in ("error", "physics_fault"), record.meta
+    # the per-tap invariants that test_acceptance checks on the grids; the
+    # outcome is not asserted, since a non-convex outline can stall the push
+    cfg = scenario.controller
+    for tap in record.taps:
+        assert abs(tap["v"]) <= 5.0
+        if tap["r"] is not None and tap["r"] <= cfg.approach_zone_radius:
+            assert tap["v"] == 0.0
+        integral = np.asarray(tap["integral6"])
+        assert np.all(np.abs(integral[:3]) <= 5.0 + 1e-12)
+        assert np.all(np.abs(integral[3:]) <= 25.0 + 1e-12)

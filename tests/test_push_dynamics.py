@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from physics_oracle import (
     voting_theorem_vote,
     wrench_twist,
 )
+import test_physics_golden as substep_golden
 from test_probe_golden import load_golden
 
 
@@ -94,7 +97,7 @@ class TestMotionCone:
 
     def cone(self, shape, pose, point, n_in):
         m = ContactMatrix(shape, pose, point)
-        _, _, u_l, u_r = m.edge_images(np.asarray(n_in, float), shape.mu_contact)
+        _, _, u_l, u_r = m.edge_images(np.asarray(n_in, float))
         return u_l / np.linalg.norm(u_l), u_r / np.linalg.norm(u_r)
 
     def test_frictionless_cone_collapses(self):
@@ -311,8 +314,8 @@ class TestKernelReturnsPythonFloats:
         assert is_float_pair(m.apply(f)) and is_float_pair(m.solve(f))
         dpos, dspin = m.twist(f, 0.5)
         assert is_float_pair(dpos) and type(dspin) is float
-        assert all(is_float_pair(v) for v in m.edge_images((0.0, 1.0), 0.5))
-        force, _ = m.resolve(np.array([0.1, 0.4]), (0.0, 1.0), 0.5)
+        assert all(is_float_pair(v) for v in m.edge_images((0.0, 1.0)))
+        force, _ = m.resolve(np.array([0.1, 0.4]), (0.0, 1.0))
         assert is_float_pair(force)
 
     def test_transform_point(self):
@@ -329,6 +332,16 @@ def test_contact_at_reads_the_probes_point_and_negated_normal_exactly():
         c = contact_at(shape, pose, case["query"])
         assert repr(c.point) == repr(point), case
         assert repr(c.normal) == repr((-ny, -nz)), case
+
+
+def test_contact_matrix_cof_is_the_posed_cof_offset_exactly():
+    # the kernel forms the CoF from the heading's cos and sin, as
+    # transform_point does; the 1,020 probe-golden poses
+    shape = dataclasses.replace(square(), cof_offset=(3.0, -2.0))
+    for case in load_golden():
+        pose = PlanarPose(*case["pose"])
+        cof = ContactMatrix(shape, pose, case["query"]).cof
+        assert repr(cof) == repr(pose.transform_point(shape.cof_offset)), case
 
 
 def test_separated_substep_rotates_nothing(monkeypatch):
@@ -349,6 +362,108 @@ def test_separated_substep_rotates_nothing(monkeypatch):
     assert calls == []
     contact.normal  # the first read rotates
     assert len(calls) == 2
+
+
+class TestResolutionLoop:
+    """The overlap-resolution loop of resolve_substep: its step count, its
+    fault and its probes."""
+
+    # a centred push that one step resolves, and an off-centre one that
+    # takes three steps
+    ONE_STEP = ([0.0, -50.2], [0.0, 0.3])
+    THREE_STEPS = ([29.0, -45.0], [0.3, 0.3])
+
+    def recorded_steps(self, monkeypatch):
+        """The poses each resolution step advances the object to."""
+        advanced, advance = [], push_dynamics._advance_pose
+
+        def recording(*args):
+            advanced.append(advance(*args))
+            return advanced[-1]
+
+        monkeypatch.setattr(push_dynamics, "_advance_pose", recording)
+        return advanced
+
+    def test_converged_last_step_is_no_fault(self, monkeypatch):
+        # the overlap after the last allowed step is within tolerance
+        monkeypatch.setattr(push_dynamics, "MAX_RESOLVE_ITERS", 1)
+        steps = self.recorded_steps(monkeypatch)
+        pose, contact = resolve_substep(builtin_shapes()["blue_square"], PlanarPose(),
+                                        *self.ONE_STEP)
+        assert len(steps) == 1 and pose is steps[0]
+        assert contact.mode is ContactMode.STICKING
+        assert 0.0 < contact.penetration <= PENETRATION_TOL_MM
+
+    def test_non_convergence_reports_the_last_step(self, monkeypatch):
+        shape = builtin_shapes()["blue_square"]
+        (ty, tz), (dy, dz) = self.THREE_STEPS
+        steps = self.recorded_steps(monkeypatch)
+        converged, _ = resolve_substep(shape, PlanarPose(), *self.THREE_STEPS)
+        assert len(steps) == 3 and converged is steps[-1]
+        steps.clear()
+        monkeypatch.setattr(push_dynamics, "MAX_RESOLVE_ITERS", 2)
+        with pytest.raises(push_dynamics.PhysicsFault, match="did not converge") as fault:
+            resolve_substep(shape, PlanarPose(), *self.THREE_STEPS)
+        assert len(steps) == 2
+        last, diagnostics = steps[-1], fault.value.diagnostics
+        assert diagnostics["object_pose"] == (last.y, last.z, last.alpha)
+        assert diagnostics["tip"] == [ty + dy, tz + dz]
+        pen = contact_at(shape, last, (ty + dy, tz + dz)).penetration
+        assert pen > PENETRATION_TOL_MM
+        assert repr(diagnostics["penetration"]) == repr(pen)
+
+    def test_probes_once_per_step_on_the_golden(self, monkeypatch):
+        # perfbench's probes_per_contact_substep counts these probes: one at
+        # the displaced tip, then one at each pose a step advances to. The
+        # wrapper replaces push_dynamics' binding, as perfbench's tracer
+        # does (scene's own binding also serves the shape's constructor).
+        probed, probe = [], push_dynamics.boundary_probe
+
+        def counted(shape, pose, tip):
+            probed.append(pose)
+            return probe(shape, pose, tip)
+
+        monkeypatch.setattr(push_dynamics, "boundary_probe", counted)
+        steps = self.recorded_steps(monkeypatch)
+        modes = Counter()
+        for case in substep_golden.load_golden():
+            probed.clear()
+            steps.clear()
+            mode = substep_golden.run_case(case).split()[-1]
+            modes[mode, len(steps)] += 1
+            assert probed[0] == PlanarPose(*case["object_pose"])
+            assert probed[1:] == steps
+            if mode == "separated":
+                assert len(probed) == 1
+        assert modes["separated", 0] > 0 and modes["sticking", 0] > 0  # grazing
+        assert modes["sticking", 1] > 0 and modes["sliding_left", 2] > 0
+
+
+def test_replaced_shapes_resolve_as_freshly_built_ones():
+    # every shape carries its own contact-matrix constants and friction
+    # cone, so a shape built by dataclasses.replace, from a shape with other
+    # values, resolves as one built from scratch; +0.0 and -0.0 friction
+    # have cones whose sines differ in sign
+    catalog = builtin_shapes()
+    cases = substep_golden.load_golden()
+    for name, base in catalog.items():
+        for mu, f_max, m_max, cof in ((0.0, 2.0, 11.0, (3.0, -2.0)),
+                                      (-0.0, 0.7, 19.0, (-1.0, 2.5)),
+                                      (0.3, 1.3, 9.0, (0.0, 0.0)),
+                                      (1.0, 0.4, 25.0, (2.0, 2.0))):
+            replaced = dataclasses.replace(base, mu_contact=mu, f_max=f_max, m_max=m_max,
+                                           cof_offset=cof)
+            fresh = ObjectShape(name, polygon=base.polygon, radius=base.radius,
+                                cof_offset=cof, f_max=f_max, m_max=m_max, mu_contact=mu)
+            assert repr(replaced._cone) == repr(fresh._cone)
+            assert math.copysign(1.0, fresh._cone[1]) == math.copysign(1.0, mu)
+            for case in cases:
+                if case["shape"] != name:
+                    continue
+                pose = PlanarPose(*case["object_pose"])
+                got, want = (resolve_substep(s, pose, case["tip"], case["disp"])
+                             for s in (replaced, fresh))
+                assert repr(got) == repr(want), case
 
 
 class TestSimulateTap:

@@ -222,6 +222,12 @@ class TestObjectShapeValidation:
             dataclasses.replace(unit_square(), m_max=math.nan)
         with pytest.raises(ValueError, match="mu_contact"):
             dataclasses.replace(unit_square(), mu_contact=math.nan)
+        # the contact matrix divides by their squares
+        for bad in (math.inf, 1e200, 1e-200):
+            with pytest.raises(ValueError, match="f_max"):
+                dataclasses.replace(unit_square(), f_max=bad)
+            with pytest.raises(ValueError, match="m_max"):
+                dataclasses.replace(unit_square(), m_max=bad)
 
     def test_cof_outside_rejected(self):
         with pytest.raises(ValueError, match="cof_offset"):
