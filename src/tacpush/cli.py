@@ -39,7 +39,7 @@ def _finish(records, out_dir: Path) -> int:
         f"mean y_targ "
         + (f"{metrics.mean_y_targ:.2f} mm" if metrics.mean_y_targ is not None else "n/a")
     )
-    print(f"wrote {paths['records']}, {paths['taps']}, {paths['metrics']}")
+    print(f"wrote {paths['records']}, {paths['taps']}, {paths['timings']}, {paths['metrics']}")
     return 0
 
 
@@ -70,17 +70,7 @@ def _cmd_exp(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    try:
-        data = json.loads(Path(args.records).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{args.records}: invalid JSON: {exc}") from exc
-    records = data.get("records") if isinstance(data, dict) else data
-    if not isinstance(records, list):
-        raise ValueError(f"{args.records}: expected a list of records or a 'records' list")
-    for i, record in enumerate(records):
-        if not isinstance(record, dict):
-            raise ValueError(f"{args.records}: records[{i}] is not a JSON object")
-    path = exp_harness.plot(records, args.out)
+    path = exp_harness.plot(exp_harness.load_records(args.records), args.out)
     print(f"wrote {path}")
     return 0
 
@@ -129,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=positive_int, default=1, help="trial worker processes")
         p.set_defaults(func=_cmd_exp)
 
-    p = sub.add_parser("plot", help="render a records.json to SVG")
+    p = sub.add_parser("plot", help="render a records.json and the taps.csv beside it to SVG")
     p.add_argument("--records", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=_cmd_plot)

@@ -59,6 +59,7 @@ __all__ = [
     "exp2_scenario",
     "exp3_grid",
     "export",
+    "load_records",
     "place_corner_contact",
     "place_offset_contact",
     "place_random_orientation",
@@ -115,8 +116,13 @@ def derive_seed(master_seed: int, *indices: int) -> int:
 
 @dataclass
 class TrialRecord:
-    """One trial in its records.json form: each of `taps` is a tap's
-    records.json entry, the dict run_trial builds after the tap."""
+    """One trial. Each of `taps` is the dict run_trial builds after a tap.
+
+    export writes every tap value to taps.csv, `wall_time_ms` to
+    timings.json and every other field, the trial's summary, to
+    records.json; load_records reads records.json and taps.csv back into
+    an equal record whose `wall_time_ms` is None.
+    """
 
     scenario_id: str
     seed: int
@@ -124,7 +130,7 @@ class TrialRecord:
     outcome: str
     y_targ: float | None
     tap_total: int
-    wall_time_ms: float
+    wall_time_ms: float | None
     final_pusher_pose: tuple
     final_object_pose: tuple
     meta: dict = field(default_factory=dict)
@@ -461,15 +467,24 @@ def exp3_grid(trials_per_shape: int = 10, master_seed: int = 0) -> list[Scenario
 
 
 # ---------------------------------------------------------------------------
-# export
+# export and load
 # ---------------------------------------------------------------------------
 
-_CSV_VERSION = "# tacpush-taps-v1"
+_RECORDS_VERSION = 2
+# the TrialRecord fields records.json holds: all but the taps, which are in
+# taps.csv, and the wall time, which is in timings.json so that records.json
+# is deterministic
+_SUMMARY_FIELDS = tuple(
+    f.name for f in dataclasses.fields(TrialRecord) if f.name not in ("taps", "wall_time_ms")
+)
+_CSV_VERSION = "# tacpush-taps-v2"
+# the suffixes of the six channels of error6 (err_*) and integral6 (int_*)
+_SIX = ("x_mm", "y_mm", "z_mm", "alpha_deg", "beta_deg", "gamma_deg")
 _CSV_COLUMNS = (
-    "scenario_id,seed,tap,pusher_y_mm,pusher_z_mm,pusher_alpha_deg,"
-    "object_y_mm,object_z_mm,object_alpha_deg,in_contact,z_depth_mm,"
-    "alpha_pred_deg,clamped,theta_deg,r_mm,v_mm,err_x_mm,err_y_mm,err_z_mm,"
-    "err_alpha_deg,err_beta_deg,err_gamma_deg,contact_mode,status"
+    "scenario_id", "seed", "tap", "pusher_y_mm", "pusher_z_mm", "pusher_alpha_deg",
+    "object_y_mm", "object_z_mm", "object_alpha_deg", "in_contact", "z_depth_mm",
+    "alpha_pred_deg", "clamped", "theta_deg", "r_mm", "v_mm", *(f"err_{c}" for c in _SIX),
+    "contact_mode", "status", *(f"int_{c}" for c in _SIX),
 )
 
 
@@ -479,6 +494,7 @@ def _csv_num(value) -> str:
 
 def _tap_csv_row(record: TrialRecord, tap: dict) -> str:
     err = tap["error6"] if tap["error6"] is not None else (None,) * 6
+    integral = tap["integral6"] if tap["integral6"] is not None else (None,) * 6
     fields = [
         record.scenario_id,
         str(record.seed),
@@ -499,15 +515,21 @@ def _tap_csv_row(record: TrialRecord, tap: dict) -> str:
         *[_csv_num(e) for e in err],
         tap["contact_mode"],
         tap["status"],
+        *[_csv_num(i) for i in integral],
     ]
     return ",".join(fields)
 
 
 def export(records, out_dir) -> dict:
-    """Write records.json, taps.csv and metrics.json; returns the paths.
+    """Write records.json, taps.csv, timings.json and metrics.json; returns
+    the paths.
 
-    taps.csv is deterministic byte-for-byte for a fixed record sequence
-    (full-precision repr floats, no timestamps).
+    Each value is written once. records.json (version 2) holds each trial's
+    summary: every TrialRecord field but `taps` and `wall_time_ms`. taps.csv
+    (version 2) holds every value of every tap, and timings.json each
+    trial's `wall_time_ms`, as a list of {scenario_id, wall_time_ms} in
+    record order. All but timings.json are deterministic byte-for-byte for a
+    fixed record sequence (full-precision repr floats, no timestamps).
     """
     records = list(records)
     if not records:
@@ -517,32 +539,208 @@ def export(records, out_dir) -> dict:
     paths = {
         "records": out_dir / "records.json",
         "taps": out_dir / "taps.csv",
+        "timings": out_dir / "timings.json",
         "metrics": out_dir / "metrics.json",
     }
-    payload = {"version": 1, "records": [vars(r) for r in records]}
-    paths["records"].write_text(json.dumps(payload))
-    lines = [_CSV_VERSION, _CSV_COLUMNS]
+    summaries = [{name: getattr(r, name) for name in _SUMMARY_FIELDS} for r in records]
+    paths["records"].write_text(json.dumps({"version": _RECORDS_VERSION, "records": summaries}))
+    lines = [_CSV_VERSION, ",".join(_CSV_COLUMNS)]
     for record in records:
         for tap in record.taps:
             lines.append(_tap_csv_row(record, tap))
     paths["taps"].write_text("\n".join(lines) + "\n")
+    timings = [{"scenario_id": r.scenario_id, "wall_time_ms": r.wall_time_ms} for r in records]
+    paths["timings"].write_text(json.dumps(timings))
     metrics = compute_metrics(records)
     paths["metrics"].write_text(json.dumps(dataclasses.asdict(metrics)))
     return paths
 
 
-def read_taps_csv(path):
-    """Parse a taps.csv back into a list of column dicts (strings kept raw)."""
+def _read_taps(path) -> tuple:
+    """The column names of a taps.csv and its rows as (line number, raw
+    fields); a row whose field count differs from the header's is rejected."""
     lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _CSV_VERSION:
+    if len(lines) < 2 or lines[0] != _CSV_VERSION:
         raise ValueError(f"{path}: not a {_CSV_VERSION} file")
     columns = lines[1].split(",")
     rows = []
-    for line in lines[2:]:
-        if not line:
-            continue
-        rows.append(dict(zip(columns, line.split(","))))
-    return rows
+    for n, line in enumerate(lines[2:], 3):
+        row = line.split(",")
+        if len(row) != len(columns):
+            raise ValueError(f"{path}: line {n}: expected {len(columns)} fields, got {len(row)}")
+        rows.append((n, row))
+    return columns, rows
+
+
+def read_taps_csv(path):
+    """Parse a taps.csv back into a list of column dicts (strings kept raw).
+    A row whose field count differs from the header's is rejected, with the
+    file and the line named."""
+    columns, rows = _read_taps(path)
+    return [dict(zip(columns, row)) for _, row in rows]
+
+
+def _parse_tap(path, n: int, row: list, col: dict, k: int) -> dict:
+    """Tap k's dict, as run_trial built it, from its taps.csv row at line n;
+    a value that is not a finite number, or not 0 or 1 for a flag, is named
+    by its line and column."""
+
+    def number(name):
+        raw = row[col[name]]
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(
+                f"{path}: line {n}, column {name!r}: expected a finite number, got {raw!r}"
+            )
+        return value
+
+    def optional(name):
+        return None if row[col[name]] == "" else number(name)
+
+    def six(prefix):
+        names = [prefix + c for c in _SIX]
+        if all(row[col[name]] == "" for name in names):
+            return None
+        return tuple(number(name) for name in names)
+
+    def flag(name):
+        raw = row[col[name]]
+        if raw not in ("0", "1"):
+            raise ValueError(f"{path}: line {n}, column {name!r}: expected 0 or 1, got {raw!r}")
+        return raw == "1"
+
+    return {
+        "tap": k,
+        "pusher_pose": (
+            0.0, number("pusher_y_mm"), number("pusher_z_mm"), number("pusher_alpha_deg"),
+            0.0, 0.0,
+        ),
+        "object_pose": (number("object_y_mm"), number("object_z_mm"), number("object_alpha_deg")),
+        "in_contact": flag("in_contact"),
+        "z_depth": optional("z_depth_mm"),
+        "alpha_pred": optional("alpha_pred_deg"),
+        "clamped": flag("clamped"),
+        "theta": optional("theta_deg"),
+        "r": optional("r_mm"),
+        "v": optional("v_mm"),
+        "error6": six("err_"),
+        "integral6": six("int_"),
+        "contact_mode": row[col["contact_mode"]],
+        "status": row[col["status"]],
+    }
+
+
+# the records.json fields plot reads, and the tap count that splits taps.csv
+# into records, as key paths
+_PLOT_FIELDS = (
+    ("meta", "target_pose_mm_deg"),
+    ("meta", "shape"),
+    ("meta", "approach_zone_radius_mm"),
+    ("meta", "termination_radius_mm"),
+    ("final_pusher_pose",),
+    ("tap_total",),
+)
+
+
+def _require(value, path: tuple, where: str):
+    for depth, key in enumerate(path, 1):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"plot: {where} has no field {'.'.join(path[:depth])!r}")
+        value = value[key]
+
+
+def _check_plot_fields(idx: int, rec: dict):
+    """Read every summary value plot draws through the scenario readers, so a
+    bad value is named by its record path; the summary's other fields must
+    be present."""
+    where = f"records[{idx}]"
+    for path in _PLOT_FIELDS + tuple((name,) for name in _SUMMARY_FIELDS):
+        _require(rec, path, where)
+    meta, shape = rec["meta"], rec["meta"]["shape"]
+    if not isinstance(shape, dict) or not {"polygon_mm", "circle_radius_mm"} & shape.keys():
+        raise ValueError(
+            f"plot: {where}.meta.shape has no field 'polygon_mm' or 'circle_radius_mm'"
+        )
+    tap_total = rec["tap_total"]
+    if isinstance(tap_total, bool) or not isinstance(tap_total, int) or tap_total < 0:
+        raise ValueError(f"plot: {where}.tap_total: expected a count, got {tap_total!r}")
+    try:
+        _numbers(meta["target_pose_mm_deg"], 6, f"{where}.meta.target_pose_mm_deg")
+        _numbers(rec["final_pusher_pose"], 6, f"{where}.final_pusher_pose")
+        _numbers(rec["final_object_pose"], 3, f"{where}.final_object_pose")
+        for key in ("approach_zone_radius_mm", "termination_radius_mm"):
+            _number(meta[key], f"{where}.meta.{key}")
+        _read(shape, _INLINE_OBJECT, f"{where}.meta.shape")
+    except ScenarioError as exc:
+        raise ValueError(f"plot: {exc}") from exc
+
+
+def load_records(records_path) -> list:
+    """Read a records.json (version 2) and the taps.csv beside it back into
+    TrialRecords, equal to the ones export wrote but for `wall_time_ms`,
+    which is None (timings.json holds it).
+
+    Every value plot draws is checked on the way in: a bad summary value is
+    named by its record path, a bad tap value by its taps.csv line and
+    column, and a taps.csv row that is not the next tap of the records (by
+    scenario_id, tap index and each record's tap_total) by its line.
+    """
+    path = Path(records_path)
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    version = data.get("version") if isinstance(data, dict) else None
+    if version != _RECORDS_VERSION:
+        raise ValueError(f"{path}: records version {version!r}, expected {_RECORDS_VERSION}")
+    summaries = data.get("records")
+    if not isinstance(summaries, list):
+        raise ValueError(f"{path}: expected a 'records' list")
+    for idx, rec in enumerate(summaries):
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}: records[{idx}] is not a JSON object")
+    for idx, rec in enumerate(summaries):
+        _check_plot_fields(idx, rec)
+    taps_path = path.with_name("taps.csv")
+    columns, rows = _read_taps(taps_path)
+    col = {name: i for i, name in enumerate(columns)}
+    for name in _CSV_COLUMNS:
+        if name not in col:
+            raise ValueError(f"{taps_path}: line 2: no column {name!r}")
+    rows = iter(rows)
+    n = 2  # the line of the last row read
+    records = []
+    for rec in summaries:
+        sid = rec["scenario_id"]
+        taps = []
+        for k in range(rec["tap_total"]):
+            n, row = next(rows, (n + 1, None))
+            if row is None:
+                raise ValueError(
+                    f"{taps_path}: line {n}: expected tap {k} of {sid!r}, got the end of the file"
+                )
+            got = (row[col["scenario_id"]], row[col["tap"]])
+            if got != (sid, str(k)):
+                raise ValueError(
+                    f"{taps_path}: line {n}: expected tap {k} of {sid!r}, "
+                    f"got tap {got[1]} of {got[0]!r}"
+                )
+            taps.append(_parse_tap(taps_path, n, row, col, k))
+        summary = {name: rec[name] for name in _SUMMARY_FIELDS}
+        for name in ("final_pusher_pose", "final_object_pose"):
+            summary[name] = tuple(summary[name])
+        records.append(TrialRecord(**summary, taps=taps, wall_time_ms=None))
+    extra = next(rows, None)
+    if extra is not None:
+        n, row = extra
+        raise ValueError(
+            f"{taps_path}: line {n}: expected the end of the file, "
+            f"got tap {row[col['tap']]} of {row[col['scenario_id']]!r}"
+        )
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -555,66 +753,26 @@ _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f",
 )
-# the record fields plot reads, as key paths
-_PLOT_FIELDS = (
-    ("meta", "target_pose_mm_deg"),
-    ("meta", "shape"),
-    ("meta", "approach_zone_radius_mm"),
-    ("meta", "termination_radius_mm"),
-    ("final_pusher_pose",),
-    ("taps",),
-)
-
-
-def _require(value, path: tuple, where: str):
-    for depth, key in enumerate(path, 1):
-        if not isinstance(value, dict) or key not in value:
-            raise ValueError(f"plot: {where} has no field {'.'.join(path[:depth])!r}")
-        value = value[key]
-
-
-def _check_plot_fields(idx: int, rec: dict):
-    """Read every value plot draws through the scenario readers, so a bad
-    value is named by its record path."""
-    where = f"records[{idx}]"
-    for path in _PLOT_FIELDS:
-        _require(rec, path, where)
-    meta, shape = rec["meta"], rec["meta"]["shape"]
-    if not isinstance(shape, dict) or not {"polygon_mm", "circle_radius_mm"} & shape.keys():
-        raise ValueError(
-            f"plot: {where}.meta.shape has no field 'polygon_mm' or 'circle_radius_mm'"
-        )
-    if not isinstance(rec["taps"], list):
-        raise ValueError(f"plot: {where}.taps is not a list")
-    try:
-        _numbers(meta["target_pose_mm_deg"], 6, f"{where}.meta.target_pose_mm_deg")
-        _numbers(rec["final_pusher_pose"], 6, f"{where}.final_pusher_pose")
-        for key in ("approach_zone_radius_mm", "termination_radius_mm"):
-            _number(meta[key], f"{where}.meta.{key}")
-        _read(shape, _INLINE_OBJECT, f"{where}.meta.shape")
-        for k, tap in enumerate(rec["taps"]):
-            for key, n in (("pusher_pose", 6), ("object_pose", 3)):
-                _require(tap, (key,), f"{where}.taps[{k}]")
-                _numbers(tap[key], n, f"{where}.taps[{k}].{key}")
-    except ScenarioError as exc:
-        raise ValueError(f"plot: {exc}") from exc
 
 
 def plot(records, out_path) -> Path:
     """Render sensor paths, periodic object outlines and the target zone to
-    a self-contained SVG (no external assets)."""
-    dicts = [vars(r) if isinstance(r, TrialRecord) else r for r in records]
-    if not dicts:
+    a self-contained SVG (no external assets).
+
+    Draws TrialRecords as run_trial returns them or as load_records reads
+    them back from files, where their values are checked; plot checks none
+    again.
+    """
+    records = list(records)
+    if not records:
         raise ValueError("plot: no records to draw")
-    for idx, rec in enumerate(dicts):
-        _check_plot_fields(idx, rec)
 
     pts = []
-    for rec in dicts:
-        tgt = rec["meta"]["target_pose_mm_deg"]
+    for rec in records:
+        tgt = rec.meta["target_pose_mm_deg"]
         pts.append([tgt[1], tgt[2]])
-        pts.append(list(rec["final_pusher_pose"][1:3]))
-        for tap in rec["taps"]:
+        pts.append(list(rec.final_pusher_pose[1:3]))
+        for tap in rec.taps:
             pts.append([tap["pusher_pose"][1], tap["pusher_pose"][2]])
             pts.append([tap["object_pose"][0], tap["object_pose"][1]])
     pts = np.asarray(pts, dtype=float)
@@ -636,10 +794,10 @@ def plot(records, out_path) -> Path:
         f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    rec0 = dicts[0]
-    tgt = rec0["meta"]["target_pose_mm_deg"]
-    rho = float(rec0["meta"]["approach_zone_radius_mm"])
-    term = float(rec0["meta"]["termination_radius_mm"])
+    meta0 = records[0].meta
+    tgt = meta0["target_pose_mm_deg"]
+    rho = float(meta0["approach_zone_radius_mm"])
+    term = float(meta0["termination_radius_mm"])
     parts.append(
         f'<circle cx="{sx(tgt[1]):.2f}" cy="{sy(tgt[2]):.2f}" r="{rho * scale:.2f}" '
         'fill="none" stroke="#999999" stroke-dasharray="6 4"/>'
@@ -649,10 +807,10 @@ def plot(records, out_path) -> Path:
         'fill="#2ca02c" fill-opacity="0.35" stroke="#2ca02c"/>'
     )
 
-    for idx, rec in enumerate(dicts):
+    for idx, rec in enumerate(records):
         color = _PALETTE[idx % len(_PALETTE)]
-        shape_dict = rec["meta"]["shape"]
-        taps = rec["taps"]
+        shape_dict = rec.meta["shape"]
+        taps = rec.taps
         if taps:
             path = " ".join(
                 f"{sx(t['pusher_pose'][1]):.2f},{sy(t['pusher_pose'][2]):.2f}"

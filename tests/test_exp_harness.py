@@ -23,6 +23,7 @@ from tacpush.exp_harness import (
     exp2_scenario,
     exp3_grid,
     export,
+    load_records,
     place_corner_contact,
     place_random_orientation,
     plot,
@@ -41,19 +42,50 @@ from tacpush.scene import (
 from tacpush.tactile_sense import NoiseModel
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "exp1_baseline.json"
-# the smallest record that plot draws
+# the smallest records.json summary that plot draws, of a trial with no taps
 PLOTTABLE = {
+    "scenario_id": "p",
+    "seed": 0,
+    "outcome": "max_taps",
+    "y_targ": None,
+    "tap_total": 0,
+    "final_pusher_pose": [0.0] * 6,
+    "final_object_pose": [0.0] * 3,
     "meta": {
         "target_pose_mm_deg": [0.0, 200.0, 400.0, 0.0, 0.0, 0.0],
         "shape": {"circle_radius_mm": 35.0},
         "approach_zone_radius_mm": 60.0,
         "termination_radius_mm": 20.0,
     },
-    "final_pusher_pose": [0.0] * 6,
-    "taps": [],
 }
-# a tap entry with both poses plot draws
-TAP = {"pusher_pose": [0.0] * 6, "object_pose": [0.0] * 3}
+SIX = ("x_mm", "y_mm", "z_mm", "alpha_deg", "beta_deg", "gamma_deg")
+# tap 0 of PLOTTABLE's trial as a taps.csv (v2) row, by column
+TAP = {
+    "scenario_id": "p", "seed": "0", "tap": "0",
+    "pusher_y_mm": "0.0", "pusher_z_mm": "0.0", "pusher_alpha_deg": "0.0",
+    "object_y_mm": "0.0", "object_z_mm": "0.0", "object_alpha_deg": "0.0",
+    "in_contact": "1", "z_depth_mm": "1.0", "alpha_pred_deg": "0.0", "clamped": "0",
+    "theta_deg": "0.0", "r_mm": "400.0", "v_mm": "0.0", **{f"err_{c}": "0.0" for c in SIX},
+    "contact_mode": "sticking", "status": "continue", **{f"int_{c}": "0.0" for c in SIX},
+}
+TAP_ROW = ",".join(TAP.values())
+
+
+def write_run(directory: Path, summaries, taps=(), drop=()) -> Path:
+    """Write a records.json (version 2) of `summaries` and the taps.csv beside
+    it; `taps` is a list of rows, each a TAP-like dict or a raw line, without
+    the columns in `drop`, or the whole file's text. Returns the records path."""
+    if isinstance(taps, str):
+        text = taps
+    else:
+        columns = [c for c in TAP if c not in drop]
+        lines = ["# tacpush-taps-v2", ",".join(columns)]
+        lines += [r if isinstance(r, str) else ",".join(r[c] for c in columns) for r in taps]
+        text = "\n".join(lines) + "\n"
+    (directory / "taps.csv").write_text(text)
+    path = directory / "records.json"
+    path.write_text(json.dumps({"version": 2, "records": summaries}))
+    return path
 
 
 def planar(pose6) -> PlanarPose:
@@ -312,10 +344,17 @@ class TestExport:
 
     def test_writes_all_files(self, records, tmp_path):
         paths = export(records, tmp_path)
-        for key in ("records", "taps", "metrics"):
+        for key in ("records", "taps", "timings", "metrics"):
             assert paths[key].exists()
         data = json.loads(paths["records"].read_text())
-        assert len(data["records"]) == 2
+        assert data["version"] == 2 and len(data["records"]) == 2
+        # each trial's summary: every field but its taps and its wall time
+        summary = {f.name for f in dataclasses.fields(records[0])} - {"taps", "wall_time_ms"}
+        assert [set(r) for r in data["records"]] == [summary, summary]
+        timings = json.loads(paths["timings"].read_text())
+        assert timings == [
+            {"scenario_id": r.scenario_id, "wall_time_ms": r.wall_time_ms} for r in records
+        ]
         metrics = json.loads(paths["metrics"].read_text())
         assert metrics["n_trials"] == 2
 
@@ -341,6 +380,45 @@ class TestExport:
         p2 = export(records, tmp_path / "b")["taps"].read_bytes()
         assert p1 == p2
 
+    def test_rerun_writes_the_same_records_json(self, records, tmp_path):
+        # the wall times of a rerun differ, and only timings.json holds them
+        rerun = [run_trial(exp1_scenario(0.0, 0.0, seed=11)),
+                 run_trial(exp1_scenario(10.0, 20.0, seed=12))]
+        first, second = export(records, tmp_path / "a"), export(rerun, tmp_path / "b")
+        for key in ("records", "taps", "metrics"):
+            assert first[key].read_bytes() == second[key].read_bytes()
+
+    def test_files_load_back_every_tap_value(self, records, tmp_path):
+        # the object starts 3 mm further off, so the first reading has no
+        # contact and the first tap has no error6, theta or r
+        sc = exp1_scenario(0.0, 0.0, seed=1, max_taps=4)
+        start = sc.object_start_pose
+        sc = dataclasses.replace(
+            sc, object_start_pose=PlanarPose(start.y, start.z + 3.0, start.alpha)
+        )
+        written = [*records, run_trial(sc)]
+        assert written[-1].taps[0]["error6"] is None
+        assert all(any(tap["integral6"]) for tap in records[0].taps[1:])
+        loaded = load_records(export(written, tmp_path)["records"])
+        assert len(loaded) == len(written)
+        for rec, back in zip(written, loaded):
+            # repr tells apart the types, the signs of zeros and every digit
+            assert repr(back.taps) == repr(rec.taps)
+            assert back == dataclasses.replace(rec, wall_time_ms=None)
+        svg = plot(written, tmp_path / "a.svg").read_bytes()
+        assert plot(loaded, tmp_path / "b.svg").read_bytes() == svg
+
+    @pytest.mark.parametrize("cut", [-1, 1], ids=["short_row", "long_row"])
+    def test_read_taps_csv_names_a_row_of_another_width(self, records, tmp_path, cut):
+        path = export(records, tmp_path)["taps"]
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        lines[3] = ",".join(fields[:-1] if cut < 0 else fields + ["0.0"])
+        path.write_text("\n".join(lines) + "\n")
+        n = len(fields) + cut
+        with pytest.raises(ValueError, match=f"line 4: expected {len(fields)} fields, got {n}$"):
+            read_taps_csv(path)
+
     def test_plot_svg(self, records, tmp_path):
         out = plot(records, tmp_path / "traj.svg")
         text = out.read_text()
@@ -348,9 +426,8 @@ class TestExport:
         assert "<polyline" in text
         assert "<circle" in text
         assert "http" not in text.replace("http://www.w3.org/2000/svg", "")
-        # the records.json that export writes re-plots to the same bytes
-        saved = json.loads(export(records, tmp_path)["records"].read_text())["records"]
-        out2 = plot(saved, tmp_path / "traj2.svg")
+        # the files export writes re-plot to the same bytes
+        out2 = plot(load_records(export(records, tmp_path)["records"]), tmp_path / "traj2.svg")
         assert out2.read_bytes() == out.read_bytes()
 
     def test_plot_empty_rejected(self, tmp_path):
@@ -449,7 +526,8 @@ class TestCli:
              "--out", str(out)]
         )
         assert rc == 0
-        for name in ("records.json", "taps.csv", "metrics.json", "trajectories.svg"):
+        for name in ("records.json", "taps.csv", "timings.json", "metrics.json",
+                     "trajectories.svg"):
             assert (out / name).exists()
 
     def test_shapes_export(self, tmp_path):
@@ -467,7 +545,9 @@ class TestCli:
         ) == 0
         assert svg.exists()
 
-    @pytest.mark.parametrize("payload", [{"version": 1}, {"records": 3}, "records", [1, 2]])
+    @pytest.mark.parametrize(
+        "payload", [{"version": 1}, {"version": 2, "records": 3}, "records", [1, 2], {"version": 2}]
+    )
     def test_plot_without_records_list_fails_cleanly(self, payload, tmp_path, capsys):
         path = tmp_path / "in.json"
         path.write_text(json.dumps(payload))
@@ -475,6 +555,16 @@ class TestCli:
         assert cli_main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "records" in err
+
+    @pytest.mark.parametrize("version", [1, None, "2"])
+    def test_plot_names_the_records_version_it_rejects(self, version, tmp_path, capsys):
+        path = write_run(tmp_path, [PLOTTABLE])
+        path.write_text(json.dumps({"version": version, "records": [PLOTTABLE]}))
+        argv = ["plot", "--records", str(path), "--out", str(tmp_path / "x.svg")]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: records version {version!r}, expected 2\n"
+        )
 
     def test_plot_names_a_records_file_that_is_not_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -485,8 +575,7 @@ class TestCli:
         assert not (tmp_path / "x.svg").exists()
 
     def test_plot_names_the_first_entry_that_is_not_a_record(self, tmp_path, capsys):
-        path = tmp_path / "in.json"
-        path.write_text(json.dumps([{}, [3], 4]))
+        path = write_run(tmp_path, [{}, [3], 4])
         argv = ["plot", "--records", str(path), "--out", str(tmp_path / "x.svg")]
         assert cli_main(argv) == 1
         assert "records[1] is not a JSON object" in capsys.readouterr().err
@@ -495,7 +584,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "path",
         [("meta",), ("meta", "shape"), ("meta", "approach_zone_radius_mm"),
-         ("meta", "termination_radius_mm"), ("taps",)],
+         ("meta", "termination_radius_mm"), ("tap_total",)],
     )
     def test_plot_names_the_missing_field(self, path, tmp_path, capsys):
         good = PLOTTABLE
@@ -507,8 +596,7 @@ class TestCli:
         svg = tmp_path / "x.svg"
         for records, rc in (([good], 0), ([good, bad], 1), ([{}], 1)):
             svg.unlink(missing_ok=True)
-            in_path = tmp_path / "in.json"
-            in_path.write_text(json.dumps(records))
+            in_path = write_run(tmp_path, records)
             assert cli_main(["plot", "--records", str(in_path), "--out", str(svg)]) == rc
             assert svg.exists() == (rc == 0)
         err = capsys.readouterr().err
@@ -516,43 +604,74 @@ class TestCli:
         assert "error: plot: records[0] has no field 'meta'" in err
 
     @pytest.mark.parametrize(
-        "taps, meta, message",
-        [([{}], {}, "records[0].taps[0] has no field 'pusher_pose'"),
-         ([{"pusher_pose": [0.0] * 6}], {}, "records[0].taps[0] has no field 'object_pose'"),
-         ([TAP, 7], {}, "records[0].taps[1] has no field 'pusher_pose'"),
-         ([TAP], {"shape": {}},
-          "records[0].meta.shape has no field 'polygon_mm' or 'circle_radius_mm'"),
-         ({}, {}, "records[0].taps is not a list"),
-         ([{**TAP, "pusher_pose": [0.0]}], {},
-          "records[0].taps[0].pusher_pose: expected 6 values, got 1"),
-         ([{**TAP, "object_pose": [0, 0]}], {},
-          "records[0].taps[0].object_pose: expected 3 values, got 2"),
-         ([TAP], {"approach_zone_radius_mm": [60]},
-          "records[0].meta.approach_zone_radius_mm: expected a number, got [60]"),
-         ([TAP], {"target_pose_mm_deg": 5},
-          "records[0].meta.target_pose_mm_deg: expected a list of 6 numbers"),
-         ([TAP], {"shape": {"polygon_mm": [[0, 0], [1, 0, 2], [0, 1]]}},
-          "records[0].meta.shape.polygon_mm: expected 2 values, got 3"),
-         ([TAP], {"shape": {"polygon_mm": []}},
-          "records[0].meta.shape.polygon_mm: expected at least 3 [y, z] vertices, got 0"),
-         ([TAP], {"shape": {"polygon_mm": [[0, 0], [1, 0]]}},
-          "records[0].meta.shape.polygon_mm: expected at least 3 [y, z] vertices, got 2")],
+        "taps, drop, meta, message",
+        [([dict.fromkeys(TAP, "") | {"scenario_id": "p", "tap": "0"}],
+          (), {}, "{csv}: line 3, column 'pusher_y_mm': expected a finite number, got ''"),
+         ([TAP], ("object_y_mm", "object_z_mm", "object_alpha_deg"), {},
+          "{csv}: line 2: no column 'object_y_mm'"),
+         ([TAP, "7"], (), {}, "{csv}: line 4: expected 30 fields, got 1"),
+         ([TAP], (), {"shape": {}},
+          "plot: records[0].meta.shape has no field 'polygon_mm' or 'circle_radius_mm'"),
+         ('{"taps": {}}\n', (), {}, "{csv}: not a # tacpush-taps-v2 file"),
+         ([TAP], ("pusher_z_mm", "pusher_alpha_deg"), {},
+          "{csv}: line 2: no column 'pusher_z_mm'"),
+         ([TAP], ("object_alpha_deg",), {}, "{csv}: line 2: no column 'object_alpha_deg'"),
+         ([TAP], (), {"approach_zone_radius_mm": [60]},
+          "plot: records[0].meta.approach_zone_radius_mm: expected a number, got [60]"),
+         ([TAP], (), {"target_pose_mm_deg": 5},
+          "plot: records[0].meta.target_pose_mm_deg: expected a list of 6 numbers"),
+         ([TAP], (), {"shape": {"polygon_mm": [[0, 0], [1, 0, 2], [0, 1]]}},
+          "plot: records[0].meta.shape.polygon_mm: expected 2 values, got 3"),
+         ([TAP], (), {"shape": {"polygon_mm": []}},
+          "plot: records[0].meta.shape.polygon_mm: expected at least 3 [y, z] vertices, got 0"),
+         ([TAP], (), {"shape": {"polygon_mm": [[0, 0], [1, 0]]}},
+          "plot: records[0].meta.shape.polygon_mm: expected at least 3 [y, z] vertices, got 2"),
+         ([TAP, TAP_ROW.rsplit(",", 1)[0]], (), {}, "{csv}: line 4: expected 30 fields, got 29"),
+         ([TAP | {"pusher_y_mm": "abc"}], (), {},
+          "{csv}: line 3, column 'pusher_y_mm': expected a finite number, got 'abc'"),
+         ([TAP | {"object_alpha_deg": "nan"}], (), {},
+          "{csv}: line 3, column 'object_alpha_deg': expected a finite number, got 'nan'"),
+         ([TAP | {"int_gamma_deg": "-inf"}], (), {},
+          "{csv}: line 3, column 'int_gamma_deg': expected a finite number, got '-inf'"),
+         ([TAP | {"in_contact": "yes"}], (), {},
+          "{csv}: line 3, column 'in_contact': expected 0 or 1, got 'yes'")],
         ids=["empty_tap", "tap_without_object_pose", "tap_not_an_object", "empty_shape",
              "taps_not_a_list", "short_pusher_pose", "short_object_pose", "radius_not_a_number",
-             "target_not_a_list", "ragged_polygon", "empty_polygon", "two_vertex_polygon"],
+             "target_not_a_list", "ragged_polygon", "empty_polygon", "two_vertex_polygon",
+             "short_row", "non_numeric_value", "nan_value", "infinite_value", "flag_not_0_or_1"],
     )
     def test_plot_names_the_missing_tap_or_outline_field(
-        self, taps, meta, message, tmp_path, capsys
+        self, taps, drop, meta, message, tmp_path, capsys
     ):
+        # a tap value is named by its taps.csv line and column, a summary
+        # value by its records.json path
         bad = json.loads(json.dumps(PLOTTABLE))
-        bad["taps"] = taps
         bad["meta"].update(meta)
-        in_path = tmp_path / "in.json"
-        in_path.write_text(json.dumps([bad]))
+        if not isinstance(taps, str):
+            bad["tap_total"] = len(taps)
+        in_path = write_run(tmp_path, [bad], taps, drop)
         svg = tmp_path / "x.svg"
         assert cli_main(["plot", "--records", str(in_path), "--out", str(svg)]) == 1
         assert not svg.exists()
-        assert capsys.readouterr().err == f"error: plot: {message}\n"
+        expected = message.format(csv=tmp_path / "taps.csv")
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize(
+        "tap_total, taps, message",
+        [(2, [TAP], "line 4: expected tap 1 of 'p', got the end of the file"),
+         (0, [TAP], "line 3: expected the end of the file, got tap 0 of 'p'"),
+         (2, [TAP, TAP | {"tap": "2"}], "line 4: expected tap 1 of 'p', got tap 2 of 'p'"),
+         (1, [TAP | {"scenario_id": "q"}], "line 3: expected tap 0 of 'p', got tap 0 of 'q'")],
+        ids=["too_few_rows", "too_many_rows", "wrong_tap_index", "wrong_scenario_id"],
+    )
+    def test_plot_names_the_taps_row_that_disagrees_with_the_records(
+        self, tap_total, taps, message, tmp_path, capsys
+    ):
+        in_path = write_run(tmp_path, [PLOTTABLE | {"tap_total": tap_total}], taps)
+        svg = tmp_path / "x.svg"
+        assert cli_main(["plot", "--records", str(in_path), "--out", str(svg)]) == 1
+        assert not svg.exists()
+        assert capsys.readouterr().err == f"error: {tmp_path / 'taps.csv'}: {message}\n"
 
     def test_exp_subcommand_runs_its_grid(self, tmp_path):
         out = tmp_path / "exp3"
