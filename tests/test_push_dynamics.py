@@ -131,6 +131,77 @@ class TestMotionCone:
             assert edge == pytest.approx(v_contact, abs=1e-9)
 
 
+def test_solve_inverts_apply_on_the_oracle_configurations():
+    # M f = v and M^-1 v = f to a relative 1e-12 (M's condition number here
+    # is at most about 20), at the oracle's contacts, for its drive and for
+    # its inward normal as a force
+    for cfg in random_contact_configs(1_000, seed=1):
+        m = ContactMatrix(cfg.shape, cfg.object_pose, cfg.contact_point)
+        v = tuple(cfg.v_p.tolist())
+        back = m.apply(m.solve(v))
+        assert math.dist(back, v) <= 1e-12 * math.hypot(*v), (cfg, back)
+        f = tuple(cfg.n_in.tolist())
+        back = m.solve(m.apply(f))
+        assert math.dist(back, f) <= 1e-12 * math.hypot(*f), (cfg, back)
+
+
+class TestStickingCentreOfRotation:
+    """A small sticking substep turns the object about the centre of rotation
+    that the ellipsoid limit surface gives in closed form (Lynch & Mason
+    1996), to first order in the step.
+
+    With c = m_max / f_max, a contact at r from the CoF and a sticking pusher
+    velocity v, the CoF moves with
+        v_o = ((c^2 + ry^2) vy + ry rz vz, ry rz vy + (c^2 + rz^2) vz) / (c^2 + |r|^2)
+    and the object spins at omega = (r x v_o) / c^2, so the centre of
+    rotation is cof + (-v_oz, v_oy) / omega. The substep probes the contact
+    at the displaced tip, a step away, hence the first order.
+    """
+
+    SHAPE = builtin_shapes()["blue_square"]  # CoF at the origin
+    POSE = PlanarPose(4.0, -7.0, 35.0)
+
+    def closed_form_cor(self, r, v):
+        c2 = (self.SHAPE.m_max / self.SHAPE.f_max) ** 2
+        (ry, rz), (vy, vz) = r, v
+        d = c2 + ry * ry + rz * rz
+        oy = ((c2 + ry * ry) * vy + ry * rz * vz) / d
+        oz = (ry * rz * vy + (c2 + rz * rz) * vz) / d
+        omega = (ry * oz - rz * oy) / c2
+        return self.POSE.y - oz / omega, self.POSE.z + oy / omega
+
+    def pole(self, new: PlanarPose):
+        """The fixed point of the rigid motion from POSE to `new`."""
+        old, turn = self.POSE, math.radians(new.alpha - self.POSE.alpha)
+        c, s = math.cos(turn), math.sin(turn)
+        # new = R old + t, solved for the point that (I - R) maps to t
+        ty = new.y - (c * old.y - s * old.z)
+        tz = new.z - (s * old.y + c * old.z)
+        det = (1.0 - c) ** 2 + s * s
+        return ((1.0 - c) * ty - s * tz) / det, (s * ty + (1.0 - c) * tz) / det
+
+    @pytest.mark.parametrize("offset", [-12.0, 6.0])
+    @pytest.mark.parametrize("drive_deg", [-15.0, 0.0, 10.0])
+    def test_pose_change_turns_about_the_closed_form_centre(self, offset, drive_deg):
+        # the tip overlaps the bottom edge by the residual that resolution
+        # leaves, so the pushing substep moves the contact by about `step`
+        pose, res = self.POSE, PENETRATION_TOL_MM / 2
+        point = pose.transform_point([offset, -30.0])
+        tip = pose.transform_point([offset, -30.0 - TIP_RADIUS_MM + res])
+        # the drive, drive_deg off the inward normal (the object's +z axis)
+        vy, vz = heading_dir(pose.alpha + drive_deg)
+        cor = self.closed_form_cor((point[0] - pose.y, point[1] - pose.z), (vy, vz))
+        reach = math.dist(cor, (pose.y, pose.z))
+        errors = []
+        for step in (0.04, 0.02):
+            moved, contact = resolve_substep(self.SHAPE, pose, tip, (step * vy, step * vz))
+            assert contact.mode is ContactMode.STICKING
+            errors.append(math.dist(self.pole(moved), cor))
+        # first order: halving the step halves the error
+        assert errors[0] <= 0.01 * reach
+        assert errors[1] <= 0.6 * errors[0]
+
+
 class TestResolveSubstep:
     def test_no_overlap_no_motion(self):
         shape = square()
@@ -411,6 +482,23 @@ class TestResolutionLoop:
         pen = contact_at(shape, last, (ty + dy, tz + dz)).penetration
         assert pen > PENETRATION_TOL_MM
         assert repr(diagnostics["penetration"]) == repr(pen)
+
+    def test_reports_the_first_steps_mode(self, monkeypatch):
+        # a push into the mug whose first step slides and whose second
+        # sticks (the same within 0.01 mm of the tip): the contact reports
+        # the mode of the step that met the drive, the first
+        modes, resolve = [], push_dynamics._resolve
+
+        def recording(*args):
+            out = resolve(*args)
+            modes.append(out[2])
+            return out
+
+        monkeypatch.setattr(push_dynamics, "_resolve", recording)
+        _, contact = resolve_substep(builtin_shapes()["mug"], PlanarPose(),
+                                     [30.32, -30.86], [-0.075, 0.444])
+        assert modes == [ContactMode.SLIDING_LEFT, ContactMode.STICKING]
+        assert contact.mode is ContactMode.SLIDING_LEFT
 
     def test_probes_once_per_step_on_the_golden(self, monkeypatch):
         # perfbench's probes_per_contact_substep counts these probes: one at
