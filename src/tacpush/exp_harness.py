@@ -32,7 +32,6 @@ from .scene import (
     ObjectShape,
     PlanarPose,
     WorldState,
-    _fma,
     builtin_shapes,
     heading_dir,
 )
@@ -287,20 +286,15 @@ def _seat(pusher_start: PlanarPose, point, normal, turn: float) -> PlanarPose:
     omega = (
         math.degrees(math.atan2(-az, -ay)) - math.degrees(math.atan2(normal[1], normal[0]))
     ) + turn
-    # `point` rotated by omega, each row rounded as numpy's product was (scene._fma)
+    # `point` rotated by omega
     a = math.radians(omega)
     c, s = math.cos(a), math.sin(a)
     py, pz = point
     return PlanarPose(
-        pusher_start.y + _SEAT_DISTANCE_MM * ay - _fma(c, py, -s * pz),
-        pusher_start.z + _SEAT_DISTANCE_MM * az - _fma(s, py, c * pz),
+        pusher_start.y + _SEAT_DISTANCE_MM * ay - (c * py - s * pz),
+        pusher_start.z + _SEAT_DISTANCE_MM * az - (s * py + c * pz),
         omega,
     )
-
-
-def _length(y: float, z: float) -> float:
-    """np.linalg.norm of (y, z), its dot product rounded as numpy's (scene._fma)."""
-    return math.sqrt(_fma(z, z, y * y))
 
 
 def place_offset_contact(
@@ -317,7 +311,7 @@ def place_offset_contact(
         raise ValueError("place_offset_contact needs a polygonal shape")
     (y0, z0), (y1, z1) = shape.polygon[:2].tolist()
     ey, ez = y1 - y0, z1 - z0
-    n = _length(ey, ez)
+    n = math.sqrt(ey * ey + ez * ez)
     point = (
         0.5 * (y0 + y1) + spatial_offset * (ey / n),
         0.5 * (z0 + z1) + spatial_offset * (ez / n),
@@ -338,7 +332,7 @@ def place_corner_contact(shape: ObjectShape, pusher_start: PlanarPose) -> Planar
         return PlanarPose(pusher_start.y + reach * ay, pusher_start.z + reach * az, 0.0)
     (ly, lz), (ry, rz) = shape.edge_normals[[-1, 0]].tolist()
     by, bz = ly + ry, lz + rz
-    n = _length(by, bz)
+    n = math.sqrt(by * by + bz * bz)
     return _seat(pusher_start, shape.polygon[0].tolist(), (by / n, bz / n), 0.0)
 
 

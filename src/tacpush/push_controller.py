@@ -16,9 +16,8 @@ approach zone, and the push terminates once the tip centre is within the
 termination radius of the target.
 
 Every pose lies in the plane, so these are planar rigid motions, and they
-run on Python floats as planar frames (see _frame). Their products round as
-the SE(3) matrix products of pose_math did, so a trial's results match
-theirs bit for bit and do not depend on the host's BLAS. Of the PID's six
+run on Python floats as planar frames (see _frame), so a trial's results do
+not depend on the host's BLAS. Of the PID's six
 channels (x, y, z, alpha, beta, gamma), the errors of x, beta and gamma
 are always 0.
 """
@@ -29,9 +28,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
-from .scene import PlanarPose, _fma, heading_dir, normalize_angle_deg
+from .scene import PlanarPose, heading_dir, normalize_angle_deg
 from .tactile_sense import PosePrediction
 
 __all__ = [
@@ -162,22 +159,19 @@ class ControlDecision:
 
 # A planar frame is a tuple (r11, r12, r21, r22, y, z): rows and columns
 # (y, z) of the SE(3) transform of the pose (0, y, z, alpha, 0, 0), the only
-# entries of it that are not fixed at 0 or 1. Every product rounds as numpy's
-# BLAS product of those 3 x 3 transforms did, entry by entry, with one _fma
-# (scene._fma says why that is exact), so the goldens hold bit for bit.
+# entries of it that are not fixed at 0 or 1.
 
 def _frame(y: float, z: float, alpha: float) -> tuple:
     """Frame of the planar pose (y, z, alpha), alpha in degrees."""
     a = math.radians(alpha)
     c, s = math.cos(a), math.sin(a)
-    # 0.0 - s: the SE(3) entry is 0 * c - s, which is +0.0 when s is 0
-    return (c, 0.0 - s, s, c, y, z)
+    return (c, -s, s, c, y, z)
 
 
 def _apply(f: tuple, y: float, z: float) -> tuple:
     """The point (y, z) of frame f, in f's parent frame."""
     r11, r12, r21, r22, ty, tz = f
-    return _fma(r12, z, r11 * y) + ty, _fma(r22, z, r21 * y) + tz
+    return r11 * y + r12 * z + ty, r21 * y + r22 * z + tz
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
@@ -185,10 +179,10 @@ def _compose(a: tuple, b: tuple) -> tuple:
     a11, a12, a21, a22, _, _ = a
     b11, b12, b21, b22, by, bz = b
     return (
-        _fma(a12, b21, a11 * b11),
-        _fma(a12, b22, a11 * b12),
-        _fma(a22, b21, a21 * b11),
-        _fma(a22, b22, a21 * b12),
+        a11 * b11 + a12 * b21,
+        a11 * b12 + a12 * b22,
+        a21 * b11 + a22 * b21,
+        a21 * b12 + a22 * b22,
         *_apply(a, by, bz),
     )
 
@@ -196,7 +190,7 @@ def _compose(a: tuple, b: tuple) -> tuple:
 def _inverse(f: tuple) -> tuple:
     """Inverse frame: rotation transposed, translation -R^T t."""
     r11, r12, r21, r22, y, z = f
-    return (r11, r21, r12, r22, -_fma(r21, z, r11 * y), -_fma(r22, z, r12 * y))
+    return (r11, r21, r12, r22, -(r11 * y + r21 * z), -(r12 * y + r22 * z))
 
 
 def _pose(f: tuple) -> PlanarPose:
@@ -294,7 +288,7 @@ def control_step(
     -> composite command, returned as a planar pose. Faults are reported as
     statuses, never raised.
     """
-    if np.hypot(target.y - pusher.y, target.z - pusher.z) < cfg.termination_radius:
+    if math.hypot(target.y - pusher.y, target.z - pusher.z) < cfg.termination_radius:
         return ControlDecision(Status.TARGET_REACHED)
 
     pusher_f = _frame(pusher.y, pusher.z, pusher.alpha)

@@ -37,14 +37,11 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-import numpy as np
-
 from .scene import (
     TIP_RADIUS_MM,
     ObjectShape,
     PlanarPose,
     WorldState,
-    _fma,
     boundary_probe,
     heading_dir,
     normalize_angle_deg,
@@ -192,10 +189,9 @@ def _resolve(a, b, py, pz, ny, nz, vy, vz, shape: ObjectShape):
 
 def _twist(a: float, b: float, py: float, pz: float, fy: float, fz: float, s: float):
     """(dy, dz, spin): the object twist s * (a f, b p . f) for the contact
-    force f, as the CoF displacement (mm) and the spin about the CoF (rad).
-    p . f is rounded as numpy's dot product was, with one _fma."""
+    force f, as the CoF displacement (mm) and the spin about the CoF (rad)."""
     sa = s * a
-    return sa * fy, sa * fz, s * b * _fma(pz, fz, py * fy)
+    return sa * fy, sa * fz, s * b * (py * fy + pz * fz)
 
 
 def _advance_pose(pose: PlanarPose, cy: float, cz: float, dy: float, dz: float, spin: float):
@@ -318,7 +314,6 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
 
     a, b = shape._inv_f2, shape._inv_m2
     driven = disp_norm > 1e-12
-    # each dot product is rounded once (_fma), as the goldens were recorded
     mode = None
     steps = 0
     while pen > PENETRATION_TOL_MM:
@@ -337,19 +332,19 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
         ny, nz = probe.normal
         ny, nz = -ny, -nz
         cy, cz, py, pz = _lever(shape, c, s, y, z, qy, qz)
-        if driven and _fma(dz, nz, dy * ny) > 1e-12:
+        if driven and dy * ny + dz * nz > 1e-12:
             vy, vz = dy, dz
         else:
             # stale overlap with no approaching drive: expel along the normal
             vy, vz = ny, nz
         fy, fz, step_mode = _resolve(a, b, py, pz, ny, nz, vy, vz, shape)
         uy, uz = _apply(a, b, py, pz, fy, fz)
-        rate = _fma(uz, nz, uy * ny)
+        rate = uy * ny + uz * nz
         if rate <= 1e-12:
             # edge twist cannot reduce overlap; fall back to a pure normal push
             fy, fz = ny, nz
             uy, uz = _apply(a, b, py, pz, fy, fz)
-            rate = _fma(uz, nz, uy * ny)
+            rate = uy * ny + uz * nz
         if mode is None:
             mode = step_mode
         twy, twz, spin = _twist(a, b, py, pz, fy, fz, (pen - _RESOLVE_RESIDUAL_MM) / rate)
@@ -401,13 +396,10 @@ def simulate_tap(
     contact = None
 
     def run_leg(target_pos: tuple[float, float], target_alpha: float):
-        # positions are float pairs; np.hypot stays (3 calls a tap): it
-        # rounds differently from math.hypot and sets n = ceil(dist /
-        # substep), and a 10 mm advance puts dist / substep on an integer
         nonlocal obj, pos, alpha, contact
         y0, z0 = pos
         dy, dz = target_pos[0] - y0, target_pos[1] - z0
-        dist = float(np.hypot(dy, dz))
+        dist = math.hypot(dy, dz)
         dalpha = normalize_angle_deg(target_alpha - alpha)
         if dist < 1e-12 and abs(dalpha) < 1e-12:
             return

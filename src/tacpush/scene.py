@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -57,55 +56,9 @@ _GRID_MARGIN_MM = 2.0 * TIP_RADIUS_MM
 # every query tries every edge
 _GRID_MAX_ENTRIES = 1 << 20
 
-# _fma: Veltkamp's splitting factor 2^27 + 1, and the range of factors and
-# products inside which Dekker's product is exact (no overflow, no underflow)
-_SPLIT = 134217729.0
-_SPLIT_MAX = 2.0**995
-_PRODUCT_MIN = 2.0**-960
-_PRODUCT_MAX = 2.0**1020
-
-
 # ---------------------------------------------------------------------------
 # planar vector helpers
 # ---------------------------------------------------------------------------
-
-def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once, as a fused multiply-add rounds it; an exact
-    zero is +0.0.
-
-    numpy's BLAS kernels (OpenBLAS on x86-64) round 2-vector products this
-    way, and the kernel's results are pinned to theirs: a dot
-    (a0, a1) . (b0, b1) is _fma(a1, b1, a0 * b0), and row i of a 2 x 2
-    matrix times (x0, x1) is _fma(r_i0, x0, r_i1 * x1). Dekker's product
-    (1971, with Veltkamp's split) gives a * b = p + e exactly, and math.fsum
-    rounds c + p + e once. Where the split could overflow or underflow (a
-    factor above 2^995, or a product outside [2^-960, 2^1020]), the sum is
-    taken in fractions.
-    """
-    p = a * b
-    # nan fails every comparison and inf is out of range: both take the slow path
-    if ((_PRODUCT_MIN <= p <= _PRODUCT_MAX or -_PRODUCT_MAX <= p <= -_PRODUCT_MIN)
-            and -_SPLIT_MAX <= a <= _SPLIT_MAX and -_SPLIT_MAX <= b <= _SPLIT_MAX):
-        t = _SPLIT * a
-        ah = t - (t - a)
-        al = a - ah
-        t = _SPLIT * b
-        bh = t - (t - b)
-        bl = b - bh
-        # math.fsum gives an exact zero as +0.0 (Python 3.6 to 3.13 alike)
-        return math.fsum((c, p, ((ah * bh - p) + ah * bl + al * bh) + al * bl))
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return p + c  # inf or nan, as the fused operation gives
-    if not (a and b and math.isfinite(c)):
-        return c + 0.0  # the product is zero, or c is inf or nan
-    exact = Fraction(a) * Fraction(b) + Fraction(c)
-    if not exact:
-        return 0.0
-    try:
-        return float(exact)  # int / int, so rounded once
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
-
 
 def cross2(a, b) -> float:
     """2D cross product a x b for (y, z) vectors; positive is counter-clockwise."""
@@ -389,19 +342,18 @@ class ProbeResult:
         self._raw = raw
         self._point = self._normal = None
 
-    # each row is rounded as numpy's matrix product rounded it, with one _fma
     @property
     def point(self) -> tuple[float, float]:
         if self._point is None:
             c, s, y, z, py, pz, _, _ = self._raw
-            self._point = (y + _fma(c, py, -s * pz), z + _fma(s, py, c * pz))
+            self._point = (y + (c * py - s * pz), z + (s * py + c * pz))
         return self._point
 
     @property
     def normal(self) -> tuple[float, float]:
         if self._normal is None:
             c, s, _, _, _, _, ny, nz = self._raw
-            self._normal = (_fma(c, ny, -s * nz), _fma(s, ny, c * nz))
+            self._normal = (c * ny - s * nz, s * ny + c * nz)
         return self._normal
 
     def _fields(self) -> tuple:
@@ -428,9 +380,7 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work) -> ProbeResult:
 
     Numpy call overhead dominates on 2-vectors, so the probe runs on Python
     floats and gives float pairs. The point and normal are rotated back to
-    the work frame only when read; each row is rounded as numpy's matrix
-    product did, with one _fma, and the physics depends on those exact
-    results. A polygon's nearest edge is searched among the few candidates
+    the work frame only when read. A polygon's nearest edge is searched among the few candidates
     that the shape's grid lists for the query's cell (every edge outside
     the grid).
     """

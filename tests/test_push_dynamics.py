@@ -416,23 +416,24 @@ def test_contact_matrix_cof_is_the_posed_cof_offset_exactly():
 
 
 def test_separated_substep_rotates_nothing(monkeypatch):
-    # a separated contact's vectors are never read in the substep, so no
-    # single-rounding product runs for it
-    fma, calls = scene._fma, []
+    # a separated contact's vectors are never read in the substep, so
+    # neither is rotated into the work frame
+    reads = []
+    for name in ("point", "normal"):
+        read = getattr(scene.ProbeResult, name).fget
 
-    def counted(a, b, c):
-        calls.append((a, b, c))
-        return fma(a, b, c)
+        def counted(probe, read=read, name=name):
+            reads.append(name)
+            return read(probe)
 
-    monkeypatch.setattr(scene, "_fma", counted)
-    monkeypatch.setattr(push_dynamics, "_fma", counted)
+        monkeypatch.setattr(scene.ProbeResult, name, property(counted))
     start = PlanarPose(0.0, 0.0, 10.0)
     for shape in (square(), builtin_shapes()["mug"], builtin_shapes()["circle"]):
         pose, contact = resolve_substep(shape, start, [0.0, -90.0], [0.1, 0.4])
         assert contact.mode is ContactMode.SEPARATED and pose == start
-    assert calls == []
+    assert reads == []
     contact.normal  # the first read rotates
-    assert len(calls) == 2
+    assert reads == ["normal"]
 
 
 class TestResolutionLoop:

@@ -1,9 +1,7 @@
 import dataclasses
 import json
 import math
-import random
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +14,6 @@ from tacpush.scenario import ScenarioError, load_scenario, scenario_from_dict, s
 from tacpush.scene import (
     ObjectShape,
     PlanarPose,
-    _fma,
     boundary_probe,
     builtin_shapes,
     cross2,
@@ -40,93 +37,6 @@ def polygon_is_convex(verts):
         a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
         signs.append(np.sign(cross2(b - a, c - b)))
     return all(s >= 0 for s in signs)
-
-
-def fma_by_fractions(a, b, c) -> float:
-    """a * b + c in exact arithmetic, rounded once to the nearest float (ties
-    to even; int / int rounds correctly), with an exact zero as +0.0."""
-    exact = Fraction(a) * Fraction(b) + Fraction(c)
-    if exact == 0:
-        return 0.0
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
-
-
-def log_uniform(rng, lo, hi) -> float:
-    """A float of random sign with a magnitude log-uniform in [lo, hi]."""
-    mag = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-    return mag if rng.random() < 0.5 else -mag
-
-
-class TestFma:
-    """scene._fma: a * b + c rounded once, compared bit for bit (float.hex
-    tells the signs of zeros apart) with exact fraction arithmetic."""
-
-    def test_matches_fractions_on_random_inputs(self):
-        rng = random.Random(16)
-        for _ in range(20_000):
-            a, b = log_uniform(rng, 1e-150, 1e150), log_uniform(rng, 1e-150, 1e150)
-            p = a * b
-            # c far from, near, or the negation of the rounded product: the
-            # last gives the product's rounding error as the whole result
-            for c in (log_uniform(rng, 1e-150, 1e150), p * rng.uniform(-2.0, 2.0), -p):
-                assert _fma(a, b, c).hex() == fma_by_fractions(a, b, c).hex(), (a, b, c)
-
-    def test_zeros_and_signed_zeros(self):
-        values = (0.0, -0.0, 1.5, -1.5)
-        for a in values:
-            for b in values:
-                for c in values:
-                    got = _fma(a, b, c)
-                    assert got.hex() == fma_by_fractions(a, b, c).hex(), (a, b, c)
-        # an exact zero is +0.0, as numpy's kernels sum from +0.0
-        assert _fma(-0.0, 2.0, -0.0).hex() == (0.0).hex()
-        assert _fma(1.5, 2.0, -3.0).hex() == (0.0).hex()
-
-    def test_exact_ties_round_once_to_even(self):
-        # 3 * 3002399751580331 = 2^53 + 1, halfway between 2^53 and 2^53 + 2
-        a, b = 3.0, 3002399751580331.0
-        assert _fma(a, b, 0.0) == 2.0**53
-        assert _fma(-a, b, 0.0) == -(2.0**53)
-        assert _fma(a, b, -1.0) == 2.0**53
-        # 2^53 + 3 lies halfway between 2^53 + 2 and 2^53 + 4 (even): rounding
-        # the product first would land on 2^53 + 2
-        assert _fma(a, b, 2.0) == 2.0**53 + 4.0
-        assert a * b + 2.0 == 2.0**53 + 2.0
-        for c in (0.0, 2.0, -1.0, -4.0, 6.0):
-            assert _fma(a, b, c) == fma_by_fractions(a, b, c)
-
-    def test_huge_and_tiny_inputs_stay_exact(self):
-        # above 2^995 Veltkamp's split overflows, and a product that
-        # overflows or underflows cannot be split exactly: the slow path
-        rng = random.Random(995)
-        for _ in range(2_000):
-            a = log_uniform(rng, 2.0**995, 1.7e308)
-            b = log_uniform(rng, 1e-300, 1.0)
-            for c in (log_uniform(rng, 1e-300, 1e308), -a * b, 0.0):
-                got = _fma(a, b, c)
-                assert not math.isnan(got), (a, b, c)
-                assert got.hex() == fma_by_fractions(a, b, c).hex(), (a, b, c)
-        # a product past the largest float that c brings back
-        assert _fma(1e308, 2.0, -1e308) == 1e308
-        assert _fma(2.0**500, 2.0**524, -(2.0**1023)) == 2.0**1023
-        assert _fma(1e308, 10.0, 0.0) == math.inf
-        assert _fma(-1e308, 10.0, 1e308) == -math.inf
-        # products below the smallest float keep their sign
-        assert _fma(1e-200, 1e-200, 0.0).hex() == (0.0).hex()
-        assert _fma(1e-200, -1e-200, 0.0).hex() == (-0.0).hex()
-        assert _fma(1e-200, 1e-200, 5e-324) == 5e-324
-        assert _fma(3e-170, 1e-160, 0.0) == fma_by_fractions(3e-170, 1e-160, 0.0)
-
-    def test_non_finite_inputs(self):
-        # as a fused operation: an infinite c wins over a product that
-        # overflows only in rounding, and inf * 0 is nan
-        assert _fma(1e300, 1e300, -math.inf) == -math.inf
-        assert _fma(math.inf, 2.0, 1.0) == math.inf
-        assert math.isnan(_fma(math.inf, 0.0, 1.0))
-        assert math.isnan(_fma(1.0, 2.0, math.nan))
 
 
 class TestPlanarPose:
