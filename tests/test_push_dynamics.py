@@ -665,7 +665,7 @@ class TestSimulateTap:
         pos, obj, k, substeps = np.array([pusher.y, pusher.z]), pose, 0, 0
         for target in targets:
             delta = target - pos
-            n = max(1, math.ceil(float(np.hypot(delta[0], delta[1])) / SUBSTEP_CAP_MM))
+            n = max(1, math.ceil(math.hypot(*delta) / SUBSTEP_CAP_MM))
             substeps += n
             probed = []
             for i in range(1, n + 1):

@@ -8,8 +8,8 @@ lengths. The replay feeds those same inputs to `simulate_tap` in each
 checkout, so the controller cannot amplify a difference from one tap to the
 next. Per workload it prints the per-tap differences between the two sides of
 the object pose and the pusher pose after the tap (position in mm and heading
-in degrees; median, p90 and max) and how many taps report another contact
-mode at the end of the advance:
+in degrees; median, p90 and max), how many taps differ at all, and how many
+report another contact mode at the end of the advance:
 
     python3 tools/tap_replay.py --parent ../parent --change . --seed 1
 
@@ -129,7 +129,7 @@ def compare(inputs: Path, outs: dict) -> None:
                for side, path in outs.items()}
     for workload in dict.fromkeys(workload_of):
         diffs = {key: [] for key in ("object_mm", "object_deg", "pusher_mm", "pusher_deg")}
-        modes = faults = 0
+        modes = faults = differ = 0
         rows = [i for i, w in enumerate(workload_of) if w == workload]
         for i in rows:
             a, b = results["parent"][i], results["change"][i]
@@ -140,8 +140,9 @@ def compare(inputs: Path, outs: dict) -> None:
                 diffs[f"{name}_mm"].append(math.dist(a[k][:2], b[k][:2]))
                 diffs[f"{name}_deg"].append(_angle_diff(a[k][2], b[k][2]))
             modes += a[2] != b[2]
-        print(f"{workload}: {len(rows)} taps, {modes} changed contact modes, "
-              f"{faults} with a physics fault on a side")
+            differ += a != b
+        print(f"{workload}: {len(rows)} taps, {differ} with any difference, "
+              f"{modes} changed contact modes, {faults} with a physics fault on a side")
         for key, values in diffs.items():
             if values:
                 print(f"  {key}: {_stats(values)}")
