@@ -17,9 +17,8 @@ termination radius of the target.
 
 Every pose lies in the plane, so these are planar rigid motions, and they
 run on Python floats as planar frames (see _frame), so a trial's results do
-not depend on the host's BLAS. Of the PID's six
-channels (x, y, z, alpha, beta, gamma), the errors of x, beta and gamma
-are always 0.
+not depend on the host's BLAS. Of the PID's six channels (x, y, z, alpha,
+beta, gamma), the errors of x, beta and gamma are always 0.
 """
 
 from __future__ import annotations

@@ -293,7 +293,6 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
     then it probes again. A ContactState is built only around the last probe.
     """
     dy, dz = float(pusher_disp[0]), float(pusher_disp[1])
-    # only compared with thresholds, so math.hypot's rounding is harmless here
     disp_norm = math.hypot(dy, dz)
     # written so that NaN fails the check
     if not disp_norm <= SUBSTEP_CAP_MM + 1e-9:
@@ -400,6 +399,8 @@ def simulate_tap(
         y0, z0 = pos
         dy, dz = target_pos[0] - y0, target_pos[1] - z0
         dist = math.hypot(dy, dz)
+        # a 10 mm advance puts dist / substep on an integer, so the substep
+        # count below can turn on dist's last bit
         dalpha = normalize_angle_deg(target_alpha - alpha)
         if dist < 1e-12 and abs(dalpha) < 1e-12:
             return

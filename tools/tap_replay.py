@@ -1,7 +1,7 @@
 """Replay every benchmark tap, open loop, through two checkouts' simulate_tap.
 
-The capture runs every grid of the chosen workloads in `perfbench/workloads.py`
-in one checkout (the parent by default) and records the inputs of each tap by
+The capture runs every grid of every workload in `perfbench/workloads.py` in
+the parent checkout and records the inputs of each tap by
 wrapping `exp_harness.simulate_tap`: the world (object and pusher poses), the
 shape as `scenario.shape_to_dict` writes it, the commanded pose and the tap
 lengths. The replay feeds those same inputs to `simulate_tap` in each
@@ -13,8 +13,8 @@ report another contact mode at the end of the advance:
 
     python3 tools/tap_replay.py --parent ../parent --change . --seed 1
 
-Each checkout runs in its own interpreter, with only its own `src/` (and,
-for the capture, its `perfbench/`) on the path.
+Each checkout runs in its own interpreter, with its own `src/` and
+`perfbench/` on the path.
 """
 
 from __future__ import annotations
@@ -42,11 +42,11 @@ def _exact_pose(y: float, z: float, alpha: float):
     return pose
 
 
-def capture(seed: int, names: list, out: Path) -> None:
-    """Run the grids of the named workloads (all if none is named) and write
-    one JSON line per tap: its workload, the index of its shape among the
-    distinct shapes, the object, pusher and commanded poses as (y, z, alpha)
-    and the tap lengths; then one line of the shapes."""
+def capture(seed: int, out: Path) -> None:
+    """Run every workload's grids and write one JSON line per tap: its
+    workload, the index of its shape among the distinct shapes, the object,
+    pusher and commanded poses as (y, z, alpha) and the tap lengths; then
+    one line of the shapes."""
     import workloads
     from tacpush import exp_harness
     from tacpush.scenario import shape_to_dict
@@ -65,10 +65,7 @@ def capture(seed: int, names: list, out: Path) -> None:
             return simulate_tap(world, shape, cmd, tap_forward=tap_forward, tap_back=tap_back)
 
         exp_harness.simulate_tap = recording
-        for workload in names or workloads.WORKLOADS:
-            if workload not in workloads.WORKLOADS:
-                sys.exit(f"unknown workload {workload!r} "
-                         f"(known: {', '.join(workloads.WORKLOADS)})")
+        for workload in workloads.WORKLOADS:
             for grid in workloads.WORKLOADS[workload].grids(seed):
                 for scenario in grid:
                     exp_harness.run_trial(scenario)
@@ -101,10 +98,10 @@ def replay(inputs: Path, out: Path) -> None:
                                 contact.mode.value]) + "\n")
 
 
-def _run(checkout: Path, args: list, capture_side: bool = False) -> None:
+def _run(checkout: Path, args: list) -> None:
     """This script's worker mode in a fresh interpreter on `checkout`'s code."""
-    path = [str(checkout / "src")] + ([str(checkout / "perfbench")] if capture_side else [])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    path = os.pathsep.join(str(checkout / d) for d in ("src", "perfbench"))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, __file__, *args], env=env,
                           capture_output=True, text=True)
     if proc.returncode != 0:
@@ -118,7 +115,7 @@ def _angle_diff(a: float, b: float) -> float:
 
 def _stats(values: list) -> str:
     values = sorted(values)
-    p90 = values[min(len(values) - 1, math.ceil(0.9 * len(values)) - 1)]
+    p90 = values[math.ceil(0.9 * len(values)) - 1]
     return f"median {statistics.median(values):.2e}, p90 {p90:.2e}, max {values[-1]:.2e}"
 
 
@@ -153,7 +150,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     # worker modes, run by _run in the checkout's own interpreter
     if argv[:1] == ["capture"]:
-        capture(int(argv[1]), [n for n in argv[2].split(",") if n], Path(argv[3]))
+        capture(int(argv[1]), Path(argv[2]))
         return 0
     if argv[:1] == ["replay"]:
         replay(Path(argv[1]), Path(argv[2]))
@@ -162,20 +159,15 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="changed checkout")
     parser.add_argument("--seed", type=int, required=True, help="master seed of the grids")
-    parser.add_argument("--workload", action="append",
-                        help="workload to capture (repeatable; default: all of them)")
-    parser.add_argument("--capture-from", choices=SIDES, default="parent",
-                        help="the checkout whose closed loop gives the taps")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp) / "inputs.jsonl"
-        _run(checkouts[args.capture_from], ["capture", str(args.seed), ",".join(args.workload or []),
-                                            str(inputs)], capture_side=True)
+        _run(checkouts["parent"], ["capture", str(args.seed), str(inputs)])
         outs = {side: Path(tmp) / f"{side}.jsonl" for side in SIDES}
         for side in SIDES:
             _run(checkouts[side], ["replay", str(inputs), str(outs[side])])
-        print(f"taps captured from the {args.capture_from} at seed {args.seed}")
+        print(f"taps captured from the parent at seed {args.seed}")
         compare(inputs, outs)
     return 0
 
