@@ -132,8 +132,8 @@ class TestMotionCone:
 
 
 def test_solve_inverts_apply_on_the_oracle_configurations():
-    # M f = v and M^-1 v = f to a relative 1e-12 (M's condition number here
-    # is at most about 20), at the oracle's contacts, for its drive and for
+    # M f = v and M^-1 v = f to a relative 1e-12 (M's condition number is at
+    # most 15 here), at the oracle's contacts, for its drive and for
     # its inward normal as a force
     for cfg in random_contact_configs(1_000, seed=1):
         m = ContactMatrix(cfg.shape, cfg.object_pose, cfg.contact_point)
