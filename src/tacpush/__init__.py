@@ -3,7 +3,6 @@ controller and experiment harness."""
 
 from .push_controller import ControllerConfig, ControllerState, Status, control_step
 from .push_dynamics import (
-    ContactMatrix,
     ContactMode,
     ContactState,
     PhysicsFault,

@@ -26,16 +26,15 @@ M lives in one set of float functions: _lever (the CoF and p), _apply
 _resolve (sticking or sliding), _twist and _advance_pose. a, b, the CoF and
 the friction cone's cos and sin are per-shape constants, computed once in
 ObjectShape.__post_init__. resolve_substep calls the functions on float
-locals: an iteration builds the float pairs they return and the advanced
-PlanarPose, and its probe's ProbeResult, but no matrix and no contact
-state. ContactMatrix wraps the same functions as an object: the grazing
-classification, the tests and the physics oracle use it.
+locals: an iteration builds the float pairs they return, the advanced
+PlanarPose and its probe's tuple, but no matrix and no contact state.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import NamedTuple
 
 from .scene import (
     TIP_RADIUS_MM,
@@ -48,7 +47,6 @@ from .scene import (
 )
 
 __all__ = [
-    "ContactMatrix",
     "ContactMode",
     "ContactState",
     "PhysicsFault",
@@ -83,54 +81,33 @@ class ContactMode(str, Enum):
     SLIDING_RIGHT = "sliding_right"
 
 
-class ContactState:
+class ContactState(NamedTuple):
     """Contact bookkeeping for one substep.
 
     `point` is the contact point in the work frame, `normal` the unit push
-    direction into the object. "left" for sliding modes is the +90 degree
-    (counter-clockwise) side of the push normal. A contact that contact_at
-    or resolve_substep built reads both vectors from its probe on first use
-    (scene.ProbeResult), so a contact whose vectors nobody reads never
-    rotates them.
+    direction into the object, both float pairs. "left" for sliding modes is
+    the +90 degree (counter-clockwise) side of the push normal.
     """
 
-    __slots__ = ("mode", "penetration", "_point", "_normal", "_probe")
-
-    def __init__(self, point, normal, mode: ContactMode, penetration: float):
-        self._point = point
-        self._normal = normal
-        self.mode = mode
-        self.penetration = penetration
-
-    @property
-    def point(self) -> tuple[float, float]:
-        if self._point is None:
-            self._point = self._probe.point
-        return self._point
-
-    @property
-    def normal(self) -> tuple[float, float]:
-        if self._normal is None:
-            ny, nz = self._probe.normal
-            self._normal = (-ny, -nz)
-        return self._normal
-
-    def __repr__(self) -> str:
-        return (f"ContactState(point={self.point!r}, normal={self.normal!r}, "
-                f"mode={self.mode!r}, penetration={self.penetration!r})")
+    point: tuple
+    normal: tuple
+    mode: ContactMode
+    penetration: float
 
 
 # The contact-matrix kernel: float functions of a = 1 / f_max^2,
 # b = 1 / m_max^2 and the lever p = (py, pz). resolve_substep's loop calls
-# them on float locals, and ContactMatrix's methods wrap them.
+# them on float locals.
 
-def _lever(shape: ObjectShape, c: float, s: float, y: float, z: float, qy: float, qz: float):
-    """(cy, cz, py, pz): the work-frame CoF of `shape` at the pose (y, z) with
-    heading cosine c and sine s (as PlanarPose.transform_point gives it), and
-    the lever p = perp(q - cof) of the work-frame contact point q."""
+def _lever(shape: ObjectShape, pose: PlanarPose, qy: float, qz: float):
+    """(cy, cz, py, pz): the work-frame CoF of `shape` at `pose` (as
+    PlanarPose.transform_point gives it), and the lever p = perp(q - cof) of
+    the work-frame contact point q."""
+    a = math.radians(pose.alpha)
+    c, s = math.cos(a), math.sin(a)
     oy, oz = shape._cof
-    cy = y + c * oy - s * oz
-    cz = z + s * oy + c * oz
+    cy = pose.y + c * oy - s * oz
+    cz = pose.z + s * oy + c * oz
     return cy, cz, -(qz - cz), qy - cy
 
 
@@ -204,77 +181,14 @@ def _advance_pose(pose: PlanarPose, cy: float, cz: float, dy: float, dz: float, 
     )
 
 
-class ContactMatrix:
-    """The contact matrix M = a I + b p p^T of `shape` at `object_pose` for a
-    work-frame contact point (a, b > 0).
-
-    a = 1 / f_max^2, b = 1 / m_max^2 and p = (py, pz) = perp(point - cof),
-    with `cof` the work-frame centre of friction, so the moment of a contact
-    force f about the CoF is p . f, the limit surface gives the object the
-    twist (a f, b p . f), and the contact point moves with velocity M f.
-    The friction cone is the shape's (`mu_contact`). Every method calls the
-    kernel's float functions, which resolve_substep calls directly, and
-    returns floats or float tuples.
-    """
-
-    __slots__ = ("a", "b", "cof", "py", "pz", "shape")
-
-    def __init__(self, shape: ObjectShape, object_pose: PlanarPose, point):
-        rad = math.radians(object_pose.alpha)
-        cy, cz, self.py, self.pz = _lever(
-            shape, math.cos(rad), math.sin(rad), object_pose.y, object_pose.z,
-            float(point[0]), float(point[1]),
-        )
-        self.cof = (cy, cz)
-        self.a, self.b, self.shape = shape._inv_f2, shape._inv_m2, shape
-
-    def apply(self, f) -> tuple[float, float]:
-        """Contact-point velocity v_c = M f."""
-        return _apply(self.a, self.b, self.py, self.pz, float(f[0]), float(f[1]))
-
-    def solve(self, v) -> tuple[float, float]:
-        """f = M^-1 v via the rank-one (Sherman-Morrison) form of M."""
-        return _solve(self.a, self.b, self.py, self.pz, float(v[0]), float(v[1]))
-
-    def twist(self, f, s: float = 1.0) -> tuple[tuple[float, float], float]:
-        """Object twist s * (a f, b p . f) for the contact force f: the CoF
-        displacement (mm) and the spin about the CoF (rad)."""
-        dy, dz, spin = _twist(self.a, self.b, self.py, self.pz, float(f[0]), float(f[1]), s)
-        return (dy, dz), spin
-
-    def edge_images(self, n_in):
-        """Friction-cone edge forces and their unnormalised velocity images.
-
-        Returns (f_l, f_r, u_l, u_r): the left (+) and right (-) edges of the
-        shape's Coulomb cone about the inward normal and u = M f of each, the
-        motion-cone edges.
-        """
-        fly, flz, fry, frz, uly, ulz, ury, urz = _motion_cone(
-            self.a, self.b, self.py, self.pz, float(n_in[0]), float(n_in[1]), self.shape._cone
-        )
-        return (fly, flz), (fry, frz), (uly, ulz), (ury, urz)
-
-    def resolve(self, v_p, n_in):
-        """(force, mode) for the pusher drive direction v_p (see _resolve)."""
-        fy, fz, mode = _resolve(self.a, self.b, self.py, self.pz, float(n_in[0]),
-                                float(n_in[1]), float(v_p[0]), float(v_p[1]), self.shape)
-        return (fy, fz), mode
-
-
-def _contact(probe, mode: ContactMode, penetration: float) -> ContactState:
-    """A ContactState that reads its point and normal from `probe` when first read."""
-    c = ContactState(None, None, mode, penetration)
-    c._probe = probe
-    return c
-
-
 def contact_at(shape: ObjectShape, object_pose: PlanarPose, tip) -> ContactState:
     """Contact of the tip disc centred at work-frame point `tip`: penetration is
     the disc-object overlap; SEPARATED without overlap, else STICKING (at rest).
-    The point and the negated probe normal are rotated when first read."""
-    probe = boundary_probe(shape, object_pose, tip)
-    pen = TIP_RADIUS_MM - probe.sd
-    return _contact(probe, ContactMode.SEPARATED if pen <= 0.0 else ContactMode.STICKING, pen)
+    The point is the probe's, the normal the probe's negated."""
+    sd, point, (ny, nz), _ = boundary_probe(shape, object_pose, tip)
+    pen = TIP_RADIUS_MM - sd
+    mode = ContactMode.SEPARATED if pen <= 0.0 else ContactMode.STICKING
+    return ContactState(point, (-ny, -nz), mode, pen)
 
 
 def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_disp):
@@ -288,9 +202,9 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
     update.
 
     Each step runs the contact-matrix kernel on float locals: the probe's
-    heading (cos, sin), work-frame point and inward normal, the shape's
-    constants, the force and mode, M f, the twist and the advanced pose;
-    then it probes again. A ContactState is built only around the last probe.
+    work-frame point and inward normal, the shape's constants, the lever,
+    the force and mode, M f, the twist and the advanced pose; then it probes
+    again. A ContactState is built only around the last probe.
     """
     dy, dz = float(pusher_disp[0]), float(pusher_disp[1])
     disp_norm = math.hypot(dy, dz)
@@ -306,10 +220,10 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
     tip_new = (ty + dy, tz + dz)
     pose = object_pose
 
-    probe = boundary_probe(shape, pose, tip_new)
-    pen = TIP_RADIUS_MM - probe.sd
+    sd, (qy, qz), (ny, nz), _ = boundary_probe(shape, pose, tip_new)
+    pen = TIP_RADIUS_MM - sd
     if pen <= 0.0:
-        return pose, _contact(probe, ContactMode.SEPARATED, pen)
+        return pose, ContactState((qy, qz), (-ny, -nz), ContactMode.SEPARATED, pen)
 
     a, b = shape._inv_f2, shape._inv_m2
     driven = disp_norm > 1e-12
@@ -326,11 +240,8 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
                 },
             )
         steps += 1
-        c, s, y, z, _, _, _, _ = probe._raw
-        qy, qz = probe.point
-        ny, nz = probe.normal
-        ny, nz = -ny, -nz
-        cy, cz, py, pz = _lever(shape, c, s, y, z, qy, qz)
+        ny, nz = -ny, -nz  # the probe's outward normal, turned inward
+        cy, cz, py, pz = _lever(shape, pose, qy, qz)
         if driven and dy * ny + dz * nz > 1e-12:
             vy, vz = dy, dz
         else:
@@ -348,16 +259,17 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
             mode = step_mode
         twy, twz, spin = _twist(a, b, py, pz, fy, fz, (pen - _RESOLVE_RESIDUAL_MM) / rate)
         pose = _advance_pose(pose, cy, cz, twy, twz, spin)
-        probe = boundary_probe(shape, pose, tip_new)
-        pen = TIP_RADIUS_MM - probe.sd
+        sd, (qy, qz), (ny, nz), _ = boundary_probe(shape, pose, tip_new)
+        pen = TIP_RADIUS_MM - sd
 
+    ny, nz = -ny, -nz
     if mode is None:
         # grazing contact (overlap within tolerance): classify without moving
         mode = ContactMode.STICKING
         if driven:
-            ny, nz = probe.normal
-            _, mode = ContactMatrix(shape, pose, probe.point).resolve((dy, dz), (-ny, -nz))
-    return pose, _contact(probe, mode, pen)
+            _, _, py, pz = _lever(shape, pose, qy, qz)
+            _, _, mode = _resolve(a, b, py, pz, ny, nz, dy, dz, shape)
+    return pose, ContactState((qy, qz), (ny, nz), mode, pen)
 
 
 def simulate_tap(

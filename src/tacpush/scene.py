@@ -29,7 +29,6 @@ from .pose_math import (
 __all__ = [
     "ObjectShape",
     "PlanarPose",
-    "ProbeResult",
     "TIP_RADIUS_MM",
     "WorldState",
     "boundary_probe",
@@ -278,7 +277,7 @@ class ObjectShape:
             ):
                 object.__setattr__(self, name, value)
         cof = self.cof_offset
-        if not (np.isfinite(cof).all() and boundary_probe(self, PlanarPose(), cof).sd < 0.0):
+        if not (np.isfinite(cof).all() and boundary_probe(self, PlanarPose(), cof)[0] < 0.0):
             raise ValueError(
                 f"shape {self.name!r}: cof_offset must be finite and inside the outline"
             )
@@ -322,67 +321,19 @@ class ObjectShape:
 # contact geometry kernel
 # ---------------------------------------------------------------------------
 
-class ProbeResult:
-    """What boundary_probe found: `sd` and `feature` at once, `point` and
-    `normal` rotated into the work frame on first read.
-
-    The probe finds the nearest point and its outward normal in the object
-    frame; most probes are separated, and nothing reads their vectors. Each
-    vector is rotated the first time it is read, and kept, so it has the
-    same bits whenever it is read. Unpacks and indexes as the tuple
-    (sd, point, normal, feature).
-    """
-
-    __slots__ = ("sd", "feature", "_raw", "_point", "_normal")
-
-    def __init__(self, sd: float, feature: tuple, raw: tuple):
-        self.sd = sd
-        self.feature = feature
-        # (cos alpha, sin alpha, pose y, pose z, py, pz, ny, nz)
-        self._raw = raw
-        self._point = self._normal = None
-
-    @property
-    def point(self) -> tuple[float, float]:
-        if self._point is None:
-            c, s, y, z, py, pz, _, _ = self._raw
-            self._point = (y + (c * py - s * pz), z + (s * py + c * pz))
-        return self._point
-
-    @property
-    def normal(self) -> tuple[float, float]:
-        if self._normal is None:
-            c, s, _, _, _, _, ny, nz = self._raw
-            self._normal = (c * ny - s * nz, s * ny + c * nz)
-        return self._normal
-
-    def _fields(self) -> tuple:
-        return self.sd, self.point, self.normal, self.feature
-
-    def __iter__(self):
-        return iter(self._fields())
-
-    def __getitem__(self, i):
-        return self._fields()[i]
-
-    def __repr__(self) -> str:
-        return "ProbeResult(sd={!r}, point={!r}, normal={!r}, feature={!r})".format(
-            *self._fields())
-
-
-def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work) -> ProbeResult:
+def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work) -> tuple:
     """Nearest boundary point of the posed shape to a planar query point.
 
-    Returns a ProbeResult, which unpacks as (signed_distance, point,
-    outward_normal, feature) in the work frame. The signed distance is
-    negative when the query lies inside the outline. Feature ids are
-    ("edge", i), ("vertex", i) or ("arc", 0).
+    Returns (signed_distance, point, outward_normal, feature) in the work
+    frame. The signed distance is negative when the query lies inside the
+    outline. Feature ids are ("edge", i), ("vertex", i) or ("arc", 0).
 
     Numpy call overhead dominates on 2-vectors, so the probe runs on Python
-    floats and gives float pairs. The point and normal are rotated back to
-    the work frame only when read. A polygon's nearest edge is searched among the few candidates
-    that the shape's grid lists for the query's cell (every edge outside
-    the grid).
+    floats and gives float pairs: it finds the point and normal in the
+    object frame and rotates them into the work frame. A polygon's nearest
+    edge is searched among the few candidates that the shape's grid lists
+    for the query's cell (every edge outside the grid). A query so far from
+    a polygon that its squared distance overflows is rejected.
     """
     y, z = float(p_work[0]), float(p_work[1])
     if not (math.isfinite(y) and math.isfinite(z)):
@@ -421,6 +372,11 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work) -> ProbeResult:
             d2 = ry * ry + rz * rz
             if d2 < best:
                 best, i, ti = d2, j, t
+        if best == math.inf:
+            raise ValueError(
+                f"boundary_probe: p_work ({y!r}, {z!r}) is too far from shape "
+                f"{shape.name!r}: its squared distance overflows"
+            )
         v0y, v0z, e0y, e0z, _, _, _ = rows[i]
         py, pz = v0y + ti * e0y, v0z + ti * e0z
         ry, rz = qy - py, qz - pz
@@ -451,8 +407,9 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work) -> ProbeResult:
                 ny, nz = dvy / nv, dvz / nv
         sd = -dist if inside else dist
 
-    # rotated by pose.alpha, from the c, s above, when read
-    return ProbeResult(sd, feature, (c, s, pose.y, pose.z, py, pz, ny, nz))
+    # back into the work frame, by the c, s above
+    return (sd, (pose.y + (c * py - s * pz), pose.z + (s * py + c * pz)),
+            (c * ny - s * nz, s * ny + c * nz), feature)
 
 
 # ---------------------------------------------------------------------------

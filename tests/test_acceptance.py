@@ -29,11 +29,12 @@ from tacpush.pose_math import (
     normalize_angle_deg,
     transform_to_euler,
 )
-from tacpush.push_dynamics import ContactMatrix, ContactMode, resolve_substep
+from tacpush.push_dynamics import ContactMode, resolve_substep
 from tacpush.scene import PlanarPose, boundary_probe, builtin_shapes
 from tacpush.tactile_sense import NoiseModel
 
 from physics_oracle import (
+    ContactMatrix,
     brute_force_push,
     motion_cone_margin_deg,
     random_contact_configs,

@@ -177,6 +177,17 @@ class TestRunTrial:
         rec = run_trial(load_scenario(BASELINE))
         assert rec.outcome == "reached"
 
+    def test_pusher_start_too_far_for_the_probe_ends_the_trial_by_name(self, tmp_path):
+        # a finite start that validates, but whose squared distance to the
+        # square overflows in the probe
+        spec = json.loads(BASELINE.read_text())
+        spec["pusher_start_pose_mm_deg"][2] = 1e160
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(spec))
+        rec = run_trial(load_scenario(path))
+        assert rec.outcome == "error"
+        assert rec.meta["error"].startswith("ValueError: boundary_probe: p_work (0.0, 1e+160)")
+
     def test_unexpected_exception_ends_only_its_trial(self, monkeypatch):
         real_simulate_tap = exp_harness.simulate_tap
 

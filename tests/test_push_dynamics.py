@@ -5,10 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tacpush import push_dynamics, scene
+from tacpush import push_dynamics
 from tacpush.pose_math import normalize_angle_deg
 from tacpush.push_dynamics import (
-    ContactMatrix,
     ContactMode,
     PENETRATION_TOL_MM,
     SUBSTEP_CAP_MM,
@@ -27,6 +26,7 @@ from tacpush.scene import (
 )
 
 from physics_oracle import (
+    ContactMatrix,
     brute_force_push,
     motion_cone_margin_deg,
     random_contact_configs,
@@ -129,6 +129,28 @@ class TestMotionCone:
             v_contact = dpos + dspin * perp2(r)
             v_contact /= np.linalg.norm(v_contact)
             assert edge == pytest.approx(v_contact, abs=1e-9)
+
+
+class TestResolveBranches:
+    """_resolve's branches that no push of the goldens reaches, called on
+    blue_square's constants with the lever p = (0, -10) and the inward
+    normal n = (0, 1)."""
+
+    def mode(self, v, mu=0.5):
+        shape = dataclasses.replace(builtin_shapes()["blue_square"], mu_contact=mu)
+        a, b = shape._inv_f2, shape._inv_m2
+        return push_dynamics._resolve(a, b, 0.0, -10.0, 0.0, 1.0, *v, shape)[2]
+
+    def test_reflex_corner_slides_towards_the_nearer_edge(self):
+        # a drive against n lies beyond both motion-cone edges
+        assert self.mode((0.3, -1.0)) is ContactMode.SLIDING_RIGHT
+        assert self.mode((-0.3, -1.0)) is ContactMode.SLIDING_LEFT
+
+    def test_frictionless_contact_sticks_only_along_its_motion_ray(self):
+        # with mu = 0 the motion cone is the one ray M n = (0, a + 100 b)
+        assert self.mode((0.0, 1.0), mu=0.0) is ContactMode.STICKING
+        assert self.mode((1e-6, 1.0), mu=0.0) is ContactMode.SLIDING_RIGHT
+        assert self.mode((-1e-6, 1.0), mu=0.0) is ContactMode.SLIDING_LEFT
 
 
 def test_solve_inverts_apply_on_the_oracle_configurations():
@@ -343,30 +365,13 @@ class TestKernelReturnsPythonFloats:
     def test_boundary_probe_and_contact_at(self, name):
         shape = builtin_shapes()[name]
         pose = PlanarPose(3.0, -4.0, 25.0)
-        for tip in (np.array([0.0, -60.0]), np.array([1.0, 2.0]), [0.5, -30.0]):
+        for tip in (np.array([0.0, -60.0]), np.array([1.0, 2.0]), [1.0, 2.0], [0.5, -30.0]):
             sd, point, normal, _ = boundary_probe(shape, pose, tip)
             assert type(sd) is float
             assert is_float_pair(point) and is_float_pair(normal)
             c = contact_at(shape, pose, tip)
             assert is_float_pair(c.point) and is_float_pair(c.normal)
             assert type(c.penetration) is float
-
-    @pytest.mark.parametrize("name", ["blue_square", "mug", "circle"])
-    def test_lazily_rotated_vectors(self, name):
-        # the probe rotates its point and normal on first read: read them
-        # one at a time, normal first, with no unpacking to force them
-        shape = builtin_shapes()[name]
-        pose = PlanarPose(3.0, -4.0, 25.0)
-        for tip in (np.array([0.0, -60.0]), [1.0, 2.0]):
-            probe = boundary_probe(shape, pose, tip)
-            assert type(probe.sd) is float
-            assert is_float_pair(probe.normal) and is_float_pair(probe.point)
-            assert len(tuple(probe)) == 4
-            assert tuple(probe) == (probe.sd, probe.point, probe.normal, probe.feature)
-            assert probe[1] is probe.point  # read once, kept
-            c = contact_at(shape, pose, tip)
-            assert is_float_pair(c.normal) and is_float_pair(c.point)
-            assert c.point is c.point and c.normal is c.normal
 
     @pytest.mark.parametrize("tip, disp", [
         ([0.0, -60.0], [0.1, 0.1]),  # separated
@@ -413,27 +418,6 @@ def test_contact_matrix_cof_is_the_posed_cof_offset_exactly():
         pose = PlanarPose(*case["pose"])
         cof = ContactMatrix(shape, pose, case["query"]).cof
         assert repr(cof) == repr(pose.transform_point(shape.cof_offset)), case
-
-
-def test_separated_substep_rotates_nothing(monkeypatch):
-    # a separated contact's vectors are never read in the substep, so
-    # neither is rotated into the work frame
-    reads = []
-    for name in ("point", "normal"):
-        read = getattr(scene.ProbeResult, name).fget
-
-        def counted(probe, read=read, name=name):
-            reads.append(name)
-            return read(probe)
-
-        monkeypatch.setattr(scene.ProbeResult, name, property(counted))
-    start = PlanarPose(0.0, 0.0, 10.0)
-    for shape in (square(), builtin_shapes()["mug"], builtin_shapes()["circle"]):
-        pose, contact = resolve_substep(shape, start, [0.0, -90.0], [0.1, 0.4])
-        assert contact.mode is ContactMode.SEPARATED and pose == start
-    assert reads == []
-    contact.normal  # the first read rotates
-    assert reads == ["normal"]
 
 
 class TestResolutionLoop:
@@ -500,6 +484,27 @@ class TestResolutionLoop:
                                      [30.32, -30.86], [-0.075, 0.444])
         assert modes == [ContactMode.SLIDING_LEFT, ContactMode.STICKING]
         assert contact.mode is ContactMode.SLIDING_LEFT
+
+    def test_edge_force_that_cannot_reduce_the_overlap_falls_back_to_a_normal_push(self):
+        # a square touched on its bottom edge where the left motion-cone edge
+        # u_l is all but tangent (u_l . n = 5e-13), by a drive just beyond it:
+        # the contact slides left, and undoing the 0.2 mm overlap along u_l
+        # would throw the object some 1e10 mm, so the step pushes along n. The
+        # square is heavy: with a = 1 / f_max^2 >= 0.5, no drive within the
+        # substep cap that approaches by more than 1e-12 gets beyond so flat
+        # an edge
+        shape = ObjectShape("sq", polygon=[[-30, -30], [30, -30], [30, 30], [-30, 30]],
+                            f_max=5.0, m_max=70.0, mu_contact=1.0)
+        a, b = shape._inv_f2, shape._inv_m2
+        qy, (dy, dz) = 9.6148351925438, (-0.5, 1.2e-12)
+        _, _, py, pz = push_dynamics._lever(shape, PlanarPose(), qy, -30.0)
+        fy, fz, mode = push_dynamics._resolve(a, b, py, pz, 0.0, 1.0, dy, dz, shape)
+        assert mode is ContactMode.SLIDING_LEFT
+        assert 0.0 < push_dynamics._apply(a, b, py, pz, fy, fz)[1] <= 1e-12
+        pose, contact = resolve_substep(shape, PlanarPose(), (qy - dy, -49.8 - dz), (dy, dz))
+        assert contact.mode is ContactMode.SLIDING_LEFT
+        assert 0.0 < contact.penetration <= PENETRATION_TOL_MM
+        assert math.hypot(pose.y, pose.z) < 0.2 and abs(pose.alpha) < 1.0
 
     def test_probes_once_per_step_on_the_golden(self, monkeypatch):
         # perfbench's probes_per_contact_substep counts these probes: one at

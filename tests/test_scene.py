@@ -288,6 +288,25 @@ class TestClosestBoundaryPoint:
                 with pytest.raises(ValueError, match="p_work must be finite"):
                     boundary_probe(shape, PlanarPose(), p_work)
 
+    def test_query_off_a_vertex_square_to_its_pseudonormal_is_outside(self):
+        # within 1e-9 of an edge's end the nearest feature is the vertex; this
+        # query lies on the line through the vertex square to its pseudonormal
+        # (their dot product is exactly 0), and outside the square
+        sq = builtin_shapes()["blue_square"]
+        sd, _, normal, feature = boundary_probe(sq, PlanarPose(), (30.0 + 5e-8, 30.0 - 5e-8))
+        assert feature == ("vertex", 2)
+        assert sd > 0.0 and normal[0] > 0.0
+
+    @pytest.mark.parametrize("p_work", [(0.0, 1e160), (1e200, 0.0)])
+    def test_query_whose_squared_distance_overflows_rejected(self, p_work):
+        # no polygon edge's squared distance is finite, so none is nearest:
+        # named instead of an unbound edge index; a circle needs no square
+        for name in ("blue_square", "mug"):
+            with pytest.raises(ValueError, match=r"p_work \(.*\) is too far from shape"):
+                boundary_probe(builtin_shapes()[name], PlanarPose(), p_work)
+        sd = boundary_probe(builtin_shapes()["circle"], PlanarPose(), p_work)[0]
+        assert sd == max(p_work) - 35.0
+
     def test_outline_too_large_for_a_grid(self):
         # a 2 m square would need a million grid entries, so it has no grid
         # and every query tries every edge
