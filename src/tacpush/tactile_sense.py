@@ -72,9 +72,9 @@ def sense_contact(contact: ContactState, heading: float) -> PosePrediction:
     """
     if contact.penetration <= 0.0:
         return PosePrediction(in_contact=False)
-    alpha_unclamped = normalize_angle_deg(heading - dir_heading(contact.normal))
+    alpha_raw = normalize_angle_deg(heading - dir_heading(contact.normal))
     z, z_clamped = _clamp(contact.penetration, *Z_RANGE_MM)
-    alpha, a_clamped = _clamp(alpha_unclamped, *ALPHA_RANGE_DEG)
+    alpha, a_clamped = _clamp(alpha_raw, *ALPHA_RANGE_DEG)
     return PosePrediction(
         in_contact=True,
         z_depth=z,

@@ -8,7 +8,7 @@ deselected, since its XPASS is no kill. It prints a kill table, with the
 first failing test of each killed mutant and, for each survivor, whether the
 trial digest at `--seed 1` moved:
 
-    python3 tools/mutants.py [--checkout PATH] [--only 0,3]
+    python3 tools/mutants.py [--checkout PATH]
 
 A mutant that does not match exactly once is reported as such, and the tool
 then exits with status 1. The twelve mutants take about seven minutes on a
@@ -112,17 +112,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="checkout to mutate (default: the one this tool sits in)")
-    parser.add_argument("--only", help="comma-separated mutant numbers to run (default: all)")
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
-    chosen = [int(k) for k in args.only.split(",")] if args.only else range(len(MUTANTS))
 
     base_digest = digest(checkout)
     print(f"checkout {checkout}\nunmutated digest: {base_digest}\n")
     print("| # | mutant | non-golden tests | digest at seed 1 | s |\n"
           "| --- | --- | --- | --- | --- |", flush=True)
     stale = 0
-    for k in chosen:
+    for k in range(len(MUTANTS)):
         what, name, text, replacement = MUTANTS[k]
         source = (checkout / "src" / "tacpush" / name).read_text()
         matches = source.count(text)
