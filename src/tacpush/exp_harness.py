@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
@@ -48,6 +49,7 @@ __all__ = [
     "EXP_START_POSES",
     "EXP_TARGET_POSE",
     "Metrics",
+    "Tap",
     "TrialRecord",
     "compute_metrics",
     "compute_y_targ",
@@ -113,9 +115,25 @@ def derive_seed(master_seed: int, *indices: int) -> int:
 # records
 # ---------------------------------------------------------------------------
 
+_CSV_VERSION = "# tacpush-taps-v2"
+# the suffixes of the six channels of error6 (err_*) and integral6 (int_*)
+_SIX = ("x_mm", "y_mm", "z_mm", "alpha_deg", "beta_deg", "gamma_deg")
+_CSV_COLUMNS = (
+    "scenario_id", "seed", "tap", "pusher_y_mm", "pusher_z_mm", "pusher_alpha_deg",
+    "object_y_mm", "object_z_mm", "object_alpha_deg", "in_contact", "z_depth_mm",
+    "alpha_pred_deg", "clamped", "theta_deg", "r_mm", "v_mm", *(f"err_{c}" for c in _SIX),
+    "contact_mode", "status", *(f"int_{c}" for c in _SIX),
+)
+# one tap as run_trial logs it: the poses after the tap plus the control
+# diagnostics, as the taps.csv row after scenario_id and seed; a reading or
+# diagnostic the tap has not (say, the error of a reacquire move) is None
+Tap = namedtuple("Tap", _CSV_COLUMNS[2:])
+
+
 @dataclass
 class TrialRecord:
-    """One trial. Each of `taps` is the dict run_trial builds after a tap.
+    """One trial. Each of `taps` is a Tap, whose fields are the taps.csv
+    columns.
 
     export writes every tap value to taps.csv, `wall_time_ms` to
     timings.json and every other field, the trial's summary, to
@@ -187,7 +205,7 @@ def run_trial(scenario: Scenario) -> TrialRecord:
     world = WorldState(scenario.object_start_pose, scenario.pusher_start_pose)
     rng = np.random.default_rng(scenario.rng_seed)
     state = ControllerState()
-    taps: list[dict] = []
+    taps: list[Tap] = []
     meta = {
         "target_pose_mm_deg": list(_euler_tuple(target)),
         "shape": shape_to_dict(shape),
@@ -217,27 +235,15 @@ def run_trial(scenario: Scenario) -> TrialRecord:
                 tap_forward=cfg.tap_forward,
                 tap_back=cfg.tap_back,
             )
-            # the poses after the tap plus the control diagnostics
-            taps.append(
-                {
-                    "tap": len(taps),
-                    "pusher_pose": _euler_tuple(world.pusher_pose),
-                    "object_pose": (
-                        world.object_pose.y, world.object_pose.z, world.object_pose.alpha
-                    ),
-                    "in_contact": pred.in_contact,
-                    "z_depth": pred.z_depth,
-                    "alpha_pred": pred.alpha,
-                    "clamped": pred.clamped,
-                    "theta": decision.theta,
-                    "r": decision.r,
-                    "v": decision.v,
-                    "error6": decision.error6,
-                    "integral6": decision.integral6,
-                    "contact_mode": contact.mode.value,
-                    "status": decision.status.value,
-                }
-            )
+            pusher, obj = world.pusher_pose, world.object_pose
+            taps.append(Tap(
+                len(taps), pusher.y, pusher.z, pusher.alpha, obj.y, obj.z, obj.alpha,
+                pred.in_contact, pred.z_depth, pred.alpha, pred.clamped,
+                decision.theta, decision.r, decision.v,
+                *(decision.error6 or (None,) * 6),
+                contact.mode.value, decision.status.value,
+                *(decision.integral6 or (None,) * 6),
+            ))
     except PhysicsFault as fault:
         outcome = "physics_fault"
         meta["fault"] = dict(fault.diagnostics)
@@ -471,47 +477,34 @@ _RECORDS_VERSION = 2
 _SUMMARY_FIELDS = tuple(
     f.name for f in dataclasses.fields(TrialRecord) if f.name not in ("taps", "wall_time_ms")
 )
-_CSV_VERSION = "# tacpush-taps-v2"
-# the suffixes of the six channels of error6 (err_*) and integral6 (int_*)
-_SIX = ("x_mm", "y_mm", "z_mm", "alpha_deg", "beta_deg", "gamma_deg")
-_CSV_COLUMNS = (
-    "scenario_id", "seed", "tap", "pusher_y_mm", "pusher_z_mm", "pusher_alpha_deg",
-    "object_y_mm", "object_z_mm", "object_alpha_deg", "in_contact", "z_depth_mm",
-    "alpha_pred_deg", "clamped", "theta_deg", "r_mm", "v_mm", *(f"err_{c}" for c in _SIX),
-    "contact_mode", "status", *(f"int_{c}" for c in _SIX),
+
+
+def _read_number(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+# each kind of taps.csv column as (writer, reader, what the reader expects);
+# a reader raises ValueError on a value not of its kind
+_KINDS = {
+    "index": (str, int, "an index"),
+    "number": (lambda v: "" if v is None else repr(float(v)), _read_number, "a finite number"),
+    "flag": (lambda v: "1" if v else "0", lambda raw: ("0", "1").index(raw) == 1, "0 or 1"),
+    "text": (str, str, "text"),
+}
+_TAP_KINDS = tuple(
+    _KINDS["index" if name == "tap" else "flag" if name in ("in_contact", "clamped")
+           else "text" if name in ("contact_mode", "status") else "number"]
+    for name in Tap._fields
 )
-
-
-def _csv_num(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def _tap_csv_row(record: TrialRecord, tap: dict) -> str:
-    err = tap["error6"] if tap["error6"] is not None else (None,) * 6
-    integral = tap["integral6"] if tap["integral6"] is not None else (None,) * 6
-    fields = [
-        record.scenario_id,
-        str(record.seed),
-        str(tap["tap"]),
-        _csv_num(tap["pusher_pose"][1]),
-        _csv_num(tap["pusher_pose"][2]),
-        _csv_num(tap["pusher_pose"][3]),
-        _csv_num(tap["object_pose"][0]),
-        _csv_num(tap["object_pose"][1]),
-        _csv_num(tap["object_pose"][2]),
-        "1" if tap["in_contact"] else "0",
-        _csv_num(tap["z_depth"]),
-        _csv_num(tap["alpha_pred"]),
-        "1" if tap["clamped"] else "0",
-        _csv_num(tap["theta"]),
-        _csv_num(tap["r"]),
-        _csv_num(tap["v"]),
-        *[_csv_num(e) for e in err],
-        tap["contact_mode"],
-        tap["status"],
-        *[_csv_num(i) for i in integral],
-    ]
-    return ",".join(fields)
+_WRITERS = tuple(writer for writer, _, _ in _TAP_KINDS)
+# the number columns that may be blank, each with the columns blank with it:
+# a reading or diagnostic alone, an err_* or int_* channel with its group
+_BLANK_WITH = {
+    name: (name,) for name in ("z_depth_mm", "alpha_pred_deg", "theta_deg", "r_mm", "v_mm")
+} | {f"{p}{c}": [f"{p}{s}" for s in _SIX] for p in ("err_", "int_") for c in _SIX}
 
 
 def export(records, out_dir) -> dict:
@@ -540,8 +533,8 @@ def export(records, out_dir) -> dict:
     paths["records"].write_text(json.dumps({"version": _RECORDS_VERSION, "records": summaries}))
     lines = [_CSV_VERSION, ",".join(_CSV_COLUMNS)]
     for record in records:
-        for tap in record.taps:
-            lines.append(_tap_csv_row(record, tap))
+        head = f"{record.scenario_id},{record.seed},"
+        lines += [head + ",".join([w(v) for w, v in zip(_WRITERS, tap)]) for tap in record.taps]
     paths["taps"].write_text("\n".join(lines) + "\n")
     timings = [{"scenario_id": r.scenario_id, "wall_time_ms": r.wall_time_ms} for r in records]
     paths["timings"].write_text(json.dumps(timings))
@@ -574,57 +567,24 @@ def read_taps_csv(path):
     return [dict(zip(columns, row)) for _, row in rows]
 
 
-def _parse_tap(path, n: int, row: list, col: dict, k: int) -> dict:
-    """Tap k's dict, as run_trial built it, from its taps.csv row at line n;
-    a value that is not a finite number, or not 0 or 1 for a flag, is named
-    by its line and column."""
-
-    def number(name):
-        raw = row[col[name]]
+def _parse_tap(path, n: int, raw: list) -> Tap:
+    """The Tap of taps.csv line n from its fields in Tap order. A value that
+    is not of its column's kind, or a blank number whose column may not be
+    blank or whose group is not blank throughout, is named by its line and
+    column; of several, the first."""
+    fields = dict(zip(Tap._fields, raw))
+    values = []
+    for (name, text), (_, read, expected) in zip(fields.items(), _TAP_KINDS):
+        if text == "" and name in _BLANK_WITH and not any(fields[m] for m in _BLANK_WITH[name]):
+            values.append(None)
+            continue
         try:
-            value = float(raw)
+            values.append(read(text))
         except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
             raise ValueError(
-                f"{path}: line {n}, column {name!r}: expected a finite number, got {raw!r}"
-            )
-        return value
-
-    def optional(name):
-        return None if row[col[name]] == "" else number(name)
-
-    def six(prefix):
-        names = [prefix + c for c in _SIX]
-        if all(row[col[name]] == "" for name in names):
-            return None
-        return tuple(number(name) for name in names)
-
-    def flag(name):
-        raw = row[col[name]]
-        if raw not in ("0", "1"):
-            raise ValueError(f"{path}: line {n}, column {name!r}: expected 0 or 1, got {raw!r}")
-        return raw == "1"
-
-    return {
-        "tap": k,
-        "pusher_pose": (
-            0.0, number("pusher_y_mm"), number("pusher_z_mm"), number("pusher_alpha_deg"),
-            0.0, 0.0,
-        ),
-        "object_pose": (number("object_y_mm"), number("object_z_mm"), number("object_alpha_deg")),
-        "in_contact": flag("in_contact"),
-        "z_depth": optional("z_depth_mm"),
-        "alpha_pred": optional("alpha_pred_deg"),
-        "clamped": flag("clamped"),
-        "theta": optional("theta_deg"),
-        "r": optional("r_mm"),
-        "v": optional("v_mm"),
-        "error6": six("err_"),
-        "integral6": six("int_"),
-        "contact_mode": row[col["contact_mode"]],
-        "status": row[col["status"]],
-    }
+                f"{path}: line {n}, column {name!r}: expected {expected}, got {text!r}"
+            ) from None
+    return Tap._make(values)
 
 
 # the records.json fields plot reads, and the tap count that splits taps.csv
@@ -704,6 +664,7 @@ def load_records(records_path) -> list:
     for name in _CSV_COLUMNS:
         if name not in col:
             raise ValueError(f"{taps_path}: line 2: no column {name!r}")
+    order = [col[name] for name in Tap._fields]
     rows = iter(rows)
     n = 2  # the line of the last row read
     records = []
@@ -722,7 +683,7 @@ def load_records(records_path) -> list:
                     f"{taps_path}: line {n}: expected tap {k} of {sid!r}, "
                     f"got tap {got[1]} of {got[0]!r}"
                 )
-            taps.append(_parse_tap(taps_path, n, row, col, k))
+            taps.append(_parse_tap(taps_path, n, [row[i] for i in order]))
         summary = {name: rec[name] for name in _SUMMARY_FIELDS}
         for name in ("final_pusher_pose", "final_object_pose"):
             summary[name] = tuple(summary[name])
@@ -767,8 +728,8 @@ def plot(records, out_path) -> Path:
         pts.append([tgt[1], tgt[2]])
         pts.append(list(rec.final_pusher_pose[1:3]))
         for tap in rec.taps:
-            pts.append([tap["pusher_pose"][1], tap["pusher_pose"][2]])
-            pts.append([tap["object_pose"][0], tap["object_pose"][1]])
+            pts.append([tap.pusher_y_mm, tap.pusher_z_mm])
+            pts.append([tap.object_y_mm, tap.object_z_mm])
     pts = np.asarray(pts, dtype=float)
     lo = pts.min(axis=0) - 80.0
     hi = pts.max(axis=0) + 80.0
@@ -806,10 +767,7 @@ def plot(records, out_path) -> Path:
         shape_dict = rec.meta["shape"]
         taps = rec.taps
         if taps:
-            path = " ".join(
-                f"{sx(t['pusher_pose'][1]):.2f},{sy(t['pusher_pose'][2]):.2f}"
-                for t in taps
-            )
+            path = " ".join(f"{sx(t.pusher_y_mm):.2f},{sy(t.pusher_z_mm):.2f}" for t in taps)
             parts.append(
                 f'<polyline points="{path}" fill="none" stroke="{color}" '
                 'stroke-width="1.2"/>'
@@ -818,7 +776,7 @@ def plot(records, out_path) -> Path:
         if taps and (len(taps) - 1) % _OUTLINE_EVERY_K != 0:
             shown.append(taps[-1])
         for tap in shown:
-            y, z, alpha = tap["object_pose"]
+            y, z, alpha = tap.object_y_mm, tap.object_z_mm, tap.object_alpha_deg
             if "polygon_mm" in shape_dict:
                 # one matrix product over the whole outline
                 a = math.radians(alpha)

@@ -6,10 +6,9 @@ contact-point velocity matches the pusher's normal velocity, and selects
 the candidate satisfying tangential complementarity (interior force: zero
 slip; edge force: slip opposing the friction component). The oracle is
 entirely independent of the analytical motion-cone classification in the
-package. Two helpers here call into the package's contact-matrix kernel:
-`ContactMatrix`, its float functions wrapped as an object for the tests,
-and `wrench_twist`, which maps wrenches onto it for the limit-surface
-gradient checks.
+package. One helper here calls into the package's contact-matrix kernel:
+`wrench_twist`, which maps wrenches onto its float functions for the
+limit-surface gradient checks.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tacpush.push_dynamics import _apply, _lever, _motion_cone, _resolve, _solve, _twist
+from tacpush.push_dynamics import _lever, _twist
 from tacpush.scene import (
     TIP_RADIUS_MM,
     ObjectShape,
@@ -27,56 +26,6 @@ from tacpush.scene import (
     boundary_probe,
     builtin_shapes,
 )
-
-
-class ContactMatrix:
-    """The contact matrix M = a I + b p p^T of `shape` at `object_pose` for a
-    work-frame contact point (a, b > 0).
-
-    a = 1 / f_max^2, b = 1 / m_max^2 and p = (py, pz) = perp(point - cof),
-    with `cof` the work-frame centre of friction, so the moment of a contact
-    force f about the CoF is p . f, the limit surface gives the object the
-    twist (a f, b p . f), and the contact point moves with velocity M f.
-    The friction cone is the shape's (`mu_contact`). Every method calls the
-    kernel's float functions, which resolve_substep calls directly, and
-    returns floats or float tuples.
-    """
-
-    __slots__ = ("a", "b", "cof", "py", "pz", "shape")
-
-    def __init__(self, shape: ObjectShape, object_pose: PlanarPose, point):
-        cy, cz, self.py, self.pz = _lever(shape, object_pose, float(point[0]), float(point[1]))
-        self.cof = (cy, cz)
-        self.a, self.b, self.shape = shape._inv_f2, shape._inv_m2, shape
-
-    def apply(self, f) -> tuple[float, float]:
-        """Contact-point velocity v_c = M f."""
-        return _apply(self.a, self.b, self.py, self.pz, float(f[0]), float(f[1]))
-
-    def solve(self, v) -> tuple[float, float]:
-        """f = M^-1 v."""
-        return _solve(self.a, self.b, self.py, self.pz, float(v[0]), float(v[1]))
-
-    def twist(self, f, s: float = 1.0) -> tuple[tuple[float, float], float]:
-        """Object twist s * (a f, b p . f) for the contact force f: the CoF
-        displacement (mm) and the spin about the CoF (rad)."""
-        dy, dz, spin = _twist(self.a, self.b, self.py, self.pz, float(f[0]), float(f[1]), s)
-        return (dy, dz), spin
-
-    def edge_images(self, n_in):
-        """(f_l, f_r, u_l, u_r): the left (+) and right (-) edges of the
-        shape's Coulomb cone about the inward normal and u = M f of each, the
-        motion-cone edges."""
-        fly, flz, fry, frz, uly, ulz, ury, urz = _motion_cone(
-            self.a, self.b, self.py, self.pz, float(n_in[0]), float(n_in[1]), self.shape._cone
-        )
-        return (fly, flz), (fry, frz), (uly, ulz), (ury, urz)
-
-    def resolve(self, v_p, n_in):
-        """(force, mode) for the pusher drive direction v_p."""
-        fy, fz, mode = _resolve(self.a, self.b, self.py, self.pz, float(n_in[0]),
-                                float(n_in[1]), float(v_p[0]), float(v_p[1]), self.shape)
-        return (fy, fz), mode
 
 
 def perp2(v):
@@ -164,9 +113,9 @@ def wrench_twist(wrench, shape: ObjectShape) -> np.ndarray:
     """
     f = np.array(wrench[:2], dtype=float)
     p = float(wrench[2]) * f / float(f @ f)
-    point = shape.cof_offset + np.array((p[1], -p[0]))
-    dpos, dspin = ContactMatrix(shape, PlanarPose(), point).twist(f)
-    t = np.array([dpos[0], dpos[1], dspin])
+    qy, qz = (shape.cof_offset + np.array((p[1], -p[0]))).tolist()
+    _, _, py, pz = _lever(shape, PlanarPose(), qy, qz)
+    t = np.array(_twist(shape._inv_f2, shape._inv_m2, py, pz, *f.tolist(), 1.0))
     return t / np.linalg.norm(t)
 
 

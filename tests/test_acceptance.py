@@ -29,12 +29,11 @@ from tacpush.pose_math import (
     normalize_angle_deg,
     transform_to_euler,
 )
-from tacpush.push_dynamics import ContactMode, resolve_substep
+from tacpush.push_dynamics import ContactMode, _lever, resolve_substep
 from tacpush.scene import PlanarPose, boundary_probe, builtin_shapes
 from tacpush.tactile_sense import NoiseModel
 
 from physics_oracle import (
-    ContactMatrix,
     brute_force_push,
     motion_cone_margin_deg,
     random_contact_configs,
@@ -158,13 +157,13 @@ def test_criterion_physics_oracle_equivalence():
         tip_new = cfg.tip + cfg.disp
         _, point, n_out, _ = boundary_probe(cfg.shape, cfg.object_pose, tip_new)
         n_in = -np.asarray(n_out)
-        m = ContactMatrix(cfg.shape, cfg.object_pose, point)
-        p = np.array((m.py, m.pz))
+        cy, cz, py, pz = _lever(cfg.shape, cfg.object_pose, *point)
+        a, b, p = cfg.shape._inv_f2, cfg.shape._inv_m2, np.array((py, pz))
         # ties at the motion-cone edges are excluded per the criterion
-        if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, p) < 0.5:
+        if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, a, b, p) < 0.5:
             continue
         oracle_twist, oracle_mode = brute_force_push(
-            cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, p, n_candidates=10_000
+            cfg.v_p, n_in, cfg.shape.mu_contact, a, b, p, n_candidates=10_000
         )
         if oracle_twist is None:
             continue
@@ -173,7 +172,7 @@ def test_criterion_physics_oracle_equivalence():
             continue
         moved = np.array(
             [
-                *(np.asarray(pose.transform_point(cfg.shape.cof_offset)) - m.cof),
+                *(np.asarray(pose.transform_point(cfg.shape.cof_offset)) - (cy, cz)),
                 math.radians(normalize_angle_deg(pose.alpha - cfg.object_pose.alpha)),
             ]
         )
@@ -238,7 +237,7 @@ def test_criterion_symmetric_push():
     )
     rec = run_trial(sc)
     assert rec.outcome == "reached"
-    worst = max(abs(t["object_pose"][2]) for t in rec.taps)
+    worst = max(abs(t.object_alpha_deg) for t in rec.taps)
     assert worst < 0.5
     report(
         "symmetric push invariant",
@@ -318,10 +317,10 @@ def test_criterion_logged_invariants(
         zone = rec.meta["approach_zone_radius_mm"]
         for tap in rec.taps:
             taps += 1
-            assert abs(tap["v"]) <= 5.0
-            if tap["r"] is not None and tap["r"] <= zone:
-                assert tap["v"] == 0.0
-            integral = np.asarray(tap["integral6"])
+            assert abs(tap.v_mm) <= 5.0
+            if tap.r_mm is not None and tap.r_mm <= zone:
+                assert tap.v_mm == 0.0
+            integral = np.asarray(tap[-6:])  # the int_* channels
             assert np.all(np.abs(integral[:3]) <= 5.0 + 1e-12)
             assert np.all(np.abs(integral[3:]) <= 25.0 + 1e-12)
     assert taps > 5_000

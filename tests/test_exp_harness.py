@@ -14,6 +14,7 @@ from tacpush.exp_harness import (
     EXP2_SHAPE_NAMES,
     EXP3_SHAPE_NAMES,
     EXP_START_POSES,
+    Tap,
     compute_metrics,
     compute_y_targ,
     derive_seed,
@@ -126,7 +127,7 @@ class TestRunTrial:
         assert rec.outcome == "reached"
         assert rec.y_targ is not None and rec.y_targ < 5.0
         assert rec.tap_total == len(rec.taps)
-        assert [t["tap"] for t in rec.taps] == list(range(rec.tap_total))
+        assert [t.tap for t in rec.taps] == list(range(rec.tap_total))
         assert rec.tap_total < 300
 
     def test_far_target_hits_tap_budget(self):
@@ -166,12 +167,10 @@ class TestRunTrial:
             sc, object_start_pose=PlanarPose(start.y, start.z + 3.0, start.alpha)
         )
         rec = run_trial(sc)
-        assert rec.taps[0]["in_contact"] is False and rec.taps[1]["in_contact"] is True
-        values = [rec.final_pusher_pose, rec.final_object_pose]
-        values += [value for tap in rec.taps for value in tap.values()]
-        scalars = [x for value in values
-                   for x in (value if isinstance(value, tuple) else (value,))]
-        assert not [x for x in scalars if isinstance(x, np.generic)]
+        assert rec.taps[0].in_contact is False and rec.taps[1].in_contact is True
+        values = [*rec.final_pusher_pose, *rec.final_object_pose]
+        values += [value for tap in rec.taps for value in tap]
+        assert not [x for x in values if isinstance(x, np.generic)]
 
     def test_scenario_file_round_trip(self):
         rec = run_trial(load_scenario(BASELINE))
@@ -368,6 +367,9 @@ class TestExport:
         ]
         metrics = json.loads(paths["metrics"].read_text())
         assert metrics["n_trials"] == 2
+        # a tap's fields are its taps.csv columns after scenario_id and seed
+        header = paths["taps"].read_text().splitlines()[1]
+        assert header.split(",") == ["scenario_id", "seed", *Tap._fields]
 
     def test_csv_round_trip_y_targ(self, records, tmp_path):
         paths = export(records, tmp_path)
@@ -408,8 +410,8 @@ class TestExport:
             sc, object_start_pose=PlanarPose(start.y, start.z + 3.0, start.alpha)
         )
         written = [*records, run_trial(sc)]
-        assert written[-1].taps[0]["error6"] is None
-        assert all(any(tap["integral6"]) for tap in records[0].taps[1:])
+        assert {getattr(written[-1].taps[0], f"err_{c}") for c in SIX} == {None}
+        assert all(any(tap[-6:]) for tap in records[0].taps[1:])  # the int_* channels
         loaded = load_records(export(written, tmp_path)["records"])
         assert len(loaded) == len(written)
         for rec, back in zip(written, loaded):
@@ -645,11 +647,18 @@ class TestCli:
          ([TAP | {"int_gamma_deg": "-inf"}], (), {},
           "{csv}: line 3, column 'int_gamma_deg': expected a finite number, got '-inf'"),
          ([TAP | {"in_contact": "yes"}], (), {},
-          "{csv}: line 3, column 'in_contact': expected 0 or 1, got 'yes'")],
+          "{csv}: line 3, column 'in_contact': expected 0 or 1, got 'yes'"),
+         ([TAP | {"err_y_mm": ""}], (), {},
+          "{csv}: line 3, column 'err_y_mm': expected a finite number, got ''"),
+         ([TAP | {"int_x_mm": ""}], (), {},
+          "{csv}: line 3, column 'int_x_mm': expected a finite number, got ''"),
+         ([TAP | {"clamped": "2"}], (), {},
+          "{csv}: line 3, column 'clamped': expected 0 or 1, got '2'")],
         ids=["empty_tap", "tap_without_object_pose", "tap_not_an_object", "empty_shape",
              "taps_not_a_list", "short_pusher_pose", "short_object_pose", "radius_not_a_number",
              "target_not_a_list", "ragged_polygon", "empty_polygon", "two_vertex_polygon",
-             "short_row", "non_numeric_value", "nan_value", "infinite_value", "flag_not_0_or_1"],
+             "short_row", "non_numeric_value", "nan_value", "infinite_value", "flag_not_0_or_1",
+             "error_group_partly_blank", "integral_group_partly_blank", "clamped_not_0_or_1"],
     )
     def test_plot_names_the_missing_tap_or_outline_field(
         self, taps, drop, meta, message, tmp_path, capsys

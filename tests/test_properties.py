@@ -414,9 +414,9 @@ def test_closed_loop_trials_on_star_polygons(verts, start_index, heading):
     # outcome is not asserted, since a non-convex outline can stall the push
     cfg = scenario.controller
     for tap in record.taps:
-        assert abs(tap["v"]) <= 5.0
-        if tap["r"] is not None and tap["r"] <= cfg.approach_zone_radius:
-            assert tap["v"] == 0.0
-        integral = np.asarray(tap["integral6"])
+        assert abs(tap.v_mm) <= 5.0
+        if tap.r_mm is not None and tap.r_mm <= cfg.approach_zone_radius:
+            assert tap.v_mm == 0.0
+        integral = np.asarray(tap[-6:])  # the int_* channels
         assert np.all(np.abs(integral[:3]) <= 5.0 + 1e-12)
         assert np.all(np.abs(integral[3:]) <= 25.0 + 1e-12)

@@ -447,7 +447,7 @@ class TestClosedLoop:
         )
         rec = run_trial(sc)
         assert rec.outcome == "reached"
-        rotations = [abs(t["object_pose"][2]) for t in rec.taps]
+        rotations = [abs(t.object_alpha_deg) for t in rec.taps]
         assert max(rotations) < 0.5
 
     def test_mirror_symmetry(self):
@@ -468,9 +468,9 @@ class TestClosedLoop:
         # roundoff seeds sub-micrometre asymmetry through the contact
         # iterations; the mirrored trajectories must track within 0.01 mm/deg
         for tp, tn in zip(rec_pos.taps, rec_neg.taps):
-            assert tp["pusher_pose"][1] == pytest.approx(-tn["pusher_pose"][1], abs=0.01)
-            assert tp["pusher_pose"][2] == pytest.approx(tn["pusher_pose"][2], abs=0.01)
-            assert tp["pusher_pose"][3] == pytest.approx(-tn["pusher_pose"][3], abs=0.01)
-            assert tp["object_pose"][0] == pytest.approx(-tn["object_pose"][0], abs=0.01)
-            assert tp["object_pose"][1] == pytest.approx(tn["object_pose"][1], abs=0.01)
+            assert tp.pusher_y_mm == pytest.approx(-tn.pusher_y_mm, abs=0.01)
+            assert tp.pusher_z_mm == pytest.approx(tn.pusher_z_mm, abs=0.01)
+            assert tp.pusher_alpha_deg == pytest.approx(-tn.pusher_alpha_deg, abs=0.01)
+            assert tp.object_y_mm == pytest.approx(-tn.object_y_mm, abs=0.01)
+            assert tp.object_z_mm == pytest.approx(tn.object_z_mm, abs=0.01)
         assert rec_pos.y_targ == pytest.approx(rec_neg.y_targ, abs=0.01)

@@ -26,7 +26,6 @@ from tacpush.scene import (
 )
 
 from physics_oracle import (
-    ContactMatrix,
     brute_force_push,
     motion_cone_margin_deg,
     random_contact_configs,
@@ -58,11 +57,12 @@ def square(side=60.0, mu=0.5):
 class TestLimitSurfaceTwist:
     def test_pure_force_gives_pure_translation(self):
         # a push along the lever arm, through the CoF, has no moment
-        m = ContactMatrix(square(), PlanarPose(), [-30.0, 0.0])
-        dpos, dspin = m.twist(np.array([1.0, 0.0]))
-        assert dspin == 0.0
-        assert dpos[1] == 0.0
-        assert dpos[0] > 0.0
+        shape = square()
+        _, _, py, pz = push_dynamics._lever(shape, PlanarPose(), -30.0, 0.0)
+        dy, dz, spin = push_dynamics._twist(shape._inv_f2, shape._inv_m2, py, pz, 1.0, 0.0, 1.0)
+        assert spin == 0.0
+        assert dz == 0.0
+        assert dy > 0.0
 
     def test_matches_finite_difference_gradient(self):
         rng = np.random.default_rng(1)
@@ -96,8 +96,10 @@ class TestMotionCone:
     of the friction-cone edge forces, normalised here."""
 
     def cone(self, shape, pose, point, n_in):
-        m = ContactMatrix(shape, pose, point)
-        _, _, u_l, u_r = m.edge_images(np.asarray(n_in, float))
+        _, _, py, pz = push_dynamics._lever(shape, pose, float(point[0]), float(point[1]))
+        a, b, ny, nz = shape._inv_f2, shape._inv_m2, float(n_in[0]), float(n_in[1])
+        cone = push_dynamics._motion_cone(a, b, py, pz, ny, nz, shape._cone)
+        u_l, u_r = np.array(cone[4:6]), np.array(cone[6:])
         return u_l / np.linalg.norm(u_l), u_r / np.linalg.norm(u_r)
 
     def test_frictionless_cone_collapses(self):
@@ -121,12 +123,15 @@ class TestMotionCone:
         n_in = pose.transform_point([0.0, 1.0]) - np.array([pose.y, pose.z])
         left, right = self.cone(shape, pose, point, n_in)
         r = point - pose.transform_point(shape.cof_offset)
+        _, _, py, pz = push_dynamics._lever(shape, pose, *point.tolist())
         phi = math.atan(shape.mu_contact)
         for edge, sign in ((left, 1.0), (right, -1.0)):
             c, s = math.cos(sign * phi), math.sin(sign * phi)
             f = np.array([c * n_in[0] - s * n_in[1], s * n_in[0] + c * n_in[1]])
-            dpos, dspin = ContactMatrix(shape, pose, point).twist(f)
-            v_contact = dpos + dspin * perp2(r)
+            dy, dz, dspin = push_dynamics._twist(
+                shape._inv_f2, shape._inv_m2, py, pz, *f.tolist(), 1.0
+            )
+            v_contact = np.array([dy, dz]) + dspin * perp2(r)
             v_contact /= np.linalg.norm(v_contact)
             assert edge == pytest.approx(v_contact, abs=1e-9)
 
@@ -158,12 +163,13 @@ def test_solve_inverts_apply_on_the_oracle_configurations():
     # most 15 here), at the oracle's contacts, for its drive and for
     # its inward normal as a force
     for cfg in random_contact_configs(1_000, seed=1):
-        m = ContactMatrix(cfg.shape, cfg.object_pose, cfg.contact_point)
+        lever = push_dynamics._lever(cfg.shape, cfg.object_pose, *cfg.contact_point.tolist())
+        m = (cfg.shape._inv_f2, cfg.shape._inv_m2, *lever[2:])  # a, b, py, pz
         v = tuple(cfg.v_p.tolist())
-        back = m.apply(m.solve(v))
+        back = push_dynamics._apply(*m, *push_dynamics._solve(*m, *v))
         assert math.dist(back, v) <= 1e-12 * math.hypot(*v), (cfg, back)
         f = tuple(cfg.n_in.tolist())
-        back = m.solve(m.apply(f))
+        back = push_dynamics._solve(*m, *push_dynamics._apply(*m, *f))
         assert math.dist(back, f) <= 1e-12 * math.hypot(*f), (cfg, back)
 
 
@@ -315,12 +321,12 @@ class TestResolveSubstep:
                 cfg.shape, cfg.object_pose, cfg.tip + cfg.disp
             )
             n_in = -np.asarray(n_out)
-            m = ContactMatrix(cfg.shape, cfg.object_pose, point)
-            p = np.array((m.py, m.pz))
-            if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, p) < 0.5:
+            cy, cz, py, pz = push_dynamics._lever(cfg.shape, cfg.object_pose, *point)
+            a, b, p = cfg.shape._inv_f2, cfg.shape._inv_m2, np.array((py, pz))
+            if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, a, b, p) < 0.5:
                 continue
             oracle_twist, oracle_mode = brute_force_push(
-                cfg.v_p, n_in, cfg.shape.mu_contact, m.a, m.b, p, n_candidates=2_000
+                cfg.v_p, n_in, cfg.shape.mu_contact, a, b, p, n_candidates=2_000
             )
             if oracle_twist is None:
                 continue
@@ -329,7 +335,7 @@ class TestResolveSubstep:
                 continue
             moved = np.array(
                 [
-                    *(np.asarray(pose.transform_point(cfg.shape.cof_offset)) - m.cof),
+                    *(np.asarray(pose.transform_point(cfg.shape.cof_offset)) - (cy, cz)),
                     math.radians(normalize_angle_deg(pose.alpha - cfg.object_pose.alpha)),
                 ]
             )
@@ -384,15 +390,14 @@ class TestKernelReturnsPythonFloats:
             assert is_float_pair(contact.point) and is_float_pair(contact.normal)
 
     def test_contact_matrix(self):
-        m = ContactMatrix(square(), PlanarPose(5.0, -3.0, 20.0), np.array([12.0, -30.0]))
-        assert is_float_pair(m.cof)
-        f = np.array([0.3, 0.9])
-        assert is_float_pair(m.apply(f)) and is_float_pair(m.solve(f))
-        dpos, dspin = m.twist(f, 0.5)
-        assert is_float_pair(dpos) and type(dspin) is float
-        assert all(is_float_pair(v) for v in m.edge_images((0.0, 1.0)))
-        force, _ = m.resolve(np.array([0.1, 0.4]), (0.0, 1.0))
-        assert is_float_pair(force)
+        shape = square()
+        lever = push_dynamics._lever(shape, PlanarPose(5.0, -3.0, 20.0), 12.0, -30.0)
+        m = (shape._inv_f2, shape._inv_m2, *lever[2:])  # a, b, py, pz
+        floats = [*lever, *push_dynamics._apply(*m, 0.3, 0.9), *push_dynamics._solve(*m, 0.3, 0.9),
+                  *push_dynamics._twist(*m, 0.3, 0.9, 0.5),
+                  *push_dynamics._motion_cone(*m, 0.0, 1.0, shape._cone),
+                  *push_dynamics._resolve(*m, 0.0, 1.0, 0.1, 0.4, shape)[:2]]
+        assert {type(x) for x in floats} == {float}
 
     def test_transform_point(self):
         assert is_float_pair(PlanarPose(1.0, 2.0, 30.0).transform_point(np.array([3.0, 4.0])))
@@ -416,7 +421,7 @@ def test_contact_matrix_cof_is_the_posed_cof_offset_exactly():
     shape = dataclasses.replace(square(), cof_offset=(3.0, -2.0))
     for case in load_golden():
         pose = PlanarPose(*case["pose"])
-        cof = ContactMatrix(shape, pose, case["query"]).cof
+        cof = push_dynamics._lever(shape, pose, *case["query"])[:2]
         assert repr(cof) == repr(pose.transform_point(shape.cof_offset)), case
 
 

@@ -11,7 +11,7 @@ trial digest at `--seed 1` moved:
     python3 tools/mutants.py [--checkout PATH]
 
 A mutant that does not match exactly once is reported as such, and the tool
-then exits with status 1. The twelve mutants take about seven minutes on a
+then exits with status 1. The fifteen mutants take about six minutes on a
 2-core host, so the tool is run by hand for a change to the kernel, not in CI.
 """
 
@@ -73,6 +73,15 @@ MUTANTS = [
     ("swap the frictionless contact's sliding sides", "push_dynamics.py",
      "ContactMode.SLIDING_LEFT if side > 0.0 else ContactMode.SLIDING_RIGHT",
      "ContactMode.SLIDING_RIGHT if side > 0.0 else ContactMode.SLIDING_LEFT"),
+    ("drop - s * oz from _lever's CoF", "push_dynamics.py",
+     "cy = pose.y + c * oy - s * oz",
+     "cy = pose.y + c * oy"),
+    ("drop a + from _solve's denominator", "push_dynamics.py",
+     "/ (a + b * (py * py + pz * pz))",
+     "/ (b * (py * py + pz * pz))"),
+    ("conservative advancement may skip a leg's last substep (off by one)", "push_dynamics.py",
+     "i = min(i + free, n - 1)",
+     "i = min(i + free, n)"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "out", "__pycache__", ".hypothesis", ".pytest_cache",

@@ -3,7 +3,7 @@
 Runs every grid of every workload in `perfbench/workloads.py` through
 `run_trial`, one trial after another, and prints one sha256 per workload and
 one over all of them. Each trial contributes its `taps.csv` rows (version 2:
-every value of every tap, `integral6` included) and `trial_bytes`: its
+every value of every tap, the `int_*` columns included) and `trial_bytes`: its
 outcome, final pusher and object poses, `y_targ` and its meta (target pose,
 shape, zone radii, noise flag and any fault or error), all floats at full
 precision. Run it on two checkouts and compare the last line:
