@@ -639,7 +639,8 @@ def load_records(records_path) -> list:
 
     Every value plot draws is checked on the way in: a bad summary value is
     named by its record path, a bad tap value by its taps.csv line and
-    column, and a taps.csv row that is not the next tap of the records (by
+    column, a missing, repeated or unknown taps.csv column by the header's
+    line, and a taps.csv row that is not the next tap of the records (by
     scenario_id, tap index and each record's tap_total) by its line.
     """
     path = Path(records_path)
@@ -660,7 +661,13 @@ def load_records(records_path) -> list:
         _check_plot_fields(idx, rec)
     taps_path = path.with_name("taps.csv")
     columns, rows = _read_taps(taps_path)
-    col = {name: i for i, name in enumerate(columns)}
+    col = {}
+    for i, name in enumerate(columns):
+        if name not in _CSV_COLUMNS:
+            raise ValueError(f"{taps_path}: line 2: unknown column {name!r}")
+        if name in col:
+            raise ValueError(f"{taps_path}: line 2: repeated column {name!r}")
+        col[name] = i
     for name in _CSV_COLUMNS:
         if name not in col:
             raise ValueError(f"{taps_path}: line 2: no column {name!r}")

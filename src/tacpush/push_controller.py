@@ -229,16 +229,16 @@ def pid6_step(
     derivative acts on the error with prev_error starting at zero.
     """
     clips = (cfg.integral_clip_translation,) * 3 + (cfg.integral_clip_rotation,) * 3
-    state.integral6 = tuple(
+    state.integral6 = tuple([
         min(max(i + e, lo), hi) for i, e, (lo, hi) in zip(state.integral6, error6, clips)
-    )
-    u = tuple(
+    ])
+    u = tuple([
         kp * e + ki * i + kd * (e - prev)
         for kp, ki, kd, e, i, prev in zip(
             cfg.kp_servo, cfg.ki_servo, cfg.kd_servo,
             error6, state.integral6, state.prev_error6,
         )
-    )
+    ])
     state.prev_error6 = tuple(error6)
     return u
 

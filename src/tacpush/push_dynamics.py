@@ -286,9 +286,17 @@ def simulate_tap(
     physics active (relocation can incidentally push the object), advances
     `tap_forward` mm along the commanded heading's forward axis and retracts
     `tap_back` mm. Every leg is substepped through resolve_substep, except
-    substeps that the last separated probe proves cannot reach the object
+    substeps that a free-space certificate proves cannot reach the object
     (conservative advancement); positions and results are as if every
     substep ran.
+
+    The certificate is the tip of the last separated substep and its gap
+    less PENETRATION_TOL_MM. The signed distance is 1-Lipschitz, so every
+    tip within that radius of it is clear of the object by more than the
+    tolerance, and its substep would leave the object where it is. Such
+    substeps are skipped, across legs, until a substep makes contact. Only
+    the advance's last substep is always run, since the tap reports its
+    contact.
 
     Returns (world, sense_heading, contact): the WorldState after the
     retraction, and the pusher heading (deg, wrapped) and ContactState at
@@ -305,9 +313,14 @@ def simulate_tap(
     pos = (float(world.pusher_pose.y), float(world.pusher_pose.z))
     alpha = world.pusher_pose.alpha
     contact = None
+    # the certificate: tips within `room` mm of `centre` are free
+    centre, room = pos, -math.inf
+    # a leg's skipped last substep as (tip, displacement), which an empty
+    # advance runs after all: it reports the relocation's last contact
+    skipped = None
 
-    def run_leg(target_pos: tuple[float, float], target_alpha: float):
-        nonlocal obj, pos, alpha, contact
+    def run_leg(target_pos: tuple[float, float], target_alpha: float, reported: bool):
+        nonlocal obj, pos, alpha, contact, centre, room, skipped
         y0, z0 = pos
         dy, dz = target_pos[0] - y0, target_pos[1] - z0
         dist = math.hypot(dy, dz)
@@ -315,34 +328,42 @@ def simulate_tap(
         # count below can turn on dist's last bit
         dalpha = normalize_angle_deg(target_alpha - alpha)
         if dist < 1e-12 and abs(dalpha) < 1e-12:
+            if reported and skipped is not None:
+                obj, contact = resolve_substep(shape, obj, *skipped)
             return
         n = max(1, math.ceil(dist / substep))
         step = dist / n
+        last = n - 1 if reported else n
         i = 0
         while i < n:
+            free = room - math.hypot(pos[0] - centre[0], pos[1] - centre[1])
+            if free >= step and i < last:
+                # the next floor(free / step) tips are within the certificate
+                # (every tip, on a leg that only turns)
+                i = last if free >= (last - i) * step else i + math.floor(free / step)
+                pos = (y0 + dy * (i / n), z0 + dz * (i / n))
+                if i == n:
+                    prev = (y0 + dy * ((n - 1) / n), z0 + dz * ((n - 1) / n))
+                    skipped = prev, (pos[0] - prev[0], pos[1] - prev[1])
+                    break
             i += 1
             p_next = (y0 + dy * (i / n), z0 + dz * (i / n))
             obj, contact = resolve_substep(
                 shape, obj, pos, (p_next[0] - pos[0], p_next[1] - pos[1])
             )
-            if contact.mode is ContactMode.SEPARATED and i < n:
-                # conservative advancement: the signed distance is 1-Lipschitz,
-                # so the substeps within the gap less the tolerance stay
-                # separated and leave the object where it is; skip them, but
-                # probe the leg's last substep, whose contact the tap reports
-                free = math.floor((-contact.penetration - PENETRATION_TOL_MM) / step)
-                if free > 0:
-                    i = min(i + free, n - 1)
-                    p_next = (y0 + dy * (i / n), z0 + dz * (i / n))
+            if contact.mode is ContactMode.SEPARATED:
+                centre, room = p_next, -contact.penetration - PENETRATION_TOL_MM
+            else:
+                room = -math.inf
             pos = p_next
         alpha += dalpha
 
-    run_leg((cmd.y, cmd.z), cmd.alpha)
+    run_leg((cmd.y, cmd.z), cmd.alpha, False)
     ay, az = heading_dir(cmd.alpha)
-    run_leg((cmd.y + tap_forward * ay, cmd.z + tap_forward * az), cmd.alpha)
+    run_leg((cmd.y + tap_forward * ay, cmd.z + tap_forward * az), cmd.alpha, True)
     sense_heading = normalize_angle_deg(alpha)
     advance_contact = contact
     back = tap_forward - tap_back
-    run_leg((cmd.y + back * ay, cmd.z + back * az), cmd.alpha)
+    run_leg((cmd.y + back * ay, cmd.z + back * az), cmd.alpha, False)
     end_pose = PlanarPose(pos[0], pos[1], alpha)
     return WorldState(obj, end_pose), sense_heading, advance_contact

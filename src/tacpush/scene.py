@@ -14,6 +14,7 @@ for the controller.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -75,21 +76,23 @@ def dir_heading(direction) -> float:
     return math.degrees(math.atan2(-direction[0], direction[1]))
 
 
-@dataclass(frozen=True)
-class PlanarPose:
-    """In-plane rigid pose: position (y, z) in mm and heading alpha in degrees."""
+class PlanarPose(namedtuple("PlanarPose", "y z alpha")):
+    """In-plane rigid pose: position (y, z) in mm and heading alpha in degrees.
 
-    y: float = 0.0
-    z: float = 0.0
-    alpha: float = 0.0
+    A named tuple whose constructor checks that every field is finite and
+    wraps alpha to (-180, 180]. Unpickling and copying run the constructor
+    again, which leaves a wrapped heading as it is; `_make` and `_replace`
+    skip both the checks and the wrap.
+    """
 
-    def __post_init__(self):
-        if not (math.isfinite(self.y) and math.isfinite(self.z) and math.isfinite(self.alpha)):
-            for name in ("y", "z", "alpha"):
-                value = getattr(self, name)
+    __slots__ = ()
+
+    def __new__(cls, y=0.0, z=0.0, alpha=0.0):
+        if not (math.isfinite(y) and math.isfinite(z) and math.isfinite(alpha)):
+            for name, value in zip(cls._fields, (y, z, alpha)):
                 if not math.isfinite(value):
                     raise ValueError(f"PlanarPose.{name} must be finite, got {value!r}")
-        object.__setattr__(self, "alpha", normalize_angle_deg(self.alpha))
+        return tuple.__new__(cls, (y, z, normalize_angle_deg(alpha)))
 
     def to_transform(self) -> Transform:
         return euler_to_transform(EulerPose(0.0, self.y, self.z, self.alpha, 0.0, 0.0))
@@ -174,21 +177,22 @@ def _points_in_polygon(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
 
 
 def _candidate_grid(verts: np.ndarray, edge_vec: np.ndarray) -> tuple:
-    """Candidate-edge table of boundary_probe, flat.
+    """Candidate-edge table of boundary_probe.
 
-    Returns (y0, z0, cells_y, cells_z, starts, edges): the edges listed for
-    cell k = iy * cells_z + iz are edges[starts[k]:starts[k + 1]], ascending.
-    A cell lists every edge whose distance from the cell centre is at most
-    the smallest such distance plus the cell diagonal (plus 1e-6 mm for
-    rounding). Distance to a segment is 1-Lipschitz and every point of the
-    cell lies within half a diagonal of its centre, so every edge that can
-    be nearest to a point of the cell is listed, ties included.
+    Returns (y0, z0, cells_y, cells_z, cells): cells[k] is the ascending
+    tuple of the edges listed for cell k = iy * cells_z + iz, and cells with
+    the same edges share one tuple. A cell lists every edge whose distance
+    from the cell centre is at most the smallest such distance plus the cell
+    diagonal (plus 1e-6 mm for rounding). Distance to a segment is
+    1-Lipschitz and every point of the cell lies within half a diagonal of
+    its centre, so every edge that can be nearest to a point of the cell is
+    listed, ties included.
     """
     lo = verts.min(axis=0) - _GRID_MARGIN_MM
     cells_y, cells_z = np.ceil((verts.max(axis=0) + _GRID_MARGIN_MM - lo) / _GRID_CELL_MM)
     # counted in floats, so that a huge outline cannot overflow the count
     if cells_y * cells_z * len(verts) > _GRID_MAX_ENTRIES:
-        return float(lo[0]), float(lo[1]), 0, 0, [0], []
+        return float(lo[0]), float(lo[1]), 0, 0, ()
     cells_y, cells_z = int(cells_y), int(cells_z)
     cy = lo[0] + (np.arange(cells_y) + 0.5) * _GRID_CELL_MM
     cz = lo[1] + (np.arange(cells_z) + 0.5) * _GRID_CELL_MM
@@ -202,10 +206,13 @@ def _candidate_grid(verts: np.ndarray, edge_vec: np.ndarray) -> tuple:
     dist = np.sqrt(ry * ry + rz * rz)
     band = dist.min(axis=1, keepdims=True) + math.sqrt(2.0) * _GRID_CELL_MM + 1e-6
     listed = dist <= band
-    starts = np.concatenate(([0], np.cumsum(listed.sum(axis=1))))
+    starts = np.concatenate(([0], np.cumsum(listed.sum(axis=1)))).tolist()
     # nonzero walks the mask row by row, so each cell's edges come out ascending
-    return (float(lo[0]), float(lo[1]), cells_y, cells_z,
-            starts.tolist(), np.nonzero(listed)[1].tolist())
+    edges = np.nonzero(listed)[1].tolist()
+    shared = {}
+    cells = tuple(shared.setdefault(c, c)
+                  for c in (tuple(edges[a:b]) for a, b in zip(starts, starts[1:])))
+    return float(lo[0]), float(lo[1]), cells_y, cells_z, cells
 
 
 @dataclass(frozen=True)
@@ -352,11 +359,10 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work) -> tuple:
         feature = ("arc", 0)
     else:
         rows = shape._edge_rows
-        y0, z0, cells_y, cells_z, starts, listed = shape._edge_grid
+        y0, z0, cells_y, cells_z, cells = shape._edge_grid
         gy, gz = (qy - y0) / _GRID_CELL_MM, (qz - z0) / _GRID_CELL_MM
         if 0.0 <= gy < cells_y and 0.0 <= gz < cells_z:
-            k = int(gy) * cells_z + int(gz)
-            candidates = listed[starts[k]:starts[k + 1]]
+            candidates = cells[int(gy) * cells_z + int(gz)]
         else:
             candidates = range(len(rows))
         # a strict < over ascending edge indices keeps the first of tied

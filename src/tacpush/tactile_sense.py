@@ -15,7 +15,7 @@ and gamma by construction, beta because the surface is flat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,9 +96,4 @@ def apply_noise(
     a_noisy = pred.alpha + float(rng.normal(0.0, noise.sigma_alpha))
     z, z_clamped = _clamp(z_noisy, *Z_RANGE_MM)
     alpha, a_clamped = _clamp(a_noisy, *ALPHA_RANGE_DEG)
-    return replace(
-        pred,
-        z_depth=z,
-        alpha=alpha,
-        clamped=pred.clamped or z_clamped or a_clamped,
-    )
+    return PosePrediction(True, z, alpha, pred.clamped or z_clamped or a_clamped)

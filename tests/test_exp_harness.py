@@ -677,6 +677,23 @@ class TestCli:
         assert capsys.readouterr().err == f"error: {expected}\n"
 
     @pytest.mark.parametrize(
+        "column, value, message",
+        [("pusher_y_mm", "12345.0", "repeated column 'pusher_y_mm'"),
+         ("force_n", "1.0", "unknown column 'force_n'")],
+        ids=["repeated_column", "unknown_column"],
+    )
+    def test_plot_names_a_repeated_or_unknown_taps_column(
+        self, column, value, message, tmp_path, capsys
+    ):
+        # every column but the extra one is a good tap, so only the header is wrong
+        text = f"# tacpush-taps-v2\n{','.join(TAP)},{column}\n{TAP_ROW},{value}\n"
+        in_path = write_run(tmp_path, [PLOTTABLE | {"tap_total": 1}], text)
+        svg = tmp_path / "x.svg"
+        assert cli_main(["plot", "--records", str(in_path), "--out", str(svg)]) == 1
+        assert not svg.exists()
+        assert capsys.readouterr().err == f"error: {tmp_path / 'taps.csv'}: line 2: {message}\n"
+
+    @pytest.mark.parametrize(
         "tap_total, taps, message",
         [(2, [TAP], "line 4: expected tap 1 of 'p', got the end of the file"),
          (0, [TAP], "line 3: expected the end of the file, got tap 0 of 'p'"),

@@ -9,6 +9,7 @@ import copy
 import dataclasses
 import functools
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -44,6 +45,7 @@ from tacpush.scene import (
     PlanarPose,
     boundary_probe,
     builtin_shapes,
+    normalize_angle_deg,
 )
 from tacpush.tactile_sense import ALPHA_RANGE_DEG, Z_RANGE_MM, PosePrediction
 
@@ -52,6 +54,33 @@ SAMPLES_PER_OUTLINE = 4000
 poses = st.builds(
     PlanarPose, st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.floats(-180.0, 180.0)
 )
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.floats(1e-300, 1e300), st.booleans(), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+def test_heading_wrap_is_idempotent_and_survives_pickling(magnitude, negative, y, z):
+    """Wrapping a wrapped heading changes no bit, so a PlanarPose, whose
+    constructor wraps, pickles and unpickles to the same bits.
+
+    normalize_angle_deg(x) is h = fl(r - 180), where r in (0, 360] is x + 180
+    rounded and then reduced mod 360 (fmod is exact). By Sterbenz's lemma,
+    a - b is exact for b / 2 <= a <= 2 b:
+    - if r >= 90, h = r - 180 exactly, so h + 180 = r and wrapping h gives h;
+    - if r < 90, h lies in [-180, -90], so h + 180 is exact and lies in
+      [0, 90], and wrapping h gives fl((h + 180) - 180) = h. The one way out
+      would be h + 180 = 0, which needs r below 2^-46 (half the spacing of
+      the floats just below 180). A remainder that small is the exact sum
+      x + 180 of an x in (-180, -128], a multiple of 2^-45; every larger sum
+      reduces to a multiple of 2^-44.
+    """
+    x = -magnitude if negative else magnitude
+    h = normalize_angle_deg(x)
+    assert -180.0 < h <= 180.0
+    assert normalize_angle_deg(h).hex() == h.hex()
+    pose = PlanarPose(y, z, x)
+    back = pickle.loads(pickle.dumps(pose))
+    assert type(back) is PlanarPose
+    assert [v.hex() for v in back] == [v.hex() for v in pose] == [y.hex(), z.hex(), h.hex()]
 
 
 @st.composite
@@ -206,16 +235,15 @@ def nearest_edges(verts, pts) -> np.ndarray:
     return (ry * ry + rz * rz).argmin(axis=1)
 
 
-def cell_candidates(shape, iy, iz) -> list:
-    _, _, _, cells_z, starts, listed = shape._edge_grid
-    k = iy * cells_z + iz
-    return listed[starts[k]:starts[k + 1]]
+def cell_candidates(shape, iy, iz) -> tuple:
+    _, _, _, cells_z, cells = shape._edge_grid
+    return cells[iy * cells_z + iz]
 
 
 def all_edges_search(shape):
     """A copy of the shape without a grid, so that every query tries every edge."""
     bare = copy.copy(shape)
-    object.__setattr__(bare, "_edge_grid", (*shape._edge_grid[:2], 0, 0, [0], []))
+    object.__setattr__(bare, "_edge_grid", (*shape._edge_grid[:2], 0, 0, ()))
     return bare
 
 
@@ -224,7 +252,7 @@ def test_grid_lists_the_nearest_edge_at_every_cell_corner(shape):
     # a corner is as far from its cells' centres as a point of a cell gets,
     # so it is where a band narrower than the cell diagonal misses an edge;
     # each corner is checked against all four cells that share it
-    y0, z0, cells_y, cells_z, _, _ = shape._edge_grid
+    y0, z0, cells_y, cells_z, _ = shape._edge_grid
     cy, cz = np.meshgrid(np.arange(cells_y + 1), np.arange(cells_z + 1), indexing="ij")
     corners = np.stack([y0 + cy.ravel() * _GRID_CELL_MM, z0 + cz.ravel() * _GRID_CELL_MM], axis=1)
     nearest = nearest_edges(shape.polygon, corners)
@@ -247,7 +275,7 @@ def grid_queries(draw):
     cell: at a corner, on a side or inside it. A quarter of the draws go
     outside the grid instead, with no cell."""
     shape = draw(GRID_SHAPES)
-    y0, z0, cells_y, cells_z, _, _ = shape._edge_grid
+    y0, z0, cells_y, cells_z, _ = shape._edge_grid
     if draw(st.integers(0, 3)) == 0:
         ang = draw(st.floats(0.0, 2.0 * math.pi))
         r = math.hypot(cells_y, cells_z) * _GRID_CELL_MM + draw(st.floats(0.0, 100.0))

@@ -54,6 +54,51 @@ def square(side=60.0, mu=0.5):
     )
 
 
+def record_substeps(monkeypatch) -> list:
+    """Record every resolve_substep call of simulate_tap as (tip, disp,
+    object pose after it)."""
+    calls = []
+    real = push_dynamics.resolve_substep
+
+    def recording(shape_, object_pose, tip, disp):
+        out = real(shape_, object_pose, tip, disp)
+        calls.append((np.array(tip, dtype=float), np.array(disp, dtype=float), out[0]))
+        return out
+
+    monkeypatch.setattr(push_dynamics, "resolve_substep", recording)
+    return calls
+
+
+def replay_tap(shape, world, cmd, tap_forward, tap_back, calls) -> list:
+    """Replay a tap's substep positions leg by leg, match each recorded call
+    to its substep, and check that every skipped substep is separated and
+    that the advance runs its last substep. Returns (n, substeps run) per leg."""
+    axis = np.array(heading_dir(cmd.alpha))
+    start = np.array([cmd.y, cmd.z])
+    targets = [start, start + tap_forward * axis, start + (tap_forward - tap_back) * axis]
+    pos = np.array([world.pusher_pose.y, world.pusher_pose.z])
+    obj, k, legs = world.object_pose, 0, []
+    for leg, target in enumerate(targets):
+        delta = target - pos
+        n = max(1, math.ceil(math.hypot(*delta) / SUBSTEP_CAP_MM))
+        probed = []
+        for i in range(1, n + 1):
+            p_prev, p_i = pos + delta * ((i - 1) / n), pos + delta * (i / n)
+            if k < len(calls) and np.array_equal(calls[k][0], p_prev):
+                assert np.array_equal(calls[k][1], p_i - p_prev)
+                obj = calls[k][2]
+                probed.append(i)
+                k += 1
+            else:
+                assert contact_at(shape, obj, p_i).penetration <= 0.0, (leg, i, n)
+        if leg == 1:
+            assert probed[-1] == n
+        legs.append((n, probed))
+        pos = pos + delta * (n / n)
+    assert k == len(calls)
+    return legs
+
+
 class TestLimitSurfaceTwist:
     def test_pure_force_gives_pure_translation(self):
         # a push along the lever arm, through the CoF, has no moment
@@ -655,39 +700,55 @@ class TestSimulateTap:
         assert -contact_at(shape, pose, (pusher.y, pusher.z)).penetration >= 5.0
         assert cmd_gap >= 5.0
 
-        calls = []
-        real = push_dynamics.resolve_substep
-
-        def recording(shape_, object_pose, tip, disp):
-            out = real(shape_, object_pose, tip, disp)
-            calls.append((np.array(tip, dtype=float), np.array(disp, dtype=float), out[0]))
-            return out
-
-        monkeypatch.setattr(push_dynamics, "resolve_substep", recording)
+        calls = record_substeps(monkeypatch)
         new_world, _, contact = simulate_tap(world, shape, cmd, tap_forward, tap_back)
         assert new_world.object_pose != pose
         assert contact.mode is not ContactMode.SEPARATED
+        legs = replay_tap(shape, world, cmd, tap_forward, tap_back, calls)
+        assert len(calls) < sum(n for n, _ in legs)
 
-        # replay the legs' substep positions and match each call to its index
-        axis = np.array(heading_dir(cmd.alpha))
-        start = np.array([cmd.y, cmd.z])
-        targets = [start, start + tap_forward * axis, start + (tap_forward - tap_back) * axis]
-        pos, obj, k, substeps = np.array([pusher.y, pusher.z]), pose, 0, 0
-        for target in targets:
-            delta = target - pos
-            n = max(1, math.ceil(math.hypot(*delta) / SUBSTEP_CAP_MM))
-            substeps += n
-            probed = []
-            for i in range(1, n + 1):
-                p_prev, p_i = pos + delta * ((i - 1) / n), pos + delta * (i / n)
-                if k < len(calls) and np.array_equal(calls[k][0], p_prev):
-                    assert np.array_equal(calls[k][1], p_i - p_prev)
-                    obj = calls[k][2]
-                    probed.append(i)
-                    k += 1
-                else:
-                    assert contact_at(shape, obj, p_i).penetration <= 0.0, (i, n)
-            assert probed[-1] == n
-            pos = pos + delta * (n / n)
-        assert k == len(calls)
-        assert len(calls) < substeps
+    def test_relocation_inside_the_certificate_probes_only_its_first_substep(
+        self, monkeypatch
+    ):
+        # 40 mm clear of the square, a 6 mm relocation stays inside the
+        # certificate of its first substep, its last substep included; the
+        # advance runs on from there and reaches the object
+        shape, pose = square(), PlanarPose()
+        world = make_world([10.0, -90.0], pose)
+        cmd = PlanarPose(4.0, -88.0, 0.0)
+        calls = record_substeps(monkeypatch)
+        new_world, _, contact = simulate_tap(world, shape, cmd, 44.0, 5.0)
+        assert new_world.object_pose != pose
+        assert contact.mode is not ContactMode.SEPARATED
+        (n, reloc), (m, advance), _ = replay_tap(shape, world, cmd, 44.0, 5.0, calls)
+        assert n == 13 and reloc == [1]
+        assert advance[-1] == m and advance[0] > 1
+
+    def test_relocation_that_only_turns(self, monkeypatch):
+        # a relocation of length 0 is one substep of step 0 that turns the pusher
+        shape, pose = square(), PlanarPose()
+        world = make_world([0.0, -90.0], pose)
+        cmd = PlanarPose(0.0, -90.0, 30.0)
+        calls = record_substeps(monkeypatch)
+        new_world, sense_heading, contact = simulate_tap(world, shape, cmd, 10.0, 5.0)
+        assert new_world.object_pose == pose
+        assert sense_heading == new_world.pusher_pose.alpha == 30.0
+        assert contact.mode is ContactMode.SEPARATED
+        (n, reloc), (m, advance), _ = replay_tap(shape, world, cmd, 10.0, 5.0, calls)
+        assert (n, reloc) == (1, [1])
+        assert np.array_equal(calls[0][1], [0.0, 0.0])
+        assert advance == [m]
+
+    def test_empty_advance_reports_the_relocations_skipped_last_substep(self, monkeypatch):
+        # without an advance the tap reports the relocation's last contact,
+        # so a last substep that the certificate skipped runs after all
+        shape, pose = square(), PlanarPose()
+        world = make_world([0.0, -90.0], pose)
+        cmd = PlanarPose(3.0, -87.0, 0.0)
+        calls = record_substeps(monkeypatch)
+        new_world, _, contact = simulate_tap(world, shape, cmd, 0.0, 0.0)
+        n = math.ceil(math.hypot(3.0, 3.0) / SUBSTEP_CAP_MM)
+        last = (3.0 * ((n - 1) / n), -90.0 + 3.0 * ((n - 1) / n))
+        assert len(calls) == 2 and np.array_equal(calls[1][0], last)
+        assert (new_world.pusher_pose.y, new_world.pusher_pose.z) == (3.0, -87.0)
+        assert contact == resolve_substep(shape, pose, last, (3.0 - last[0], -87.0 - last[1]))[1]

@@ -307,11 +307,18 @@ class TestClosestBoundaryPoint:
         sd = boundary_probe(builtin_shapes()["circle"], PlanarPose(), p_work)[0]
         assert sd == max(p_work) - 35.0
 
+    def test_grid_cells_with_the_same_edges_share_one_tuple(self):
+        # so that a grid near its entry limit holds each distinct list once
+        for shape in builtin_shapes().values():
+            if shape.polygon is not None:
+                cells = shape._edge_grid[4]
+                assert len({id(c) for c in cells}) == len(set(cells)) < len(cells)
+
     def test_outline_too_large_for_a_grid(self):
         # a 2 m square would need a million grid entries, so it has no grid
         # and every query tries every edge
         big = unit_square(2000.0)
-        assert big._edge_grid[2:4] == (0, 0)
+        assert big._edge_grid[2:] == (0, 0, ())
         sd, point, normal, feature = boundary_probe(big, PlanarPose(), [999.0, 10.0])
         assert (sd, feature) == (-1.0, ("edge", 1))
         assert np.array_equal(point, [1000.0, 10.0]) and np.array_equal(normal, [1.0, 0.0])

@@ -4,17 +4,18 @@ Runs `perfbench/run.py --trace 0` in the parent and the change checkout for
 a number of pairs per workload, alternating which side runs first, and
 writes per metric the median, the quartiles and every run of each side, the
 change against the parent in percent and how many pairs the change won.
-Optionally it adds one traced run per side (per-layer metrics, with
-`boundary_probe` µs per call by shape), the Tier-1 wall time of each side
-and the trial digest of each side:
+Optionally it adds traced pairs (`--traced W=N`, alternating likewise),
+summarised the same way per per-layer metric, with `boundary_probe` µs per
+call by shape of every run; the Tier-1 wall time of each side; and the
+trial digest of each side:
 
     python3 tools/bench_compare.py --parent ../parent --change . --seed 3 \\
         --pairs offset_grid=10 --pairs irregular_grid=3 --pairs shape_grid_pool=3 \\
-        --pairs offset_grid@201201859=3 --traced offset_grid --traced irregular_grid \\
+        --pairs offset_grid@201201859=3 --traced offset_grid=5 --traced irregular_grid \\
         --tier1 --digest 1 --what "what the change does" --out BENCH_13.json
 
 `W@SEED=N` runs workload W at another master seed (say the held-out one);
-its entry is keyed `W@SEED`. Each checkout runs its own `perfbench/` and
+its entry is keyed `W@SEED`. `--traced W` is `--traced W=1`. Each checkout runs its own `perfbench/` and
 `src/`, with PYTHONPATH cleared, so the two cannot import each other.
 """
 
@@ -89,18 +90,28 @@ def compare_workload(pairs: list, better: dict) -> dict:
         won = sum(sign * (c - p) > 0.0 for p, c in zip(values["parent"], values["change"]))
         entry["pairs_won_by_change"] = f"{won} of {len(pairs)}"
         metrics[name] = entry
-    out["ms_per_tap_pairs_won_by_change"] = metrics["ms_per_tap"]["pairs_won_by_change"]
+    if "ms_per_tap" in metrics:  # traced runs report per-layer metrics only
+        out["ms_per_tap_pairs_won_by_change"] = metrics["ms_per_tap"]["pairs_won_by_change"]
     out["metrics"] = metrics
     return out
 
 
-def traced(checkouts: dict, workload: str, seed: int, seconds: float) -> dict:
-    out = {}
-    for side in SIDES:
-        run = run_bench(checkouts[side], workload, seed, seconds, trace=1)
-        out[side] = {name: m["value"] for name, m in run["result"]["metrics"].items()}
-        out[side]["probe_by_shape"] = run["details"].get("probe_by_shape", {})
-    return out
+def run_pairs(checkouts: dict, key: str, workload: str, seed: int, seconds: float, n: int,
+              trace: int, first: int, loads: list) -> list:
+    """n pairs of runs [(parent run, change run)]; the parent runs first in
+    pairs first, first + 2, ... (counted across the invocation)."""
+    pairs = []
+    for k in range(n):
+        pair = {}
+        for side in (SIDES if (first + k) % 2 == 0 else SIDES[::-1]):
+            pair[side] = run_bench(checkouts[side], workload, seed, seconds, trace)
+            loads.append(os.getloadavg()[0])
+            name = "push_dynamics.simulate_tap.us_per_call" if trace else "ms_per_tap"
+            m = pair[side]["result"]["metrics"][name]["value"]
+            print(f"{key}{' traced' if trace else ''} pair {k + 1}/{n} {side}: {name} {m:.4g}",
+                  flush=True)
+        pairs.append((pair["parent"], pair["change"]))
+    return pairs
 
 
 def tier1(checkout: Path) -> dict:
@@ -119,16 +130,16 @@ def digest(checkout: Path, seed: int) -> str:
     return proc.stdout.strip().splitlines()[-1].rsplit(" ", 1)[-1]
 
 
-def parse_pairs(specs: list, seed: int) -> list:
+def parse_pairs(specs: list, seed: int, option: str = "--pairs") -> list:
     """'W=N' or 'W@SEED=N' -> [(key, workload, seed, pairs)]."""
     out = []
     for spec in specs:
         m = re.fullmatch(r"([a-z_]+)(?:@(\d+))?=(\d+)", spec)
         if not m:
-            raise SystemExit(f"bench_compare: --pairs {spec!r} is not W=N or W@SEED=N")
+            raise SystemExit(f"bench_compare: {option} {spec!r} is not W=N or W@SEED=N")
         w, s, n = m.group(1), m.group(2), int(m.group(3))
         if n < 1:
-            raise SystemExit(f"bench_compare: --pairs {spec!r} needs at least one pair")
+            raise SystemExit(f"bench_compare: {option} {spec!r} needs at least one pair")
         out.append((f"{w}@{s}" if s else w, w, int(s) if s else seed, n))
     return out
 
@@ -141,8 +152,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=25.0, help="--seconds of every run")
     parser.add_argument("--pairs", action="append", required=True, metavar="W[@SEED]=N",
                         help="alternating untraced pairs of workload W (repeatable)")
-    parser.add_argument("--traced", action="append", default=[], metavar="W",
-                        help="one traced run per side of workload W (repeatable)")
+    parser.add_argument("--traced", action="append", default=[], metavar="W[@SEED][=N]",
+                        help="alternating traced pairs of workload W, one by default "
+                             "(repeatable)")
     parser.add_argument("--tier1", action="store_true", help="time the Tier-1 suite per side")
     parser.add_argument("--digest", type=int, metavar="SEED",
                         help="run tools/trial_digest.py at SEED on each side")
@@ -156,25 +168,20 @@ def main(argv=None) -> int:
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"--{side} {path} has no perfbench/run.py")
     plan = parse_pairs(args.pairs, args.seed)
+    traced_plan = parse_pairs([t if "=" in t else f"{t}=1" for t in args.traced], args.seed,
+                              "--traced")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
 
     loads = [os.getloadavg()[0]]
-    runs = {key: [] for key, *_ in plan}
+    runs = {}
+    # alternate which side runs first across every pair of this invocation
     order = 0
     for key, workload, seed, n in plan:
-        for _ in range(n):
-            pair = {}
-            # alternate which side runs first across every pair of this invocation
-            for side in (SIDES if order % 2 == 0 else SIDES[::-1]):
-                pair[side] = run_bench(checkouts[side], workload, seed, args.seconds, trace=0)
-                loads.append(os.getloadavg()[0])
-                machine = pair[side]["details"]["machine"]
-                m = pair[side]["result"]["metrics"]["ms_per_tap"]["value"]
-                print(f"{key} pair {len(runs[key]) + 1}/{n} {side}: ms_per_tap {m:.4g}",
-                      flush=True)
-            order += 1
-            runs[key].append((pair["parent"], pair["change"]))
+        runs.setdefault(key, []).extend(
+            run_pairs(checkouts, key, workload, seed, args.seconds, n, 0, order, loads))
+        order += n
+    machine = runs[plan[-1][0]][-1][1]["details"]["machine"]
 
     out = {
         "what": args.what,
@@ -188,10 +195,13 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "workloads": {key: compare_workload(pairs, better) for key, pairs in runs.items()},
     }
-    for workload in args.traced:
-        print(f"traced {workload}", flush=True)
-        out[f"traced_{workload}"] = traced(checkouts, workload, args.seed, args.seconds)
-        loads.append(os.getloadavg()[0])
+    for key, workload, seed, n in traced_plan:
+        pairs = run_pairs(checkouts, key, workload, seed, args.seconds, n, 1, order, loads)
+        order += n
+        out[f"traced_{key}"] = entry = compare_workload(pairs, better)
+        entry["probe_by_shape"] = {side: [pair[k]["details"].get("probe_by_shape", {})
+                                           for pair in pairs]
+                                    for k, side in enumerate(SIDES)}
     if args.tier1:
         print("tier-1", flush=True)
         out["tier1_wall_s"] = {side: tier1(checkouts[side]) for side in SIDES}

@@ -42,10 +42,11 @@ MUTANTS = [
     ("flip the reflex-corner side test in _resolve", "push_dynamics.py",
      "if (uly + ury) * vz - (ulz + urz) * vy > 0.0:",
      "if (uly + ury) * vz - (ulz + urz) * vy < 0.0:"),
-    ("conservative advancement skips with + tolerance, not - (equivalent: a skipped "
-     "substep would overlap by at most the tolerance, which moves nothing)", "push_dynamics.py",
-     "(-contact.penetration - PENETRATION_TOL_MM) / step",
-     "(-contact.penetration + PENETRATION_TOL_MM) / step"),
+    ("the free-space certificate's radius adds the tolerance, not subtracts it (equivalent: "
+     "a skipped substep would overlap by at most the tolerance, which moves nothing)",
+     "push_dynamics.py",
+     "room = p_next, -contact.penetration - PENETRATION_TOL_MM",
+     "room = p_next, -contact.penetration + PENETRATION_TOL_MM"),
     ("mu_contact == 0 sticks within 1e-3, not 1e-12", "push_dynamics.py",
      "if abs(side) < 1e-12:",
      "if abs(side) < 1e-3:"),
@@ -79,9 +80,10 @@ MUTANTS = [
     ("drop a + from _solve's denominator", "push_dynamics.py",
      "/ (a + b * (py * py + pz * pz))",
      "/ (b * (py * py + pz * pz))"),
-    ("conservative advancement may skip a leg's last substep (off by one)", "push_dynamics.py",
-     "i = min(i + free, n - 1)",
-     "i = min(i + free, n)"),
+    ("conservative advancement may skip the advance's last substep (off by one)",
+     "push_dynamics.py",
+     "last = n - 1 if reported else n",
+     "last = n"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "out", "__pycache__", ".hypothesis", ".pytest_cache",

@@ -32,16 +32,6 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def _exact_pose(y: float, z: float, alpha: float):
-    """A PlanarPose holding exactly these floats: the constructor would wrap
-    an already wrapped heading again, which can move its last bit."""
-    from tacpush.scene import PlanarPose
-
-    pose = PlanarPose(y, z, 0.0)
-    object.__setattr__(pose, "alpha", alpha)
-    return pose
-
-
 def capture(seed: int, out: Path) -> None:
     """Run every workload's grids and write one JSON line per tap: its
     workload, the index of its shape among the distinct shapes, the object,
@@ -78,7 +68,7 @@ def replay(inputs: Path, out: Path) -> None:
     contact mode at the end of the advance (null for a PhysicsFault)."""
     from tacpush.push_dynamics import PhysicsFault, simulate_tap
     from tacpush.scenario import _object
-    from tacpush.scene import WorldState
+    from tacpush.scene import PlanarPose, WorldState
 
     lines = inputs.read_text().splitlines()
     # each shape reads back as a scenario file's inline object table does
@@ -86,9 +76,9 @@ def replay(inputs: Path, out: Path) -> None:
     with out.open("w") as f:
         for line in lines[:-1]:
             _, shape, obj, pusher, cmd, tap_forward, tap_back = json.loads(line)
-            world = WorldState(_exact_pose(*obj), _exact_pose(*pusher))
+            world = WorldState(PlanarPose(*obj), PlanarPose(*pusher))
             try:
-                world, _, contact = simulate_tap(world, shapes[shape], _exact_pose(*cmd),
+                world, _, contact = simulate_tap(world, shapes[shape], PlanarPose(*cmd),
                                                  tap_forward=tap_forward, tap_back=tap_back)
             except PhysicsFault:
                 f.write(json.dumps(None) + "\n")
