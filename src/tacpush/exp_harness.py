@@ -116,7 +116,7 @@ def derive_seed(master_seed: int, *indices: int) -> int:
 # ---------------------------------------------------------------------------
 
 _CSV_VERSION = "# tacpush-taps-v2"
-# the suffixes of the six channels of error6 (err_*) and integral6 (int_*)
+# the suffixes of the six channels of the servo error (err_*) and integral (int_*)
 _SIX = ("x_mm", "y_mm", "z_mm", "alpha_deg", "beta_deg", "gamma_deg")
 _CSV_COLUMNS = (
     "scenario_id", "seed", "tap", "pusher_y_mm", "pusher_z_mm", "pusher_alpha_deg",
@@ -187,8 +187,10 @@ def compute_y_targ(final_pusher_pose: PlanarPose, target_pose: PlanarPose) -> fl
     return abs(ay * rz - az * ry)
 
 
-def _euler_tuple(p: PlanarPose) -> tuple:
-    return (0.0, p.y, p.z, p.alpha, 0.0, 0.0)
+def _six(v) -> tuple:
+    """A planar (y, z, alpha) triple, such as a PlanarPose or a servo error,
+    as its six channels (x, y, z, alpha, beta, gamma); None as six blanks."""
+    return (None,) * 6 if v is None else (0.0, *v, 0.0, 0.0)
 
 
 def run_trial(scenario: Scenario) -> TrialRecord:
@@ -207,7 +209,7 @@ def run_trial(scenario: Scenario) -> TrialRecord:
     state = ControllerState()
     taps: list[Tap] = []
     meta = {
-        "target_pose_mm_deg": list(_euler_tuple(target)),
+        "target_pose_mm_deg": list(_six(target)),
         "shape": shape_to_dict(shape),
         "approach_zone_radius_mm": cfg.approach_zone_radius,
         "termination_radius_mm": cfg.termination_radius,
@@ -240,9 +242,9 @@ def run_trial(scenario: Scenario) -> TrialRecord:
                 len(taps), pusher.y, pusher.z, pusher.alpha, obj.y, obj.z, obj.alpha,
                 pred.in_contact, pred.z_depth, pred.alpha, pred.clamped,
                 decision.theta, decision.r, decision.v,
-                *(decision.error6 or (None,) * 6),
+                *_six(decision.error),
                 contact.mode.value, decision.status.value,
-                *(decision.integral6 or (None,) * 6),
+                *_six(decision.integral),
             ))
     except PhysicsFault as fault:
         outcome = "physics_fault"
@@ -259,7 +261,7 @@ def run_trial(scenario: Scenario) -> TrialRecord:
         y_targ=y_targ,
         tap_total=len(taps),
         wall_time_ms=(time.perf_counter() - t0) * 1000.0,
-        final_pusher_pose=_euler_tuple(world.pusher_pose),
+        final_pusher_pose=_six(world.pusher_pose),
         final_object_pose=(world.object_pose.y, world.object_pose.z, world.object_pose.alpha),
         meta=meta,
     )

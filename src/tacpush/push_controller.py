@@ -1,7 +1,7 @@
 """Dual-loop push controller: tactile servoing plus target alignment.
 
 Loop 1 (tactile servoing) drives the sensed contact pose towards a reference
-pose with a 6-channel vector PID over the pose error
+pose with a 3-channel vector PID over the pose error
 E = P_pred^-1 @ P_ref (frame composition, not vector subtraction). Loop 2
 (target alignment) computes the target bearing theta = atan2(y, z) in the
 servo-corrected sensor frame and steers the pusher around the object
@@ -17,8 +17,8 @@ termination radius of the target.
 
 Every pose lies in the plane, so these are planar rigid motions, and they
 run on Python floats as planar frames (see _frame), so a trial's results do
-not depend on the host's BLAS. Of the PID's six channels (x, y, z, alpha,
-beta, gamma), the errors of x, beta and gamma are always 0.
+not depend on the host's BLAS. The servo PID runs on the plane's three
+channels (y, z, alpha).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ __all__ = [
     "alignment_pid_step",
     "compose_command",
     "control_step",
-    "pid6_step",
+    "pid_step",
     "prediction_to_pose",
     "servo_error",
     "target_bearing",
@@ -55,16 +55,14 @@ class Status(str, Enum):
 class ControllerConfig:
     """Gains, reference pose, clips and zone radii for both control loops.
 
-    Channel order for 6-vector gains and clips is (x, y, z, alpha, beta,
-    gamma); translation integrals clip in mm, rotation integrals in degrees.
-    The x, beta and gamma servo gains must be 0: on the plane those errors
-    are always 0, so their gains cannot act.
+    Channel order for the servo gains is (y, z, alpha); translation
+    integrals clip in mm, rotation integrals in degrees.
     """
 
     ref_pose: PlanarPose = field(default_factory=lambda: PlanarPose(z=2.0))
-    kp_servo: tuple = (0.0, 0.0, 0.9, 0.9, 0.0, 0.0)
-    ki_servo: tuple = (0.0, 0.0, 0.1, 0.1, 0.0, 0.0)
-    kd_servo: tuple = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    kp_servo: tuple = (0.0, 0.9, 0.9)
+    ki_servo: tuple = (0.0, 0.1, 0.1)
+    kd_servo: tuple = (0.0, 0.0, 0.0)
     integral_clip_translation: tuple = (-5.0, 5.0)
     integral_clip_rotation: tuple = (-25.0, 25.0)
     kp_align: float = 0.2
@@ -82,16 +80,10 @@ class ControllerConfig:
     def __post_init__(self):
         for name in ("kp_servo", "ki_servo", "kd_servo"):
             v = tuple(float(x) for x in getattr(self, name))
-            if len(v) != 6:
-                raise ValueError(f"ControllerConfig.{name} must have 6 entries")
+            if len(v) != 3:
+                raise ValueError(f"ControllerConfig.{name} must have 3 entries (y, z, alpha)")
             if not all(math.isfinite(x) for x in v):
                 raise ValueError(f"ControllerConfig.{name} must be finite")
-            for i, channel in ((0, "x"), (4, "beta"), (5, "gamma")):
-                if v[i] != 0.0:
-                    raise ValueError(
-                        f"ControllerConfig.{name}: the {channel} gain must be 0 "
-                        f"on the plane, got {v[i]!r}"
-                    )
             setattr(self, name, v)
         for name in ("kp_align", "ki_align", "kd_align", "theta_ref", "reacquire_advance"):
             if not math.isfinite(getattr(self, name)):
@@ -135,8 +127,8 @@ class ControllerConfig:
 class ControllerState:
     """Per-trial mutable memory of both PID loops."""
 
-    integral6: tuple = (0.0,) * 6
-    prev_error6: tuple = (0.0,) * 6
+    integral: tuple = (0.0, 0.0, 0.0)
+    prev_error: tuple = (0.0, 0.0, 0.0)
     integral_theta: float = 0.0
     prev_epsilon: float = 0.0
     no_contact_streak: int = 0
@@ -152,8 +144,8 @@ class ControlDecision:
     theta: float | None = None
     r: float | None = None
     v: float = 0.0
-    error6: tuple | None = None
-    integral6: tuple | None = None
+    error: tuple | None = None
+    integral: tuple | None = None
 
 
 # A planar frame is a tuple (r11, r12, r21, r22, y, z): rows and columns
@@ -205,41 +197,35 @@ def prediction_to_pose(pred: PosePrediction) -> tuple:
 
 
 def servo_error(pred_pose: tuple, ref_pose: tuple) -> tuple:
-    """Servo error (x, y, z, alpha, beta, gamma) between the sensed and
-    reference sensor frames.
+    """Servo error (y, z, alpha) between the sensed and reference sensor
+    frames.
 
     Frame composition E = P_pred^-1 @ P_ref; this differs from naive vector
-    subtraction whenever rotation and translation errors mix. On the plane
-    the x, beta and gamma channels are 0.
+    subtraction whenever rotation and translation errors mix.
     """
     _, _, e21, e22, y, z = _compose(_inverse(pred_pose), ref_pose)
-    alpha = normalize_angle_deg(math.degrees(math.atan2(e21, e22)))
-    return (0.0, y, z, alpha, 0.0, 0.0)
+    return y, z, normalize_angle_deg(math.degrees(math.atan2(e21, e22)))
 
 
-def pid6_step(
-    state: ControllerState,
-    error6: tuple,
-    cfg: ControllerConfig,
-) -> tuple:
-    """One tick of the 6-channel servo PID (one tick = one tap).
+def pid_step(state: ControllerState, error: tuple, cfg: ControllerConfig) -> tuple:
+    """One tick of the (y, z, alpha) servo PID (one tick = one tap).
 
-    The integral is accumulated first and clipped channelwise (translation
-    channels to the mm clip, rotation channels to the degree clip); the
-    derivative acts on the error with prev_error starting at zero.
+    The integral is accumulated first and clipped channelwise (y and z to
+    the mm clip, alpha to the degree clip); the derivative acts on the error
+    with prev_error starting at zero.
     """
-    clips = (cfg.integral_clip_translation,) * 3 + (cfg.integral_clip_rotation,) * 3
-    state.integral6 = tuple([
-        min(max(i + e, lo), hi) for i, e, (lo, hi) in zip(state.integral6, error6, clips)
+    clips = (cfg.integral_clip_translation,) * 2 + (cfg.integral_clip_rotation,)
+    state.integral = tuple([
+        min(max(i + e, lo), hi) for i, e, (lo, hi) in zip(state.integral, error, clips)
     ])
     u = tuple([
         kp * e + ki * i + kd * (e - prev)
         for kp, ki, kd, e, i, prev in zip(
             cfg.kp_servo, cfg.ki_servo, cfg.kd_servo,
-            error6, state.integral6, state.prev_error6,
+            error, state.integral, state.prev_error,
         )
     ])
-    state.prev_error6 = tuple(error6)
+    state.prev_error = tuple(error)
     return u
 
 
@@ -309,16 +295,15 @@ def control_step(
         return ControlDecision(
             Status.CONTINUE,
             command=PlanarPose(pusher.y + step * ay, pusher.z + step * az, pusher.alpha),
-            integral6=state.integral6,
+            integral=state.integral,
         )
 
     state.no_contact_streak = 0
     state.last_normal_heading = normalize_angle_deg(pusher.alpha - pred.alpha)
 
     ref = cfg.ref_pose
-    error6 = servo_error(prediction_to_pose(pred), _frame(ref.y, ref.z, ref.alpha))
-    u6 = pid6_step(state, error6, cfg)
-    u_servo = _frame(u6[1], u6[2], u6[3])
+    error = servo_error(prediction_to_pose(pred), _frame(ref.y, ref.z, ref.alpha))
+    u_servo = _frame(*pid_step(state, error, cfg))
     theta, r = target_bearing(u_servo, pusher_f, target)
     v = alignment_pid_step(state, theta, cfg) if r > cfg.approach_zone_radius else 0.0
     return ControlDecision(
@@ -327,6 +312,6 @@ def control_step(
         theta=theta,
         r=r,
         v=v,
-        error6=error6,
-        integral6=state.integral6,
+        error=error,
+        integral=state.integral,
     )

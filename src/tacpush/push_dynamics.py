@@ -296,7 +296,8 @@ def simulate_tap(
     tolerance, and its substep would leave the object where it is. Such
     substeps are skipped, across legs, until a substep makes contact. Only
     the advance's last substep is always run, since the tap reports its
-    contact.
+    contact; a tap in which no substep runs up to the end of the advance
+    (neither leg moves) reports the contact at rest, contact_at.
 
     Returns (world, sense_heading, contact): the WorldState after the
     retraction, and the pusher heading (deg, wrapped) and ContactState at
@@ -362,7 +363,7 @@ def simulate_tap(
     ay, az = heading_dir(cmd.alpha)
     run_leg((cmd.y + tap_forward * ay, cmd.z + tap_forward * az), cmd.alpha, True)
     sense_heading = normalize_angle_deg(alpha)
-    advance_contact = contact
+    advance_contact = contact if contact is not None else contact_at(shape, obj, pos)
     back = tap_forward - tap_back
     run_leg((cmd.y + back * ay, cmd.z + back * az), cmd.alpha, False)
     end_pose = PlanarPose(pos[0], pos[1], alpha)

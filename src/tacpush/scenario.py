@@ -127,13 +127,23 @@ def _vector(n: int):
     return lambda value, ctx: tuple(_numbers(value, n, ctx))
 
 
-def _planar_pose(value, ctx: str) -> PlanarPose:
-    """A 6-value (x, y, z, alpha, beta, gamma) pose field that must lie in the
-    plane: x, beta and gamma are 0."""
+def _planar(value, ctx: str, what: str = "pose") -> tuple:
+    """The (y, z, alpha) entries of a 6-value (x, y, z, alpha, beta, gamma)
+    field that must lie in the plane: x, beta and gamma are 0."""
     x, y, z, alpha, beta, gamma = _numbers(value, 6, ctx)
     if x != 0.0 or beta != 0.0 or gamma != 0.0:
-        raise ScenarioError(f"{ctx}: pose is not planar: x, beta and gamma must be 0")
-    return PlanarPose(y, z, alpha)
+        raise ScenarioError(f"{ctx}: {what} is not planar: x, beta and gamma must be 0")
+    return y, z, alpha
+
+
+def _planar_pose(value, ctx: str) -> PlanarPose:
+    return PlanarPose(*_planar(value, ctx))
+
+
+def _planar_gains(value, ctx: str) -> tuple:
+    """A servo gain diagonal: files give all six channels, the controller
+    takes (y, z, alpha)."""
+    return _planar(value, ctx, "gain diagonal")
 
 
 def _object_pose(value, ctx: str) -> PlanarPose:
@@ -186,9 +196,9 @@ _INLINE_OBJECT = {
 }
 _CONTROLLER = {
     "ref_pose_mm_deg": ("ref_pose", _planar_pose),
-    "kp_servo_diag": ("kp_servo", _vector(6)),
-    "ki_servo_diag": ("ki_servo", _vector(6)),
-    "kd_servo_diag": ("kd_servo", _vector(6)),
+    "kp_servo_diag": ("kp_servo", _planar_gains),
+    "ki_servo_diag": ("ki_servo", _planar_gains),
+    "kd_servo_diag": ("kd_servo", _planar_gains),
     "integral_clip_translation_mm": ("integral_clip_translation", _vector(2)),
     "integral_clip_rotation_deg": ("integral_clip_rotation", _vector(2)),
     "kp_align": ("kp_align", _number),

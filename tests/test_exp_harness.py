@@ -403,7 +403,7 @@ class TestExport:
 
     def test_files_load_back_every_tap_value(self, records, tmp_path):
         # the object starts 3 mm further off, so the first reading has no
-        # contact and the first tap has no error6, theta or r
+        # contact and the first tap has no servo error, theta or r
         sc = exp1_scenario(0.0, 0.0, seed=1, max_taps=4)
         start = sc.object_start_pose
         sc = dataclasses.replace(

@@ -23,13 +23,14 @@ from tacpush.push_controller import (
     alignment_pid_step,
     compose_command,
     control_step,
-    pid6_step,
+    pid_step,
     prediction_to_pose,
     servo_error,
     target_bearing,
 )
-from tacpush.scene import PlanarPose, builtin_shapes
-from tacpush.tactile_sense import NoiseModel, PosePrediction
+from tacpush.push_dynamics import ContactMode, ContactState
+from tacpush.scene import PlanarPose, builtin_shapes, heading_dir
+from tacpush.tactile_sense import NoiseModel, PosePrediction, sense_contact
 
 from se3_helpers import embed, matrix
 
@@ -48,11 +49,11 @@ class TestServoError:
     def test_zero_at_reference(self):
         ref = _frame(0, 2, 0)
         e = servo_error(ref, ref)
-        assert e == pytest.approx(np.zeros(6), abs=1e-12)
+        assert e == pytest.approx(np.zeros(3), abs=1e-12)
 
     def test_over_deep_contact_commands_retreat(self):
         e = servo_error(_frame(0, 4, 0), _frame(0, 2, 0))
-        assert e == pytest.approx([0, 0, -2, 0, 0, 0], abs=1e-12)
+        assert e == pytest.approx([0, -2, 0], abs=1e-12)
 
     def test_pure_angle_error_is_pure_rotation(self):
         # equal depths: the error is a rotation about the tip centre with no
@@ -61,62 +62,71 @@ class TestServoError:
         ref = _frame(0, 2, 0)
         direct = transform_to_euler(compose(inverse(embed(pred)), embed(ref)))
         e = servo_error(pred, ref)
-        assert e == tuple(direct.as_array())
-        assert e[3] == pytest.approx(-10.0)
-        assert np.allclose(e[:3], 0.0, atol=1e-12)
+        assert (0.0, *e, 0.0, 0.0) == tuple(direct.as_array())
+        assert e[2] == pytest.approx(-10.0)
+        assert np.allclose(e[:2], 0.0, atol=1e-12)
 
     def test_mixed_error_differs_from_vector_subtraction(self):
         pred = pose6(0, 0, 4, 10, 0, 0)
         ref = pose6(0, 0, 2, 0, 0, 0)
         e = servo_error(_frame(0, 4, 10), _frame(0, 2, 0))
-        naive = np.array([0, 0, -2, -10, 0, 0])
+        naive = np.array([0, -2, -10])
         # rotation channel agrees, translation picks up a rotated-frame term
-        assert e[3] == pytest.approx(-10.0)
-        assert abs(e[1] - naive[1]) > 0.1
+        assert e[2] == pytest.approx(-10.0)
+        assert abs(e[0] - naive[0]) > 0.1
         expected_y = float((inverse(pred).rotation @ (ref.translation - pred.translation))[1])
-        assert e[1] == pytest.approx(expected_y)
+        assert e[0] == pytest.approx(expected_y)
 
     def test_prediction_frame(self):
         pred = PosePrediction(True, z_depth=3.0, alpha=-7.0)
         assert prediction_to_pose(pred) == _frame(0.0, 3.0, -7.0)
 
 
-class TestPid6:
+class TestPid:
     def test_zero_error_zero_output(self):
-        out = pid6_step(ControllerState(), (0.0,) * 6, ControllerConfig())
-        assert out == pytest.approx(np.zeros(6))
+        out = pid_step(ControllerState(), (0.0,) * 3, ControllerConfig())
+        assert out == pytest.approx(np.zeros(3))
 
     def test_default_gain_arithmetic(self):
-        # fresh state, error (0,0,1,2,0,3): P 0.9 + I 0.1 on z/alpha, zeros elsewhere
-        out = pid6_step(ControllerState(), (0, 0, 1, 2, 0, 3), ControllerConfig())
-        assert out == pytest.approx([0, 0, 1.0, 2.0, 0, 0])
+        # fresh state, error (3, 1, 2): P 0.9 + I 0.1 on z/alpha, no y gain
+        out = pid_step(ControllerState(), (3, 1, 2), ControllerConfig())
+        assert out == pytest.approx([0, 1.0, 2.0])
 
     def test_constant_error_closed_form(self):
         cfg = ControllerConfig()
         state = ControllerState()
-        e = (0, 0, 1.0, 0, 0, 0)
+        e = (0, 1.0, 0)
         for n in range(1, 12):
-            out = pid6_step(state, e, cfg)
+            out = pid_step(state, e, cfg)
             expected = 0.9 * 1.0 + 0.1 * min(float(n), 5.0)
-            assert out[2] == pytest.approx(expected)
+            assert out[1] == pytest.approx(expected)
 
     def test_integral_clipping_channelwise(self):
+        # y and z clip in mm, alpha in degrees
         cfg = ControllerConfig()
         state = ControllerState()
-        e = (0, 0, 100.0, -100.0, 0, 0)
+        e = (-100.0, 100.0, -100.0)
         for _ in range(10):
-            pid6_step(state, e, cfg)
-        assert state.integral6[2] == 5.0
-        assert state.integral6[3] == -25.0
+            pid_step(state, e, cfg)
+        assert state.integral == (-5.0, 5.0, -25.0)
 
     def test_derivative_acts_on_error_change(self):
-        cfg = ControllerConfig(kp_servo=(0,) * 6, ki_servo=(0,) * 6,
-                               kd_servo=(0, 0, 1.0, 0, 0, 0))
+        cfg = ControllerConfig(kp_servo=(0,) * 3, ki_servo=(0,) * 3,
+                               kd_servo=(0, 1.0, 0))
         state = ControllerState()
-        out1 = pid6_step(state, (0, 0, 2.0, 0, 0, 0), cfg)
-        assert out1[2] == pytest.approx(2.0)
-        out2 = pid6_step(state, (0, 0, 2.0, 0, 0, 0), cfg)
-        assert out2[2] == pytest.approx(0.0)
+        out1 = pid_step(state, (0, 2.0, 0), cfg)
+        assert out1[1] == pytest.approx(2.0)
+        out2 = pid_step(state, (0, 2.0, 0), cfg)
+        assert out2[1] == pytest.approx(0.0)
+        out3 = pid_step(state, (0, 0.5, 0), cfg)
+        assert out3[1] == pytest.approx(-1.5)
+
+    def test_each_channel_has_its_own_gains(self):
+        cfg = ControllerConfig(kp_servo=(1.0, 2.0, 3.0), ki_servo=(0.5, 0.25, 0.125),
+                               kd_servo=(4.0, 5.0, 6.0))
+        state = ControllerState()
+        assert pid_step(state, (1.0, 1.0, 1.0), cfg) == (5.5, 7.25, 9.125)
+        assert state.integral == state.prev_error == (1.0, 1.0, 1.0)
 
 
 class TestTargetBearing:
@@ -229,7 +239,7 @@ class TestPlanarMatchesSE3:
             pred = (0.0, float(rng.uniform(1, 5)), float(rng.uniform(-20, 20)))
             got = servo_error(_frame(*pred), _frame(*pose))
             want = transform_to_euler(compose(inverse(self.se3(*pred)), self.se3(*pose)))
-            diff = np.subtract(got, want.as_array())
+            diff = np.subtract((0.0, *got, 0.0, 0.0), want.as_array())
             diff[3:] = [normalize_angle_deg(d) for d in diff[3:]]
             assert np.abs(diff).max() <= 1e-9, (pred, pose)
 
@@ -330,6 +340,36 @@ class TestControlStep:
         dec = control_step(missing, pusher, self.target, state, self.cfg)
         assert dec.status is Status.LOST_CONTACT
 
+    def test_reacquire_creeps_along_the_last_contact_normal(self):
+        # the reading of a contact whose inward normal heads at 20 degrees,
+        # taken by a pusher heading at 35, has alpha 15; once contact is
+        # lost, the creep follows that normal from wherever the pusher is
+        normal = heading_dir(20.0)
+        contact = ContactState((0.0, 0.0), normal, ContactMode.STICKING, 2.0)
+        pred = sense_contact(contact, 35.0)
+        assert pred.alpha == pytest.approx(15.0)
+        state = ControllerState()
+        control_step(pred, PlanarPose(0.0, 0.0, 35.0), self.target, state, self.cfg)
+        pusher = PlanarPose(3.0, 4.0, -10.0)
+        dec = control_step(PosePrediction(False), pusher, self.target, state, self.cfg)
+        step = self.cfg.reacquire_advance
+        assert dec.command.y == pytest.approx(pusher.y + step * normal[0], abs=1e-12)
+        assert dec.command.z == pytest.approx(pusher.z + step * normal[1], abs=1e-12)
+        assert dec.command.alpha == pytest.approx(pusher.alpha, abs=1e-12)
+
+    def test_over_deep_contact_retreats_along_the_sensor_axis(self):
+        # 1 mm too deep, aligned, target dead ahead: the first tick's servo
+        # correction is kp + ki = 1 mm back along the pusher's heading
+        pusher = PlanarPose(10.0, -5.0, 30.0)
+        ay, az = heading_dir(30.0)
+        target = PlanarPose(pusher.y + 500.0 * ay, pusher.z + 500.0 * az)
+        dec = control_step(contact_pred(z=3.0), pusher, target, ControllerState(), self.cfg)
+        assert dec.error == pytest.approx((0.0, -1.0, 0.0), abs=1e-12)
+        assert dec.theta == pytest.approx(0.0, abs=1e-9) and dec.v == pytest.approx(0.0)
+        assert dec.command.y == pytest.approx(pusher.y - ay, abs=1e-12)
+        assert dec.command.z == pytest.approx(pusher.z - az, abs=1e-12)
+        assert dec.command.alpha == pytest.approx(pusher.alpha, abs=1e-12)
+
     def test_contact_resets_reacquire_streak(self):
         state = ControllerState()
         missing = PosePrediction(False)
@@ -350,8 +390,8 @@ class TestControlStep:
             if dec.status is not Status.CONTINUE:
                 continue
             assert abs(dec.v) <= 5.0
-            assert np.all(np.abs(state.integral6[:3]) <= 5.0 + 1e-12)
-            assert np.all(np.abs(state.integral6[3:]) <= 25.0 + 1e-12)
+            assert np.all(np.abs(state.integral[:2]) <= 5.0 + 1e-12)
+            assert abs(state.integral[2]) <= 25.0 + 1e-12
 
 
     def test_trial_makes_no_pose_math_call(self, monkeypatch):
@@ -396,9 +436,9 @@ class TestConfigValidation:
          ({"reacquire_limit": 0}, "reacquire_limit"),
          ({"reacquire_limit": math.nan}, "reacquire_limit"),
          ({"reacquire_advance": math.nan}, "reacquire_advance must be finite"),
-         ({"kp_servo": (0.0, 0.0, math.nan, 0.9, 0.9, 0.0)}, "kp_servo must be finite"),
-         ({"ki_servo": (0.0, 0.0, 0.1, math.inf, 0.1, 0.0)}, "ki_servo must be finite"),
-         ({"kd_servo": (math.nan,) * 6}, "kd_servo must be finite"),
+         ({"kp_servo": (0.0, math.nan, 0.9)}, "kp_servo must be finite"),
+         ({"ki_servo": (0.0, 0.1, math.inf)}, "ki_servo must be finite"),
+         ({"kd_servo": (math.nan,) * 3}, "kd_servo must be finite"),
          ({"kp_align": math.nan}, "kp_align must be finite"),
          ({"ki_align": math.inf}, "ki_align must be finite"),
          ({"kd_align": math.nan}, "kd_align must be finite"),
@@ -409,9 +449,12 @@ class TestConfigValidation:
          ({"termination_radius": math.inf}, "zone radii invalid: termination_radius"),
          ({"reacquire_limit": 2.5}, "reacquire_limit must be an integer"),
          ({"reacquire_limit": True}, "reacquire_limit must be an integer"),
-         ({"kp_servo": (0.0, 0.0, 0.9, 0.9, 0.9, 0.0)}, "kp_servo: the beta gain"),
-         ({"ki_servo": (0.1, 0.0, 0.1, 0.1, 0.0, 0.0)}, "ki_servo: the x gain"),
-         ({"kd_servo": (0.0, 0.0, 0.0, 0.0, 0.0, -1.0)}, "kd_servo: the gamma gain")],
+         # the config has no x, beta or gamma gain: a 6-entry diagonal is
+         # refused whole (files give one, and the scenario reader reads it
+         # down to (y, z, alpha))
+         ({"kp_servo": (0.0, 0.0, 0.9, 0.9, 0.9, 0.0)}, r"kp_servo must have 3 entries \(y, z"),
+         ({"ki_servo": (0.1, 0.0, 0.1, 0.1, 0.0, 0.0)}, r"ki_servo must have 3 entries \(y, z"),
+         ({"kd_servo": (0.0, 0.0, 0.0, 0.0, 0.0, -1.0)}, r"kd_servo must have 3 entries \(y, z")],
         ids=["tap_forward_zero", "tap_forward_nan", "tap_back_nan",
              "reacquire_limit_zero", "reacquire_limit_nan", "reacquire_advance_nan",
              "kp_servo_nan", "ki_servo_inf", "kd_servo_nan", "kp_align_nan",
@@ -425,7 +468,7 @@ class TestConfigValidation:
             ControllerConfig(**kwargs)
 
     def test_gain_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"kp_servo must have 3 entries \(y, z, alpha\)"):
             ControllerConfig(kp_servo=(1.0, 2.0))
 
 

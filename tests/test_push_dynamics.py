@@ -24,6 +24,7 @@ from tacpush.scene import (
     builtin_shapes,
     heading_dir,
 )
+from tacpush.tactile_sense import sense_contact
 
 from physics_oracle import (
     brute_force_push,
@@ -752,3 +753,19 @@ class TestSimulateTap:
         assert len(calls) == 2 and np.array_equal(calls[1][0], last)
         assert (new_world.pusher_pose.y, new_world.pusher_pose.z) == (3.0, -87.0)
         assert contact == resolve_substep(shape, pose, last, (3.0 - last[0], -87.0 - last[1]))[1]
+
+    @pytest.mark.parametrize("tip_z", [-100.0, -48.5])
+    def test_tap_that_never_moves_reports_the_contact_at_rest(self, tip_z, monkeypatch):
+        # the pusher is at the commanded pose and the advance is below the
+        # 1e-12 mm that a leg moves, so no substep runs; the reading is taken
+        # at rest, clear of the square or 1.5 mm into it
+        shape, pose = builtin_shapes()["blue_square"], PlanarPose()
+        world = make_world([0.0, tip_z], pose)
+        calls = record_substeps(monkeypatch)
+        new_world, sense_heading, contact = simulate_tap(
+            world, shape, world.pusher_pose, tap_forward=1e-13, tap_back=0.0
+        )
+        assert calls == []
+        assert new_world == world and sense_heading == 0.0
+        assert contact == contact_at(shape, pose, (0.0, tip_z))
+        assert sense_contact(contact, sense_heading).in_contact == (tip_z > -50.0)

@@ -380,9 +380,9 @@ class TestScenarioFiles:
         path = tmp_path / "sc.json"
         path.write_text(json.dumps(data))
         sc = load_scenario(path)
-        assert sc.controller.kp_servo == (0.0, 0.0, 0.9, 0.9, 0.0, 0.0)
-        assert sc.controller.ki_servo == (0.0, 0.0, 0.1, 0.1, 0.0, 0.0)
-        assert sc.controller.kd_servo == (0.0,) * 6
+        assert sc.controller.kp_servo == (0.0, 0.9, 0.9)
+        assert sc.controller.ki_servo == (0.0, 0.1, 0.1)
+        assert sc.controller.kd_servo == (0.0,) * 3
         assert sc.controller.integral_clip_translation == (-5.0, 5.0)
         assert sc.controller.integral_clip_rotation == (-25.0, 25.0)
         assert sc.controller.kp_align == 0.2
@@ -486,6 +486,27 @@ class TestScenarioFiles:
         data[key][index] = 5.0
         field = key.removesuffix("_mm_deg")
         with pytest.raises(ScenarioError, match=f"{field}: pose is not planar"):
+            scenario_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["kp_servo_diag", "ki_servo_diag", "kd_servo_diag"])
+    @pytest.mark.parametrize("index", [0, 4, 5])  # x, beta, gamma
+    def test_out_of_plane_servo_gain_rejected(self, key, index):
+        data = json.loads(BASELINE.read_text())
+        gains = [0.0] * 6
+        gains[index] = 0.5
+        data["controller"] = {key: gains}
+        with pytest.raises(ScenarioError, match=f"controller.{key}: gain diagonal is not planar"):
+            scenario_from_dict(data)
+
+    def test_servo_gain_diagonal_reads_its_planar_channels(self):
+        # files give (x, y, z, alpha, beta, gamma); the config holds (y, z, alpha)
+        data = json.loads(BASELINE.read_text())
+        data["controller"] = {"kp_servo_diag": [0, 0.25, 0.5, 0.75, 0, 0],
+                              "kd_servo_diag": [0, 0, 0, 1.5, 0, 0]}
+        cfg = scenario_from_dict(data).controller
+        assert (cfg.kp_servo, cfg.kd_servo) == ((0.25, 0.5, 0.75), (0.0, 0.0, 1.5))
+        data["controller"] = {"ki_servo_diag": [0.1, 0.1, 0.1]}
+        with pytest.raises(ScenarioError, match="ki_servo_diag: expected 6 values, got 3"):
             scenario_from_dict(data)
 
     def test_controller_override_and_unknown_key(self, tmp_path):

@@ -157,6 +157,20 @@ class TestApplyNoise:
         b = apply_noise(pred, noise, np.random.default_rng(123))
         assert a == b
 
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(sigma_z=0.7, sigma_alpha=0.05)],
+                             ids=["default", "wide_z"])
+    def test_draws_z_then_alpha_from_the_generator(self, noise):
+        # each reading adds rng.normal(0, sigma_z) to z, then
+        # rng.normal(0, sigma_alpha) to alpha, from the same seeded stream
+        rng, draws = np.random.default_rng(42), np.random.default_rng(42)
+        pred = self.contact_pred(z=3.0, alpha=2.0)
+        for _ in range(20):
+            out = apply_noise(pred, noise, rng)
+            dz = float(draws.normal(0.0, noise.sigma_z))
+            da = float(draws.normal(0.0, noise.sigma_alpha))
+            assert (out.z_depth, out.alpha) == (3.0 + dz, 2.0 + da)
+            assert not out.clamped
+
     def test_beta_stays_zero(self):
         # noise moves z and alpha only; the sensed pose keeps x, y, beta and
         # gamma at exactly zero

@@ -1,6 +1,8 @@
-"""Run kernel mutants against the Tier-1 tests that are not goldens.
+"""Run source mutants against the Tier-1 tests that are not goldens.
 
-Each mutant is a text replacement in one file of `src/tacpush/` that must
+The mutants cover the simulator (`push_dynamics`, `scene`), the controller
+(`push_controller`) and the sensor (`tactile_sense`). Each mutant is a text
+replacement in one file of `src/tacpush/` that must
 match exactly once. For each mutant the tool copies the checkout to a
 temporary directory, applies the replacement, and runs every Tier-1 test
 file except the three goldens with `-x`. The strict overshoot xfail is
@@ -11,8 +13,9 @@ trial digest at `--seed 1` moved:
     python3 tools/mutants.py [--checkout PATH]
 
 A mutant that does not match exactly once is reported as such, and the tool
-then exits with status 1. The fifteen mutants take about six minutes on a
-2-core host, so the tool is run by hand for a change to the kernel, not in CI.
+then exits with status 1. The mutants take about a quarter of an hour on a
+2-core host, so the tool is run by hand for a change to the kernel, the
+controller or the sensor, not in CI.
 """
 
 from __future__ import annotations
@@ -84,6 +87,32 @@ MUTANTS = [
      "push_dynamics.py",
      "last = n - 1 if reported else n",
      "last = n"),
+    ("the reacquire creep heads along pusher + reading alpha, not the contact normal",
+     "push_controller.py",
+     "normalize_angle_deg(pusher.alpha - pred.alpha)",
+     "normalize_angle_deg(pusher.alpha + pred.alpha)"),
+    ("apply_noise draws alpha with 1.5 x sigma_alpha", "tactile_sense.py",
+     "rng.normal(0.0, noise.sigma_alpha)",
+     "rng.normal(0.0, 1.5 * noise.sigma_alpha)"),
+    ("the servo derivative acts on e, not e - prev", "push_controller.py",
+     "kp * e + ki * i + kd * (e - prev)",
+     "kp * e + ki * i + kd * e"),
+    ("contact is lost one no-contact reading early (reacquire limit off by one)",
+     "push_controller.py",
+     "if state.no_contact_streak > cfg.reacquire_limit:",
+     "if state.no_contact_streak >= cfg.reacquire_limit:"),
+    ("pid_step clips the alpha integral with the translation clip", "push_controller.py",
+     "clips = (cfg.integral_clip_translation,) * 2 + (cfg.integral_clip_rotation,)",
+     "clips = (cfg.integral_clip_translation,) * 3"),
+    ("flip the sign of servo_error's alpha", "push_controller.py",
+     "return y, z, normalize_angle_deg(",
+     "return y, z, -normalize_angle_deg("),
+    ("swap y and z of the servo correction", "push_controller.py",
+     "u_servo = _frame(*pid_step(state, error, cfg))",
+     "uy, uz, ua = pid_step(state, error, cfg)\n    u_servo = _frame(uz, uy, ua)"),
+    ("flip the sign of target_bearing's heading", "push_controller.py",
+     "return math.degrees(math.atan2(y, z)), math.hypot(y, z)",
+     "return -math.degrees(math.atan2(y, z)), math.hypot(y, z)"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "out", "__pycache__", ".hypothesis", ".pytest_cache",

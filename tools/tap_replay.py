@@ -9,7 +9,10 @@ checkout, so the controller cannot amplify a difference from one tap to the
 next. Per workload it prints the per-tap differences between the two sides of
 the object pose and the pusher pose after the tap (position in mm and heading
 in degrees; median, p90 and max), how many taps differ at all, and how many
-report another contact mode at the end of the advance:
+report another contact mode at the end of the advance. A tap differs at all
+when any replayed value differs in any bit: the two poses, or the contact
+that the tap reports (penetration, point, normal and mode) and the sense
+heading, which are what the tactile reading is taken from:
 
     python3 tools/tap_replay.py --parent ../parent --change . --seed 1
 
@@ -64,8 +67,9 @@ def capture(seed: int, out: Path) -> None:
 
 def replay(inputs: Path, out: Path) -> None:
     """Run every captured tap through this checkout's simulate_tap and write
-    one JSON line per tap: the object and pusher poses after it and the
-    contact mode at the end of the advance (null for a PhysicsFault)."""
+    one JSON line per tap: the object and pusher poses after it, the contact
+    mode at the end of the advance, that contact's penetration, point and
+    normal, and the sense heading (null for a PhysicsFault)."""
     from tacpush.push_dynamics import PhysicsFault, simulate_tap
     from tacpush.scenario import _object
     from tacpush.scene import PlanarPose, WorldState
@@ -78,14 +82,16 @@ def replay(inputs: Path, out: Path) -> None:
             _, shape, obj, pusher, cmd, tap_forward, tap_back = json.loads(line)
             world = WorldState(PlanarPose(*obj), PlanarPose(*pusher))
             try:
-                world, _, contact = simulate_tap(world, shapes[shape], PlanarPose(*cmd),
-                                                 tap_forward=tap_forward, tap_back=tap_back)
+                world, heading, contact = simulate_tap(world, shapes[shape], PlanarPose(*cmd),
+                                                       tap_forward=tap_forward,
+                                                       tap_back=tap_back)
             except PhysicsFault:
                 f.write(json.dumps(None) + "\n")
                 continue
             o, p = world.object_pose, world.pusher_pose
-            f.write(json.dumps([[o.y, o.z, o.alpha], [p.y, p.z, p.alpha],
-                                contact.mode.value]) + "\n")
+            f.write(json.dumps([[o.y, o.z, o.alpha], [p.y, p.z, p.alpha], contact.mode.value,
+                                contact.penetration, contact.point, contact.normal,
+                                heading]) + "\n")
 
 
 def _run(checkout: Path, args: list) -> None:
@@ -112,8 +118,8 @@ def _stats(values: list) -> str:
 def compare(inputs: Path, outs: dict) -> None:
     """Print the per-workload differences of the two replays."""
     workload_of = [json.loads(line)[0] for line in inputs.read_text().splitlines()[:-1]]
-    results = {side: [json.loads(line) for line in path.read_text().splitlines()]
-               for side, path in outs.items()}
+    lines = {side: path.read_text().splitlines() for side, path in outs.items()}
+    results = {side: [json.loads(line) for line in lines[side]] for side in lines}
     for workload in dict.fromkeys(workload_of):
         diffs = {key: [] for key in ("object_mm", "object_deg", "pusher_mm", "pusher_deg")}
         modes = faults = differ = 0
@@ -127,7 +133,8 @@ def compare(inputs: Path, outs: dict) -> None:
                 diffs[f"{name}_mm"].append(math.dist(a[k][:2], b[k][:2]))
                 diffs[f"{name}_deg"].append(_angle_diff(a[k][2], b[k][2]))
             modes += a[2] != b[2]
-            differ += a != b
+            # the JSON text tells apart every bit, the sign of a zero included
+            differ += lines["parent"][i] != lines["change"][i]
         print(f"{workload}: {len(rows)} taps, {differ} with any difference, "
               f"{modes} changed contact modes, {faults} with a physics fault on a side")
         for key, values in diffs.items():
