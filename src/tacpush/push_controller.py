@@ -96,6 +96,9 @@ class ControllerConfig:
             lo, hi = (float(x) for x in getattr(self, name))
             if not lo < hi:
                 raise ValueError(f"ControllerConfig.{name} must be a nonempty range")
+            # a range without 0 would clip a zero error to a constant push
+            if not lo <= 0.0 <= hi:
+                raise ValueError(f"ControllerConfig.{name} must contain 0, got ({lo}, {hi})")
             setattr(self, name, (lo, hi))
         # written so that NaN fails each check
         for name in ("approach_zone_radius", "termination_radius"):

@@ -290,14 +290,33 @@ def simulate_tap(
     (conservative advancement); positions and results are as if every
     substep ran.
 
-    The certificate is the tip of the last separated substep and its gap
-    less PENETRATION_TOL_MM. The signed distance is 1-Lipschitz, so every
-    tip within that radius of it is clear of the object by more than the
-    tolerance, and its substep would leave the object where it is. Such
-    substeps are skipped, across legs, until a substep makes contact. Only
-    the advance's last substep is always run, since the tap reports its
-    contact; a tap in which no substep runs up to the end of the advance
-    (neither leg moves) reports the contact at rest, contact_at.
+    The certificate comes from the contact of the last substep that ran,
+    separated or not: its point q, its outward normal n and a ball
+    (centre, reach). A tip t is free when (t - q) . n exceeds
+    TIP_RADIUS_MM + PENETRATION_TOL_MM and |t - centre| is at most reach;
+    a free tip's substep leaves the object where it is, so it is skipped.
+    - Convex outline: reach is infinite. Every substep that runs ends with
+      its tip outside the object and q its nearest boundary point, so the
+      line through q normal to n supports the outline, and the whole object
+      lies behind it. A tip beyond the line by more than the disc's radius
+      cannot touch the object, wherever the substep moved it.
+    - Other outlines (l_shape, mug): a notch or a handle may cross that
+      line. The ball is centred on the tip of a separated substep, with
+      reach its gap less the tolerance: the signed distance is 1-Lipschitz,
+      so every tip in it is clear of the object. After a contact the reach
+      is -inf. The ball lies inside the half-plane, so this is the rule of
+      the ball alone.
+    The tolerance margin covers the rounding of the probe and of the tips;
+    a skipped substep would have probed a gap of at least 0 either way.
+
+    The certificate holds across legs until the next substep runs. The
+    half-plane margin changes linearly along a leg, so the substeps skipped
+    at a time are the fewer of the two bounds' counts; a leg that moves
+    away from the line (or only turns) skips all its substeps once the next
+    tip is free. Only the advance's last substep is always run, since the
+    tap reports its contact; a tap in which no substep runs up to the end
+    of the advance (neither leg moves) reports the contact at rest,
+    contact_at.
 
     Returns (world, sense_heading, contact): the WorldState after the
     retraction, and the pusher heading (deg, wrapped) and ContactState at
@@ -314,14 +333,18 @@ def simulate_tap(
     pos = (float(world.pusher_pose.y), float(world.pusher_pose.z))
     alpha = world.pusher_pose.alpha
     contact = None
-    # the certificate: tips within `room` mm of `centre` are free
-    centre, room = pos, -math.inf
+    convex = shape._convex
+    clear = TIP_RADIUS_MM + PENETRATION_TOL_MM
+    # the certificate (q, m = -n, centre, reach), kept with the contact's
+    # inward normal m; before a substep runs, m = 0 leaves no tip free
+    qy, qz, my, mz = pos[0], pos[1], 0.0, 0.0
+    cy, cz, reach = pos[0], pos[1], math.inf if convex else -math.inf
     # a leg's skipped last substep as (tip, displacement), which an empty
     # advance runs after all: it reports the relocation's last contact
     skipped = None
 
     def run_leg(target_pos: tuple[float, float], target_alpha: float, reported: bool):
-        nonlocal obj, pos, alpha, contact, centre, room, skipped
+        nonlocal obj, pos, alpha, contact, qy, qz, my, mz, cy, cz, reach, skipped
         y0, z0 = pos
         dy, dz = target_pos[0] - y0, target_pos[1] - z0
         dist = math.hypot(dy, dz)
@@ -337,25 +360,38 @@ def simulate_tap(
         last = n - 1 if reported else n
         i = 0
         while i < n:
-            free = room - math.hypot(pos[0] - centre[0], pos[1] - centre[1])
-            if free >= step and i < last:
-                # the next floor(free / step) tips are within the certificate
-                # (every tip, on a leg that only turns)
-                i = last if free >= (last - i) * step else i + math.floor(free / step)
-                pos = (y0 + dy * (i / n), z0 + dz * (i / n))
-                if i == n:
-                    prev = (y0 + dy * ((n - 1) / n), z0 + dz * ((n - 1) / n))
-                    skipped = prev, (pos[0] - prev[0], pos[1] - prev[1])
-                    break
+            # the next tip's half-plane margin, which each substep lowers by
+            # the approach rate
+            approach = (dy * my + dz * mz) / n
+            h = (qy - pos[0]) * my + (qz - pos[1]) * mz - approach - clear
+            if h > 0.0 and i < last:
+                # the tips up to i + k are free
+                k = last - i
+                if approach > 0.0 and h < (k - 1) * approach:
+                    k = 1 + math.floor(h / approach)
+                if reach < math.inf:
+                    free = reach - math.hypot(pos[0] - cy, pos[1] - cz)
+                    if free < k * step:
+                        k = math.floor(free / step) if free >= step else 0
+                if k:
+                    i += k
+                    pos = (y0 + dy * (i / n), z0 + dz * (i / n))
+                    if i == n:
+                        prev = (y0 + dy * ((n - 1) / n), z0 + dz * ((n - 1) / n))
+                        skipped = prev, (pos[0] - prev[0], pos[1] - prev[1])
+                        break
             i += 1
             p_next = (y0 + dy * (i / n), z0 + dz * (i / n))
             obj, contact = resolve_substep(
                 shape, obj, pos, (p_next[0] - pos[0], p_next[1] - pos[1])
             )
-            if contact.mode is ContactMode.SEPARATED:
-                centre, room = p_next, -contact.penetration - PENETRATION_TOL_MM
-            else:
-                room = -math.inf
+            (qy, qz), (my, mz) = contact.point, contact.normal
+            if not convex:
+                cy, cz = p_next
+                if contact.mode is ContactMode.SEPARATED:
+                    reach = -contact.penetration - PENETRATION_TOL_MM
+                else:
+                    reach = -math.inf
             pos = p_next
         alpha += dalpha
 

@@ -255,6 +255,7 @@ class ObjectShape:
         if self.radius is not None:
             if not 0.0 < self.radius < math.inf:  # NaN fails too
                 raise ValueError(f"shape {self.name!r}: radius must be finite and > 0")
+            convex = True
         else:
             verts = np.array(self.polygon, dtype=float)
             verts.setflags(write=False)
@@ -266,6 +267,9 @@ class ObjectShape:
                 raise ValueError(f"shape {self.name!r}: polygon must be counter-clockwise")
             if not _polygon_is_simple(verts):
                 raise ValueError(f"shape {self.name!r}: polygon is self-intersecting")
+            # a simple counter-clockwise polygon with no right turn is convex
+            pts = verts.tolist()
+            convex = all(_turn(pts[k - 2], pts[k - 1], pts[k]) >= 0.0 for k in range(len(pts)))
             edge_vec = np.roll(verts, -1, axis=0) - verts
             # CCW polygon: interior is left of each directed edge, outward is right
             en = np.stack([edge_vec[:, 1], -edge_vec[:, 0]], axis=1)
@@ -291,7 +295,8 @@ class ObjectShape:
         # push_dynamics' contact-matrix constants: a = 1 / f_max^2,
         # b = 1 / m_max^2, the CoF's floats, and the (cos, sin) of the
         # friction cone's edges at +-atan(mu) (+0.0 and -0.0 give cones whose
-        # sines differ in sign)
+        # sines differ in sign); and whether the outline is convex, which
+        # simulate_tap's free-space certificate reads
         try:
             a, b = 1.0 / self.f_max**2, 1.0 / self.m_max**2
         except (OverflowError, ZeroDivisionError):
@@ -307,6 +312,7 @@ class ObjectShape:
             ("_inv_m2", b),
             ("_cof", (float(cof[0]), float(cof[1]))),
             ("_cone", (math.cos(phi), math.sin(phi), math.cos(-phi), math.sin(-phi))),
+            ("_convex", convex),
         ):
             object.__setattr__(self, name, value)
 

@@ -421,6 +421,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ControllerConfig(alignment_clip=(5.0, -5.0))
 
+    @pytest.mark.parametrize("name", ["integral_clip_translation", "integral_clip_rotation",
+                                      "alignment_clip"])
+    @pytest.mark.parametrize("clip", [(1.0, 5.0), (-5.0, -1.0)])
+    def test_clip_range_without_zero_rejected(self, name, clip):
+        # clipping a zero error into (1, 5) gave a contact exactly at the
+        # reference a constant servo push
+        with pytest.raises(ValueError, match=f"ControllerConfig.{name} must contain 0"):
+            ControllerConfig(**{name: clip})
+        assert getattr(ControllerConfig(**{name: (0.0, 5.0)}), name) == (0.0, 5.0)
+
     def test_zone_ordering(self):
         with pytest.raises(ValueError):
             ControllerConfig(termination_radius=70.0)

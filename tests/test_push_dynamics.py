@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tacpush import push_dynamics
 from tacpush.pose_math import normalize_angle_deg
@@ -22,6 +24,7 @@ from tacpush.scene import (
     WorldState,
     boundary_probe,
     builtin_shapes,
+    dir_heading,
     heading_dir,
 )
 from tacpush.tactile_sense import sense_contact
@@ -73,14 +76,19 @@ def record_substeps(monkeypatch) -> list:
 def replay_tap(shape, world, cmd, tap_forward, tap_back, calls) -> list:
     """Replay a tap's substep positions leg by leg, match each recorded call
     to its substep, and check that every skipped substep is separated and
-    that the advance runs its last substep. Returns (n, substeps run) per leg."""
+    that the advance runs its last substep. Returns (n, substeps run) per leg;
+    a leg that neither moves nor turns has no substep, (0, [])."""
     axis = np.array(heading_dir(cmd.alpha))
     start = np.array([cmd.y, cmd.z])
     targets = [start, start + tap_forward * axis, start + (tap_forward - tap_back) * axis]
+    turns = [normalize_angle_deg(cmd.alpha - world.pusher_pose.alpha), 0.0, 0.0]
     pos = np.array([world.pusher_pose.y, world.pusher_pose.z])
     obj, k, legs = world.object_pose, 0, []
     for leg, target in enumerate(targets):
         delta = target - pos
+        if math.hypot(*delta) < 1e-12 and abs(turns[leg]) < 1e-12:
+            legs.append((0, []))
+            continue
         n = max(1, math.ceil(math.hypot(*delta) / SUBSTEP_CAP_MM))
         probed = []
         for i in range(1, n + 1):
@@ -769,3 +777,93 @@ class TestSimulateTap:
         assert new_world == world and sense_heading == 0.0
         assert contact == contact_at(shape, pose, (0.0, tip_z))
         assert sense_contact(contact, sense_heading).in_contact == (tip_z > -50.0)
+
+
+class TestFreeSpaceCertificate:
+    """simulate_tap skips the substeps that the last run substep's contact
+    certifies free: beyond its supporting line on a convex outline, in the
+    ball of its gap otherwise."""
+
+    def test_retract_after_a_contact_runs_no_substep(self, monkeypatch):
+        # the advance ends in contact; the retract moves away from the
+        # contact's supporting line, so every retract tip is certified
+        shape, pose = square(), PlanarPose()
+        world = make_world([0.0, -60.0], pose)
+        cmd = PlanarPose(0.0, -52.0, 0.0)
+        calls = record_substeps(monkeypatch)
+        new_world, _, contact = simulate_tap(world, shape, cmd)
+        assert contact.mode is not ContactMode.SEPARATED
+        _, (m, advance), (k, retract) = replay_tap(shape, world, cmd, 10.0, 5.0, calls)
+        assert advance[-1] == m and retract == [] and k == 10
+        assert new_world.object_pose != pose
+
+    def test_tips_within_the_tolerance_of_the_supporting_line_run(self, monkeypatch):
+        # a relocation along the square's bottom face with a gap of half the
+        # tolerance: every tip lies beyond the face's line by more than the
+        # tip radius, but not by the tolerance margin, so every substep runs
+        shape, pose = square(), PlanarPose()
+        world = make_world([-10.0, -50.005], pose)
+        cmd = PlanarPose(10.0, -50.005, 0.0)
+        calls = record_substeps(monkeypatch)
+        new_world, _, _ = simulate_tap(world, shape, cmd, 10.0, 5.0)
+        assert new_world.object_pose != pose
+        (n, reloc), _, _ = replay_tap(shape, world, cmd, 10.0, 5.0, calls)
+        assert n == 40 and reloc == list(range(1, 41))
+
+    def test_supporting_line_does_not_bound_the_l_shapes_notch(self, monkeypatch):
+        # the relocation passes the L's outer corner v2 and ends beyond the
+        # inner arm's corner v4, across the notch: the first substep's
+        # nearest point is v2, and the line through it certifies every later
+        # tip, though the last 8 overlap the arm at v4; only the ball of the
+        # gap may skip substeps here
+        shape, pose = builtin_shapes()["l_shape"], PlanarPose()
+        v2, v4 = shape.polygon[2], shape.polygon[4]
+        u = np.array([16.0, 23.0]) / math.hypot(16.0, 23.0)
+        start, target = v2 + 28.0 * u, v4 + 19.0 * u
+        n = math.ceil(math.hypot(*(target - start)) / SUBSTEP_CAP_MM)
+        tips = [start + (target - start) * (i / n) for i in range(1, n + 1)]
+        first = contact_at(shape, pose, tips[0])
+        assert first.mode is ContactMode.SEPARATED
+        assert np.array_equal(first.point, v2)
+        margins = [np.dot(np.subtract(first.point, t), first.normal) for t in tips]
+        assert min(margins) > TIP_RADIUS_MM + PENETRATION_TOL_MM
+        assert contact_at(shape, pose, target).penetration > 0.5
+
+        world = make_world(start, pose)
+        cmd = PlanarPose(target[0], target[1], 0.0)
+        calls = record_substeps(monkeypatch)
+        new_world, _, _ = simulate_tap(world, shape, cmd, 2.0, 1.0)
+        assert new_world.object_pose != pose
+        (n_reloc, reloc), _, _ = replay_tap(shape, world, cmd, 2.0, 1.0, calls)
+        assert n_reloc == n and reloc[-1] == n
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(builtin_shapes())),
+           st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(-180.0, 180.0)),
+           st.floats(0.0, 360.0), st.floats(0.0, 40.0),
+           st.floats(0.0, 360.0), st.floats(-25.0, 30.0), st.floats(-60.0, 60.0),
+           st.floats(1.0, 15.0), st.floats(0.0, 1.0))
+    def test_skipped_substeps_are_free_on_every_catalog_shape(
+        self, name, obj, start_deg, start_gap, cmd_deg, cmd_gap, heading_off, tap_forward,
+        back_share,
+    ):
+        # the pusher starts clear of the object and is commanded to a random
+        # pose near it, heading within 60 degrees of its origin; the command
+        # may lie inside the outline, so the relocation may push
+        shape, pose = builtin_shapes()[name], PlanarPose(*obj)
+        origin = np.array([pose.y, pose.z])
+        extent = shape.max_extent() + TIP_RADIUS_MM
+
+        def around(deg, r):
+            return origin + r * np.array([math.cos(math.radians(deg)),
+                                          math.sin(math.radians(deg))])
+
+        world = make_world(around(start_deg, extent + start_gap), pose)
+        cmd_pos = around(cmd_deg, extent + cmd_gap)
+        cmd = PlanarPose(cmd_pos[0], cmd_pos[1],
+                         dir_heading(origin - cmd_pos) + heading_off)
+        tap_back = back_share * tap_forward
+        with pytest.MonkeyPatch.context() as mp:
+            calls = record_substeps(mp)
+            simulate_tap(world, shape, cmd, tap_forward, tap_back)
+        replay_tap(shape, world, cmd, tap_forward, tap_back, calls)

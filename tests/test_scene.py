@@ -16,7 +16,6 @@ from tacpush.scene import (
     PlanarPose,
     boundary_probe,
     builtin_shapes,
-    cross2,
     dir_heading,
     heading_dir,
 )
@@ -28,15 +27,6 @@ BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "exp1_baseline
 def unit_square(side=1.0):
     h = side / 2
     return ObjectShape("sq", polygon=[[-h, -h], [h, -h], [h, h], [-h, h]])
-
-
-def polygon_is_convex(verts):
-    n = len(verts)
-    signs = []
-    for i in range(n):
-        a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
-        signs.append(np.sign(cross2(b - a, c - b)))
-    return all(s >= 0 for s in signs)
 
 
 class TestPlanarPose:
@@ -192,13 +182,29 @@ class TestObjectShapeValidation:
 class TestCatalog:
     def test_composition(self):
         shapes = builtin_shapes()
-        convex = [s for s in shapes.values() if s.radius is not None
-                  or polygon_is_convex(s.polygon)]
-        nonconvex = [s for s in shapes.values() if s.radius is None
-                     and not polygon_is_convex(s.polygon)]
-        assert len(convex) >= 5
-        assert len(nonconvex) >= 2
-        assert {"l_shape", "mug"} <= {s.name for s in nonconvex}
+        assert {name for name, s in shapes.items() if s._convex} == {
+            "blue_square", "red_square", "yellow_triangle", "rectangle", "circle"
+        }
+        assert {name for name, s in shapes.items() if not s._convex} == {"l_shape", "mug"}
+
+    def test_convexity_is_derived_from_the_outline(self):
+        # simulate_tap's supporting-line certificate reads it: a circle, or a
+        # polygon with no right turn, collinear vertices included
+        collinear = ObjectShape("collinear", polygon=[[0, 0], [1, 0], [2, 0], [2, 1], [0, 1]],
+                                cof_offset=[1.0, 0.5])
+        dart = ObjectShape("dart", polygon=[[0, 0], [2, 1], [4, 0], [2, 3]],
+                           cof_offset=[2.0, 1.5])
+        assert collinear._convex is True
+        assert dart._convex is False
+        # a shape rebuilt by dataclasses.replace derives it again
+        shapes = builtin_shapes()
+        assert dataclasses.replace(shapes["mug"], f_max=2.0)._convex is False
+        assert dataclasses.replace(shapes["circle"], mu_contact=0.1)._convex is True
+        assert dataclasses.replace(shapes["blue_square"], mu_contact=0.1)._convex is True
+        assert dataclasses.replace(shapes["blue_square"],
+                                   polygon=shapes["l_shape"].polygon)._convex is False
+        assert dataclasses.replace(dart, polygon=collinear.polygon,
+                                   cof_offset=[1.0, 0.5])._convex is True
 
     def test_blue_square_dimensions(self):
         sq = builtin_shapes()["blue_square"]

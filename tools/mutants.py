@@ -48,8 +48,8 @@ MUTANTS = [
     ("the free-space certificate's radius adds the tolerance, not subtracts it (equivalent: "
      "a skipped substep would overlap by at most the tolerance, which moves nothing)",
      "push_dynamics.py",
-     "room = p_next, -contact.penetration - PENETRATION_TOL_MM",
-     "room = p_next, -contact.penetration + PENETRATION_TOL_MM"),
+     "reach = -contact.penetration - PENETRATION_TOL_MM",
+     "reach = -contact.penetration + PENETRATION_TOL_MM"),
     ("mu_contact == 0 sticks within 1e-3, not 1e-12", "push_dynamics.py",
      "if abs(side) < 1e-12:",
      "if abs(side) < 1e-3:"),
@@ -87,6 +87,16 @@ MUTANTS = [
      "push_dynamics.py",
      "last = n - 1 if reported else n",
      "last = n"),
+    ("every outline is convex, so the supporting-line certificate holds on l_shape and mug",
+     "scene.py",
+     '("_convex", convex),',
+     '("_convex", True),'),
+    ("flip the sign of the free-space certificate's approach rate", "push_dynamics.py",
+     "approach = (dy * my + dz * mz) / n",
+     "approach = -(dy * my + dz * mz) / n"),
+    ("the half-plane limit is the tip radius, without the tolerance", "push_dynamics.py",
+     "clear = TIP_RADIUS_MM + PENETRATION_TOL_MM",
+     "clear = TIP_RADIUS_MM"),
     ("the reacquire creep heads along pusher + reading alpha, not the contact normal",
      "push_controller.py",
      "normalize_angle_deg(pusher.alpha - pred.alpha)",

@@ -12,7 +12,9 @@ in degrees; median, p90 and max), how many taps differ at all, and how many
 report another contact mode at the end of the advance. A tap differs at all
 when any replayed value differs in any bit: the two poses, or the contact
 that the tap reports (penetration, point, normal and mode) and the sense
-heading, which are what the tactile reading is taken from:
+heading, which are what the tactile reading is taken from. It also prints
+each side's `resolve_substep` calls and `boundary_probe` calls a tap,
+counted by wrapping those two bindings of `push_dynamics` in each replay:
 
     python3 tools/tap_replay.py --parent ../parent --change . --seed 1
 
@@ -69,29 +71,48 @@ def replay(inputs: Path, out: Path) -> None:
     """Run every captured tap through this checkout's simulate_tap and write
     one JSON line per tap: the object and pusher poses after it, the contact
     mode at the end of the advance, that contact's penetration, point and
-    normal, and the sense heading (null for a PhysicsFault)."""
+    normal, and the sense heading (null for a PhysicsFault); then one line
+    of each tap's resolve_substep and boundary_probe calls."""
+    from tacpush import push_dynamics
     from tacpush.push_dynamics import PhysicsFault, simulate_tap
     from tacpush.scenario import _object
     from tacpush.scene import PlanarPose, WorldState
 
+    calls = {"resolve_substep": 0, "boundary_probe": 0}
+
+    def counting(name):
+        real = getattr(push_dynamics, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        setattr(push_dynamics, name, counted)
+
+    for name in calls:
+        counting(name)
     lines = inputs.read_text().splitlines()
     # each shape reads back as a scenario file's inline object table does
     shapes = [_object(d, "shape") for d in json.loads(lines[-1])]
+    counts = []
     with out.open("w") as f:
         for line in lines[:-1]:
             _, shape, obj, pusher, cmd, tap_forward, tap_back = json.loads(line)
             world = WorldState(PlanarPose(*obj), PlanarPose(*pusher))
+            calls.update(dict.fromkeys(calls, 0))
             try:
                 world, heading, contact = simulate_tap(world, shapes[shape], PlanarPose(*cmd),
                                                        tap_forward=tap_forward,
                                                        tap_back=tap_back)
             except PhysicsFault:
-                f.write(json.dumps(None) + "\n")
-                continue
-            o, p = world.object_pose, world.pusher_pose
-            f.write(json.dumps([[o.y, o.z, o.alpha], [p.y, p.z, p.alpha], contact.mode.value,
-                                contact.penetration, contact.point, contact.normal,
-                                heading]) + "\n")
+                row = None
+            else:
+                o, p = world.object_pose, world.pusher_pose
+                row = [[o.y, o.z, o.alpha], [p.y, p.z, p.alpha], contact.mode.value,
+                       contact.penetration, contact.point, contact.normal, heading]
+            f.write(json.dumps(row) + "\n")
+            counts.append(list(calls.values()))
+        f.write(json.dumps(counts) + "\n")
 
 
 def _run(checkout: Path, args: list) -> None:
@@ -120,6 +141,7 @@ def compare(inputs: Path, outs: dict) -> None:
     workload_of = [json.loads(line)[0] for line in inputs.read_text().splitlines()[:-1]]
     lines = {side: path.read_text().splitlines() for side, path in outs.items()}
     results = {side: [json.loads(line) for line in lines[side]] for side in lines}
+    counts = {side: json.loads(lines[side][-1]) for side in lines}
     for workload in dict.fromkeys(workload_of):
         diffs = {key: [] for key in ("object_mm", "object_deg", "pusher_mm", "pusher_deg")}
         modes = faults = differ = 0
@@ -140,6 +162,9 @@ def compare(inputs: Path, outs: dict) -> None:
         for key, values in diffs.items():
             if values:
                 print(f"  {key}: {_stats(values)}")
+        for k, what in enumerate(("substeps", "probes")):
+            mean = {side: sum(counts[side][i][k] for i in rows) / len(rows) for side in SIDES}
+            print(f"  {what} a tap: parent {mean['parent']:.2f}, change {mean['change']:.2f}")
 
 
 def main(argv=None) -> int:
