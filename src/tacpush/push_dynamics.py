@@ -295,28 +295,27 @@ def simulate_tap(
     (centre, reach). A tip t is free when (t - q) . n exceeds
     TIP_RADIUS_MM + PENETRATION_TOL_MM and |t - centre| is at most reach;
     a free tip's substep leaves the object where it is, so it is skipped.
-    - Convex outline: reach is infinite. Every substep that runs ends with
-      its tip outside the object and q its nearest boundary point, so the
-      line through q normal to n supports the outline, and the whole object
-      lies behind it. A tip beyond the line by more than the disc's radius
-      cannot touch the object, wherever the substep moved it.
+    - Convex outline: reach is infinite, so the line decides. Every substep
+      that runs ends with its tip outside the object and q its nearest
+      boundary point, so the line through q normal to n supports the
+      outline, and the whole object lies behind it. A tip beyond the line
+      by more than the disc's radius cannot touch the object, wherever the
+      substep moved it.
     - Other outlines (l_shape, mug): a notch or a handle may cross that
       line. The ball is centred on the tip of a separated substep, with
       reach its gap less the tolerance: the signed distance is 1-Lipschitz,
       so every tip in it is clear of the object. After a contact the reach
-      is -inf. The ball lies inside the half-plane, so this is the rule of
-      the ball alone.
+      is -inf. The ball lies inside the half-plane, so the ball decides.
     The tolerance margin covers the rounding of the probe and of the tips;
     a skipped substep would have probed a gap of at least 0 either way.
 
     The certificate holds across legs until the next substep runs. The
-    half-plane margin changes linearly along a leg, so the substeps skipped
-    at a time are the fewer of the two bounds' counts; a leg that moves
-    away from the line (or only turns) skips all its substeps once the next
-    tip is free. Only the advance's last substep is always run, since the
-    tap reports its contact; a tap in which no substep runs up to the end
-    of the advance (neither leg moves) reports the contact at rest,
-    contact_at.
+    half-plane margin changes linearly along a leg, so the free tips ahead
+    are counted at once; a leg that moves away from the line (or only
+    turns) skips all its substeps once the next tip is free. Only the
+    advance's last substep is always run, since the tap reports its
+    contact; a tap in which no substep runs up to the end of the advance
+    (neither leg moves) reports the contact at rest, contact_at.
 
     Returns (world, sense_heading, contact): the WorldState after the
     retraction, and the pusher heading (deg, wrapped) and ContactState at
@@ -335,10 +334,11 @@ def simulate_tap(
     contact = None
     convex = shape._convex
     clear = TIP_RADIUS_MM + PENETRATION_TOL_MM
-    # the certificate (q, m = -n, centre, reach), kept with the contact's
-    # inward normal m; before a substep runs, m = 0 leaves no tip free
+    # the certificate: on a convex outline the line through q with inward
+    # normal m = -n (before a substep runs, m = 0 leaves no tip free), where
+    # reach is infinite; on another the ball around (cy, cz)
     qy, qz, my, mz = pos[0], pos[1], 0.0, 0.0
-    cy, cz, reach = pos[0], pos[1], math.inf if convex else -math.inf
+    cy, cz, reach = pos[0], pos[1], -math.inf
     # a leg's skipped last substep as (tip, displacement), which an empty
     # advance runs after all: it reports the relocation's last contact
     skipped = None
@@ -360,18 +360,24 @@ def simulate_tap(
         last = n - 1 if reported else n
         i = 0
         while i < n:
-            # the next tip's half-plane margin, which each substep lowers by
-            # the approach rate
-            approach = (dy * my + dz * mz) / n
-            h = (qy - pos[0]) * my + (qz - pos[1]) * mz - approach - clear
-            if h > 0.0 and i < last:
-                # the tips up to i + k are free
-                k = last - i
-                if approach > 0.0 and h < (k - 1) * approach:
-                    k = 1 + math.floor(h / approach)
-                if reach < math.inf:
+            if i < last:
+                # k: how many tips ahead are free
+                if convex:
+                    # the next tip's margin beyond the line, which each
+                    # substep lowers by the approach rate
+                    approach = (dy * my + dz * mz) / n
+                    h = (qy - pos[0]) * my + (qz - pos[1]) * mz - approach - clear
+                    if h <= 0.0:
+                        k = 0
+                    elif approach <= 0.0 or h >= (last - i - 1) * approach:
+                        k = last - i
+                    else:
+                        k = 1 + math.floor(h / approach)
+                else:
                     free = reach - math.hypot(pos[0] - cy, pos[1] - cz)
-                    if free < k * step:
+                    if free >= (last - i) * step:
+                        k = last - i
+                    else:
                         k = math.floor(free / step) if free >= step else 0
                 if k:
                     i += k
@@ -385,13 +391,12 @@ def simulate_tap(
             obj, contact = resolve_substep(
                 shape, obj, pos, (p_next[0] - pos[0], p_next[1] - pos[1])
             )
-            (qy, qz), (my, mz) = contact.point, contact.normal
-            if not convex:
-                cy, cz = p_next
-                if contact.mode is ContactMode.SEPARATED:
-                    reach = -contact.penetration - PENETRATION_TOL_MM
-                else:
-                    reach = -math.inf
+            if convex:
+                (qy, qz), (my, mz) = contact.point, contact.normal
+            elif contact.mode is ContactMode.SEPARATED:
+                cy, cz, reach = p_next[0], p_next[1], -contact.penetration - PENETRATION_TOL_MM
+            else:
+                reach = -math.inf
             pos = p_next
         alpha += dalpha
 

@@ -48,8 +48,8 @@ MUTANTS = [
     ("the free-space certificate's radius adds the tolerance, not subtracts it (equivalent: "
      "a skipped substep would overlap by at most the tolerance, which moves nothing)",
      "push_dynamics.py",
-     "reach = -contact.penetration - PENETRATION_TOL_MM",
-     "reach = -contact.penetration + PENETRATION_TOL_MM"),
+     "-contact.penetration - PENETRATION_TOL_MM",
+     "-contact.penetration + PENETRATION_TOL_MM"),
     ("mu_contact == 0 sticks within 1e-3, not 1e-12", "push_dynamics.py",
      "if abs(side) < 1e-12:",
      "if abs(side) < 1e-3:"),
