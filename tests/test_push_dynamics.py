@@ -848,8 +848,9 @@ class TestFreeSpaceCertificate:
         back_share,
     ):
         # the pusher starts clear of the object and is commanded to a random
-        # pose near it, heading within 60 degrees of its origin; the command
-        # may lie inside the outline, so the relocation may push
+        # pose near it, heading within 60 degrees of the way to the object's
+        # origin; the command may lie inside the outline, so the relocation
+        # may push
         shape, pose = builtin_shapes()[name], PlanarPose(*obj)
         origin = np.array([pose.y, pose.z])
         extent = shape.max_extent() + TIP_RADIUS_MM
