@@ -285,37 +285,37 @@ def simulate_tap(
     The pusher moves to `commanded_pose` along a straight in-plane path with
     physics active (relocation can incidentally push the object), advances
     `tap_forward` mm along the commanded heading's forward axis and retracts
-    `tap_back` mm. Every leg is substepped through resolve_substep, except
-    substeps that a free-space certificate proves cannot reach the object
-    (conservative advancement); positions and results are as if every
-    substep ran.
+    `tap_back` mm. A leg of d mm has n = max(1, ceil(d / substep)) substeps,
+    tip i at i / n of the way, each run through resolve_substep unless a
+    free-space certificate proves that it cannot reach the object
+    (conservative advancement); results are as if every substep ran. A
+    relocation or retract that neither moves nor turns has no substep. The
+    advance always runs its last substep, of length 0 if the advance is
+    empty, so the tap reports the contact of a substep that ran.
 
     The certificate comes from the contact of the last substep that ran,
-    separated or not: its point q, its outward normal n and a ball
-    (centre, reach). A tip t is free when (t - q) . n exceeds
-    TIP_RADIUS_MM + PENETRATION_TOL_MM and |t - centre| is at most reach;
-    a free tip's substep leaves the object where it is, so it is skipped.
-    - Convex outline: reach is infinite, so the line decides. Every substep
-      that runs ends with its tip outside the object and q its nearest
-      boundary point, so the line through q normal to n supports the
-      outline, and the whole object lies behind it. A tip beyond the line
+    separated or not, and holds across legs. It gives the current tip's
+    clearance g, positive when the tip is free, and the most that g can
+    fall per substep, drop:
+    - Convex outline: g = (q - tip) . m - clear and drop = (d . m) / n, for
+      the contact point q, its inward normal m, the leg's displacement d and
+      the tip radius plus the tolerance, clear. A substep that runs ends
+      with its tip outside the object and q its nearest boundary point, so
+      the line through q normal to m supports the outline: a tip beyond it
       by more than the disc's radius cannot touch the object, wherever the
-      substep moved it.
+      substep moved it. Before a substep runs, m = 0 frees no tip.
     - Other outlines (l_shape, mug): a notch or a handle may cross that
-      line. The ball is centred on the tip of a separated substep, with
-      reach its gap less the tolerance: the signed distance is 1-Lipschitz,
-      so every tip in it is clear of the object. After a contact the reach
-      is -inf. The ball lies inside the half-plane, so the ball decides.
-    The tolerance margin covers the rounding of the probe and of the tips;
-    a skipped substep would have probed a gap of at least 0 either way.
+      line. A separated substep gives a ball around its tip, with reach its
+      gap less the tolerance, g = reach - |tip - centre| and drop = d / n;
+      the signed distance is 1-Lipschitz, so every tip in the ball is clear
+      of the object. After a contact the reach is -inf.
+    The tolerance margin covers the rounding of the probe and of the tips.
 
-    The certificate holds across legs until the next substep runs. The
-    half-plane margin changes linearly along a leg, so the free tips ahead
-    are counted at once; a leg that moves away from the line (or only
-    turns) skips all its substeps once the next tip is free. Only the
-    advance's last substep is always run, since the tap reports its
-    contact; a tap in which no substep runs up to the end of the advance
-    (neither leg moves) reports the contact at rest, contact_at.
+    Tip i + j has a clearance of at least g - j drop, so one rule counts
+    the free tips ahead of tip i, up to the last one a leg may skip (n - 1
+    on the advance, n otherwise), and skips their substeps: none if
+    g - drop <= 0; all of them if drop <= 0 (the leg moves away, or only
+    turns) or g - (last - i) drop >= 0; otherwise floor(g / drop).
 
     Returns (world, sense_heading, contact): the WorldState after the
     retraction, and the pusher heading (deg, wrapped) and ContactState at
@@ -327,85 +327,63 @@ def simulate_tap(
         raise ValueError(
             f"simulate_tap: substep must be > 0 and <= {SUBSTEP_CAP_MM} mm, got {substep!r}"
         )
+    for name, value in (("tap_forward", tap_forward), ("tap_back", tap_back)):
+        if not math.isfinite(value):
+            raise ValueError(f"simulate_tap: {name} must be finite, got {value!r}")
     cmd = commanded_pose
     obj = world.object_pose
-    pos = (float(world.pusher_pose.y), float(world.pusher_pose.z))
+    ty, tz = float(world.pusher_pose.y), float(world.pusher_pose.z)
     alpha = world.pusher_pose.alpha
-    contact = None
     convex = shape._convex
     clear = TIP_RADIUS_MM + PENETRATION_TOL_MM
-    # the certificate: on a convex outline the line through q with inward
-    # normal m = -n (before a substep runs, m = 0 leaves no tip free), where
-    # reach is infinite; on another the ball around (cy, cz)
-    qy, qz, my, mz = pos[0], pos[1], 0.0, 0.0
-    cy, cz, reach = pos[0], pos[1], -math.inf
-    # a leg's skipped last substep as (tip, displacement), which an empty
-    # advance runs after all: it reports the relocation's last contact
-    skipped = None
-
-    def run_leg(target_pos: tuple[float, float], target_alpha: float, reported: bool):
-        nonlocal obj, pos, alpha, contact, qy, qz, my, mz, cy, cz, reach, skipped
-        y0, z0 = pos
-        dy, dz = target_pos[0] - y0, target_pos[1] - z0
+    # the certificate: a line (q, m) on a convex outline, else a ball (c, reach)
+    qy, qz, my, mz = ty, tz, 0.0, 0.0
+    cy, cz, reach = ty, tz, -math.inf
+    ay, az = heading_dir(cmd.alpha)
+    back = tap_forward - tap_back
+    legs = ((cmd.y, cmd.z, False), (cmd.y + tap_forward * ay, cmd.z + tap_forward * az, True),
+            (cmd.y + back * ay, cmd.z + back * az, False))
+    for end_y, end_z, reported in legs:
+        y0, z0 = ty, tz
+        dy, dz = end_y - y0, end_z - z0
         dist = math.hypot(dy, dz)
+        dalpha = normalize_angle_deg(cmd.alpha - alpha)
+        if not reported and dist < 1e-12 and abs(dalpha) < 1e-12:
+            continue
+        alpha += dalpha
         # a 10 mm advance puts dist / substep on an integer, so the substep
-        # count below can turn on dist's last bit
-        dalpha = normalize_angle_deg(target_alpha - alpha)
-        if dist < 1e-12 and abs(dalpha) < 1e-12:
-            if reported and skipped is not None:
-                obj, contact = resolve_substep(shape, obj, *skipped)
-            return
+        # count can turn on dist's last bit
         n = max(1, math.ceil(dist / substep))
-        step = dist / n
         last = n - 1 if reported else n
         i = 0
         while i < n:
-            if i < last:
-                # k: how many tips ahead are free
-                if convex:
-                    # the next tip's margin beyond the line, which each
-                    # substep lowers by the approach rate
-                    approach = (dy * my + dz * mz) / n
-                    h = (qy - pos[0]) * my + (qz - pos[1]) * mz - approach - clear
-                    if h <= 0.0:
-                        k = 0
-                    elif approach <= 0.0 or h >= (last - i - 1) * approach:
-                        k = last - i
-                    else:
-                        k = 1 + math.floor(h / approach)
-                else:
-                    free = reach - math.hypot(pos[0] - cy, pos[1] - cz)
-                    if free >= (last - i) * step:
-                        k = last - i
-                    else:
-                        k = math.floor(free / step) if free >= step else 0
-                if k:
-                    i += k
-                    pos = (y0 + dy * (i / n), z0 + dz * (i / n))
-                    if i == n:
-                        prev = (y0 + dy * ((n - 1) / n), z0 + dz * ((n - 1) / n))
-                        skipped = prev, (pos[0] - prev[0], pos[1] - prev[1])
-                        break
-            i += 1
-            p_next = (y0 + dy * (i / n), z0 + dz * (i / n))
-            obj, contact = resolve_substep(
-                shape, obj, pos, (p_next[0] - pos[0], p_next[1] - pos[1])
-            )
             if convex:
-                (qy, qz), (my, mz) = contact.point, contact.normal
-            elif contact.mode is ContactMode.SEPARATED:
-                cy, cz, reach = p_next[0], p_next[1], -contact.penetration - PENETRATION_TOL_MM
+                g = (qy - ty) * my + (qz - tz) * mz - clear
+                drop = (dy * my + dz * mz) / n
             else:
-                reach = -math.inf
-            pos = p_next
-        alpha += dalpha
-
-    run_leg((cmd.y, cmd.z), cmd.alpha, False)
-    ay, az = heading_dir(cmd.alpha)
-    run_leg((cmd.y + tap_forward * ay, cmd.z + tap_forward * az), cmd.alpha, True)
-    sense_heading = normalize_angle_deg(alpha)
-    advance_contact = contact if contact is not None else contact_at(shape, obj, pos)
-    back = tap_forward - tap_back
-    run_leg((cmd.y + back * ay, cmd.z + back * az), cmd.alpha, False)
-    end_pose = PlanarPose(pos[0], pos[1], alpha)
-    return WorldState(obj, end_pose), sense_heading, advance_contact
+                g = reach - math.hypot(ty - cy, tz - cz)
+                drop = dist / n
+            # k: how many tips ahead are free
+            if g - drop <= 0.0:
+                k = 0
+            elif drop <= 0.0 or g - (last - i) * drop >= 0.0:
+                k = last - i
+            else:
+                k = math.floor(g / drop)
+            if k:
+                i += k
+                ty, tz = y0 + dy * (i / n), z0 + dz * (i / n)
+            if i < n:
+                i += 1
+                next_y, next_z = y0 + dy * (i / n), z0 + dz * (i / n)
+                obj, contact = resolve_substep(shape, obj, (ty, tz), (next_y - ty, next_z - tz))
+                if convex:
+                    (qy, qz), (my, mz) = contact.point, contact.normal
+                elif contact.mode is ContactMode.SEPARATED:
+                    cy, cz, reach = next_y, next_z, -contact.penetration - PENETRATION_TOL_MM
+                else:
+                    reach = -math.inf
+                ty, tz = next_y, next_z
+        if reported:
+            sense_heading, advance_contact = normalize_angle_deg(alpha), contact
+    return WorldState(obj, PlanarPose(ty, tz, alpha)), sense_heading, advance_contact

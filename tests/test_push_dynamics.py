@@ -77,7 +77,8 @@ def replay_tap(shape, world, cmd, tap_forward, tap_back, calls) -> list:
     """Replay a tap's substep positions leg by leg, match each recorded call
     to its substep, and check that every skipped substep is separated and
     that the advance runs its last substep. Returns (n, substeps run) per leg;
-    a leg that neither moves nor turns has no substep, (0, [])."""
+    the advance has at least one substep, even of length 0, and a relocation
+    or retract that neither moves nor turns has none, (0, [])."""
     axis = np.array(heading_dir(cmd.alpha))
     start = np.array([cmd.y, cmd.z])
     targets = [start, start + tap_forward * axis, start + (tap_forward - tap_back) * axis]
@@ -86,7 +87,7 @@ def replay_tap(shape, world, cmd, tap_forward, tap_back, calls) -> list:
     obj, k, legs = world.object_pose, 0, []
     for leg, target in enumerate(targets):
         delta = target - pos
-        if math.hypot(*delta) < 1e-12 and abs(turns[leg]) < 1e-12:
+        if leg != 1 and math.hypot(*delta) < 1e-12 and abs(turns[leg]) < 1e-12:
             legs.append((0, []))
             continue
         n = max(1, math.ceil(math.hypot(*delta) / SUBSTEP_CAP_MM))
@@ -627,6 +628,14 @@ class TestSimulateTap:
         with pytest.raises(ValueError, match="simulate_tap: substep"):
             simulate_tap(world, square(), PlanarPose(0.0, -190.0, 0.0), substep=substep)
 
+    @pytest.mark.parametrize("name", ["tap_forward", "tap_back"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tap_length_rejected(self, name, value):
+        # any finite length is accepted, 0 and negative ones included
+        world = make_world([0.0, -200.0], PlanarPose())
+        with pytest.raises(ValueError, match=f"simulate_tap: {name} must be finite"):
+            simulate_tap(world, square(), PlanarPose(0.0, -190.0, 0.0), **{name: value})
+
     def test_far_command_never_touches(self):
         shape = square()
         world = make_world([0.0, -200.0], PlanarPose())
@@ -748,35 +757,44 @@ class TestSimulateTap:
         assert np.array_equal(calls[0][1], [0.0, 0.0])
         assert advance == [m]
 
-    def test_empty_advance_reports_the_relocations_skipped_last_substep(self, monkeypatch):
-        # without an advance the tap reports the relocation's last contact,
-        # so a last substep that the certificate skipped runs after all
-        shape, pose = square(), PlanarPose()
-        world = make_world([0.0, -90.0], pose)
-        cmd = PlanarPose(3.0, -87.0, 0.0)
-        calls = record_substeps(monkeypatch)
-        new_world, _, contact = simulate_tap(world, shape, cmd, 0.0, 0.0)
-        n = math.ceil(math.hypot(3.0, 3.0) / SUBSTEP_CAP_MM)
-        last = (3.0 * ((n - 1) / n), -90.0 + 3.0 * ((n - 1) / n))
-        assert len(calls) == 2 and np.array_equal(calls[1][0], last)
-        assert (new_world.pusher_pose.y, new_world.pusher_pose.z) == (3.0, -87.0)
-        assert contact == resolve_substep(shape, pose, last, (3.0 - last[0], -87.0 - last[1]))[1]
-
-    @pytest.mark.parametrize("tip_z", [-100.0, -48.5])
-    def test_tap_that_never_moves_reports_the_contact_at_rest(self, tip_z, monkeypatch):
-        # the pusher is at the commanded pose and the advance is below the
-        # 1e-12 mm that a leg moves, so no substep runs; the reading is taken
-        # at rest, clear of the square or 1.5 mm into it
+    @pytest.mark.parametrize(
+        "start, cmd, tap_forward, mode, object_z",
+        [
+            # the relocation skips its last substep, and the advance of 0 runs
+            # a substep of length 0 at the commanded pose
+            ((0.0, -90.0), (3.0, -87.0), 0.0, ContactMode.SEPARATED, 0.0),
+            # the pusher is at the commanded pose, so the relocation has no
+            # substep; an advance of 1e-13 mm, below the 1e-12 mm drive, expels
+            # the object from 1.5 mm of overlap to the resolution residual
+            ((0.0, -48.5), (0.0, -48.5), 1e-13, ContactMode.STICKING, 1.495),
+            # the same clear of the square: nothing moves
+            ((0.0, -100.0), (0.0, -100.0), 1e-13, ContactMode.SEPARATED, 0.0),
+        ],
+        ids=["after_a_skipped_relocation", "into_the_square", "clear_of_the_square"],
+    )
+    def test_the_advance_always_runs_its_last_substep(
+        self, start, cmd, tap_forward, mode, object_z, monkeypatch
+    ):
+        # the tap reports the contact of the advance's last substep, from the
+        # commanded pose along the advance, however short the advance is
         shape, pose = builtin_shapes()["blue_square"], PlanarPose()
-        world = make_world([0.0, tip_z], pose)
+        world, cmd = make_world(start, pose), PlanarPose(*cmd, 0.0)
         calls = record_substeps(monkeypatch)
-        new_world, sense_heading, contact = simulate_tap(
-            world, shape, world.pusher_pose, tap_forward=1e-13, tap_back=0.0
-        )
-        assert calls == []
-        assert new_world == world and sense_heading == 0.0
-        assert contact == contact_at(shape, pose, (0.0, tip_z))
-        assert sense_contact(contact, sense_heading).in_contact == (tip_z > -50.0)
+        new_world, sense_heading, contact = simulate_tap(world, shape, cmd, tap_forward, 0.0)
+        (n, reloc), (m, advance), _ = replay_tap(shape, world, cmd, tap_forward, 0.0, calls)
+        assert (m, advance) == (1, [1]) and len(calls) == len(reloc) + 1
+        assert n not in reloc  # the relocation's last substep, if it has one, was skipped
+        tip, disp, after = calls[len(reloc)]
+        assert np.array_equal(tip, (cmd.y, cmd.z))
+        assert math.hypot(*disp) == pytest.approx(tap_forward, abs=1e-15)
+        before = calls[len(reloc) - 1][2] if reloc else pose
+        assert contact == resolve_substep(shape, before, tip, disp)[1]
+        assert contact.mode is mode and sense_heading == 0.0
+        assert new_world.object_pose == after
+        assert (after.y, after.alpha) == (0.0, 0.0)
+        assert after.z == pytest.approx(object_z, abs=1e-12)
+        in_contact = mode is not ContactMode.SEPARATED
+        assert sense_contact(contact, sense_heading).in_contact == in_contact
 
 
 class TestFreeSpaceCertificate:
