@@ -22,6 +22,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed_int(text: str) -> int:
+    """argparse type for seeds: an integer in [0, 2**64), so that no two seeds alias."""
+    value = int(text)
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
+    return value
+
+
 # the experiment-grid subcommands: name -> grid(trials, master_seed)
 _GRIDS = {
     "exp1": exp_harness.exp1_grid,
@@ -105,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run trials of a scenario file")
     p.add_argument("--scenario", type=Path, required=True)
     p.add_argument("--trials", type=positive_int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=seed_int, default=None)
     p.add_argument("--noise", choices=("on", "off"), default=None)
     p.add_argument("--out", type=Path, default=Path("out"))
     p.add_argument("--workers", type=positive_int, default=1)
@@ -114,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _GRIDS:
         p = sub.add_parser(name, help=f"run the experiment-{name[-1]} grid")
         p.add_argument("--trials", type=positive_int, default=10, help="trials per cell")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--seed", type=seed_int, default=0, help="master seed")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--workers", type=positive_int, default=1, help="trial worker processes")
         p.set_defaults(func=_cmd_exp)

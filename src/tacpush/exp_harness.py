@@ -103,6 +103,12 @@ def _splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _check_master_seed(master_seed: int) -> None:
+    """derive_seed reads it modulo 2**64: outside [0, 2**64) seeds alias."""
+    if not 0 <= master_seed <= _MASK64:
+        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed!r}")
+
+
 def derive_seed(master_seed: int, *indices: int) -> int:
     """Fold grid indices into a per-trial seed (splitmix64 chain)."""
     h = _splitmix64(master_seed & _MASK64)
@@ -415,6 +421,7 @@ def exp2_scenario(
 
 def exp1_grid(trials_per_cell: int = 10, master_seed: int = 0) -> list[Scenario]:
     """Offset grid: 7 spatial x 3 angular offsets x trials_per_cell."""
+    _check_master_seed(master_seed)
     return [
         exp1_scenario(
             off, ang, derive_seed(master_seed, cell, t), name=f"exp1_o{off:+.0f}_a{ang:+.0f}_t{t}"
@@ -428,6 +435,7 @@ def exp1_grid(trials_per_cell: int = 10, master_seed: int = 0) -> list[Scenario]
 
 def exp2_grid(trials_per_cell: int = 10, master_seed: int = 0) -> list[Scenario]:
     """Shape grid: 5 shapes x 3 start poses x trials_per_cell, corner starts."""
+    _check_master_seed(master_seed)
     return [
         exp2_scenario(
             shape_name, j, derive_seed(master_seed + 1, cell, t),
@@ -447,6 +455,7 @@ def exp3_grid(trials_per_shape: int = 10, master_seed: int = 0) -> list[Scenario
     orientations of non-convex outlines can force the pusher to work the
     long way around the object before the bearing unwinds.
     """
+    _check_master_seed(master_seed)
     start = EXP_START_POSES[1]
     grid = []
     for i, shape_name in enumerate(EXP3_SHAPE_NAMES):
@@ -740,18 +749,18 @@ def plot(records, out_path) -> Path:
             pts.append([tap.pusher_y_mm, tap.pusher_z_mm])
             pts.append([tap.object_y_mm, tap.object_z_mm])
     pts = np.asarray(pts, dtype=float)
-    lo = pts.min(axis=0) - 80.0
-    hi = pts.max(axis=0) + 80.0
-    span = hi - lo
+    # Python floats, so that sx and sy pay no numpy overhead per point
+    lo_y, lo_z = (pts.min(axis=0) - 80.0).tolist()
+    hi_y, hi_z = (pts.max(axis=0) + 80.0).tolist()
     width = 800.0
-    scale = width / span[0]
-    height = span[1] * scale
+    scale = width / (hi_y - lo_y)
+    height = (hi_z - lo_z) * scale
 
     def sx(y):
-        return (y - lo[0]) * scale
+        return (y - lo_y) * scale
 
     def sy(z):
-        return height - (z - lo[1]) * scale
+        return height - (z - lo_z) * scale
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
@@ -792,7 +801,7 @@ def plot(records, out_path) -> Path:
                 c, s = math.cos(a), math.sin(a)
                 verts = np.asarray(shape_dict["polygon_mm"], dtype=float)
                 verts = (np.array([[c, -s], [s, c]]) @ verts.T).T + np.array([y, z])
-                pg = " ".join(f"{sx(p[0]):.2f},{sy(p[1]):.2f}" for p in verts)
+                pg = " ".join(f"{sx(py):.2f},{sy(pz):.2f}" for py, pz in verts.tolist())
                 parts.append(
                     f'<polygon points="{pg}" fill="none" stroke="{color}" '
                     'stroke-opacity="0.3" stroke-width="0.8"/>'

@@ -217,19 +217,19 @@ def pid_step(state: ControllerState, error: tuple, cfg: ControllerConfig) -> tup
     the mm clip, alpha to the degree clip); the derivative acts on the error
     with prev_error starting at zero.
     """
-    clips = (cfg.integral_clip_translation,) * 2 + (cfg.integral_clip_rotation,)
-    state.integral = tuple([
-        min(max(i + e, lo), hi) for i, e, (lo, hi) in zip(state.integral, error, clips)
-    ])
-    u = tuple([
-        kp * e + ki * i + kd * (e - prev)
-        for kp, ki, kd, e, i, prev in zip(
-            cfg.kp_servo, cfg.ki_servo, cfg.kd_servo,
-            error, state.integral, state.prev_error,
-        )
-    ])
-    state.prev_error = tuple(error)
-    return u
+    ey, ez, ea = error
+    iy, iz, ia = state.integral
+    (tlo, thi), (rlo, rhi) = cfg.integral_clip_translation, cfg.integral_clip_rotation
+    iy = min(max(iy + ey, tlo), thi)
+    iz = min(max(iz + ez, tlo), thi)
+    ia = min(max(ia + ea, rlo), rhi)
+    state.integral = iy, iz, ia
+    py, pz, pa = state.prev_error
+    state.prev_error = ey, ez, ea
+    (kpy, kpz, kpa), (kiy, kiz, kia), (kdy, kdz, kda) = cfg.kp_servo, cfg.ki_servo, cfg.kd_servo
+    return (kpy * ey + kiy * iy + kdy * (ey - py),
+            kpz * ez + kiz * iz + kdz * (ez - pz),
+            kpa * ea + kia * ia + kda * (ea - pa))
 
 
 def target_bearing(u_correction: tuple, pusher_pose: tuple, target: PlanarPose):

@@ -81,6 +81,10 @@ class ContactMode(str, Enum):
     SLIDING_RIGHT = "sliding_right"
 
 
+# the members as module constants, which read faster than Enum attributes
+_SEPARATED, _STICKING, _SLIDING_LEFT, _SLIDING_RIGHT = ContactMode
+
+
 class ContactState(NamedTuple):
     """Contact bookkeeping for one substep.
 
@@ -103,11 +107,12 @@ def _lever(shape: ObjectShape, pose: PlanarPose, qy: float, qz: float):
     """(cy, cz, py, pz): the work-frame CoF of `shape` at `pose` (as
     PlanarPose.transform_point gives it), and the lever p = perp(q - cof) of
     the work-frame contact point q."""
-    a = math.radians(pose.alpha)
+    y, z, alpha = pose
+    a = math.radians(alpha)
     c, s = math.cos(a), math.sin(a)
     oy, oz = shape._cof
-    cy = pose.y + c * oy - s * oz
-    cz = pose.z + s * oy + c * oz
+    cy = y + c * oy - s * oz
+    cz = z + s * oy + c * oz
     return cy, cz, -(qz - cz), qy - cy
 
 
@@ -147,21 +152,21 @@ def _resolve(a, b, py, pz, ny, nz, vy, vz, shape: ObjectShape):
     side = uly * vz - ulz * vy  # u_l x v
     if shape.mu_contact == 0.0:
         if abs(side) < 1e-12:
-            return ny, nz, ContactMode.STICKING
-        return ny, nz, ContactMode.SLIDING_LEFT if side > 0.0 else ContactMode.SLIDING_RIGHT
+            return ny, nz, _STICKING
+        return ny, nz, _SLIDING_LEFT if side > 0.0 else _SLIDING_RIGHT
     beyond_l = side > 0.0
     beyond_r = ury * vz - urz * vy < 0.0
     if beyond_l and beyond_r:
         # reflex corner: v opposes the cone; pick the side it is closer to
         if (uly + ury) * vz - (ulz + urz) * vy > 0.0:
-            return fly, flz, ContactMode.SLIDING_LEFT
-        return fry, frz, ContactMode.SLIDING_RIGHT
+            return fly, flz, _SLIDING_LEFT
+        return fry, frz, _SLIDING_RIGHT
     if beyond_l:
-        return fly, flz, ContactMode.SLIDING_LEFT
+        return fly, flz, _SLIDING_LEFT
     if beyond_r:
-        return fry, frz, ContactMode.SLIDING_RIGHT
+        return fry, frz, _SLIDING_RIGHT
     fy, fz = _solve(a, b, py, pz, vy, vz)
-    return fy, fz, ContactMode.STICKING
+    return fy, fz, _STICKING
 
 
 def _twist(a: float, b: float, py: float, pz: float, fy: float, fz: float, s: float):
@@ -174,11 +179,11 @@ def _twist(a: float, b: float, py: float, pz: float, fy: float, fz: float, s: fl
 def _advance_pose(pose: PlanarPose, cy: float, cz: float, dy: float, dz: float, spin: float):
     """Rigidly displace the object: the CoF (cy, cz) translates by (dy, dz),
     and the object spins by `spin` rad about it."""
+    y, z, alpha = pose
     c, s = math.cos(spin), math.sin(spin)
-    ry, rz = pose.y - cy, pose.z - cz
-    return PlanarPose(
-        cy + dy + (c * ry - s * rz), cz + dz + (s * ry + c * rz), pose.alpha + math.degrees(spin)
-    )
+    ry, rz = y - cy, z - cz
+    return PlanarPose(cy + dy + (c * ry - s * rz), cz + dz + (s * ry + c * rz),
+                      alpha + math.degrees(spin))
 
 
 def contact_at(shape: ObjectShape, object_pose: PlanarPose, tip) -> ContactState:
@@ -187,7 +192,7 @@ def contact_at(shape: ObjectShape, object_pose: PlanarPose, tip) -> ContactState
     The point is the probe's, the normal the probe's negated."""
     sd, point, (ny, nz), _ = boundary_probe(shape, object_pose, tip)
     pen = TIP_RADIUS_MM - sd
-    mode = ContactMode.SEPARATED if pen <= 0.0 else ContactMode.STICKING
+    mode = _SEPARATED if pen <= 0.0 else _STICKING
     return ContactState(point, (-ny, -nz), mode, pen)
 
 
@@ -223,7 +228,7 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
     sd, (qy, qz), (ny, nz), _ = boundary_probe(shape, pose, tip_new)
     pen = TIP_RADIUS_MM - sd
     if pen <= 0.0:
-        return pose, ContactState((qy, qz), (-ny, -nz), ContactMode.SEPARATED, pen)
+        return pose, ContactState((qy, qz), (-ny, -nz), _SEPARATED, pen)
 
     a, b = shape._inv_f2, shape._inv_m2
     driven = disp_norm > 1e-12
@@ -265,7 +270,7 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
     ny, nz = -ny, -nz
     if mode is None:
         # grazing contact (overlap within tolerance): classify without moving
-        mode = ContactMode.STICKING
+        mode = _STICKING
         if driven:
             _, _, py, pz = _lever(shape, pose, qy, qz)
             _, _, mode = _resolve(a, b, py, pz, ny, nz, dy, dz, shape)
@@ -294,16 +299,16 @@ def simulate_tap(
     empty, so the tap reports the contact of a substep that ran.
 
     The certificate comes from the contact of the last substep that ran,
-    separated or not, and holds across legs. It gives the current tip's
-    clearance g, positive when the tip is free, and the most that g can
-    fall per substep, drop:
+    separated or not, and holds across legs, and on a convex outline across
+    taps, from the world's contact. It gives the current tip's clearance g,
+    positive when the tip is free, and the most g can fall per substep, drop:
     - Convex outline: g = (q - tip) . m - clear and drop = (d . m) / n, for
       the contact point q, its inward normal m, the leg's displacement d and
       the tip radius plus the tolerance, clear. A substep that runs ends
       with its tip outside the object and q its nearest boundary point, so
       the line through q normal to m supports the outline: a tip beyond it
       by more than the disc's radius cannot touch the object, wherever the
-      substep moved it. Before a substep runs, m = 0 frees no tip.
+      substep moved it. Without a contact, m = 0 frees no tip.
     - Other outlines (l_shape, mug): a notch or a handle may cross that
       line. A separated substep gives a ball around its tip, with reach its
       gap less the tolerance, g = reach - |tip - centre| and drop = d / n;
@@ -318,10 +323,11 @@ def simulate_tap(
     turns) or g - (last - i) drop >= 0; otherwise floor(g / drop).
 
     Returns (world, sense_heading, contact): the WorldState after the
-    retraction, and the pusher heading (deg, wrapped) and ContactState at
-    the end of the advance, which is where the tactile reading is taken
-    (the retraction reopens the contact gap, so the deepest point is the
-    only configuration reliably in contact).
+    retraction, with the contact of the tap's last substep that ran, and
+    the pusher heading (deg, wrapped) and ContactState at the end of the
+    advance, which is where the tactile reading is taken (the retraction
+    reopens the contact gap, so the deepest point is the only configuration
+    reliably in contact).
     """
     if not 0.0 < substep <= SUBSTEP_CAP_MM:  # NaN fails too
         raise ValueError(
@@ -331,13 +337,14 @@ def simulate_tap(
         if not math.isfinite(value):
             raise ValueError(f"simulate_tap: {name} must be finite, got {value!r}")
     cmd = commanded_pose
-    obj = world.object_pose
-    ty, tz = float(world.pusher_pose.y), float(world.pusher_pose.z)
-    alpha = world.pusher_pose.alpha
+    obj, (ty, tz, alpha), contact = world
+    ty, tz = float(ty), float(tz)
     convex = shape._convex
     clear = TIP_RADIUS_MM + PENETRATION_TOL_MM
-    # the certificate: a line (q, m) on a convex outline, else a ball (c, reach)
-    qy, qz, my, mz = ty, tz, 0.0, 0.0
+    # the certificate: a line (q, m) on a convex outline, carried from the
+    # world's contact, else a ball (c, reach)
+    carried = contact if convex else None
+    (qy, qz), (my, mz) = (carried.point, carried.normal) if carried else ((ty, tz), (0.0, 0.0))
     cy, cz, reach = ty, tz, -math.inf
     ay, az = heading_dir(cmd.alpha)
     back = tap_forward - tap_back
@@ -379,11 +386,11 @@ def simulate_tap(
                 obj, contact = resolve_substep(shape, obj, (ty, tz), (next_y - ty, next_z - tz))
                 if convex:
                     (qy, qz), (my, mz) = contact.point, contact.normal
-                elif contact.mode is ContactMode.SEPARATED:
+                elif contact.mode is _SEPARATED:
                     cy, cz, reach = next_y, next_z, -contact.penetration - PENETRATION_TOL_MM
                 else:
                     reach = -math.inf
                 ty, tz = next_y, next_z
         if reported:
             sense_heading, advance_contact = normalize_angle_deg(alpha), contact
-    return WorldState(obj, PlanarPose(ty, tz, alpha)), sense_heading, advance_contact
+    return WorldState(obj, PlanarPose(ty, tz, alpha), contact), sense_heading, advance_contact

@@ -54,9 +54,9 @@ class Scenario:
             raise ScenarioError(
                 f"scenario {self.name!r}: max_taps must be an integer >= 1, got {self.max_taps!r}"
             )
-        if not _is_int(self.rng_seed) or self.rng_seed < 0:
+        if not _is_int(self.rng_seed) or not 0 <= self.rng_seed < 1 << 64:
             raise ScenarioError(
-                f"scenario {self.name!r}: rng_seed must be an integer >= 0, "
+                f"scenario {self.name!r}: rng_seed must be an integer in [0, 2**64), "
                 f"got {self.rng_seed!r}"
             )
         target, start = self.target_pose, self.pusher_start_pose

@@ -17,6 +17,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -351,10 +352,11 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work) -> tuple:
     y, z = float(p_work[0]), float(p_work[1])
     if not (math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"boundary_probe: p_work must be finite, got ({y!r}, {z!r})")
-    a = math.radians(pose.alpha)
+    y0, z0, alpha = pose
+    a = math.radians(alpha)
     c, s = math.cos(a), math.sin(a)
-    dy = y - pose.y
-    dz = z - pose.z
+    dy = y - y0
+    dz = z - z0
     qy, qz = c * dy + s * dz, -s * dy + c * dz
 
     if shape.radius is not None:
@@ -365,8 +367,8 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work) -> tuple:
         feature = ("arc", 0)
     else:
         rows = shape._edge_rows
-        y0, z0, cells_y, cells_z, cells = shape._edge_grid
-        gy, gz = (qy - y0) / _GRID_CELL_MM, (qz - z0) / _GRID_CELL_MM
+        gy0, gz0, cells_y, cells_z, cells = shape._edge_grid
+        gy, gz = (qy - gy0) / _GRID_CELL_MM, (qz - gz0) / _GRID_CELL_MM
         if 0.0 <= gy < cells_y and 0.0 <= gz < cells_z:
             candidates = cells[int(gy) * cells_z + int(gz)]
         else:
@@ -389,7 +391,7 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work) -> tuple:
                 f"boundary_probe: p_work ({y!r}, {z!r}) is too far from shape "
                 f"{shape.name!r}: its squared distance overflows"
             )
-        v0y, v0z, e0y, e0z, _, _, _ = rows[i]
+        v0y, v0z, e0y, e0z, _, n0y, n0z = rows[i]
         py, pz = v0y + ti * e0y, v0z + ti * e0z
         ry, rz = qy - py, qz - pz
         dist = math.sqrt(ry * ry + rz * rz)
@@ -399,14 +401,15 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work) -> tuple:
         eps = 1e-9
         if eps < ti < 1.0 - eps:
             feature = ("edge", i)
-            ny, nz = rows[i][5:]
+            ny, nz = n0y, n0z
             inside = ry * ny + rz * nz < 0.0
         else:
             vi = i if ti <= eps else (i + 1) % len(rows)
             feature = ("vertex", vi)
-            dvy, dvz = qy - rows[vi][0], qz - rows[vi][1]
-            by = rows[vi - 1][5] + rows[vi][5]
-            bz = rows[vi - 1][6] + rows[vi][6]
+            row, prev = rows[vi], rows[vi - 1]
+            dvy, dvz = qy - row[0], qz - row[1]
+            by = prev[5] + row[5]
+            bz = prev[6] + row[6]
             inside = dvy * by + dvz * bz < 0.0
             nv = math.hypot(dvy, dvz)
             if nv < 1e-12:
@@ -420,7 +423,7 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work) -> tuple:
         sd = -dist if inside else dist
 
     # back into the work frame, by the c, s above
-    return (sd, (pose.y + (c * py - s * pz), pose.z + (s * py + c * pz)),
+    return (sd, (y0 + (c * py - s * pz), z0 + (s * py + c * pz)),
             (c * ny - s * nz, s * ny + c * nz), feature)
 
 
@@ -532,9 +535,10 @@ def builtin_shapes() -> dict:
 # world state
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WorldState:
-    """Simulator ground truth: object and pusher planar poses."""
+class WorldState(NamedTuple):
+    """Simulator ground truth: object and pusher planar poses, and the
+    ContactState of the last substep that ran there (None if none has)."""
 
     object_pose: PlanarPose
     pusher_pose: PlanarPose
+    contact: object = None

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,7 @@ Z_RANGE_MM = (1.0, 5.0)
 ALPHA_RANGE_DEG = (-20.0, 20.0)
 
 
-@dataclass(frozen=True)
-class PosePrediction:
+class PosePrediction(NamedTuple):
     """Tactile pose estimate. Depth/angles are absent (None) without contact."""
 
     in_contact: bool
@@ -89,11 +89,12 @@ def apply_noise(
     """Perturb a contact prediction with seeded Gaussian noise, then re-clamp.
 
     Only z and alpha draw from the generator. No-contact predictions pass through unchanged.
+    Each draw is rng.normal(0.0, sigma) as numpy computes it: 0.0 + sigma * standard_normal().
     """
     if not noise.enabled or not pred.in_contact:
         return pred
-    z_noisy = pred.z_depth + float(rng.normal(0.0, noise.sigma_z))
-    a_noisy = pred.alpha + float(rng.normal(0.0, noise.sigma_alpha))
+    z_noisy = pred.z_depth + (0.0 + noise.sigma_z * rng.standard_normal())
+    a_noisy = pred.alpha + (0.0 + noise.sigma_alpha * rng.standard_normal())
     z, z_clamped = _clamp(z_noisy, *Z_RANGE_MM)
     alpha, a_clamped = _clamp(a_noisy, *ALPHA_RANGE_DEG)
     return PosePrediction(True, z, alpha, pred.clamped or z_clamped or a_clamped)

@@ -223,6 +223,17 @@ class TestExperimentGrids:
         ids = [r.scenario_id for r in records]
         assert len(set(ids)) == 21
 
+    @pytest.mark.parametrize("grid", [exp1_grid, exp2_grid, exp3_grid])
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 3])
+    def test_master_seed_outside_64_bits_rejected(self, grid, seed):
+        with pytest.raises(ValueError, match=rf"master_seed must be in \[0, 2\*\*64\), got {seed}"):
+            grid(1, seed)
+
+    @pytest.mark.parametrize("grid", [exp1_grid, exp2_grid, exp3_grid])
+    def test_largest_master_seed_accepted(self, grid):
+        top = [s.rng_seed for s in grid(1, (1 << 64) - 1)]
+        assert top != [s.rng_seed for s in grid(1, 0)]
+
     def test_grids_seed_each_cell_and_trial(self):
         exp1 = exp1_grid(2, 3)
         assert [s.rng_seed for s in exp1] == [
@@ -473,6 +484,7 @@ class TestCli:
          ({"rng_seed": 1.7}, "rng_seed"),
          ({"rng_seed": "abc"}, "rng_seed"),
          ({"rng_seed": -5}, "rng_seed"),
+         ({"rng_seed": 1 << 64}, "rng_seed must be an integer in [0, 2**64)"),
          ({"controller": {"reacquire_limit": 2.9}}, "reacquire_limit"),
          ({"controller": {"tap_forward_mm": "8"}}, "controller.tap_forward_mm"),
          ({"controller": {"kp_align": True}}, "controller.kp_align"),
@@ -496,7 +508,7 @@ class TestCli:
          ({"name": "two\nlines"}, "name"),
          ({"controller": {"kp_servo_diag": [0, 0, 0.9, 0.9, 0.9, 0]}}, "kp_servo")],
         ids=["noise_enabled_string", "rng_seed_float", "rng_seed_string",
-             "rng_seed_negative", "reacquire_limit_float", "tap_forward_string",
+             "rng_seed_negative", "rng_seed_2_64", "reacquire_limit_float", "tap_forward_string",
              "kp_align_bool", "object_start_pose_strings", "kp_align_infinity",
              "f_max_nan", "ref_pose_nan", "ref_pose_non_planar", "unknown_top_level_key",
              "unknown_object_key", "unknown_noise_key", "beta_deg", "name_not_string",
@@ -514,8 +526,24 @@ class TestCli:
 
     def test_run_rejects_negative_seed(self, tmp_path, capsys):
         argv = ["run", "--scenario", str(BASELINE), "--seed", "-1", "--out", str(tmp_path)]
-        assert cli_main(argv) == 2
-        assert "rng_seed" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "argument --seed: must be in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "records.json").exists()
+
+    @pytest.mark.parametrize("command", [["run", "--scenario", str(BASELINE)],
+                                         ["exp1"], ["exp2"], ["exp3"]],
+                             ids=["run", "exp1", "exp2", "exp3"])
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 3])
+    def test_seed_outside_64_bits_rejected(self, command, seed, tmp_path, capsys):
+        # derived seeds read the seed modulo 2**64: -1, 2**64 and 2**64 + 3
+        # would run the trials of 2**64 - 1, 0 and 3
+        argv = [*command, "--seed", str(seed), "--out", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert f"argument --seed: must be in [0, 2**64), got {seed}" in capsys.readouterr().err
         assert not (tmp_path / "records.json").exists()
 
     @pytest.mark.parametrize(

@@ -501,7 +501,7 @@ def test_control_step_commutes_with_the_mirror(pusher, target, readings):
     # v and the y and alpha channels of the error and the integral mirror
     here = control_steps(readings, pusher, target)
     assume(off_the_thresholds(here, target))
-    flipped = [dataclasses.replace(p, alpha=-p.alpha) if p.in_contact else p for p in readings]
+    flipped = [p._replace(alpha=-p.alpha) if p.in_contact else p for p in readings]
     there = control_steps(flipped, mirrored(pusher), mirrored(target))
     tol = SYMMETRY_RTOL * (1.0 + max(map(abs, (pusher.y, pusher.z, target.y, target.z))))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from collections import Counter
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tacpush import push_dynamics
+from tacpush import exp_harness, push_dynamics
 from tacpush.pose_math import normalize_angle_deg
 from tacpush.push_dynamics import (
     ContactMode,
@@ -60,13 +61,13 @@ def square(side=60.0, mu=0.5):
 
 def record_substeps(monkeypatch) -> list:
     """Record every resolve_substep call of simulate_tap as (tip, disp,
-    object pose after it)."""
+    object pose after it, contact)."""
     calls = []
     real = push_dynamics.resolve_substep
 
     def recording(shape_, object_pose, tip, disp):
         out = real(shape_, object_pose, tip, disp)
-        calls.append((np.array(tip, dtype=float), np.array(disp, dtype=float), out[0]))
+        calls.append((np.array(tip, dtype=float), np.array(disp, dtype=float), *out))
         return out
 
     monkeypatch.setattr(push_dynamics, "resolve_substep", recording)
@@ -784,7 +785,7 @@ class TestSimulateTap:
         (n, reloc), (m, advance), _ = replay_tap(shape, world, cmd, tap_forward, 0.0, calls)
         assert (m, advance) == (1, [1]) and len(calls) == len(reloc) + 1
         assert n not in reloc  # the relocation's last substep, if it has one, was skipped
-        tip, disp, after = calls[len(reloc)]
+        tip, disp, after, _ = calls[len(reloc)]
         assert np.array_equal(tip, (cmd.y, cmd.z))
         assert math.hypot(*disp) == pytest.approx(tap_forward, abs=1e-15)
         before = calls[len(reloc) - 1][2] if reloc else pose
@@ -886,3 +887,98 @@ class TestFreeSpaceCertificate:
             calls = record_substeps(mp)
             simulate_tap(world, shape, cmd, tap_forward, tap_back)
         replay_tap(shape, world, cmd, tap_forward, tap_back, calls)
+
+
+CONVEX_SHAPES = ("blue_square", "red_square", "yellow_triangle", "rectangle", "circle")
+
+
+@functools.lru_cache(maxsize=None)
+def closed_loop_taps(shape_name: str) -> tuple:
+    """The taps of one noisy closed-loop trial on a catalog shape, each as
+    (world before it, command, tap_forward, tap_back, its resolve_substep
+    calls as record_substeps keeps them, simulate_tap's result). Convex
+    shapes start at an exp-2 corner, l_shape and mug at an exp-3 heading."""
+    if shape_name in CONVEX_SHAPES:
+        scenario = exp_harness.exp2_scenario(shape_name, 0, seed=11)
+    else:
+        scenario = next(s for s in exp_harness.exp3_grid(1, 5) if s.object.name == shape_name)
+    taps = []
+    real_tap = exp_harness.simulate_tap
+    with pytest.MonkeyPatch.context() as mp:
+        calls = record_substeps(mp)
+
+        def recording(world, shape, cmd, tap_forward, tap_back):
+            calls.clear()
+            out = real_tap(world, shape, cmd, tap_forward=tap_forward, tap_back=tap_back)
+            taps.append((world, cmd, tap_forward, tap_back, tuple(calls), out))
+            return out
+
+        mp.setattr(exp_harness, "simulate_tap", recording)
+        exp_harness.run_trial(dataclasses.replace(scenario, max_taps=80))
+    assert len(taps) > 20
+    return tuple(taps)
+
+
+class TestCarriedCertificate:
+    """A tap's world carries the contact of its last substep that ran; on a
+    convex outline the next tap starts from that contact's supporting line."""
+
+    @pytest.mark.parametrize("shape_name", CONVEX_SHAPES)
+    def test_skipped_tips_are_free_across_taps_in_closed_loop(self, shape_name):
+        # every tip a tap skips, its relocation's first included, is re-probed
+        # at the object pose the tap has there
+        shape = builtin_shapes()[shape_name]
+        first_skipped = 0
+        for world, cmd, tap_forward, tap_back, calls, (after, _, _) in closed_loop_taps(
+                shape_name):
+            (n, reloc), _, _ = replay_tap(shape, world, cmd, tap_forward, tap_back, list(calls))
+            first_skipped += n > 0 and reloc[:1] != [1]
+            assert after.contact == calls[-1][3]
+        assert first_skipped > len(closed_loop_taps(shape_name)) // 2
+
+    @pytest.mark.parametrize("shape_name", CONVEX_SHAPES)
+    def test_a_carried_tap_equals_a_cold_one_with_fewer_substeps(self, shape_name, monkeypatch):
+        # the same tap from the world without its contact gives the same
+        # poses, reported contact and sense heading, bit for bit
+        shape = builtin_shapes()[shape_name]
+        cold_calls = record_substeps(monkeypatch)
+        warm = cold = 0
+        for world, cmd, tap_forward, tap_back, calls, out in closed_loop_taps(shape_name):
+            cold_calls.clear()
+            cold_out = simulate_tap(world._replace(contact=None), shape, cmd, tap_forward, tap_back)
+            assert repr(cold_out[0][:2] + cold_out[1:]) == repr(out[0][:2] + out[1:])
+            warm, cold = warm + len(calls), cold + len(cold_calls)
+        assert warm < cold
+
+    @pytest.mark.parametrize("shape_name", ["l_shape", "mug"])
+    def test_the_carried_contact_changes_no_call_on_other_outlines(self, shape_name, monkeypatch):
+        # a notch or a handle may cross the supporting line, and the ball
+        # needs the tip of the substep; without the contact, every tap makes
+        # the same calls and gives the same result
+        shape = builtin_shapes()[shape_name]
+        cold_calls = record_substeps(monkeypatch)
+        for world, cmd, tap_forward, tap_back, calls, out in closed_loop_taps(shape_name):
+            cold_calls.clear()
+            cold_out = simulate_tap(world._replace(contact=None), shape, cmd, tap_forward, tap_back)
+            assert repr(cold_out) == repr(out)
+            assert repr(cold_calls) == repr(list(calls))
+
+    def test_the_world_carries_the_last_substeps_contact(self, monkeypatch):
+        # heading away from the square, a 1 mm advance ends clear of it and a
+        # 6 mm retract pushes it: the world carries the retract's contact,
+        # not the advance's, since the square has moved since
+        shape, pose = square(), PlanarPose()
+        world = make_world([0.0, -52.0], pose)
+        cmd = PlanarPose(0.0, -52.0, 180.0)
+        calls = record_substeps(monkeypatch)
+        new_world, _, contact = simulate_tap(world, shape, cmd, 1.0, 6.0)
+        assert contact.mode is ContactMode.SEPARATED
+        assert new_world.object_pose.z > 2.0
+        assert new_world.contact == calls[-1][3]
+        assert new_world.contact.mode is not ContactMode.SEPARATED
+
+    def test_a_world_of_poses_carries_no_contact_and_is_immutable(self):
+        world = make_world([0.0, -52.0], PlanarPose())
+        assert world.contact is None
+        with pytest.raises(AttributeError):
+            world.object_pose = PlanarPose(1.0, 0.0, 0.0)

@@ -157,19 +157,25 @@ class TestApplyNoise:
         b = apply_noise(pred, noise, np.random.default_rng(123))
         assert a == b
 
-    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(sigma_z=0.7, sigma_alpha=0.05)],
-                             ids=["default", "wide_z"])
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseModel(), NoiseModel(sigma_z=0.7, sigma_alpha=0.05), NoiseModel(0.0, 0.0),
+         NoiseModel(1e-300, 1e-300), NoiseModel(1e300, 1e300)],
+        ids=["default", "wide_z", "zero", "tiny", "huge"],
+    )
     def test_draws_z_then_alpha_from_the_generator(self, noise):
         # each reading adds rng.normal(0, sigma_z) to z, then
-        # rng.normal(0, sigma_alpha) to alpha, from the same seeded stream
+        # rng.normal(0, sigma_alpha) to alpha, from the same seeded stream,
+        # and clamps; readings are compared as text, so the sign of a zero
+        # counts: with sigma 0 numpy's draw is +0.0, and -0.0 + 0.0 is +0.0
         rng, draws = np.random.default_rng(42), np.random.default_rng(42)
-        pred = self.contact_pred(z=3.0, alpha=2.0)
-        for _ in range(20):
-            out = apply_noise(pred, noise, rng)
-            dz = float(draws.normal(0.0, noise.sigma_z))
-            da = float(draws.normal(0.0, noise.sigma_alpha))
-            assert (out.z_depth, out.alpha) == (3.0 + dz, 2.0 + da)
-            assert not out.clamped
+        for alpha in [2.0, -0.0] * 10:
+            out = apply_noise(self.contact_pred(z=3.0, alpha=alpha), noise, rng)
+            z = 3.0 + float(draws.normal(0.0, noise.sigma_z))
+            a = alpha + float(draws.normal(0.0, noise.sigma_alpha))
+            want = (min(max(z, Z_RANGE_MM[0]), Z_RANGE_MM[1]),
+                    min(max(a, ALPHA_RANGE_DEG[0]), ALPHA_RANGE_DEG[1]))
+            assert repr(out) == repr(PosePrediction(True, *want, want != (z, a)))
 
     def test_beta_stays_zero(self):
         # noise moves z and alpha only; the sensed pose keeps x, y, beta and

@@ -82,11 +82,11 @@ MUTANTS = [
      "if best == math.inf:",
      "if False:"),
     ("swap the frictionless contact's sliding sides", "push_dynamics.py",
-     "ContactMode.SLIDING_LEFT if side > 0.0 else ContactMode.SLIDING_RIGHT",
-     "ContactMode.SLIDING_RIGHT if side > 0.0 else ContactMode.SLIDING_LEFT"),
+     "_SLIDING_LEFT if side > 0.0 else _SLIDING_RIGHT",
+     "_SLIDING_RIGHT if side > 0.0 else _SLIDING_LEFT"),
     ("drop - s * oz from _lever's CoF", "push_dynamics.py",
-     "cy = pose.y + c * oy - s * oz",
-     "cy = pose.y + c * oy"),
+     "cy = y + c * oy - s * oz",
+     "cy = y + c * oy"),
     ("drop a + from _solve's denominator", "push_dynamics.py",
      "/ (a + b * (py * py + pz * pz))",
      "/ (b * (py * py + pz * pz))"),
@@ -117,18 +117,20 @@ MUTANTS = [
      "normalize_angle_deg(pusher.alpha - pred.alpha)",
      "normalize_angle_deg(pusher.alpha + pred.alpha)"),
     ("apply_noise draws alpha with 1.5 x sigma_alpha", "tactile_sense.py",
-     "rng.normal(0.0, noise.sigma_alpha)",
-     "rng.normal(0.0, 1.5 * noise.sigma_alpha)"),
+     "noise.sigma_alpha * rng.standard_normal()",
+     "1.5 * noise.sigma_alpha * rng.standard_normal()"),
     ("the servo derivative acts on e, not e - prev", "push_controller.py",
-     "kp * e + ki * i + kd * (e - prev)",
-     "kp * e + ki * i + kd * e"),
+     "kdy * (ey - py),\n            kpz * ez + kiz * iz + kdz * (ez - pz),\n"
+     "            kpa * ea + kia * ia + kda * (ea - pa))",
+     "kdy * ey,\n            kpz * ez + kiz * iz + kdz * ez,\n"
+     "            kpa * ea + kia * ia + kda * ea)"),
     ("contact is lost one no-contact reading early (reacquire limit off by one)",
      "push_controller.py",
      "if state.no_contact_streak > cfg.reacquire_limit:",
      "if state.no_contact_streak >= cfg.reacquire_limit:"),
     ("pid_step clips the alpha integral with the translation clip", "push_controller.py",
-     "clips = (cfg.integral_clip_translation,) * 2 + (cfg.integral_clip_rotation,)",
-     "clips = (cfg.integral_clip_translation,) * 3"),
+     "ia = min(max(ia + ea, rlo), rhi)",
+     "ia = min(max(ia + ea, tlo), thi)"),
     ("flip the sign of servo_error's alpha", "push_controller.py",
      "return y, z, normalize_angle_deg(",
      "return y, z, -normalize_angle_deg("),
@@ -138,6 +140,25 @@ MUTANTS = [
     ("flip the sign of target_bearing's heading", "push_controller.py",
      "return math.degrees(math.atan2(y, z)), math.hypot(y, z)",
      "return -math.degrees(math.atan2(y, z)), math.hypot(y, z)"),
+    ("a vertex's pseudonormal pairs the wrong rows: the vertex row is the previous edge's",
+     "scene.py",
+     "row, prev = rows[vi], rows[vi - 1]",
+     "row, prev = rows[vi - 1], rows[vi]"),
+    ("every tap starts cold: the world's contact is not carried", "push_dynamics.py",
+     "carried = contact if convex else None",
+     "carried = None"),
+    ("the world carries the advance's contact, not the last substep's that ran",
+     "push_dynamics.py",
+     "PlanarPose(ty, tz, alpha), contact)",
+     "PlanarPose(ty, tz, alpha), advance_contact)"),
+    ("the carry on a non-convex outline: a ball of the carried contact's gap about the tip",
+     "push_dynamics.py",
+     "cy, cz, reach = ty, tz, -math.inf",
+     "cy, cz, reach = ty, tz, -contact.penetration - PENETRATION_TOL_MM if contact else -math.inf"),
+    ("apply_noise's alpha draw drops numpy's 0.0 +, which fixes the sign of a zero draw",
+     "tactile_sense.py",
+     "pred.alpha + (0.0 + noise.sigma_alpha * rng.standard_normal())",
+     "pred.alpha + noise.sigma_alpha * rng.standard_normal()"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "out", "__pycache__", ".hypothesis", ".pytest_cache",
