@@ -223,6 +223,8 @@ def run_trial(scenario: Scenario) -> TrialRecord:
     }
     try:
         contact = contact_at(shape, world.object_pose, (world.pusher_pose.y, world.pusher_pose.z))
+        # the first tap starts from the certificate of this probe
+        world = world._replace(contact=contact)
         sense_heading = world.pusher_pose.alpha
         while True:
             pred = apply_noise(sense_contact(contact, sense_heading), scenario.noise, rng)

@@ -21,13 +21,13 @@ substep to within PENETRATION_TOL_MM by advancing the object along the
 resolved twist. Motion is velocity-level and scale invariant; only twist
 directions are physical.
 
-M lives in one set of float functions: _lever (the CoF and p), _apply
-(M f), _solve (M^-1 v), _motion_cone (the cone edges and their images),
-_resolve (sticking or sliding), _twist and _advance_pose. a, b, the CoF and
-the friction cone's cos and sin are per-shape constants, computed once in
-ObjectShape.__post_init__. resolve_substep calls the functions on float
-locals: an iteration builds the float pairs they return, the advanced
-PlanarPose and its probe's tuple, but no matrix and no contact state.
+M lives in resolve_substep's loop and in _resolve, on float locals: a, b,
+the CoF and the friction cone's cos and sin are per-shape constants,
+computed once in ObjectShape.__post_init__. _resolve takes the pose and the
+probe's contact and returns the CoF, the lever p, the force and the mode;
+the loop forms M f, the twist and the advanced PlanarPose itself. An
+iteration builds that pose, _resolve's tuple and its probe's tuple, but no
+matrix and no contact state.
 """
 
 from __future__ import annotations
@@ -99,91 +99,52 @@ class ContactState(NamedTuple):
     penetration: float
 
 
-# The contact-matrix kernel: float functions of a = 1 / f_max^2,
-# b = 1 / m_max^2 and the lever p = (py, pz). resolve_substep's loop calls
-# them on float locals.
+def _resolve(shape: ObjectShape, pose: PlanarPose, qy, qz, ny, nz, vy, vz):
+    """(cy, cz, py, pz, fy, fz, mode): the contact-matrix kernel's one call.
 
-def _lever(shape: ObjectShape, pose: PlanarPose, qy: float, qz: float):
-    """(cy, cz, py, pz): the work-frame CoF of `shape` at `pose` (as
-    PlanarPose.transform_point gives it), and the lever p = perp(q - cof) of
-    the work-frame contact point q."""
+    The work-frame CoF (cy, cz) of `shape` at `pose` (as
+    PlanarPose.transform_point gives it), the lever p = perp(q - cof) of the
+    work-frame contact point q, and the contact force direction f and mode
+    for the pusher drive direction v with inward normal n. The motion-cone
+    edges are u = M f of the friction-cone edges, the shape's cone (cos,
+    sin) pairs turning n left (+) and right (-). Sticking if v lies inside
+    the motion cone (f = M^-1 v, by the rank-one Sherman-Morrison form of
+    M, interior to the friction cone); otherwise f pins to the friction-cone
+    edge on v's side and the contact slides.
+    """
     y, z, alpha = pose
-    a = math.radians(alpha)
-    c, s = math.cos(a), math.sin(a)
+    t = math.radians(alpha)
+    c, s = math.cos(t), math.sin(t)
     oy, oz = shape._cof
     cy = y + c * oy - s * oz
     cz = z + s * oy + c * oz
-    return cy, cz, -(qz - cz), qy - cy
-
-
-def _apply(a: float, b: float, py: float, pz: float, fy: float, fz: float):
-    """Contact-point velocity v_c = M f."""
-    bpf = b * (py * fy + pz * fz)
-    return a * fy + bpf * py, a * fz + bpf * pz
-
-
-def _solve(a: float, b: float, py: float, pz: float, vy: float, vz: float):
-    """f = M^-1 v via the rank-one (Sherman-Morrison) form of M."""
-    k = b * (py * vy + pz * vz) / (a + b * (py * py + pz * pz))
-    return (vy - k * py) / a, (vz - k * pz) / a
-
-
-def _motion_cone(a: float, b: float, py: float, pz: float, ny: float, nz: float, cone):
-    """(f_l, f_r, u_l, u_r) as 8 floats: the left (+) and right (-) edges of
-    the Coulomb cone about the inward normal n, rotated by the shape's cone
-    (cos, sin) pairs, and u = M f of each, the motion-cone edges."""
-    cl, sl, cr, sr = cone
+    py, pz = -(qz - cz), qy - cy
+    a, b = shape._inv_f2, shape._inv_m2
+    cl, sl, cr, sr = shape._cone
     fly, flz = cl * ny - sl * nz, sl * ny + cl * nz
     fry, frz = cr * ny - sr * nz, sr * ny + cr * nz
-    uly, ulz = _apply(a, b, py, pz, fly, flz)
-    ury, urz = _apply(a, b, py, pz, fry, frz)
-    return fly, flz, fry, frz, uly, ulz, ury, urz
-
-
-def _resolve(a, b, py, pz, ny, nz, vy, vz, shape: ObjectShape):
-    """(fy, fz, mode): contact force direction and mode for the pusher drive
-    direction v with inward normal n.
-
-    Sticking if v lies inside the motion cone (force = M^-1 v, interior to
-    the friction cone); otherwise the force pins to the friction-cone edge
-    on v's side and the contact slides.
-    """
-    fly, flz, fry, frz, uly, ulz, ury, urz = _motion_cone(a, b, py, pz, ny, nz, shape._cone)
+    bpf = b * (py * fly + pz * flz)
+    uly, ulz = a * fly + bpf * py, a * flz + bpf * pz
+    bpf = b * (py * fry + pz * frz)
+    ury, urz = a * fry + bpf * py, a * frz + bpf * pz
     side = uly * vz - ulz * vy  # u_l x v
     if shape.mu_contact == 0.0:
         if abs(side) < 1e-12:
-            return ny, nz, _STICKING
-        return ny, nz, _SLIDING_LEFT if side > 0.0 else _SLIDING_RIGHT
+            return cy, cz, py, pz, ny, nz, _STICKING
+        return cy, cz, py, pz, ny, nz, _SLIDING_LEFT if side > 0.0 else _SLIDING_RIGHT
     beyond_l = side > 0.0
     beyond_r = ury * vz - urz * vy < 0.0
     if beyond_l and beyond_r:
         # reflex corner: v opposes the cone; pick the side it is closer to
         if (uly + ury) * vz - (ulz + urz) * vy > 0.0:
-            return fly, flz, _SLIDING_LEFT
-        return fry, frz, _SLIDING_RIGHT
+            return cy, cz, py, pz, fly, flz, _SLIDING_LEFT
+        return cy, cz, py, pz, fry, frz, _SLIDING_RIGHT
     if beyond_l:
-        return fly, flz, _SLIDING_LEFT
+        return cy, cz, py, pz, fly, flz, _SLIDING_LEFT
     if beyond_r:
-        return fry, frz, _SLIDING_RIGHT
-    fy, fz = _solve(a, b, py, pz, vy, vz)
-    return fy, fz, _STICKING
-
-
-def _twist(a: float, b: float, py: float, pz: float, fy: float, fz: float, s: float):
-    """(dy, dz, spin): the object twist s * (a f, b p . f) for the contact
-    force f, as the CoF displacement (mm) and the spin about the CoF (rad)."""
-    sa = s * a
-    return sa * fy, sa * fz, s * b * (py * fy + pz * fz)
-
-
-def _advance_pose(pose: PlanarPose, cy: float, cz: float, dy: float, dz: float, spin: float):
-    """Rigidly displace the object: the CoF (cy, cz) translates by (dy, dz),
-    and the object spins by `spin` rad about it."""
-    y, z, alpha = pose
-    c, s = math.cos(spin), math.sin(spin)
-    ry, rz = y - cy, z - cz
-    return PlanarPose(cy + dy + (c * ry - s * rz), cz + dz + (s * ry + c * rz),
-                      alpha + math.degrees(spin))
+        return cy, cz, py, pz, fry, frz, _SLIDING_RIGHT
+    k = b * (py * vy + pz * vz) / (a + b * (py * py + pz * pz))
+    return cy, cz, py, pz, (vy - k * py) / a, (vz - k * pz) / a, _STICKING
 
 
 def contact_at(shape: ObjectShape, object_pose: PlanarPose, tip) -> ContactState:
@@ -206,10 +167,10 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
     Returns (new object pose, ContactState); the caller owns the pusher pose
     update.
 
-    Each step runs the contact-matrix kernel on float locals: the probe's
-    work-frame point and inward normal, the shape's constants, the lever,
-    the force and mode, M f, the twist and the advanced pose; then it probes
-    again. A ContactState is built only around the last probe.
+    Each step runs on float locals: from the probe's work-frame point and
+    inward normal, one _resolve call gives the CoF, the lever, the force and
+    the mode; the step forms M f, the twist and the advanced pose, then
+    probes again. A ContactState is built only around the last probe.
     """
     dy, dz = float(pusher_disp[0]), float(pusher_disp[1])
     disp_norm = math.hypot(dy, dz)
@@ -246,34 +207,43 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
             )
         steps += 1
         ny, nz = -ny, -nz  # the probe's outward normal, turned inward
-        cy, cz, py, pz = _lever(shape, pose, qy, qz)
         if driven and dy * ny + dz * nz > 1e-12:
             vy, vz = dy, dz
         else:
             # stale overlap with no approaching drive: expel along the normal
             vy, vz = ny, nz
-        fy, fz, step_mode = _resolve(a, b, py, pz, ny, nz, vy, vz, shape)
-        uy, uz = _apply(a, b, py, pz, fy, fz)
+        cy, cz, py, pz, fy, fz, step_mode = _resolve(shape, pose, qy, qz, ny, nz, vy, vz)
+        # the contact-point velocity u = M f = a f + b (p . f) p
+        pf = py * fy + pz * fz
+        bpf = b * pf
+        uy, uz = a * fy + bpf * py, a * fz + bpf * pz
         rate = uy * ny + uz * nz
         if rate <= 1e-12:
             # edge twist cannot reduce overlap; fall back to a pure normal push
             fy, fz = ny, nz
-            uy, uz = _apply(a, b, py, pz, fy, fz)
+            pf = py * fy + pz * fz
+            bpf = b * pf
+            uy, uz = a * fy + bpf * py, a * fz + bpf * pz
             rate = uy * ny + uz * nz
         if mode is None:
             mode = step_mode
-        twy, twz, spin = _twist(a, b, py, pz, fy, fz, (pen - _RESOLVE_RESIDUAL_MM) / rate)
-        pose = _advance_pose(pose, cy, cz, twy, twz, spin)
+        # the twist t (a f, b p . f): the CoF moves by t a f and the object
+        # spins by t b p . f rad about it
+        t = (pen - _RESOLVE_RESIDUAL_MM) / rate
+        ta = t * a
+        spin = t * b * pf
+        y, z, alpha = pose
+        c, s = math.cos(spin), math.sin(spin)
+        ry, rz = y - cy, z - cz
+        pose = PlanarPose(cy + ta * fy + (c * ry - s * rz), cz + ta * fz + (s * ry + c * rz),
+                          alpha + math.degrees(spin))
         sd, (qy, qz), (ny, nz), _ = boundary_probe(shape, pose, tip_new)
         pen = TIP_RADIUS_MM - sd
 
     ny, nz = -ny, -nz
     if mode is None:
         # grazing contact (overlap within tolerance): classify without moving
-        mode = _STICKING
-        if driven:
-            _, _, py, pz = _lever(shape, pose, qy, qz)
-            _, _, mode = _resolve(a, b, py, pz, ny, nz, dy, dz, shape)
+        mode = _resolve(shape, pose, qy, qz, ny, nz, dy, dz)[6] if driven else _STICKING
     return pose, ContactState((qy, qz), (ny, nz), mode, pen)
 
 

@@ -6,9 +6,10 @@ contact-point velocity matches the pusher's normal velocity, and selects
 the candidate satisfying tangential complementarity (interior force: zero
 slip; edge force: slip opposing the friction component). The oracle is
 entirely independent of the analytical motion-cone classification in the
-package. One helper here calls into the package's contact-matrix kernel:
-`wrench_twist`, which maps wrenches onto its float functions for the
-limit-surface gradient checks.
+package, and it forms the limit-surface quantities itself, in numpy: the
+CoF and the lever (`lever`), the contact matrix M (`contact_matrix`) and
+the twist of a contact force (`twist`). From the package it takes only the
+shapes, poses and probe that build its configurations.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from tacpush.push_dynamics import _lever, _twist
 from tacpush.scene import (
     TIP_RADIUS_MM,
     ObjectShape,
@@ -32,9 +32,35 @@ def perp2(v):
     return np.array([-v[1], v[0]])
 
 
-def _rot(v, rad):
+def rot(v, rad):
     c, s = math.cos(rad), math.sin(rad)
     return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+
+
+def limit_surface(shape: ObjectShape):
+    """(a, b) = (1 / f_max^2, 1 / m_max^2) of the ellipsoid limit surface."""
+    return 1.0 / shape.f_max ** 2, 1.0 / shape.m_max ** 2
+
+
+def lever(shape: ObjectShape, pose: PlanarPose, point):
+    """(cof, p): the work-frame CoF of `shape` at `pose` and the lever
+    p = perp(point - cof) of a work-frame contact point."""
+    cof = np.array((pose.y, pose.z)) + rot(shape.cof_offset, math.radians(pose.alpha))
+    return cof, perp2(np.asarray(point, dtype=float) - cof)
+
+
+def contact_matrix(a, b, p) -> np.ndarray:
+    """M = a I + b p p^T, which maps a contact force to the contact point's
+    velocity."""
+    p = np.asarray(p, dtype=float)
+    return a * np.eye(2) + b * np.outer(p, p)
+
+
+def twist(a, b, p, f) -> np.ndarray:
+    """The limit-surface twist (vy, vz, omega) = (a f, b p . f) of a contact
+    force f at lever p: the CoF velocity and the spin about the CoF."""
+    f = np.asarray(f, dtype=float)
+    return np.array((a * f[0], a * f[1], b * float(np.dot(p, f))))
 
 
 def brute_force_push(v_p, n_in, mu, a, b, p, n_candidates=10_000):
@@ -63,7 +89,7 @@ def brute_force_push(v_p, n_in, mu, a, b, p, n_candidates=10_000):
     valid = np.isfinite(slip)
 
     def twist_at(i):
-        t = np.array([a * forces[0, i], a * forces[1, i], b * moments[i]])
+        t = twist(a, b, p, forces[:, i])
         return t / np.linalg.norm(t)
 
     # interior sticking solution: slip crosses zero strictly inside the cone
@@ -90,10 +116,10 @@ def brute_force_push(v_p, n_in, mu, a, b, p, n_candidates=10_000):
 def motion_cone_margin_deg(v_p, n_in, mu, a, b, p) -> float:
     """Angular distance of the drive direction from the motion-cone edges."""
     phi = math.atan(mu)
-    f_l = _rot(n_in, phi)
-    f_r = _rot(n_in, -phi)
-    u_l = a * f_l + b * float(p @ f_l) * p
-    u_r = a * f_r + b * float(p @ f_r) * p
+    f_l = rot(n_in, phi)
+    f_r = rot(n_in, -phi)
+    m = contact_matrix(a, b, p)
+    u_l, u_r = m @ f_l, m @ f_r
     v = np.asarray(v_p, dtype=float)
     v = v / np.linalg.norm(v)
     out = []
@@ -103,22 +129,6 @@ def motion_cone_margin_deg(v_p, n_in, mu, a, b, p) -> float:
     return min(out)
 
 
-def wrench_twist(wrench, shape: ObjectShape) -> np.ndarray:
-    """Unit twist the contact-matrix kernel gives for a CoF wrench (fy, fz, m).
-
-    The force (fy, fz) is applied at the contact point whose lever
-    p = perp(point - CoF) makes its moment p . f equal to m; the result is
-    the limit-surface twist direction that the finite-difference gradient of
-    H must match.
-    """
-    f = np.array(wrench[:2], dtype=float)
-    p = float(wrench[2]) * f / float(f @ f)
-    qy, qz = (shape.cof_offset + np.array((p[1], -p[0]))).tolist()
-    _, _, py, pz = _lever(shape, PlanarPose(), qy, qz)
-    t = np.array(_twist(shape._inv_f2, shape._inv_m2, py, pz, *f.tolist(), 1.0))
-    return t / np.linalg.norm(t)
-
-
 def voting_theorem_vote(r, n_in, mu, v_p) -> int:
     """Rotation-sense vote: friction-cone edges agree, or the push line decides.
 
@@ -126,8 +136,8 @@ def voting_theorem_vote(r, n_in, mu, v_p) -> int:
     clockwise), -1 (clockwise) or 0 (tied/degenerate).
     """
     phi = math.atan(mu)
-    f_l = _rot(n_in, phi)
-    f_r = _rot(n_in, -phi)
+    f_l = rot(n_in, phi)
+    f_r = rot(n_in, -phi)
     cl = r[0] * f_l[1] - r[1] * f_l[0]
     cr = r[0] * f_r[1] - r[1] * f_r[0]
     vl, vr = np.sign(cl), np.sign(cr)
@@ -178,7 +188,7 @@ def random_contact_configs(n: int, seed: int):
         tip_center = point + (TIP_RADIUS_MM - pen) * n_out
         # drive with a definite approach component
         dev = math.radians(float(rng.uniform(-70, 70)))
-        v_p = _rot(n_in, dev)
+        v_p = rot(n_in, dev)
         configs.append(
             ContactConfig(
                 shape=shape,

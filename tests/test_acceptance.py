@@ -29,16 +29,18 @@ from tacpush.pose_math import (
     normalize_angle_deg,
     transform_to_euler,
 )
-from tacpush.push_dynamics import ContactMode, _lever, resolve_substep
+from tacpush.push_dynamics import ContactMode, resolve_substep
 from tacpush.scene import PlanarPose, boundary_probe, builtin_shapes
 from tacpush.tactile_sense import NoiseModel
 
 from physics_oracle import (
     brute_force_push,
+    lever,
+    limit_surface,
     motion_cone_margin_deg,
     random_contact_configs,
-    wrench_twist,
 )
+from test_push_dynamics import resolved_twist
 
 
 def report(name: str, detail: str):
@@ -157,8 +159,8 @@ def test_criterion_physics_oracle_equivalence():
         tip_new = cfg.tip + cfg.disp
         _, point, n_out, _ = boundary_probe(cfg.shape, cfg.object_pose, tip_new)
         n_in = -np.asarray(n_out)
-        cy, cz, py, pz = _lever(cfg.shape, cfg.object_pose, *point)
-        a, b, p = cfg.shape._inv_f2, cfg.shape._inv_m2, np.array((py, pz))
+        cof, p = lever(cfg.shape, cfg.object_pose, point)
+        a, b = limit_surface(cfg.shape)
         # ties at the motion-cone edges are excluded per the criterion
         if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, a, b, p) < 0.5:
             continue
@@ -172,7 +174,7 @@ def test_criterion_physics_oracle_equivalence():
             continue
         moved = np.array(
             [
-                *(np.asarray(pose.transform_point(cfg.shape.cof_offset)) - (cy, cz)),
+                *(np.asarray(pose.transform_point(cfg.shape.cof_offset)) - cof),
                 math.radians(normalize_angle_deg(pose.alpha - cfg.object_pose.alpha)),
             ]
         )
@@ -221,7 +223,7 @@ def test_criterion_limit_surface_gradient():
             ]
         )
         grad /= np.linalg.norm(grad)
-        twist = wrench_twist(w, shape)
+        twist = resolved_twist(w, shape)
         rel = float(np.linalg.norm(twist - grad) / np.linalg.norm(grad))
         worst = max(worst, rel)
         assert rel < 1e-4

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -545,6 +547,22 @@ class TestCli:
         assert exc.value.code == 2
         assert f"argument --seed: must be in [0, 2**64), got {seed}" in capsys.readouterr().err
         assert not (tmp_path / "records.json").exists()
+
+    @pytest.mark.parametrize("tool, checkouts", [
+        ("trial_digest.py", False), ("tap_replay.py", True), ("bench_compare.py", True)])
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_tools_reject_a_seed_outside_64_bits(self, tool, checkouts, seed, tmp_path):
+        # the benchmark's grids read the seed modulo 2**64, so -1 would give
+        # the grids of 2**64 - 1; the comparing tools are pointed at empty
+        # checkouts, so that one that took the seed would fail at once
+        args = ["--parent", str(tmp_path), "--change", str(tmp_path)] if checkouts else []
+        if tool == "bench_compare.py":
+            args += ["--pairs", "offset_grid=1", "--out", str(tmp_path / "bench.json")]
+        proc = subprocess.run([sys.executable, f"tools/{tool}", "--seed", str(seed), *args],
+                              cwd=BASELINE.parent.parent, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 2
+        assert f"argument --seed: must be in [0, 2**64), got {seed}" in proc.stderr
 
     @pytest.mark.parametrize(
         "argv",

@@ -32,10 +32,13 @@ from tacpush.tactile_sense import sense_contact
 
 from physics_oracle import (
     brute_force_push,
+    contact_matrix,
+    lever,
+    limit_surface,
     motion_cone_margin_deg,
     random_contact_configs,
+    rot,
     voting_theorem_vote,
-    wrench_twist,
 )
 import test_physics_golden as substep_golden
 from test_probe_golden import load_golden
@@ -43,6 +46,35 @@ from test_probe_golden import load_golden
 
 def perp2(v):
     return np.array([-v[1], v[0]])
+
+
+def resolved_twist(wrench, shape: ObjectShape) -> np.ndarray:
+    """The unit twist (vy, vz, omega) of resolve_substep's resolution step
+    for a CoF wrench (fy, fz, m) on `shape`'s limit surface.
+
+    A square with the shape's f_max and m_max, its CoF at the origin, is
+    turned so that its bottom edge's inward normal lies along f. The tip
+    touches the point of that edge whose moment p . f is m, overlapping by
+    1.5 times the tolerance, and drives along M f (the oracle's M), inside
+    the motion cone, so that the contact sticks with force f and one step
+    resolves the overlap. The step's displacement of the CoF and its turn
+    are the twist.
+    """
+    f = np.asarray(wrench[:2], dtype=float)
+    n_in = f / np.linalg.norm(f)
+    x = float(wrench[2]) / float(np.linalg.norm(f))
+    h = 2.0 * abs(x) + 30.0
+    sq = ObjectShape("sq", polygon=[[-h, -h], [h, -h], [h, h], [-h, h]],
+                     f_max=shape.f_max, m_max=shape.m_max, mu_contact=0.5)
+    pose = PlanarPose(0.0, 0.0, dir_heading(n_in))
+    point = np.asarray(pose.transform_point((x, -h)))
+    drive = contact_matrix(*limit_surface(sq), lever(sq, pose, point)[1]) @ f
+    disp = 0.01 * drive / np.linalg.norm(drive)
+    tip = point - (TIP_RADIUS_MM - 1.5 * PENETRATION_TOL_MM) * n_in - disp
+    moved, contact = resolve_substep(sq, pose, tip, disp)
+    assert contact.mode is ContactMode.STICKING
+    t = np.array((moved.y, moved.z, math.radians(normalize_angle_deg(moved.alpha - pose.alpha))))
+    return t / np.linalg.norm(t)
 
 
 def make_world(tip_center, object_pose):
@@ -113,12 +145,12 @@ def replay_tap(shape, world, cmd, tap_forward, tap_back, calls) -> list:
 class TestLimitSurfaceTwist:
     def test_pure_force_gives_pure_translation(self):
         # a push along the lever arm, through the CoF, has no moment
-        shape = square()
-        _, _, py, pz = push_dynamics._lever(shape, PlanarPose(), -30.0, 0.0)
-        dy, dz, spin = push_dynamics._twist(shape._inv_f2, shape._inv_m2, py, pz, 1.0, 0.0, 1.0)
-        assert spin == 0.0
-        assert dz == 0.0
-        assert dy > 0.0
+        start = (-30.0 - TIP_RADIUS_MM + 0.1 - 0.4, 0.0)
+        pose, contact = resolve_substep(square(), PlanarPose(), start, (0.4, 0.0))
+        assert contact.mode is ContactMode.STICKING
+        assert pose.alpha == 0.0
+        assert pose.z == 0.0
+        assert pose.y > 0.0
 
     def test_matches_finite_difference_gradient(self):
         rng = np.random.default_rng(1)
@@ -143,64 +175,52 @@ class TestLimitSurfaceTwist:
                 ]
             )
             grad /= np.linalg.norm(grad)
-            twist = wrench_twist(w, shape)
+            twist = resolved_twist(w, shape)
             assert np.linalg.norm(twist - grad) / np.linalg.norm(grad) < 1e-4
 
 
 class TestMotionCone:
-    """The motion-cone edges as the solver builds them: the velocity images
-    of the friction-cone edge forces, normalised here."""
+    """_resolve's motion cone against the oracle's: the velocity images,
+    under the oracle's M, of the friction-cone edge forces. A drive turned
+    just inside an edge sticks, and one turned just outside slides to that
+    edge's side."""
 
-    def cone(self, shape, pose, point, n_in):
-        _, _, py, pz = push_dynamics._lever(shape, pose, float(point[0]), float(point[1]))
-        a, b, ny, nz = shape._inv_f2, shape._inv_m2, float(n_in[0]), float(n_in[1])
-        cone = push_dynamics._motion_cone(a, b, py, pz, ny, nz, shape._cone)
-        u_l, u_r = np.array(cone[4:6]), np.array(cone[6:])
-        return u_l / np.linalg.norm(u_l), u_r / np.linalg.norm(u_r)
-
-    def test_frictionless_cone_collapses(self):
-        shape = square(mu=0.0)
-        left, right = self.cone(shape, PlanarPose(), [0.0, -30.0], [0.0, 1.0])
-        assert left == pytest.approx(right)
-
-    def test_centred_push_symmetric(self):
-        shape = square(mu=0.4)
-        left, right = self.cone(shape, PlanarPose(), [0.0, -30.0], [0.0, 1.0])
-        # edges mirror across the normal for a push line through the CoF
-        assert left[1] == pytest.approx(right[1])
-        assert left[0] == pytest.approx(-right[0])
-
-    def test_matches_direct_edge_construction(self):
-        # map each friction-cone edge force through the limit surface and
-        # evaluate the produced contact-point velocity
-        shape = square(mu=0.3)
+    @pytest.mark.parametrize("mu", [0.1, 0.3, 1.0])
+    def test_edges_match_the_oracles(self, mu):
+        shape = square(mu=mu)
         pose = PlanarPose(5.0, -3.0, 20.0)
-        point = np.asarray(pose.transform_point([12.0, -30.0]))
-        n_in = pose.transform_point([0.0, 1.0]) - np.array([pose.y, pose.z])
-        left, right = self.cone(shape, pose, point, n_in)
-        r = point - pose.transform_point(shape.cof_offset)
-        _, _, py, pz = push_dynamics._lever(shape, pose, *point.tolist())
-        phi = math.atan(shape.mu_contact)
-        for edge, sign in ((left, 1.0), (right, -1.0)):
-            c, s = math.cos(sign * phi), math.sin(sign * phi)
-            f = np.array([c * n_in[0] - s * n_in[1], s * n_in[0] + c * n_in[1]])
-            dy, dz, dspin = push_dynamics._twist(
-                shape._inv_f2, shape._inv_m2, py, pz, *f.tolist(), 1.0
-            )
-            v_contact = np.array([dy, dz]) + dspin * perp2(r)
-            v_contact /= np.linalg.norm(v_contact)
-            assert edge == pytest.approx(v_contact, abs=1e-9)
+        point = pose.transform_point([12.0, -30.0])
+        n_in = np.asarray(heading_dir(pose.alpha))
+        m = contact_matrix(*limit_surface(shape), lever(shape, pose, point)[1])
+        phi = math.atan(mu)
+        for sign, outside in ((1.0, ContactMode.SLIDING_LEFT), (-1.0, ContactMode.SLIDING_RIGHT)):
+            edge = m @ rot(n_in, sign * phi)
+            for turn, mode in ((-1e-6, ContactMode.STICKING), (1e-6, outside)):
+                v = rot(edge, sign * turn).tolist()
+                got = push_dynamics._resolve(shape, pose, *point, *n_in.tolist(), *v)[6]
+                assert got is mode, (sign, turn)
+
+    def test_centred_push_is_symmetric(self):
+        # for a push line through the CoF the cone mirrors across the normal:
+        # mirrored drives give mirrored forces and modes
+        shape = square(mu=0.4)
+        mirror = {ContactMode.STICKING: ContactMode.STICKING,
+                  ContactMode.SLIDING_LEFT: ContactMode.SLIDING_RIGHT}
+        for vy, mode in ((0.5, ContactMode.STICKING), (3.0, ContactMode.SLIDING_LEFT)):
+            left, right = (push_dynamics._resolve(shape, PlanarPose(), 0.0, -30.0, 0.0, 1.0,
+                                                  y, 1.0)[4:] for y in (-vy, vy))
+            assert left[2] is mode and right[2] is mirror[mode]
+            assert (left[0], left[1]) == (-right[0], right[1])
 
 
 class TestResolveBranches:
     """_resolve's branches that no push of the goldens reaches, called on
-    blue_square's constants with the lever p = (0, -10) and the inward
-    normal n = (0, 1)."""
+    blue_square at the origin (its CoF) with the contact point q = (-10, 0),
+    so the lever p = (0, -10), and the inward normal n = (0, 1)."""
 
     def mode(self, v, mu=0.5):
         shape = dataclasses.replace(builtin_shapes()["blue_square"], mu_contact=mu)
-        a, b = shape._inv_f2, shape._inv_m2
-        return push_dynamics._resolve(a, b, 0.0, -10.0, 0.0, 1.0, *v, shape)[2]
+        return push_dynamics._resolve(shape, PlanarPose(), -10.0, 0.0, 0.0, 1.0, *v)[6]
 
     def test_reflex_corner_slides_towards_the_nearer_edge(self):
         # a drive against n lies beyond both motion-cone edges
@@ -214,19 +234,21 @@ class TestResolveBranches:
         assert self.mode((-1e-6, 1.0), mu=0.0) is ContactMode.SLIDING_LEFT
 
 
-def test_solve_inverts_apply_on_the_oracle_configurations():
-    # M f = v and M^-1 v = f to a relative 1e-12 (M's condition number is at
-    # most 15 here), at the oracle's contacts, for its drive and for
-    # its inward normal as a force
+def test_sticking_force_solves_m_f_equals_v_on_the_oracle_configurations():
+    # _resolve's sticking force is f = M^-1 v: M f = v to a relative 1e-12
+    # with the oracle's M (its condition number is at most 15 here), at the
+    # oracle's contacts and for its drives
+    sticking = 0
     for cfg in random_contact_configs(1_000, seed=1):
-        lever = push_dynamics._lever(cfg.shape, cfg.object_pose, *cfg.contact_point.tolist())
-        m = (cfg.shape._inv_f2, cfg.shape._inv_m2, *lever[2:])  # a, b, py, pz
-        v = tuple(cfg.v_p.tolist())
-        back = push_dynamics._apply(*m, *push_dynamics._solve(*m, *v))
+        point, n_in, v = (x.tolist() for x in (cfg.contact_point, cfg.n_in, cfg.v_p))
+        *_, fy, fz, mode = push_dynamics._resolve(cfg.shape, cfg.object_pose, *point, *n_in, *v)
+        if mode is not ContactMode.STICKING:
+            continue
+        sticking += 1
+        m = contact_matrix(*limit_surface(cfg.shape), lever(cfg.shape, cfg.object_pose, point)[1])
+        back = (m @ (fy, fz)).tolist()
         assert math.dist(back, v) <= 1e-12 * math.hypot(*v), (cfg, back)
-        f = tuple(cfg.n_in.tolist())
-        back = push_dynamics._solve(*m, *push_dynamics._apply(*m, *f))
-        assert math.dist(back, f) <= 1e-12 * math.hypot(*f), (cfg, back)
+    assert sticking > 400
 
 
 class TestStickingCentreOfRotation:
@@ -377,8 +399,8 @@ class TestResolveSubstep:
                 cfg.shape, cfg.object_pose, cfg.tip + cfg.disp
             )
             n_in = -np.asarray(n_out)
-            cy, cz, py, pz = push_dynamics._lever(cfg.shape, cfg.object_pose, *point)
-            a, b, p = cfg.shape._inv_f2, cfg.shape._inv_m2, np.array((py, pz))
+            cof, p = lever(cfg.shape, cfg.object_pose, point)
+            a, b = limit_surface(cfg.shape)
             if motion_cone_margin_deg(cfg.v_p, n_in, cfg.shape.mu_contact, a, b, p) < 0.5:
                 continue
             oracle_twist, oracle_mode = brute_force_push(
@@ -391,7 +413,7 @@ class TestResolveSubstep:
                 continue
             moved = np.array(
                 [
-                    *(np.asarray(pose.transform_point(cfg.shape.cof_offset)) - (cy, cz)),
+                    *(np.asarray(pose.transform_point(cfg.shape.cof_offset)) - cof),
                     math.radians(normalize_angle_deg(pose.alpha - cfg.object_pose.alpha)),
                 ]
             )
@@ -445,15 +467,12 @@ class TestKernelReturnsPythonFloats:
             _, contact = resolve_substep(square(), PlanarPose(0.0, 0.0, 10.0), *args)
             assert is_float_pair(contact.point) and is_float_pair(contact.normal)
 
-    def test_contact_matrix(self):
-        shape = square()
-        lever = push_dynamics._lever(shape, PlanarPose(5.0, -3.0, 20.0), 12.0, -30.0)
-        m = (shape._inv_f2, shape._inv_m2, *lever[2:])  # a, b, py, pz
-        floats = [*lever, *push_dynamics._apply(*m, 0.3, 0.9), *push_dynamics._solve(*m, 0.3, 0.9),
-                  *push_dynamics._twist(*m, 0.3, 0.9, 0.5),
-                  *push_dynamics._motion_cone(*m, 0.0, 1.0, shape._cone),
-                  *push_dynamics._resolve(*m, 0.0, 1.0, 0.1, 0.4, shape)[:2]]
-        assert {type(x) for x in floats} == {float}
+    @pytest.mark.parametrize("drive", [(0.1, 0.4), (3.0, 1.0), (-3.0, 1.0), (0.3, -1.0)],
+                             ids=["sticking", "right", "left", "reflex"])
+    def test_resolve(self, drive):
+        out = push_dynamics._resolve(square(), PlanarPose(5.0, -3.0, 20.0), 12.0, -30.0,
+                                     0.0, 1.0, *drive)
+        assert {type(x) for x in out[:6]} == {float}
 
     def test_transform_point(self):
         assert is_float_pair(PlanarPose(1.0, 2.0, 30.0).transform_point(np.array([3.0, 4.0])))
@@ -477,7 +496,7 @@ def test_contact_matrix_cof_is_the_posed_cof_offset_exactly():
     shape = dataclasses.replace(square(), cof_offset=(3.0, -2.0))
     for case in load_golden():
         pose = PlanarPose(*case["pose"])
-        cof = push_dynamics._lever(shape, pose, *case["query"])[:2]
+        cof = push_dynamics._resolve(shape, pose, *case["query"], 0.0, 1.0, 0.0, 1.0)[:2]
         assert repr(cof) == repr(pose.transform_point(shape.cof_offset)), case
 
 
@@ -490,39 +509,54 @@ class TestResolutionLoop:
     ONE_STEP = ([0.0, -50.2], [0.0, 0.3])
     THREE_STEPS = ([29.0, -45.0], [0.3, 0.3])
 
-    def recorded_steps(self, monkeypatch):
-        """The poses each resolution step advances the object to."""
-        advanced, advance = [], push_dynamics._advance_pose
+    def recorded_probes(self, monkeypatch):
+        """The poses resolve_substep probes at: the given pose, then each
+        pose a resolution step advances the object to. The wrapper replaces
+        push_dynamics' binding, as perfbench's tracer does (scene's own
+        binding also serves the shape's constructor)."""
+        probed, probe = [], push_dynamics.boundary_probe
 
-        def recording(*args):
-            advanced.append(advance(*args))
-            return advanced[-1]
+        def counted(shape, pose, tip):
+            probed.append(pose)
+            return probe(shape, pose, tip)
 
-        monkeypatch.setattr(push_dynamics, "_advance_pose", recording)
-        return advanced
+        monkeypatch.setattr(push_dynamics, "boundary_probe", counted)
+        return probed
+
+    def recorded_resolves(self, monkeypatch):
+        """(pose, mode) of every _resolve call."""
+        calls, resolve = [], push_dynamics._resolve
+
+        def recording(shape, pose, *args):
+            out = resolve(shape, pose, *args)
+            calls.append((pose, out[6]))
+            return out
+
+        monkeypatch.setattr(push_dynamics, "_resolve", recording)
+        return calls
 
     def test_converged_last_step_is_no_fault(self, monkeypatch):
         # the overlap after the last allowed step is within tolerance
         monkeypatch.setattr(push_dynamics, "MAX_RESOLVE_ITERS", 1)
-        steps = self.recorded_steps(monkeypatch)
+        probed = self.recorded_probes(monkeypatch)
         pose, contact = resolve_substep(builtin_shapes()["blue_square"], PlanarPose(),
                                         *self.ONE_STEP)
-        assert len(steps) == 1 and pose is steps[0]
+        assert len(probed) == 2 and pose is probed[1]
         assert contact.mode is ContactMode.STICKING
         assert 0.0 < contact.penetration <= PENETRATION_TOL_MM
 
     def test_non_convergence_reports_the_last_step(self, monkeypatch):
         shape = builtin_shapes()["blue_square"]
         (ty, tz), (dy, dz) = self.THREE_STEPS
-        steps = self.recorded_steps(monkeypatch)
+        probed = self.recorded_probes(monkeypatch)
         converged, _ = resolve_substep(shape, PlanarPose(), *self.THREE_STEPS)
-        assert len(steps) == 3 and converged is steps[-1]
-        steps.clear()
+        assert len(probed) == 4 and converged is probed[-1]
+        probed.clear()
         monkeypatch.setattr(push_dynamics, "MAX_RESOLVE_ITERS", 2)
         with pytest.raises(push_dynamics.PhysicsFault, match="did not converge") as fault:
             resolve_substep(shape, PlanarPose(), *self.THREE_STEPS)
-        assert len(steps) == 2
-        last, diagnostics = steps[-1], fault.value.diagnostics
+        assert len(probed) == 3
+        last, diagnostics = probed[-1], fault.value.diagnostics
         assert diagnostics["object_pose"] == (last.y, last.z, last.alpha)
         assert diagnostics["tip"] == [ty + dy, tz + dz]
         pen = contact_at(shape, last, (ty + dy, tz + dz)).penetration
@@ -533,17 +567,10 @@ class TestResolutionLoop:
         # a push into the mug whose first step slides and whose second
         # sticks (the same within 0.01 mm of the tip): the contact reports
         # the mode of the step that met the drive, the first
-        modes, resolve = [], push_dynamics._resolve
-
-        def recording(*args):
-            out = resolve(*args)
-            modes.append(out[2])
-            return out
-
-        monkeypatch.setattr(push_dynamics, "_resolve", recording)
+        resolved = self.recorded_resolves(monkeypatch)
         _, contact = resolve_substep(builtin_shapes()["mug"], PlanarPose(),
                                      [30.32, -30.86], [-0.075, 0.444])
-        assert modes == [ContactMode.SLIDING_LEFT, ContactMode.STICKING]
+        assert [mode for _, mode in resolved] == [ContactMode.SLIDING_LEFT, ContactMode.STICKING]
         assert contact.mode is ContactMode.SLIDING_LEFT
 
     def test_edge_force_that_cannot_reduce_the_overlap_falls_back_to_a_normal_push(self):
@@ -556,12 +583,11 @@ class TestResolutionLoop:
         # an edge
         shape = ObjectShape("sq", polygon=[[-30, -30], [30, -30], [30, 30], [-30, 30]],
                             f_max=5.0, m_max=70.0, mu_contact=1.0)
-        a, b = shape._inv_f2, shape._inv_m2
         qy, (dy, dz) = 9.6148351925438, (-0.5, 1.2e-12)
-        _, _, py, pz = push_dynamics._lever(shape, PlanarPose(), qy, -30.0)
-        fy, fz, mode = push_dynamics._resolve(a, b, py, pz, 0.0, 1.0, dy, dz, shape)
+        *_, py, pz, fy, fz, mode = push_dynamics._resolve(shape, PlanarPose(), qy, -30.0,
+                                                          0.0, 1.0, dy, dz)
         assert mode is ContactMode.SLIDING_LEFT
-        assert 0.0 < push_dynamics._apply(a, b, py, pz, fy, fz)[1] <= 1e-12
+        assert 0.0 < float(contact_matrix(*limit_surface(shape), (py, pz))[1] @ (fy, fz)) <= 1e-12
         pose, contact = resolve_substep(shape, PlanarPose(), (qy - dy, -49.8 - dz), (dy, dz))
         assert contact.mode is ContactMode.SLIDING_LEFT
         assert 0.0 < contact.penetration <= PENETRATION_TOL_MM
@@ -569,27 +595,27 @@ class TestResolutionLoop:
 
     def test_probes_once_per_step_on_the_golden(self, monkeypatch):
         # perfbench's probes_per_contact_substep counts these probes: one at
-        # the displaced tip, then one at each pose a step advances to. The
-        # wrapper replaces push_dynamics' binding, as perfbench's tracer
-        # does (scene's own binding also serves the shape's constructor).
-        probed, probe = [], push_dynamics.boundary_probe
-
-        def counted(shape, pose, tip):
-            probed.append(pose)
-            return probe(shape, pose, tip)
-
-        monkeypatch.setattr(push_dynamics, "boundary_probe", counted)
-        steps = self.recorded_steps(monkeypatch)
+        # the displaced tip, then one at each pose a step advances to; each
+        # step calls _resolve once, at the pose probed before it
+        probed = self.recorded_probes(monkeypatch)
+        resolved = self.recorded_resolves(monkeypatch)
         modes = Counter()
         for case in substep_golden.load_golden():
             probed.clear()
-            steps.clear()
+            resolved.clear()
             mode = substep_golden.run_case(case).split()[-1]
-            modes[mode, len(steps)] += 1
+            steps = len(probed) - 1
+            modes[mode, steps] += 1
             assert probed[0] == PlanarPose(*case["object_pose"])
-            assert probed[1:] == steps
-            if mode == "separated":
-                assert len(probed) == 1
+            poses = [pose for pose, _ in resolved]
+            if steps:
+                assert len(poses) == steps
+                assert all(p is q for p, q in zip(poses, probed))
+            elif mode == "separated":
+                assert poses == []
+            else:
+                # grazing: a driven contact is classified at the given pose
+                assert len(poses) <= 1 and all(p is probed[0] for p in poses)
         assert modes["separated", 0] > 0 and modes["sticking", 0] > 0  # grazing
         assert modes["sticking", 1] > 0 and modes["sliding_left", 2] > 0
 
@@ -949,6 +975,35 @@ class TestCarriedCertificate:
             assert repr(cold_out[0][:2] + cold_out[1:]) == repr(out[0][:2] + out[1:])
             warm, cold = warm + len(calls), cold + len(cold_calls)
         assert warm < cold
+
+    def test_the_first_tap_starts_from_the_trials_start_probe(self, monkeypatch):
+        # run_trial probes the start with contact_at before its first tap;
+        # from a start 1 mm clear of blue_square, that tap carries the probe's
+        # contact and equals the same tap from the world without it, with
+        # fewer substeps (the exp-1 starts overlap the square, so their probe
+        # certifies no tip)
+        scenario = exp_harness.exp1_scenario(10.0, 0.0, seed=3, max_taps=1)
+        start = scenario.pusher_start_pose
+        hy, hz = heading_dir(start.alpha)
+        start = PlanarPose(start.y - 2.0 * hy, start.z - 2.0 * hz, start.alpha)
+        shape, taps, real_tap = scenario.object, [], exp_harness.simulate_tap
+
+        def recording(world, shape, cmd, tap_forward, tap_back):
+            calls.clear()
+            out = real_tap(world, shape, cmd, tap_forward=tap_forward, tap_back=tap_back)
+            taps.append((world, cmd, tap_forward, tap_back, len(calls), out))
+            return out
+
+        calls = record_substeps(monkeypatch)
+        monkeypatch.setattr(exp_harness, "simulate_tap", recording)
+        exp_harness.run_trial(dataclasses.replace(scenario, pusher_start_pose=start))
+        (world, cmd, tap_forward, tap_back, warm, out), = taps
+        assert world.contact == contact_at(shape, world.object_pose, (start.y, start.z))
+        assert world.contact.mode is ContactMode.SEPARATED
+        calls.clear()
+        cold_out = simulate_tap(world._replace(contact=None), shape, cmd, tap_forward, tap_back)
+        assert repr(cold_out[0][:2] + cold_out[1:]) == repr(out[0][:2] + out[1:])
+        assert warm < len(calls)
 
     @pytest.mark.parametrize("shape_name", ["l_shape", "mug"])
     def test_the_carried_contact_changes_no_call_on_other_outlines(self, shape_name, monkeypatch):

@@ -145,10 +145,13 @@ def parse_pairs(specs: list, seed: int, option: str = "--pairs") -> list:
 
 
 def main(argv=None) -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from tacpush.cli import seed_int
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="change checkout")
-    parser.add_argument("--seed", type=int, required=True, help="master seed of the runs")
+    parser.add_argument("--seed", type=seed_int, required=True, help="master seed of the runs")
     parser.add_argument("--seconds", type=float, default=25.0, help="--seconds of every run")
     parser.add_argument("--pairs", action="append", required=True, metavar="W[@SEED]=N",
                         help="alternating untraced pairs of workload W (repeatable)")
@@ -156,7 +159,7 @@ def main(argv=None) -> int:
                         help="alternating traced pairs of workload W, one by default "
                              "(repeatable)")
     parser.add_argument("--tier1", action="store_true", help="time the Tier-1 suite per side")
-    parser.add_argument("--digest", type=int, metavar="SEED",
+    parser.add_argument("--digest", type=seed_int, metavar="SEED",
                         help="run tools/trial_digest.py at SEED on each side")
     parser.add_argument("--what", default="", help="one line on what the change does")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to write")

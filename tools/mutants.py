@@ -60,12 +60,12 @@ MUTANTS = [
     ("mu_contact == 0 sticks within 1e-3, not 1e-12", "push_dynamics.py",
      "if abs(side) < 1e-12:",
      "if abs(side) < 1e-3:"),
-    ("scale _solve's force by 0.999", "push_dynamics.py",
-     "return (vy - k * py) / a, (vz - k * pz) / a",
-     "return 0.999 * (vy - k * py) / a, 0.999 * (vz - k * pz) / a"),
-    ("scale _twist's spin by 1.01", "push_dynamics.py",
-     "return sa * fy, sa * fz, s * b * (py * fy + pz * fz)",
-     "return sa * fy, sa * fz, 1.01 * s * b * (py * fy + pz * fz)"),
+    ("scale _resolve's sticking force by 0.999", "push_dynamics.py",
+     "py, pz, (vy - k * py) / a, (vz - k * pz) / a, _STICKING",
+     "py, pz, 0.999 * (vy - k * py) / a, 0.999 * (vz - k * pz) / a, _STICKING"),
+    ("scale the twist's spin by 1.01", "push_dynamics.py",
+     "spin = t * b * pf",
+     "spin = 1.01 * t * b * pf"),
     ("disable the rate <= 1e-12 normal-push fallback", "push_dynamics.py",
      "if rate <= 1e-12:",
      "if False:"),
@@ -75,19 +75,19 @@ MUTANTS = [
     ("resolution residual 0.9 x tolerance, not 0.5 x", "push_dynamics.py",
      "_RESOLVE_RESIDUAL_MM = 0.5 * PENETRATION_TOL_MM",
      "_RESOLVE_RESIDUAL_MM = 0.9 * PENETRATION_TOL_MM"),
-    ("scale _advance_pose's rotation by 0.98", "push_dynamics.py",
-     "    c, s = math.cos(spin), math.sin(spin)\n",
-     "    spin *= 0.98\n    c, s = math.cos(spin), math.sin(spin)\n"),
+    ("scale the pose advance's rotation by 0.98", "push_dynamics.py",
+     "        c, s = math.cos(spin), math.sin(spin)\n",
+     "        spin *= 0.98\n        c, s = math.cos(spin), math.sin(spin)\n"),
     ("drop the probe's guard against an overflowing squared distance", "scene.py",
      "if best == math.inf:",
      "if False:"),
     ("swap the frictionless contact's sliding sides", "push_dynamics.py",
      "_SLIDING_LEFT if side > 0.0 else _SLIDING_RIGHT",
      "_SLIDING_RIGHT if side > 0.0 else _SLIDING_LEFT"),
-    ("drop - s * oz from _lever's CoF", "push_dynamics.py",
+    ("drop - s * oz from _resolve's CoF", "push_dynamics.py",
      "cy = y + c * oy - s * oz",
      "cy = y + c * oy"),
-    ("drop a + from _solve's denominator", "push_dynamics.py",
+    ("drop a + from the sticking solve's denominator", "push_dynamics.py",
      "/ (a + b * (py * py + pz * pz))",
      "/ (b * (py * py + pz * pz))"),
     ("conservative advancement may skip the advance's last substep (off by one)",
@@ -159,6 +159,12 @@ MUTANTS = [
      "tactile_sense.py",
      "pred.alpha + (0.0 + noise.sigma_alpha * rng.standard_normal())",
      "pred.alpha + noise.sigma_alpha * rng.standard_normal()"),
+    ("flip the sign of the heading change in the pose advance", "push_dynamics.py",
+     "alpha + math.degrees(spin))",
+     "alpha - math.degrees(spin))"),
+    ("transpose the rotation of _resolve's CoF", "push_dynamics.py",
+     "cy = y + c * oy - s * oz\n    cz = z + s * oy + c * oz",
+     "cy = y + c * oy + s * oz\n    cz = z - s * oy + c * oz"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "out", "__pycache__", ".hypothesis", ".pytest_cache",

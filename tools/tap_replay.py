@@ -192,10 +192,15 @@ def main(argv=None) -> int:
     if argv[:1] == ["replay"]:
         replay(Path(argv[1]), Path(argv[2]))
         return 0
+    # the worker modes import tacpush from their checkout's PYTHONPATH; only
+    # this front end reads it from the checkout it sits in
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+    from tacpush.cli import seed_int
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="changed checkout")
-    parser.add_argument("--seed", type=int, required=True, help="master seed of the grids")
+    parser.add_argument("--seed", type=seed_int, required=True, help="master seed of the grids")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     with tempfile.TemporaryDirectory() as tmp:

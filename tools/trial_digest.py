@@ -30,6 +30,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402
 from tacpush import exp_harness as eh  # noqa: E402
+from tacpush.cli import seed_int  # noqa: E402
 
 
 def trial_bytes(record) -> bytes:
@@ -58,7 +59,7 @@ def grid_digest(scenarios, scratch: Path, h) -> Counter:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, required=True, help="master seed of the grids")
+    parser.add_argument("--seed", type=seed_int, required=True, help="master seed of the grids")
     args = parser.parse_args(argv)
     total = hashlib.sha256()
     n_total = 0
