@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import subprocess
@@ -563,6 +564,17 @@ class TestCli:
                               timeout=300)
         assert proc.returncode == 2
         assert f"argument --seed: must be in [0, 2**64), got {seed}" in proc.stderr
+
+    def test_bench_compare_rejects_a_pair_seed_outside_64_bits(self):
+        # a W@SEED pair spec is a master seed too (the pattern admits no sign)
+        path = BASELINE.parent.parent / "tools" / "bench_compare.py"
+        spec = importlib.util.spec_from_file_location("bench_compare", path)
+        bench_compare = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_compare)
+        assert bench_compare.parse_pairs([f"offset_grid@{(1 << 64) - 1}=1"], 3) == [
+            (f"offset_grid@{(1 << 64) - 1}", "offset_grid", (1 << 64) - 1, 1)]
+        with pytest.raises(SystemExit, match="SEED must be below 2"):
+            bench_compare.parse_pairs([f"offset_grid@{1 << 64}=1"], 3)
 
     @pytest.mark.parametrize(
         "argv",

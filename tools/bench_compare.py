@@ -140,6 +140,8 @@ def parse_pairs(specs: list, seed: int, option: str = "--pairs") -> list:
         w, s, n = m.group(1), m.group(2), int(m.group(3))
         if n < 1:
             raise SystemExit(f"bench_compare: {option} {spec!r} needs at least one pair")
+        if s and int(s) >= 1 << 64:
+            raise SystemExit(f"bench_compare: {option} {spec!r}: SEED must be below 2**64")
         out.append((f"{w}@{s}" if s else w, w, int(s) if s else seed, n))
     return out
 
