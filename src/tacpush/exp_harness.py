@@ -21,7 +21,7 @@ import time
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -631,9 +631,11 @@ def _check_plot_fields(idx: int, rec: dict):
         raise ValueError(
             f"plot: {where}.meta.shape has no field 'polygon_mm' or 'circle_radius_mm'"
         )
-    tap_total = rec["tap_total"]
+    tap_total, seed = rec["tap_total"], rec["seed"]
     if isinstance(tap_total, bool) or not isinstance(tap_total, int) or tap_total < 0:
         raise ValueError(f"plot: {where}.tap_total: expected a count, got {tap_total!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
+        raise ValueError(f"plot: {where}.seed: expected an integer in [0, 2**64), got {seed!r}")
     try:
         _numbers(meta["target_pose_mm_deg"], 6, f"{where}.meta.target_pose_mm_deg")
         _numbers(rec["final_pusher_pose"], 6, f"{where}.final_pusher_pose")
@@ -651,10 +653,11 @@ def load_records(records_path) -> list:
     which is None (timings.json holds it).
 
     Every value plot draws is checked on the way in: a bad summary value is
-    named by its record path, a bad tap value by its taps.csv line and
-    column, a missing, repeated or unknown taps.csv column by the header's
-    line, and a taps.csv row that is not the next tap of the records (by
-    scenario_id, tap index and each record's tap_total) by its line.
+    named by its record path, a bad tap value, or a seed other than its
+    record's, by its taps.csv line and column, a taps.csv header other than
+    the one export writes by its first column that differs, and a taps.csv
+    row that is not the next tap of the records (by scenario_id, tap index
+    and each record's tap_total) by its line.
     """
     path = Path(records_path)
     try:
@@ -674,17 +677,12 @@ def load_records(records_path) -> list:
         _check_plot_fields(idx, rec)
     taps_path = path.with_name("taps.csv")
     columns, rows = _read_taps(taps_path)
-    col = {}
-    for i, name in enumerate(columns):
-        if name not in _CSV_COLUMNS:
-            raise ValueError(f"{taps_path}: line 2: unknown column {name!r}")
-        if name in col:
-            raise ValueError(f"{taps_path}: line 2: repeated column {name!r}")
-        col[name] = i
-    for name in _CSV_COLUMNS:
-        if name not in col:
-            raise ValueError(f"{taps_path}: line 2: no column {name!r}")
-    order = [col[name] for name in Tap._fields]
+    if tuple(columns) != _CSV_COLUMNS:
+        pairs = list(zip_longest(columns, _CSV_COLUMNS))
+        k = next(k for k, (got, want) in enumerate(pairs) if got != want)
+        got, want = ("the end of the header" if c is None else repr(c) for c in pairs[k])
+        raise ValueError(f"{taps_path}: line 2, column {k + 1}: expected {want}, got {got}")
+    # so each row is scenario_id, seed, then the Tap's fields
     rows = iter(rows)
     n = 2  # the line of the last row read
     records = []
@@ -697,13 +695,17 @@ def load_records(records_path) -> list:
                 raise ValueError(
                     f"{taps_path}: line {n}: expected tap {k} of {sid!r}, got the end of the file"
                 )
-            got = (row[col["scenario_id"]], row[col["tap"]])
-            if got != (sid, str(k)):
+            if (row[0], row[2]) != (sid, str(k)):
                 raise ValueError(
                     f"{taps_path}: line {n}: expected tap {k} of {sid!r}, "
-                    f"got tap {got[1]} of {got[0]!r}"
+                    f"got tap {row[2]} of {row[0]!r}"
                 )
-            taps.append(_parse_tap(taps_path, n, [row[i] for i in order]))
+            if row[1] != str(rec["seed"]):
+                raise ValueError(
+                    f"{taps_path}: line {n}, column 'seed': expected {rec['seed']}, "
+                    f"the seed of {sid!r}, got {row[1]!r}"
+                )
+            taps.append(_parse_tap(taps_path, n, row[2:]))
         summary = {name: rec[name] for name in _SUMMARY_FIELDS}
         for name in ("final_pusher_pose", "final_object_pose"):
             summary[name] = tuple(summary[name])
@@ -713,7 +715,7 @@ def load_records(records_path) -> list:
         n, row = extra
         raise ValueError(
             f"{taps_path}: line {n}: expected the end of the file, "
-            f"got tap {row[col['tap']]} of {row[col['scenario_id']]!r}"
+            f"got tap {row[2]} of {row[0]!r}"
         )
     return records
 

@@ -268,22 +268,24 @@ def simulate_tap(
     advance always runs its last substep, of length 0 if the advance is
     empty, so the tap reports the contact of a substep that ran.
 
-    The certificate comes from the contact of the last substep that ran,
-    separated or not, and holds across legs, and on a convex outline across
-    taps, from the world's contact. It gives the current tip's clearance g,
-    positive when the tip is free, and the most g can fall per substep, drop:
-    - Convex outline: g = (q - tip) . m - clear and drop = (d . m) / n, for
-      the contact point q, its inward normal m, the leg's displacement d and
-      the tip radius plus the tolerance, clear. A substep that runs ends
-      with its tip outside the object and q its nearest boundary point, so
-      the line through q normal to m supports the outline: a tip beyond it
-      by more than the disc's radius cannot touch the object, wherever the
-      substep moved it. Without a contact, m = 0 frees no tip.
+    The certificate is the ContactState of the last substep that ran,
+    separated or not, on every outline, across legs and taps: on entry it is
+    the world's contact, which must be the contact at `world.object_pose`. A
+    world without one counts as a zero-gap contact at the tip, which frees
+    no tip. With q the contact point, m its inward normal, pen its
+    penetration, clear the tip radius plus the tolerance and d the leg's
+    displacement, it gives the current tip's clearance g, positive when the
+    tip is free, and the most g can fall per substep, drop:
+    - Convex outline: g = (q - tip) . m - clear and drop = (d . m) / n. A
+      substep that runs ends with its tip outside the object and q its
+      nearest boundary point, so the line through q normal to m supports
+      the outline: a tip beyond it by more than the disc's radius cannot
+      touch the object, wherever the substep moved it.
     - Other outlines (l_shape, mug): a notch or a handle may cross that
-      line. A separated substep gives a ball around its tip, with reach its
-      gap less the tolerance, g = reach - |tip - centre| and drop = d / n;
-      the signed distance is 1-Lipschitz, so every tip in the ball is clear
-      of the object. After a contact the reach is -inf.
+      line. The ball about the substep's tip q - sd m, sd = R - pen, gives
+      g = sd - clear - |tip - (q - sd m)| and drop = |d| / n: the signed
+      distance is 1-Lipschitz, so every tip in the ball is clear of the
+      object. A contact has sd - clear < 0 and frees no tip.
     The tolerance margin covers the rounding of the probe and of the tips.
 
     Tip i + j has a clearance of at least g - j drop, so one rule counts
@@ -311,11 +313,9 @@ def simulate_tap(
     ty, tz = float(ty), float(tz)
     convex = shape._convex
     clear = TIP_RADIUS_MM + PENETRATION_TOL_MM
-    # the certificate: a line (q, m) on a convex outline, carried from the
-    # world's contact, else a ball (c, reach)
-    carried = contact if convex else None
-    (qy, qz), (my, mz) = (carried.point, carried.normal) if carried else ((ty, tz), (0.0, 0.0))
-    cy, cz, reach = ty, tz, -math.inf
+    # the certificate is the last contact that ran; without one, a zero-gap
+    # contact at the tip certifies no tip
+    (qy, qz), (my, mz), _, pen = contact or ((ty, tz), (0.0, 0.0), None, 0.0)
     ay, az = heading_dir(cmd.alpha)
     back = tap_forward - tap_back
     legs = ((cmd.y, cmd.z, False), (cmd.y + tap_forward * ay, cmd.z + tap_forward * az, True),
@@ -338,7 +338,8 @@ def simulate_tap(
                 g = (qy - ty) * my + (qz - tz) * mz - clear
                 drop = (dy * my + dz * mz) / n
             else:
-                g = reach - math.hypot(ty - cy, tz - cz)
+                sd = TIP_RADIUS_MM - pen
+                g = sd - clear - math.hypot(ty - (qy - sd * my), tz - (qz - sd * mz))
                 drop = dist / n
             # k: how many tips ahead are free
             if g - drop <= 0.0:
@@ -354,12 +355,7 @@ def simulate_tap(
                 i += 1
                 next_y, next_z = y0 + dy * (i / n), z0 + dz * (i / n)
                 obj, contact = resolve_substep(shape, obj, (ty, tz), (next_y - ty, next_z - tz))
-                if convex:
-                    (qy, qz), (my, mz) = contact.point, contact.normal
-                elif contact.mode is _SEPARATED:
-                    cy, cz, reach = next_y, next_z, -contact.penetration - PENETRATION_TOL_MM
-                else:
-                    reach = -math.inf
+                (qy, qz), (my, mz), _, pen = contact
                 ty, tz = next_y, next_z
         if reported:
             sense_heading, advance_contact = normalize_angle_deg(alpha), contact

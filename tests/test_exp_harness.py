@@ -674,19 +674,32 @@ class TestCli:
         assert f"error: plot: records[1] has no field {'.'.join(path)!r}" in err
         assert "error: plot: records[0] has no field 'meta'" in err
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.0, "0", True, None],
+                             ids=["negative", "2_64", "float", "string", "bool", "null"])
+    def test_plot_names_a_record_seed_that_is_not_a_64_bit_integer(self, seed, tmp_path, capsys):
+        # export writes the record's seed into each of its taps.csv rows
+        in_path = write_run(tmp_path, [PLOTTABLE | {"seed": seed}])
+        svg = tmp_path / "x.svg"
+        assert cli_main(["plot", "--records", str(in_path), "--out", str(svg)]) == 1
+        assert not svg.exists()
+        assert capsys.readouterr().err == (
+            f"error: plot: records[0].seed: expected an integer in [0, 2**64), got {seed!r}\n"
+        )
+
     @pytest.mark.parametrize(
         "taps, drop, meta, message",
-        [([dict.fromkeys(TAP, "") | {"scenario_id": "p", "tap": "0"}],
+        [([dict.fromkeys(TAP, "") | {"scenario_id": "p", "seed": "0", "tap": "0"}],
           (), {}, "{csv}: line 3, column 'pusher_y_mm': expected a finite number, got ''"),
          ([TAP], ("object_y_mm", "object_z_mm", "object_alpha_deg"), {},
-          "{csv}: line 2: no column 'object_y_mm'"),
+          "{csv}: line 2, column 7: expected 'object_y_mm', got 'in_contact'"),
          ([TAP, "7"], (), {}, "{csv}: line 4: expected 30 fields, got 1"),
          ([TAP], (), {"shape": {}},
           "plot: records[0].meta.shape has no field 'polygon_mm' or 'circle_radius_mm'"),
          ('{"taps": {}}\n', (), {}, "{csv}: not a # tacpush-taps-v2 file"),
          ([TAP], ("pusher_z_mm", "pusher_alpha_deg"), {},
-          "{csv}: line 2: no column 'pusher_z_mm'"),
-         ([TAP], ("object_alpha_deg",), {}, "{csv}: line 2: no column 'object_alpha_deg'"),
+          "{csv}: line 2, column 5: expected 'pusher_z_mm', got 'object_y_mm'"),
+         ([TAP], ("object_alpha_deg",), {},
+          "{csv}: line 2, column 9: expected 'object_alpha_deg', got 'in_contact'"),
          ([TAP], (), {"approach_zone_radius_mm": [60]},
           "plot: records[0].meta.approach_zone_radius_mm: expected a number, got [60]"),
          ([TAP], (), {"target_pose_mm_deg": 5},
@@ -711,12 +724,15 @@ class TestCli:
          ([TAP | {"int_x_mm": ""}], (), {},
           "{csv}: line 3, column 'int_x_mm': expected a finite number, got ''"),
          ([TAP | {"clamped": "2"}], (), {},
-          "{csv}: line 3, column 'clamped': expected 0 or 1, got '2'")],
+          "{csv}: line 3, column 'clamped': expected 0 or 1, got '2'"),
+         ([TAP, TAP | {"tap": "1", "seed": "not-a-seed"}], (), {},
+          "{csv}: line 4, column 'seed': expected 0, the seed of 'p', got 'not-a-seed'")],
         ids=["empty_tap", "tap_without_object_pose", "tap_not_an_object", "empty_shape",
              "taps_not_a_list", "short_pusher_pose", "short_object_pose", "radius_not_a_number",
              "target_not_a_list", "ragged_polygon", "empty_polygon", "two_vertex_polygon",
              "short_row", "non_numeric_value", "nan_value", "infinite_value", "flag_not_0_or_1",
-             "error_group_partly_blank", "integral_group_partly_blank", "clamped_not_0_or_1"],
+             "error_group_partly_blank", "integral_group_partly_blank", "clamped_not_0_or_1",
+             "seed_not_the_records"],
     )
     def test_plot_names_the_missing_tap_or_outline_field(
         self, taps, drop, meta, message, tmp_path, capsys
@@ -736,8 +752,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "column, value, message",
-        [("pusher_y_mm", "12345.0", "repeated column 'pusher_y_mm'"),
-         ("force_n", "1.0", "unknown column 'force_n'")],
+        [("pusher_y_mm", "12345.0", "expected the end of the header, got 'pusher_y_mm'"),
+         ("force_n", "1.0", "expected the end of the header, got 'force_n'")],
         ids=["repeated_column", "unknown_column"],
     )
     def test_plot_names_a_repeated_or_unknown_taps_column(
@@ -749,7 +765,9 @@ class TestCli:
         svg = tmp_path / "x.svg"
         assert cli_main(["plot", "--records", str(in_path), "--out", str(svg)]) == 1
         assert not svg.exists()
-        assert capsys.readouterr().err == f"error: {tmp_path / 'taps.csv'}: line 2: {message}\n"
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'taps.csv'}: line 2, column 31: {message}\n"
+        )
 
     @pytest.mark.parametrize(
         "tap_total, taps, message",

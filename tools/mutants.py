@@ -6,17 +6,19 @@ replacement in one file of `src/tacpush/` that must
 match exactly once. For each mutant the tool copies the checkout to a
 temporary directory, applies the replacement, and runs every Tier-1 test
 file with `-x`, except the three goldens and `test_mutants.py` (which checks
-that each text matches the unmutated source). The strict xfails (the
-overshoot and the tap's symmetries) are deselected, since an XPASS is no
-kill. It prints a kill table, with the first failing test of each killed
-mutant and, for each survivor, whether the trial digest at `--seed 1` moved:
+that each text matches the unmutated source). Most mutants fall to the test
+file of the module they mutate, so that file runs first, then the others by
+name, and the three slowest last. The strict xfails (the overshoot and the
+tap's symmetries) are deselected, since an XPASS is no kill. It prints a
+kill table, with the first failing test of each killed mutant and, for each
+survivor, whether the trial digest at `--seed 1` moved:
 
     python3 tools/mutants.py [--checkout PATH]
 
 A mutant that does not match exactly once is reported as such, and the tool
-then exits with status 1. The mutants take about a quarter of an hour on a
-2-core host, so the tool is run by hand for a change to the kernel, the
-controller or the sensor, not in CI.
+then exits with status 1. The mutants take about three minutes on a 2-core
+host, so the tool is run by hand for a change to the kernel, the controller
+or the sensor, not in CI.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # the goldens, and the check that each mutant's text matches the unmutated source
 NOT_RUN = {"test_probe_golden.py", "test_physics_golden.py", "test_closed_loop_golden.py",
            "test_mutants.py"}
+# the slowest files, slowest last: they run after every other file
+SLOW = ("test_exp_harness.py", "test_acceptance.py", "test_properties.py")
 XFAILS = [f"tests/test_properties.py::{name}" for name in (
     "test_resolve_substep_keeps_pushing_contacts_overlapping",
     "test_simulate_tap_commutes_with_planar_rigid_motions",
@@ -52,11 +56,11 @@ MUTANTS = [
     ("flip the reflex-corner side test in _resolve", "push_dynamics.py",
      "if (uly + ury) * vz - (ulz + urz) * vy > 0.0:",
      "if (uly + ury) * vz - (ulz + urz) * vy < 0.0:"),
-    ("the free-space certificate's radius adds the tolerance, not subtracts it (equivalent: "
-     "a skipped substep would overlap by at most the tolerance, which moves nothing)",
+    ("the free-space certificate's radius adds the tolerance, not subtracts it, so a world "
+     "without a contact, or a contact that overlaps by less than the tolerance, frees tips",
      "push_dynamics.py",
-     "-contact.penetration - PENETRATION_TOL_MM",
-     "-contact.penetration + PENETRATION_TOL_MM"),
+     "sd - clear - math.hypot",
+     "sd - TIP_RADIUS_MM + PENETRATION_TOL_MM - math.hypot"),
     ("mu_contact == 0 sticks within 1e-3, not 1e-12", "push_dynamics.py",
      "if abs(side) < 1e-12:",
      "if abs(side) < 1e-3:"),
@@ -145,16 +149,15 @@ MUTANTS = [
      "row, prev = rows[vi], rows[vi - 1]",
      "row, prev = rows[vi - 1], rows[vi]"),
     ("every tap starts cold: the world's contact is not carried", "push_dynamics.py",
-     "carried = contact if convex else None",
-     "carried = None"),
+     "pen = contact or (",
+     "pen = ("),
     ("the world carries the advance's contact, not the last substep's that ran",
      "push_dynamics.py",
      "PlanarPose(ty, tz, alpha), contact)",
      "PlanarPose(ty, tz, alpha), advance_contact)"),
-    ("the carry on a non-convex outline: a ball of the carried contact's gap about the tip",
-     "push_dynamics.py",
-     "cy, cz, reach = ty, tz, -math.inf",
-     "cy, cz, reach = ty, tz, -contact.penetration - PENETRATION_TOL_MM if contact else -math.inf"),
+    ("the ball about the contact point, not the substep's tip", "push_dynamics.py",
+     "math.hypot(ty - (qy - sd * my), tz - (qz - sd * mz))",
+     "math.hypot(ty - qy, tz - qz)"),
     ("apply_noise's alpha draw drops numpy's 0.0 +, which fixes the sign of a zero draw",
      "tactile_sense.py",
      "pred.alpha + (0.0 + noise.sigma_alpha * rng.standard_normal())",
@@ -183,9 +186,12 @@ def digest(checkout: Path) -> str:
     return lines[-1] if proc.returncode == 0 and lines else f"exit {proc.returncode}"
 
 
-def run_tests(checkout: Path) -> tuple[bool, str]:
-    """(killed, first failing test or pytest's last line) of one mutant copy."""
-    files = sorted(p.name for p in (checkout / "tests").glob("test_*.py") if p.name not in NOT_RUN)
+def run_tests(checkout: Path, mutated: str) -> tuple[bool, str]:
+    """(killed, first failing test or pytest's last line) of one mutant copy
+    of the module file `mutated`."""
+    own = f"test_{mutated}"
+    files = sorted((p.name for p in (checkout / "tests").glob("test_*.py") if p.name not in NOT_RUN),
+                   key=lambda f: (f != own, SLOW.index(f) if f in SLOW else -1, f))
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            *(f"--deselect={x}" for x in XFAILS), *(f"tests/{f}" for f in files)]
     try:
@@ -225,7 +231,7 @@ def main(argv=None) -> int:
             copy = Path(tmp) / "checkout"
             shutil.copytree(checkout, copy, ignore=_IGNORE)
             (copy / "src" / "tacpush" / name).write_text(source.replace(text, replacement))
-            killed, detail = run_tests(copy)
+            killed, detail = run_tests(copy, name)
             if killed:
                 verdict, moved = f"killed by `{detail}`", ""
             else:

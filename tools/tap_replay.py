@@ -17,11 +17,12 @@ that the tap reports (penetration, point, normal and mode) and the sense
 heading, which are what the tactile reading is taken from. It also prints
 each side's `resolve_substep` calls and `boundary_probe` calls a tap,
 counted by wrapping those two bindings of `push_dynamics` in each replay.
-These are the closed loop's counts on a side that is given the carried
-contact. A side that is not (a checkout whose `WorldState` has no
-`contact`, or either side of a capture from one) starts every tap without a
-certificate; its counts are then its closed loop's only if its own
-`WorldState` has no `contact` either:
+A tap starts from the free-space certificate of the contact its world
+carries, on every outline, so these are the closed loop's counts on a side
+that is given that contact. A side that is not (a checkout whose
+`WorldState` has no `contact`, or either side of a capture from one) starts
+every tap without a certificate; its counts are then its closed loop's only
+if its own `WorldState` has no `contact` either:
 
     python3 tools/tap_replay.py --parent ../parent --change . --seed 1
 
