@@ -55,11 +55,6 @@ class EulerPose:
             [self.x, self.y, self.z, self.alpha, self.beta, self.gamma], dtype=float
         )
 
-    @classmethod
-    def from_array(cls, values) -> "EulerPose":
-        x, y, z, a, b, g = (float(v) for v in values)
-        return cls(x, y, z, a, b, g)
-
 
 @dataclass
 class Transform:

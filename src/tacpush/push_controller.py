@@ -151,45 +151,38 @@ class ControlDecision:
     integral: tuple | None = None
 
 
-# A planar frame is a tuple (r11, r12, r21, r22, y, z): rows and columns
-# (y, z) of the SE(3) transform of the pose (0, y, z, alpha, 0, 0), the only
-# entries of it that are not fixed at 0 or 1.
+# A planar frame is a tuple (c, s, y, z): the cosine and sine of the heading of
+# the pose (0, y, z, alpha, 0, 0), then its origin (y, z).
 
 def _frame(y: float, z: float, alpha: float) -> tuple:
     """Frame of the planar pose (y, z, alpha), alpha in degrees."""
     a = math.radians(alpha)
-    c, s = math.cos(a), math.sin(a)
-    return (c, -s, s, c, y, z)
+    return (math.cos(a), math.sin(a), y, z)
 
 
 def _apply(f: tuple, y: float, z: float) -> tuple:
     """The point (y, z) of frame f, in f's parent frame."""
-    r11, r12, r21, r22, ty, tz = f
-    return r11 * y + r12 * z + ty, r21 * y + r22 * z + tz
+    c, s, ty, tz = f
+    return c * y - s * z + ty, s * y + c * z + tz
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
     """Frame b chained after frame a (a @ b)."""
-    a11, a12, a21, a22, _, _ = a
-    b11, b12, b21, b22, by, bz = b
-    return (
-        a11 * b11 + a12 * b21,
-        a11 * b12 + a12 * b22,
-        a21 * b11 + a22 * b21,
-        a21 * b12 + a22 * b22,
-        *_apply(a, by, bz),
-    )
+    c, s = a[:2]
+    bc, bs, by, bz = b
+    return (c * bc - s * bs, s * bc + c * bs, *_apply(a, by, bz))
 
 
 def _inverse(f: tuple) -> tuple:
-    """Inverse frame: rotation transposed, translation -R^T t."""
-    r11, r12, r21, r22, y, z = f
-    return (r11, r21, r12, r22, -(r11 * y + r21 * z), -(r12 * y + r22 * z))
+    """Inverse frame: heading negated, translation -R^T t."""
+    c, s, y, z = f
+    return (c, -s, -(c * y + s * z), -(c * z - s * y))
 
 
 def _pose(f: tuple) -> PlanarPose:
-    """Planar pose of a frame, its heading read from the first column."""
-    return PlanarPose(f[4], f[5], math.degrees(math.atan2(f[2], f[0])))
+    """Planar pose of a frame."""
+    c, s, y, z = f
+    return PlanarPose(y, z, math.degrees(math.atan2(s, c)))
 
 
 def prediction_to_pose(pred: PosePrediction) -> tuple:
@@ -206,8 +199,8 @@ def servo_error(pred_pose: tuple, ref_pose: tuple) -> tuple:
     Frame composition E = P_pred^-1 @ P_ref; this differs from naive vector
     subtraction whenever rotation and translation errors mix.
     """
-    _, _, e21, e22, y, z = _compose(_inverse(pred_pose), ref_pose)
-    return y, z, normalize_angle_deg(math.degrees(math.atan2(e21, e22)))
+    c, s, y, z = _compose(_inverse(pred_pose), ref_pose)
+    return y, z, normalize_angle_deg(math.degrees(math.atan2(s, c)))
 
 
 def pid_step(state: ControllerState, error: tuple, cfg: ControllerConfig) -> tuple:

@@ -47,8 +47,9 @@ def rotation_drift(t: Transform) -> float:
 
 
 def embed(frame) -> Transform:
-    """SE(3) transform of a planar frame (r11, r12, r21, r22, y, z) of
-    `tacpush.push_controller`: the pose (0, y, z, alpha, 0, 0)."""
-    r11, r12, r21, r22, y, z = frame
-    rotation = np.array([[1.0, 0.0, 0.0], [0.0, r11, r12], [0.0, r21, r22]])
+    """SE(3) transform of a planar frame (c, s, y, z) of
+    `tacpush.push_controller`: the pose (0, y, z, alpha, 0, 0), with
+    c = cos(alpha) and s = sin(alpha)."""
+    c, s, y, z = frame
+    rotation = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
     return Transform(rotation, np.array([0.0, y, z]))

@@ -192,10 +192,10 @@ class TestComposeCommand:
 
     def test_lateral_move_along_sensor_y(self):
         cmd = compose_command(IDENTITY, 5.0, IDENTITY)
-        assert np.allclose(cmd[4:], [5.0, 0.0])
+        assert np.allclose(cmd[2:], [5.0, 0.0])
         pusher = _frame(0, 0, 90)
         cmd = compose_command(IDENTITY, 5.0, pusher)
-        assert np.allclose(cmd[4:], [0.0, 5.0], atol=1e-12)
+        assert np.allclose(cmd[2:], [0.0, 5.0], atol=1e-12)
 
     def test_lateral_move_in_corrected_frame(self):
         u = _frame(0, 0, 10)

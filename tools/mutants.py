@@ -165,6 +165,13 @@ MUTANTS = [
     ("flip the sign of the heading change in the pose advance", "push_dynamics.py",
      "alpha + math.degrees(spin))",
      "alpha - math.degrees(spin))"),
+    ("flip the sign of _compose's sine term: the chained heading turns the wrong way",
+     "push_controller.py",
+     "s * bc + c * bs, *_apply(a, by, bz)",
+     "s * bc - c * bs, *_apply(a, by, bz)"),
+    ("flip the s * y term of _inverse's translation", "push_controller.py",
+     "-(c * z - s * y))",
+     "-(c * z + s * y))"),
     ("transpose the rotation of _resolve's CoF", "push_dynamics.py",
      "cy = y + c * oy - s * oz\n    cz = z + s * oy + c * oz",
      "cy = y + c * oy + s * oz\n    cz = z - s * oy + c * oz"),

@@ -1,28 +1,23 @@
 """Replay every benchmark tap, open loop, through two checkouts' simulate_tap.
 
 The capture runs every grid of every workload in `perfbench/workloads.py` in
-the parent checkout and records the inputs of each tap by
-wrapping `exp_harness.simulate_tap`: the world (object and pusher poses, and
-the contact it carries, where the parent's `WorldState` has one), the shape
-as `scenario.shape_to_dict` writes it, the commanded pose and the tap
-lengths. The replay feeds those same inputs to `simulate_tap` in each
-checkout, the carried contact only where that checkout's `WorldState` takes
-one, so the controller cannot amplify a difference from one tap to the
-next. Per workload it prints the per-tap differences between the two sides of
-the object pose and the pusher pose after the tap (position in mm and heading
-in degrees; median, p90 and max), how many taps differ at all, and how many
-report another contact mode at the end of the advance. A tap differs at all
-when any replayed value differs in any bit: the two poses, or the contact
-that the tap reports (penetration, point, normal and mode) and the sense
-heading, which are what the tactile reading is taken from. It also prints
-each side's `resolve_substep` calls and `boundary_probe` calls a tap,
-counted by wrapping those two bindings of `push_dynamics` in each replay.
-A tap starts from the free-space certificate of the contact its world
-carries, on every outline, so these are the closed loop's counts on a side
-that is given that contact. A side that is not (a checkout whose
-`WorldState` has no `contact`, or either side of a capture from one) starts
-every tap without a certificate; its counts are then its closed loop's only
-if its own `WorldState` has no `contact` either:
+the parent checkout and records the inputs of each tap by wrapping
+`exp_harness.simulate_tap`: the world (object and pusher poses, and the
+contact it carries), the shape as `scenario.shape_to_dict` writes it, the
+commanded pose and the tap lengths. The replay feeds those same inputs to
+`simulate_tap` in each checkout, so the controller cannot amplify a
+difference from one tap to the next. Per workload it prints the per-tap
+differences between the two sides of the object pose and the pusher pose
+after the tap (position in mm and heading in degrees; median, p90 and max),
+how many taps differ at all, and how many report another contact mode at the
+end of the advance. A tap differs at all when any replayed value differs in
+any bit: the two poses, or the contact that the tap reports (penetration,
+point, normal and mode) and the sense heading, which are what the tactile
+reading is taken from. It also prints each side's `resolve_substep` calls
+and `boundary_probe` calls a tap, counted by wrapping those two bindings of
+`push_dynamics` in each replay. A tap starts from the free-space certificate
+of the contact its world carries, on every outline, so these are the closed
+loop's counts:
 
     python3 tools/tap_replay.py --parent ../parent --change . --seed 1
 
@@ -63,7 +58,7 @@ def capture(seed: int, out: Path) -> None:
         def recording(world, shape, cmd, tap_forward, tap_back):
             key = json.dumps(shape_to_dict(shape))
             o, p = world.object_pose, world.pusher_pose
-            c = getattr(world, "contact", None)
+            c = world.contact
             carried = None if c is None else [c.point, c.normal, c.mode.value, c.penetration]
             row = [workload, shapes.setdefault(key, len(shapes)), [o.y, o.z, o.alpha],
                    [p.y, p.z, p.alpha], [cmd.y, cmd.z, cmd.alpha], tap_forward, tap_back,
@@ -109,12 +104,11 @@ def replay(inputs: Path, out: Path) -> None:
     counts = []
     with out.open("w") as f:
         for line in lines[:-1]:
-            _, shape, obj, pusher, cmd, tap_forward, tap_back, *carried = json.loads(line)
-            world = WorldState(PlanarPose(*obj), PlanarPose(*pusher))
-            if carried and carried[0] and "contact" in getattr(WorldState, "_fields", ()):
-                point, normal, mode, penetration = carried[0]
-                world = world._replace(contact=ContactState(
-                    tuple(point), tuple(normal), ContactMode(mode), penetration))
+            _, shape, obj, pusher, cmd, tap_forward, tap_back, carried = json.loads(line)
+            if carried:
+                point, normal, mode, penetration = carried
+                carried = ContactState(tuple(point), tuple(normal), ContactMode(mode), penetration)
+            world = WorldState(PlanarPose(*obj), PlanarPose(*pusher), carried)
             calls.update(dict.fromkeys(calls, 0))
             try:
                 world, heading, contact = simulate_tap(world, shapes[shape], PlanarPose(*cmd),
