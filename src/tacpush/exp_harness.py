@@ -17,11 +17,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import multiprocessing
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product, zip_longest
+from multiprocessing.connection import wait
 from pathlib import Path
 
 import numpy as np
@@ -276,18 +277,83 @@ def run_trial(scenario: Scenario) -> TrialRecord:
 
 
 def run_trials(scenarios, workers: int = 1):
-    """Run a batch of scenarios, optionally on a process pool.
+    """Run a batch of scenarios; records come back in input order whatever
+    the worker count, so output files are byte-identical across counts.
 
-    Results come back in input order whatever the worker count, so output
-    files are byte-identical across pool sizes.
+    `workers` must be an int of at least 1 (not a bool). Given more than one
+    worker and scenario, min(workers, len(scenarios)) processes are forked
+    (the "fork" start method, which needs `os.fork`; it is named because
+    Python 3.14 makes "forkserver" Linux's default). Each inherits the
+    batch, so no scenario is pickled, and any wrapper over `run_trial`, as
+    the benchmark's tracer installs. A worker takes the next index from one
+    shared counter and sends (index, record) back over its own pipe. If a
+    worker exits before sending a record it took, run_trials raises a
+    RuntimeError that names those scenarios. Every worker is joined before
+    run_trials returns or raises, and terminated first if it raises.
     """
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"run_trials: workers must be an int of at least 1, got {workers!r}")
     scenarios = list(scenarios)
-    # a pool forks all its workers at the first submit, so start no idle ones
     workers = min(workers, len(scenarios))
     if workers <= 1:
         return [run_trial(s) for s in scenarios]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_trial, scenarios, chunksize=1))
+    return _run_forked(scenarios, workers)
+
+
+def _run_forked(scenarios: list, workers: int) -> list:
+    """run_trials' batch on `workers` forked processes, in input order."""
+    fork = multiprocessing.get_context("fork")
+    counter = fork.Value("q", 0)
+    records = [None] * len(scenarios)
+    procs, readers = [], []
+    try:
+        for _ in range(workers):
+            reader, writer = fork.Pipe(duplex=False)
+            readers.append(reader)
+            proc = fork.Process(target=_work, args=(scenarios, counter, writer))
+            proc.start()
+            procs.append(proc)
+            # so that the pipe reads EOF once the worker exits, and the next
+            # worker forked does not inherit this end
+            writer.close()
+        pending = list(readers)
+        while pending:
+            for reader in wait(pending):
+                try:
+                    i, record = reader.recv()
+                except (EOFError, OSError):  # OSError: EOF within a message
+                    pending.remove(reader)
+                else:
+                    records[i] = record
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for reader in readers:
+            reader.close()
+    lost = [s.name for s, r in zip(scenarios, records) if r is None]
+    if lost:
+        codes = sorted({proc.exitcode for proc in procs} - {0})
+        raise RuntimeError(
+            f"run_trials: a worker exited (exit codes {codes}) without returning the "
+            f"records of {', '.join(lost)}"
+        )
+    return records
+
+
+def _work(scenarios: list, counter, writer) -> None:
+    """A forked worker's loop: run and send back the trial of each index it
+    takes from `counter` until the batch is done."""
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(scenarios):
+            break
+        writer.send((i, run_trial(scenarios[i])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
 import importlib.util
 import json
 import math
+import os
+import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +34,7 @@ from tacpush.exp_harness import (
     export,
     load_records,
     place_corner_contact,
+    place_offset_contact,
     place_random_orientation,
     plot,
     read_taps_csv,
@@ -46,6 +52,10 @@ from tacpush.scene import (
 from tacpush.tactile_sense import NoiseModel
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "exp1_baseline.json"
+# seconds a forked batch may take, hung workers included
+WORKER_BOUND_S = 60
+# the scenario whose worker run_trial_or_exit ends
+DOOMED = "batch_1"
 # the smallest records.json summary that plot draws, of a trial with no taps
 PLOTTABLE = {
     "scenario_id": "p",
@@ -90,6 +100,35 @@ def write_run(directory: Path, summaries, taps=(), drop=()) -> Path:
     path = directory / "records.json"
     path.write_text(json.dumps({"version": 2, "records": summaries}))
     return path
+
+
+def child_pids() -> list:
+    """Processes whose parent is this one (Linux only)."""
+    tasks = Path("/proc/self/task")
+    return [int(pid) for task in tasks.iterdir() for pid in (task / "children").read_text().split()]
+
+
+@contextlib.contextmanager
+def time_bound(seconds: int):
+    """Raise TimeoutError in the block if it runs longer than `seconds`."""
+    def give_up(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def run_trial_or_exit(scenario):
+    """run_trial, but the process exits on the DOOMED scenario, as a worker
+    killed mid-trial would."""
+    if scenario.name == DOOMED:
+        os._exit(1)
+    return run_trial(scenario)
 
 
 def planar(pose6) -> PlanarPose:
@@ -285,24 +324,15 @@ class TestExperimentGrids:
             assert da == db
 
     def test_worker_pool_is_no_larger_than_the_batch(self, monkeypatch):
-        # a pool forks every worker at its first submit, so a recording
-        # stand-in runs the batch in process and no real pool is started
+        # a recording stand-in for the forked workers runs the batch in this
+        # process, so no real process is started
         sizes = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def run_forked(scenarios, workers):
+            sizes.append(workers)
+            return [run_trial(s) for s in scenarios]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(exp_harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(exp_harness, "_run_forked", run_forked)
         scenarios = [exp1_scenario(off, 0.0, seed=derive_seed(8, i), max_taps=2)
                      for i, off in enumerate((-10.0, 10.0))]
         records = run_trials(scenarios, workers=5000)
@@ -310,6 +340,49 @@ class TestExperimentGrids:
         assert [r.scenario_id for r in records] == [s.name for s in scenarios]
         run_trials(scenarios[:1], workers=5000)
         assert sizes == [2]
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+    def test_a_lost_worker_is_named_and_never_hangs(self, monkeypatch):
+        scenarios = [exp1_scenario(off, 0.0, seed=derive_seed(8, i), max_taps=2, name=f"batch_{i}")
+                     for i, off in enumerate((-10.0, 0.0, 10.0, 20.0))]
+        assert scenarios[1].name == DOOMED
+        # the forked workers inherit the patched run_trial
+        monkeypatch.setattr(exp_harness, "run_trial", run_trial_or_exit)
+        before = set(child_pids())
+        with time_bound(WORKER_BOUND_S), pytest.raises(RuntimeError) as info:
+            run_trials(scenarios, workers=2)
+        message = str(info.value)
+        assert [s.name for s in scenarios if s.name in message] == [DOOMED]
+        assert set(child_pids()) <= before
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+    def test_more_workers_than_cores_run_each_scenario_once(self, monkeypatch, tmp_path):
+        # trials that take no time, so the workers contend for the shared
+        # counter; a lost update would run an index twice or never
+        log = tmp_path / "runs.txt"
+
+        def run_trial(scenario):
+            with open(log, "a") as f:
+                f.write(scenario.name + "\n")
+            return scenario.name
+
+        monkeypatch.setattr(exp_harness, "run_trial", run_trial)
+        scenarios = [SimpleNamespace(name=f"s{i}") for i in range(400)]
+        before = set(child_pids())
+        with time_bound(WORKER_BOUND_S):
+            records = run_trials(scenarios, workers=min(os.cpu_count() or 1, 15) + 1)
+        assert records == [s.name for s in scenarios]
+        assert sorted(log.read_text().split()) == sorted(records)
+        assert set(child_pids()) <= before
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.0, True, "2", None])
+    def test_workers_must_be_an_int_of_at_least_1(self, workers):
+        scenarios = [exp1_scenario(off, 0.0, seed=derive_seed(8, i), max_taps=2)
+                     for i, off in enumerate((-10.0, 10.0))]
+        with pytest.raises(ValueError, match=re.escape(
+            f"run_trials: workers must be an int of at least 1, got {workers!r}"
+        )):
+            run_trials(scenarios, workers)
 
 
 class TestPlacement:
@@ -321,6 +394,33 @@ class TestPlacement:
         assert TIP_RADIUS_MM - sd == pytest.approx(1.0, abs=1e-6)
         # corner dead ahead of the axis
         assert point == pytest.approx([0.0, 19.0], abs=1e-9)
+
+    @pytest.mark.parametrize("start", EXP_START_POSES)
+    def test_offset_contact_seats_the_offset_point_dead_ahead(self, start):
+        shape = builtin_shapes()["rectangle"]
+        (y0, z0), (y1, z1) = shape.polygon[:2].tolist()
+        length = math.hypot(y1 - y0, z1 - z0)
+        ay, az = heading_dir(start.alpha)
+        tip = np.array([start.y, start.z])
+        for off in (-20.0, 0.0, 10.0):
+            # the object-frame point `off` mm from the first edge's midpoint, along it
+            py = 0.5 * (y0 + y1) + off * (y1 - y0) / length
+            pz = 0.5 * (z0 + z1) + off * (z1 - z0) / length
+            level = place_offset_contact(shape, start, off, 0.0)
+            sd, point, n_out, feature = boundary_probe(shape, level, tip)
+            assert feature == ("edge", 0)
+            assert TIP_RADIUS_MM - sd == pytest.approx(1.0, abs=1e-9)
+            assert n_out == pytest.approx((-ay, -az), abs=1e-12)
+            for ang in EXP1_ANGULAR_OFFSETS_DEG:
+                pose = place_offset_contact(shape, start, off, ang)
+                c, s = math.cos(math.radians(pose.alpha)), math.sin(math.radians(pose.alpha))
+                seated = (pose.y + c * py - s * pz, pose.z + s * py + c * pz)
+                assert seated == pytest.approx(
+                    (start.y + (TIP_RADIUS_MM - 1.0) * ay, start.z + (TIP_RADIUS_MM - 1.0) * az),
+                    abs=1e-9,
+                )
+                turn = (pose.alpha - level.alpha - ang + 180.0) % 360.0 - 180.0
+                assert turn == pytest.approx(0.0, abs=1e-9)
 
     def test_corner_centred_circle(self):
         shape = builtin_shapes()["circle"]

@@ -1,7 +1,8 @@
 """Run source mutants against the Tier-1 tests that are not goldens.
 
 The mutants cover the simulator (`push_dynamics`, `scene`), the controller
-(`push_controller`) and the sensor (`tactile_sense`). Each mutant is a text
+(`push_controller`), the sensor (`tactile_sense`) and the trial set-up's
+placement and `compute_y_targ` (`exp_harness`). Each mutant is a text
 replacement in one file of `src/tacpush/` that must
 match exactly once. For each mutant the tool copies the checkout to a
 temporary directory, applies the replacement, and runs every Tier-1 test
@@ -17,8 +18,8 @@ survivor, whether the trial digest at `--seed 1` moved:
 
 A mutant that does not match exactly once is reported as such, and the tool
 then exits with status 1. The mutants take about three minutes on a 2-core
-host, so the tool is run by hand for a change to the kernel, the controller
-or the sensor, not in CI.
+host, so the tool is run by hand for a change to the kernel, the controller,
+the sensor or the placement, not in CI.
 """
 
 from __future__ import annotations
@@ -175,6 +176,38 @@ MUTANTS = [
     ("transpose the rotation of _resolve's CoF", "push_dynamics.py",
      "cy = y + c * oy - s * oz\n    cz = z + s * oy + c * oz",
      "cy = y + c * oy + s * oz\n    cz = z - s * oy + c * oz"),
+    ("_seat turns the object the wrong way about the seated point", "exp_harness.py",
+     "    ) + turn\n",
+     "    ) - turn\n"),
+    ("_seat rotates the seated point's y by -omega", "exp_harness.py",
+     "pusher_start.y + _SEAT_DISTANCE_MM * ay - (c * py - s * pz),",
+     "pusher_start.y + _SEAT_DISTANCE_MM * ay - (c * py + s * pz),"),
+    ("_seat points the seated normal away from the tip", "exp_harness.py",
+     "math.degrees(math.atan2(-az, -ay))",
+     "math.degrees(math.atan2(az, ay))"),
+    ("place_offset_contact runs the spatial offset the wrong way along the edge",
+     "exp_harness.py",
+     "0.5 * (y0 + y1) + spatial_offset * (ey / n),\n        0.5 * (z0 + z1) + spatial_offset",
+     "0.5 * (y0 + y1) - spatial_offset * (ey / n),\n        0.5 * (z0 + z1) - spatial_offset"),
+    ("place_offset_contact seats the point with the second edge's normal", "exp_harness.py",
+     "shape.edge_normals[0].tolist(), angular_offset",
+     "shape.edge_normals[1].tolist(), angular_offset"),
+    ("place_corner_contact bisects vertex 1's edges, not vertex 0's", "exp_harness.py",
+     "shape.edge_normals[[-1, 0]]",
+     "shape.edge_normals[[0, 1]]"),
+    ("place_corner_contact seats a circle at the tip radius, with no contact depth",
+     "exp_harness.py",
+     "reach = _SEAT_DISTANCE_MM + shape.radius",
+     "reach = TIP_RADIUS_MM + shape.radius"),
+    ("place_random_orientation's bisection keeps the wrong half", "exp_harness.py",
+     "if depth_at(mid) > INITIAL_CONTACT_DEPTH_MM:",
+     "if depth_at(mid) < INITIAL_CONTACT_DEPTH_MM:"),
+    ("compute_y_targ adds the cross product's terms", "exp_harness.py",
+     "return abs(ay * rz - az * ry)",
+     "return abs(ay * rz + az * ry)"),
+    ("compute_y_targ takes the distance along the axis, not across it", "exp_harness.py",
+     "return abs(ay * rz - az * ry)",
+     "return abs(ay * ry + az * rz)"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "out", "__pycache__", ".hypothesis", ".pytest_cache",
