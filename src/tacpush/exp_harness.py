@@ -38,7 +38,7 @@ from .scene import (
     heading_dir,
 )
 from .scenario import (
-    _INLINE_OBJECT, Scenario, ScenarioError, _number, _numbers, _read, shape_to_dict
+    _INLINE_OBJECT, Scenario, ScenarioError, _number, _numbers, _read, _string, shape_to_dict
 )
 from .tactile_sense import apply_noise, sense_contact
 
@@ -135,6 +135,10 @@ _CSV_COLUMNS = (
 # diagnostics, as the taps.csv row after scenario_id and seed; a reading or
 # diagnostic the tap has not (say, the error of a reacquire move) is None
 Tap = namedtuple("Tap", _CSV_COLUMNS[2:])
+
+
+# the outcomes run_trial writes
+_OUTCOMES = ("reached", "lost_contact", "max_taps", "physics_fault", "error")
 
 
 @dataclass
@@ -686,9 +690,10 @@ def _require(value, path: tuple, where: str):
 
 
 def _check_plot_fields(idx: int, rec: dict):
-    """Read every summary value plot draws through the scenario readers, so a
-    bad value is named by its record path; the summary's other fields must
-    be present."""
+    """Read every summary value plot draws, and the scenario_id, outcome and
+    y_targ that export and compute_metrics read, through the scenario
+    readers, so a bad value is named by its record path; the summary's other
+    fields must be present."""
     where = f"records[{idx}]"
     for path in _PLOT_FIELDS + tuple((name,) for name in _SUMMARY_FIELDS):
         _require(rec, path, where)
@@ -703,6 +708,18 @@ def _check_plot_fields(idx: int, rec: dict):
     if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
         raise ValueError(f"plot: {where}.seed: expected an integer in [0, 2**64), got {seed!r}")
     try:
+        _string(rec["scenario_id"], f"{where}.scenario_id")
+        outcome, y_targ = rec["outcome"], rec["y_targ"]
+        if outcome not in _OUTCOMES:
+            raise ScenarioError(
+                f"{where}.outcome: expected one of {', '.join(_OUTCOMES)}, got {outcome!r}"
+            )
+        if outcome == "reached":
+            _number(y_targ, f"{where}.y_targ")
+        elif y_targ is not None:
+            raise ScenarioError(
+                f"{where}.y_targ: expected null for outcome {outcome!r}, got {y_targ!r}"
+            )
         _numbers(meta["target_pose_mm_deg"], 6, f"{where}.meta.target_pose_mm_deg")
         _numbers(rec["final_pusher_pose"], 6, f"{where}.final_pusher_pose")
         _numbers(rec["final_object_pose"], 3, f"{where}.final_object_pose")
@@ -718,12 +735,13 @@ def load_records(records_path) -> list:
     TrialRecords, equal to the ones export wrote but for `wall_time_ms`,
     which is None (timings.json holds it).
 
-    Every value plot draws is checked on the way in: a bad summary value is
-    named by its record path, a bad tap value, or a seed other than its
-    record's, by its taps.csv line and column, a taps.csv header other than
-    the one export writes by its first column that differs, and a taps.csv
-    row that is not the next tap of the records (by scenario_id, tap index
-    and each record's tap_total) by its line.
+    Every value plot draws, and the scenario_id, outcome and y_targ that
+    export and compute_metrics read, is checked on the way in: a bad summary
+    value is named by its record path, a bad tap value, or a seed other than
+    its record's, by its taps.csv line and column, a taps.csv header other
+    than the one export writes by its first column that differs, and a
+    taps.csv row that is not the next tap of the records (by scenario_id,
+    tap index and each record's tap_total) by its line.
     """
     path = Path(records_path)
     try:

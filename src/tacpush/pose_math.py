@@ -50,11 +50,6 @@ class EulerPose:
     beta: float = 0.0
     gamma: float = 0.0
 
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.x, self.y, self.z, self.alpha, self.beta, self.gamma], dtype=float
-        )
-
 
 @dataclass
 class Transform:

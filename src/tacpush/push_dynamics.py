@@ -102,8 +102,8 @@ class ContactState(NamedTuple):
 def _resolve(shape: ObjectShape, pose: PlanarPose, qy, qz, ny, nz, vy, vz):
     """(cy, cz, py, pz, fy, fz, mode): the contact-matrix kernel's one call.
 
-    The work-frame CoF (cy, cz) of `shape` at `pose` (as
-    PlanarPose.transform_point gives it), the lever p = perp(q - cof) of the
+    The work-frame CoF (cy, cz) of `shape` at `pose` (the CoF offset turned
+    by the heading and moved by (y, z)), the lever p = perp(q - cof) of the
     work-frame contact point q, and the contact force direction f and mode
     for the pusher drive direction v with inward normal n. The motion-cone
     edges are u = M f of the friction-cone edges, the shape's cone (cos,
@@ -201,7 +201,7 @@ def resolve_substep(shape: ObjectShape, object_pose: PlanarPose, tip, pusher_dis
                 "penetration resolution did not converge",
                 {
                     "tip": list(tip_new),
-                    "object_pose": (pose.y, pose.z, pose.alpha),
+                    "object_pose": list(pose),
                     "penetration": pen,
                 },
             )

@@ -6,9 +6,9 @@ normal, so a planar pose (y, z, alpha) embeds as the SE(3) Euler vector
 (-sin a, cos a) is its forward/push direction and the +y axis
 (cos a, sin a) is its lateral direction. All planar vectors in this module
 are ordered (y, z): a single vector is a (y, z) float pair, and numpy arrays
-hold only tables of many points (outlines, edge normals). World state and
-physics use planar poses only; SE(3) transforms are built from them only
-for the controller.
+hold only tables of many points (outlines, edge normals). World state,
+physics and the controller use planar poses only; no trial builds an SE(3)
+transform.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "WorldState",
     "boundary_probe",
     "builtin_shapes",
-    "cross2",
     "dir_heading",
     "heading_dir",
     "normalize_angle_deg",
@@ -45,9 +44,6 @@ _G = 9.81  # m/s^2, for support-friction magnitudes in N
 
 # radius of the disc pusher, the planar section of a hemispherical tip
 TIP_RADIUS_MM = 20.0
-
-# largest out-of-plane residue PlanarPose.from_transform accepts
-_PLANAR_TOL = 1e-6
 
 # boundary_probe's candidate-edge grid: cell side, and how far the grid
 # reaches past the outline's bounding box (queries beyond it try every edge)
@@ -60,11 +56,6 @@ _GRID_MAX_ENTRIES = 1 << 20
 # ---------------------------------------------------------------------------
 # planar vector helpers
 # ---------------------------------------------------------------------------
-
-def cross2(a, b) -> float:
-    """2D cross product a x b for (y, z) vectors; positive is counter-clockwise."""
-    return a[0] * b[1] - a[1] * b[0]
-
 
 def heading_dir(alpha_deg: float) -> tuple[float, float]:
     """Forward (+z axis) direction of a frame with the given heading."""
@@ -96,28 +87,8 @@ class PlanarPose(namedtuple("PlanarPose", "y z alpha")):
         return tuple.__new__(cls, (y, z, normalize_angle_deg(alpha)))
 
     def to_transform(self) -> Transform:
+        """The SE(3) transform of the pose (0, y, z, alpha, 0, 0)."""
         return euler_to_transform(EulerPose(0.0, self.y, self.z, self.alpha, 0.0, 0.0))
-
-    @classmethod
-    def from_transform(cls, t: Transform) -> "PlanarPose":
-        """Read back a planar pose; rejects transforms that left the plane."""
-        r = t.rotation
-        if (
-            abs(float(t.translation[0])) > _PLANAR_TOL
-            or abs(float(r[0, 0]) - 1.0) > _PLANAR_TOL
-            or abs(float(r[0, 1])) > _PLANAR_TOL
-            or abs(float(r[0, 2])) > _PLANAR_TOL
-        ):
-            raise ValueError("transform is not a planar (y, z, alpha) pose")
-        alpha = math.degrees(math.atan2(float(r[2, 1]), float(r[1, 1])))
-        return cls(float(t.translation[1]), float(t.translation[2]), alpha)
-
-    def transform_point(self, p_local) -> tuple[float, float]:
-        """Map a planar point from this frame into the work frame."""
-        a = math.radians(self.alpha)
-        c, s = math.cos(a), math.sin(a)
-        y, z = float(p_local[0]), float(p_local[1])
-        return self.y + c * y - s * z, self.z + s * y + c * z
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +110,7 @@ def _polygon_centroid(verts: np.ndarray) -> np.ndarray:
 
 
 def _turn(a, b, c) -> float:
-    """cross2(b - a, c - a) of (y, z) pairs: positive when c lies left of a -> b."""
+    """(b - a) x (c - a) of (y, z) pairs: positive when c lies left of a -> b."""
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
@@ -431,16 +402,16 @@ def boundary_probe(shape: ObjectShape, pose: PlanarPose, p_work) -> tuple:
 # built-in shape catalog
 # ---------------------------------------------------------------------------
 
-def _mean_support_radius(verts: np.ndarray, step: float = 1.0) -> float:
-    """Mean distance of the support area from the origin (grid integral).
+def _mean_support_radius(verts: np.ndarray) -> float:
+    """Mean distance of the support area from the origin (1 mm grid integral).
 
     The grid keeps its vectorised crossing-number mask: probing its points
     one at a time would add most of a second to building the catalog.
     """
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
-    ys = np.arange(lo[0] + step / 2, hi[0], step)
-    zs = np.arange(lo[1] + step / 2, hi[1], step)
+    ys = np.arange(lo[0] + 0.5, hi[0], 1.0)
+    zs = np.arange(lo[1] + 0.5, hi[1], 1.0)
     gy, gz = np.meshgrid(ys, zs, indexing="ij")
     pts = np.stack([gy.ravel(), gz.ravel()], axis=1)
     mask = _points_in_polygon(pts, verts)

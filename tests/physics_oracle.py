@@ -9,7 +9,8 @@ entirely independent of the analytical motion-cone classification in the
 package, and it forms the limit-surface quantities itself, in numpy: the
 CoF and the lever (`lever`), the contact matrix M (`contact_matrix`) and
 the twist of a contact force (`twist`). From the package it takes only the
-shapes, poses and probe that build its configurations.
+shapes, poses and probe that build its configurations. `to_work` maps a
+point of a pose's frame into the work frame, for the tests that pose points.
 """
 
 from __future__ import annotations
@@ -26,6 +27,15 @@ from tacpush.scene import (
     boundary_probe,
     builtin_shapes,
 )
+
+
+def to_work(pose: PlanarPose, p_local) -> tuple[float, float]:
+    """The work-frame point, as Python floats, of the point `p_local` of the
+    frame `pose`."""
+    a = math.radians(pose.alpha)
+    c, s = math.cos(a), math.sin(a)
+    py, pz = float(p_local[0]), float(p_local[1])
+    return pose.y + c * py - s * pz, pose.z + s * py + c * pz
 
 
 def perp2(v):

@@ -39,6 +39,7 @@ from physics_oracle import (
     limit_surface,
     motion_cone_margin_deg,
     random_contact_configs,
+    to_work,
 )
 from test_push_dynamics import resolved_twist
 
@@ -174,7 +175,7 @@ def test_criterion_physics_oracle_equivalence():
             continue
         moved = np.array(
             [
-                *(np.asarray(pose.transform_point(cfg.shape.cof_offset)) - cof),
+                *(np.asarray(to_work(pose, cfg.shape.cof_offset)) - cof),
                 math.radians(normalize_angle_deg(pose.alpha - cfg.object_pose.alpha)),
             ]
         )

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from tacpush import exp_harness
+from tacpush import exp_harness, push_dynamics
 from tacpush.cli import main as cli_main
 from tacpush.exp_harness import (
     EXP1_ANGULAR_OFFSETS_DEG,
@@ -244,6 +244,29 @@ class TestRunTrial:
         assert bad.outcome == "error"
         assert bad.meta["error"] == "ZeroDivisionError: forced failure"
         assert bad.tap_total == 0 and bad.y_targ is None
+
+    def test_physics_fault_ends_the_trial_and_loads_back_equal(self, monkeypatch, tmp_path):
+        # the third tap's resolution may take no step, so its first
+        # overlapping substep raises resolve_substep's own fault
+        real_simulate_tap = exp_harness.simulate_tap
+        calls = []
+
+        def simulate_tap(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                monkeypatch.setattr(push_dynamics, "MAX_RESOLVE_ITERS", 0)
+            return real_simulate_tap(*args, **kwargs)
+
+        monkeypatch.setattr(exp_harness, "simulate_tap", simulate_tap)
+        rec = run_trial(exp1_scenario(0.0, 0.0, seed=11))
+        assert rec.outcome == "physics_fault" and len(calls) == 3
+        assert rec.tap_total == len(rec.taps) == 2 and rec.y_targ is None
+        fault = rec.meta["fault"]
+        assert sorted(fault) == ["object_pose", "penetration", "tip"]
+        assert fault["penetration"] > push_dynamics.PENETRATION_TOL_MM
+        assert [len(fault["tip"]), len(fault["object_pose"])] == [2, 3]
+        loaded = load_records(export([rec], tmp_path)["records"])
+        assert loaded == [dataclasses.replace(rec, wall_time_ms=None)]
 
 
 class TestSeedDerivation:
@@ -785,6 +808,33 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: plot: records[0].seed: expected an integer in [0, 2**64), got {seed!r}\n"
         )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [({"outcome": 7, "y_targ": "abc"}, "outcome: expected one of reached, lost_contact, "
+          "max_taps, physics_fault, error, got 7"),
+         ({"outcome": "done"}, "outcome: expected one of reached, lost_contact, max_taps, "
+          "physics_fault, error, got 'done'"),
+         ({"outcome": "reached", "y_targ": "abc"}, "y_targ: expected a number, got 'abc'"),
+         ({"outcome": "reached"}, "y_targ: expected a number, got None"),
+         ({"outcome": "reached", "y_targ": math.inf}, "y_targ has a non-finite value"),
+         ({"y_targ": 3.5}, "y_targ: expected null for outcome 'max_taps', got 3.5"),
+         ({"scenario_id": 5}, "scenario_id: expected a string, got 5")],
+        ids=["outcome_not_a_string", "unknown_outcome", "y_targ_not_a_number",
+             "reached_without_y_targ", "infinite_y_targ", "y_targ_without_reaching",
+             "scenario_id_not_a_string"],
+    )
+    def test_load_records_names_a_bad_outcome_y_targ_or_scenario_id(
+        self, fields, message, tmp_path
+    ):
+        # export and compute_metrics read these three; a reached trial's
+        # y_targ is a finite number and every other trial's is null
+        in_path = write_run(tmp_path, [PLOTTABLE | fields])
+        with pytest.raises(ValueError) as exc:
+            load_records(in_path)
+        assert str(exc.value) == f"plot: records[0].{message}"
+        good = PLOTTABLE | {"outcome": "reached", "y_targ": 3.5}
+        assert load_records(write_run(tmp_path, [good]))[0].y_targ == 3.5
 
     @pytest.mark.parametrize(
         "taps, drop, meta, message",

@@ -25,8 +25,9 @@ from tacpush.scene import (
     PlanarPose,
     boundary_probe,
     builtin_shapes,
-    cross2,
 )
+
+from physics_oracle import to_work
 
 GOLDEN = Path(__file__).parent / "data" / "resolve_substep_golden.json"
 SEED = 20201202
@@ -52,16 +53,15 @@ def _vertex_contact(shape, pose, rng):
     """A convex vertex and an outward direction inside its normal cone."""
     verts = shape.polygon
     n = len(verts)
-    convex = [
-        i for i in range(n)
-        if cross2(verts[i] - verts[i - 1], verts[(i + 1) % n] - verts[i]) > 0.0
-    ]
+    turns = [(verts[i] - verts[i - 1], verts[(i + 1) % n] - verts[i]) for i in range(n)]
+    convex = [i for i, (a, b) in enumerate(turns) if a[0] * b[1] - a[1] * b[0] > 0.0]
     i = convex[int(rng.integers(len(convex)))]
     n_prev, n_next = shape.edge_normals[i - 1], shape.edge_normals[i]
-    span = math.degrees(math.atan2(cross2(n_prev, n_next), float(n_prev @ n_next)))
+    cross = n_prev[0] * n_next[1] - n_prev[1] * n_next[0]
+    span = math.degrees(math.atan2(cross, float(n_prev @ n_next)))
     n_local = _rotated(n_prev, float(rng.uniform(0.05, 0.95)) * span)
-    point = pose.transform_point(verts[i])
-    n_out = pose.transform_point(n_local) - np.array([pose.y, pose.z])
+    point = to_work(pose, verts[i])
+    n_out = to_work(pose, n_local) - np.array([pose.y, pose.z])
     return point, n_out
 
 

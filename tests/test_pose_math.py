@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -128,7 +129,7 @@ class TestEulerToTransform:
 class TestTransformToEuler:
     def test_identity(self):
         e = transform_to_euler(identity())
-        assert e.as_array() == pytest.approx(np.zeros(6))
+        assert dataclasses.astuple(e) == pytest.approx(np.zeros(6))
 
     def test_round_trip_euler(self):
         rng = np.random.default_rng(7)
@@ -157,7 +158,7 @@ class TestTransformToEuler:
     def test_gimbal_branch_value(self):
         t = Transform(rot_y(-90.0), np.zeros(3))
         e = transform_to_euler(t)
-        assert e.as_array() == pytest.approx([0, 0, 0, 0, -90.0, 0], abs=1e-9)
+        assert dataclasses.astuple(e) == pytest.approx([0, 0, 0, 0, -90.0, 0], abs=1e-9)
 
     def test_work_frame_pose_recovered(self):
         e = EulerPose(-85.0, -330.0, 70.0, 180.0, -90.0, 0.0)

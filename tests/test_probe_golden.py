@@ -25,6 +25,8 @@ import numpy as np
 
 from tacpush.scene import PlanarPose, boundary_probe, builtin_shapes
 
+from physics_oracle import to_work
+
 GOLDEN = Path(__file__).parent / "data" / "boundary_probe_golden.json"
 SEED = 20201313
 POSES_PER_SHAPE = 12
@@ -89,7 +91,7 @@ def generate_cases():
             pose = PlanarPose(*(float(v) for v in rng.uniform(-60.0, 60.0, size=2)), alpha)
             for kind in KINDS:
                 for q in _local_queries(shape, kind, rng):
-                    query = pose.transform_point(q)
+                    query = to_work(pose, q)
                     cases.append({
                         "shape": name,
                         "kind": kind,

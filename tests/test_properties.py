@@ -52,6 +52,8 @@ from tacpush.scene import (
 )
 from tacpush.tactile_sense import ALPHA_RANGE_DEG, Z_RANGE_MM, PosePrediction
 
+from physics_oracle import to_work
+
 SAMPLES_PER_OUTLINE = 4000
 
 poses = st.builds(
@@ -128,7 +130,7 @@ def dense_outline(verts) -> tuple:
 
 def check_probe(shape, pose, query, outline, spacing, inside):
     sd, point, _, _ = boundary_probe(shape, pose, query)
-    world_outline = np.array([pose.transform_point(p) for p in outline])
+    world_outline = np.array([to_work(pose, p) for p in outline])
     sampled = float(np.min(np.hypot(*(world_outline - query).T)))
     # the nearest sample is at most half a spacing further than the boundary
     assert sampled - 0.5 * spacing - 1e-9 <= abs(sd) <= sampled + 1e-9
@@ -144,7 +146,7 @@ def test_boundary_probe_on_star_polygons(verts, pose, qy, qz):
     shape = ObjectShape("star", polygon=verts, f_max=1.0, m_max=10.0)
     local = np.array([qy, qz])
     outline, spacing = dense_outline(verts)
-    query = pose.transform_point(local)
+    query = to_work(pose, local)
     check_probe(shape, pose, query, outline, spacing, inside_polygon(local, verts))
 
 
@@ -191,7 +193,7 @@ def near_vertex_queries(draw):
 def test_boundary_probe_near_catalog_vertices(case, pose):
     shape, local = case
     outline, spacing = catalog_outline(shape.name)
-    query = pose.transform_point(local)
+    query = to_work(pose, local)
     check_probe(shape, pose, query, outline, spacing, inside_polygon(local, shape.polygon))
 
 
@@ -222,7 +224,7 @@ def test_boundary_probe_on_circles(radius, pose, qy, qz):
     t = np.linspace(0.0, 2.0 * math.pi, SAMPLES_PER_OUTLINE, endpoint=False)
     outline = radius * np.stack([np.cos(t), np.sin(t)], axis=1)
     spacing = 2.0 * math.pi * radius / SAMPLES_PER_OUTLINE
-    query = pose.transform_point([qy, qz])
+    query = to_work(pose, [qy, qz])
     check_probe(shape, pose, query, outline, spacing, math.hypot(qy, qz) < radius)
 
 
@@ -300,7 +302,7 @@ def test_grid_search_matches_an_all_edges_search(case, pose):
     if cell is not None:
         nearest = int(nearest_edges(shape.polygon, local[None, :])[0])
         assert nearest in cell_candidates(shape, *cell)
-    query = pose.transform_point(local)
+    query = to_work(pose, local)
     sd, point, normal, feature = boundary_probe(shape, pose, query)
     sd_all, point_all, normal_all, feature_all = boundary_probe(all_edges_search(shape), pose, query)
     assert (sd, feature) == (sd_all, feature_all)

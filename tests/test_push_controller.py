@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -62,7 +63,7 @@ class TestServoError:
         ref = _frame(0, 2, 0)
         direct = transform_to_euler(compose(inverse(embed(pred)), embed(ref)))
         e = servo_error(pred, ref)
-        assert (0.0, *e, 0.0, 0.0) == tuple(direct.as_array())
+        assert (0.0, *e, 0.0, 0.0) == dataclasses.astuple(direct)
         assert e[2] == pytest.approx(-10.0)
         assert np.allclose(e[:2], 0.0, atol=1e-12)
 
@@ -239,7 +240,7 @@ class TestPlanarMatchesSE3:
             pred = (0.0, float(rng.uniform(1, 5)), float(rng.uniform(-20, 20)))
             got = servo_error(_frame(*pred), _frame(*pose))
             want = transform_to_euler(compose(inverse(self.se3(*pred)), self.se3(*pose)))
-            diff = np.subtract((0.0, *got, 0.0, 0.0), want.as_array())
+            diff = np.subtract((0.0, *got, 0.0, 0.0), dataclasses.astuple(want))
             diff[3:] = [normalize_angle_deg(d) for d in diff[3:]]
             assert np.abs(diff).max() <= 1e-9, (pred, pose)
 

@@ -38,6 +38,7 @@ from physics_oracle import (
     motion_cone_margin_deg,
     random_contact_configs,
     rot,
+    to_work,
     voting_theorem_vote,
 )
 import test_physics_golden as substep_golden
@@ -67,7 +68,7 @@ def resolved_twist(wrench, shape: ObjectShape) -> np.ndarray:
     sq = ObjectShape("sq", polygon=[[-h, -h], [h, -h], [h, h], [-h, h]],
                      f_max=shape.f_max, m_max=shape.m_max, mu_contact=0.5)
     pose = PlanarPose(0.0, 0.0, dir_heading(n_in))
-    point = np.asarray(pose.transform_point((x, -h)))
+    point = np.asarray(to_work(pose, (x, -h)))
     drive = contact_matrix(*limit_surface(sq), lever(sq, pose, point)[1]) @ f
     disp = 0.01 * drive / np.linalg.norm(drive)
     tip = point - (TIP_RADIUS_MM - 1.5 * PENETRATION_TOL_MM) * n_in - disp
@@ -189,7 +190,7 @@ class TestMotionCone:
     def test_edges_match_the_oracles(self, mu):
         shape = square(mu=mu)
         pose = PlanarPose(5.0, -3.0, 20.0)
-        point = pose.transform_point([12.0, -30.0])
+        point = to_work(pose, [12.0, -30.0])
         n_in = np.asarray(heading_dir(pose.alpha))
         m = contact_matrix(*limit_surface(shape), lever(shape, pose, point)[1])
         phi = math.atan(mu)
@@ -292,8 +293,8 @@ class TestStickingCentreOfRotation:
         # the tip overlaps the bottom edge by the residual that resolution
         # leaves, so the pushing substep moves the contact by about `step`
         pose, res = self.POSE, PENETRATION_TOL_MM / 2
-        point = pose.transform_point([offset, -30.0])
-        tip = pose.transform_point([offset, -30.0 - TIP_RADIUS_MM + res])
+        point = to_work(pose, [offset, -30.0])
+        tip = to_work(pose, [offset, -30.0 - TIP_RADIUS_MM + res])
         # the drive, drive_deg off the inward normal (the object's +z axis)
         vy, vz = heading_dir(pose.alpha + drive_deg)
         cor = self.closed_form_cor((point[0] - pose.y, point[1] - pose.z), (vy, vz))
@@ -381,7 +382,7 @@ class TestResolveSubstep:
             dalpha = math.radians(normalize_angle_deg(pose.alpha - cfg.object_pose.alpha))
             if abs(dalpha) < 1e-10:
                 continue
-            r = cfg.contact_point - cfg.object_pose.transform_point(cfg.shape.cof_offset)
+            r = cfg.contact_point - to_work(cfg.object_pose, cfg.shape.cof_offset)
             vote = voting_theorem_vote(r, cfg.n_in, cfg.shape.mu_contact, cfg.v_p)
             if vote == 0:
                 continue
@@ -413,7 +414,7 @@ class TestResolveSubstep:
                 continue
             moved = np.array(
                 [
-                    *(np.asarray(pose.transform_point(cfg.shape.cof_offset)) - cof),
+                    *(np.asarray(to_work(pose, cfg.shape.cof_offset)) - cof),
                     math.radians(normalize_angle_deg(pose.alpha - cfg.object_pose.alpha)),
                 ]
             )
@@ -474,9 +475,6 @@ class TestKernelReturnsPythonFloats:
                                      0.0, 1.0, *drive)
         assert {type(x) for x in out[:6]} == {float}
 
-    def test_transform_point(self):
-        assert is_float_pair(PlanarPose(1.0, 2.0, 30.0).transform_point(np.array([3.0, 4.0])))
-
 
 def test_contact_at_reads_the_probes_point_and_negated_normal_exactly():
     # all 1,020 queries of the probe golden; repr tells signed zeros apart
@@ -492,12 +490,12 @@ def test_contact_at_reads_the_probes_point_and_negated_normal_exactly():
 
 def test_contact_matrix_cof_is_the_posed_cof_offset_exactly():
     # the kernel forms the CoF from the heading's cos and sin, as
-    # transform_point does; the 1,020 probe-golden poses
+    # physics_oracle.to_work does; the 1,020 probe-golden poses
     shape = dataclasses.replace(square(), cof_offset=(3.0, -2.0))
     for case in load_golden():
         pose = PlanarPose(*case["pose"])
         cof = push_dynamics._resolve(shape, pose, *case["query"], 0.0, 1.0, 0.0, 1.0)[:2]
-        assert repr(cof) == repr(pose.transform_point(shape.cof_offset)), case
+        assert repr(cof) == repr(to_work(pose, shape.cof_offset)), case
 
 
 class TestResolutionLoop:
@@ -557,7 +555,7 @@ class TestResolutionLoop:
             resolve_substep(shape, PlanarPose(), *self.THREE_STEPS)
         assert len(probed) == 3
         last, diagnostics = probed[-1], fault.value.diagnostics
-        assert diagnostics["object_pose"] == (last.y, last.z, last.alpha)
+        assert diagnostics["object_pose"] == [last.y, last.z, last.alpha]
         assert diagnostics["tip"] == [ty + dy, tz + dz]
         pen = contact_at(shape, last, (ty + dy, tz + dz)).penetration
         assert pen > PENETRATION_TOL_MM
