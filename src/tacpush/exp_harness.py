@@ -38,7 +38,8 @@ from .scene import (
     heading_dir,
 )
 from .scenario import (
-    _INLINE_OBJECT, Scenario, ScenarioError, _number, _numbers, _read, _string, shape_to_dict
+    _INLINE_OBJECT, Scenario, ScenarioError, _is_int, _number, _read, _seed, _string, _vector,
+    shape_to_dict,
 )
 from .tactile_sense import apply_noise, sense_contact
 
@@ -102,12 +103,6 @@ def _splitmix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-def _check_master_seed(master_seed: int) -> None:
-    """derive_seed reads it modulo 2**64: outside [0, 2**64) seeds alias."""
-    if not 0 <= master_seed <= _MASK64:
-        raise ValueError(f"master_seed must be in [0, 2**64), got {master_seed!r}")
 
 
 def derive_seed(master_seed: int, *indices: int) -> int:
@@ -295,7 +290,7 @@ def run_trials(scenarios, workers: int = 1):
     RuntimeError that names those scenarios. Every worker is joined before
     run_trials returns or raises, and terminated first if it raises.
     """
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise ValueError(f"run_trials: workers must be an int of at least 1, got {workers!r}")
     scenarios = list(scenarios)
     workers = min(workers, len(scenarios))
@@ -493,7 +488,7 @@ def exp2_scenario(
 
 def exp1_grid(trials_per_cell: int = 10, master_seed: int = 0) -> list[Scenario]:
     """Offset grid: 7 spatial x 3 angular offsets x trials_per_cell."""
-    _check_master_seed(master_seed)
+    _seed(master_seed, "master_seed")
     return [
         exp1_scenario(
             off, ang, derive_seed(master_seed, cell, t), name=f"exp1_o{off:+.0f}_a{ang:+.0f}_t{t}"
@@ -507,7 +502,7 @@ def exp1_grid(trials_per_cell: int = 10, master_seed: int = 0) -> list[Scenario]
 
 def exp2_grid(trials_per_cell: int = 10, master_seed: int = 0) -> list[Scenario]:
     """Shape grid: 5 shapes x 3 start poses x trials_per_cell, corner starts."""
-    _check_master_seed(master_seed)
+    _seed(master_seed, "master_seed")
     return [
         exp2_scenario(
             shape_name, j, derive_seed(master_seed + 1, cell, t),
@@ -527,7 +522,7 @@ def exp3_grid(trials_per_shape: int = 10, master_seed: int = 0) -> list[Scenario
     orientations of non-convex outlines can force the pusher to work the
     long way around the object before the bearing unwinds.
     """
-    _check_master_seed(master_seed)
+    _seed(master_seed, "master_seed")
     start = EXP_START_POSES[1]
     grid = []
     for i, shape_name in enumerate(EXP3_SHAPE_NAMES):
@@ -670,64 +665,57 @@ def _parse_tap(path, n: int, raw: list) -> Tap:
     return Tap._make(values)
 
 
-# the records.json fields plot reads, and the tap count that splits taps.csv
-# into records, as key paths
-_PLOT_FIELDS = (
-    ("meta", "target_pose_mm_deg"),
-    ("meta", "shape"),
-    ("meta", "approach_zone_radius_mm"),
-    ("meta", "termination_radius_mm"),
-    ("final_pusher_pose",),
-    ("tap_total",),
-)
-
-
-def _require(value, path: tuple, where: str):
+def _require(value, where: str, *path: str):
+    """The value at key path `path` of `value`, the record named `where`."""
     for depth, key in enumerate(path, 1):
         if not isinstance(value, dict) or key not in value:
-            raise ValueError(f"plot: {where} has no field {'.'.join(path[:depth])!r}")
+            raise ScenarioError(f"{where} has no field {'.'.join(path[:depth])!r}")
         value = value[key]
+    return value
 
 
-def _check_plot_fields(idx: int, rec: dict):
-    """Read every summary value plot draws, and the scenario_id, outcome and
-    y_targ that export and compute_metrics read, through the scenario
-    readers, so a bad value is named by its record path; the summary's other
-    fields must be present."""
-    where = f"records[{idx}]"
-    for path in _PLOT_FIELDS + tuple((name,) for name in _SUMMARY_FIELDS):
-        _require(rec, path, where)
-    meta, shape = rec["meta"], rec["meta"]["shape"]
-    if not isinstance(shape, dict) or not {"polygon_mm", "circle_radius_mm"} & shape.keys():
-        raise ValueError(
-            f"plot: {where}.meta.shape has no field 'polygon_mm' or 'circle_radius_mm'"
+def _read_summary(where: str, rec: dict) -> dict:
+    """The TrialRecord fields of one records.json summary, each value read
+    once. Every value plot draws, and the scenario_id, outcome and y_targ
+    that export and compute_metrics read, goes through the scenario readers,
+    so a bad value is named by its record path; `meta` is kept as it is."""
+
+    def read(reader, *path):
+        return reader(_require(rec, where, *path), ".".join((where, *path)))
+
+    meta = _require(rec, where, "meta")
+    read(_vector(6), "meta", "target_pose_mm_deg")
+    shape = read(lambda value, ctx: _read(value, _INLINE_OBJECT, ctx), "meta", "shape")
+    if not {"polygon", "radius"} & shape.keys():
+        raise ScenarioError(f"{where}.meta.shape has no field 'polygon_mm' or 'circle_radius_mm'")
+    read(_number, "meta", "approach_zone_radius_mm")
+    read(_number, "meta", "termination_radius_mm")
+    final_pusher_pose = read(_vector(6), "final_pusher_pose")
+    tap_total = _require(rec, where, "tap_total")
+    if not _is_int(tap_total) or tap_total < 0:
+        raise ScenarioError(f"{where}.tap_total: expected a count, got {tap_total!r}")
+    outcome = _require(rec, where, "outcome")
+    if outcome not in _OUTCOMES:
+        raise ScenarioError(
+            f"{where}.outcome: expected one of {', '.join(_OUTCOMES)}, got {outcome!r}"
         )
-    tap_total, seed = rec["tap_total"], rec["seed"]
-    if isinstance(tap_total, bool) or not isinstance(tap_total, int) or tap_total < 0:
-        raise ValueError(f"plot: {where}.tap_total: expected a count, got {tap_total!r}")
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK64:
-        raise ValueError(f"plot: {where}.seed: expected an integer in [0, 2**64), got {seed!r}")
-    try:
-        _string(rec["scenario_id"], f"{where}.scenario_id")
-        outcome, y_targ = rec["outcome"], rec["y_targ"]
-        if outcome not in _OUTCOMES:
-            raise ScenarioError(
-                f"{where}.outcome: expected one of {', '.join(_OUTCOMES)}, got {outcome!r}"
-            )
-        if outcome == "reached":
-            _number(y_targ, f"{where}.y_targ")
-        elif y_targ is not None:
-            raise ScenarioError(
-                f"{where}.y_targ: expected null for outcome {outcome!r}, got {y_targ!r}"
-            )
-        _numbers(meta["target_pose_mm_deg"], 6, f"{where}.meta.target_pose_mm_deg")
-        _numbers(rec["final_pusher_pose"], 6, f"{where}.final_pusher_pose")
-        _numbers(rec["final_object_pose"], 3, f"{where}.final_object_pose")
-        for key in ("approach_zone_radius_mm", "termination_radius_mm"):
-            _number(meta[key], f"{where}.meta.{key}")
-        _read(shape, _INLINE_OBJECT, f"{where}.meta.shape")
-    except ScenarioError as exc:
-        raise ValueError(f"plot: {exc}") from exc
+    y_targ = _require(rec, where, "y_targ")
+    if outcome == "reached":
+        y_targ = _number(y_targ, f"{where}.y_targ")
+    elif y_targ is not None:
+        raise ScenarioError(
+            f"{where}.y_targ: expected null for outcome {outcome!r}, got {y_targ!r}"
+        )
+    return {
+        "scenario_id": read(_string, "scenario_id"),
+        "seed": read(_seed, "seed"),
+        "outcome": outcome,
+        "y_targ": y_targ,
+        "tap_total": tap_total,
+        "final_pusher_pose": final_pusher_pose,
+        "final_object_pose": read(_vector(3), "final_object_pose"),
+        "meta": meta,
+    }
 
 
 def load_records(records_path) -> list:
@@ -737,11 +725,11 @@ def load_records(records_path) -> list:
 
     Every value plot draws, and the scenario_id, outcome and y_targ that
     export and compute_metrics read, is checked on the way in: a bad summary
-    value is named by its record path, a bad tap value, or a seed other than
-    its record's, by its taps.csv line and column, a taps.csv header other
-    than the one export writes by its first column that differs, and a
-    taps.csv row that is not the next tap of the records (by scenario_id,
-    tap index and each record's tap_total) by its line.
+    value is named by the records file and its record path, a bad tap value,
+    or a seed other than its record's, by its taps.csv line and column, a
+    taps.csv header other than the one export writes by its first column
+    that differs, and a taps.csv row that is not the next tap of the records
+    (by scenario_id, tap index and each record's tap_total) by its line.
     """
     path = Path(records_path)
     try:
@@ -757,8 +745,12 @@ def load_records(records_path) -> list:
     for idx, rec in enumerate(summaries):
         if not isinstance(rec, dict):
             raise ValueError(f"{path}: records[{idx}] is not a JSON object")
-    for idx, rec in enumerate(summaries):
-        _check_plot_fields(idx, rec)
+    try:
+        summaries = [
+            _read_summary(f"{path}: records[{idx}]", rec) for idx, rec in enumerate(summaries)
+        ]
+    except ScenarioError as exc:  # the CLI reports a ScenarioError as a scenario file's
+        raise ValueError(str(exc)) from exc
     taps_path = path.with_name("taps.csv")
     columns, rows = _read_taps(taps_path)
     if tuple(columns) != _CSV_COLUMNS:
@@ -770,10 +762,10 @@ def load_records(records_path) -> list:
     rows = iter(rows)
     n = 2  # the line of the last row read
     records = []
-    for rec in summaries:
-        sid = rec["scenario_id"]
+    for summary in summaries:
+        sid, seed = summary["scenario_id"], summary["seed"]
         taps = []
-        for k in range(rec["tap_total"]):
+        for k in range(summary["tap_total"]):
             n, row = next(rows, (n + 1, None))
             if row is None:
                 raise ValueError(
@@ -784,15 +776,12 @@ def load_records(records_path) -> list:
                     f"{taps_path}: line {n}: expected tap {k} of {sid!r}, "
                     f"got tap {row[2]} of {row[0]!r}"
                 )
-            if row[1] != str(rec["seed"]):
+            if row[1] != str(seed):
                 raise ValueError(
-                    f"{taps_path}: line {n}, column 'seed': expected {rec['seed']}, "
+                    f"{taps_path}: line {n}, column 'seed': expected {seed}, "
                     f"the seed of {sid!r}, got {row[1]!r}"
                 )
             taps.append(_parse_tap(taps_path, n, row[2:]))
-        summary = {name: rec[name] for name in _SUMMARY_FIELDS}
-        for name in ("final_pusher_pose", "final_object_pose"):
-            summary[name] = tuple(summary[name])
         records.append(TrialRecord(**summary, taps=taps, wall_time_ms=None))
     extra = next(rows, None)
     if extra is not None:

@@ -273,8 +273,6 @@ def control_step(
         return ControlDecision(Status.TARGET_REACHED)
 
     pusher_f = _frame(pusher.y, pusher.z, pusher.alpha)
-    # the goldens were recorded with this read-back (1 ulp off on 4% of headings)
-    pusher = _pose(pusher_f)
 
     if not pred.in_contact:
         state.no_contact_streak += 1

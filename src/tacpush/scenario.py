@@ -31,6 +31,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _seed(value, ctx: str) -> int:
+    """The one seed rule: an integer in [0, 2**64), so that no two seeds alias."""
+    if not _is_int(value) or not 0 <= value < 1 << 64:
+        raise ScenarioError(f"{ctx}: expected an integer in [0, 2**64), got {value!r}")
+    return value
+
+
 @dataclass
 class Scenario:
     """One fully specified push trial."""
@@ -54,11 +61,7 @@ class Scenario:
             raise ScenarioError(
                 f"scenario {self.name!r}: max_taps must be an integer >= 1, got {self.max_taps!r}"
             )
-        if not _is_int(self.rng_seed) or not 0 <= self.rng_seed < 1 << 64:
-            raise ScenarioError(
-                f"scenario {self.name!r}: rng_seed must be an integer in [0, 2**64), "
-                f"got {self.rng_seed!r}"
-            )
+        _seed(self.rng_seed, f"scenario {self.name!r}: rng_seed")
         target, start = self.target_pose, self.pusher_start_pose
         if math.hypot(target.y - start.y, target.z - start.z) < 1e-9:
             raise ScenarioError(

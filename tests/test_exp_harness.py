@@ -289,9 +289,13 @@ class TestExperimentGrids:
         assert len(set(ids)) == 21
 
     @pytest.mark.parametrize("grid", [exp1_grid, exp2_grid, exp3_grid])
-    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 3])
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 3, True, 1.5])
     def test_master_seed_outside_64_bits_rejected(self, grid, seed):
-        with pytest.raises(ValueError, match=rf"master_seed must be in \[0, 2\*\*64\), got {seed}"):
+        # a bool or a float is no 64-bit seed either: True would run the
+        # grid of seed 1
+        with pytest.raises(
+            ValueError, match=rf"^master_seed: expected an integer in \[0, 2\*\*64\), got {seed}$"
+        ):
             grid(1, seed)
 
     @pytest.mark.parametrize("grid", [exp1_grid, exp2_grid, exp3_grid])
@@ -610,7 +614,7 @@ class TestCli:
          ({"rng_seed": 1.7}, "rng_seed"),
          ({"rng_seed": "abc"}, "rng_seed"),
          ({"rng_seed": -5}, "rng_seed"),
-         ({"rng_seed": 1 << 64}, "rng_seed must be an integer in [0, 2**64)"),
+         ({"rng_seed": 1 << 64}, "rng_seed: expected an integer in [0, 2**64)"),
          ({"controller": {"reacquire_limit": 2.9}}, "reacquire_limit"),
          ({"controller": {"tap_forward_mm": "8"}}, "controller.tap_forward_mm"),
          ({"controller": {"kp_align": True}}, "controller.kp_align"),
@@ -794,8 +798,8 @@ class TestCli:
             assert cli_main(["plot", "--records", str(in_path), "--out", str(svg)]) == rc
             assert svg.exists() == (rc == 0)
         err = capsys.readouterr().err
-        assert f"error: plot: records[1] has no field {'.'.join(path)!r}" in err
-        assert "error: plot: records[0] has no field 'meta'" in err
+        assert f"error: {in_path}: records[1] has no field {'.'.join(path)!r}" in err
+        assert f"error: {in_path}: records[0] has no field 'meta'" in err
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.0, "0", True, None],
                              ids=["negative", "2_64", "float", "string", "bool", "null"])
@@ -806,7 +810,7 @@ class TestCli:
         assert cli_main(["plot", "--records", str(in_path), "--out", str(svg)]) == 1
         assert not svg.exists()
         assert capsys.readouterr().err == (
-            f"error: plot: records[0].seed: expected an integer in [0, 2**64), got {seed!r}\n"
+            f"error: {in_path}: records[0].seed: expected an integer in [0, 2**64), got {seed!r}\n"
         )
 
     @pytest.mark.parametrize(
@@ -832,7 +836,7 @@ class TestCli:
         in_path = write_run(tmp_path, [PLOTTABLE | fields])
         with pytest.raises(ValueError) as exc:
             load_records(in_path)
-        assert str(exc.value) == f"plot: records[0].{message}"
+        assert str(exc.value) == f"{in_path}: records[0].{message}"
         good = PLOTTABLE | {"outcome": "reached", "y_targ": 3.5}
         assert load_records(write_run(tmp_path, [good]))[0].y_targ == 3.5
 
@@ -844,22 +848,24 @@ class TestCli:
           "{csv}: line 2, column 7: expected 'object_y_mm', got 'in_contact'"),
          ([TAP, "7"], (), {}, "{csv}: line 4: expected 30 fields, got 1"),
          ([TAP], (), {"shape": {}},
-          "plot: records[0].meta.shape has no field 'polygon_mm' or 'circle_radius_mm'"),
+          "{records}: records[0].meta.shape has no field 'polygon_mm' or 'circle_radius_mm'"),
          ('{"taps": {}}\n', (), {}, "{csv}: not a # tacpush-taps-v2 file"),
          ([TAP], ("pusher_z_mm", "pusher_alpha_deg"), {},
           "{csv}: line 2, column 5: expected 'pusher_z_mm', got 'object_y_mm'"),
          ([TAP], ("object_alpha_deg",), {},
           "{csv}: line 2, column 9: expected 'object_alpha_deg', got 'in_contact'"),
          ([TAP], (), {"approach_zone_radius_mm": [60]},
-          "plot: records[0].meta.approach_zone_radius_mm: expected a number, got [60]"),
+          "{records}: records[0].meta.approach_zone_radius_mm: expected a number, got [60]"),
          ([TAP], (), {"target_pose_mm_deg": 5},
-          "plot: records[0].meta.target_pose_mm_deg: expected a list of 6 numbers"),
+          "{records}: records[0].meta.target_pose_mm_deg: expected a list of 6 numbers"),
          ([TAP], (), {"shape": {"polygon_mm": [[0, 0], [1, 0, 2], [0, 1]]}},
-          "plot: records[0].meta.shape.polygon_mm: expected 2 values, got 3"),
+          "{records}: records[0].meta.shape.polygon_mm: expected 2 values, got 3"),
          ([TAP], (), {"shape": {"polygon_mm": []}},
-          "plot: records[0].meta.shape.polygon_mm: expected at least 3 [y, z] vertices, got 0"),
+          "{records}: records[0].meta.shape.polygon_mm: "
+          "expected at least 3 [y, z] vertices, got 0"),
          ([TAP], (), {"shape": {"polygon_mm": [[0, 0], [1, 0]]}},
-          "plot: records[0].meta.shape.polygon_mm: expected at least 3 [y, z] vertices, got 2"),
+          "{records}: records[0].meta.shape.polygon_mm: "
+          "expected at least 3 [y, z] vertices, got 2"),
          ([TAP, TAP_ROW.rsplit(",", 1)[0]], (), {}, "{csv}: line 4: expected 30 fields, got 29"),
          ([TAP | {"pusher_y_mm": "abc"}], (), {},
           "{csv}: line 3, column 'pusher_y_mm': expected a finite number, got 'abc'"),
@@ -897,7 +903,7 @@ class TestCli:
         svg = tmp_path / "x.svg"
         assert cli_main(["plot", "--records", str(in_path), "--out", str(svg)]) == 1
         assert not svg.exists()
-        expected = message.format(csv=tmp_path / "taps.csv")
+        expected = message.format(csv=tmp_path / "taps.csv", records=in_path)
         assert capsys.readouterr().err == f"error: {expected}\n"
 
     @pytest.mark.parametrize(

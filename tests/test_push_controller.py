@@ -358,6 +358,17 @@ class TestControlStep:
         assert dec.command.z == pytest.approx(pusher.z + step * normal[1], abs=1e-12)
         assert dec.command.alpha == pytest.approx(pusher.alpha, abs=1e-12)
 
+    def test_reacquire_holds_the_pusher_heading_exactly(self):
+        # with no contact seen yet, the creep runs along the pusher's own
+        # heading as given; a round trip through a controller frame would
+        # round it to -169.70000000000002
+        pusher = PlanarPose(0.0, 0.0, -169.7)
+        dec = control_step(PosePrediction(False), pusher, self.target, ControllerState(), self.cfg)
+        assert dec.command.alpha == -169.7
+        ay, az = heading_dir(-169.7)
+        step = self.cfg.reacquire_advance
+        assert (dec.command.y, dec.command.z) == (step * ay, step * az)
+
     def test_over_deep_contact_retreats_along_the_sensor_axis(self):
         # 1 mm too deep, aligned, target dead ahead: the first tick's servo
         # correction is kp + ki = 1 mm back along the pusher's heading
