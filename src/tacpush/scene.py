@@ -153,12 +153,36 @@ def _candidate_grid(verts: np.ndarray, edge_vec: np.ndarray) -> tuple:
 
     Returns (y0, z0, cells_y, cells_z, cells): cells[k] is the ascending
     tuple of the edges listed for cell k = iy * cells_z + iz, and cells with
-    the same edges share one tuple. A cell lists every edge whose distance
-    from the cell centre is at most the smallest such distance plus the cell
-    diagonal (plus 1e-6 mm for rounding). Distance to a segment is
-    1-Lipschitz and every point of the cell lies within half a diagonal of
-    its centre, so every edge that can be nearest to a point of the cell is
-    listed, ties included.
+    the same edges share one tuple. Each point of a cell lies within half a
+    diagonal h of the cell centre c, and two sound tests pick its edges.
+
+    The distance band: a cell lists every edge whose distance from c is at
+    most the smallest such distance plus the cell diagonal (plus a slack of
+    1e-6 mm for rounding). Distance to a segment is 1-Lipschitz, so every
+    edge that can be nearest to a point of the cell is in the band, ties
+    included.
+
+    The closest feature (Lin and Canny, 1991): of the band, a cell drops
+    each edge a -> b (unit direction u, length L, s = (c - a).u) that cannot
+    be the nearest feature of any point of the cell. With w_a the unit
+    direction from a to the previous vertex and w_b from b to the next one,
+    the edge goes when
+    - s < -(h + mu) and (c - a).w_a > h + mu, or
+    - s > L + h + mu and (c - b).w_b > h + mu.
+    Suppose a query p's nearest boundary point lies on the edge. Then it lies
+    inside the edge, or it is a with (p - a).w_a <= 0, or it is b with
+    (p - b).w_b <= 0: otherwise sliding along the neighbouring edge would
+    come closer. Both projections are 1-Lipschitz, so testing c with h
+    covers the whole cell. The margin mu = 1e-3 mm covers rounding: a
+    dropped edge's squared distance exceeds its neighbour's by at least
+    mu * min(mu, L_neighbour), far above the rounding of d^2 on the grid. No
+    edge goes through a neighbour shorter than mu, and no edge shorter than
+    mu goes. Rounding grows with the coordinates, so for an outline that
+    reaches past 1 m both slacks grow in proportion to its largest one.
+
+    boundary_probe keeps the first minimum in ascending index order. Every
+    tuple is a subset of the band's that still holds the edge a search over
+    all edges picks, so the probe returns that search's bits.
     """
     lo = verts.min(axis=0) - _GRID_MARGIN_MM
     cells_y, cells_z = np.ceil((verts.max(axis=0) + _GRID_MARGIN_MM - lo) / _GRID_CELL_MM)
@@ -168,22 +192,49 @@ def _candidate_grid(verts: np.ndarray, edge_vec: np.ndarray) -> tuple:
     cells_y, cells_z = int(cells_y), int(cells_z)
     cy = lo[0] + (np.arange(cells_y) + 0.5) * _GRID_CELL_MM
     cz = lo[1] + (np.arange(cells_z) + 0.5) * _GRID_CELL_MM
-    # cell centres in cell order (one row each) less every edge's start
-    ry = np.repeat(cy, cells_z)[:, None] - verts[:, 0]
-    rz = np.tile(cz, cells_y)[:, None] - verts[:, 1]
+    # cell centre less every edge's start, per row and per column of cells;
+    # they broadcast to (cells_y, cells_z, edges), in cell order
+    ry = cy[:, None] - verts[:, 0]
+    rz = cz[:, None] - verts[:, 1]
     ey, ez = edge_vec[:, 0], edge_vec[:, 1]
-    t = np.clip((ry * ey + rz * ez) / np.maximum(ey * ey + ez * ez, 1e-30), 0.0, 1.0)
-    ry -= t * ey
-    rz -= t * ez
-    dist = np.sqrt(ry * ry + rz * rz)
-    band = dist.min(axis=1, keepdims=True) + math.sqrt(2.0) * _GRID_CELL_MM + 1e-6
-    listed = dist <= band
-    starts = np.concatenate(([0], np.cumsum(listed.sum(axis=1)))).tolist()
-    # nonzero walks the mask row by row, so each cell's edges come out ascending
-    edges = np.nonzero(listed)[1].tolist()
+    t = ry[:, None] * ey + rz * ez
+    t /= np.maximum(ey * ey + ez * ez, 1e-30)
+    np.clip(t, 0.0, 1.0, out=t)
+    dy = ry[:, None] - t * ey
+    dz = t * ez
+    np.subtract(rz, dz, out=dz)
+    dy *= dy
+    dz *= dz
+    dist = np.sqrt(dy + dz)
+    # both slacks grow with the coordinates past 1 m, as rounding does
+    scale = max(1.0, float(np.abs(verts).max()) / 1e3)
+    band = dist.min(axis=2, keepdims=True) + math.sqrt(2.0) * _GRID_CELL_MM + 1e-6 * scale
+    # nonzero walks the mask in cell order, so each cell's edges come out ascending
+    iy, iz, edge = np.nonzero(dist <= band)
+    # the closest-feature test, on the band's (cell, edge) pairs only
+    mu = 1e-3 * scale
+    reach = 0.5 * math.sqrt(2.0) * _GRID_CELL_MM + mu
+    length = np.hypot(ey, ez)
+    # an edge shorter than mu gets the direction 0, so that no test passes
+    # on it or through it
+    short = length < mu
+    uy, uz = np.where(short, 0.0, ey / length), np.where(short, 0.0, ez / length)
+    prev, nxt = edge - 1, (edge + 1) % len(verts)
+    # c - a and c - b of each pair: b starts the next edge
+    ay, az = ry[iy, edge], rz[iz, edge]
+    by, bz = ry[iy, nxt], rz[iz, nxt]
+    s = ay * uy[edge] + az * uz[edge]
+    # w_a = -u of the previous edge, w_b = u of the next one
+    before = (s < -reach) & (ay * uy[prev] + az * uz[prev] < -reach)
+    after = (s > length[edge] + reach) & (by * uy[nxt] + bz * uz[nxt] > reach)
+    kept = ~(before | after)
+    counts = np.bincount((iy * cells_z + iz)[kept], minlength=cells_y * cells_z)
+    starts = np.concatenate(([0], np.cumsum(counts))).tolist()
+    edges = tuple(edge[kept].tolist())
     shared = {}
+    # a slice of a tuple is a tuple
     cells = tuple(shared.setdefault(c, c)
-                  for c in (tuple(edges[a:b]) for a, b in zip(starts, starts[1:])))
+                  for c in (edges[a:b] for a, b in zip(starts, starts[1:])))
     return float(lo[0]), float(lo[1]), cells_y, cells_z, cells
 
 

@@ -268,25 +268,90 @@ def test_grid_lists_the_nearest_edge_at_every_cell_corner(shape):
                     assert j in cell_candidates(shape, ky, kz), (shape.name, ky, kz)
 
 
+def star_shape(verts, cof=(0.0, 0.0)) -> ObjectShape:
+    return ObjectShape("star", polygon=verts, cof_offset=cof, f_max=1.0, m_max=10.0)
+
+
+@st.composite
+def split_star_polygons(draw):
+    """A star polygon with one vertex split into two, 1e-9 to 1e-2 mm apart
+    on its circle: the edge between them is shorter than the grid's 1e-3 mm
+    pruning margin, or about as long, and so are its neighbours' neighbour."""
+    verts = draw(star_polygons())
+    k = draw(st.integers(0, len(verts) - 1))
+    r = math.hypot(*verts[k])
+    turn = 10.0 ** draw(st.floats(-9.0, -2.0)) / r
+    # the next vertex is more than a tenth of a turn further round
+    phi = math.atan2(verts[k][1], verts[k][0]) + turn
+    return np.insert(verts, k + 1, [r * math.cos(phi), r * math.sin(phi)], axis=0)
+
+
+@st.composite
+def translated_stars(draw):
+    """A star polygon moved by up to 1e8 mm on each axis, with its CoF."""
+    shift = [draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(0.0, 8.0))
+             for _ in range(2)]
+    return star_shape(draw(star_polygons()) + shift, shift)
+
+
+@st.composite
+def collinear_outlines(draw):
+    """A star polygon with a vertex put on some of its edges, or a rectangle
+    with integer vertices along its sides, which lie exactly on one line."""
+    if draw(st.booleans()):
+        verts = draw(star_polygons())
+        out = []
+        for k, v in enumerate(verts):
+            out.append(v)
+            if draw(st.booleans()):
+                out.append(v + draw(st.floats(0.05, 0.95)) * (verts[(k + 1) % len(verts)] - v))
+        return np.array(out)
+    w, h = draw(st.integers(20, 100)), draw(st.integers(20, 100))
+    bottom = sorted(draw(st.sets(st.integers(1, w - 1), max_size=4)))
+    top = sorted(draw(st.sets(st.integers(1, w - 1), max_size=4)), reverse=True)
+    left = sorted(draw(st.sets(st.integers(1, h - 1), max_size=4)), reverse=True)
+    return np.array([[0, 0], *([y, 0] for y in bottom), [w, 0], [w, h],
+                     *([y, h] for y in top), [0, h], *([0, z] for z in left)],
+                    dtype=float) - [w / 2, h / 2]
+
+
 GRID_SHAPES = st.one_of(
     st.sampled_from(CATALOG_POLYGONS),
-    star_polygons().map(lambda v: ObjectShape("star", polygon=v, f_max=1.0, m_max=10.0)),
+    star_polygons().map(star_shape),
+    split_star_polygons().map(star_shape),
+    translated_stars(),
+    collinear_outlines().map(star_shape),
 )
 
 
 @st.composite
 def grid_queries(draw):
     """A polygon, a grid cell of it and an object-frame query in that closed
-    cell: at a corner, on a side or inside it. A quarter of the draws go
-    outside the grid instead, with no cell."""
+    cell: at a corner, on a side, inside it, or 15-25 mm outside the outline
+    (where a tip centre sits, and where most edges leave the cells' tuples).
+    One draw in six goes outside the grid instead, with no cell."""
     shape = draw(GRID_SHAPES)
     y0, z0, cells_y, cells_z, _ = shape._edge_grid
-    if draw(st.integers(0, 3)) == 0:
+    kind = draw(st.sampled_from(("tip", "corner", "side", "inside", "tip", "beyond")))
+    if kind == "beyond":
         ang = draw(st.floats(0.0, 2.0 * math.pi))
         r = math.hypot(cells_y, cells_z) * _GRID_CELL_MM + draw(st.floats(0.0, 100.0))
         return shape, None, np.array([y0 + r * math.cos(ang), z0 + r * math.sin(ang)])
+    if kind == "tip":
+        # off a point of an edge, a vertex for a third of the draws, along
+        # the edge's outward normal turned by up to a quarter turn either way
+        verts = shape.polygon
+        j = draw(st.integers(0, len(verts) - 1))
+        f = draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0))
+        ny, nz = shape.edge_normals[j]
+        turn = draw(st.floats(-0.5 * math.pi, 0.5 * math.pi))
+        c, s = math.cos(turn), math.sin(turn)
+        local = (verts[j] + f * (verts[(j + 1) % len(verts)] - verts[j])
+                 + draw(st.floats(15.0, 25.0)) * np.array([c * ny - s * nz, s * ny + c * nz]))
+        cell = (math.floor((local[0] - y0) / _GRID_CELL_MM),
+                math.floor((local[1] - z0) / _GRID_CELL_MM))
+        return shape, cell, local
     iy, iz = draw(st.integers(0, cells_y - 1)), draw(st.integers(0, cells_z - 1))
-    kind = draw(st.sampled_from(("corner", "side", "inside")))
     fy = draw(st.sampled_from((0.0, 1.0)) if kind != "inside" else st.floats(0.0, 1.0))
     fz = draw(st.sampled_from((0.0, 1.0)) if kind == "corner" else st.floats(0.0, 1.0))
     if kind == "side" and draw(st.booleans()):
@@ -295,7 +360,7 @@ def grid_queries(draw):
     return shape, (iy, iz), local
 
 
-@settings(derandomize=True, max_examples=400, deadline=None)
+@settings(derandomize=True, max_examples=1000, deadline=None)
 @given(grid_queries(), poses)
 def test_grid_search_matches_an_all_edges_search(case, pose):
     shape, cell, local = case

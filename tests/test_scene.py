@@ -12,6 +12,7 @@ from tacpush.pose_math import transform_to_euler
 from tacpush.push_controller import ControllerConfig
 from tacpush.scenario import ScenarioError, load_scenario, scenario_from_dict, shape_to_dict
 from tacpush.scene import (
+    _GRID_CELL_MM,
     ObjectShape,
     PlanarPose,
     boundary_probe,
@@ -24,6 +25,26 @@ from tacpush.tactile_sense import NoiseModel
 from physics_oracle import to_work
 
 BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "exp1_baseline.json"
+
+
+CATALOG_POLYGON_NAMES = [n for n, s in builtin_shapes().items() if s.polygon is not None]
+
+
+def band_candidates(shape) -> list:
+    """Per grid cell, the edges whose distance from the cell centre is at
+    most the smallest such distance plus the cell diagonal plus 1e-6 mm."""
+    y0, z0, cells_y, cells_z, _ = shape._edge_grid
+    verts = shape.polygon
+    e = np.roll(verts, -1, axis=0) - verts
+    cy = y0 + (np.arange(cells_y) + 0.5) * _GRID_CELL_MM
+    cz = z0 + (np.arange(cells_z) + 0.5) * _GRID_CELL_MM
+    ry = np.repeat(cy, cells_z)[:, None] - verts[:, 0]
+    rz = np.tile(cz, cells_y)[:, None] - verts[:, 1]
+    t = np.clip((ry * e[:, 0] + rz * e[:, 1]) / np.maximum((e * e).sum(axis=1), 1e-30), 0.0, 1.0)
+    dy, dz = ry - t * e[:, 0], rz - t * e[:, 1]
+    dist = np.sqrt(dy * dy + dz * dz)
+    band = dist.min(axis=1, keepdims=True) + math.sqrt(2.0) * _GRID_CELL_MM + 1e-6
+    return [np.flatnonzero(row).tolist() for row in dist <= band]
 
 
 def unit_square(side=1.0):
@@ -314,6 +335,20 @@ class TestClosestBoundaryPoint:
             if shape.polygon is not None:
                 cells = shape._edge_grid[4]
                 assert len({id(c) for c in cells}) == len(set(cells)) < len(cells)
+
+    @pytest.mark.parametrize("name", CATALOG_POLYGON_NAMES)
+    def test_grid_cells_hold_part_of_the_band_and_never_nothing(self, name):
+        # the closest-feature test only drops edges from the distance band
+        shape = builtin_shapes()[name]
+        cells = shape._edge_grid[4]
+        for k, (cell, band) in enumerate(zip(cells, band_candidates(shape))):
+            assert cell and set(cell) <= set(band), (name, k)
+
+    def test_mug_cells_list_few_edges(self):
+        # 9.73 edges a cell on the distance band alone; the closest-feature
+        # test leaves 3.18, so that a mug probe tries about 3 edges, not 11
+        cells = builtin_shapes()["mug"]._edge_grid[4]
+        assert sum(map(len, cells)) / len(cells) <= 3.3
 
     def test_outline_too_large_for_a_grid(self):
         # a 2 m square would need a million grid entries, so it has no grid

@@ -202,6 +202,18 @@ MUTANTS = [
     ("place_random_orientation's bisection keeps the wrong half", "exp_harness.py",
      "if depth_at(mid) > INITIAL_CONTACT_DEPTH_MM:",
      "if depth_at(mid) < INITIAL_CONTACT_DEPTH_MM:"),
+    ("the grid drops an edge whenever a cell lies behind its start, with no neighbour clause",
+     "scene.py",
+     "(s < -reach) & (ay * uy[prev] + az * uz[prev] < -reach)",
+     "(s < -reach)"),
+    ("the grid tests the start vertex with w_b, the end vertex's neighbour direction",
+     "scene.py",
+     "(ay * uy[prev] + az * uz[prev] < -reach)",
+     "(ay * uy[nxt] + az * uz[nxt] > reach)"),
+    ("the grid's closest-feature test reaches half a cell side, not half a diagonal",
+     "scene.py",
+     "reach = 0.5 * math.sqrt(2.0) * _GRID_CELL_MM + mu",
+     "reach = 0.5 * _GRID_CELL_MM + mu"),
     ("compute_y_targ adds the cross product's terms", "exp_harness.py",
      "return abs(ay * rz - az * ry)",
      "return abs(ay * rz + az * ry)"),
