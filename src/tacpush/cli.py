@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from . import exp_harness
+from .inputs import _seed
 from .scenario import ScenarioError, load_scenario, shape_to_dict
 from .scene import builtin_shapes
 
@@ -25,9 +26,10 @@ def positive_int(text: str) -> int:
 def seed_int(text: str) -> int:
     """argparse type for seeds: an integer in [0, 2**64), so that no two seeds alias."""
     value = int(text)
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}")
-    return value
+    try:
+        return _seed(value, "seed")
+    except ScenarioError:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**64), got {value}") from None
 
 
 # the experiment-grid subcommands: name -> grid(trials, master_seed)

@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .push_controller import ControllerState, Status, control_step
+from .inputs import ScenarioError, _count, _is_int, _number, _seed, _string, _vector, checked
+from .push_controller import ControllerConfig, ControllerState, Status, control_step
 from .push_dynamics import PhysicsFault, contact_at, simulate_tap
 from .scene import (
     TIP_RADIUS_MM,
@@ -37,10 +38,7 @@ from .scene import (
     builtin_shapes,
     heading_dir,
 )
-from .scenario import (
-    _INLINE_OBJECT, Scenario, ScenarioError, _is_int, _number, _read, _seed, _string, _vector,
-    shape_to_dict,
-)
+from .scenario import Scenario, shape_to_dict
 from .tactile_sense import apply_noise, sense_contact
 
 __all__ = [
@@ -677,23 +675,24 @@ def _require(value, where: str, *path: str):
 def _read_summary(where: str, rec: dict) -> dict:
     """The TrialRecord fields of one records.json summary, each value read
     once. Every value plot draws, and the scenario_id, outcome and y_targ
-    that export and compute_metrics read, goes through the scenario readers,
-    so a bad value is named by its record path; `meta` is kept as it is."""
+    that export and compute_metrics read, goes through the input kinds, and
+    meta's shape and zone radii through the tables of ObjectShape and
+    ControllerConfig, so a bad value is named by its record path; `meta` is
+    kept as it is."""
 
     def read(reader, *path):
         return reader(_require(rec, where, *path), ".".join((where, *path)))
 
     meta = _require(rec, where, "meta")
     read(_vector(6), "meta", "target_pose_mm_deg")
-    shape = read(lambda value, ctx: _read(value, _INLINE_OBJECT, ctx), "meta", "shape")
+    shape = checked(ObjectShape.KEYS, _require(rec, where, "meta", "shape"), f"{where}.meta.shape")
     if not {"polygon", "radius"} & shape.keys():
         raise ScenarioError(f"{where}.meta.shape has no field 'polygon_mm' or 'circle_radius_mm'")
-    read(_number, "meta", "approach_zone_radius_mm")
-    read(_number, "meta", "termination_radius_mm")
+    radii = ("approach_zone_radius_mm", "termination_radius_mm")
+    checked(ControllerConfig.KEYS, {key: _require(rec, where, "meta", key) for key in radii},
+            f"{where}.meta")
     final_pusher_pose = read(_vector(6), "final_pusher_pose")
-    tap_total = _require(rec, where, "tap_total")
-    if not _is_int(tap_total) or tap_total < 0:
-        raise ScenarioError(f"{where}.tap_total: expected a count, got {tap_total!r}")
+    tap_total = read(_count, "tap_total")
     outcome = _require(rec, where, "outcome")
     if outcome not in _OUTCOMES:
         raise ScenarioError(

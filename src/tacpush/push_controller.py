@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .inputs import Row, ScenarioError, _count, _number, _numbers, _vector, check
 from .scene import PlanarPose, heading_dir, normalize_angle_deg
 from .tactile_sense import PosePrediction
 
@@ -49,6 +50,17 @@ class Status(str, Enum):
     CONTINUE = "continue"
     TARGET_REACHED = "target_reached"
     LOST_CONTACT = "lost_contact"
+
+
+def _clip(value, ctx: str) -> tuple:
+    """Kind of a clip range: (lo, hi) with lo < hi and lo <= 0 <= hi."""
+    lo, hi = _numbers(value, 2, ctx)
+    if not lo < hi:
+        raise ScenarioError(f"{ctx} must be a nonempty range")
+    # a range without 0 would clip a zero error to a constant push
+    if not lo <= 0.0 <= hi:
+        raise ScenarioError(f"{ctx} must contain 0, got ({lo}, {hi})")
+    return lo, hi
 
 
 @dataclass
@@ -77,53 +89,31 @@ class ControllerConfig:
     reacquire_limit: int = 5
     reacquire_advance: float = 2.0
 
+    # the file key of each field, with its kind and range (see inputs.Row)
+    KEYS = {
+        "ref_pose_mm_deg": Row("ref_pose", PlanarPose),
+        "kp_servo_diag": Row("kp_servo", _vector(3)),
+        "ki_servo_diag": Row("ki_servo", _vector(3)),
+        "kd_servo_diag": Row("kd_servo", _vector(3)),
+        "integral_clip_translation_mm": Row("integral_clip_translation", _clip),
+        "integral_clip_rotation_deg": Row("integral_clip_rotation", _clip),
+        "kp_align": Row("kp_align", _number),
+        "ki_align": Row("ki_align", _number),
+        "kd_align": Row("kd_align", _number),
+        "alignment_clip_mm": Row("alignment_clip", _clip),
+        "theta_ref_deg": Row("theta_ref", _number),
+        "approach_zone_radius_mm": Row("approach_zone_radius", _number, "> 0"),
+        "termination_radius_mm": Row(
+            "termination_radius", _number, "> 0, < approach_zone_radius_mm"
+        ),
+        "tap_forward_mm": Row("tap_forward", _number, "> 0"),
+        "tap_back_mm": Row("tap_back", _number, ">= 0"),
+        "reacquire_limit": Row("reacquire_limit", _count, ">= 1"),
+        "reacquire_advance_mm": Row("reacquire_advance", _number),
+    }
+
     def __post_init__(self):
-        for name in ("kp_servo", "ki_servo", "kd_servo"):
-            v = tuple(float(x) for x in getattr(self, name))
-            if len(v) != 3:
-                raise ValueError(f"ControllerConfig.{name} must have 3 entries (y, z, alpha)")
-            if not all(math.isfinite(x) for x in v):
-                raise ValueError(f"ControllerConfig.{name} must be finite")
-            setattr(self, name, v)
-        for name in ("kp_align", "ki_align", "kd_align", "theta_ref", "reacquire_advance"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"ControllerConfig.{name} must be finite")
-        for name in (
-            "integral_clip_translation",
-            "integral_clip_rotation",
-            "alignment_clip",
-        ):
-            lo, hi = (float(x) for x in getattr(self, name))
-            if not lo < hi:
-                raise ValueError(f"ControllerConfig.{name} must be a nonempty range")
-            # a range without 0 would clip a zero error to a constant push
-            if not lo <= 0.0 <= hi:
-                raise ValueError(f"ControllerConfig.{name} must contain 0, got ({lo}, {hi})")
-            setattr(self, name, (lo, hi))
-        # written so that NaN fails each check
-        for name in ("approach_zone_radius", "termination_radius"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(
-                    f"ControllerConfig zone radii invalid: {name} must be finite and > 0"
-                )
-        if not self.termination_radius < self.approach_zone_radius:
-            raise ValueError(
-                "ControllerConfig.termination_radius must be smaller than "
-                "approach_zone_radius"
-            )
-        if not 0 < self.tap_forward < math.inf:
-            raise ValueError(
-                "ControllerConfig tap lengths invalid: tap_forward must be finite and > 0"
-            )
-        if not 0 <= self.tap_back < math.inf:
-            raise ValueError(
-                "ControllerConfig tap lengths invalid: tap_back must be finite and >= 0"
-            )
-        limit = self.reacquire_limit
-        if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
-            raise ValueError(
-                f"ControllerConfig.reacquire_limit must be an integer >= 1, got {limit!r}"
-            )
+        check(self)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .inputs import Row, _number, _polygon, _string, _vector, check
 from .pose_math import (
     EulerPose,
     Transform,
@@ -260,32 +261,31 @@ class ObjectShape:
     m_max: float = 15.0
     mu_contact: float = 0.5
 
+    # in the key order shape_to_dict writes
+    KEYS = {
+        "name": Row("name", _string),
+        "cof_offset_mm": Row("cof_offset", _vector(2)),
+        "f_max_n": Row("f_max", _number, "> 0"),
+        "m_max_nmm": Row("m_max", _number, "> 0"),
+        "mu_contact": Row("mu_contact", _number, ">= 0"),
+        "circle_radius_mm": Row("radius", _number, "> 0", optional=True),
+        "polygon_mm": Row("polygon", _polygon, optional=True),
+    }
+
     def __post_init__(self):
-        # the arrays are copies made read-only, so that no write in place can
-        # move the outline or the CoF behind the checks and the probe's tables
-        cof_offset = np.array(self.cof_offset, dtype=float).reshape(2)
-        cof_offset.setflags(write=False)
-        object.__setattr__(self, "cof_offset", cof_offset)
         if (self.polygon is None) == (self.radius is None):
             raise ValueError(f"shape {self.name!r}: exactly one of polygon/radius required")
-        # written so that NaN fails each check
-        if not self.f_max > 0.0:
-            raise ValueError(f"shape {self.name!r}: f_max must be > 0")
-        if not self.m_max > 0.0:
-            raise ValueError(f"shape {self.name!r}: m_max must be > 0")
-        if not self.mu_contact >= 0.0:
-            raise ValueError(f"shape {self.name!r}: mu_contact must be >= 0")
+        check(self)
+        # the arrays are copies made read-only, so that no write in place can
+        # move the outline or the CoF behind the checks and the probe's tables
+        cof_offset = np.array(self.cof_offset)
+        cof_offset.setflags(write=False)
+        object.__setattr__(self, "cof_offset", cof_offset)
         if self.radius is not None:
-            if not 0.0 < self.radius < math.inf:  # NaN fails too
-                raise ValueError(f"shape {self.name!r}: radius must be finite and > 0")
             convex = True
         else:
-            verts = np.array(self.polygon, dtype=float)
+            verts = np.array(self.polygon)
             verts.setflags(write=False)
-            if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
-                raise ValueError(f"shape {self.name!r}: polygon must be (n>=3, 2)")
-            if not np.isfinite(verts).all():
-                raise ValueError(f"shape {self.name!r}: polygon vertices must be finite")
             if _polygon_area(verts) <= 0.0:
                 raise ValueError(f"shape {self.name!r}: polygon must be counter-clockwise")
             if not _polygon_is_simple(verts):
@@ -311,10 +311,8 @@ class ObjectShape:
             ):
                 object.__setattr__(self, name, value)
         cof = self.cof_offset
-        if not (np.isfinite(cof).all() and boundary_probe(self, PlanarPose(), cof)[0] < 0.0):
-            raise ValueError(
-                f"shape {self.name!r}: cof_offset must be finite and inside the outline"
-            )
+        if not boundary_probe(self, PlanarPose(), cof)[0] < 0.0:
+            raise ValueError(f"shape {self.name!r}: cof_offset must lie inside the outline")
         # push_dynamics' contact-matrix constants: a = 1 / f_max^2,
         # b = 1 / m_max^2, the CoF's floats, and the (cos, sin) of the
         # friction cone's edges at +-atan(mu) (+0.0 and -0.0 give cones whose
@@ -349,7 +347,7 @@ class ObjectShape:
     def max_extent(self) -> float:
         """Largest distance from the object origin to the outline."""
         if self.radius is not None:
-            return float(self.radius)
+            return self.radius
         return float(np.max(np.linalg.norm(self.polygon, axis=1)))
 
 

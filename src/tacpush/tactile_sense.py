@@ -14,12 +14,12 @@ and gamma by construction, beta because the surface is flat.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .inputs import Row, _flag, _number, check
 from .push_dynamics import ContactState
 from .scene import dir_heading, normalize_angle_deg
 
@@ -53,10 +53,16 @@ class NoiseModel:
     sigma_alpha: float = 0.39
     enabled: bool = True
 
+    # the top level of a scenario file holds noise_enabled, and its
+    # noise_sigmas table the sigmas
+    KEYS = {
+        "z_mm": Row("sigma_z", _number, ">= 0"),
+        "alpha_deg": Row("sigma_alpha", _number, ">= 0"),
+        "noise_enabled": Row("enabled", _flag),
+    }
+
     def __post_init__(self):
-        # written so that NaN fails too
-        if not (0 <= self.sigma_z < math.inf and 0 <= self.sigma_alpha < math.inf):
-            raise ValueError("NoiseModel sigmas must be finite and >= 0")
+        check(self)
 
 
 def _clamp(value: float, lo: float, hi: float):

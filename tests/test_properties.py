@@ -8,8 +8,11 @@ on every run, not only on an unlucky one.
 import copy
 import dataclasses
 import functools
+import json
 import math
 import pickle
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -38,7 +41,7 @@ from tacpush.push_dynamics import (
     resolve_substep,
     simulate_tap,
 )
-from tacpush.scenario import Scenario
+from tacpush.scenario import Scenario, ScenarioError, scenario_from_dict, shape_to_dict
 from tacpush.scene import (
     _GRID_CELL_MM,
     TIP_RADIUS_MM,
@@ -50,7 +53,7 @@ from tacpush.scene import (
     dir_heading,
     normalize_angle_deg,
 )
-from tacpush.tactile_sense import ALPHA_RANGE_DEG, Z_RANGE_MM, PosePrediction
+from tacpush.tactile_sense import ALPHA_RANGE_DEG, Z_RANGE_MM, NoiseModel, PosePrediction
 
 from physics_oracle import to_work
 
@@ -773,3 +776,208 @@ def test_closed_loop_trials_on_star_polygons(verts, start_index, heading):
         integral = np.asarray(tap[-6:])  # the int_* channels
         assert np.all(np.abs(integral[:3]) <= 5.0 + 1e-12)
         assert np.all(np.abs(integral[3:]) <= 25.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the input tables: every row of ObjectShape, ControllerConfig, NoiseModel and
+# Scenario rejects what its kind and range reject, and builds what they
+# accept, from the constructor and from a scenario file alike (a generative
+# test of the boundary, after Claessen & Hughes 2000)
+# ---------------------------------------------------------------------------
+
+BASELINE = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
+                       / "exp1_baseline.json").read_text())
+INPUT_TYPES = (ObjectShape, ControllerConfig, NoiseModel, Scenario)
+ROWS = [(cls, key) for cls in INPUT_TYPES for key in cls.KEYS]
+ROW_IDS = [f"{cls.__name__}.{key}" for cls, key in ROWS]
+SIX_VALUE_POSES = ("ref_pose_mm_deg", "pusher_start_pose_mm_deg", "target_pose_mm_deg")
+GAINS = ("kp_servo_diag", "ki_servo_diag", "kd_servo_diag")
+# a value just past the bound of each row that has one
+JUST_PAST = {
+    (ObjectShape, "f_max_n"): 0.0,
+    (ObjectShape, "m_max_nmm"): 0.0,
+    (ObjectShape, "mu_contact"): -5e-324,
+    (ObjectShape, "circle_radius_mm"): 0.0,
+    (ControllerConfig, "approach_zone_radius_mm"): 0.0,
+    (ControllerConfig, "termination_radius_mm"): 0.0,
+    # the default approach zone
+    (ControllerConfig, "termination_radius_mm", "<"): 60.0,
+    (ControllerConfig, "tap_forward_mm"): 0.0,
+    (ControllerConfig, "tap_back_mm"): -5e-324,
+    (ControllerConfig, "reacquire_limit"): 0,
+    (NoiseModel, "z_mm"): -5e-324,
+    (NoiseModel, "alpha_deg"): -5e-324,
+    (Scenario, "max_taps"): 0,
+}
+finite = st.floats(allow_nan=False, allow_infinity=False)
+IN_RANGE = {
+    (ObjectShape, "name"): st.text(),
+    # inside both base outlines
+    (ObjectShape, "cof_offset_mm"): st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    # squares that neither overflow nor underflow
+    (ObjectShape, "f_max_n"): st.floats(1e-100, 1e100),
+    (ObjectShape, "m_max_nmm"): st.floats(1e-100, 1e100),
+    (ObjectShape, "mu_contact"): st.floats(0.0, 1e300),
+    (ObjectShape, "circle_radius_mm"): st.floats(1e-6, 1e6),
+    (ObjectShape, "polygon_mm"): st.sampled_from(
+        [s.polygon.tolist() for s in builtin_shapes().values() if s.radius is None]),
+    (ControllerConfig, "ref_pose_mm_deg"): poses,
+    **{(ControllerConfig, key): st.tuples(finite, finite, finite) for key in GAINS},
+    **{(ControllerConfig, key): st.tuples(st.floats(-1e300, 0.0), st.floats(0.0, 1e300))
+       .filter(lambda clip: clip[0] < clip[1])
+       for key in ("integral_clip_translation_mm", "integral_clip_rotation_deg",
+                   "alignment_clip_mm")},
+    **{(ControllerConfig, key): finite
+       for key in ("kp_align", "ki_align", "kd_align", "theta_ref_deg", "reacquire_advance_mm")},
+    # an approach zone beyond the default termination radius, and a termination
+    # radius inside the default approach zone
+    (ControllerConfig, "approach_zone_radius_mm"): st.floats(20.0, 1e300, exclude_min=True),
+    (ControllerConfig, "termination_radius_mm"): st.floats(
+        0.0, 60.0, exclude_min=True, exclude_max=True),
+    (ControllerConfig, "tap_forward_mm"): st.floats(0.0, 1e300, exclude_min=True),
+    (ControllerConfig, "tap_back_mm"): st.floats(0.0, 1e300),
+    (ControllerConfig, "reacquire_limit"): st.integers(1, 10**6),
+    (NoiseModel, "z_mm"): st.floats(0.0, 1e300),
+    (NoiseModel, "alpha_deg"): st.floats(0.0, 1e300),
+    (NoiseModel, "noise_enabled"): st.booleans(),
+    (Scenario, "name"): st.text().filter(lambda name: not set(name) & set(',"\n\r')),
+    (Scenario, "object"): st.sampled_from(list(builtin_shapes().values())),
+    (Scenario, "object_start_pose_mm_deg"): poses,
+    (Scenario, "pusher_start_pose_mm_deg"): poses,
+    # not at the baseline's pusher start, the origin
+    (Scenario, "target_pose_mm_deg"): poses.filter(lambda p: math.hypot(p.y, p.z) >= 1e-9),
+    (Scenario, "controller"): st.builds(ControllerConfig, tap_forward=st.floats(0.1, 50.0)),
+    (Scenario, "noise_sigmas"): st.builds(NoiseModel, sigma_z=st.floats(0.0, 10.0)),
+    (Scenario, "max_taps"): st.integers(1, 10**6),
+    (Scenario, "rng_seed"): st.integers(0, (1 << 64) - 1),
+}
+
+
+def python_build(cls, key, value):
+    """The input type built in Python with the field of `key` set to value."""
+    field = cls.KEYS[key].field
+    if cls is ObjectShape:
+        base = builtin_shapes()["circle" if key == "circle_radius_mm" else "blue_square"]
+        return dataclasses.replace(base, **{field: value})
+    if cls is Scenario:
+        return dataclasses.replace(scenario_from_dict(BASELINE), **{field: value})
+    return cls(**{field: value})
+
+
+def file_value(key, value):
+    """The file form of a value of the field of `key`, as built in Python."""
+    if key in (*SIX_VALUE_POSES, *GAINS):
+        return [0.0, *value, 0.0, 0.0]
+    if key == "object_start_pose_mm_deg":
+        return list(value)
+    if key == "object":
+        return {"shape": value.name}
+    if key == "controller":
+        return {"tap_forward_mm": value.tap_forward}
+    if key == "noise_sigmas":
+        return {"z_mm": value.sigma_z}
+    return value
+
+
+def file_build(cls, key, value):
+    """(what scenario_from_dict builds with `key` set to value in the
+    baseline file, the name it gives a bad value)."""
+    data = copy.deepcopy(BASELINE)
+    name = f"scenario.{key.removesuffix('_mm_deg')}"
+    if cls is ObjectShape:
+        base = builtin_shapes()["circle" if key == "circle_radius_mm" else "blue_square"]
+        data["object"] = {**shape_to_dict(base), key: value}
+        name = f"scenario.object.{key}"
+    elif cls is ControllerConfig:
+        data["controller"] = {key: value}
+        name = f"scenario.controller.{key.removesuffix('_mm_deg')}"
+    elif cls is NoiseModel and key != "noise_enabled":
+        data["noise_sigmas"] = {key: value}
+        name = f"scenario.noise_sigmas.{key}"
+    else:
+        data[key] = value
+    return lambda: scenario_from_dict(data), name
+
+
+def assert_rejected(cls, key, value, file_form=None):
+    """Both the constructor and a scenario file reject value, naming the field."""
+    with pytest.raises(ValueError, match=re.escape(f"{cls.__name__}.{cls.KEYS[key].field}")):
+        python_build(cls, key, value)
+    build, name = file_build(cls, key, value if file_form is None else file_form)
+    with pytest.raises(ScenarioError, match=re.escape(name)):
+        build()
+
+
+def test_every_table_row_is_drawn():
+    bounded = {(cls, key) for cls, key in ROWS if cls.KEYS[key].range}
+    assert {past[:2] for past in JUST_PAST} == bounded
+    assert set(IN_RANGE) == set(ROWS)
+
+
+@pytest.mark.parametrize("cls, key", ROWS, ids=ROW_IDS)
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_every_row_rejects_a_value_of_the_wrong_kind(cls, key, data):
+    # a name is a string and noise_enabled a flag, so those are not wrong
+    right = {"name": str, "noise_enabled": bool}.get(key, ())
+    value = data.draw(st.sampled_from(
+        [v for v in (True, "1", math.nan, math.inf, -math.inf) if not isinstance(v, right)]))
+    assert_rejected(cls, key, value)
+    # in place of one of the numbers of a list
+    good = data.draw(IN_RANGE[(cls, key)])
+    if isinstance(good, tuple) or key == "polygon_mm":
+        entries = [list(v) for v in good] if key == "polygon_mm" else list(good)
+        i = data.draw(st.integers(0, len(entries) - 1))
+        if key == "polygon_mm":
+            entries[i][data.draw(st.integers(0, 1))] = value
+        else:
+            entries[i] = value
+        assert_rejected(cls, key, entries, file_value(key, entries))
+
+
+@pytest.mark.parametrize("past", list(JUST_PAST), ids=lambda past: ".".join(
+    [past[0].__name__, *past[1:]]))
+def test_every_bound_rejects_a_value_just_past_it(past):
+    cls, key = past[:2]
+    assert_rejected(cls, key, JUST_PAST[past])
+
+
+@pytest.mark.parametrize("cls, key", ROWS, ids=ROW_IDS)
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_every_row_builds_an_in_range_value(cls, key, data):
+    value = data.draw(IN_RANGE[(cls, key)])
+    field = cls.KEYS[key].field
+    built = python_build(cls, key, value)
+    scenario = file_build(cls, key, json.loads(json.dumps(file_value(key, value))))[0]()
+    from_file = {ObjectShape: scenario.object, ControllerConfig: scenario.controller,
+                 NoiseModel: scenario.noise, Scenario: scenario}[cls]
+    if cls is ObjectShape or key == "object":
+        assert shape_to_dict(getattr(from_file, field) if key == "object" else from_file) == \
+            shape_to_dict(getattr(built, field) if key == "object" else built)
+    elif key == "controller":
+        assert from_file.controller.tap_forward == built.controller.tap_forward
+    elif key == "noise_sigmas":
+        assert from_file.noise.sigma_z == built.noise.sigma_z
+    else:
+        assert getattr(from_file, field) == getattr(built, field)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: NoiseModel(enabled="no"), "NoiseModel.enabled"),
+    (lambda: ControllerConfig(ref_pose=(0.0, 2.0, 0.0)), "ControllerConfig.ref_pose"),
+    (lambda: ControllerConfig(kp_align=True), "ControllerConfig.kp_align"),
+    (lambda: ControllerConfig(kp_servo=(1, 2, "3")), "ControllerConfig.kp_servo"),
+    (lambda: ControllerConfig(integral_clip_rotation=("-1", "1")),
+     "ControllerConfig.integral_clip_rotation"),
+    (lambda: dataclasses.replace(builtin_shapes()["blue_square"], mu_contact=True),
+     "ObjectShape.mu_contact"),
+    (lambda: ControllerConfig(kp_align="abc"), "ControllerConfig.kp_align"),
+    (lambda: NoiseModel(sigma_z="0.1"), "NoiseModel.sigma_z"),
+], ids=["noise_enabled_string", "ref_pose_tuple", "kp_align_bool", "kp_servo_string_entry",
+        "clip_strings", "mu_contact_bool", "kp_align_string", "sigma_z_string"])
+def test_a_value_built_in_python_is_checked_as_a_file_value(build, field):
+    # each was accepted in Python, or raised a TypeError, though a file
+    # holding it was rejected
+    with pytest.raises(ValueError, match=re.escape(field)):
+        build()

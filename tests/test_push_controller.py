@@ -447,36 +447,38 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ControllerConfig(termination_radius=70.0)
         for radius in ("approach_zone_radius", "termination_radius"):
-            with pytest.raises(ValueError, match="zone radii"):
+            with pytest.raises(ValueError, match=f"ControllerConfig.{radius} has a non-finite"):
                 ControllerConfig(**{radius: math.nan})
 
     @pytest.mark.parametrize(
         "kwargs, message",
-        [({"tap_forward": 0.0}, "tap lengths"),
-         ({"tap_forward": math.nan}, "tap lengths"),
-         ({"tap_back": math.nan}, "tap lengths"),
+        [({"tap_forward": 0.0}, "ControllerConfig.tap_forward: must be > 0, got 0.0"),
+         ({"tap_forward": math.nan}, "ControllerConfig.tap_forward has a non-finite value"),
+         ({"tap_back": math.nan}, "ControllerConfig.tap_back has a non-finite value"),
          ({"reacquire_limit": 0}, "reacquire_limit"),
          ({"reacquire_limit": math.nan}, "reacquire_limit"),
-         ({"reacquire_advance": math.nan}, "reacquire_advance must be finite"),
-         ({"kp_servo": (0.0, math.nan, 0.9)}, "kp_servo must be finite"),
-         ({"ki_servo": (0.0, 0.1, math.inf)}, "ki_servo must be finite"),
-         ({"kd_servo": (math.nan,) * 3}, "kd_servo must be finite"),
-         ({"kp_align": math.nan}, "kp_align must be finite"),
-         ({"ki_align": math.inf}, "ki_align must be finite"),
-         ({"kd_align": math.nan}, "kd_align must be finite"),
-         ({"theta_ref": -math.inf}, "theta_ref must be finite"),
-         ({"tap_forward": math.inf}, "tap lengths invalid: tap_forward"),
-         ({"tap_back": math.inf}, "tap lengths invalid: tap_back"),
-         ({"approach_zone_radius": math.inf}, "zone radii invalid: approach_zone_radius"),
-         ({"termination_radius": math.inf}, "zone radii invalid: termination_radius"),
-         ({"reacquire_limit": 2.5}, "reacquire_limit must be an integer"),
-         ({"reacquire_limit": True}, "reacquire_limit must be an integer"),
+         ({"reacquire_advance": math.nan}, "reacquire_advance has a non-finite value"),
+         ({"kp_servo": (0.0, math.nan, 0.9)}, "kp_servo has a non-finite value"),
+         ({"ki_servo": (0.0, 0.1, math.inf)}, "ki_servo has a non-finite value"),
+         ({"kd_servo": (math.nan,) * 3}, "kd_servo has a non-finite value"),
+         ({"kp_align": math.nan}, "kp_align has a non-finite value"),
+         ({"ki_align": math.inf}, "ki_align has a non-finite value"),
+         ({"kd_align": math.nan}, "kd_align has a non-finite value"),
+         ({"theta_ref": -math.inf}, "theta_ref has a non-finite value"),
+         ({"tap_forward": math.inf}, "ControllerConfig.tap_forward has a non-finite value"),
+         ({"tap_back": math.inf}, "ControllerConfig.tap_back has a non-finite value"),
+         ({"approach_zone_radius": math.inf},
+          "ControllerConfig.approach_zone_radius has a non-finite value"),
+         ({"termination_radius": math.inf},
+          "ControllerConfig.termination_radius has a non-finite value"),
+         ({"reacquire_limit": 2.5}, "reacquire_limit: expected a count, got 2.5"),
+         ({"reacquire_limit": True}, "reacquire_limit: expected a count, got True"),
          # the config has no x, beta or gamma gain: a 6-entry diagonal is
          # refused whole (files give one, and the scenario reader reads it
          # down to (y, z, alpha))
-         ({"kp_servo": (0.0, 0.0, 0.9, 0.9, 0.9, 0.0)}, r"kp_servo must have 3 entries \(y, z"),
-         ({"ki_servo": (0.1, 0.0, 0.1, 0.1, 0.0, 0.0)}, r"ki_servo must have 3 entries \(y, z"),
-         ({"kd_servo": (0.0, 0.0, 0.0, 0.0, 0.0, -1.0)}, r"kd_servo must have 3 entries \(y, z")],
+         ({"kp_servo": (0.0, 0.0, 0.9, 0.9, 0.9, 0.0)}, "kp_servo: expected 3 values, got 6"),
+         ({"ki_servo": (0.1, 0.0, 0.1, 0.1, 0.0, 0.0)}, "ki_servo: expected 3 values, got 6"),
+         ({"kd_servo": (0.0, 0.0, 0.0, 0.0, 0.0, -1.0)}, "kd_servo: expected 3 values, got 6")],
         ids=["tap_forward_zero", "tap_forward_nan", "tap_back_nan",
              "reacquire_limit_zero", "reacquire_limit_nan", "reacquire_advance_nan",
              "kp_servo_nan", "ki_servo_inf", "kd_servo_nan", "kp_align_nan",
@@ -490,7 +492,7 @@ class TestConfigValidation:
             ControllerConfig(**kwargs)
 
     def test_gain_length(self):
-        with pytest.raises(ValueError, match=r"kp_servo must have 3 entries \(y, z, alpha\)"):
+        with pytest.raises(ValueError, match="ControllerConfig.kp_servo: expected 3 values, got 2"):
             ControllerConfig(kp_servo=(1.0, 2.0))
 
 

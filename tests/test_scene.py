@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from tacpush import scenario
+from tacpush.exp_harness import run_trial
 from tacpush.pose_math import transform_to_euler
 from tacpush.push_controller import ControllerConfig
 from tacpush.scenario import ScenarioError, load_scenario, scenario_from_dict, shape_to_dict
@@ -24,7 +26,10 @@ from tacpush.tactile_sense import NoiseModel
 
 from physics_oracle import to_work
 
-BASELINE = Path(__file__).resolve().parent.parent / "scenarios" / "exp1_baseline.json"
+ROOT = Path(__file__).resolve().parent.parent
+BASELINE = ROOT / "scenarios" / "exp1_baseline.json"
+EVERY_FIELD = ROOT / "scenarios" / "every_field.json"
+README = ROOT / "README.md"
 
 
 CATALOG_POLYGON_NAMES = [n for n, s in builtin_shapes().items() if s.polygon is not None]
@@ -160,7 +165,7 @@ class TestObjectShapeValidation:
             for i in range(2):
                 verts = [list(v) for v in square]
                 verts[2][i] = value
-                cases.append(({"polygon": verts}, "polygon vertices must be finite"))
+                cases.append(({"polygon": verts}, "ObjectShape.polygon has a non-finite value"))
             for kwargs in ({"polygon": square}, {"radius": 2.0}):
                 cases.append(({**kwargs, "cof_offset": [0.0, value]}, "cof_offset"))
         for kwargs, match in cases:
@@ -557,17 +562,46 @@ class TestScenarioFiles:
             load_scenario(path)
 
     def test_tables_cover_the_config_types(self):
-        # a config field with no table row could not be set from a file
-        def args(table):
-            return sorted(arg for arg, _ in table.values())
+        # a field with no row could not be set from a file, nor be checked
+        # when built in Python; each has exactly one, in its type's own table
+        for cls in (ObjectShape, ControllerConfig, NoiseModel, scenario.Scenario):
+            rows = sorted(row.field for row in cls.KEYS.values())
+            assert rows == sorted(f.name for f in dataclasses.fields(cls)), cls.__name__
 
-        def names(cls):
-            return sorted(f.name for f in dataclasses.fields(cls))
+    def test_readme_key_lists_match_the_tables(self):
+        # each README list, key for key and range for range
+        section = README.read_text().split("## Scenario files")[1].split("\n## ")[0]
+        tables = {
+            "Top level": scenario._TOP,
+            "Inline object": ObjectShape.KEYS,
+            "Controller overrides": ControllerConfig.KEYS,
+            "Noise sigmas": scenario._SIGMAS,
+        }
+        for label, table in tables.items():
+            listed = re.split(r"\n *\* ", section.split(f"* **{label}:**")[1])[0]
+            listed = " ".join(listed.split())
+            keys = re.findall(r"`([a-z_]+)`(?: \(([^)]*)\))?", listed)
+            assert dict(keys) == {key: row.range for key, row in table.items()}, label
 
-        assert args(scenario._CONTROLLER) == names(ControllerConfig)
-        # the top level's noise_enabled sets NoiseModel.enabled
-        assert sorted(args(scenario._NOISE_SIGMAS) + ["enabled"]) == names(NoiseModel)
-        assert args(scenario._INLINE_OBJECT) == names(ObjectShape)
+    def test_every_field_file_sets_every_key(self):
+        data = json.loads(EVERY_FIELD.read_text())
+        assert set(data) == set(scenario._TOP)
+        # an outline is a polygon or a circle, not both
+        assert set(data["object"]) == set(ObjectShape.KEYS) - {"circle_radius_mm"}
+        assert set(data["controller"]) == set(ControllerConfig.KEYS)
+        assert set(data["noise_sigmas"]) == set(scenario._SIGMAS)
+        sc = load_scenario(EVERY_FIELD)
+        defaults = scenario_from_dict(
+            {"object": {"polygon_mm": data["object"]["polygon_mm"]},
+             **{k: data[k] for k in ("object_start_pose_mm_deg", "target_pose_mm_deg")}})
+        # the required fields and the outline have no default
+        no_default = ("object", "object_start_pose", "target_pose", "polygon", "radius")
+        for built, default in [(sc, defaults), (sc.object, defaults.object),
+                               (sc.controller, defaults.controller), (sc.noise, defaults.noise)]:
+            for f in dataclasses.fields(built):
+                if f.name not in no_default:
+                    assert not np.array_equal(getattr(built, f.name), getattr(default, f.name)), f
+        assert run_trial(dataclasses.replace(sc, max_taps=8)).outcome != "error"
 
     def test_shape_format_key_order(self):
         # the order tacpush shapes and meta.shape have always written

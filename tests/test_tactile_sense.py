@@ -211,9 +211,9 @@ class TestApplyNoise:
         with pytest.raises(ValueError):
             NoiseModel(sigma_z=-0.1)
         for value in (math.nan, math.inf):
-            for sigmas in ({"sigma_z": value}, {"sigma_alpha": value}):
-                with pytest.raises(ValueError, match="sigmas must be finite and >= 0"):
-                    NoiseModel(**sigmas)
+            for name in ("sigma_z", "sigma_alpha"):
+                with pytest.raises(ValueError, match=f"NoiseModel.{name} has a non-finite value"):
+                    NoiseModel(**{name: value})
 
 
 class TestPredictionToPose:

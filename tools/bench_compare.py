@@ -32,6 +32,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from tacpush.cli import seed_int  # noqa: E402
+
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 SIDES = ("parent", "change")
@@ -140,16 +144,18 @@ def parse_pairs(specs: list, seed: int, option: str = "--pairs") -> list:
         w, s, n = m.group(1), m.group(2), int(m.group(3))
         if n < 1:
             raise SystemExit(f"bench_compare: {option} {spec!r} needs at least one pair")
-        if s and int(s) >= 1 << 64:
-            raise SystemExit(f"bench_compare: {option} {spec!r}: SEED must be below 2**64")
+        if s:
+            try:
+                seed_int(s)
+            except argparse.ArgumentTypeError:  # the pattern admits no sign
+                raise SystemExit(
+                    f"bench_compare: {option} {spec!r}: SEED must be below 2**64"
+                ) from None
         out.append((f"{w}@{s}" if s else w, w, int(s) if s else seed, n))
     return out
 
 
 def main(argv=None) -> int:
-    sys.path.insert(0, str(ROOT / "src"))
-    from tacpush.cli import seed_int
-
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="change checkout")

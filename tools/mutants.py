@@ -1,8 +1,9 @@
 """Run source mutants against the Tier-1 tests that are not goldens.
 
 The mutants cover the simulator (`push_dynamics`, `scene`), the controller
-(`push_controller`), the sensor (`tactile_sense`) and the trial set-up's
-placement and `compute_y_targ` (`exp_harness`). Each mutant is a text
+(`push_controller`), the sensor (`tactile_sense`), the trial set-up's
+placement and `compute_y_targ` (`exp_harness`) and the input checker
+(`inputs`). Each mutant is a text
 replacement in one file of `src/tacpush/` that must
 match exactly once. For each mutant the tool copies the checkout to a
 temporary directory, applies the replacement, and runs every Tier-1 test
@@ -19,7 +20,7 @@ survivor, whether the trial digest at `--seed 1` moved:
 A mutant that does not match exactly once is reported as such, and the tool
 then exits with status 1. The mutants take about three minutes on a 2-core
 host, so the tool is run by hand for a change to the kernel, the controller,
-the sensor or the placement, not in CI.
+the sensor, the placement or the input checker, not in CI.
 """
 
 from __future__ import annotations
@@ -220,6 +221,16 @@ MUTANTS = [
     ("compute_y_targ takes the distance along the axis, not across it", "exp_harness.py",
      "return abs(ay * rz - az * ry)",
      "return abs(ay * ry + az * rz)"),
+    ("the input checker accepts a bool as a number", "inputs.py",
+     "if isinstance(value, bool) or not isinstance(value, (int, float)):",
+     "if not isinstance(value, (int, float)):"),
+    ("a strict lower bound of a table row is non-strict, so tap_forward_mm 0 is accepted",
+     "inputs.py",
+     '">": operator.gt,',
+     '">": operator.ge,'),
+    ("a vector kind checks only its first entry", "inputs.py",
+     "return [_number(v, ctx) for v in value]",
+     "return [_number(value[0], ctx), *value[1:]]"),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "out", "__pycache__", ".hypothesis", ".pytest_cache",
