@@ -63,12 +63,13 @@ def _clip(value, ctx: str) -> tuple:
     return lo, hi
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
     """Gains, reference pose, clips and zone radii for both control loops.
 
     Channel order for the servo gains is (y, z, alpha); translation
-    integrals clip in mm, rotation integrals in degrees.
+    integrals clip in mm, rotation integrals in degrees. Frozen, so that no
+    field is set past its check.
     """
 
     ref_pose: PlanarPose = field(default_factory=lambda: PlanarPose(z=2.0))

@@ -491,6 +491,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             ControllerConfig(**kwargs)
 
+    def test_fields_cannot_be_set_past_the_check(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ControllerConfig().tap_forward = "abc"
+
     def test_gain_length(self):
         with pytest.raises(ValueError, match="ControllerConfig.kp_servo: expected 3 values, got 2"):
             ControllerConfig(kp_servo=(1.0, 2.0))
