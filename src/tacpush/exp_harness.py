@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inputs import ScenarioError, _count, _is_int, _number, _seed, _string, _vector, checked
+from .inputs import ScenarioError, _count, _is_int, _number, _seed, _string, _vector, read
 from .push_controller import ControllerConfig, ControllerState, Status, control_step
 from .push_dynamics import PhysicsFault, contact_at, simulate_tap
 from .scene import (
@@ -676,23 +676,24 @@ def _read_summary(where: str, rec: dict) -> dict:
     """The TrialRecord fields of one records.json summary, each value read
     once. Every value plot draws, and the scenario_id, outcome and y_targ
     that export and compute_metrics read, goes through the input kinds, and
-    meta's shape and zone radii through the tables of ObjectShape and
-    ControllerConfig, so a bad value is named by its record path; `meta` is
-    kept as it is."""
+    meta's shape and zone radii through `inputs.read` by the tables of
+    ObjectShape and ControllerConfig, as a scenario file's are, so a bad
+    value is named by its record path; `meta` is kept as it is."""
 
-    def read(reader, *path):
+    def at(reader, *path):
         return reader(_require(rec, where, *path), ".".join((where, *path)))
 
     meta = _require(rec, where, "meta")
-    read(_vector(6), "meta", "target_pose_mm_deg")
-    shape = checked(ObjectShape.KEYS, _require(rec, where, "meta", "shape"), f"{where}.meta.shape")
+    at(_vector(6), "meta", "target_pose_mm_deg")
+    shape = read(_require(rec, where, "meta", "shape"), ObjectShape.KEYS,
+                 f"{where}.meta.shape", {})
     if not {"polygon", "radius"} & shape.keys():
         raise ScenarioError(f"{where}.meta.shape has no field 'polygon_mm' or 'circle_radius_mm'")
     radii = ("approach_zone_radius_mm", "termination_radius_mm")
-    checked(ControllerConfig.KEYS, {key: _require(rec, where, "meta", key) for key in radii},
-            f"{where}.meta")
-    final_pusher_pose = read(_vector(6), "final_pusher_pose")
-    tap_total = read(_count, "tap_total")
+    read({key: _require(rec, where, "meta", key) for key in radii}, ControllerConfig.KEYS,
+         f"{where}.meta", {})
+    final_pusher_pose = at(_vector(6), "final_pusher_pose")
+    tap_total = at(_count, "tap_total")
     outcome = _require(rec, where, "outcome")
     if outcome not in _OUTCOMES:
         raise ScenarioError(
@@ -706,13 +707,13 @@ def _read_summary(where: str, rec: dict) -> dict:
             f"{where}.y_targ: expected null for outcome {outcome!r}, got {y_targ!r}"
         )
     return {
-        "scenario_id": read(_string, "scenario_id"),
-        "seed": read(_seed, "seed"),
+        "scenario_id": at(_string, "scenario_id"),
+        "seed": at(_seed, "seed"),
         "outcome": outcome,
         "y_targ": y_targ,
         "tap_total": tap_total,
         "final_pusher_pose": final_pusher_pose,
-        "final_object_pose": read(_vector(3), "final_object_pose"),
+        "final_object_pose": at(_vector(3), "final_object_pose"),
         "meta": meta,
     }
 

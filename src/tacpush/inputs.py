@@ -1,11 +1,11 @@
 """Input kinds and the one checker of the input tables.
 
 Each input type (ObjectShape, ControllerConfig, NoiseModel, Scenario) has
-one table, its KEYS, keyed by file key. `check` applies it in __post_init__,
-so a value built in Python and one read from a file pass the same check;
-`checked` applies it to a plain mapping. A kind takes (value, name), returns
-the value normalised and raises a ScenarioError whose message starts with
-the name.
+one table, its KEYS, keyed by file key. `check` applies it in __post_init__
+to a value built in Python, and `read` to a table read from a file (a
+scenario file's section or a records.json `meta` table), each row by the
+same `_value`. A kind takes (value, name), returns the value normalised and
+raises a ScenarioError whose message starts with the name.
 """
 
 from __future__ import annotations
@@ -20,19 +20,6 @@ import numpy as np
 
 class ScenarioError(ValueError):
     """Scenario file failed to parse or validate; the message names the field."""
-
-
-class FieldError(ScenarioError):
-    """A value that failed its row: the message is its name, then `tail`."""
-
-    def __init__(self, name: str, key: str, tail: str):
-        super().__init__(name + tail)
-        self.key, self.tail = key, tail
-
-    def at(self, section: str) -> ScenarioError:
-        """The error named by the row's key in a file section (a pose key
-        without its `_mm_deg` suffix)."""
-        return ScenarioError(f"{section}.{self.key.removesuffix('_mm_deg')}{self.tail}")
 
 
 def _is_int(value) -> bool:
@@ -126,55 +113,62 @@ def _bounds(text: str) -> tuple:
     return tuple(clause.split() for clause in text.split(", "))
 
 
-def _value(table: dict, row: Row, value, fields: dict):
+def _value(table: dict, row: Row, value, name: str, fields: dict):
     """`value` read by its row and checked against its range, given the
-    `fields` of the rows before; a bad one raises a ScenarioError whose
-    message is what follows its name."""
+    `fields` of the rows before; a bad one raises a ScenarioError named
+    `name`."""
     if isinstance(row.kind, type):
         if not isinstance(value, row.kind):
-            raise ScenarioError(f": expected a {row.kind.__name__}, got {value!r}")
-    else:  # a kind's message starts with the name it is given
-        value = row.kind(value, "")
+            raise ScenarioError(f"{name}: expected a {row.kind.__name__}, got {value!r}")
+    else:
+        value = row.kind(value, name)
     for op, limit in _bounds(row.range) if row.range else ():
         if not _COMPARE[op](value, fields[table[limit].field] if limit in table else float(limit)):
-            raise ScenarioError(f": must be {op} {limit}, got {value!r}")
+            raise ScenarioError(f"{name}: must be {op} {limit}, got {value!r}")
     return value
 
 
 def check(obj) -> None:
     """Check the fields of the dataclass `obj` by its KEYS and set each to
-    its normalised value; a bad one raises a FieldError named `Type.field`."""
+    its normalised value; a bad one is named `Type.field`."""
     table, fields = obj.KEYS, {}
-    for key, row in table.items():
+    for row in table.values():
         value = getattr(obj, row.field)
         if value is None and row.optional:
             continue
         try:
-            fields[row.field] = out = _value(table, row, value, fields)
-        except ScenarioError as exc:
-            raise FieldError(f"{type(obj).__name__}.{row.field}", key, str(exc)) from None
+            fields[row.field] = out = _value(table, row, value, "", fields)
+        except ScenarioError as exc:  # the name is only formed for a bad value
+            raise ScenarioError(f"{type(obj).__name__}.{row.field}{exc}") from None
         if out is not value:
             object.__setattr__(obj, row.field, out)
 
 
-def known(values, table: dict, where: str) -> None:
-    """Check that `values` is a mapping whose keys all have rows in `table`."""
+def read(values, table: dict, where: str, convert: dict, defaults=None) -> dict:
+    """The checked fields of `values`, a file table of keys of `table` named
+    `where`, in table order. A non-table, an unknown key and a null are
+    rejected, and a key of `convert` is read from its file format by
+    `convert[key](value, name)`. With `defaults`, an instance of the type,
+    a row the table does not give is checked at its default, so that every
+    range limit is known. A bad value is named by its key path, a pose key
+    without its `_mm_deg` suffix."""
     if not isinstance(values, dict):
         raise ScenarioError(f"{where}: expected an object table")
     for key in values:
         if key not in table:
             raise ScenarioError(f"{where}: unknown field {key!r}")
-
-
-def checked(table: dict, values, where: str) -> dict:
-    """The checked fields of `values`, a mapping from keys of `table`; a bad
-    value raises a FieldError named `where.key`."""
-    known(values, table, where)
     fields = {}
     for key, row in table.items():
+        name = f"{where}.{key.removesuffix('_mm_deg')}"
         if key in values:
-            try:
-                fields[row.field] = _value(table, row, values[key], fields)
-            except ScenarioError as exc:
-                raise FieldError(f"{where}.{key}", key, str(exc)) from None
+            value = values[key]
+            if value is None:
+                raise ScenarioError(f"{name}: expected a value, got null")
+            if key in convert:
+                value = convert[key](value, name)
+        elif defaults is not None:
+            value = getattr(defaults, row.field)
+        else:
+            continue
+        fields[row.field] = _value(table, row, value, name, fields)
     return fields

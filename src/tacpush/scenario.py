@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inputs import FieldError, Row, ScenarioError, _count, _numbers, _seed, _string, check, known
+from .inputs import Row, ScenarioError, _count, _numbers, _seed, _string, check, read
 from .push_controller import ControllerConfig
 from .scene import ObjectShape, PlanarPose, builtin_shapes
 from .tactile_sense import NoiseModel
@@ -65,30 +65,12 @@ class Scenario:
 
 
 def _construct(make, ctx: str, **kwargs):
-    """make(**kwargs), with a ValueError from its checks raised as a
-    ScenarioError that names the section, or a bad field's key path."""
+    """make(**kwargs) from values `read` has checked, with a ValueError from
+    a check across fields raised as a ScenarioError that names the section."""
     try:
         return make(**kwargs)
-    except FieldError as exc:
-        raise exc.at(ctx) from exc
     except ValueError as exc:
         raise ScenarioError(f"{ctx}: {exc}") from exc
-
-
-def _read(data, table: dict, ctx: str) -> dict:
-    """Constructor arguments from one file section, by field. Unknown keys
-    and nulls are rejected, and a key of _CONVERT is read from its file
-    format; the constructor checks every value. A pose field is named
-    without its `_mm_deg` suffix."""
-    known(data, table, ctx)
-    out = {}
-    for key, row in table.items():
-        if key in data:
-            value, name = data[key], f"{ctx}.{key.removesuffix('_mm_deg')}"
-            if value is None:
-                raise ScenarioError(f"{name}: expected a value, got null")
-            out[row.field] = _CONVERT[key](value, name) if key in _CONVERT else value
-    return out
 
 
 def _planar(value, ctx: str, what: str = "pose") -> tuple:
@@ -114,7 +96,7 @@ def _catalog_shape(value, ctx: str) -> ObjectShape:
 
 
 _CATALOG_OBJECT = {
-    "shape": Row("shape", str),
+    "shape": Row("shape", ObjectShape),
     **{key: ObjectShape.KEYS[key] for key in ("f_max_n", "m_max_nmm", "mu_contact")},
 }
 
@@ -133,17 +115,17 @@ def _object(value, ctx: str) -> ObjectShape:
     """A catalog shape by name, or an inline outline. A catalog shape given
     without friction fields is the catalog instance itself."""
     if isinstance(value, dict) and "shape" in value:
-        kwargs = _read(value, _CATALOG_OBJECT, ctx)
+        kwargs = read(value, _CATALOG_OBJECT, ctx, _CONVERT)
         shape = kwargs.pop("shape")
         if not kwargs:
             return shape
         return _construct(lambda **kw: replace(shape, **kw), ctx, **kwargs)
-    kwargs = _read(value, ObjectShape.KEYS, ctx)
+    kwargs = read(value, ObjectShape.KEYS, ctx, _CONVERT)
     return _construct(ObjectShape, ctx, **{"name": "custom", **kwargs})
 
 
 def _controller(value, ctx: str) -> ControllerConfig:
-    return _construct(ControllerConfig, ctx, **_read(value, ControllerConfig.KEYS, ctx))
+    return ControllerConfig(**read(value, ControllerConfig.KEYS, ctx, _CONVERT, ControllerConfig()))
 
 
 _SIGMAS = {key: row for key, row in NoiseModel.KEYS.items() if key != "noise_enabled"}
@@ -161,7 +143,7 @@ _CONVERT = {
     "shape": _catalog_shape,
     "object": _object,
     "controller": _controller,
-    "noise_sigmas": lambda value, ctx: _read(value, _SIGMAS, ctx),
+    "noise_sigmas": lambda value, ctx: NoiseModel(**read(value, _SIGMAS, ctx, _CONVERT)),
 }
 # Scenario arguments a file must give
 _REQUIRED = ("object", "object_start_pose", "target_pose")
@@ -172,18 +154,14 @@ def scenario_from_dict(data: dict, ctx: str = "scenario") -> Scenario:
 
     Pose fields are named without their `_mm_deg` suffix in error messages.
     """
-    kwargs = {"name": "unnamed", "pusher_start_pose": PlanarPose(), **_read(data, _TOP, ctx)}
+    kwargs = {"name": "unnamed", "pusher_start_pose": PlanarPose(),
+              **read(data, _TOP, ctx, _CONVERT)}
     for key, row in _TOP.items():
         if row.field in _REQUIRED and row.field not in kwargs:
             raise ScenarioError(f"{ctx}: missing required field {key!r}")
-    noise = kwargs.pop("noise", {})
     if "enabled" in kwargs:
-        noise["enabled"] = kwargs.pop("enabled")
-    try:
-        noise = NoiseModel(**noise)
-    except FieldError as exc:
-        raise exc.at(ctx if exc.key == "noise_enabled" else f"{ctx}.noise_sigmas") from exc
-    return _construct(Scenario, ctx, noise=noise, **kwargs)
+        kwargs["noise"] = replace(kwargs.get("noise", NoiseModel()), enabled=kwargs.pop("enabled"))
+    return _construct(Scenario, ctx, **kwargs)
 
 
 def load_scenario(path) -> Scenario:

@@ -469,6 +469,33 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="object.shape"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "override, name",
+        [({"max_taps": None}, "scenario.max_taps"),
+         ({"object": {"shape": "mug", "f_max_n": None}}, "scenario.object.f_max_n"),
+         ({"controller": {"ref_pose_mm_deg": None}}, "scenario.controller.ref_pose"),
+         ({"noise_sigmas": {"z_mm": None}}, "scenario.noise_sigmas.z_mm")],
+        ids=["top_level", "catalog_object", "controller_pose", "noise_sigma"],
+    )
+    def test_null_names_its_key_path(self, override, name):
+        data = json.loads(BASELINE.read_text()) | override
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(data)
+        assert str(exc.value) == f"{name}: expected a value, got null"
+
+    @pytest.mark.parametrize(
+        "controller, got",
+        [({"termination_radius_mm": 70}, 70.0), ({"approach_zone_radius_mm": 10}, 20.0)],
+        ids=["termination_alone", "approach_alone"],
+    )
+    def test_range_limit_a_section_does_not_give_is_its_default(self, controller, got):
+        # the default approach zone is 60 mm and the default termination radius 20 mm
+        data = json.loads(BASELINE.read_text()) | {"controller": controller}
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(data)
+        assert str(exc.value) == ("scenario.controller.termination_radius_mm: "
+                                  f"must be < approach_zone_radius_mm, got {got!r}")
+
     def test_catalog_shape_without_friction_is_the_catalog_instance(self):
         data = json.loads(BASELINE.read_text())
         data["object"] = {"shape": "mug"}

@@ -10,10 +10,11 @@ temporary directory, applies the replacement, and runs every Tier-1 test
 file with `-x`, except the three goldens and `test_mutants.py` (which checks
 that each text matches the unmutated source). Most mutants fall to the test
 file of the module they mutate, so that file runs first, then the others by
-name, and the three slowest last. The strict xfails (the overshoot and the
-tap's symmetries) are deselected, since an XPASS is no kill. It prints a
-kill table, with the first failing test of each killed mutant and, for each
-survivor, whether the trial digest at `--seed 1` moved:
+name, and the three slowest last. The strict xfails (the overshoot, the
+tap's symmetries and the grids' shared seeds) are deselected, since an XPASS
+is no kill. It prints a kill table, with the first failing test of each
+killed mutant and, for each survivor, whether the trial digest at `--seed 1`
+moved:
 
     python3 tools/mutants.py [--checkout PATH]
 
@@ -41,11 +42,15 @@ NOT_RUN = {"test_probe_golden.py", "test_physics_golden.py", "test_closed_loop_g
            "test_mutants.py"}
 # the slowest files, slowest last: they run after every other file
 SLOW = ("test_exp_harness.py", "test_acceptance.py", "test_properties.py")
-XFAILS = [f"tests/test_properties.py::{name}" for name in (
-    "test_resolve_substep_keeps_pushing_contacts_overlapping",
-    "test_simulate_tap_commutes_with_planar_rigid_motions",
-    "test_simulate_tap_commutes_with_the_mirror",
-)]
+XFAILS = [
+    *(f"tests/test_properties.py::{name}" for name in (
+        "test_resolve_substep_keeps_pushing_contacts_overlapping",
+        "test_simulate_tap_commutes_with_planar_rigid_motions",
+        "test_simulate_tap_commutes_with_the_mirror",
+    )),
+    "tests/test_exp_harness.py::TestSeedDerivation::"
+    "test_grids_of_different_experiments_draw_distinct_seeds",
+]
 # one mutant test run; a mutant that makes the suite hang counts as killed
 TIMEOUT_S = 900
 
@@ -231,6 +236,15 @@ MUTANTS = [
     ("a vector kind checks only its first entry", "inputs.py",
      "return [_number(v, ctx) for v in value]",
      "return [_number(value[0], ctx), *value[1:]]"),
+    ("read passes a null on to its row's kind, which names it by its kind, not as a null",
+     "inputs.py",
+     '            if value is None:\n                raise ScenarioError(f"{name}: expected a value, got null")\n',
+     ""),
+    ("read skips a row its table does not give, so a range limit that the file leaves at "
+     "its default is unknown",
+     "inputs.py",
+     "        elif defaults is not None:\n            value = getattr(defaults, row.field)\n",
+     ""),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "out", "__pycache__", ".hypothesis", ".pytest_cache",
